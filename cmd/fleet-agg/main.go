@@ -6,12 +6,11 @@
 // ingested every upload itself — which is how a deployment scales ingest
 // horizontally without changing what the report says.
 //
-// By default polling is incremental: fleet-agg remembers each node's
-// version vector and asks /v1/snapshot?since=<vector>, so steady-state
-// rounds move only the entries that changed (plus health) and fold them
-// into a materialized regional report. A node restart resyncs that node
-// in full automatically; -delta=false restores the stateless
-// full-snapshot fold. Poll rounds are jittered so a fleet of aggregators
+// Polling is incremental: fleet-agg remembers each node's version vector
+// and asks /v1/snapshot?since=<vector>, so steady-state rounds move only
+// the entries that changed (plus health) and fold them into a
+// materialized regional report. A node restart resyncs that node in full
+// automatically. Poll rounds are jittered so a fleet of aggregators
 // doesn't thunder in phase, and each node fetch is bounded by
 // -node-timeout so one slow node can't stall the round — failed nodes
 // keep their last mirrored state and the aggregator reports itself
@@ -59,30 +58,14 @@ type state struct {
 	metrics obs.Snapshot
 	polled  time.Time
 	err     error
-	failed  int // nodes that failed the last round (delta mode)
+	failed  int // nodes that failed the last round
 	deltas  int // nodes that answered the last round with a delta
 }
 
-// set records a stateless full-fold round: on error the previous report
-// is kept (fail-closed Fold returns nothing useful to store).
-func (s *state) set(rep *core.Report, m obs.Snapshot, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err == nil {
-		s.rep, s.metrics, s.polled = rep, m, time.Now()
-	}
-	s.err = err
-	if err != nil {
-		s.failed = 1
-	} else {
-		s.failed = 0
-	}
-}
-
-// setPoll records a delta round: the report always advances (failed nodes
+// set records a poll round: the report always advances (failed nodes
 // contribute their last mirrored state), metrics only when the metrics
 // fetch succeeded.
-func (s *state) setPoll(res fleet.PollResult, m obs.Snapshot, merr error) {
+func (s *state) set(res fleet.PollResult, m obs.Snapshot, merr error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.rep, s.polled = res.Report, time.Now()
@@ -116,7 +99,6 @@ func main() {
 	jitter := flag.Duration("jitter", -1, "max random delay added per poll round (-1 = interval/5, 0 disables)")
 	timeout := flag.Duration("timeout", 30*time.Second, "whole-round HTTP timeout")
 	nodeTimeout := flag.Duration("node-timeout", 10*time.Second, "per-node fetch timeout within a round (0 = round timeout only)")
-	delta := flag.Bool("delta", true, "poll nodes incrementally via /v1/snapshot?since= (false = full snapshot each round)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 	flag.Parse()
 
@@ -148,28 +130,16 @@ func main() {
 	poll := func() {
 		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 		defer cancel()
-		if *delta {
-			res := reg.PollDelta(ctx)
-			m, merr := reg.Metrics(ctx)
-			st.setPoll(res, m, merr)
-			for i, err := range res.Errs {
-				if err != nil {
-					log.Printf("fleet-agg: node %s: %v", urls[i], err)
-				}
+		res := reg.PollDelta(ctx)
+		m, merr := reg.Metrics(ctx)
+		st.set(res, m, merr)
+		for i, err := range res.Errs {
+			if err != nil {
+				log.Printf("fleet-agg: node %s: %v", urls[i], err)
 			}
-			if merr != nil {
-				log.Printf("fleet-agg: metrics poll failed: %v", merr)
-			}
-			return
 		}
-		rep, err := reg.Fold(ctx)
-		var m obs.Snapshot
-		if err == nil {
-			m, err = reg.Metrics(ctx)
-		}
-		st.set(rep, m, err)
-		if err != nil {
-			log.Printf("fleet-agg: poll failed: %v", err)
+		if merr != nil {
+			log.Printf("fleet-agg: metrics poll failed: %v", merr)
 		}
 	}
 	poll()
@@ -234,6 +204,6 @@ func main() {
 		json.NewEncoder(w).Encode(resp)
 	})
 
-	log.Printf("fleet-agg listening on %s, folding %d nodes every %v (delta=%v)", *addr, len(urls), *interval, *delta)
+	log.Printf("fleet-agg listening on %s, folding %d nodes every %v", *addr, len(urls), *interval)
 	log.Fatal(http.ListenAndServe(*addr, mux))
 }

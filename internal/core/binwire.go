@@ -432,25 +432,19 @@ func (r *Report) MergeWire(wr *WireReport) {
 func (r *Report) MergeWireEntries(entries []WireEntry) {
 	for i := range entries {
 		we := &entries[i]
-		e, ok := r.entries[we.Key]
-		if !ok {
-			e = &ReportEntry{
-				App: we.App, ActionUID: we.ActionUID, RootCause: we.RootCause,
-				File: we.File, Line: we.Line, ViaCaller: we.ViaCaller,
-				Devices: make(map[string]bool, len(we.Devices)),
-			}
-			r.entries[we.Key] = e
-		}
-		e.Hangs += we.Hangs
-		r.totalHangs += we.Hangs
-		for _, d := range we.Devices {
-			e.Devices[d] = true
-		}
-		e.SumResponse += we.SumResponse
-		if we.MaxResponse > e.MaxResponse {
-			e.MaxResponse = we.MaxResponse
-		}
-		e.Chain = mergeChain(e.Chain, we.Chain)
+		src := we.entry()
+		r.add(we.Key, &src, we.Devices)
+	}
+}
+
+// entry returns we as a ReportEntry without its device list, which merge
+// takes separately.
+func (we *WireEntry) entry() ReportEntry {
+	return ReportEntry{
+		App: we.App, ActionUID: we.ActionUID, RootCause: we.RootCause,
+		File: we.File, Line: we.Line, ViaCaller: we.ViaCaller,
+		Hangs: we.Hangs, MaxResponse: we.MaxResponse, SumResponse: we.SumResponse,
+		Chain: we.Chain,
 	}
 }
 

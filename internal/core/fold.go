@@ -44,7 +44,7 @@ func (r *Report) Clone() *Report {
 	out.totalHangs = r.totalHangs
 	out.Health = r.Health
 	for key, e := range r.entries {
-		out.entries[key] = cloneEntry(e)
+		out.entries[key] = e.clone()
 	}
 	return out
 }
@@ -76,7 +76,7 @@ func (r *Report) Split(shards int) []*Report {
 	}
 	for key, e := range r.entries {
 		f := frag(ShardIndex(e.App, e.ActionUID, e.RootCause, shards))
-		f.entries[key] = cloneEntry(e)
+		f.entries[key] = e.clone()
 		f.totalHangs += e.Hangs
 	}
 	return out

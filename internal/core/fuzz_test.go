@@ -26,6 +26,11 @@ func FuzzImportReport(f *testing.F) {
 	f.Add(`{"version":2}`)
 	f.Add(`garbage`)
 	f.Add(`{"version":1,"entries":[{"hangs":-3}]}`)
+	// Two entries under one key merge: 6 hangs in one row, not the last
+	// row's 4 under a total of 6.
+	f.Add(`{"version":1,"entries":[` +
+		`{"app":"A","action_uid":"A/act","root_cause":"x.Y.m","file":"Y.java","line":2,"hangs":2,"devices":["d1"],"max_response_ns":5,"sum_response_ns":9},` +
+		`{"app":"A","action_uid":"A/act","root_cause":"x.Y.m","file":"Y.java","line":2,"hangs":4,"devices":["d2"],"max_response_ns":7,"sum_response_ns":20}]}`)
 
 	f.Fuzz(func(t *testing.T, doc string) {
 		rep, err := ImportReport(strings.NewReader(doc))

@@ -38,6 +38,47 @@ func (e *ReportEntry) AvgResponse() simclock.Duration {
 	return e.SumResponse / simclock.Duration(e.Hangs)
 }
 
+// The report algebra. Every path that builds, copies or combines entries
+// goes through empty and merge, so a new ReportEntry field is merged in
+// exactly one place (TestReportAlgebraLaws fails on a field merge ignores).
+
+// empty returns a new entry carrying only e's identity fields — the zero
+// of merge for e's key. n sizes its device set.
+func (e *ReportEntry) empty(n int) *ReportEntry {
+	return &ReportEntry{
+		App: e.App, ActionUID: e.ActionUID, RootCause: e.RootCause,
+		File: e.File, Line: e.Line, ViaCaller: e.ViaCaller,
+		Devices: make(map[string]bool, n),
+	}
+}
+
+// merge folds src into e: hang counts and response sums add, the larger
+// maximum wins, device sets union and chains fold by mergeChain. e keeps
+// its own identity fields (first writer wins). src's devices are
+// src.Devices plus devs, the list form decoded documents carry, so they
+// merge without building a set first.
+func (e *ReportEntry) merge(src *ReportEntry, devs []string) {
+	e.Hangs += src.Hangs
+	e.SumResponse += src.SumResponse
+	if src.MaxResponse > e.MaxResponse {
+		e.MaxResponse = src.MaxResponse
+	}
+	e.Chain = mergeChain(e.Chain, src.Chain)
+	for d := range src.Devices {
+		e.Devices[d] = true
+	}
+	for _, d := range devs {
+		e.Devices[d] = true
+	}
+}
+
+// clone returns a deep copy of e: a merge into an empty entry.
+func (e *ReportEntry) clone() *ReportEntry {
+	c := e.empty(len(e.Devices))
+	c.merge(e, nil)
+	return c
+}
+
 // Report is the developer-facing Hang Bug Report: "a table of detected soft
 // hang bugs ordered by the percentage of occurrences across user devices"
 // (§3.2). Reports from many devices merge into one fleet view.
@@ -69,24 +110,12 @@ func (r *Report) Add(appName, device, actionUID string, diag Diagnosis, rt simcl
 // AddChained records one diagnosed soft hang together with the causal chain
 // it was attributed through (Add with a zero chain).
 func (r *Report) AddChained(appName, device, actionUID string, diag Diagnosis, chain CausalChain, rt simclock.Duration) {
-	key := entryKey(appName, actionUID, diag.RootCause)
-	e, ok := r.entries[key]
-	if !ok {
-		e = &ReportEntry{
-			App: appName, ActionUID: actionUID, RootCause: diag.RootCause,
-			File: diag.File, Line: diag.Line, ViaCaller: diag.ViaCaller,
-			Devices: map[string]bool{},
-		}
-		r.entries[key] = e
+	hang := ReportEntry{
+		App: appName, ActionUID: actionUID, RootCause: diag.RootCause,
+		File: diag.File, Line: diag.Line, ViaCaller: diag.ViaCaller,
+		Hangs: 1, MaxResponse: rt, SumResponse: rt, Chain: chain,
 	}
-	e.Hangs++
-	r.totalHangs++
-	e.Devices[device] = true
-	e.SumResponse += rt
-	if rt > e.MaxResponse {
-		e.MaxResponse = rt
-	}
-	e.Chain = mergeChain(e.Chain, chain)
+	r.add(entryKey(appName, actionUID, diag.RootCause), &hang, []string{device})
 }
 
 // Merge folds other reports into r (the server-side aggregation of the
@@ -95,27 +124,21 @@ func (r *Report) Merge(others ...*Report) {
 	for _, o := range others {
 		r.Health.Add(o.Health)
 		for key, oe := range o.entries {
-			e, ok := r.entries[key]
-			if !ok {
-				e = &ReportEntry{
-					App: oe.App, ActionUID: oe.ActionUID, RootCause: oe.RootCause,
-					File: oe.File, Line: oe.Line, ViaCaller: oe.ViaCaller,
-					Devices: map[string]bool{},
-				}
-				r.entries[key] = e
-			}
-			e.Hangs += oe.Hangs
-			r.totalHangs += oe.Hangs
-			for dev := range oe.Devices {
-				e.Devices[dev] = true
-			}
-			e.SumResponse += oe.SumResponse
-			if oe.MaxResponse > e.MaxResponse {
-				e.MaxResponse = oe.MaxResponse
-			}
-			e.Chain = mergeChain(e.Chain, oe.Chain)
+			r.add(key, oe, nil)
 		}
 	}
+}
+
+// add merges src, whose devices are src.Devices plus devs, into r's entry
+// at key, creating that entry from src's identity on first sight.
+func (r *Report) add(key string, src *ReportEntry, devs []string) {
+	e, ok := r.entries[key]
+	if !ok {
+		e = src.empty(len(src.Devices) + len(devs))
+		r.entries[key] = e
+	}
+	e.merge(src, devs)
+	r.totalHangs += src.Hangs
 }
 
 // Len returns the number of distinct root causes reported.

@@ -132,10 +132,10 @@ func ImportReport(rd io.Reader) (*Report, error) {
 		if ew.ChainSharePermille < 0 || ew.ChainSharePermille > 1000 {
 			return nil, fmt.Errorf("core: entry %s/%s has chain share %d out of [0,1000]", ew.App, ew.RootCause, ew.ChainSharePermille)
 		}
-		e := &ReportEntry{
+		src := ReportEntry{
 			App: ew.App, ActionUID: ew.ActionUID, RootCause: ew.RootCause,
 			File: ew.File, Line: ew.Line, ViaCaller: ew.ViaCaller,
-			Hangs: ew.Hangs, Devices: map[string]bool{},
+			Hangs:       ew.Hangs,
 			MaxResponse: simclock.Duration(ew.MaxResponse),
 			SumResponse: simclock.Duration(ew.SumResponse),
 			Chain: CausalChain{
@@ -145,11 +145,8 @@ func ImportReport(rd io.Reader) (*Report, error) {
 				SharePermille: ew.ChainSharePermille,
 			},
 		}
-		for _, d := range ew.Devices {
-			e.Devices[d] = true
-		}
-		out.entries[entryKey(ew.App, ew.ActionUID, ew.RootCause)] = e
-		out.totalHangs += ew.Hangs
+		// Entries sharing a key merge, as the binary decoder's do.
+		out.add(entryKey(ew.App, ew.ActionUID, ew.RootCause), &src, ew.Devices)
 	}
 	return out, nil
 }
@@ -159,23 +156,18 @@ func ImportReport(rd io.Reader) (*Report, error) {
 // devices per entry without learning who they are.
 func (r *Report) Anonymize(salt string) *Report {
 	out := NewReport()
-	out.totalHangs = r.totalHangs
 	out.Health = r.Health
 	for key, e := range r.entries {
-		ne := &ReportEntry{
-			App: e.App, ActionUID: e.ActionUID, RootCause: e.RootCause,
-			File: e.File, Line: e.Line, ViaCaller: e.ViaCaller,
-			Hangs: e.Hangs, Devices: map[string]bool{},
-			MaxResponse: e.MaxResponse, SumResponse: e.SumResponse,
-			Chain: e.Chain,
-		}
+		devs := make([]string, 0, len(e.Devices))
 		for d := range e.Devices {
 			h := fnv.New64a()
 			h.Write([]byte(salt))
 			h.Write([]byte(d))
-			ne.Devices[fmt.Sprintf("dev-%016x", h.Sum64())] = true
+			devs = append(devs, fmt.Sprintf("dev-%016x", h.Sum64()))
 		}
-		out.entries[key] = ne
+		src := *e
+		src.Devices = nil
+		out.add(key, &src, devs)
 	}
 	return out
 }

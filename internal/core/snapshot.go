@@ -2,8 +2,9 @@ package core
 
 // snapshot.go is the incremental read path: versioned copy-on-write
 // snapshots of a mutating report, an incremental fold cache over disjoint
-// parts, and a parallel pairwise fold tree. Together they turn the fleet
-// read path from O(total state) per request into O(changed state):
+// parts, and the absolute-state application the delta protocol's client
+// side needs. Together they turn the fleet read path from O(total state)
+// per request into O(changed state):
 //
 //   - A shard owns a mutating Report and a SnapshotCache. Merges mark the
 //     touched entry keys dirty and bump a monotonically increasing version;
@@ -14,47 +15,14 @@ package core
 //     shard version vector: only shards whose version moved are re-merged,
 //     and because shards own disjoint entry-key ranges the fold shares
 //     entry pointers instead of deep-copying device sets.
-//   - FoldReportsParallel folds genuinely overlapping parts (regional node
-//     snapshots) through a pairwise tree on bounded workers.
+//   - A regional poller mirrors each node with ApplyWireFull/ApplyWireDelta
+//     and re-derives only the changed keys of its fold with RefreshKeys.
 //
 // Everything here preserves the repo's one determinism bar: any cached,
-// shared, parallel, or incremental fold is byte-identical in Export/Render
-// to a from-scratch serial FoldReports of the same parts. Sharing is safe
+// shared, or incremental fold is byte-identical in Export/Render to a
+// from-scratch serial FoldReports of the same parts. Sharing is safe
 // because snapshots are immutable by contract: every consumer (encode,
 // export, render, merge-as-source) only reads them.
-
-import "sync"
-
-// cloneEntry deep-copies one report entry (its device set included).
-func cloneEntry(e *ReportEntry) *ReportEntry {
-	ne := &ReportEntry{
-		App: e.App, ActionUID: e.ActionUID, RootCause: e.RootCause,
-		File: e.File, Line: e.Line, ViaCaller: e.ViaCaller,
-		Hangs: e.Hangs, Devices: make(map[string]bool, len(e.Devices)),
-		MaxResponse: e.MaxResponse, SumResponse: e.SumResponse,
-		Chain: e.Chain,
-	}
-	for d := range e.Devices {
-		ne.Devices[d] = true
-	}
-	return ne
-}
-
-// mergeEntryInto folds src into dst exactly as Report.Merge does for a
-// key-colliding entry: counters sum, device sets union, max wins. dst's
-// identity metadata (file, line, kind) is kept, matching Merge's
-// first-writer-wins behavior.
-func mergeEntryInto(dst, src *ReportEntry) {
-	dst.Hangs += src.Hangs
-	for d := range src.Devices {
-		dst.Devices[d] = true
-	}
-	dst.SumResponse += src.SumResponse
-	if src.MaxResponse > dst.MaxResponse {
-		dst.MaxResponse = src.MaxResponse
-	}
-	dst.Chain = mergeChain(dst.Chain, src.Chain)
-}
 
 // ---------------------------------------------------------------------------
 // Versioned copy-on-write snapshots
@@ -141,7 +109,7 @@ func (sc *SnapshotCache) Snapshot(live *Report) *Report {
 				continue
 			}
 		}
-		out.entries[key] = cloneEntry(e)
+		out.entries[key] = e.clone()
 	}
 	clear(sc.dirty)
 	sc.snap, sc.snapV = out, sc.version
@@ -184,8 +152,8 @@ func (r *Report) addShared(part *Report) {
 	r.totalHangs += part.totalHangs
 	for key, e := range part.entries {
 		if cur, ok := r.entries[key]; ok {
-			ne := cloneEntry(cur)
-			mergeEntryInto(ne, e)
+			ne := cur.clone()
+			ne.merge(e, nil)
 			r.entries[key] = ne
 			continue
 		}
@@ -217,47 +185,47 @@ func FoldReportsShared(parts ...*Report) *Report {
 }
 
 // FoldCache incrementally maintains the fold of an indexed family of
-// immutable parts across calls, re-merging only the parts the caller says
-// changed. It requires what the sharded aggregator guarantees: part i
-// always holds the same key range (pairwise disjoint across parts) and its
-// key set only grows between calls. Under those invariants the fold is
+// immutable parts across calls, keyed by the parts' version vector. It
+// requires what the sharded aggregator guarantees: part i always holds the
+// same key range (pairwise disjoint across parts), and its key set only
+// grows as its version rises. Under those invariants the fold is
 // byte-identical to FoldReports over the same parts.
 type FoldCache struct {
-	result *Report // immutable fold of the last Update's parts
-	n      int     // part count the cache was built over
+	result *Report  // immutable fold of the parts at vers
+	vers   []uint64 // part versions result covers
 }
 
-// Result returns the last fold (nil before the first Update).
-func (fc *FoldCache) Result() *Report { return fc.result }
-
-// Invalidate drops the cached fold; the next Update rebuilds from scratch.
-func (fc *FoldCache) Invalidate() { fc.result, fc.n = nil, 0 }
-
-// Update folds parts, reusing the previous fold for every part whose
-// changed flag is false: unchanged entries carry over as shared pointers,
-// changed parts overwrite their own keys with their new snapshot's
-// entries. Totals and health are recomputed from the parts directly (a
-// sum over len(parts) values, not over entries). The returned report is
-// immutable; callers of an Update-owning type must never mutate it.
-func (fc *FoldCache) Update(parts []*Report, changed []bool) *Report {
-	if fc.result == nil || fc.n != len(parts) {
-		fc.result, fc.n = FoldReportsShared(parts...), len(parts)
-		return fc.result
+// Update returns the fold of parts at versions vers (one per part) and
+// whether it is the cached fold, reused because no version moved. Parts
+// whose version moved overwrite their own keys in a copy of the previous
+// fold, sharing every other entry; totals and health are re-summed from
+// the parts (O(parts), not O(entries)). A gather behind the cached vector
+// in any part — a concurrent reader cached a newer one — is folded afresh
+// and not cached, so the cache only moves forward. The first call, a
+// change of part count, or every part moving rebuilds the fold. The
+// returned report is immutable.
+func (fc *FoldCache) Update(parts []*Report, vers []uint64) (rep *Report, hit bool) {
+	if fc.result == nil || len(fc.vers) != len(vers) {
+		fc.result, fc.vers = FoldReportsShared(parts...), vers
+		return fc.result, false
 	}
 	moved := 0
-	for _, c := range changed {
-		if c {
+	for i, v := range vers {
+		if v < fc.vers[i] {
+			return FoldReportsShared(parts...), false
+		}
+		if v != fc.vers[i] {
 			moved++
 		}
 	}
-	if moved == 0 {
-		return fc.result
-	}
-	if moved == len(parts) {
-		// Every part moved: copying the previous fold first would be pure
-		// waste (every entry gets overwritten) — rebuild shared instead.
-		fc.result = FoldReportsShared(parts...)
-		return fc.result
+	switch moved {
+	case 0:
+		return fc.result, true
+	case len(parts):
+		// Copying the previous fold first would be pure waste: every
+		// entry gets overwritten.
+		fc.result, fc.vers = FoldReportsShared(parts...), vers
+		return fc.result, false
 	}
 	out := NewReport()
 	out.entries = make(map[string]*ReportEntry, len(fc.result.entries))
@@ -265,74 +233,22 @@ func (fc *FoldCache) Update(parts []*Report, changed []bool) *Report {
 		out.entries[key] = e
 	}
 	for i, p := range parts {
-		if !changed[i] || p == nil {
+		if p == nil {
 			continue
 		}
-		// The part's new snapshot covers every key it ever held (keys are
-		// only added), so overwriting replaces all of this part's stale
-		// entries and touches nothing owned by other parts.
-		for key, e := range p.entries {
-			out.entries[key] = e
-		}
-	}
-	for _, p := range parts {
-		if p != nil {
-			out.totalHangs += p.totalHangs
-			out.Health.Add(p.Health)
-		}
-	}
-	fc.result = out
-	return out
-}
-
-// ---------------------------------------------------------------------------
-// Parallel pairwise fold tree
-
-// FoldReportsParallel is FoldReports on a bounded-worker pairwise tree:
-// parts are merged left-to-right as a balanced binary tree, with at most
-// workers goroutines folding subtrees concurrently. The merge order is
-// deterministic and the result is byte-identical to the serial fold —
-// Merge is commutative and associative, and key-colliding entries agree on
-// their metadata (the repo-wide merge invariant). Parts are read, never
-// mutated. workers <= 1 degrades to the serial fold.
-func FoldReportsParallel(workers int, parts ...*Report) *Report {
-	if workers <= 1 || len(parts) <= 2 {
-		return FoldReports(parts...)
-	}
-	sem := make(chan struct{}, workers)
-	var fold func(lo, hi int) *Report
-	fold = func(lo, hi int) *Report {
-		if hi-lo <= 2 {
-			out := NewReport()
-			for _, p := range parts[lo:hi] {
-				if p != nil {
-					out.Merge(p)
-				}
+		if vers[i] != fc.vers[i] {
+			// The part's new snapshot covers every key it ever held (keys
+			// are only added), so overwriting replaces all of its stale
+			// entries and touches nothing owned by other parts.
+			for key, e := range p.entries {
+				out.entries[key] = e
 			}
-			return out
 		}
-		mid := (lo + hi) / 2
-		var left *Report
-		var wg sync.WaitGroup
-		select {
-		case sem <- struct{}{}:
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-sem }()
-				left = fold(lo, mid)
-			}()
-		default:
-			// All workers busy: fold inline rather than queueing — the
-			// current goroutine is a worker too.
-			left = fold(lo, mid)
-		}
-		right := fold(mid, hi)
-		wg.Wait()
-		left.Merge(right)
-		return left
+		out.totalHangs += p.totalHangs
+		out.Health.Add(p.Health)
 	}
-	return fold(0, len(parts))
+	fc.result, fc.vers = out, vers
+	return out, false
 }
 
 // ---------------------------------------------------------------------------
@@ -341,16 +257,9 @@ func FoldReportsParallel(workers int, parts ...*Report) *Report {
 // entryFromWire materializes one decoded wire entry as a standalone
 // ReportEntry carrying the entry's absolute state.
 func entryFromWire(we *WireEntry) *ReportEntry {
-	e := &ReportEntry{
-		App: we.App, ActionUID: we.ActionUID, RootCause: we.RootCause,
-		File: we.File, Line: we.Line, ViaCaller: we.ViaCaller,
-		Hangs: we.Hangs, Devices: make(map[string]bool, len(we.Devices)),
-		MaxResponse: we.MaxResponse, SumResponse: we.SumResponse,
-		Chain: we.Chain,
-	}
-	for _, d := range we.Devices {
-		e.Devices[d] = true
-	}
+	src := we.entry()
+	e := src.empty(len(we.Devices))
+	e.merge(&src, we.Devices)
 	return e
 }
 
@@ -418,10 +327,9 @@ func (r *Report) RefreshKeys(keys []string, parts ...*Report) {
 				continue
 			}
 			if merged == nil {
-				merged = cloneEntry(e)
-			} else {
-				mergeEntryInto(merged, e)
+				merged = e.empty(len(e.Devices))
 			}
+			merged.merge(e, nil)
 		}
 		if merged == nil {
 			delete(r.entries, key)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"hangdoctor/internal/simclock"
@@ -146,67 +145,68 @@ func TestFoldReportsSharedByteIdentical(t *testing.T) {
 	}
 }
 
-// TestFoldReportsParallelDifferential sweeps worker counts against the
-// serial fold — the determinism bar for the pairwise tree.
-func TestFoldReportsParallelDifferential(t *testing.T) {
-	var parts []*Report
-	for i := 0; i < 9; i++ {
-		parts = append(parts, foldFixture())
-		parts[i].Health.Quarantines = i
-	}
-	parts = append(parts, nil)
-	want := exportBytes(t, FoldReports(parts...))
-	for _, workers := range []int{0, 1, 2, 3, 4, 8, 32} {
-		got := exportBytes(t, FoldReportsParallel(workers, parts...))
-		if !bytes.Equal(got, want) {
-			t.Errorf("workers=%d: parallel fold diverged from serial fold", workers)
-		}
-	}
-}
-
-// TestFoldCacheIncremental: updating only the changed parts must equal a
-// from-scratch fold, and a no-change update must return the cached result.
+// TestFoldCacheIncremental: updating only the parts whose version moved
+// must equal a from-scratch fold, an unchanged vector must return the
+// cached result, and a vector behind the cached one must fold afresh
+// without rolling the cache back.
 func TestFoldCacheIncremental(t *testing.T) {
 	base := foldFixture()
 	const shards = 4
 	parts := base.Split(shards)
+	vers := []uint64{1, 1, 1, 1}
 	var fc FoldCache
-	r1 := fc.Update(parts, make([]bool, shards))
+	r1, hit := fc.Update(parts, vers)
+	if hit {
+		t.Fatal("first Update reported a cache hit")
+	}
 	if got, want := exportBytes(t, r1), exportBytes(t, FoldReports(parts...)); !bytes.Equal(got, want) {
 		t.Fatal("initial FoldCache.Update diverged from FoldReports")
 	}
-	if fc.Update(parts, make([]bool, shards)) != r1 {
-		t.Fatal("no-change Update must return the cached fold")
+	if r, hit := fc.Update(parts, []uint64{1, 1, 1, 1}); r != r1 || !hit {
+		t.Fatal("an unchanged vector must return the cached fold")
 	}
 
-	// Grow the underlying state and re-split: shard key sets only grow.
+	// Grow the underlying state by one entry and re-split: shard key sets
+	// only grow, and exactly one shard moves.
 	grown := base.Clone()
-	for i := 0; i < 10; i++ {
-		diag := Diagnosis{RootCause: fmt.Sprintf("com.example.Grow%d.run", i), File: "Grow.java", Line: i}
-		grown.Add("app-9", fmt.Sprintf("device-g%d", i), "app-9/Act", diag, 150*simclock.Millisecond)
-	}
+	diag := Diagnosis{RootCause: "com.example.Grow.run", File: "Grow.java", Line: 7}
+	grown.Add("app-9", "device-g", "app-9/Act", diag, 150*simclock.Millisecond)
 	next := grown.Split(shards)
-	changed := make([]bool, shards)
+	nextVers := make([]uint64, shards)
+	moved := 0
 	for i := range next {
-		// A shard that gained entries (or whose fragment changed at all) is
-		// dirty; unchanged fragments keep their flag false.
-		switch {
-		case next[i] == nil && parts[i] == nil:
-		case next[i] == nil || parts[i] == nil:
-			changed[i] = true
-		default:
-			changed[i] = !bytes.Equal(exportBytes(t, next[i]), exportBytes(t, parts[i]))
-		}
 		if next[i] == nil && parts[i] != nil {
 			t.Fatal("fixture bug: a shard's key set shrank")
 		}
+		// A shard whose fragment changed at all gets a new version.
+		nextVers[i] = vers[i]
+		if (next[i] == nil) != (parts[i] == nil) ||
+			next[i] != nil && !bytes.Equal(exportBytes(t, next[i]), exportBytes(t, parts[i])) {
+			nextVers[i]++
+			moved++
+		}
 	}
-	r2 := fc.Update(next, changed)
+	if moved == 0 || moved == shards {
+		t.Fatalf("fixture bug: %d of %d shards moved, want a partial move", moved, shards)
+	}
+	r2, hit := fc.Update(next, nextVers)
+	if hit {
+		t.Fatal("a moved vector reported a cache hit")
+	}
 	if got, want := exportBytes(t, r2), exportBytes(t, FoldReports(next...)); !bytes.Equal(got, want) {
 		t.Fatal("incremental Update diverged from a from-scratch fold")
 	}
+
+	// A gather behind the cache folds its own parts and leaves the cache.
+	if r, hit := fc.Update(parts, vers); hit || !bytes.Equal(exportBytes(t, r), exportBytes(t, FoldReports(parts...))) {
+		t.Fatal("a stale gather was not folded afresh")
+	}
+	if r, hit := fc.Update(next, nextVers); r != r2 || !hit {
+		t.Fatal("a stale gather rolled the cache back")
+	}
+
 	// Part-count change invalidates the structure and rebuilds.
-	r3 := fc.Update(grown.Split(8), make([]bool, 8))
+	r3, _ := fc.Update(grown.Split(8), make([]uint64, 8))
 	if got, want := exportBytes(t, r3), exportBytes(t, grown); !bytes.Equal(got, want) {
 		t.Fatal("rebuild after part-count change diverged")
 	}
@@ -279,7 +279,7 @@ func TestRefreshKeys(t *testing.T) {
 	// pointer, different counters.
 	victim := a.Entries()[0]
 	key := entryKey(victim.App, victim.ActionUID, victim.RootCause)
-	repl := cloneEntry(victim)
+	repl := victim.clone()
 	repl.Hangs += 5
 	repl.Devices["device-refresh"] = true
 	a.totalHangs += 5
@@ -300,7 +300,7 @@ func TestRefreshKeys(t *testing.T) {
 
 	// A key held by no part disappears.
 	ghost := "no\x00such\x00key"
-	master.entries[ghost] = cloneEntry(victim)
+	master.entries[ghost] = victim.clone()
 	master.RefreshKeys([]string{ghost}, a, b)
 	if _, ok := master.entries[ghost]; ok {
 		t.Error("RefreshKeys kept a key no part holds")

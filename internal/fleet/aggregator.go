@@ -172,8 +172,7 @@ type shardSnap struct {
 // fragment to merge (with its upload identity and ack), a slice of decoded
 // wire entries from the binary fast path (optionally carrying the upload's
 // health section, which rides shard 0), or a control request (stats, a
-// versioned snapshot, a since-version delta, or a deep clone for the
-// uncached reference fold).
+// versioned snapshot, or with delta set the changes since version since).
 type shardMsg struct {
 	frag   *core.Report
 	wire   []core.WireEntry
@@ -182,9 +181,8 @@ type shardMsg struct {
 	ack    *uploadAck
 	stats  chan ShardStats
 	snap   chan shardSnap
-	delta  chan shardSnap
+	delta  bool
 	since  uint64
-	deep   bool // with snap: reply with a fresh deep clone, bypassing the cache
 }
 
 // payload reports whether the message carries data to merge (as opposed to
@@ -205,12 +203,11 @@ type Aggregator struct {
 	// versions only compare within one epoch.
 	epoch uint64
 
-	// foldMu guards the incremental fold cache: the last folded view, the
-	// shard version vector it covers, and the post-drain fold memo. The
-	// cached reports are immutable — Fold hands them to many readers.
+	// foldMu guards the incremental fold cache (keyed by the shard version
+	// vector) and the post-drain fold memo. The cached reports are
+	// immutable — Fold hands them to many readers.
 	foldMu    sync.Mutex
 	foldCache core.FoldCache
-	foldVers  []uint64
 	foldFinal *core.Report
 
 	// crashCh closes on Crash(): every blocked send, ack wait, and shard
@@ -781,18 +778,14 @@ func (a *Aggregator) runShard(i int, ready chan<- error) {
 		switch {
 		case m.stats != nil:
 			m.stats <- ShardStats{Entries: rep.Len(), Hangs: rep.TotalHangs(), Health: rep.Health}
-		case m.snap != nil && m.deep:
-			// The uncached reference path (FoldSerial): a fresh deep clone,
-			// exactly what every snapshot request cost before versioning.
-			m.snap <- shardSnap{rep: rep.Clone(), version: cache.Version()}
+		case m.delta:
+			d, v := cache.DeltaSince(rep, m.since)
+			m.snap <- shardSnap{rep: d, version: v}
 		case m.snap != nil:
 			if cache.Cached() {
 				a.metrics.snapshotReuses.Inc()
 			}
 			m.snap <- shardSnap{rep: cache.Snapshot(rep), version: cache.Version()}
-		case m.delta != nil:
-			d, v := cache.DeltaSince(rep, m.since)
-			m.delta <- shardSnap{rep: d, version: v}
 		}
 	}
 	for {
@@ -1031,88 +1024,49 @@ func (a *Aggregator) FoldVersioned() (*core.Report, VersionVector) {
 		}
 		return a.foldFinal, VersionVector{Epoch: a.epoch}
 	}
-	snaps, vers, ok := a.gatherSnaps(false)
+	snaps, vers, ok := a.gather(nil)
 	if !ok {
 		a.metrics.foldErrors.Inc()
 		return core.NewReport(), VersionVector{}
 	}
-	vec := VersionVector{Epoch: a.epoch, Shards: vers}
 	a.foldMu.Lock()
 	defer a.foldMu.Unlock()
-	moved, stale := false, false
-	changed := make([]bool, len(snaps))
-	for i, v := range vers {
-		if a.foldVers == nil || a.foldVers[i] != v {
-			changed[i] = true
-			moved = true
-		}
-		if a.foldVers != nil && v < a.foldVers[i] {
-			stale = true
-		}
-	}
-	if stale {
-		// A concurrent fold already cached a newer vector; serve this
-		// gather without rolling the cache backwards (the fold cache's
-		// key-superset invariant only holds going forward).
-		return core.FoldReportsShared(snaps...), vec
-	}
-	if !moved && a.foldCache.Result() != nil {
+	rep, hit := a.foldCache.Update(snaps, vers)
+	if hit {
 		a.metrics.foldCacheHits.Inc()
-		return a.foldCache.Result(), vec
 	}
-	rep := a.foldCache.Update(snaps, changed)
-	a.foldVers = vers
-	return rep, vec
+	return rep, VersionVector{Epoch: a.epoch, Shards: vers}
 }
 
-// FoldSerial is the uncached reference read path — every shard deep-clones
-// its state and the clones merge serially, exactly what Fold cost before
-// versioned snapshots. The differential tests pin Fold byte-identical to
-// it, and BenchmarkFold uses it as the cold row.
-func (a *Aggregator) FoldSerial() *core.Report {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	if a.crashed {
-		return core.NewReport()
-	}
-	if a.finalized {
-		a.mu.RUnlock()
-		a.shardWG.Wait()
-		a.mu.RLock()
-		return core.FoldReports(a.finals...)
-	}
-	snaps, _, ok := a.gatherSnaps(true)
-	if !ok {
-		return core.NewReport()
-	}
-	return core.FoldReports(snaps...)
-}
-
-// gatherSnaps collects one (snapshot, version) pair from every shard.
-// deep requests fresh clones that bypass the shard snapshot caches.
-// Callers must hold a.mu.RLock with the shards live; ok is false if a
-// crash unwound the gather.
-func (a *Aggregator) gatherSnaps(deep bool) (snaps []*core.Report, vers []uint64, ok bool) {
+// gather collects one (report, version) pair from every shard: its cached
+// copy-on-write snapshot when since is nil, else its changes since
+// version since[i]. Callers must hold a.mu.RLock with the shards live; ok
+// is false if a crash unwound the gather.
+func (a *Aggregator) gather(since []uint64) (reps []*core.Report, vers []uint64, ok bool) {
 	replies := make([]chan shardSnap, a.cfg.Shards)
 	for i, ch := range a.shards {
 		replies[i] = make(chan shardSnap, 1)
+		m := shardMsg{snap: replies[i]}
+		if since != nil {
+			m.delta, m.since = true, since[i]
+		}
 		select {
-		case ch <- shardMsg{snap: replies[i], deep: deep}:
+		case ch <- m:
 		case <-a.crashCh:
 			return nil, nil, false
 		}
 	}
-	snaps = make([]*core.Report, a.cfg.Shards)
+	reps = make([]*core.Report, a.cfg.Shards)
 	vers = make([]uint64, a.cfg.Shards)
 	for i := range replies {
 		select {
 		case s := <-replies[i]:
-			snaps[i], vers[i] = s.rep, s.version
+			reps[i], vers[i] = s.rep, s.version
 		case <-a.crashCh:
 			return nil, nil, false
 		}
 	}
-	return snaps, vers, true
+	return reps, vers, true
 }
 
 // Delta answers a delta-snapshot poll: given the vector a client captured
@@ -1134,31 +1088,12 @@ func (a *Aggregator) Delta(since VersionVector) (rep *core.Report, vec VersionVe
 		rep, vec = a.FoldVersioned()
 		return rep, vec, false
 	}
-	replies := make([]chan shardSnap, a.cfg.Shards)
-	abort := func() (*core.Report, VersionVector, bool) {
-		a.mu.RUnlock()
+	deltas, vers, ok := a.gather(since.Shards)
+	a.mu.RUnlock()
+	if !ok {
 		a.metrics.foldErrors.Inc()
 		return core.NewReport(), VersionVector{}, false
 	}
-	for i, ch := range a.shards {
-		replies[i] = make(chan shardSnap, 1)
-		select {
-		case ch <- shardMsg{delta: replies[i], since: since.Shards[i]}:
-		case <-a.crashCh:
-			return abort()
-		}
-	}
-	deltas := make([]*core.Report, a.cfg.Shards)
-	vers := make([]uint64, a.cfg.Shards)
-	for i := range replies {
-		select {
-		case s := <-replies[i]:
-			deltas[i], vers[i] = s.rep, s.version
-		case <-a.crashCh:
-			return abort()
-		}
-	}
-	a.mu.RUnlock()
 	for i, v := range vers {
 		if v < since.Shards[i] {
 			// A shard version below the client's is impossible within one

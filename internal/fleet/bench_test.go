@@ -40,8 +40,9 @@ func benchDocs(b *testing.B, devices, entries int) (json [][]byte, bin [][]byte,
 }
 
 // BenchmarkIngest measures end-to-end ingest cost per upload — parse or
-// decode, split, shard merge — for the JSON path (ImportReport + Submit)
-// against the binary path (warm dictionary DecodeScratch + SubmitWire).
+// decode, split, shard merge — for the JSON path (ImportReport +
+// SubmitWait) against the binary path (warm dictionary DecodeScratch +
+// SubmitWireAcked).
 // ns/op is the per-upload cost, so throughput = 1e9/ns-op. Run with:
 //
 //	go test -bench Ingest -benchtime 2s -benchmem -run XXX ./internal/fleet/
@@ -73,19 +74,40 @@ func BenchmarkIngest(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("binary/shards=%d", shards), func(b *testing.B) {
 			agg := NewAggregator(Config{Shards: shards, QueueDepth: 4096, BatchSize: 16})
+			// A device's upload aliases its decoder's scratch buffers until
+			// the upload has merged, so each device has one ack and its
+			// next decode waits for the previous upload's.
+			acks := make([]*WireAck, len(binDocs))
+			merged := make([]chan error, len(binDocs))
+			inflight := make([]bool, len(binDocs))
+			for d := range acks {
+				ch := make(chan error, 1)
+				merged[d], acks[d] = ch, NewWireAck(func(err error) { ch <- err })
+			}
+			wait := func(d int) {
+				if inflight[d] {
+					if err := <-merged[d]; err != nil {
+						b.Fatal(err)
+					}
+					inflight[d] = false
+				}
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				d := i % len(binDocs)
-				// SubmitWireWait returns after the merge, so the decoder's
-				// scratch buffers are free to reuse on the next iteration.
+				wait(d)
 				wr, err := decs[d].DecodeScratch(binDocs[d])
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := agg.SubmitWireWait(wr); err != nil {
+				if err := agg.SubmitWireAcked(wr, acks[d]); err != nil {
 					b.Fatal(err)
 				}
+				inflight[d] = true
+			}
+			for d := range acks {
+				wait(d)
 			}
 			agg.Close()
 			b.StopTimer()

@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -300,59 +298,6 @@ func TestDurableDedupCanonicalContent(t *testing.T) {
 	agg.Close()
 	if got, want := exportBytes(t, agg.Fold()), exportBytes(t, rep); !bytes.Equal(got, want) {
 		t.Error("re-serialized duplicates were double-counted")
-	}
-}
-
-// TestWALJSONFragmentReplayCompat pins the upgrade path: a log written by
-// the pre-binary WAL (kind-2 JSON fragment records) still replays. New
-// appends use the binary record kind; both coexist in one recovery.
-func TestWALJSONFragmentReplayCompat(t *testing.T) {
-	dir := t.TempDir()
-	frag := SyntheticUpload(31, "device-old", 20)
-	id, err := ReportUploadID(frag)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Hand-write an old-format log: header record, then one JSON fragment.
-	var legacy bytes.Buffer
-	legacy.WriteByte(recKindFragment)
-	legacy.Write(id[:])
-	if err := frag.Export(&legacy); err != nil {
-		t.Fatal(err)
-	}
-	hdr, err := encodeHeader(walHeader{Version: walFormatVersion, Shard: 0, Shards: 1, Gen: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	file := appendFrame(appendFrame(nil, hdr), legacy.Bytes())
-	if err := os.WriteFile(filepath.Join(dir, "shard-0000.wal"), file, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	agg, err := Open(Config{Shards: 1, WAL: &WALConfig{Dir: dir}})
-	if err != nil {
-		t.Fatalf("recovery over a legacy log failed: %v", err)
-	}
-	// The legacy record's identity must still dedup a canonical resend.
-	if err := agg.SubmitDurable(frag.Clone(), id); err != nil {
-		t.Fatal(err)
-	}
-	// And new traffic appends in the binary kind alongside it.
-	fresh := SyntheticUpload(32, "device-new", 20)
-	freshID, _ := ReportUploadID(fresh)
-	if err := agg.SubmitDurable(fresh.Clone(), freshID); err != nil {
-		t.Fatal(err)
-	}
-	agg.Close()
-
-	serial := core.NewReport()
-	serial.Merge(frag, fresh)
-	if got, want := exportBytes(t, agg.Fold()), exportBytes(t, serial); !bytes.Equal(got, want) {
-		t.Error("legacy+binary recovery fold diverged (resend must dedup, new upload must merge)")
-	}
-	if deduped := agg.Metrics().Registry().Snapshot().Value("hangdoctor_fleet_wal_fragments_deduped_total"); deduped != 1 {
-		t.Errorf("deduped = %d, want 1 (the legacy record's resend)", deduped)
 	}
 }
 

@@ -2,9 +2,11 @@ package fleet
 
 // delta_test.go covers the incremental read path end to end: version
 // vectors on the wire, the /v1/snapshot?since= delta protocol, the cached
-// fold's byte-identity to the serial from-scratch fold under racing
-// ingest, and the regional tier's delta polling — including the
-// self-healing full resync after a simulated node restart.
+// fold's byte-identity to a serial fold of the submitted uploads under
+// racing ingest, and the regional tier's delta polling — including the
+// self-healing full resync after a simulated node restart. Every
+// reference is core.FoldReports over the uploads a test submitted, never
+// a fold of the nodes' own state.
 
 import (
 	"bytes"
@@ -23,8 +25,9 @@ import (
 
 // mergeAll submits reps and returns only after every one has merged
 // (SubmitDurable without a WAL acks post-merge), so the caller's next
-// fold is a deterministic quiescent point.
-func mergeAll(t *testing.T, agg *Aggregator, reps ...*core.Report) {
+// fold is a deterministic quiescent point. It returns reps, so callers
+// can collect what they submitted for the reference fold.
+func mergeAll(t *testing.T, agg *Aggregator, reps ...*core.Report) []*core.Report {
 	t.Helper()
 	for _, rep := range reps {
 		id, err := ReportUploadID(rep)
@@ -42,6 +45,7 @@ func mergeAll(t *testing.T, agg *Aggregator, reps ...*core.Report) {
 			break
 		}
 	}
+	return reps
 }
 
 func TestVersionVectorRoundTrip(t *testing.T) {
@@ -105,12 +109,12 @@ func getSnapshot(t *testing.T, base, since string) (*core.WireReport, VersionVec
 
 // TestSnapshotDeltaHTTP drives the delta protocol over real HTTP: a full
 // snapshot carries the vector, echoing it back yields an empty delta, new
-// uploads yield a delta that converges a client mirror to the node's
-// serial fold, a garbled vector is a 400, and an alien epoch resyncs in
+// uploads yield a delta that converges a client mirror to the fold of
+// every upload, a garbled vector is a 400, and an alien epoch resyncs in
 // full.
 func TestSnapshotDeltaHTTP(t *testing.T) {
 	agg, node := newNode(t, 3)
-	mergeAll(t, agg, uploads(10, 30)...)
+	sent := mergeAll(t, agg, uploads(10, 30)...)
 
 	wr, vec, kind, _ := getSnapshot(t, node.URL, "")
 	if kind != SnapshotFull {
@@ -121,8 +125,8 @@ func TestSnapshotDeltaHTTP(t *testing.T) {
 	}
 	mirror := core.NewReport()
 	mirror.ApplyWireFull(wr)
-	if !bytes.Equal(exportBytes(t, mirror), exportBytes(t, agg.FoldSerial())) {
-		t.Fatal("full snapshot does not match the serial fold")
+	if !bytes.Equal(exportBytes(t, mirror), exportBytes(t, core.FoldReports(sent...))) {
+		t.Fatal("full snapshot does not match the fold of the uploads")
 	}
 
 	// Nothing changed: the delta is entry-less and the vector holds still.
@@ -131,14 +135,14 @@ func TestSnapshotDeltaHTTP(t *testing.T) {
 		t.Fatalf("quiescent delta: kind=%q entries=%d vector=%q", kind, len(wr.Entries), vec2.String())
 	}
 
-	mergeAll(t, agg, uploads(6, 20)...)
+	sent = append(sent, mergeAll(t, agg, uploads(6, 20)...)...)
 	wr, vec3, kind, _ := getSnapshot(t, node.URL, vec.String())
 	if kind != SnapshotDelta || len(wr.Entries) == 0 {
 		t.Fatalf("post-ingest delta: kind=%q entries=%d", kind, len(wr.Entries))
 	}
 	mirror.ApplyWireDelta(wr)
-	if !bytes.Equal(exportBytes(t, mirror), exportBytes(t, agg.FoldSerial())) {
-		t.Fatal("mirror after delta apply diverged from the serial fold")
+	if !bytes.Equal(exportBytes(t, mirror), exportBytes(t, core.FoldReports(sent...))) {
+		t.Fatal("mirror after delta apply diverged from the fold of the uploads")
 	}
 	// And the new vector is again a fixed point.
 	wr, _, kind, _ = getSnapshot(t, node.URL, vec3.String())
@@ -159,12 +163,12 @@ func TestSnapshotDeltaHTTP(t *testing.T) {
 	}
 }
 
-// TestFoldCachedByteIdenticalUnderRace is the differential test the
-// tentpole pins: with writers racing readers, every quiescent point must
-// see the cached incremental Fold byte-identical to the uncached serial
-// FoldSerial — and both identical to a serial Merge of everything
-// submitted so far. Run under -race this also proves the snapshot and
-// fold caches never share mutable state with the shard writers.
+// TestFoldCachedByteIdenticalUnderRace is the incremental fold's
+// differential test: with writers racing readers, every quiescent point
+// must see the cached incremental Fold byte-identical to a serial Merge
+// of everything submitted so far. Run under -race this also proves the
+// snapshot and fold caches never share mutable state with the shard
+// writers.
 func TestFoldCachedByteIdenticalUnderRace(t *testing.T) {
 	agg := NewAggregator(Config{Shards: 4, QueueDepth: 64, BatchSize: 4})
 	defer agg.Close()
@@ -221,9 +225,6 @@ func TestFoldCachedByteIdenticalUnderRace(t *testing.T) {
 		writers.Wait()
 		// Quiescent: every SubmitDurable ack means its merge completed.
 		want := exportBytes(t, serial)
-		if got := exportBytes(t, agg.FoldSerial()); !bytes.Equal(got, want) {
-			t.Fatalf("round %d: serial fold diverged from serial merge", round)
-		}
 		if got := exportBytes(t, agg.Fold()); !bytes.Equal(got, want) {
 			t.Fatalf("round %d: cached fold diverged from serial merge", round)
 		}
@@ -244,19 +245,20 @@ func TestFoldCachedByteIdenticalUnderRace(t *testing.T) {
 }
 
 // TestRegionalDeltaConvergesWithFold pins the regional tier: delta polling
-// across rounds must stay byte-identical to the stateless full fold, a
-// forced resync must converge to the same bytes, and a second poll round
-// must actually ride deltas, not refetches.
+// across rounds must stay byte-identical to the fold of every upload the
+// nodes merged, a forced resync must converge to the same bytes, and a
+// second poll round must actually ride deltas, not refetches.
 func TestRegionalDeltaConvergesWithFold(t *testing.T) {
 	agg1, node1 := newNode(t, 3)
 	agg2, node2 := newNode(t, 2)
 	reg := NewRegional([]string{node1.URL, node2.URL}, nil)
 	ctx := context.Background()
 
+	var sent []*core.Report
 	feed := func(agg *Aggregator, seed int) {
 		t.Helper()
 		for i := 0; i < 8; i++ {
-			mergeAll(t, agg, SyntheticUpload(int64(seed+i), fmt.Sprintf("device-%d-%02d", seed, i), 20))
+			sent = append(sent, mergeAll(t, agg, SyntheticUpload(int64(seed+i), fmt.Sprintf("device-%d-%02d", seed, i), 20))...)
 		}
 	}
 	feed(agg1, 100)
@@ -266,12 +268,8 @@ func TestRegionalDeltaConvergesWithFold(t *testing.T) {
 	if res.Failed != 0 {
 		t.Fatalf("round 1 failed nodes: %v", res.Errs)
 	}
-	full, err := reg.Fold(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(exportBytes(t, res.Report), exportBytes(t, full)) {
-		t.Fatal("round 1 delta-polled region diverged from the full fold")
+	if !bytes.Equal(exportBytes(t, res.Report), exportBytes(t, core.FoldReports(sent...))) {
+		t.Fatal("round 1 delta-polled region diverged from the fold of the uploads")
 	}
 
 	feed(agg1, 300)
@@ -279,12 +277,8 @@ func TestRegionalDeltaConvergesWithFold(t *testing.T) {
 	if res.Failed != 0 || res.Deltas != 2 {
 		t.Fatalf("round 2: failed=%d deltas=%d (want 0 failed, 2 delta answers)", res.Failed, res.Deltas)
 	}
-	full, err = reg.Fold(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(exportBytes(t, res.Report), exportBytes(t, full)) {
-		t.Fatal("round 2 delta-polled region diverged from the full fold")
+	if !bytes.Equal(exportBytes(t, res.Report), exportBytes(t, core.FoldReports(sent...))) {
+		t.Fatal("round 2 delta-polled region diverged from the fold of the uploads")
 	}
 
 	// The report handed out in round 2 must stay frozen while later rounds
@@ -306,6 +300,9 @@ func TestRegionalDeltaConvergesWithFold(t *testing.T) {
 	}
 	if !bytes.Equal(exportBytes(t, res4.Report), exportBytes(t, res3.Report)) {
 		t.Fatal("forced full resync changed the regional bytes")
+	}
+	if !bytes.Equal(exportBytes(t, res4.Report), exportBytes(t, core.FoldReports(sent...))) {
+		t.Fatal("resynced region diverged from the fold of the uploads")
 	}
 }
 
@@ -342,8 +339,9 @@ func TestDeltaResyncAfterRestart(t *testing.T) {
 	// "Restart" the node: fresh epoch, different shard count, less data.
 	agg2 := NewAggregator(Config{Shards: 2, QueueDepth: 64})
 	defer agg2.Close()
+	var sent []*core.Report
 	for i := 0; i < 3; i++ {
-		mergeAll(t, agg2, SyntheticUpload(int64(900+i), fmt.Sprintf("device-b%02d", i), 15))
+		sent = append(sent, mergeAll(t, agg2, SyntheticUpload(int64(900+i), fmt.Sprintf("device-b%02d", i), 15))...)
 	}
 	mu.Lock()
 	handler = NewServer(agg2).Handler()
@@ -356,8 +354,8 @@ func TestDeltaResyncAfterRestart(t *testing.T) {
 	if res.Deltas != 0 {
 		t.Fatal("post-restart poll was answered with a delta; the epoch change must force a full resync")
 	}
-	if !bytes.Equal(exportBytes(t, res.Report), exportBytes(t, agg2.FoldSerial())) {
-		t.Fatal("post-restart region does not match the restarted node's state")
+	if !bytes.Equal(exportBytes(t, res.Report), exportBytes(t, core.FoldReports(sent...))) {
+		t.Fatal("post-restart region does not match the restarted node's uploads")
 	}
 	// And the next round is back on deltas against the new epoch.
 	if res := reg.PollDelta(ctx); res.Deltas != 1 {
@@ -367,15 +365,16 @@ func TestDeltaResyncAfterRestart(t *testing.T) {
 
 // TestPollDeltaToleratesNodeFailure pins the degraded-not-dark policy: a
 // dead node fails its slot but the round still serves every live node's
-// state (unlike Fold, which fails closed).
+// state.
 func TestPollDeltaToleratesNodeFailure(t *testing.T) {
 	agg, node := newNode(t, 2)
 	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "gone", http.StatusBadGateway)
 	}))
 	defer dead.Close()
+	var sent []*core.Report
 	for i := 0; i < 5; i++ {
-		mergeAll(t, agg, SyntheticUpload(int64(700+i), fmt.Sprintf("device-c%02d", i), 20))
+		sent = append(sent, mergeAll(t, agg, SyntheticUpload(int64(700+i), fmt.Sprintf("device-c%02d", i), 20))...)
 	}
 
 	reg := NewRegional([]string{node.URL, dead.URL}, nil)
@@ -383,7 +382,7 @@ func TestPollDeltaToleratesNodeFailure(t *testing.T) {
 	if res.Failed != 1 {
 		t.Fatalf("failed=%d, want exactly the dead node", res.Failed)
 	}
-	if !bytes.Equal(exportBytes(t, res.Report), exportBytes(t, agg.FoldSerial())) {
+	if !bytes.Equal(exportBytes(t, res.Report), exportBytes(t, core.FoldReports(sent...))) {
 		t.Fatal("degraded round lost the live node's state")
 	}
 }
@@ -394,7 +393,7 @@ func TestPollDeltaToleratesNodeFailure(t *testing.T) {
 // (the regression that froze fleet-agg's poll loop on one hung node).
 func TestNodeTimeoutBoundsHungNode(t *testing.T) {
 	agg, node := newNode(t, 2)
-	mergeAll(t, agg, SyntheticUpload(900, "device-t0", 20))
+	sent := mergeAll(t, agg, SyntheticUpload(900, "device-t0", 20))
 
 	// Unblock the handler before the server's Close (deferred below) waits
 	// for outstanding requests, or teardown itself would hang.
@@ -416,7 +415,7 @@ func TestNodeTimeoutBoundsHungNode(t *testing.T) {
 	if res.Failed != 1 {
 		t.Fatalf("failed=%d, want exactly the hung node", res.Failed)
 	}
-	if !bytes.Equal(exportBytes(t, res.Report), exportBytes(t, agg.FoldSerial())) {
+	if !bytes.Equal(exportBytes(t, res.Report), exportBytes(t, core.FoldReports(sent...))) {
 		t.Fatal("hung node displaced the live node's state")
 	}
 

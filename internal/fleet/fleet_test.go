@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"hangdoctor/internal/core"
 )
@@ -138,26 +139,36 @@ func TestBackpressure(t *testing.T) {
 	release := wedgeShard(agg, 0)
 	srv := NewServer(agg)
 
-	reps := uploads(40, 10)
-	var accepted, rejected int
-	var kept []*core.Report
-	for _, r := range reps {
-		err := agg.Submit(r)
-		switch err {
-		case nil:
-			accepted++
-			kept = append(kept, r)
-		case ErrQueueFull:
+	// With its shard wedged the pipeline holds exactly this many one-shard
+	// uploads: a full shard channel, one upload in the blocked dispatcher,
+	// and a full intake queue. Until it is full, ErrQueueFull only means
+	// the dispatcher has not drained the intake yet, so retry.
+	capacity := cap(agg.shards[0]) + 1 + cap(agg.intake)
+	reps := uploads(capacity+8, 10)
+	var rejected int
+	deadline := time.Now().Add(10 * time.Second)
+	for _, r := range reps[:capacity] {
+		for {
+			err := agg.Submit(r)
+			if err == nil {
+				break
+			}
+			if err != ErrQueueFull {
+				t.Fatalf("submit: %v", err)
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("pipeline refused uploads below its capacity of %d", capacity)
+			}
 			rejected++
-		default:
-			t.Fatalf("submit: %v", err)
+			time.Sleep(time.Millisecond)
 		}
 	}
-	if rejected == 0 {
-		t.Fatal("queue never filled although its consumer was wedged")
-	}
-	if accepted == 0 {
-		t.Fatal("no upload accepted before the queue filled")
+	kept := reps[:capacity]
+	for _, r := range reps[capacity:] {
+		if err := agg.Submit(r); err != ErrQueueFull {
+			t.Fatalf("submit to a full pipeline: %v, want ErrQueueFull", err)
+		}
+		rejected++
 	}
 
 	// The HTTP face of the same condition.

@@ -4,15 +4,17 @@ package fleet
 // from-scratch serial fold it replaced. All rows run at the same state
 // size so they are directly comparable:
 //
-//	BenchmarkFold/cold      — FoldSerial: every shard deep-clones, serial
-//	                          merge (the pre-incremental cost, the baseline)
+//	BenchmarkFold/cold      — coldFold: every shard snapshot deep-copied,
+//	                          then one serial FoldReports (the
+//	                          pre-incremental cost, the baseline)
 //	BenchmarkFold/warm      — Fold with nothing changed: cached COW shard
 //	                          snapshots + version-vector fold cache hit
 //	BenchmarkFold/dirty1pct — Fold after ~1% of entries churned: COW
 //	                          re-clone of the dirty set, re-merge of the
 //	                          touched shards only
 //
-//	BenchmarkRegionalPoll/full  — stateless full-snapshot fold of N nodes
+//	BenchmarkRegionalPoll/full  — ForceResync + PollDelta: every node
+//	                              refetched as a full snapshot
 //	BenchmarkRegionalPoll/delta — steady-state delta poll of the same nodes
 //
 // CI gates warm and dirty1pct at ≥5x faster than cold (ns/op), so the
@@ -23,6 +25,8 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"testing"
+
+	"hangdoctor/internal/core"
 )
 
 // benchState loads one aggregator with a deterministic fleet: `devices`
@@ -72,6 +76,21 @@ func churn(b *testing.B, agg *Aggregator, seq int, entries int) {
 	}
 }
 
+// coldFold is the uncached read: a deep copy of every shard snapshot,
+// folded serially — what every Fold cost before versioned snapshots.
+func coldFold(a *Aggregator) *core.Report {
+	a.mu.RLock()
+	snaps, _, ok := a.gather(nil)
+	a.mu.RUnlock()
+	if !ok {
+		return core.NewReport()
+	}
+	for i, s := range snaps {
+		snaps[i] = s.Clone()
+	}
+	return core.FoldReports(snaps...)
+}
+
 func BenchmarkFold(b *testing.B) {
 	// 512 devices × 120 draws from the bounded key pool: ~13k distinct
 	// entries whose hot keys accumulate hundreds-strong device sets — the
@@ -91,7 +110,7 @@ func BenchmarkFold(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if agg.FoldSerial().Len() != total {
+			if coldFold(agg).Len() != total {
 				b.Fatal("cold fold lost entries")
 			}
 		}
@@ -137,12 +156,13 @@ func BenchmarkRegionalPoll(b *testing.B) {
 		reg := NewRegional(urls, nil)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			rep, err := reg.Fold(ctx)
-			if err != nil {
-				b.Fatal(err)
+			reg.ForceResync()
+			res := reg.PollDelta(ctx)
+			if res.Failed != 0 {
+				b.Fatalf("poll failed: %v", res.Errs)
 			}
-			if rep.Len() == 0 {
-				b.Fatal("empty regional fold")
+			if res.Report.Len() == 0 {
+				b.Fatal("empty regional poll")
 			}
 		}
 	})

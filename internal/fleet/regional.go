@@ -3,25 +3,23 @@ package fleet
 // regional.go is the second fleet tier: a regional aggregator that folds N
 // fleetd nodes into one view the same way one node folds its shards. Each
 // node serves its folded state in canonical binary form on /v1/snapshot
-// and its obs registry on /metrics/snapshot; the Regional fetches both and
-// folds them — the report through the parallel fold tree (commutative
-// merge, so the fold is byte-identical to single-node operation on the
-// same uploads) and the metrics through obs.MergeSnapshots (per-series
-// sums). The shard fold and the node fold are the same algebra at
-// different radii, which is what makes the two-tier determinism test
-// meaningful: shards→node→region and uploads→one-aggregator must produce
-// identical bytes.
+// and its obs registry on /metrics/snapshot; the Regional polls both and
+// folds them — the report with the commutative merge (so the region is
+// byte-identical to single-node operation on the same uploads) and the
+// metrics through obs.MergeSnapshots (per-series sums). The shard fold and
+// the node fold are the same algebra at different radii, which is what
+// makes the two-tier determinism test meaningful: shards→node→region and
+// uploads→one-aggregator must produce identical bytes.
 //
-// Two read paths coexist. Fold is the stateless one: fetch every node's
-// full snapshot, fold, fail closed on any error. PollDelta is the
-// incremental one a long-running fleet-agg drives: it keeps a materialized
-// per-node mirror plus a regional master report, echoes each node's
-// version vector back via /v1/snapshot?since=, applies the returned
-// deltas, and re-derives only the changed keys — so steady-state poll
-// cost scales with change, not fleet size. A node restart (epoch change)
-// degrades that node to a full snapshot automatically, and a failed node
-// keeps its last mirrored state so the region serves stale-but-complete
-// data instead of nothing (the caller surfaces the failure as degraded).
+// PollDelta is the one read path: it keeps a materialized per-node mirror
+// plus a regional master report, echoes each node's version vector back
+// via /v1/snapshot?since=, applies the returned deltas, and re-derives
+// only the changed keys — so steady-state poll cost scales with change,
+// not fleet size. A node restart (epoch change) degrades that node to a
+// full snapshot automatically, ForceResync refetches every node in full,
+// and a failed node keeps its last mirrored state so the region serves
+// stale-but-complete data instead of nothing (the caller surfaces the
+// failure as degraded).
 
 import (
 	"context"
@@ -30,7 +28,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"runtime"
 	"sync"
 	"time"
 
@@ -61,12 +58,9 @@ type Regional struct {
 	// slow or wedged node cannot stall the whole round (0 = only the
 	// client's own timeout applies).
 	NodeTimeout time.Duration
-	// FoldWorkers bounds the parallel fold tree used by Fold
-	// (0 = GOMAXPROCS).
-	FoldWorkers int
 
-	// mu guards the poller's materialized state (Fold and Metrics are
-	// stateless and never take it).
+	// mu guards the poller's materialized state (Metrics is stateless and
+	// never takes it).
 	mu     sync.Mutex
 	states []nodeState
 	master *core.Report        // fold of every node mirror; refreshed per changed key
@@ -91,53 +85,8 @@ func NewRegional(nodes []string, client *http.Client) *Regional {
 	return r
 }
 
-func (r *Regional) foldWorkers() int {
-	if r.FoldWorkers > 0 {
-		return r.FoldWorkers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // Nodes returns the configured node list.
 func (r *Regional) Nodes() []string { return append([]string(nil), r.nodes...) }
-
-// FetchSnapshot pulls one node's folded report from /v1/snapshot and
-// decodes the canonical binary document.
-func (r *Regional) FetchSnapshot(ctx context.Context, node string) (*core.Report, error) {
-	body, _, err := r.get(ctx, node+"/v1/snapshot")
-	if err != nil {
-		return nil, err
-	}
-	wr, err := core.NewBinaryDecoder().Decode(body)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: node %s snapshot: %w", node, err)
-	}
-	return wr.Report(), nil
-}
-
-// Fold fetches every node's snapshot concurrently and merges them into one
-// regional report through the parallel fold tree. Any node failure fails
-// the fold — a partial region would silently under-count, which is worse
-// than a late one. (PollDelta is the degradation-tolerant path.)
-func (r *Regional) Fold(ctx context.Context) (*core.Report, error) {
-	snaps := make([]*core.Report, len(r.nodes))
-	errs := make([]error, len(r.nodes))
-	var wg sync.WaitGroup
-	for i, node := range r.nodes {
-		wg.Add(1)
-		go func(i int, node string) {
-			defer wg.Done()
-			snaps[i], errs[i] = r.FetchSnapshot(ctx, node)
-		}(i, node)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return core.FoldReportsParallel(r.foldWorkers(), snaps...), nil
-}
 
 // nodeFetch is one node's decoded /v1/snapshot response.
 type nodeFetch struct {
@@ -190,7 +139,7 @@ type PollResult struct {
 // changed keys of the regional master. Failed nodes keep their last
 // mirrored state. The returned report is byte-identical to a from-scratch
 // fold of the mirrors — and, once every node has answered one round
-// cleanly, to Fold over the same nodes.
+// cleanly, to a fold of the nodes' own reports.
 func (r *Regional) PollDelta(ctx context.Context) PollResult {
 	n := len(r.nodes)
 	sinces := make([]VersionVector, n)

@@ -139,11 +139,11 @@ func TestRegionalFoldByteIdentical(t *testing.T) {
 	agg2.Close()
 
 	reg := NewRegional([]string{node1.URL, node2.URL}, nil)
-	folded, err := reg.Fold(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	res := reg.PollDelta(context.Background())
+	if res.Failed != 0 {
+		t.Fatalf("regional poll failed: %v", res.Errs)
 	}
-	if got, want := exportBytes(t, folded), exportBytes(t, serial); !bytes.Equal(got, want) {
+	if got, want := exportBytes(t, res.Report), exportBytes(t, serial); !bytes.Equal(got, want) {
 		t.Error("regional fold diverged from single-aggregator merge")
 	}
 
@@ -158,20 +158,5 @@ func TestRegionalFoldByteIdentical(t *testing.T) {
 	}
 	if got := merged.Value("hangdoctor_fleet_uploads_binary_total"); got != devices*uploadsPer {
 		t.Errorf("merged binary uploads = %d, want %d", got, devices*uploadsPer)
-	}
-}
-
-// TestRegionalFoldFailsClosed pins the partial-region policy: if any node
-// is unreachable the fold errors rather than silently under-counting.
-func TestRegionalFoldFailsClosed(t *testing.T) {
-	_, node := newNode(t, 1)
-	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "gone", http.StatusBadGateway)
-	}))
-	defer dead.Close()
-
-	reg := NewRegional([]string{node.URL, dead.URL}, nil)
-	if _, err := reg.Fold(context.Background()); err == nil {
-		t.Fatal("fold over a failing node succeeded; partial regions must fail closed")
 	}
 }

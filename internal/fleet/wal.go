@@ -157,9 +157,8 @@ const (
 	maxWALRecordLen = 64 << 20
 
 	recKindHeader   byte = 1
-	recKindFragment byte = 2 // legacy JSON fragment payload (replay-only)
 	recKindSnapshot byte = 3
-	recKindFragBin  byte = 4 // binary fragment payload (all new appends)
+	recKindFragBin  byte = 4 // binary fragment payload; kind 2 (JSON fragments) is retired, never reuse it
 
 	walFormatVersion = 1
 )
@@ -248,10 +247,7 @@ func encodeHeader(h walHeader) ([]byte, error) {
 }
 
 // encodeFragment frames a fragment for the log in the binary wire encoding
-// (kind 4) — a fraction of the JSON record's size, decoded allocation-lean
-// at replay. Logs written before the binary format carry kind-2 JSON
-// fragments; decodeFragment still reads those, so an upgraded process
-// replays an old log transparently (and compacts it away on rotation).
+// (kind 4), which replay decodes allocation-lean.
 func encodeFragment(id UploadID, frag *core.Report) ([]byte, error) {
 	buf := make([]byte, 0, 512)
 	buf = append(buf, recKindFragBin)
@@ -261,27 +257,15 @@ func encodeFragment(id UploadID, frag *core.Report) ([]byte, error) {
 
 func decodeFragment(payload []byte) (UploadID, *core.Report, error) {
 	var id UploadID
-	if len(payload) < 1+len(id) {
+	if len(payload) < 1+len(id) || payload[0] != recKindFragBin {
 		return id, nil, errors.New("fleet: wal record is not a fragment")
 	}
-	kind := payload[0]
 	copy(id[:], payload[1:1+len(id)])
-	body := payload[1+len(id):]
-	switch kind {
-	case recKindFragBin:
-		wr, err := core.NewBinaryDecoder().Decode(body)
-		if err != nil {
-			return id, nil, err
-		}
-		return id, wr.Report(), nil
-	case recKindFragment:
-		rep, err := core.ImportReport(bytes.NewReader(body))
-		if err != nil {
-			return id, nil, err
-		}
-		return id, rep, nil
+	wr, err := core.NewBinaryDecoder().Decode(payload[1+len(id):])
+	if err != nil {
+		return id, nil, err
 	}
-	return id, nil, errors.New("fleet: wal record is not a fragment")
+	return id, wr.Report(), nil
 }
 
 // walSnapshot is the single record of a snapshot file: the shard's whole

@@ -81,7 +81,7 @@ func TestWALFrameRoundTrip(t *testing.T) {
 // truncated frame reads as torn, a bit flip with all bytes present reads
 // as corrupt, and both report the offset of the last whole record.
 func TestWALFrameTornAndCorrupt(t *testing.T) {
-	good := appendFrame(nil, []byte{recKindFragment, 1, 2, 3})
+	good := appendFrame(nil, []byte{recKindFragBin, 1, 2, 3})
 	goodLen := int64(len(good))
 
 	t.Run("torn", func(t *testing.T) {
@@ -100,7 +100,7 @@ func TestWALFrameTornAndCorrupt(t *testing.T) {
 		}
 	})
 	t.Run("corrupt", func(t *testing.T) {
-		second := appendFrame(nil, []byte{recKindFragment, 7, 7})
+		second := appendFrame(nil, []byte{recKindFragBin, 7, 7})
 		second[len(second)-1] ^= 0x01 // flip a payload bit, length intact
 		fr := &frameReader{r: bytes.NewReader(append(append([]byte{}, good...), second...))}
 		if _, err := fr.next(); err != nil {
@@ -200,7 +200,7 @@ func TestTornTailTruncated(t *testing.T) {
 
 	// Tear the tails by hand: a partial frame on shard 0, trailing garbage
 	// that parses as an oversized length on shard 1.
-	torn := appendFrame(nil, append([]byte{recKindFragment}, bytes.Repeat([]byte{4}, 64)...))
+	torn := appendFrame(nil, append([]byte{recKindFragBin}, bytes.Repeat([]byte{4}, 64)...))
 	for i, tail := range [][]byte{torn[:len(torn)-9], {0xFF, 0xFF, 0xFF, 0x7F, 1, 2}} {
 		f, err := os.OpenFile(filepath.Join(dir, fmt.Sprintf("shard-%04d.wal", i)), os.O_WRONLY|os.O_APPEND, 0)
 		if err != nil {
@@ -421,7 +421,7 @@ func TestDurableHTTPUpload(t *testing.T) {
 func FuzzWALFrameDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(appendFrame(nil, []byte{recKindHeader, '{', '}'}))
-	valid := appendFrame(appendFrame(nil, []byte{recKindFragment, 0, 1}), bytes.Repeat([]byte{7}, 300))
+	valid := appendFrame(appendFrame(nil, []byte{recKindFragBin, 0, 1}), bytes.Repeat([]byte{7}, 300))
 	f.Add(valid)
 	f.Add(valid[:len(valid)-4])
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0, 1})
@@ -452,7 +452,7 @@ func FuzzWALFrameDecode(f *testing.F) {
 			consumed = fr.off
 			// Fragment payloads additionally go through the report
 			// decoder, which must reject garbage rather than panic.
-			if payload[0] == recKindFragment {
+			if payload[0] == recKindFragBin {
 				decodeFragment(payload)
 			}
 		}
