@@ -76,6 +76,10 @@ func randIdentity(t *testing.T, rng *simrand.Rand) *ReportEntry {
 	return e.empty(0)
 }
 
+// clone returns a deep copy of e through cloneLeaf, which every
+// production copy uses.
+func (e *ReportEntry) clone() *ReportEntry { return cloneLeaf(0, 0, "", e, nil).e }
+
 // sum is the reference merge: a fresh entry holding a ⊕ b ⊕ ….
 func sum(es ...*ReportEntry) *ReportEntry {
 	out := es[0].clone()
@@ -199,7 +203,7 @@ func TestReportAlgebraLaws(t *testing.T) {
 			ab := sum(a, b)
 			check := func(path string, r *Report, want *ReportEntry) {
 				t.Helper()
-				if got := r.entries[key]; !reflect.DeepEqual(got, want) {
+				if got := r.entries.get(key); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s:\n got %+v\nwant %+v", path, got, want)
 				}
 				if r.Len() != 1 || r.TotalHangs() != want.Hangs {
@@ -223,9 +227,7 @@ func TestReportAlgebraLaws(t *testing.T) {
 			sc.MarkReport(live)
 			sc.Bump()
 			check("SnapshotCache.Snapshot", sc.Snapshot(live), a)
-			refreshed := NewReport()
-			refreshed.RefreshKeys([]string{key}, reportOf(a), reportOf(b))
-			check("RefreshKeys", refreshed, ab)
+			check("RefreshKeys", NewReport().RefreshKeys([]string{key}, reportOf(a), reportOf(b)), ab)
 
 			w := reportOf(a)
 			w.MergeWireEntries(decodeBinary(t, reportOf(b)).Entries)
@@ -262,7 +264,7 @@ func TestReportAlgebraLaws(t *testing.T) {
 			if want := FoldReports(reportOf(a).Anonymize("salt"), reportOf(b).Anonymize("salt")); !reflect.DeepEqual(anonAB, want) {
 				t.Fatal("Anonymize does not commute with Merge")
 			}
-			got, plain := anonAB.entries[key].clone(), ab.clone()
+			got, plain := anonAB.entries.get(key).clone(), ab.clone()
 			if len(got.Devices) != len(plain.Devices) {
 				t.Fatalf("Anonymize: %d devices, want %d", len(got.Devices), len(plain.Devices))
 			}

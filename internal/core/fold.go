@@ -40,13 +40,7 @@ func ShardIndexKey(key string, shards int) int {
 // affects the other. Shards use it to answer snapshot requests without
 // handing their single-writer state to a reader.
 func (r *Report) Clone() *Report {
-	out := NewReport()
-	out.totalHangs = r.totalHangs
-	out.Health = r.Health
-	for key, e := range r.entries {
-		out.entries[key] = e.clone()
-	}
-	return out
+	return &Report{entries: r.entries.deepCopy(0), totalHangs: r.totalHangs, Health: r.Health}
 }
 
 // Split partitions the report into shards fragment reports by ShardIndex of
@@ -74,11 +68,12 @@ func (r *Report) Split(shards int) []*Report {
 	if !r.Health.Zero() {
 		frag(0).Health = r.Health
 	}
-	for key, e := range r.entries {
+	r.entries.each(func(l *trieLeaf) {
+		e := l.e
 		f := frag(ShardIndex(e.App, e.ActionUID, e.RootCause, shards))
-		f.entries[key] = e.clone()
+		f.entries.bind(l.key, e, nil, 0)
 		f.totalHangs += e.Hangs
-	}
+	})
 	return out
 }
 

@@ -41,6 +41,8 @@ func (e *ReportEntry) AvgResponse() simclock.Duration {
 // The report algebra. Every path that builds, copies or combines entries
 // goes through empty and merge, so a new ReportEntry field is merged in
 // exactly one place (TestReportAlgebraLaws fails on a field merge ignores).
+// A clone is a merge into an empty entry; cloneLeaf (trie.go) builds one
+// in place in a new trie leaf.
 
 // empty returns a new entry carrying only e's identity fields — the zero
 // of merge for e's key. n sizes its device set.
@@ -72,18 +74,11 @@ func (e *ReportEntry) merge(src *ReportEntry, devs []string) {
 	}
 }
 
-// clone returns a deep copy of e: a merge into an empty entry.
-func (e *ReportEntry) clone() *ReportEntry {
-	c := e.empty(len(e.Devices))
-	c.merge(e, nil)
-	return c
-}
-
 // Report is the developer-facing Hang Bug Report: "a table of detected soft
 // hang bugs ordered by the percentage of occurrences across user devices"
 // (§3.2). Reports from many devices merge into one fleet view.
 type Report struct {
-	entries map[string]*ReportEntry
+	entries entryTrie
 	// totalHangs counts all diagnosed bug hangs, the denominator of the
 	// occurrence percentage column.
 	totalHangs int
@@ -94,9 +89,7 @@ type Report struct {
 }
 
 // NewReport returns an empty report.
-func NewReport() *Report {
-	return &Report{entries: map[string]*ReportEntry{}}
-}
+func NewReport() *Report { return &Report{} }
 
 func entryKey(appName, actionUID, root string) string {
 	return appName + "\x00" + actionUID + "\x00" + root
@@ -123,26 +116,23 @@ func (r *Report) AddChained(appName, device, actionUID string, diag Diagnosis, c
 func (r *Report) Merge(others ...*Report) {
 	for _, o := range others {
 		r.Health.Add(o.Health)
-		for key, oe := range o.entries {
-			r.add(key, oe, nil)
-		}
+		o.entries.each(func(l *trieLeaf) { r.add(l.key, l.e, nil) })
 	}
 }
 
 // add merges src, whose devices are src.Devices plus devs, into r's entry
 // at key, creating that entry from src's identity on first sight.
 func (r *Report) add(key string, src *ReportEntry, devs []string) {
-	e, ok := r.entries[key]
-	if !ok {
-		e = src.empty(len(src.Devices) + len(devs))
-		r.entries[key] = e
+	if e := r.entries.get(key); e != nil {
+		e.merge(src, devs)
+	} else {
+		r.entries.bind(key, src, devs, 0)
 	}
-	e.merge(src, devs)
 	r.totalHangs += src.Hangs
 }
 
 // Len returns the number of distinct root causes reported.
-func (r *Report) Len() int { return len(r.entries) }
+func (r *Report) Len() int { return r.entries.n }
 
 // TotalHangs returns the number of diagnosed bug hangs across all entries.
 func (r *Report) TotalHangs() int { return r.totalHangs }
@@ -150,10 +140,8 @@ func (r *Report) TotalHangs() int { return r.totalHangs }
 // Entries returns rows ordered by occurrence share descending (ties by
 // app/action/root for determinism).
 func (r *Report) Entries() []*ReportEntry {
-	out := make([]*ReportEntry, 0, len(r.entries))
-	for _, e := range r.entries {
-		out = append(out, e)
-	}
+	out := make([]*ReportEntry, 0, r.entries.n)
+	r.entries.each(func(l *trieLeaf) { out = append(out, l.e) })
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Hangs != out[j].Hangs {
 			return out[i].Hangs > out[j].Hangs

@@ -157,7 +157,8 @@ func ImportReport(rd io.Reader) (*Report, error) {
 func (r *Report) Anonymize(salt string) *Report {
 	out := NewReport()
 	out.Health = r.Health
-	for key, e := range r.entries {
+	r.entries.each(func(l *trieLeaf) {
+		e := l.e
 		devs := make([]string, 0, len(e.Devices))
 		for d := range e.Devices {
 			h := fnv.New64a()
@@ -167,7 +168,7 @@ func (r *Report) Anonymize(salt string) *Report {
 		}
 		src := *e
 		src.Devices = nil
-		out.add(key, &src, devs)
-	}
+		out.add(l.key, &src, devs)
+	})
 	return out
 }

@@ -1,55 +1,66 @@
 package core
 
-// snapshot.go is the incremental read path: versioned copy-on-write
+// snapshot.go is the incremental read path: versioned persistent
 // snapshots of a mutating report, an incremental fold cache over disjoint
 // parts, and the absolute-state application the delta protocol's client
-// side needs. Together they turn the fleet read path from O(total state)
-// per request into O(changed state):
+// side needs. All three rest on the report's entry trie (trie.go), so each
+// read costs O(changed state), not O(total state):
 //
-//   - A shard owns a mutating Report and a SnapshotCache. Merges mark the
-//     touched entry keys dirty and bump a monotonically increasing version;
-//     a snapshot request at an unchanged version returns the cached
-//     immutable snapshot, and an outdated one re-clones only the dirtied
-//     entries, sharing every clean *ReportEntry with the previous snapshot.
+//   - A shard owns a mutating Report and a SnapshotCache. Merges append the
+//     touched entry keys, with the version they will commit at, to a change
+//     list and bump a monotonically increasing version. A snapshot request
+//     at an unchanged version returns the cached immutable snapshot; an
+//     outdated one is the previous snapshot plus one batch that re-clones
+//     the listed keys, stamped with their versions, sharing every other
+//     trie node. A delta walks only the subtrees stamped after its base.
 //   - The aggregator folds shard snapshots through a FoldCache keyed by the
 //     shard version vector: only shards whose version moved are re-merged,
-//     and because shards own disjoint entry-key ranges the fold shares
-//     entry pointers instead of deep-copying device sets.
+//     in one batch over the previous fold, and because shards own disjoint
+//     entry-key ranges the fold shares entry pointers instead of
+//     deep-copying device sets.
 //   - A regional poller mirrors each node with ApplyWireFull/ApplyWireDelta
-//     and re-derives only the changed keys of its fold with RefreshKeys.
+//     and re-derives only the changed keys of its fold with RefreshKeys,
+//     which returns a new report sharing structure with the old one.
 //
 // Everything here preserves the repo's one determinism bar: any cached,
 // shared, or incremental fold is byte-identical in Export/Render to a
 // from-scratch serial FoldReports of the same parts. Sharing is safe
 // because snapshots are immutable by contract: every consumer (encode,
-// export, render, merge-as-source) only reads them.
+// export, render, merge-as-source) only reads them, and a trie that was
+// handed out is only ever extended by batches that copy what they change.
 
 // ---------------------------------------------------------------------------
-// Versioned copy-on-write snapshots
+// Versioned persistent snapshots
 
 // SnapshotCache tracks a mutating Report's changes so reads can reuse
 // prior work. The owner marks every entry key it touches, bumps the
 // version once per mutation batch, and serves reads through Snapshot —
-// which is free when nothing changed and proportional to the dirty set
-// otherwise. It additionally remembers, per key, the version that last
-// changed it, so DeltaSince can answer "what moved since version v"
-// without diffing state.
+// which is free when nothing changed and proportional to the marked keys
+// otherwise. Each snapshot's trie leaves carry the version that last
+// changed them, so DeltaSince answers "what moved since version v" with a
+// walk of the newer subtrees, without diffing state.
 //
 // A SnapshotCache is owned by the goroutine that owns the Report; it is
 // not safe for concurrent use. The *Report values it returns are
 // immutable and safe to share across goroutines.
 type SnapshotCache struct {
 	version uint64
-	dirty   map[string]struct{} // keys touched since the last Snapshot build
-	mod     map[string]uint64   // key -> version of its last change
-	snap    *Report             // cached immutable snapshot
-	snapV   uint64              // version snap covers
+	// changes lists the keys marked since snap was built, each with the
+	// version that commits it. Once it outgrows twice the snapshot, it and
+	// snap are dropped: the next snapshot is rebuilt in full, every leaf
+	// stamped at that version.
+	changes []keyChange
+	snap    *Report // cached immutable snapshot; nil until built
+	snapV   uint64  // version snap covers
+}
+
+type keyChange struct {
+	key string
+	ver uint64
 }
 
 // NewSnapshotCache returns an empty cache at version 0.
-func NewSnapshotCache() *SnapshotCache {
-	return &SnapshotCache{dirty: map[string]struct{}{}, mod: map[string]uint64{}}
-}
+func NewSnapshotCache() *SnapshotCache { return &SnapshotCache{} }
 
 // Version returns the current state version: 0 until the first Bump, then
 // monotonically increasing.
@@ -58,15 +69,18 @@ func (sc *SnapshotCache) Version() uint64 { return sc.version }
 // MarkKey records that the entry at key is about to change in the batch
 // the next Bump commits.
 func (sc *SnapshotCache) MarkKey(key string) {
-	sc.dirty[key] = struct{}{}
-	sc.mod[key] = sc.version + 1
+	switch {
+	case sc.snap == nil: // the next snapshot is built in full
+	case len(sc.changes) >= 2*sc.snap.Len():
+		sc.changes, sc.snap = sc.changes[:0], nil
+	default:
+		sc.changes = append(sc.changes, keyChange{key, sc.version + 1})
+	}
 }
 
 // MarkReport marks every entry key of frag (the fragment about to merge).
 func (sc *SnapshotCache) MarkReport(frag *Report) {
-	for key := range frag.entries {
-		sc.MarkKey(key)
-	}
+	frag.entries.each(func(l *trieLeaf) { sc.MarkKey(l.key) })
 }
 
 // MarkWireEntries marks the precomputed keys of decoded wire entries.
@@ -86,96 +100,85 @@ func (sc *SnapshotCache) Cached() bool { return sc.snap != nil && sc.snapV == sc
 
 // Snapshot returns an immutable snapshot of live at the current version.
 // If the version is unchanged since the last call the cached snapshot is
-// returned as-is; otherwise a new one is built copy-on-write: dirtied
-// entries are deep-cloned from live, clean entries share their
-// *ReportEntry with the previous snapshot. Callers must treat the result
+// returned as-is. Otherwise the new snapshot is the previous one plus one
+// batch that deep-clones each listed key's entry from live, stamped with
+// the key's newest mark; every other entry and trie node is shared with
+// the previous snapshot. Without a previous snapshot, or after the change
+// list overflowed, every entry is cloned. Callers must treat the result
 // (and everything reachable from it) as read-only.
 func (sc *SnapshotCache) Snapshot(live *Report) *Report {
-	if sc.snap != nil && sc.snapV == sc.version {
+	if sc.Cached() {
 		return sc.snap
 	}
-	out := NewReport()
-	out.entries = make(map[string]*ReportEntry, len(live.entries))
-	out.totalHangs = live.totalHangs
-	out.Health = live.Health
-	var prev map[string]*ReportEntry
-	if sc.snap != nil {
-		prev = sc.snap.entries
-	}
-	for key, e := range live.entries {
-		if _, isDirty := sc.dirty[key]; !isDirty {
-			if pe, ok := prev[key]; ok {
-				out.entries[key] = pe
+	out := &Report{totalHangs: live.totalHangs, Health: live.Health}
+	if sc.snap == nil {
+		out.entries = live.entries.deepCopy(sc.version)
+	} else {
+		out.entries = sc.snap.entries.batch()
+		// Newest marks first: a key's later duplicates find it stamped
+		// after snapV and are skipped, so each changed entry clones once.
+		for i := len(sc.changes) - 1; i >= 0; i-- {
+			c := sc.changes[i]
+			if l := out.entries.leaf(c.key); l != nil && l.ver > sc.snapV {
 				continue
 			}
+			if e := live.entries.get(c.key); e != nil {
+				out.entries.bind(c.key, e, nil, c.ver)
+			} else {
+				out.entries.del(c.key)
+			}
 		}
-		out.entries[key] = e.clone()
 	}
-	clear(sc.dirty)
+	sc.changes = sc.changes[:0]
 	sc.snap, sc.snapV = out, sc.version
 	return out
 }
 
 // DeltaSince returns the current version and an immutable report holding
-// only the entries changed after version since, with live's full Health
+// the entries changed after version since, with live's full Health
 // (health rides every delta — it is absolute, cheap, and saves tracking a
-// separate health version). Entries are shared with the current snapshot.
+// separate health version). Entries, and the trie leaves binding them,
+// are shared with the current snapshot.
 // since at or beyond the current version yields an entry-less report.
+// After a full rebuild the delta may also carry unchanged entries; their
+// absolute states apply idempotently.
 func (sc *SnapshotCache) DeltaSince(live *Report, since uint64) (*Report, uint64) {
 	snap := sc.Snapshot(live)
-	out := NewReport()
-	out.Health = snap.Health
-	if since < sc.version {
-		for key, v := range sc.mod {
-			if v <= since {
-				continue
-			}
-			if e, ok := snap.entries[key]; ok {
-				out.entries[key] = e
-				out.totalHangs += e.Hangs
-			}
-		}
-	}
+	out := &Report{Health: snap.Health}
+	snap.entries.changedSince(since, func(l *trieLeaf) {
+		out.entries.put(l)
+		out.totalHangs += l.e.Hangs
+	})
 	return out, sc.version
 }
 
 // ---------------------------------------------------------------------------
 // Shared and incremental folds over disjoint parts
 
-// addShared folds part into out, sharing part's entry pointers for keys out
-// does not hold. On a key collision the existing entry is cloned before
-// merging (it may be shared with an earlier part or a previous fold), so
-// the fold never mutates its inputs and the result matches a serial deep
-// Merge byte for byte.
+// addShared folds part into out, sharing part's entries (and the trie
+// leaves binding them) for keys out does not hold. On a key collision the
+// existing entry is cloned before merging (it may be shared with an
+// earlier part or a previous fold), so the fold never mutates its inputs
+// and the result matches a serial deep Merge byte for byte.
 func (r *Report) addShared(part *Report) {
 	r.Health.Add(part.Health)
 	r.totalHangs += part.totalHangs
-	for key, e := range part.entries {
-		if cur, ok := r.entries[key]; ok {
-			ne := cur.clone()
-			ne.merge(e, nil)
-			r.entries[key] = ne
-			continue
+	part.entries.each(func(l *trieLeaf) {
+		if old := r.entries.put(l); old != nil {
+			merged, _ := r.entries.bind(l.key, old.e, nil, 0)
+			merged.merge(l.e, nil)
 		}
-		r.entries[key] = e
-	}
+	})
 }
 
 // FoldReportsShared is FoldReports for immutable parts with (mostly)
 // disjoint entry-key sets — the shape of shard snapshots, whose keys are
 // routed by ShardIndex. Entries are shared, not deep-copied, so the fold
-// costs map inserts instead of device-set clones; collisions fall back to
+// costs trie inserts instead of device-set clones; collisions fall back to
 // a copy-on-write merge, keeping the result byte-identical to FoldReports
 // for any input. The result must be treated as read-only.
 func FoldReportsShared(parts ...*Report) *Report {
 	out := NewReport()
-	n := 0
-	for _, p := range parts {
-		if p != nil {
-			n += len(p.entries)
-		}
-	}
-	out.entries = make(map[string]*ReportEntry, n)
 	for _, p := range parts {
 		if p != nil {
 			out.addShared(p)
@@ -191,77 +194,60 @@ func FoldReportsShared(parts ...*Report) *Report {
 // grows as its version rises. Under those invariants the fold is
 // byte-identical to FoldReports over the same parts.
 type FoldCache struct {
-	result *Report  // immutable fold of the parts at vers
-	vers   []uint64 // part versions result covers
+	result *Report   // immutable fold of parts at vers
+	parts  []*Report // the parts result folds
+	vers   []uint64  // part versions result covers
 }
 
 // Update returns the fold of parts at versions vers (one per part) and
 // whether it is the cached fold, reused because no version moved. Parts
-// whose version moved overwrite their own keys in a copy of the previous
-// fold, sharing every other entry; totals and health are re-summed from
-// the parts (O(parts), not O(entries)). A gather behind the cached vector
-// in any part — a concurrent reader cached a newer one — is folded afresh
-// and not cached, so the cache only moves forward. The first call, a
-// change of part count, or every part moving rebuilds the fold. The
-// returned report is immutable.
+// whose version moved write into the previous fold, in one batch, the
+// leaves where their trie differs from the part the fold last saw: a new
+// snapshot shares every unchanged subtree with its predecessor, so this
+// costs the changed entries, and each changed path is copied once.
+// Totals and health are re-summed from the parts (O(parts), not
+// O(entries)). A gather behind the cached vector in any part — a
+// concurrent reader cached a newer one — is folded afresh and not cached,
+// so the cache only moves forward. The first call or a change of part
+// count rebuilds the fold. The returned report is immutable.
 func (fc *FoldCache) Update(parts []*Report, vers []uint64) (rep *Report, hit bool) {
 	if fc.result == nil || len(fc.vers) != len(vers) {
-		fc.result, fc.vers = FoldReportsShared(parts...), vers
+		fc.result, fc.parts, fc.vers = FoldReportsShared(parts...), append([]*Report(nil), parts...), vers
 		return fc.result, false
 	}
-	moved := 0
+	moved := false
 	for i, v := range vers {
 		if v < fc.vers[i] {
 			return FoldReportsShared(parts...), false
 		}
-		if v != fc.vers[i] {
-			moved++
-		}
+		moved = moved || v != fc.vers[i]
 	}
-	switch moved {
-	case 0:
+	if !moved {
 		return fc.result, true
-	case len(parts):
-		// Copying the previous fold first would be pure waste: every
-		// entry gets overwritten.
-		fc.result, fc.vers = FoldReportsShared(parts...), vers
-		return fc.result, false
 	}
-	out := NewReport()
-	out.entries = make(map[string]*ReportEntry, len(fc.result.entries))
-	for key, e := range fc.result.entries {
-		out.entries[key] = e
-	}
+	out := &Report{entries: fc.result.entries.batch()}
 	for i, p := range parts {
 		if p == nil {
 			continue
 		}
 		if vers[i] != fc.vers[i] {
-			// The part's new snapshot covers every key it ever held (keys
-			// are only added), so overwriting replaces all of its stale
-			// entries and touches nothing owned by other parts.
-			for key, e := range p.entries {
-				out.entries[key] = e
+			// The part's key set only grows and no other part holds its
+			// keys, so its changed leaves are all the fold must take.
+			var prev *trieNode
+			if fc.parts[i] != nil {
+				prev = fc.parts[i].entries.root
 			}
+			diffLeaves(prev, p.entries.root, 0, func(l *trieLeaf) { out.entries.put(l) })
 		}
 		out.totalHangs += p.totalHangs
 		out.Health.Add(p.Health)
 	}
-	fc.result, fc.vers = out, vers
+	fc.result, fc.parts, fc.vers = out, append([]*Report(nil), parts...), vers
 	return out, false
 }
 
 // ---------------------------------------------------------------------------
 // Absolute (delta-protocol) application
-
-// entryFromWire materializes one decoded wire entry as a standalone
-// ReportEntry carrying the entry's absolute state.
-func entryFromWire(we *WireEntry) *ReportEntry {
-	src := we.entry()
-	e := src.empty(len(we.Devices))
-	e.merge(&src, we.Devices)
-	return e
-}
 
 // ApplyWireDelta applies a delta-snapshot document to r, which mirrors one
 // upstream node's state: each wire entry REPLACES r's entry of the same
@@ -273,10 +259,10 @@ func (r *Report) ApplyWireDelta(wr *WireReport) []string {
 	changed := make([]string, 0, len(wr.Entries))
 	for i := range wr.Entries {
 		we := &wr.Entries[i]
-		if old, ok := r.entries[we.Key]; ok {
+		src := we.entry()
+		if _, old := r.entries.bind(we.Key, &src, we.Devices, 0); old != nil {
 			r.totalHangs -= old.Hangs
 		}
-		r.entries[we.Key] = entryFromWire(we)
 		r.totalHangs += we.Hangs
 		changed = append(changed, we.Key)
 	}
@@ -289,60 +275,61 @@ func (r *Report) ApplyWireDelta(wr *WireReport) []string {
 // old and new key sets (a restarted upstream may have *lost* entries, so
 // stale keys count as changed too).
 func (r *Report) ApplyWireFull(wr *WireReport) []string {
-	changed := make([]string, 0, len(r.entries)+len(wr.Entries))
+	changed := make([]string, 0, r.entries.n+len(wr.Entries))
 	old := r.entries
-	r.entries = make(map[string]*ReportEntry, len(wr.Entries))
+	r.entries = entryTrie{}
 	r.totalHangs = 0
 	for i := range wr.Entries {
 		we := &wr.Entries[i]
-		r.entries[we.Key] = entryFromWire(we)
+		src := we.entry()
+		r.entries.bind(we.Key, &src, we.Devices, 0)
 		r.totalHangs += we.Hangs
 		changed = append(changed, we.Key)
 	}
-	for key := range old {
-		if _, ok := r.entries[key]; !ok {
-			changed = append(changed, key)
+	old.each(func(l *trieLeaf) {
+		if r.entries.get(l.key) == nil {
+			changed = append(changed, l.key)
 		}
-	}
+	})
 	r.Health = wr.Health
 	return changed
 }
 
-// RefreshKeys re-derives r's entries at the given keys as the fold of the
-// corresponding entries across parts, in part order, and re-sums r's
-// totals and health from the parts. A key held by no part is deleted.
-// Entries are rebuilt fresh (never mutated in place), so a snapshot that
-// shares r's old entry pointers stays valid — the property the regional
-// tier's copy-on-write serving depends on. Byte-identity: after refreshing
-// every changed key, r equals FoldReports(parts...) exactly.
-func (r *Report) RefreshKeys(keys []string, parts ...*Report) {
+// RefreshKeys returns r with its entries at the given keys re-derived as
+// the fold of the corresponding entries across parts, in part order, and
+// its totals and health re-summed from the parts. A key held by no part is
+// deleted. The result is one batch over r's trie: it shares every
+// unchanged node and entry with r, and r itself stays unchanged, so r may
+// already be handed out — the regional tier serves each round's result
+// as-is. Byte-identity: after refreshing every changed key, the result
+// equals FoldReports(parts...) exactly.
+func (r *Report) RefreshKeys(keys []string, parts ...*Report) *Report {
+	out := &Report{entries: r.entries.batch()}
 	for _, key := range keys {
 		var merged *ReportEntry
 		for _, p := range parts {
 			if p == nil {
 				continue
 			}
-			e, ok := p.entries[key]
-			if !ok {
+			e := p.entries.get(key)
+			if e == nil {
 				continue
 			}
 			if merged == nil {
-				merged = e.empty(len(e.Devices))
+				merged, _ = out.entries.bind(key, e, nil, 0)
+			} else {
+				merged.merge(e, nil)
 			}
-			merged.merge(e, nil)
 		}
 		if merged == nil {
-			delete(r.entries, key)
-		} else {
-			r.entries[key] = merged
+			out.entries.del(key)
 		}
 	}
-	r.totalHangs = 0
-	r.Health = Health{}
 	for _, p := range parts {
 		if p != nil {
-			r.totalHangs += p.totalHangs
-			r.Health.Add(p.Health)
+			out.totalHangs += p.totalHangs
+			out.Health.Add(p.Health)
 		}
 	}
+	return out
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"hangdoctor/internal/simclock"
@@ -16,7 +18,7 @@ func markAll(sc *SnapshotCache, r *Report) {
 
 // TestSnapshotCacheCOW pins the copy-on-write contract: an unchanged
 // version returns the identical snapshot, a changed version deep-clones
-// only the dirtied entries and shares every clean *ReportEntry pointer
+// only the marked entries and shares every clean *ReportEntry pointer
 // with the previous snapshot — and every snapshot exports byte-identically
 // to a deep clone of the live report at that moment.
 func TestSnapshotCacheCOW(t *testing.T) {
@@ -57,18 +59,18 @@ func TestSnapshotCacheCOW(t *testing.T) {
 	}
 	// Clean entries share structure, the dirtied one does not.
 	shared, cloned := 0, 0
-	for key, e := range s1.entries {
-		switch s2.entries[key] {
-		case e:
+	s1.entries.each(func(l *trieLeaf) {
+		switch s2.entries.get(l.key) {
+		case l.e:
 			shared++
 		default:
 			cloned++
 		}
-	}
+	})
 	if shared == 0 {
 		t.Error("no clean entry pointer was shared between consecutive snapshots")
 	}
-	if s2.entries[hotKey] == s1.entries[hotKey] {
+	if s2.entries.get(hotKey) == s1.entries.get(hotKey) {
 		t.Error("dirtied entry pointer was shared — the old snapshot would see new data")
 	}
 	// The first snapshot is immutable: its bytes must not have moved.
@@ -105,16 +107,50 @@ func TestSnapshotCacheDelta(t *testing.T) {
 	if v != v1+1 {
 		t.Fatalf("delta version = %d, want %d", v, v1+1)
 	}
-	if d.Len() != 1 || d.entries[key] == nil {
+	if d.Len() != 1 || d.entries.get(key) == nil {
 		t.Fatalf("delta holds %d entries, want exactly the changed key", d.Len())
 	}
-	if d.TotalHangs() != d.entries[key].Hangs {
-		t.Errorf("delta hang total %d != its entries' sum %d", d.TotalHangs(), d.entries[key].Hangs)
+	if d.TotalHangs() != d.entries.get(key).Hangs {
+		t.Errorf("delta hang total %d != its entries' sum %d", d.TotalHangs(), d.entries.get(key).Hangs)
 	}
 	// since=0 returns everything ever modified.
 	d, _ = sc.DeltaSince(live, 0)
 	if d.Len() != live.Len() {
 		t.Errorf("delta since 0 holds %d entries, want all %d", d.Len(), live.Len())
+	}
+}
+
+// TestSnapshotCacheOverflowRebuildsInFull: once the marks since the last
+// snapshot outgrow twice its size, the next snapshot is rebuilt in full,
+// stamped at its version. A delta across the rebuild then carries every
+// entry, changed or not, and applying it still converges a mirror.
+func TestSnapshotCacheOverflowRebuildsInFull(t *testing.T) {
+	live := foldFixture()
+	sc := NewSnapshotCache()
+	markAll(sc, live)
+	mirror := NewReport()
+	mirror.ApplyWireFull(wireFrom(t, sc.Snapshot(live)))
+	v1 := sc.Version()
+
+	diag := Diagnosis{RootCause: "com.example.Hot.run", File: "Hot.java", Line: 4}
+	key := entryKey("app-0", "app-0/Hot", diag.RootCause)
+	for i := 0; i <= 2*live.Len(); i++ {
+		sc.MarkKey(key)
+		live.Add("app-0", fmt.Sprintf("device-%d", i%3), "app-0/Hot", diag, 100*simclock.Millisecond)
+		sc.Bump()
+	}
+	if sc.Cached() || sc.snap != nil || len(sc.changes) != 0 {
+		t.Fatalf("change list did not overflow: %d listed", len(sc.changes))
+	}
+	d, v := sc.DeltaSince(live, v1)
+	if d.Len() != live.Len() {
+		t.Fatalf("delta across a full rebuild holds %d entries, want all %d", d.Len(), live.Len())
+	}
+	if mirror.ApplyWireDelta(wireFrom(t, d)); !bytes.Equal(exportBytes(t, mirror), exportBytes(t, live)) {
+		t.Fatal("mirror did not converge through the rebuilt delta")
+	}
+	if d, _ := sc.DeltaSince(live, v); d.Len() != 0 {
+		t.Fatalf("delta since the rebuild's own version holds %d entries", d.Len())
 	}
 }
 
@@ -268,8 +304,9 @@ func TestApplyWireFullAndDelta(t *testing.T) {
 }
 
 // TestRefreshKeys: re-deriving the changed keys across parts must equal a
-// from-scratch fold, rebuild entries fresh (so shared old snapshots stay
-// valid), and delete keys no part holds.
+// from-scratch fold, rebuild entries fresh, leave the receiver unchanged
+// (so masters handed out earlier stay valid), and delete keys no part
+// holds.
 func TestRefreshKeys(t *testing.T) {
 	a, b := foldFixture(), foldFixture()
 	b.Health.PerfOpenFailures = 9
@@ -283,26 +320,110 @@ func TestRefreshKeys(t *testing.T) {
 	repl.Hangs += 5
 	repl.Devices["device-refresh"] = true
 	a.totalHangs += 5
-	a.entries[key] = repl
+	a.entries.bind(key, repl, nil, 0)
 
-	oldEntry := master.entries[key]
+	before := exportBytes(t, master)
+	oldEntry := master.entries.get(key)
 	oldHangs := oldEntry.Hangs
-	master.RefreshKeys([]string{key}, a, b)
-	if got, want := exportBytes(t, master), exportBytes(t, FoldReports(a, b)); !bytes.Equal(got, want) {
+	next := master.RefreshKeys([]string{key}, a, b)
+	if got, want := exportBytes(t, next), exportBytes(t, FoldReports(a, b)); !bytes.Equal(got, want) {
 		t.Fatal("RefreshKeys diverged from a from-scratch fold")
 	}
-	if master.entries[key] == oldEntry {
-		t.Error("RefreshKeys mutated an entry in place instead of rebuilding it")
+	if next.entries.get(key) == oldEntry {
+		t.Error("RefreshKeys reused the old entry instead of rebuilding it")
 	}
 	if oldEntry.Hangs != oldHangs {
 		t.Error("the replaced entry was mutated — shared snapshots would corrupt")
 	}
+	if !bytes.Equal(exportBytes(t, master), before) {
+		t.Error("RefreshKeys changed its receiver")
+	}
 
 	// A key held by no part disappears.
 	ghost := "no\x00such\x00key"
-	master.entries[ghost] = victim.clone()
-	master.RefreshKeys([]string{ghost}, a, b)
-	if _, ok := master.entries[ghost]; ok {
+	next.entries.bind(ghost, victim, nil, 0)
+	if next = next.RefreshKeys([]string{ghost}, a, b); next.entries.get(ghost) != nil {
 		t.Error("RefreshKeys kept a key no part holds")
+	}
+}
+
+// TestReadsScaleWithChange is a deterministic guard on the read path's
+// cost: with the same 16 keys changing per round, the bytes one read
+// round allocates must not grow with the state it reads. It fills a
+// report to 1k and to 32k entries and compares one shard delta round
+// (mark, Bump, DeltaSince) and one regional round (RefreshKeys over two
+// mirrors) at both sizes. A delta round that rebuilds a map of every
+// entry allocates about 25x more at 32k than at 1k; copying only the
+// changed trie paths stays under 1.5x.
+func TestReadsScaleWithChange(t *testing.T) {
+	const hot, rounds = 16, 32
+	fill := func(app string, n int) *Report {
+		r := NewReport()
+		for i := 0; i < n; i++ {
+			r.Add(app, fmt.Sprintf("device-%d", i%7), fmt.Sprintf("%s/act-%d", app, i%97),
+				Diagnosis{RootCause: fmt.Sprintf("c.C%d.m", i), File: "C.java", Line: i}, 200*simclock.Millisecond)
+		}
+		return r
+	}
+	hotKeys := func(r *Report) []string {
+		var keys []string
+		for _, e := range r.Entries()[:hot] {
+			keys = append(keys, entryKey(e.App, e.ActionUID, e.RootCause))
+		}
+		return keys
+	}
+	bytesPerRound := func(round func()) float64 {
+		round()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < rounds; i++ {
+			round()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / rounds
+	}
+	bump := func(r *Report, key string) {
+		next, _ := r.entries.bind(key, r.entries.get(key), nil, 0)
+		next.Hangs++
+		r.totalHangs++
+	}
+
+	shardDelta := func(n int) float64 {
+		live, sc := fill("app", n), NewSnapshotCache()
+		markAll(sc, live)
+		sc.Snapshot(live)
+		keys := hotKeys(live)
+		return bytesPerRound(func() {
+			since := sc.Version()
+			for _, key := range keys {
+				bump(live, key)
+				sc.MarkKey(key)
+			}
+			sc.Bump()
+			if d, _ := sc.DeltaSince(live, since); d.Len() != hot {
+				t.Fatalf("delta holds %d entries, want %d", d.Len(), hot)
+			}
+		})
+	}
+	regional := func(n int) float64 {
+		a, b := fill("app", n/2), fill("other", n/2)
+		master := FoldReportsShared(a, b)
+		keys := hotKeys(a)
+		return bytesPerRound(func() {
+			for _, key := range keys {
+				bump(a, key)
+			}
+			if master = master.RefreshKeys(keys, a, b); master.Len() != n {
+				t.Fatalf("master holds %d entries, want %d", master.Len(), n)
+			}
+		})
+	}
+	for name, round := range map[string]func(int) float64{"DeltaSince": shardDelta, "RefreshKeys": regional} {
+		small, large := round(1<<10), round(1<<15)
+		t.Logf("%s: %.0f B/round at 1k entries, %.0f B/round at 32k (%.2fx)", name, small, large, large/small)
+		if large > 2*small {
+			t.Errorf("%s allocates %.1fx more per round at 32k entries than at 1k: reads scale with state", name, large/small)
+		}
 	}
 }

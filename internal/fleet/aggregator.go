@@ -160,7 +160,7 @@ func (a *uploadAck) firstErr() error {
 }
 
 // shardSnap is a shard's reply to a snapshot or delta request: an
-// immutable report (the shard's cached copy-on-write snapshot, or the
+// immutable report (the shard's cached persistent snapshot, or the
 // changed-entries-only delta) and the shard's state version, read in the
 // same shard-goroutine turn so the pair is always consistent.
 type shardSnap struct {
@@ -716,7 +716,7 @@ func (pf *pendingFrag) merge(rep *core.Report) {
 }
 
 // mark records the fragment's entry keys in the shard's snapshot cache so
-// the next snapshot re-clones only what this merge dirtied. Called exactly
+// the next snapshot re-clones only what this merge changed. Called exactly
 // when the fragment actually merges into the shard report (never for the
 // WAL-materialization path, which builds a throwaway report).
 func (pf *pendingFrag) mark(sc *core.SnapshotCache) {
@@ -772,7 +772,8 @@ func (a *Aggregator) runShard(i int, ready chan<- error) {
 	// cache is the shard's versioned snapshot state: merges mark the keys
 	// they touch and bump the version once per batch; reads reuse the
 	// cached immutable snapshot whenever the version is unchanged, and a
-	// stale one re-clones only the dirtied entries (copy-on-write).
+	// stale one is rebuilt as the previous snapshot plus the marked keys,
+	// re-cloned and stamped with their versions.
 	cache := core.NewSnapshotCache()
 	serve := func(m shardMsg) {
 		switch {
@@ -984,7 +985,7 @@ func (a *Aggregator) ShardStats() []ShardStats {
 // cut); once the aggregator is closed and drained it is the exact fleet
 // total, byte-identical in Export/Render to a serial merge of every
 // accepted upload. The read path is incremental: each shard serves a
-// versioned copy-on-write snapshot (free when the shard hasn't changed),
+// versioned persistent snapshot (free when the shard hasn't changed),
 // and the aggregator re-merges only shards whose version moved, so fold
 // cost scales with change, not with accumulated state. The returned
 // report is IMMUTABLE and shared with other readers — treat it (and
@@ -1039,7 +1040,7 @@ func (a *Aggregator) FoldVersioned() (*core.Report, VersionVector) {
 }
 
 // gather collects one (report, version) pair from every shard: its cached
-// copy-on-write snapshot when since is nil, else its changes since
+// persistent snapshot when since is nil, else its changes since
 // version since[i]. Callers must hold a.mu.RLock with the shards live; ok
 // is false if a crash unwound the gather.
 func (a *Aggregator) gather(since []uint64) (reps []*core.Report, vers []uint64, ok bool) {

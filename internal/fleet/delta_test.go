@@ -387,6 +387,58 @@ func TestPollDeltaToleratesNodeFailure(t *testing.T) {
 	}
 }
 
+// TestPollDeltaKeepsMirrorOfCrashedNode: a node whose aggregator crashed
+// while its HTTP server still answers must fail its poll round, not serve
+// an empty fold that replaces its mirror. The region keeps the node's last
+// mirrored state, byte for byte, round after round.
+func TestPollDeltaKeepsMirrorOfCrashedNode(t *testing.T) {
+	agg1, node1 := newNode(t, 2)
+	agg2, node2 := newNode(t, 2)
+	var sent []*core.Report
+	for i := 0; i < 4; i++ {
+		sent = append(sent, mergeAll(t, agg1, SyntheticUpload(int64(800+i), fmt.Sprintf("device-k%02d", i), 30))...)
+		sent = append(sent, mergeAll(t, agg2, SyntheticUpload(int64(900+i), fmt.Sprintf("device-m%02d", i), 30))...)
+	}
+	reg := NewRegional([]string{node1.URL, node2.URL}, nil)
+	res := reg.PollDelta(context.Background())
+	if res.Failed != 0 {
+		t.Fatalf("healthy round failed: %v", res.Errs)
+	}
+	before := exportBytes(t, res.Report)
+	if !bytes.Equal(before, exportBytes(t, core.FoldReports(sent...))) {
+		t.Fatal("healthy round diverged from the uploads")
+	}
+
+	agg2.Crash()
+	if _, code := getReport(t, node2.URL); code != http.StatusServiceUnavailable {
+		t.Errorf("/v1/report of a crashed node: status %d, want 503", code)
+	}
+	for round := 0; round < 2; round++ {
+		res = reg.PollDelta(context.Background())
+		if res.Failed != 1 || res.Errs[1] == nil {
+			t.Fatalf("round %d after the crash: failed=%d errs=%v, want node 2 failed", round, res.Failed, res.Errs)
+		}
+		if !bytes.Equal(exportBytes(t, res.Report), before) {
+			t.Fatalf("round %d after the crash: the region lost the crashed node's mirror (%d entries)", round, res.Report.Len())
+		}
+	}
+}
+
+// getReport fetches base's /v1/report and returns its body and status.
+func getReport(t *testing.T, base string) ([]byte, int) {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/report")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body, resp.StatusCode
+}
+
 // TestNodeTimeoutBoundsHungNode pins the per-node fetch timeout on both
 // poll surfaces: a node that accepts connections but never answers must
 // fail its own fetch within NodeTimeout instead of wedging the round

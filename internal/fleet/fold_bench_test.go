@@ -7,15 +7,20 @@ package fleet
 //	BenchmarkFold/cold      — coldFold: every shard snapshot deep-copied,
 //	                          then one serial FoldReports (the
 //	                          pre-incremental cost, the baseline)
-//	BenchmarkFold/warm      — Fold with nothing changed: cached COW shard
+//	BenchmarkFold/warm      — Fold with nothing changed: cached shard
 //	                          snapshots + version-vector fold cache hit
-//	BenchmarkFold/dirty1pct — Fold after ~1% of entries churned: COW
-//	                          re-clone of the dirty set, re-merge of the
-//	                          touched shards only
+//	BenchmarkFold/dirty1pct — Fold after ~1% of entries churned: snapshot
+//	                          batches re-clone the changed keys, the fold
+//	                          cache re-merges the moved shards in one batch
 //
 //	BenchmarkRegionalPoll/full  — ForceResync + PollDelta: every node
 //	                              refetched as a full snapshot
-//	BenchmarkRegionalPoll/delta — steady-state delta poll of the same nodes
+//	BenchmarkRegionalPoll/delta — steady-state delta poll of the same nodes,
+//	                              which never change
+//	BenchmarkRegionalPoll/churn — delta poll after ~1% of the region's
+//	                              entries changed, at BenchmarkFold's state
+//	                              size: the node delta, the regional apply
+//	                              and RefreshKeys all carry changed keys
 //
 // CI gates warm and dirty1pct at ≥5x faster than cold (ns/op), so the
 // "reads scale with change, not state" property is pinned, not asserted.
@@ -33,8 +38,17 @@ import (
 // devices × `entries` draws from the bounded synthetic key pool. Returns
 // after every merge completed, so shard state is fixed.
 func benchState(b *testing.B, shards, devices, entries int) *Aggregator {
+	return benchFleet(b, 1, shards, devices, entries)[0]
+}
+
+// benchFleet is benchState spread over nodes aggregators: device d
+// uploads to node d % nodes.
+func benchFleet(b *testing.B, nodes, shards, devices, entries int) []*Aggregator {
 	b.Helper()
-	agg := NewAggregator(Config{Shards: shards, QueueDepth: 4096, BatchSize: 16})
+	aggs := make([]*Aggregator, nodes)
+	for n := range aggs {
+		aggs[n] = NewAggregator(Config{Shards: shards, QueueDepth: 4096, BatchSize: 16})
+	}
 	for d := 0; d < devices; d++ {
 		rep := SyntheticUpload(int64(100+d), fmt.Sprintf("device-%04d", d), entries)
 		id, err := ReportUploadID(rep)
@@ -42,7 +56,7 @@ func benchState(b *testing.B, shards, devices, entries int) *Aggregator {
 			b.Fatal(err)
 		}
 		for {
-			err := agg.SubmitDurable(rep, id)
+			err := aggs[d%nodes].SubmitDurable(rep, id)
 			if err == ErrQueueFull {
 				continue
 			}
@@ -52,7 +66,7 @@ func benchState(b *testing.B, shards, devices, entries int) *Aggregator {
 			break
 		}
 	}
-	return agg
+	return aggs
 }
 
 // churn merges one small upload (~1% of the fleet's entry count) and
@@ -92,10 +106,9 @@ func coldFold(a *Aggregator) *core.Report {
 }
 
 func BenchmarkFold(b *testing.B) {
-	// 512 devices × 120 draws from the bounded key pool: ~13k distinct
-	// entries whose hot keys accumulate hundreds-strong device sets — the
-	// shape where from-scratch folding (device-set deep copies) hurts and
-	// map-header-sharing COW reads pay off.
+	// 512 devices × 120 draws from the bounded key pool: ~30k distinct
+	// entries, the shape where from-scratch folding (device-set deep
+	// copies) hurts and structure-sharing reads pay off.
 	const shards, devices, entries = 8, 512, 120
 	agg := benchState(b, shards, devices, entries)
 	defer agg.Close()
@@ -142,14 +155,21 @@ func BenchmarkFold(b *testing.B) {
 
 func BenchmarkRegionalPoll(b *testing.B) {
 	const nodes = 2
-	var urls []string
-	for n := 0; n < nodes; n++ {
-		agg := benchState(b, 4, 128, 120)
-		defer agg.Close()
-		ts := httptest.NewServer(NewServer(agg).Handler())
-		defer ts.Close()
-		urls = append(urls, ts.URL)
+	// serve puts each aggregator behind an HTTP server torn down with the
+	// benchmark.
+	serve := func(aggs ...*Aggregator) (urls []string) {
+		for _, agg := range aggs {
+			ts := httptest.NewServer(NewServer(agg).Handler())
+			b.Cleanup(func() {
+				ts.Close()
+				agg.Close()
+			})
+			urls = append(urls, ts.URL)
+		}
+		return urls
 	}
+	// Both nodes hold the same 128 devices x 120 draws.
+	urls := serve(benchState(b, 4, 128, 120), benchState(b, 4, 128, 120))
 	ctx := context.Background()
 
 	b.Run("full", func(b *testing.B) {
@@ -180,6 +200,34 @@ func BenchmarkRegionalPoll(b *testing.B) {
 			}
 			if res.Report.Len() == 0 {
 				b.Fatal("empty regional poll")
+			}
+		}
+	})
+
+	// BenchmarkFold's 512 devices x 120 draws, split across the nodes.
+	churnAggs := benchFleet(b, nodes, 4, 512, 120)
+	churnURLs := serve(churnAggs...)
+	b.Run("churn", func(b *testing.B) {
+		reg := NewRegional(churnURLs, nil)
+		res := reg.PollDelta(ctx)
+		if res.Failed != 0 {
+			b.Fatalf("prime poll failed: %v", res.Errs)
+		}
+		total := res.Report.Len()
+		churnEntries := max(total/100, 1)
+		b.Logf("state: %d regional entries, churn=%d entries/op", total, churnEntries)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			churn(b, churnAggs[i%nodes], i, churnEntries)
+			b.StartTimer()
+			res := reg.PollDelta(ctx)
+			if res.Failed != 0 {
+				b.Fatalf("poll failed: %v", res.Errs)
+			}
+			if res.Deltas != nodes || res.Report.Len() < total {
+				b.Fatalf("churn round: %d delta nodes, %d entries (want %d, >= %d)", res.Deltas, res.Report.Len(), nodes, total)
 			}
 		}
 	})

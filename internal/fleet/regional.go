@@ -15,9 +15,13 @@ package fleet
 // plus a regional master report, echoes each node's version vector back
 // via /v1/snapshot?since=, applies the returned deltas, and re-derives
 // only the changed keys — so steady-state poll cost scales with change,
-// not fleet size. A node restart (epoch change) degrades that node to a
-// full snapshot automatically, ForceResync refetches every node in full,
-// and a failed node keeps its last mirrored state so the region serves
+// not fleet size. The master is immutable: each round that moved builds
+// the next master with RefreshKeys, which shares every unchanged entry
+// and trie node with the previous one, and hands it out as is. A node
+// restart (epoch change) degrades that node to a full snapshot
+// automatically, ForceResync refetches every node in full, and a failed
+// node — one that does not answer, or whose aggregator crashed and
+// answers 503 — keeps its last mirrored state so the region serves
 // stale-but-complete data instead of nothing (the caller surfaces the
 // failure as degraded).
 
@@ -63,8 +67,7 @@ type Regional struct {
 	// never takes it).
 	mu     sync.Mutex
 	states []nodeState
-	master *core.Report        // fold of every node mirror; refreshed per changed key
-	cache  *core.SnapshotCache // copy-on-write server over master
+	master *core.Report // immutable fold of every node mirror, rebuilt per changed key
 }
 
 // NewRegional builds a regional folder over node base URLs (e.g.
@@ -76,7 +79,6 @@ func NewRegional(nodes []string, client *http.Client) *Regional {
 	r := &Regional{
 		nodes:  append([]string(nil), nodes...),
 		client: client,
-		cache:  core.NewSnapshotCache(),
 	}
 	r.states = make([]nodeState, len(r.nodes))
 	for i := range r.states {
@@ -122,8 +124,9 @@ func (r *Regional) fetchSince(ctx context.Context, node string, since VersionVec
 
 // PollResult summarizes one PollDelta round.
 type PollResult struct {
-	// Report is the immutable regional fold after the round (copy-on-write
-	// snapshot of the poller's master; safe to hold across rounds).
+	// Report is the immutable regional fold after the round: the poller's
+	// master itself, which later rounds replace rather than change, so it
+	// is safe to hold across rounds.
 	Report *core.Report
 	// Errs holds one slot per configured node; nil entries are healthy.
 	Errs []error
@@ -197,22 +200,14 @@ func (r *Regional) PollDelta(ctx context.Context) PollResult {
 	}
 	switch {
 	case r.master == nil:
-		// First round: build the master fresh; the snapshot cache starts
-		// empty so the first Snapshot deep-copies it into immutability.
 		r.master = core.FoldReportsShared(parts...)
-		r.cache = core.NewSnapshotCache()
-		r.cache.Bump()
 	case advanced:
 		// Mirrors replace entries rather than mutating them, and RefreshKeys
-		// rebuilds the master's changed entries fresh — so report snapshots
-		// handed out in earlier rounds stay valid.
-		r.master.RefreshKeys(changed, parts...)
-		for _, key := range changed {
-			r.cache.MarkKey(key)
-		}
-		r.cache.Bump()
+		// builds a new master around fresh entries for the changed keys —
+		// so masters handed out in earlier rounds stay valid.
+		r.master = r.master.RefreshKeys(changed, parts...)
 	}
-	res.Report = r.cache.Snapshot(r.master)
+	res.Report = r.master
 	return res
 }
 

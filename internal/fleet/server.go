@@ -205,7 +205,11 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "report requires GET", http.StatusMethodNotAllowed)
 		return
 	}
-	rep := s.agg.Fold()
+	rep, vec := s.agg.FoldVersioned()
+	if vec.Zero() {
+		foldUnavailable(w)
+		return
+	}
 	if r.URL.Query().Get("format") == "json" {
 		// Buffer the export before touching the ResponseWriter: once a 200
 		// and partial body are out, an error can only corrupt the stream.
@@ -227,6 +231,15 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintf(w, "fleet report: %d root causes, %d diagnosed hangs\n\n", rep.Len(), rep.TotalHangs())
 	fmt.Fprint(w, rep.Render())
+}
+
+// foldUnavailable answers a read whose fold failed. A crashed or unwound
+// gather yields the zero vector, which a live aggregator never serves (its
+// epoch is never 0). The 503 makes a regional poller count the node as
+// failed and keep its last mirror; a 200 carrying the empty fold would
+// replace that mirror with nothing.
+func foldUnavailable(w http.ResponseWriter) {
+	http.Error(w, "fold unavailable: aggregator crashed", http.StatusServiceUnavailable)
 }
 
 // handleSnapshot serves the folded fleet report in canonical binary form —
@@ -258,14 +271,20 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		}
 		var delta bool
 		rep, vec, delta = s.agg.Delta(since)
-		if delta {
+		switch {
+		case vec.Zero(): // a failed fold, answered below
+		case delta:
 			kind = SnapshotDelta
 			s.agg.Metrics().deltaRequests.Inc()
-		} else {
+		default:
 			s.agg.Metrics().fullResyncs.Inc()
 		}
 	} else {
 		rep, vec = s.agg.FoldVersioned()
+	}
+	if vec.Zero() {
+		foldUnavailable(w)
+		return
 	}
 	doc := core.AppendReportBinary(nil, rep)
 	w.Header().Set("Content-Type", core.BinaryContentType)
