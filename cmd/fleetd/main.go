@@ -11,15 +11,16 @@
 //	fleetd -addr :8717 -wal-dir /var/lib/fleetd/wal -wal-sync batch
 //
 // With -wal-dir set, ingestion is durable: a 202 means the upload reached
-// a per-shard write-ahead log and survives a crash; on boot the WAL
-// directory is replayed (snapshot plus log tail) before intake opens, and
-// a torn final record — the signature of dying mid-append — is truncated,
-// never fatal.
+// the node's write-ahead log, one group-committed record per upload, and
+// survives a crash; on boot the WAL directory is replayed (snapshot plus
+// log tail) before intake opens, and a torn final record — the signature
+// of dying mid-append — is truncated, never fatal. The shard count may
+// change across restarts.
 //
 // On SIGINT/SIGTERM the server stops accepting connections, drains every
 // upload it already acknowledged (writing one final compacted snapshot
-// per shard when durable), and prints the final fleet report to stdout
-// before exiting.
+// when durable), and prints the final fleet report to stdout before
+// exiting.
 package main
 
 import (
@@ -45,9 +46,9 @@ func main() {
 	batch := flag.Int("batch", 16, "max fragments folded per shard merge")
 	retryAfter := flag.Duration("retry-after", time.Second, "backoff advertised on 429 responses")
 	printFinal := flag.Bool("print-final", true, "print the folded fleet report on shutdown")
-	walDir := flag.String("wal-dir", "", "durable mode: per-shard WAL directory (empty = memory-only)")
+	walDir := flag.String("wal-dir", "", "durable mode: directory of the node's WAL, node.wal and node.snap (empty = memory-only)")
 	walSync := flag.String("wal-sync", "batch", "WAL durability barrier: always | batch | off")
-	compactEvery := flag.Int("compact-every", 4096, "snapshot-compact a shard log after this many records")
+	compactEvery := flag.Int("compact-every", 4096, "snapshot-compact the node log after this many records per shard (compact-every x shards uploads)")
 	dictCache := flag.Int("dict-cache", fleet.DefaultDictDevices, "devices whose binary-upload dictionary state is retained (LRU beyond it)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 	flag.Parse()

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"hangdoctor/internal/simclock"
@@ -142,15 +143,41 @@ func (r *Report) TotalHangs() int { return r.totalHangs }
 func (r *Report) Entries() []*ReportEntry {
 	out := make([]*ReportEntry, 0, r.entries.n)
 	r.entries.each(func(l *trieLeaf) { out = append(out, l.e) })
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Hangs != out[j].Hangs {
-			return out[i].Hangs > out[j].Hangs
+	slices.SortFunc(out, func(a, b *ReportEntry) int {
+		if a.Hangs != b.Hangs {
+			return cmp.Compare(b.Hangs, a.Hangs)
 		}
-		ki := entryKey(out[i].App, out[i].ActionUID, out[i].RootCause)
-		kj := entryKey(out[j].App, out[j].ActionUID, out[j].RootCause)
-		return ki < kj
+		return compareEntryKeys(a, b)
 	})
 	return out
+}
+
+// compareEntryKeys orders two entries as strings.Compare orders their
+// joined keys entryKey(App, ActionUID, RootCause), without building them.
+// A field may itself contain the \x00 separator (both import paths accept
+// any string), and then a field-by-field compare would order some pairs
+// differently, so each key is walked as the one byte string it joins to.
+func compareEntryKeys(a, b *ReportEntry) int {
+	ka := [...]string{a.App, "\x00", a.ActionUID, "\x00", a.RootCause}
+	kb := [...]string{b.App, "\x00", b.ActionUID, "\x00", b.RootCause}
+	var x, y string // the unread rest of the current part of each key
+	i, j := 0, 0
+	for {
+		for x == "" && i < len(ka) {
+			x, i = ka[i], i+1
+		}
+		for y == "" && j < len(kb) {
+			y, j = kb[j], j+1
+		}
+		if x == "" || y == "" {
+			return cmp.Compare(len(x), len(y)) // a key that ends first sorts first
+		}
+		n := min(len(x), len(y))
+		if c := strings.Compare(x[:n], y[:n]); c != 0 {
+			return c
+		}
+		x, y = x[n:], y[n:]
+	}
 }
 
 // OccurrencePct returns an entry's share of all diagnosed hangs, the

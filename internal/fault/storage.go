@@ -159,7 +159,7 @@ type StorageInjector struct {
 	// files caches the per-name decision streams so reopening a file
 	// continues its sequence instead of restarting it. Guarded by mu;
 	// taken only at OpenFile. Two concurrently open handles on one name
-	// would share streams — callers (the per-shard WAL) never do that.
+	// would share streams — callers (the node WAL) never do that.
 	mu    sync.Mutex
 	files map[string]*fileStreams
 

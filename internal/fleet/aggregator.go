@@ -12,10 +12,12 @@
 // count, batch boundaries, or arrival order — the property the determinism
 // tests pin down.
 //
-// With a WALConfig the aggregator is also durable: each shard appends its
-// fragments to a private append-only log (see wal.go), acknowledgements
-// wait for the durability barrier, startup replays snapshot-then-tail
-// before intake opens, and a crash loses nothing it acknowledged.
+// With a WALConfig the aggregator is also durable: a committer goroutine
+// appends each upload, whole, to one node log (see wal.go) and routes its
+// fragments to the shards only after the durability barrier, so the shards
+// stay purely in memory; acknowledgements wait for that barrier, startup
+// replays snapshot-then-tail before intake opens, and a crash loses nothing
+// it acknowledged.
 package fleet
 
 import (
@@ -55,15 +57,17 @@ type Config struct {
 	QueueDepth int
 	// BatchSize is the most fragments a shard folds per merge call; batching
 	// amortizes per-wakeup overhead under load without adding latency when
-	// idle (default 16). With a WAL it is also the group-commit window.
+	// idle (default 16). With a WAL it is also the group-commit window: the
+	// most uploads one barrier on the node log covers.
 	BatchSize int
 	// Dispatchers is the number of goroutines splitting queued uploads into
 	// per-shard fragments; splitting hashes every entry, so it must scale
 	// alongside the shards or it becomes the serial bottleneck (default:
 	// max(Shards, GOMAXPROCS/2)).
 	Dispatchers int
-	// WAL, when non-nil, enables the durability layer: per-shard
-	// append-only logs with snapshot compaction and replay-on-open.
+	// WAL, when non-nil, enables the durability layer: one append-only
+	// node log of whole uploads, group-committed ahead of the shard merge,
+	// with snapshot compaction and replay-on-open.
 	WAL *WALConfig
 }
 
@@ -98,9 +102,10 @@ type ShardStats struct {
 }
 
 // upload is one queued submission: the report (or, for the binary fast
-// path, the decoded wire view), its content-hash identity (zero until a
-// dispatcher computes it, when a WAL needs one), and the optional
-// durability ack. Exactly one of rep/wire is set.
+// path, the decoded wire view), its content-hash identity (zero unless the
+// submitter supplied it; a durable dispatcher derives a zero one from the
+// log record it encodes), and the optional durability ack. Exactly one of
+// rep/wire is set.
 type upload struct {
 	rep  *core.Report
 	wire *core.WireReport
@@ -108,15 +113,15 @@ type upload struct {
 	ack  *uploadAck
 }
 
-// uploadAck gathers per-shard outcomes for one submission. Completion is
-// delivered one of two ways: blocking waiters (SubmitDurable) wait on done,
-// which closes once every routed fragment has either become durable, been
-// deduplicated, or failed; callback acks (SubmitWireAcked) carry fn instead,
-// invoked once with the first failure (or nil) — fn-based acks have no done
-// channel and are reusable across submissions. err holds the first failure.
+// uploadAck settles one submission. Completion is delivered one of two
+// ways: blocking waiters (SubmitDurable) wait on done, which closes once
+// every routed fragment has merged, or once the committer deduplicated the
+// upload or failed to make it durable; callback acks (SubmitWireAcked)
+// carry fn instead, invoked once with the outcome — fn-based acks have no
+// done channel and are reusable across submissions. err holds the outcome
+// for done's waiter.
 type uploadAck struct {
 	remaining atomic.Int32
-	mu        sync.Mutex
 	err       error
 	done      chan struct{}
 	fn        func(error)
@@ -124,39 +129,27 @@ type uploadAck struct {
 
 func newUploadAck() *uploadAck { return &uploadAck{done: make(chan struct{})} }
 
-// finish delivers the gathered outcome: the callback for fn-based acks,
-// closing done for channel-based ones. Called exactly once per submission —
-// by the last complete(), or directly by the dispatcher when an upload
-// routed zero fragments.
-func (a *uploadAck) finish() {
+// finish delivers the outcome: the callback for fn-based acks, closing done
+// for channel-based ones. Called exactly once per submission — by the last
+// complete(), or directly by whoever settles the upload without routing
+// it: an upload with no fragments, a duplicate, a failed append or barrier.
+func (a *uploadAck) finish(err error) {
+	if a == nil {
+		return
+	}
+	a.err = err
 	if a.fn != nil {
-		a.fn(a.firstErr())
+		a.fn(err)
 		return
 	}
 	close(a.done)
 }
 
-// complete records one fragment outcome; the last one releases the waiter.
-func (a *uploadAck) complete(err error) {
-	if a == nil {
-		return
+// complete records one merged fragment; the last one releases the waiter.
+func (a *uploadAck) complete() {
+	if a != nil && a.remaining.Add(-1) == 0 {
+		a.finish(nil)
 	}
-	if err != nil {
-		a.mu.Lock()
-		if a.err == nil {
-			a.err = err
-		}
-		a.mu.Unlock()
-	}
-	if a.remaining.Add(-1) == 0 {
-		a.finish()
-	}
-}
-
-func (a *uploadAck) firstErr() error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.err
 }
 
 // shardSnap is a shard's reply to a snapshot or delta request: an
@@ -169,15 +162,14 @@ type shardSnap struct {
 }
 
 // shardMsg is the only thing that crosses into a shard goroutine: a
-// fragment to merge (with its upload identity and ack), a slice of decoded
-// wire entries from the binary fast path (optionally carrying the upload's
+// fragment to merge (with its upload's ack), a slice of decoded wire
+// entries from the binary fast path (optionally carrying the upload's
 // health section, which rides shard 0), or a control request (stats, a
 // versioned snapshot, or with delta set the changes since version since).
 type shardMsg struct {
 	frag   *core.Report
 	wire   []core.WireEntry
 	health *core.Health
-	id     UploadID
 	ack    *uploadAck
 	stats  chan ShardStats
 	snap   chan shardSnap
@@ -191,6 +183,37 @@ func (m *shardMsg) payload() bool {
 	return m.frag != nil || m.wire != nil || m.health != nil
 }
 
+// merge folds the message's payload into rep, whichever form it carries.
+func (m *shardMsg) merge(rep *core.Report) {
+	if m.frag != nil {
+		rep.Merge(m.frag)
+		return
+	}
+	if m.health != nil {
+		rep.Health.Add(*m.health)
+	}
+	rep.MergeWireEntries(m.wire)
+}
+
+// mark records the payload's entry keys in the shard's snapshot cache so
+// the next snapshot re-clones only what this merge changed.
+func (m *shardMsg) mark(sc *core.SnapshotCache) {
+	if m.frag != nil {
+		sc.MarkReport(m.frag)
+		return
+	}
+	sc.MarkWireEntries(m.wire)
+}
+
+// logged is one upload on its way through the committer: its framed log
+// record, its identity, its per-shard fragments and its ack.
+type logged struct {
+	frame []byte
+	id    UploadID
+	frags []*core.Report
+	ack   *uploadAck
+}
+
 // Aggregator is the sharded fleet-report builder.
 type Aggregator struct {
 	cfg     Config
@@ -198,6 +221,9 @@ type Aggregator struct {
 	shards  []chan shardMsg
 	metrics *Metrics
 	walM    *walMetrics // nil when the WAL is disabled
+	// commit feeds the committer, which alone sends payload to the shards
+	// of a durable aggregator; nil when the WAL is disabled.
+	commit chan logged
 
 	// epoch identifies this aggregator instance in version vectors; shard
 	// versions only compare within one epoch.
@@ -221,14 +247,16 @@ type Aggregator struct {
 	finals    []*core.Report
 
 	dispatchWG sync.WaitGroup
+	commitWG   sync.WaitGroup
 	shardWG    sync.WaitGroup
 }
 
 // Open starts the shard and dispatcher goroutines and returns an
-// aggregator ready for Submit. With cfg.WAL set, every shard first
-// replays its snapshot and log tail — Open does not return (and intake
-// does not open) until recovery is complete, and recovery failures are
-// returned here. Call Close to drain and stop the aggregator.
+// aggregator ready for Submit. With cfg.WAL set, it first replays the
+// node's snapshot and log tail and splits the recovered report into the
+// shards' starting state — Open does not return (and intake does not open)
+// until recovery is complete, and recovery failures are returned here.
+// Call Close to drain and stop the aggregator.
 func Open(cfg Config) (*Aggregator, error) {
 	cfg = cfg.withDefaults()
 	a := &Aggregator{
@@ -240,38 +268,37 @@ func Open(cfg Config) (*Aggregator, error) {
 		epoch:   newEpoch(),
 		crashCh: make(chan struct{}),
 	}
+	starts := make([]*core.Report, cfg.Shards)
+	var w *nodeWAL
 	if cfg.WAL != nil {
 		if cfg.WAL.Dir == "" {
 			return nil, errors.New("fleet: WALConfig.Dir must be set")
 		}
 		a.walM = a.metrics.initWAL()
+		var rep *core.Report
+		var err error
+		if w, rep, err = openNodeWAL(cfg.WAL, a.walM); err != nil {
+			return nil, err
+		}
+		starts = rep.Split(cfg.Shards)
+		// Sized like a shard channel: two committer batches in flight.
+		a.commit = make(chan logged, 2*cfg.BatchSize)
 	}
 	a.metrics.reg.GaugeFunc("hangdoctor_fleet_queue_depth",
 		"Current intake backlog.",
 		func() int64 { return int64(len(a.intake)) })
-	ready := make(chan error, cfg.Shards)
 	for i := range a.shards {
 		a.shards[i] = make(chan shardMsg, 2*cfg.BatchSize)
+		rep := starts[i]
+		if rep == nil {
+			rep = core.NewReport()
+		}
 		a.shardWG.Add(1)
-		go a.runShard(i, ready)
+		go a.runShard(i, rep)
 	}
-	var firstErr error
-	for i := 0; i < cfg.Shards; i++ {
-		if err := <-ready; err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		// Recovery failed somewhere: unwind the healthy shards and report.
-		a.mu.Lock()
-		a.closed, a.finalized = true, true
-		close(a.intake)
-		for _, ch := range a.shards {
-			close(ch)
-		}
-		a.mu.Unlock()
-		a.shardWG.Wait()
-		return nil, firstErr
+	if w != nil {
+		a.commitWG.Add(1)
+		go a.runCommitter(w)
 	}
 	for i := 0; i < cfg.Dispatchers; i++ {
 		a.dispatchWG.Add(1)
@@ -397,7 +424,7 @@ func (a *Aggregator) scrape() {
 // Submit enqueues one validated upload without blocking. It returns
 // ErrQueueFull when the bounded queue is at capacity and ErrClosed after
 // Close; on success the report is owned by the aggregator (callers must not
-// mutate it afterwards). With a WAL the fragments are logged durably in the
+// mutate it afterwards). With a WAL the upload is logged durably in the
 // background but Submit does not wait for the barrier — use SubmitDurable
 // when the acknowledgement must imply durability.
 func (a *Aggregator) Submit(rep *core.Report) error {
@@ -521,10 +548,6 @@ func (a *Aggregator) SubmitWireAcked(wr *core.WireReport, wa *WireAck) error {
 		a.metrics.rejected.Inc()
 		return ErrClosed
 	}
-	wa.ack.mu.Lock()
-	wa.ack.err = nil
-	wa.ack.mu.Unlock()
-	wa.ack.remaining.Store(0)
 	u := uploadPool.Get().(*upload)
 	u.wire, u.ack = wr, &wa.ack
 	select {
@@ -546,12 +569,13 @@ func (a *Aggregator) SubmitWireAcked(wr *core.WireReport, wa *WireAck) error {
 // to unwind instead of deadlocking.
 func (a *Aggregator) Crashed() <-chan struct{} { return a.crashCh }
 
-// SubmitDurable enqueues one upload and waits until every routed fragment
-// is durable per the WAL's sync policy (or, without a WAL, merged). id is
-// the upload's content hash (ComputeUploadID over the raw document, or
-// ReportUploadID); fragments of an id the shards have already made durable
-// are skipped, so resending after a crash, a 5xx, or a lost response is
-// idempotent. Queue-full still fails fast with ErrQueueFull.
+// SubmitDurable enqueues one upload and waits until it is durable per the
+// WAL's sync policy and merged (without a WAL, merged). id is the upload's
+// content hash (ReportUploadID), or zero to have the aggregator derive it
+// from the canonical encoding it logs anyway; an upload whose id is
+// already durable is acknowledged without being logged or merged again, so
+// resending after a crash, a 5xx, or a lost response is idempotent.
+// Queue-full still fails fast with ErrQueueFull.
 func (a *Aggregator) SubmitDurable(rep *core.Report, id UploadID) error {
 	ack := newUploadAck()
 	a.mu.RLock()
@@ -572,12 +596,12 @@ func (a *Aggregator) SubmitDurable(rep *core.Report, id UploadID) error {
 	a.mu.RUnlock()
 	select {
 	case <-ack.done:
-		return ack.firstErr()
+		return ack.err
 	case <-a.crashCh:
 		// The ack may still land; prefer it if it already has.
 		select {
 		case <-ack.done:
-			return ack.firstErr()
+			return ack.err
 		default:
 			return ErrCrashed
 		}
@@ -590,41 +614,45 @@ func (a *Aggregator) SubmitDurable(rep *core.Report, id UploadID) error {
 // because fragment routing is order-independent under a commutative merge.
 func (a *Aggregator) runDispatcher() {
 	defer a.dispatchWG.Done()
-	durable := a.cfg.WAL != nil
 	for u := range a.intake {
-		if !a.dispatchOne(u, durable) {
+		if !a.dispatchOne(u) {
 			return
 		}
-		// Everything the shards need was copied into shardMsgs; the
-		// envelope itself is free to recycle.
+		// Everything downstream needs was copied out of the envelope; it is
+		// free to recycle.
 		putUpload(u)
 	}
 }
 
-// dispatchOne splits one upload into per-shard fragments and routes them.
-// It returns false if a crash unwound the dispatcher mid-route.
-func (a *Aggregator) dispatchOne(u *upload, durable bool) bool {
-	if u.wire != nil {
-		if durable {
-			// The WAL logs report fragments; materialize once so the
-			// durable path below stays uniform (the canonical identity
-			// is derived right after, like any other submit).
-			u.rep = u.wire.Report()
-			u.wire = nil
-		} else {
+// dispatchOne splits one upload into per-shard fragments. A memory-only
+// aggregator routes them at once. A durable one first encodes the upload's
+// log record — its one canonical binary encoding, which also yields a zero
+// ID — and hands record and fragments to the committer. It returns false
+// if a crash unwound the dispatcher.
+func (a *Aggregator) dispatchOne(u *upload) bool {
+	if a.commit == nil {
+		if u.wire != nil {
 			return a.dispatchWire(u)
 		}
+		return a.route(u.rep.Split(a.cfg.Shards), u.ack)
 	}
-	if durable && u.id == (UploadID{}) {
-		// Non-durable submit on a durable aggregator: the log record
-		// still needs an identity, derived here off the hot Submit path.
-		id, err := ReportUploadID(u.rep)
-		if err == nil {
-			u.id = id
-		}
+	if u.wire != nil {
+		// The log holds reports; materialize once.
+		u.rep = u.wire.Report()
 	}
-	frags := u.rep.Split(a.cfg.Shards)
-	if u.ack != nil {
+	frame, id := uploadRecord(u.rep, u.id)
+	select {
+	case a.commit <- logged{frame: frame, id: id, frags: u.rep.Split(a.cfg.Shards), ack: u.ack}:
+		return true
+	case <-a.crashCh:
+		return false
+	}
+}
+
+// route sends an upload's fragments to their shards; the shard that merges
+// the last one completes the ack. It returns false if a crash unwound it.
+func (a *Aggregator) route(frags []*core.Report, ack *uploadAck) bool {
+	if ack != nil {
 		n := 0
 		for _, frag := range frags {
 			if frag != nil {
@@ -632,18 +660,18 @@ func (a *Aggregator) dispatchOne(u *upload, durable bool) bool {
 			}
 		}
 		if n == 0 {
-			u.ack.finish()
+			ack.finish(nil)
 			return true
 		}
 		// The count must be set before the first fragment can complete.
-		u.ack.remaining.Store(int32(n))
+		ack.remaining.Store(int32(n))
 	}
 	for i, frag := range frags {
 		if frag == nil {
 			continue
 		}
 		select {
-		case a.shards[i] <- shardMsg{frag: frag, id: u.id, ack: u.ack}:
+		case a.shards[i] <- shardMsg{frag: frag, ack: ack}:
 		case <-a.crashCh:
 			return false
 		}
@@ -669,7 +697,7 @@ func (a *Aggregator) dispatchWire(u *upload) bool {
 			}
 		}
 		if n == 0 {
-			u.ack.finish()
+			u.ack.finish(nil)
 			return true
 		}
 		// The count must be set before the first routed fragment completes.
@@ -684,7 +712,7 @@ func (a *Aggregator) dispatchWire(u *upload) bool {
 			continue
 		}
 		select {
-		case a.shards[i] <- shardMsg{wire: entries, health: eh, id: u.id, ack: u.ack}:
+		case a.shards[i] <- shardMsg{wire: entries, health: eh, ack: u.ack}:
 		case <-a.crashCh:
 			return false
 		}
@@ -692,82 +720,154 @@ func (a *Aggregator) dispatchWire(u *upload) bool {
 	return true
 }
 
-// pendingFrag is one fragment of the in-flight shard batch, kept with its
-// identity and ack until the durability barrier decides its fate. Either
-// frag or wire (with optional health) is set, mirroring shardMsg.
-type pendingFrag struct {
-	frag   *core.Report
-	wire   []core.WireEntry
-	health *core.Health
-	id     UploadID
-	ack    *uploadAck
-}
-
-// merge folds the fragment into rep, whichever form it carries.
-func (pf *pendingFrag) merge(rep *core.Report) {
-	if pf.frag != nil {
-		rep.Merge(pf.frag)
-		return
-	}
-	if pf.health != nil {
-		rep.Health.Add(*pf.health)
-	}
-	rep.MergeWireEntries(pf.wire)
-}
-
-// mark records the fragment's entry keys in the shard's snapshot cache so
-// the next snapshot re-clones only what this merge changed. Called exactly
-// when the fragment actually merges into the shard report (never for the
-// WAL-materialization path, which builds a throwaway report).
-func (pf *pendingFrag) mark(sc *core.SnapshotCache) {
-	if pf.frag != nil {
-		sc.MarkReport(pf.frag)
-		return
-	}
-	sc.MarkWireEntries(pf.wire)
-}
-
-// report materializes the fragment as a standalone report (the durable
-// path needs one to log).
-func (pf *pendingFrag) report() *core.Report {
-	if pf.frag == nil {
-		frag := core.NewReport()
-		pf.merge(frag)
-		pf.frag = frag
-	}
-	return pf.frag
-}
-
-// runShard is a single-writer merge loop: only this goroutine ever touches
-// its core.Report or its WAL. With a WAL it first recovers its state
-// (snapshot, then log tail — truncating a torn final record), reporting
-// readiness on ready; fragments are then appended to the log and only
-// merged once durable per the sync policy, so the in-memory report (and
-// therefore every snapshot compaction) never gets ahead of the disk.
-// Fragments are drained in batches of up to BatchSize per merge call — one
-// group-commit barrier per batch — and control messages (stats/snapshot)
-// are answered between batches, so they observe merge-complete states only.
-func (a *Aggregator) runShard(i int, ready chan<- error) {
-	defer a.shardWG.Done()
-	var w *shardWAL
-	rep := core.NewReport()
-	if a.cfg.WAL != nil {
-		var err error
-		w, rep, _, err = openShardWAL(a.cfg.WAL, i, a.cfg.Shards, a.walM)
-		ready <- err
-		if err != nil {
-			// Open unwinds everything; just drain our channel until then.
-			for range a.shards[i] {
+// runCommitter is the single writer of the node log. It drains up to
+// BatchSize uploads at a time, makes them durable with one group-commit
+// barrier (commitBatch), and only then routes their fragments to the
+// shards. Because it is the only sender of payload on the shard channels,
+// a snapshot request it queues behind the fragments it routed is answered
+// with exactly the state its records built: that is the compaction cut.
+// On a clean drain it writes one final snapshot; a crash abandons the log
+// as it stands.
+func (a *Aggregator) runCommitter(w *nodeWAL) {
+	defer a.commitWG.Done()
+	defer w.close()
+	batch := make([]logged, 0, a.cfg.BatchSize)
+	for {
+		var l logged
+		var ok bool
+		select {
+		case <-a.crashCh:
+			return
+		case l, ok = <-a.commit:
+		}
+		if !ok {
+			// Clean drain: the next boot replays a snapshot instead of the
+			// whole tail.
+			if w.records > 0 || w.dirty {
+				if err := a.compact(w); err != nil {
+					fmt.Printf("fleet: final wal compaction failed (tail remains replayable): %v\n", err)
+				}
 			}
 			return
 		}
-		defer w.close()
-	} else {
-		ready <- nil
+		batch = append(batch[:0], l)
+	drain:
+		for len(batch) < a.cfg.BatchSize {
+			select {
+			case l, ok := <-a.commit:
+				if !ok {
+					break drain
+				}
+				batch = append(batch, l)
+			default:
+				break drain
+			}
+		}
+		if !a.commitBatch(w, batch) {
+			return
+		}
+		if w.records >= a.cfg.WAL.CompactEvery*a.cfg.Shards {
+			if err := a.compact(w); err != nil {
+				// The old log is intact; keep appending to it and let the
+				// next batch retry. appendErrors already counted barriers.
+				fmt.Printf("fleet: wal compaction failed (will retry): %v\n", err)
+			}
+		}
 	}
+}
 
+// commitBatch makes one batch of uploads durable and routes the survivors
+// to the shards:
+//
+//  1. an upload whose ID is already durable is not logged again: a copy
+//     in the dedup window is acked at once, a copy earlier in this batch
+//     shares that copy's barrier outcome;
+//  2. the others are appended to the log, one record each; an append
+//     failure nacks just that upload (the tail is repaired before the next
+//     append);
+//  3. one barrier covers the batch (group commit; SyncAlways moves the
+//     barrier inside the loop, SyncOff makes it a no-op). A failed barrier
+//     rolls the log back to the last durable watermark and nacks every
+//     upload appended since;
+//  4. only uploads past the barrier enter the dedup window and reach the
+//     shards — the in-memory report never holds state the log could lose.
+//
+// It returns false if a crash unwound the routing.
+func (a *Aggregator) commitBatch(w *nodeWAL, batch []logged) bool {
+	appended := batch[:0] // in place: appended never overtakes the loop
+	var dups []*uploadAck
+	inBatch := func(id UploadID) bool {
+		for _, l := range appended {
+			if l.id == id {
+				return true
+			}
+		}
+		return false
+	}
+	for _, l := range batch {
+		if w.dedup.has(l.id) {
+			a.walM.deduped.Inc()
+			l.ack.finish(nil)
+			continue
+		}
+		if inBatch(l.id) {
+			a.walM.deduped.Inc()
+			dups = append(dups, l.ack)
+			continue
+		}
+		err := w.append(l.frame)
+		if err == nil && a.cfg.WAL.Sync == SyncAlways {
+			err = w.barrier()
+		}
+		if err != nil {
+			l.ack.finish(err)
+			continue
+		}
+		appended = append(appended, l)
+	}
+	var err error
+	if len(appended) > 0 && a.cfg.WAL.Sync != SyncAlways {
+		err = w.barrier()
+	}
+	for _, ack := range dups {
+		ack.finish(err)
+	}
+	if err != nil {
+		// Nothing appended in this batch is durable (the log was rolled
+		// back to the last durable watermark).
+		for _, l := range appended {
+			l.ack.finish(err)
+		}
+		return true
+	}
+	for _, l := range appended {
+		w.dedup.add(l.id)
+		if !a.route(l.frags, l.ack) {
+			return false
+		}
+	}
+	return true
+}
+
+// compact snapshots the state the log's records built and compacts the log
+// into it.
+func (a *Aggregator) compact(w *nodeWAL) error {
+	reps, _, ok := a.gather(nil)
+	if !ok {
+		return nil // crashed: recovery replays the log as it stands
+	}
+	return w.compact(core.FoldReportsShared(reps...))
+}
+
+// runShard is a single-writer merge loop: only this goroutine ever touches
+// its core.Report, which starts as the shard's share of the recovered
+// state. Fragments are drained in batches of up to BatchSize per merge
+// call, and control messages (stats/snapshot) are answered between
+// batches, so they observe merge-complete states only.
+func (a *Aggregator) runShard(i int, rep *core.Report) {
+	defer a.shardWG.Done()
 	ch := a.shards[i]
-	batch := make([]pendingFrag, 0, a.cfg.BatchSize)
+	batch := make([]shardMsg, 0, a.cfg.BatchSize)
 	ctrl := make([]shardMsg, 0, 4)
 	// cache is the shard's versioned snapshot state: merges mark the keys
 	// they touch and bump the version once per batch; reads reuse the
@@ -794,18 +894,11 @@ func (a *Aggregator) runShard(i int, ready chan<- error) {
 		var ok bool
 		select {
 		case <-a.crashCh:
-			// Abandoned abruptly: no final compaction, no acks. Whatever
-			// the log holds is what recovery will see.
+			// Abandoned abruptly: no acks. Whatever the node log holds is
+			// what recovery will see.
 			return
 		case msg, ok = <-ch:
 			if !ok {
-				// Clean drain: write one final compacted snapshot so the
-				// next boot replays a snapshot instead of the whole tail.
-				if w != nil && (w.records > 0 || w.dirty) {
-					if err := w.compact(cache.Snapshot(rep)); err != nil {
-						fmt.Printf("fleet: shard %d final compaction failed (tail remains replayable): %v\n", i, err)
-					}
-				}
 				a.finals[i] = rep
 				return
 			}
@@ -814,7 +907,7 @@ func (a *Aggregator) runShard(i int, ready chan<- error) {
 			serve(msg)
 			continue
 		}
-		batch = append(batch[:0], pendingFrag{frag: msg.frag, wire: msg.wire, health: msg.health, id: msg.id, ack: msg.ack})
+		batch = append(batch[:0], msg)
 		ctrl = ctrl[:0]
 	drain:
 		for len(batch) < a.cfg.BatchSize {
@@ -828,113 +921,30 @@ func (a *Aggregator) runShard(i int, ready chan<- error) {
 					ctrl = append(ctrl, m2)
 					break drain
 				}
-				batch = append(batch, pendingFrag{frag: m2.frag, wire: m2.wire, health: m2.health, id: m2.id, ack: m2.ack})
+				batch = append(batch, m2)
 			default:
 				break drain
 			}
 		}
-		a.processBatch(w, rep, cache, batch)
+		a.processBatch(rep, cache, batch)
 		for _, m2 := range ctrl {
 			serve(m2)
-		}
-		if w != nil && w.records >= a.cfg.WAL.CompactEvery {
-			// Compaction serializes the shard's state; consuming the cached
-			// copy-on-write snapshot (instead of the live report) means a
-			// compaction right after a fold costs no extra cloning, and the
-			// snapshot it persists is exactly what readers were served.
-			if err := w.compact(cache.Snapshot(rep)); err != nil {
-				// The old log is intact; keep appending to it and let the
-				// next batch retry. appendErrors already counted barriers.
-				fmt.Printf("fleet: shard %d compaction failed (will retry): %v\n", i, err)
-			}
 		}
 	}
 }
 
-// processBatch makes one batch of fragments durable and merges the
-// survivors. Without a WAL every fragment survives. With one:
-//
-//  1. fragments whose upload ID is already durable are skipped (acked as
-//     success — the previous append is the durability);
-//  2. survivors are appended to the log; an append failure nacks just
-//     that fragment (the tail is repaired before the next append);
-//  3. one barrier covers the batch (group commit; SyncAlways moves the
-//     barrier inside the loop). A failed barrier rolls the log back to
-//     the last durable watermark and nacks the whole batch;
-//  4. only fragments that made it through the barrier are merged into
-//     the in-memory report and remembered for dedup — the report never
-//     contains state the log could lose.
-func (a *Aggregator) processBatch(w *shardWAL, rep *core.Report, sc *core.SnapshotCache, batch []pendingFrag) {
-	if w == nil {
-		start := time.Now()
-		for i := range batch {
-			batch[i].mark(sc)
-			batch[i].merge(rep)
-		}
-		sc.Bump()
-		a.metrics.noteMerge(len(batch), time.Since(start))
-		for _, pf := range batch {
-			pf.ack.complete(nil)
-		}
-		return
-	}
-
-	durable := make([]pendingFrag, 0, len(batch))
-	// Batch-local duplicate check: two sends of the same document racing
-	// into one batch must dedup exactly like one arriving after the
-	// barrier. Batches are small (BatchSize), so a linear scan is fine.
-	inBatch := func(id UploadID) bool {
-		for _, pf := range durable {
-			if pf.id == id {
-				return true
-			}
-		}
-		return false
-	}
-	for _, pf := range batch {
-		if w.dedup.has(pf.id) || inBatch(pf.id) {
-			a.walM.deduped.Inc()
-			pf.ack.complete(nil)
-			continue
-		}
-		payload, err := encodeFragment(pf.id, pf.report())
-		if err == nil {
-			err = w.append(payload)
-		}
-		if err == nil && a.cfg.WAL.Sync == SyncAlways {
-			err = w.barrier()
-		}
-		if err != nil {
-			pf.ack.complete(err)
-			continue
-		}
-		durable = append(durable, pf)
-	}
-	if len(durable) > 0 && a.cfg.WAL.Sync != SyncAlways {
-		if err := w.barrier(); err != nil {
-			// Nothing in this batch is durable: nack everything appended
-			// (the log was rolled back to the last durable watermark).
-			for _, pf := range durable {
-				pf.ack.complete(err)
-			}
-			return
-		}
-	}
-	if len(durable) == 0 {
-		return
-	}
-	// Only now — past the barrier — does the batch enter the in-memory
-	// report and the dedup window.
+// processBatch merges one batch of fragments into the shard's report,
+// bumps its snapshot version once, and completes the fragments' acks.
+func (a *Aggregator) processBatch(rep *core.Report, sc *core.SnapshotCache, batch []shardMsg) {
 	start := time.Now()
-	for i := range durable {
-		durable[i].mark(sc)
-		durable[i].merge(rep)
-		w.dedup.add(durable[i].id)
+	for i := range batch {
+		batch[i].mark(sc)
+		batch[i].merge(rep)
 	}
 	sc.Bump()
-	a.metrics.noteMerge(len(durable), time.Since(start))
-	for _, pf := range durable {
-		pf.ack.complete(nil)
+	a.metrics.noteMerge(len(batch), time.Since(start))
+	for _, m := range batch {
+		m.ack.complete()
 	}
 }
 
@@ -1041,8 +1051,9 @@ func (a *Aggregator) FoldVersioned() (*core.Report, VersionVector) {
 
 // gather collects one (report, version) pair from every shard: its cached
 // persistent snapshot when since is nil, else its changes since
-// version since[i]. Callers must hold a.mu.RLock with the shards live; ok
-// is false if a crash unwound the gather.
+// version since[i]. Callers must hold a.mu.RLock with the shards live, or
+// be the committer, which runs only while they are; ok is false if a crash
+// unwound the gather.
 func (a *Aggregator) gather(since []uint64) (reps []*core.Report, vers []uint64, ok bool) {
 	replies := make([]chan shardSnap, a.cfg.Shards)
 	for i, ch := range a.shards {
@@ -1108,16 +1119,18 @@ func (a *Aggregator) Delta(since VersionVector) (rep *core.Report, vec VersionVe
 
 // Close drains and stops the aggregator: no new uploads are accepted, but
 // everything already queued is split and merged before Close returns, so a
-// graceful shutdown loses nothing it acknowledged. With a WAL, each shard
-// writes one final compacted snapshot on its way out, so a clean restart
-// replays a snapshot and an empty tail. Close is idempotent.
+// graceful shutdown loses nothing it acknowledged. With a WAL, the
+// committer drains and writes one final compacted snapshot before the
+// shards stop, so a clean restart replays a snapshot and an empty tail.
+// Close is idempotent.
 func (a *Aggregator) Close() {
 	a.mu.Lock()
 	if a.closed {
 		a.mu.Unlock()
-		// Whether the first teardown was a Close or a Crash, both waitgroups
+		// Whether the first teardown was a Close or a Crash, the waitgroups
 		// terminate; wait so the WAL directory is quiescent on return.
 		a.dispatchWG.Wait()
+		a.commitWG.Wait()
 		a.shardWG.Wait()
 		return
 	}
@@ -1126,6 +1139,13 @@ func (a *Aggregator) Close() {
 	a.mu.Unlock()
 
 	a.dispatchWG.Wait()
+	if a.commit != nil {
+		// The dispatchers were its only senders. The committer's final
+		// snapshot gathers from the shards, so they stay open until it is
+		// done.
+		close(a.commit)
+		a.commitWG.Wait()
+	}
 	// finalized must flip in the same critical section that closes the shard
 	// channels: a snapshot that sees finalized==false is about to send a
 	// control message, and a send may never race a close.
@@ -1140,7 +1160,7 @@ func (a *Aggregator) Close() {
 
 // Crash tears the aggregator down abruptly — no drain, no final
 // compaction, no acks: the process-kill model the crash-recovery tests
-// and the chaos harness exercise. Whatever the shard logs physically hold
+// and the chaos harness exercise. Whatever the node log physically holds
 // is what a subsequent Open of the same WAL directory recovers. In-flight
 // SubmitDurable calls return ErrCrashed (their uploads are unacknowledged
 // and safe to resend). Crash is idempotent; Crash after Close is a no-op.
@@ -1150,10 +1170,11 @@ func (a *Aggregator) Crash() {
 		crashed := a.crashed
 		a.mu.Unlock()
 		if crashed {
-			// A concurrent Crash won the race; wait out its teardown so no
-			// shard goroutine is still touching the WAL directory when this
+			// A concurrent Crash won the race; wait out its teardown so the
+			// committer is no longer touching the WAL directory when this
 			// call returns (callers immediately reopen that directory).
 			a.dispatchWG.Wait()
+			a.commitWG.Wait()
 			a.shardWG.Wait()
 		}
 		return
@@ -1163,6 +1184,7 @@ func (a *Aggregator) Crash() {
 	close(a.intake)
 	a.mu.Unlock()
 	a.dispatchWG.Wait()
+	a.commitWG.Wait()
 	a.shardWG.Wait()
 }
 

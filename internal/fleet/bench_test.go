@@ -3,6 +3,8 @@ package fleet
 import (
 	"bytes"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hangdoctor/internal/core"
@@ -42,7 +44,9 @@ func benchDocs(b *testing.B, devices, entries int) (json [][]byte, bin [][]byte,
 // BenchmarkIngest measures end-to-end ingest cost per upload — parse or
 // decode, split, shard merge — for the JSON path (ImportReport +
 // SubmitWait) against the binary path (warm dictionary DecodeScratch +
-// SubmitWireAcked).
+// SubmitWireAcked), and the durable path: SubmitDurable of 4-entry
+// uploads from 16 goroutines into a SyncBatch WAL, reporting the log's
+// fsyncs and framed bytes per upload.
 // ns/op is the per-upload cost, so throughput = 1e9/ns-op. Run with:
 //
 //	go test -bench Ingest -benchtime 2s -benchmem -run XXX ./internal/fleet/
@@ -116,6 +120,38 @@ func BenchmarkIngest(b *testing.B) {
 			}
 		})
 	}
+	b.Run("durable/shards=8", func(b *testing.B) {
+		agg, err := Open(Config{Shards: 8, QueueDepth: 4096, BatchSize: 16,
+			WAL: &WALConfig{Dir: b.TempDir(), Sync: SyncBatch}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		b.ReportAllocs()
+		b.ResetTimer()
+		for g := 0; g < 16; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := next.Add(1) - 1; i < int64(b.N); i = next.Add(1) - 1 {
+					// One device per upload: identical content would be
+					// deduplicated instead of logged.
+					rep := SyntheticUpload(i, fmt.Sprintf("device-%d", i), 4)
+					if err := agg.SubmitDurable(rep, UploadID{}); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		b.StopTimer()
+		snap := agg.Metrics().Registry().Snapshot()
+		b.ReportMetric(float64(snap.Value("hangdoctor_fleet_wal_fsyncs_total"))/float64(b.N), "fsyncs/op")
+		b.ReportMetric(float64(snap.Value("hangdoctor_fleet_wal_bytes_written_total"))/float64(b.N), "walbytes/op")
+		agg.Close()
+	})
 }
 
 // BenchmarkBinaryDecode isolates the decode half of the binary path: a

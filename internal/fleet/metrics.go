@@ -66,7 +66,8 @@ type Metrics struct {
 // walMetrics is the durability layer's accounting: appends and the bytes
 // and fsyncs behind them, compactions, and the recovery-side counters
 // (replayed records, truncated tails, corrupt records, replay latency).
-// All counters are lock-free obs counters bumped from shard goroutines.
+// All counters are lock-free obs counters bumped by the committer (and,
+// before intake opens, by recovery).
 type walMetrics struct {
 	appended       *obs.Counter
 	bytesWritten   *obs.Counter
@@ -88,25 +89,25 @@ func (m *Metrics) initWAL() *walMetrics {
 	reg := m.reg
 	m.wal = &walMetrics{
 		appended: reg.Counter("hangdoctor_fleet_wal_records_appended_total",
-			"Fragment records appended to shard logs."),
+			"Upload records appended to the node log."),
 		bytesWritten: reg.Counter("hangdoctor_fleet_wal_bytes_written_total",
-			"Framed bytes appended to shard logs."),
+			"Framed bytes appended to the node log."),
 		fsyncs: reg.Counter("hangdoctor_fleet_wal_fsyncs_total",
-			"Durability barriers issued on shard logs."),
+			"Durability barriers (fsyncs) issued on the node log."),
 		appendErrors: reg.Counter("hangdoctor_fleet_wal_append_errors_total",
 			"Failed appends or barriers (the upload was not acknowledged)."),
 		deduped: reg.Counter("hangdoctor_fleet_wal_fragments_deduped_total",
-			"Fragments skipped because their upload was already durable (resend after crash or 5xx)."),
+			"Uploads skipped because they were already durable (resend after crash or 5xx); the name predates whole-upload log records."),
 		compactions: reg.Counter("hangdoctor_fleet_wal_compactions_total",
 			"Snapshot compactions (log rotations)."),
 		replayed: reg.Counter("hangdoctor_fleet_wal_replayed_records_total",
-			"Fragment records replayed from log tails at startup."),
+			"Upload records replayed from the log tail at startup."),
 		truncatedTails: reg.Counter("hangdoctor_fleet_wal_truncated_tails_total",
 			"Torn or trailing-garbage log tails truncated during recovery or repair."),
 		corruptRecords: reg.Counter("hangdoctor_fleet_wal_corrupt_records_total",
 			"Mid-log records failing CRC or decode (prefix salvaged)."),
 		replayLatency: reg.Histogram("hangdoctor_fleet_wal_replay_latency_ns",
-			"Wall time of one shard's snapshot-plus-tail replay.",
+			"Wall time of the node log's snapshot-plus-tail replay.",
 			obs.ExpBuckets(4096, 4, 14)),
 	}
 	return m.wal

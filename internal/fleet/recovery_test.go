@@ -19,8 +19,9 @@ import (
 // unacknowledged uploads are resent, and the fold must be byte-identical
 // to a serial merge of every upload. That is the acceptance bar: every
 // 202-acked upload survives the crash, and resending the rest converges
-// to exactly the unbroken run's answer.
-func crashRun(t *testing.T, seed uint64, fs fault.FS) {
+// to exactly the unbroken run's answer. It returns how many compactions
+// the crashed aggregator completed before the crash.
+func crashRun(t *testing.T, seed uint64, fs fault.FS) int64 {
 	t.Helper()
 	dir := t.TempDir()
 	rng := simrand.New(seed).Derive("crash-test")
@@ -84,6 +85,7 @@ func crashRun(t *testing.T, seed uint64, fs fault.FS) {
 	close(work)
 	wg.Wait()
 	agg.Crash() // idempotent: covers the run finishing before crashAt acks
+	compactions := agg.Metrics().Registry().Snapshot().Value("hangdoctor_fleet_wal_compactions_total")
 
 	// Recover with a clean filesystem: the faults modeled a sick disk or a
 	// torn crash, not permanent media loss.
@@ -118,6 +120,7 @@ func crashRun(t *testing.T, seed uint64, fs fault.FS) {
 	if got := exportBytes(t, recovered.Fold()); !bytes.Equal(got, want) {
 		t.Fatalf("seed %d: recovered+resent fold diverged from serial merge (crash after %d acks)", seed, crashAt)
 	}
+	return compactions
 }
 
 // reportContains reports whether every entry of sub is accounted for in
@@ -139,11 +142,17 @@ func reportContains(super, sub *core.Report) bool {
 }
 
 // TestCrashRecoveryDifferential sweeps crash points on a healthy disk.
+// Some crashes must land after a mid-run compaction, so recovery also
+// replays a snapshot plus the tail behind it.
 func TestCrashRecoveryDifferential(t *testing.T) {
+	var compactions int64
 	for seed := uint64(1); seed <= 6; seed++ {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-			crashRun(t, seed, nil)
+			compactions += crashRun(t, seed, nil)
 		})
+	}
+	if compactions == 0 {
+		t.Error("no crashed run compacted mid-run")
 	}
 }
 

@@ -133,8 +133,9 @@ func (s *Server) uploadJSON(w http.ResponseWriter, body []byte) {
 		// identity is its canonical content hash — a client that re-encodes
 		// the same document (key order, whitespace, or a binary re-send)
 		// still deduplicates — and the submit waits for the WAL barrier.
-		id, _ := ReportUploadID(rep)
-		err = s.agg.SubmitDurable(rep, id)
+		// The zero ID lets the aggregator hash the one canonical encoding
+		// it logs instead of encoding the upload a second time here.
+		err = s.agg.SubmitDurable(rep, UploadID{})
 	} else {
 		err = s.agg.Submit(rep)
 	}
@@ -165,9 +166,7 @@ func (s *Server) uploadBinary(w http.ResponseWriter, body []byte) {
 	}
 	entries, hangs := len(wr.Entries), wr.TotalHangs()
 	if s.agg.Durable() {
-		rep := wr.Report()
-		id, _ := ReportUploadID(rep)
-		err = s.agg.SubmitDurable(rep, id)
+		err = s.agg.SubmitDurable(wr.Report(), UploadID{})
 	} else {
 		// Zero-copy ingest: the decoded wire entries go straight to their
 		// shards, keyed by the decoder's dictionary.

@@ -1,20 +1,20 @@
 package fleet
 
-// wal.go is the durability layer of the sharded aggregator. Each
-// single-writer shard goroutine owns one append-only log and one snapshot
-// file; because only that goroutine ever touches them, the whole layer is
-// lock-free by construction.
+// wal.go is the durability layer of the aggregator: one append-only node
+// log and one snapshot file, owned by the committer goroutine. Because only
+// that goroutine ever touches them, the layer is lock-free by construction.
 //
-// On-disk layout (per shard i, inside WALConfig.Dir):
+// On-disk layout (inside WALConfig.Dir):
 //
-//	shard-0003.wal    length+CRC-framed records: one header record naming
-//	                  the log generation, then one fragment record per
-//	                  durably accepted upload fragment
-//	shard-0003.snap   one framed snapshot record: the shard's compacted
-//	                  report plus its dedup window, tagged with the log
-//	                  generation it covers
-//	*.tmp             in-flight snapshot/rotation files (crash debris,
-//	                  replaced atomically by rename)
+//	node.wal    length+CRC-framed records: one header record naming the
+//	            log generation, then one record per durably accepted
+//	            upload — its UploadID followed by its canonical binary
+//	            document
+//	node.snap   one framed snapshot record: the node's compacted report
+//	            plus its dedup window, tagged with the log generation it
+//	            covers
+//	*.tmp       in-flight snapshot/rotation files (crash debris, replaced
+//	            atomically by rename)
 //
 // Record framing is [len uint32le][crc32c uint32le][payload]; the payload
 // starts with a one-byte kind. A torn tail (crash mid-append) fails the
@@ -27,13 +27,14 @@ package fleet
 // leaves a snapshot at G and a log still at G; replay skips any log whose
 // generation is <= the snapshot's, so nothing is double-merged.
 //
-// Exactly-once across crash/resend: every fragment record carries the
-// 128-bit content hash of its parent upload. Replay rebuilds the shard's
-// dedup window from the snapshot and the tail, so when a client resends an
-// upload that was only partially durable (some shards logged their
-// fragment, the ack never came), the shards that already have it skip it
-// and the rest append it — the recovered fold is byte-identical to a run
-// that never crashed.
+// Exactly-once across crash/resend: a record is a whole upload, so an
+// upload is durable all at once or not at all, and its record carries the
+// upload's 128-bit content hash. Replay rebuilds the dedup window from the
+// snapshot and the tail, so when a client resends an upload whose ack never
+// came, the committer finds it in the window and acks it without logging or
+// merging it again — the recovered fold is byte-identical to a run that
+// never crashed. Records do not depend on the shard count, so replay
+// re-splits them for whatever count the aggregator is opened with.
 
 import (
 	"bufio"
@@ -49,6 +50,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"hangdoctor/internal/core"
@@ -60,11 +62,11 @@ import (
 type SyncPolicy string
 
 const (
-	// SyncAlways fsyncs after every fragment append. Strongest, slowest.
+	// SyncAlways fsyncs after every upload record. Strongest, slowest.
 	SyncAlways SyncPolicy = "always"
-	// SyncBatch fsyncs once per shard merge batch (group commit): every
-	// ack waits for the barrier, but the barrier is amortized across the
-	// batch. The default.
+	// SyncBatch fsyncs once per committer batch (group commit): every ack
+	// waits for the barrier, but the barrier is amortized across the
+	// uploads of the batch. The default.
 	SyncBatch SyncPolicy = "batch"
 	// SyncOff never fsyncs: an append is "durable" once written. Survives
 	// process crashes (the kernel holds the bytes) but not power loss.
@@ -82,16 +84,18 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 
 // WALConfig enables the durability layer.
 type WALConfig struct {
-	// Dir holds the per-shard log and snapshot files.
+	// Dir holds the node's log and snapshot files.
 	Dir string
 	// Sync is the durability barrier policy (default SyncBatch).
 	Sync SyncPolicy
-	// CompactEvery compacts a shard's log into its snapshot after this
-	// many appended records (default 4096).
+	// CompactEvery sets how often the node log is compacted into its
+	// snapshot: after CompactEvery × Shards appended records, the volume
+	// the per-shard logs of earlier releases held between them (default
+	// 4096).
 	CompactEvery int
-	// DedupWindow caps the remembered upload IDs per shard, FIFO-evicted
-	// (default 65536). Resends arriving within the window are exactly-once;
-	// the window only needs to outlast a client's retry horizon.
+	// DedupWindow caps the remembered upload IDs, FIFO-evicted (default
+	// 65536). Resends arriving within the window are exactly-once; the
+	// window only needs to outlast a client's retry horizon.
 	DedupWindow int
 	// FS is the filesystem seam (default fault.DiskFS); wrap it with
 	// fault.FaultyFS to chaos-test recovery.
@@ -158,9 +162,16 @@ const (
 
 	recKindHeader   byte = 1
 	recKindSnapshot byte = 3
-	recKindFragBin  byte = 4 // binary fragment payload; kind 2 (JSON fragments) is retired, never reuse it
+	// recKindUpload is one whole upload: its ID, then its canonical binary
+	// document. Kinds 2 and 4 (per-shard fragments) are retired; never
+	// reuse them.
+	recKindUpload byte = 5
 
-	walFormatVersion = 1
+	// walFormatVersion 2 is the node log; version 1 was per-shard logs.
+	walFormatVersion = 2
+
+	nodeLogName  = "node.wal"
+	nodeSnapName = "node.snap"
 )
 
 var walCRCTable = crc32.MakeTable(crc32.Castagnoli)
@@ -168,9 +179,14 @@ var walCRCTable = crc32.MakeTable(crc32.Castagnoli)
 // appendFrame frames payload onto dst: [len][crc32c][payload].
 func appendFrame(dst, payload []byte) []byte {
 	var hdr [walFrameHeaderLen]byte
+	putFrameHeader(hdr[:], payload)
+	return append(append(dst, hdr[:]...), payload...)
+}
+
+// putFrameHeader writes payload's [len][crc32c] frame header into hdr.
+func putFrameHeader(hdr, payload []byte) {
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, walCRCTable))
-	return append(append(dst, hdr[:]...), payload...)
 }
 
 // frameError describes why decoding stopped mid-file.
@@ -233,8 +249,6 @@ func (fr *frameReader) next() ([]byte, error) {
 // walHeader is the first record of every log file, naming its generation.
 type walHeader struct {
 	Version int    `json:"version"`
-	Shard   int    `json:"shard"`
-	Shards  int    `json:"shards"`
 	Gen     uint64 `json:"gen"`
 }
 
@@ -246,34 +260,38 @@ func encodeHeader(h walHeader) ([]byte, error) {
 	return append([]byte{recKindHeader}, body...), nil
 }
 
-// encodeFragment frames a fragment for the log in the binary wire encoding
-// (kind 4), which replay decodes allocation-lean.
-func encodeFragment(id UploadID, frag *core.Report) ([]byte, error) {
-	buf := make([]byte, 0, 512)
-	buf = append(buf, recKindFragBin)
-	buf = append(buf, id[:]...)
-	return core.AppendReportBinary(buf, frag), nil
+// uploadRecord encodes rep once, as the framed log record of one upload:
+// [len][crc32c][kind][id][canonical binary document]. A zero id becomes
+// the hash of that document — the bytes ReportUploadID hashes. Dispatchers
+// call it in parallel, so the committer only writes.
+func uploadRecord(rep *core.Report, id UploadID) ([]byte, UploadID) {
+	const docOff = walFrameHeaderLen + 1 + len(UploadID{})
+	buf := make([]byte, docOff, docOff+512)
+	buf[walFrameHeaderLen] = recKindUpload
+	buf = core.AppendReportBinary(buf, rep)
+	if id == (UploadID{}) {
+		id = ComputeUploadID(buf[docOff:])
+	}
+	copy(buf[walFrameHeaderLen+1:], id[:])
+	putFrameHeader(buf[:walFrameHeaderLen], buf[walFrameHeaderLen:])
+	return buf, id
 }
 
-func decodeFragment(payload []byte) (UploadID, *core.Report, error) {
+// decodeRecord parses an upload record's payload.
+func decodeRecord(payload []byte) (UploadID, *core.WireReport, error) {
 	var id UploadID
-	if len(payload) < 1+len(id) || payload[0] != recKindFragBin {
-		return id, nil, errors.New("fleet: wal record is not a fragment")
+	if len(payload) < 1+len(id) || payload[0] != recKindUpload {
+		return id, nil, errors.New("fleet: wal record is not an upload")
 	}
 	copy(id[:], payload[1:1+len(id)])
 	wr, err := core.NewBinaryDecoder().Decode(payload[1+len(id):])
-	if err != nil {
-		return id, nil, err
-	}
-	return id, wr.Report(), nil
+	return id, wr, err
 }
 
-// walSnapshot is the single record of a snapshot file: the shard's whole
+// walSnapshot is the single record of a snapshot file: the node's whole
 // compacted state, covering every log generation <= Gen.
 type walSnapshot struct {
 	Version int             `json:"version"`
-	Shard   int             `json:"shard"`
-	Shards  int             `json:"shards"`
 	Gen     uint64          `json:"gen"`
 	IDs     []string        `json:"ids"`
 	Report  json.RawMessage `json:"report"`
@@ -282,8 +300,8 @@ type walSnapshot struct {
 // ---------------------------------------------------------------------------
 // Dedup window
 
-// dedupSet is a FIFO-bounded set of upload IDs the shard has durably
-// applied. Only the owning shard goroutine touches it.
+// dedupSet is a FIFO-bounded set of upload IDs the node has durably
+// applied. Only the committer goroutine touches it.
 type dedupSet struct {
 	set   map[UploadID]struct{}
 	order []UploadID
@@ -313,15 +331,13 @@ func (d *dedupSet) add(id UploadID) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-shard WAL
+// Node WAL
 
-// shardWAL is one shard's durable state. Single-writer: every method runs
-// on the owning shard goroutine only.
-type shardWAL struct {
-	cfg    *WALConfig
-	shard  int
-	shards int
-	m      *walMetrics
+// nodeWAL is the node's durable state. Single-writer: after recovery every
+// method runs on the committer goroutine only.
+type nodeWAL struct {
+	cfg *WALConfig
+	m   *walMetrics
 
 	gen     uint64     // generation of the live log file
 	snapGen uint64     // generation covered by the committed snapshot
@@ -329,92 +345,94 @@ type shardWAL struct {
 	goodOff int64      // end of the last fully written record
 	syncOff int64      // durable watermark (<= goodOff)
 	dirty   bool       // bytes beyond goodOff may be garbage (failed write)
-	records int        // fragment records appended this generation
+	records int        // upload records appended this generation
 	dedup   *dedupSet
 }
 
-func (w *shardWAL) logPath() string {
-	return filepath.Join(w.cfg.Dir, fmt.Sprintf("shard-%04d.wal", w.shard))
-}
-func (w *shardWAL) snapPath() string {
-	return filepath.Join(w.cfg.Dir, fmt.Sprintf("shard-%04d.snap", w.shard))
-}
+func (w *nodeWAL) logPath() string  { return filepath.Join(w.cfg.Dir, nodeLogName) }
+func (w *nodeWAL) snapPath() string { return filepath.Join(w.cfg.Dir, nodeSnapName) }
 
-// ReplayInfo summarizes one shard's recovery for logs and tests.
-type ReplayInfo struct {
-	Shard         int
-	Records       int  // fragment records replayed from the log tail
-	FromSnapshot  bool // a snapshot was loaded
-	TruncatedTail bool // a torn tail was cut back
-	Corrupt       bool // a mid-log corrupt record was detected (prefix salvaged)
-}
-
-// openShardWAL recovers shard state from disk: load the snapshot if one
-// exists, replay the log tail on top of it (truncating a torn final
+// openNodeWAL recovers the node's state from disk: load the snapshot if
+// one exists, replay the log tail on top of it (truncating a torn final
 // record instead of aborting), rotate the log if the snapshot already
 // covers it, and leave an append handle positioned for new records.
-func openShardWAL(cfg *WALConfig, shard, shards int, m *walMetrics) (*shardWAL, *core.Report, ReplayInfo, error) {
+func openNodeWAL(cfg *WALConfig, m *walMetrics) (*nodeWAL, *core.Report, error) {
 	start := time.Now()
-	w := &shardWAL{cfg: cfg, shard: shard, shards: shards, m: m, dedup: newDedupSet(cfg.DedupWindow)}
-	info := ReplayInfo{Shard: shard}
+	if err := refuseShardLayout(cfg.Dir); err != nil {
+		return nil, nil, err
+	}
+	w := &nodeWAL{cfg: cfg, m: m, dedup: newDedupSet(cfg.DedupWindow)}
 	if err := cfg.FS.MkdirAll(cfg.Dir, 0o755); err != nil {
-		return nil, nil, info, fmt.Errorf("fleet: wal dir: %w", err)
+		return nil, nil, fmt.Errorf("fleet: wal dir: %w", err)
 	}
 
 	rep := core.NewReport()
-	var snapGen uint64
 	snap, err := w.loadSnapshot()
 	if err != nil {
-		return nil, nil, info, err
+		return nil, nil, err
 	}
 	if snap != nil {
-		if snap.Shards != shards {
-			return nil, nil, info, fmt.Errorf("fleet: wal snapshot for shard %d was written with %d shards, aggregator configured with %d (shard count may not change across recovery)", shard, snap.Shards, shards)
-		}
 		rep, err = core.ImportReport(bytes.NewReader(snap.Report))
 		if err != nil {
-			return nil, nil, info, fmt.Errorf("fleet: wal snapshot report for shard %d: %w", shard, err)
+			return nil, nil, fmt.Errorf("fleet: wal snapshot report: %w", err)
 		}
 		for _, hs := range snap.IDs {
 			raw, err := hex.DecodeString(hs)
 			if err != nil || len(raw) != len(UploadID{}) {
-				return nil, nil, info, fmt.Errorf("fleet: wal snapshot for shard %d has malformed upload id %q", shard, hs)
+				return nil, nil, fmt.Errorf("fleet: wal snapshot has malformed upload id %q", hs)
 			}
 			var id UploadID
 			copy(id[:], raw)
 			w.dedup.add(id)
 		}
-		snapGen = snap.Gen
-		info.FromSnapshot = true
+		w.snapGen = snap.Gen
 	}
 
-	w.snapGen = snapGen
-	logGen, err := w.replayLog(snapGen, rep, &info)
+	logGen, err := w.replayLog(rep)
 	if err != nil {
-		return nil, nil, info, err
+		return nil, nil, err
 	}
 
 	// Open the append handle, repairing whatever the replay flagged.
 	if err := w.openAppend(); err != nil {
-		return nil, nil, info, err
+		return nil, nil, err
 	}
-	switch {
-	case logGen == 0:
-		// Empty or brand-new log: stamp it with the next generation.
-		if err := w.rotate(snapGen + 1); err != nil {
-			return nil, nil, info, err
+	if logGen <= w.snapGen {
+		// An empty or brand-new log, or a crash between snapshot commit
+		// and log rotation (the snapshot already covers every record
+		// here): stamp a fresh log with the next generation.
+		if err := w.rotate(w.snapGen + 1); err != nil {
+			return nil, nil, err
 		}
-	case logGen <= snapGen:
-		// Crash landed between snapshot commit and log rotation: the
-		// snapshot already covers every record here, so rotate now.
-		if err := w.rotate(snapGen + 1); err != nil {
-			return nil, nil, info, err
-		}
-	default:
+	} else {
 		w.gen = logGen
 	}
 	m.replayLatency.Observe(float64(time.Since(start).Nanoseconds()))
-	return w, rep, info, nil
+	return w, rep, nil
+}
+
+// refuseShardLayout fails when dir holds the per-shard logs of an earlier
+// release. A node log started beside them would silently drop every upload
+// they acknowledged. The FS seam has no directory listing, so this reads
+// the directory itself; it writes nothing.
+func refuseShardLayout(dir string) error {
+	ents, err := os.ReadDir(dir)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("fleet: wal dir: %w", err)
+	}
+	var old []string
+	for _, e := range ents {
+		wal, _ := filepath.Match("shard-*.wal", e.Name())
+		snap, _ := filepath.Match("shard-*.snap", e.Name())
+		if wal || snap {
+			old = append(old, e.Name())
+		}
+	}
+	if len(old) > 0 {
+		return fmt.Errorf("fleet: wal dir %s holds per-shard logs of an older format (%s); this release keeps one node log and cannot read them",
+			dir, strings.Join(old, ", "))
+	}
+	return nil
 }
 
 // loadSnapshot reads and validates the snapshot file; a missing file is
@@ -422,7 +440,7 @@ func openShardWAL(cfg *WALConfig, shard, shards int, m *walMetrics) (*shardWAL, 
 // cannot exist; an unreadable or corrupt one is a hard error — the log
 // records it compacted are gone, and inventing an empty state would
 // silently drop acknowledged uploads.
-func (w *shardWAL) loadSnapshot() (*walSnapshot, error) {
+func (w *nodeWAL) loadSnapshot() (*walSnapshot, error) {
 	f, err := w.cfg.FS.OpenFile(w.snapPath(), os.O_RDONLY, 0)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
@@ -434,20 +452,17 @@ func (w *shardWAL) loadSnapshot() (*walSnapshot, error) {
 	fr := &frameReader{r: bufio.NewReaderSize(readerOnly{f}, 1<<16)}
 	payload, err := fr.next()
 	if err != nil {
-		return nil, fmt.Errorf("fleet: wal snapshot for shard %d unreadable (refusing to drop compacted state): %w", w.shard, err)
+		return nil, fmt.Errorf("fleet: wal snapshot unreadable (refusing to drop compacted state): %w", err)
 	}
 	if len(payload) < 1 || payload[0] != recKindSnapshot {
-		return nil, fmt.Errorf("fleet: wal snapshot for shard %d has record kind %d, want snapshot", w.shard, payload[0])
+		return nil, fmt.Errorf("fleet: wal snapshot has record kind %d, want snapshot", payload[0])
 	}
 	var snap walSnapshot
 	if err := json.Unmarshal(payload[1:], &snap); err != nil {
-		return nil, fmt.Errorf("fleet: wal snapshot for shard %d: %w", w.shard, err)
+		return nil, fmt.Errorf("fleet: wal snapshot: %w", err)
 	}
 	if snap.Version != walFormatVersion {
-		return nil, fmt.Errorf("fleet: wal snapshot for shard %d has version %d, want %d", w.shard, snap.Version, walFormatVersion)
-	}
-	if snap.Shard != w.shard {
-		return nil, fmt.Errorf("fleet: wal snapshot names shard %d, expected %d", snap.Shard, w.shard)
+		return nil, fmt.Errorf("fleet: wal snapshot has version %d, want %d", snap.Version, walFormatVersion)
 	}
 	return &snap, nil
 }
@@ -457,12 +472,12 @@ type readerOnly struct{ f fault.File }
 
 func (r readerOnly) Read(p []byte) (int, error) { return r.f.Read(p) }
 
-// replayLog scans the log file, merging fragment records newer than
-// snapGen into rep and rebuilding the dedup window. It returns the log's
+// replayLog scans the log file, merging upload records newer than the
+// snapshot into rep and rebuilding the dedup window. It returns the log's
 // generation (0 when the file is missing or empty/headerless). A torn or
 // corrupt frame ends the scan: goodOff marks the salvaged prefix and
 // dirty is set so the tail is truncated before the next append.
-func (w *shardWAL) replayLog(snapGen uint64, rep *core.Report, info *ReplayInfo) (uint64, error) {
+func (w *nodeWAL) replayLog(rep *core.Report) (uint64, error) {
 	f, err := w.cfg.FS.OpenFile(w.logPath(), os.O_RDONLY, 0)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
@@ -476,10 +491,8 @@ func (w *shardWAL) replayLog(snapGen uint64, rep *core.Report, info *ReplayInfo)
 	stop := func(fe *frameError) {
 		w.goodOff = fr.off
 		w.dirty = true
-		info.TruncatedTail = true
 		w.m.truncatedTails.Inc()
 		if !fe.torn {
-			info.Corrupt = true
 			w.m.corruptRecords.Inc()
 		}
 	}
@@ -506,14 +519,11 @@ func (w *shardWAL) replayLog(snapGen uint64, rep *core.Report, info *ReplayInfo)
 		stop(&frameError{reason: "undecodable log header"})
 		return 0, nil
 	}
-	if hdr.Version != walFormatVersion || hdr.Shard != w.shard {
-		return 0, fmt.Errorf("fleet: wal log header mismatch for shard %d: %+v", w.shard, hdr)
-	}
-	if hdr.Shards != w.shards {
-		return 0, fmt.Errorf("fleet: wal log for shard %d was written with %d shards, aggregator configured with %d (shard count may not change across recovery)", w.shard, hdr.Shards, w.shards)
+	if hdr.Version != walFormatVersion {
+		return 0, fmt.Errorf("fleet: wal log has version %d, want %d", hdr.Version, walFormatVersion)
 	}
 	w.goodOff = fr.off
-	apply := hdr.Gen > snapGen
+	apply := hdr.Gen > w.snapGen
 
 	for {
 		payload, err := fr.next()
@@ -528,7 +538,7 @@ func (w *shardWAL) replayLog(snapGen uint64, rep *core.Report, info *ReplayInfo)
 			}
 			return 0, err
 		}
-		id, frag, derr := decodeFragment(payload)
+		id, wr, derr := decodeRecord(payload)
 		if derr != nil {
 			// The frame passed its CRC but the payload is gibberish:
 			// corruption (or version drift). Salvage the prefix.
@@ -536,9 +546,8 @@ func (w *shardWAL) replayLog(snapGen uint64, rep *core.Report, info *ReplayInfo)
 			break
 		}
 		if apply {
-			rep.Merge(frag)
+			rep.MergeWire(wr)
 			w.dedup.add(id)
-			info.Records++
 			w.m.replayed.Inc()
 			w.records++
 		}
@@ -548,7 +557,7 @@ func (w *shardWAL) replayLog(snapGen uint64, rep *core.Report, info *ReplayInfo)
 }
 
 // openAppend opens (creating if needed) the append handle on the log.
-func (w *shardWAL) openAppend() error {
+func (w *nodeWAL) openAppend() error {
 	f, err := w.cfg.FS.OpenFile(w.logPath(), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("fleet: wal log append open: %w", err)
@@ -560,7 +569,7 @@ func (w *shardWAL) openAppend() error {
 
 // repair truncates garbage beyond goodOff (a failed or torn write, or a
 // salvaged replay) so the next record lands on a clean tail.
-func (w *shardWAL) repair() error {
+func (w *nodeWAL) repair() error {
 	if !w.dirty {
 		return nil
 	}
@@ -571,9 +580,9 @@ func (w *shardWAL) repair() error {
 	return nil
 }
 
-// append frames payload onto the log. On failure the record is not
-// durable, the tail is flagged for repair, and the caller must not ack.
-func (w *shardWAL) append(payload []byte) error {
+// append writes one framed record onto the log. On failure the record is
+// not durable, the tail is flagged for repair, and the caller must not ack.
+func (w *nodeWAL) append(frame []byte) error {
 	if w.wf == nil || w.gen <= w.snapGen {
 		// A compaction committed its snapshot but the log rotation failed
 		// (possibly leaving no append handle at all). Appending to a
@@ -588,7 +597,6 @@ func (w *shardWAL) append(payload []byte) error {
 		w.m.appendErrors.Inc()
 		return err
 	}
-	frame := appendFrame(nil, payload)
 	n, err := w.wf.Write(frame)
 	if err != nil {
 		if n > 0 {
@@ -612,7 +620,7 @@ func (w *shardWAL) append(payload []byte) error {
 // barrier makes everything appended so far durable per the sync policy.
 // On failure it rolls the log back to the last durable watermark; the
 // caller must nack (and must not merge) every record past it.
-func (w *shardWAL) barrier() error {
+func (w *nodeWAL) barrier() error {
 	if w.cfg.Sync == SyncOff {
 		w.syncOff = w.goodOff
 		return nil
@@ -633,7 +641,7 @@ func (w *shardWAL) barrier() error {
 }
 
 // writeFileAtomic writes a fully framed file (tmp + fsync + rename).
-func (w *shardWAL) writeFileAtomic(path string, frame []byte) error {
+func (w *nodeWAL) writeFileAtomic(path string, frame []byte) error {
 	tmp := path + ".tmp"
 	f, err := w.cfg.FS.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -657,8 +665,8 @@ func (w *shardWAL) writeFileAtomic(path string, frame []byte) error {
 }
 
 // rotate atomically replaces the log with a fresh one at generation gen.
-func (w *shardWAL) rotate(gen uint64) error {
-	payload, err := encodeHeader(walHeader{Version: walFormatVersion, Shard: w.shard, Shards: w.shards, Gen: gen})
+func (w *nodeWAL) rotate(gen uint64) error {
+	payload, err := encodeHeader(walHeader{Version: walFormatVersion, Gen: gen})
 	if err != nil {
 		return err
 	}
@@ -681,12 +689,13 @@ func (w *shardWAL) rotate(gen uint64) error {
 	return nil
 }
 
-// compact folds the shard's entire in-memory state into the snapshot file
-// and rotates the log. A failure before the snapshot commit leaves the old
-// snapshot and log intact (compaction is all-or-nothing) and the shard
-// keeps appending to the old generation; a failure after the commit marks
-// the covered generation via snapGen so the next append rotates past it.
-func (w *shardWAL) compact(rep *core.Report) error {
+// compact writes rep — exactly the state the log's records built — as the
+// snapshot and rotates the log. A failure before the snapshot commit
+// leaves the old snapshot and log intact (compaction is all-or-nothing)
+// and the committer keeps appending to the old generation; a failure after
+// the commit marks the covered generation via snapGen so the next append
+// rotates past it.
+func (w *nodeWAL) compact(rep *core.Report) error {
 	var repBuf bytes.Buffer
 	if err := rep.Export(&repBuf); err != nil {
 		return fmt.Errorf("fleet: wal compact export: %w", err)
@@ -696,8 +705,7 @@ func (w *shardWAL) compact(rep *core.Report) error {
 		ids = append(ids, id.String())
 	}
 	body, err := json.Marshal(walSnapshot{
-		Version: walFormatVersion, Shard: w.shard, Shards: w.shards,
-		Gen: w.gen, IDs: ids, Report: json.RawMessage(repBuf.Bytes()),
+		Version: walFormatVersion, Gen: w.gen, IDs: ids, Report: json.RawMessage(repBuf.Bytes()),
 	})
 	if err != nil {
 		return fmt.Errorf("fleet: wal compact: %w", err)
@@ -718,8 +726,8 @@ func (w *shardWAL) compact(rep *core.Report) error {
 }
 
 // close releases the append handle without any final barrier — the crash
-// path. The clean-shutdown path runs compact first.
-func (w *shardWAL) close() {
+// path. The clean-shutdown path compacts first.
+func (w *nodeWAL) close() {
 	if w.wf != nil {
 		w.wf.Close()
 		w.wf = nil

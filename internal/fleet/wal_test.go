@@ -3,13 +3,18 @@ package fleet
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	iofs "io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hangdoctor/internal/core"
@@ -17,11 +22,11 @@ import (
 )
 
 // durableCfg is the small-knob durable config the WAL tests share:
-// compaction every few records so mid-run compactions actually happen.
+// compaction every 2×shards records so mid-run compactions actually happen.
 func durableCfg(dir string, shards int) Config {
 	return Config{
 		Shards: shards, QueueDepth: 256, BatchSize: 4,
-		WAL: &WALConfig{Dir: dir, Sync: SyncBatch, CompactEvery: 8, DedupWindow: 1024},
+		WAL: &WALConfig{Dir: dir, Sync: SyncBatch, CompactEvery: 2, DedupWindow: 1024},
 	}
 }
 
@@ -81,7 +86,7 @@ func TestWALFrameRoundTrip(t *testing.T) {
 // truncated frame reads as torn, a bit flip with all bytes present reads
 // as corrupt, and both report the offset of the last whole record.
 func TestWALFrameTornAndCorrupt(t *testing.T) {
-	good := appendFrame(nil, []byte{recKindFragBin, 1, 2, 3})
+	good := appendFrame(nil, []byte{recKindUpload, 1, 2, 3})
 	goodLen := int64(len(good))
 
 	t.Run("torn", func(t *testing.T) {
@@ -100,7 +105,7 @@ func TestWALFrameTornAndCorrupt(t *testing.T) {
 		}
 	})
 	t.Run("corrupt", func(t *testing.T) {
-		second := appendFrame(nil, []byte{recKindFragBin, 7, 7})
+		second := appendFrame(nil, []byte{recKindUpload, 7, 7})
 		second[len(second)-1] ^= 0x01 // flip a payload bit, length intact
 		fr := &frameReader{r: bytes.NewReader(append(append([]byte{}, good...), second...))}
 		if _, err := fr.next(); err != nil {
@@ -150,10 +155,8 @@ func TestDurableCleanRestart(t *testing.T) {
 	if n := snap.Value("hangdoctor_fleet_wal_replayed_records_total"); n != 0 {
 		t.Errorf("clean restart replayed %d tail records, want 0 (final snapshot should cover everything)", n)
 	}
-	for i := 0; i < 4; i++ {
-		if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("shard-%04d.snap", i))); err != nil {
-			t.Errorf("shard %d final snapshot missing: %v", i, err)
-		}
+	if _, err := os.Stat(filepath.Join(dir, nodeSnapName)); err != nil {
+		t.Errorf("final node snapshot missing: %v", err)
 	}
 }
 
@@ -183,46 +186,53 @@ func TestDurableRestartWithoutClose(t *testing.T) {
 
 // TestTornTailTruncated is the recovery invariant the issue names: a torn
 // final record (crash mid-append) is detected and truncated, never
-// aborting replay, and every whole record before it survives.
+// aborting replay, and every whole record before it survives. Two tear
+// shapes, one reopen each: a partial frame, and trailing garbage that
+// parses as an oversized length.
 func TestTornTailTruncated(t *testing.T) {
-	dir := t.TempDir()
 	reps := uploads(12, 20)
 	serial := core.NewReport()
 	serial.Merge(reps...)
+	torn := appendFrame(nil, append([]byte{recKindUpload}, bytes.Repeat([]byte{4}, 64)...))
+	for name, tail := range map[string][]byte{
+		"partial-frame":    torn[:len(torn)-9],
+		"oversized-length": {0xFF, 0xFF, 0xFF, 0x7F, 1, 2},
+	} {
+		t.Run(name, func(t *testing.T) {
+			// Lay down durable state with no compaction (big CompactEvery)
+			// so every record stays in the tail, then crash.
+			dir := t.TempDir()
+			cfg := durableCfg(dir, 2)
+			cfg.WAL.CompactEvery = 1 << 20
+			agg := mustOpen(t, cfg)
+			submitAllDurable(t, agg, reps)
+			agg.Crash()
 
-	// Lay down durable state with no compaction (big CompactEvery) so
-	// every record stays in the tail, then crash.
-	cfg := durableCfg(dir, 2)
-	cfg.WAL.CompactEvery = 1 << 20
-	agg := mustOpen(t, cfg)
-	submitAllDurable(t, agg, reps)
-	agg.Crash()
+			f, err := os.OpenFile(filepath.Join(dir, nodeLogName), os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(tail); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
 
-	// Tear the tails by hand: a partial frame on shard 0, trailing garbage
-	// that parses as an oversized length on shard 1.
-	torn := appendFrame(nil, append([]byte{recKindFragBin}, bytes.Repeat([]byte{4}, 64)...))
-	for i, tail := range [][]byte{torn[:len(torn)-9], {0xFF, 0xFF, 0xFF, 0x7F, 1, 2}} {
-		f, err := os.OpenFile(filepath.Join(dir, fmt.Sprintf("shard-%04d.wal", i)), os.O_WRONLY|os.O_APPEND, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.Write(tail); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-	}
-
-	agg2, err := Open(cfg)
-	if err != nil {
-		t.Fatalf("recovery aborted on torn tail: %v", err)
-	}
-	defer agg2.Close()
-	if got := exportBytes(t, agg2.Fold()); !bytes.Equal(got, exportBytes(t, serial)) {
-		t.Error("recovered fold lost whole records before the torn tail")
-	}
-	snap := agg2.Metrics().Registry().Snapshot()
-	if n := snap.Value("hangdoctor_fleet_wal_truncated_tails_total"); n != 2 {
-		t.Errorf("truncated tails = %d, want 2", n)
+			agg2, err := Open(cfg)
+			if err != nil {
+				t.Fatalf("recovery aborted on torn tail: %v", err)
+			}
+			defer agg2.Close()
+			if got := exportBytes(t, agg2.Fold()); !bytes.Equal(got, exportBytes(t, serial)) {
+				t.Error("recovered fold lost whole records before the torn tail")
+			}
+			snap := agg2.Metrics().Registry().Snapshot()
+			if n := snap.Value("hangdoctor_fleet_wal_truncated_tails_total"); n != 1 {
+				t.Errorf("truncated tails = %d, want 1", n)
+			}
+			if n := snap.Value("hangdoctor_fleet_wal_replayed_records_total"); n != int64(len(reps)) {
+				t.Errorf("replayed %d records, want every whole one (%d)", n, len(reps))
+			}
+		})
 	}
 }
 
@@ -237,7 +247,7 @@ func TestMidLogCorruptionSalvagesPrefix(t *testing.T) {
 	submitAllDurable(t, agg, uploads(8, 10))
 	agg.Crash()
 
-	path := filepath.Join(dir, "shard-0000.wal")
+	path := filepath.Join(dir, nodeLogName)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -308,16 +318,193 @@ func TestResendDeduplicatedAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestShardCountChangeRefused: recovery refuses a WAL written with a
-// different shard count — fragment routing (and so dedup) would silently
-// break otherwise.
-func TestShardCountChangeRefused(t *testing.T) {
+// TestShardCountChangeAcrossRestart: log records are whole uploads, so a
+// node may reopen its WAL with another shard count. Written at 4 shards
+// and closed (a snapshot), reopened at 8 and crashed (a log tail), then
+// reopened at 2, every fold is byte-identical to the serial merge of what
+// was submitted so far.
+func TestShardCountChangeAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
+	reps := uploads(24, 20)
+	first, all := core.NewReport(), core.NewReport()
+	first.Merge(reps[:12]...)
+	all.Merge(reps...)
+
 	agg := mustOpen(t, durableCfg(dir, 4))
-	submitAllDurable(t, agg, uploads(4, 10))
+	submitAllDurable(t, agg, reps[:12])
 	agg.Close()
-	if _, err := Open(durableCfg(dir, 8)); err == nil {
-		t.Fatal("Open with a different shard count succeeded, want refusal")
+
+	cfg8 := durableCfg(dir, 8)
+	cfg8.WAL.CompactEvery = 1 << 20 // keep what follows in the log tail
+	agg8 := mustOpen(t, cfg8)
+	if got := exportBytes(t, agg8.Fold()); !bytes.Equal(got, exportBytes(t, first)) {
+		t.Error("fold reopened at 8 shards diverged from the serial merge")
+	}
+	submitAllDurable(t, agg8, reps) // the first half dedups at the new count
+	agg8.Crash()
+
+	agg2 := mustOpen(t, durableCfg(dir, 2))
+	defer agg2.Close()
+	if got := exportBytes(t, agg2.Fold()); !bytes.Equal(got, exportBytes(t, all)) {
+		t.Error("fold reopened at 2 shards diverged from the serial merge")
+	}
+	snap := agg2.Metrics().Registry().Snapshot()
+	if n := snap.Value("hangdoctor_fleet_wal_replayed_records_total"); n != 12 {
+		t.Errorf("replayed %d tail records at 2 shards, want the 12 logged at 8", n)
+	}
+}
+
+// TestShardLayoutRefused: a directory holding per-shard logs of the
+// earlier format is refused by name, and nothing is written beside them —
+// a node log started there would drop every upload they acknowledged.
+func TestShardLayoutRefused(t *testing.T) {
+	dir := t.TempDir()
+	hdr, err := json.Marshal(map[string]any{"version": 1, "shard": 0, "shards": 4, "gen": 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := appendFrame(nil, append([]byte{recKindHeader}, hdr...))
+	frag := append([]byte{4}, make([]byte, len(UploadID{}))...)
+	old = appendFrame(old, core.AppendReportBinary(frag, SyntheticUpload(1, "device-old", 3)))
+	if err := os.WriteFile(filepath.Join(dir, "shard-0000.wal"), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(durableCfg(dir, 4))
+	if err == nil || !strings.Contains(err.Error(), "shard-0000.wal") {
+		t.Fatalf("Open beside a per-shard log: err=%v, want a refusal naming shard-0000.wal", err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 {
+		t.Errorf("refused Open left %d files, want only the old log", len(ents))
+	}
+}
+
+// TestDurableUploadOneRecordOneBarrier: a durable upload costs one log
+// record and at most one barrier, however many shards its entries reach.
+// Sequential 16-entry uploads on 8 shards each take their own barrier;
+// under concurrent submitters group commit may only lower the count.
+func TestDurableUploadOneRecordOneBarrier(t *testing.T) {
+	const n = 64
+	count := func(agg *Aggregator) (records, fsyncs int64) {
+		snap := agg.Metrics().Registry().Snapshot()
+		return snap.Value("hangdoctor_fleet_wal_records_appended_total"), snap.Value("hangdoctor_fleet_wal_fsyncs_total")
+	}
+	reps := uploads(n, 16)
+	t.Run("sequential", func(t *testing.T) {
+		agg := mustOpen(t, Config{Shards: 8, WAL: &WALConfig{Dir: t.TempDir(), Sync: SyncBatch}})
+		defer agg.Close()
+		for _, r := range reps {
+			if err := agg.SubmitDurable(r.Clone(), UploadID{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if records, fsyncs := count(agg); records != n || fsyncs != n {
+			t.Errorf("%d uploads appended %d records with %d fsyncs, want %d and %d", n, records, fsyncs, n, n)
+		}
+	})
+	t.Run("concurrent", func(t *testing.T) {
+		agg := mustOpen(t, Config{Shards: 8, WAL: &WALConfig{Dir: t.TempDir(), Sync: SyncBatch}})
+		defer agg.Close()
+		var wg sync.WaitGroup
+		for g := 0; g < 32; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := g; i < n; i += 32 {
+					if err := agg.SubmitDurable(reps[i].Clone(), UploadID{}); err != nil {
+						t.Error(err)
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		if records, fsyncs := count(agg); records != n || fsyncs > n {
+			t.Errorf("%d uploads appended %d records with %d fsyncs, want %d and at most %d", n, records, fsyncs, n, n)
+		}
+	})
+}
+
+// crashOnSync is a fault.FS whose files run onSync after every successful
+// Sync — a durability barrier, or a snapshot or rotation commit.
+type crashOnSync struct {
+	fault.FS
+	onSync func()
+}
+
+func (c crashOnSync) OpenFile(name string, flag int, perm iofs.FileMode) (fault.File, error) {
+	f, err := c.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return syncHookFile{File: f, onSync: c.onSync}, nil
+}
+
+type syncHookFile struct {
+	fault.File
+	onSync func()
+}
+
+func (f syncHookFile) Sync() error {
+	err := f.File.Sync()
+	if err == nil {
+		f.onSync()
+	}
+	return err
+}
+
+// TestCrashAfterBarrierBeforeMerge crashes the node right after the
+// barrier of its k-th upload, before the committer can route the upload
+// to the shards. The upload is durable but unacknowledged: recovery holds
+// it exactly once, and its resend is deduplicated.
+func TestCrashAfterBarrierBeforeMerge(t *testing.T) {
+	reps := uploads(6, 12)
+	for k := 1; k <= len(reps); k++ {
+		t.Run(fmt.Sprintf("upload-%d", k), func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := durableCfg(dir, 4)
+			cfg.WAL.CompactEvery = 1 << 20 // every sync after Open is a barrier
+			var agg *Aggregator
+			var armed atomic.Bool
+			var syncs atomic.Int32
+			cfg.WAL.FS = crashOnSync{FS: fault.DiskFS, onSync: func() {
+				if armed.Load() && syncs.Add(1) == int32(k) {
+					// Crash waits for the committer, which is the caller
+					// here: start it, and return once it has begun.
+					go agg.Crash()
+					<-agg.Crashed()
+				}
+			}}
+			agg = mustOpen(t, cfg)
+			armed.Store(true)
+			for _, r := range reps[:k] {
+				if err := agg.SubmitDurable(r.Clone(), UploadID{}); err != nil && !errors.Is(err, ErrCrashed) {
+					t.Fatal(err)
+				}
+			}
+			agg.Crash()
+
+			want := core.NewReport()
+			want.Merge(reps[:k]...)
+			re := mustOpen(t, durableCfg(dir, 4))
+			if got := exportBytes(t, re.Fold()); !bytes.Equal(got, exportBytes(t, want)) {
+				re.Close()
+				t.Fatal("recovered fold does not hold the crashed upload exactly once")
+			}
+			if err := re.SubmitDurable(reps[k-1].Clone(), UploadID{}); err != nil {
+				re.Close()
+				t.Fatal(err)
+			}
+			re.Close()
+			if n := re.Metrics().Registry().Snapshot().Value("hangdoctor_fleet_wal_fragments_deduped_total"); n != 1 {
+				t.Errorf("resend of the crashed upload deduplicated %d times, want 1", n)
+			}
+			if got := exportBytes(t, re.Fold()); !bytes.Equal(got, exportBytes(t, want)) {
+				t.Error("resend of the crashed upload merged it twice")
+			}
+		})
 	}
 }
 
@@ -421,7 +608,7 @@ func TestDurableHTTPUpload(t *testing.T) {
 func FuzzWALFrameDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(appendFrame(nil, []byte{recKindHeader, '{', '}'}))
-	valid := appendFrame(appendFrame(nil, []byte{recKindFragBin, 0, 1}), bytes.Repeat([]byte{7}, 300))
+	valid := appendFrame(appendFrame(nil, []byte{recKindUpload, 0, 1}), bytes.Repeat([]byte{7}, 300))
 	f.Add(valid)
 	f.Add(valid[:len(valid)-4])
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0, 1})
@@ -450,10 +637,10 @@ func FuzzWALFrameDecode(f *testing.F) {
 				t.Fatal("decoder returned an empty frame without error")
 			}
 			consumed = fr.off
-			// Fragment payloads additionally go through the report
+			// Upload payloads additionally go through the report
 			// decoder, which must reject garbage rather than panic.
-			if payload[0] == recKindFragBin {
-				decodeFragment(payload)
+			if payload[0] == recKindUpload {
+				decodeRecord(payload)
 			}
 		}
 	})
