@@ -57,8 +57,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "all %d report files failed to parse\n", res.total)
 		os.Exit(1)
 	}
-	fmt.Printf("merged %d of %d device reports (%d diagnosed hangs)\n\n", res.imported, res.total, res.fleet.TotalHangs())
-	fmt.Print(res.fleet.Render())
+	fmt.Print(render(res))
+}
+
+// render is the merged fleet report as the command prints it.
+func render(res importResult) string {
+	return fmt.Sprintf("merged %d of %d device reports (%d diagnosed hangs)\n\n", res.imported, res.total, res.fleet.TotalHangs()) +
+		res.fleet.Render()
 }
 
 // importResult is what a directory import produces: the folded fleet report

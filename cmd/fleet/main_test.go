@@ -10,6 +10,7 @@ import (
 
 	"hangdoctor/internal/core"
 	"hangdoctor/internal/fleet"
+	"hangdoctor/internal/golden"
 )
 
 // writeUploadDir fills a temp directory with synthetic device uploads plus
@@ -96,4 +97,23 @@ func TestImportDirSkipOrderDeterministic(t *testing.T) {
 	if !sort.SliceIsSorted(res.skipped, func(i, j int) bool { return res.skipped[i] < res.skipped[j] }) {
 		t.Errorf("skip messages not in sorted file order: %v", res.skipped)
 	}
+}
+
+// TestDemoGolden pins the merged -demo report, as the command prints it
+// and as a JSON export, to committed digests.
+func TestDemoGolden(t *testing.T) {
+	dir := t.TempDir()
+	if err := writeDemoUploads(dir); err != nil {
+		t.Fatal(err)
+	}
+	res, err := importDir(dir, 4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden.Check(t, "demo-report.txt", []byte(render(res)))
+	var buf bytes.Buffer
+	if err := res.fleet.Export(&buf); err != nil {
+		t.Fatal(err)
+	}
+	golden.Check(t, "demo-report.json", buf.Bytes())
 }

@@ -10,8 +10,9 @@
 //	fleetd -addr :8717 -shards 8 -queue 1024
 //	fleetd -addr :8717 -wal-dir /var/lib/fleetd/wal -wal-sync batch
 //
-// With -wal-dir set, ingestion is durable: a 202 means the upload reached
-// the node's write-ahead log, one group-committed record per upload, and
+// A 202 means the upload has merged into the node's fleet view. With
+// -wal-dir set, ingestion is durable: the upload reached the node's
+// write-ahead log first, one group-committed record per upload, and
 // survives a crash; on boot the WAL directory is replayed (snapshot plus
 // log tail) before intake opens, and a torn final record — the signature
 // of dying mid-append — is truncated, never fatal. The shard count may
@@ -104,7 +105,7 @@ func main() {
 		log.Fatalf("serve: %v", err)
 	}
 
-	// Stop intake first, then drain: in-flight requests finish (Submit keeps
+	// Stop intake first, then drain: in-flight requests finish (submits keep
 	// working), and only then does the aggregator fold what it acknowledged.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

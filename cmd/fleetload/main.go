@@ -1,97 +1,102 @@
-// Command fleetload drives load against the fleet ingestion layer: over
-// HTTP against running fleetd nodes (JSON or the binary wire encoding,
-// with consistent-hash routing across multiple nodes), in-process against
-// the shard layer itself, or as a full fleet *simulation* through the
-// sharded virtual-time engine in internal/sim — millions of devices
-// uploading on a realistic cadence, in-process straight into the
-// aggregator or over HTTP with real dictionary deltas and 409 resyncs.
-// The in-process mode sweeps shard counts so the scaling claim
-// (throughput grows with shards on a multicore host) is reproducible from
-// one command.
+// Command fleetload drives a simulated device fleet against the fleet
+// ingestion layer through the sharded virtual-time engine in internal/sim:
+// millions of devices uploading Hang Bug Reports on a realistic cadence,
+// in-process straight into a sharded aggregator, or with -url over HTTP
+// against running fleetd nodes — the binary protocol with per-device
+// dictionary deltas, device restarts, 409 resyncs and 429 backoff, devices
+// ring-routed to nodes like production clients. With -url, -poll also
+// delta-polls the nodes while the fleet uploads, so folds race ingest.
+// The default fleet is smoke-sized (100 devices, 500 uploads); give
+// -sim-devices and -sim-uploads for real load. Shard scaling of the ingest
+// layer itself is measured by go test -bench Ingest ./internal/fleet/.
 //
 // Usage:
 //
-//	fleetload -url http://localhost:8717 -uploads 500 -conc 16
-//	fleetload -url http://node1:8717,http://node2:8717 -binary -uploads 5000
-//	fleetload -inproc -sweep 1,2,4,8 -uploads 2000
-//	fleetload -sim -sim-devices 1000000 -sim-uploads 2000000
-//	fleetload -sim -url http://node1:8717,http://node2:8717 -sim-devices 4096
+//	fleetload -sim-devices 1000000 -sim-uploads 2000000
+//	fleetload -url http://node1:8717,http://node2:8717 -sim-devices 4096 -sim-uploads 8192 -poll 200ms
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"os"
-	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"hangdoctor/internal/core"
 	"hangdoctor/internal/fleet"
-	"hangdoctor/internal/obs"
 	"hangdoctor/internal/sim"
-	"hangdoctor/internal/simrand"
 )
 
 func main() {
-	url := flag.String("url", "", "fleetd base URL(s), comma-separated for ring routing; empty with -inproc/-sim")
-	inproc := flag.Bool("inproc", false, "bench the shard layer in-process instead of over HTTP")
-	simFlag := flag.Bool("sim", false, "run the fleet simulation engine (in-process without -url, HTTP against -url nodes)")
-	binary := flag.Bool("binary", false, "upload in the binary wire encoding with per-device dictionaries")
-	sweep := flag.String("sweep", "1,2,4,8", "comma-separated shard counts for -inproc")
-	uploads := flag.Int("uploads", 500, "number of device uploads to send")
-	entries := flag.Int("entries", 120, "diagnosed root causes per upload")
-	conc := flag.Int("conc", 16, "concurrent senders")
-	seed := flag.Int64("seed", 1, "base PRNG seed for synthetic uploads")
-	maxRetries := flag.Int("max-retries", 8, "give up on an upload after this many 429 retries")
-	simDevices := flag.Int("sim-devices", 1_000_000, "distinct devices in the -sim fleet")
-	simUploads := flag.Int64("sim-uploads", 2_000_000, "total uploads the -sim fleet sends")
-	simEntries := flag.Int("sim-entries", 4, "root causes per -sim upload (devices report small deltas often)")
-	simShards := flag.Int("sim-shards", 8, "aggregator shards for in-process -sim")
-	simWorkers := flag.Int("sim-workers", 0, "simulation worker shards (0 = GOMAXPROCS)")
-	simEpochMS := flag.Int64("sim-epoch-ms", 60_000, "virtual-time barrier interval in simulated ms")
-	simRestartEvery := flag.Int64("sim-restart-every", 512, "1/N chance an upload follows a device restart (dictionary reset)")
-	simBatch := flag.Int("sim-batch", 64, "device uploads coalesced per aggregator submission (in-process -sim)")
-	poll := flag.Duration("poll", 0, "while sending over HTTP, delta-poll the node(s) at this interval (0 = off)")
+	url := flag.String("url", "", "fleetd base URL(s), comma-separated for ring routing; empty runs the fleet in-process")
+	seed := flag.Int64("seed", 1, "simulation seed")
+	maxRetries := flag.Int("max-retries", 8, "give up on an upload after this many 409/429/transport retries")
+	devices := flag.Int("sim-devices", 100, "distinct devices in the fleet")
+	uploads := flag.Int64("sim-uploads", 500, "total uploads the fleet sends")
+	entries := flag.Int("sim-entries", 4, "root causes per upload (devices report small deltas often)")
+	shards := flag.Int("sim-shards", 8, "aggregator shards for an in-process run")
+	workers := flag.Int("sim-workers", 0, "simulation worker shards (0 = GOMAXPROCS)")
+	epochMS := flag.Int64("sim-epoch-ms", 60_000, "virtual-time barrier interval in simulated ms")
+	restartEvery := flag.Int64("sim-restart-every", 512, "1/N chance an upload follows a device restart (dictionary reset)")
+	batch := flag.Int("sim-batch", 64, "device uploads coalesced per aggregator submission (in-process)")
+	poll := flag.Duration("poll", 0, "with -url, delta-poll the node(s) at this interval while the fleet uploads (0 = off)")
 	flag.Parse()
 
-	var stopPoll func()
-	if *poll > 0 && *url != "" && !*inproc && !*simFlag {
-		stopPoll = startPoller(splitNodes(*url), *poll)
+	cfg := sim.Config{
+		Devices:      *devices,
+		Uploads:      *uploads,
+		Entries:      *entries,
+		Workers:      *workers,
+		Seed:         *seed,
+		EpochMS:      *epochMS,
+		RestartEvery: *restartEvery,
+		Batch:        *batch,
+		MaxRetries:   *maxRetries,
 	}
-	switch {
-	case *simFlag:
-		runSim(simArgs{
-			urls:         *url,
-			devices:      *simDevices,
-			uploads:      *simUploads,
-			entries:      *simEntries,
-			shards:       *simShards,
-			workers:      *simWorkers,
-			epochMS:      *simEpochMS,
-			restartEvery: *simRestartEvery,
-			batch:        *simBatch,
-			seed:         *seed,
-			maxRetries:   *maxRetries,
-		})
-	case *inproc:
-		runInproc(*sweep, *uploads, *entries, *conc, *seed)
-	case *url != "" && *binary:
-		runHTTPBinary(*url, *uploads, *entries, *conc, *seed, *maxRetries)
-	case *url != "":
-		runHTTP(*url, *uploads, *entries, *conc, *seed, *maxRetries)
-	default:
-		fmt.Fprintln(os.Stderr, "usage: fleetload -url <fleetd>[,<fleetd>...] [-binary] | fleetload -inproc [-sweep 1,2,4,8] | fleetload -sim [-url <fleetd>,...]")
-		os.Exit(2)
+	var agg *fleet.Aggregator
+	mode := "inproc"
+	if *url == "" {
+		agg = fleet.NewAggregator(fleet.Config{Shards: *shards, QueueDepth: 4096})
+		cfg.Agg = agg
+	} else {
+		cfg.Nodes, mode = splitNodes(*url), "http"
 	}
-	if stopPoll != nil {
-		stopPoll()
+	eng, err := sim.New(cfg)
+	if err != nil {
+		log.Fatalf("fleetload: %v", err)
+	}
+	stopPoll := func() {}
+	if *poll > 0 && len(cfg.Nodes) > 0 {
+		stopPoll = startPoller(cfg.Nodes, *poll)
+	}
+	fmt.Printf("simulating %d devices, %d uploads (%d entries each): %s sink, %d workers\n",
+		cfg.Devices, cfg.Uploads, cfg.Entries, mode, eng.Workers())
+	st, err := eng.Run()
+	if err != nil {
+		log.Fatalf("fleetload: sim run: %v", err)
+	}
+	fmt.Printf("sim: delivered %d uploads in %v: %.0f uploads/s, %.3g simulated device-seconds/s\n",
+		st.Uploads, st.Wall.Round(time.Millisecond), float64(st.Uploads)/st.Wall.Seconds(),
+		st.DeviceSecondsPerSec())
+	fmt.Printf("sim: failed=%d resyncs=%d server-resyncs=%d throttled=%d epochs=%d wire=%.1f MiB\n",
+		st.Failed, st.Resyncs, st.ServerResyncs, st.Throttled, st.Epochs,
+		float64(st.WireBytes)/(1<<20))
+	if agg != nil {
+		agg.Close()
+		rep := agg.Fold()
+		fmt.Printf("fleet report: %d root causes, %d diagnosed hangs\n", rep.Len(), rep.TotalHangs())
+	} else {
+		h := eng.Registry().Snapshot().Histogram("hangdoctor_sim_upload_rtt_ms")
+		fmt.Printf("upload latency: p50=%.2fms p95=%.2fms p99=%.2fms (%d round trips)\n",
+			h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99), h.Count)
+	}
+	stopPoll()
+	if st.Failed > 0 {
+		os.Exit(1)
 	}
 }
 
@@ -131,21 +136,6 @@ func startPoller(nodes []string, interval time.Duration) (stop func()) {
 	return func() { close(done); <-finished }
 }
 
-// payloads pre-exports the synthetic uploads so generation cost never
-// pollutes the ingest measurement.
-func payloads(uploads, entries int, seed int64) [][]byte {
-	out := make([][]byte, uploads)
-	for i := range out {
-		rep := fleet.SyntheticUpload(seed+int64(i), fmt.Sprintf("device-%04d", i), entries)
-		var buf bytes.Buffer
-		if err := rep.Export(&buf); err != nil {
-			log.Fatalf("export: %v", err)
-		}
-		out[i] = buf.Bytes()
-	}
-	return out
-}
-
 // splitNodes parses a comma-separated -url list.
 func splitNodes(urls string) []string {
 	var nodes []string
@@ -155,333 +145,4 @@ func splitNodes(urls string) []string {
 		}
 	}
 	return nodes
-}
-
-// tunedClient is the one HTTP client every sender shares. The default
-// transport keeps only two idle connections per host, so at -conc 16 most
-// sends would re-dial (and re-handshake) mid-run; sizing the idle pool to
-// the sender count keeps every sender's connection warm.
-func tunedClient(conc int) *http.Client {
-	return &http.Client{
-		Timeout: 30 * time.Second,
-		Transport: &http.Transport{
-			MaxIdleConns:        2 * conc,
-			MaxIdleConnsPerHost: conc,
-			IdleConnTimeout:     90 * time.Second,
-		},
-	}
-}
-
-func runHTTP(base string, uploads, entries, conc int, seed int64, maxRetries int) {
-	base = splitNodes(base)[0]
-	docs := payloads(uploads, entries, seed)
-	// The loader's own accounting lives in an obs registry: lock-free
-	// counters for the senders, a latency histogram for the per-POST round
-	// trip (each attempt is one observation, throttled retries included).
-	reg := obs.NewRegistry()
-	accepted := reg.Counter("fleetload_uploads_accepted_total", "Uploads acknowledged with 202.")
-	throttled := reg.Counter("fleetload_throttle_retries_total", "429 responses honored with a backoff retry.")
-	failed := reg.Counter("fleetload_uploads_failed_total", "Uploads that errored or got a non-202, non-429 status.")
-	latency := reg.Histogram("fleetload_upload_latency_ms",
-		"Round-trip wall time of one upload POST.", obs.ExpBuckets(0.25, 2, 16))
-	var wg sync.WaitGroup
-	next := make(chan []byte)
-	client := tunedClient(conc)
-	start := time.Now()
-	for w := 0; w < conc; w++ {
-		wg.Add(1)
-		// Each sender jitters its backoff from a private derived stream, so
-		// retries stay reproducible per seed without sharing a lock.
-		rng := simrand.New(uint64(seed)).Derive("fleetload/retry").Derive(strconv.Itoa(w))
-		go func() {
-			defer wg.Done()
-			// One reusable request body per sender: a POST is fully read
-			// before the next begins, so the reader recycles cleanly.
-			body := bytes.NewReader(nil)
-			for doc := range next {
-				for retries := 0; ; retries++ {
-					t0 := time.Now()
-					body.Reset(doc)
-					req, err := http.NewRequest(http.MethodPost, base+"/v1/upload", body)
-					if err != nil {
-						failed.Inc()
-						break
-					}
-					req.Header.Set("Content-Type", "application/json")
-					resp, err := client.Do(req)
-					if err != nil {
-						failed.Inc()
-						break
-					}
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-					latency.Observe(float64(time.Since(t0)) / float64(time.Millisecond))
-					if resp.StatusCode == http.StatusTooManyRequests {
-						if retries >= maxRetries {
-							// Persistent backpressure: give up rather than
-							// hammer a server that keeps saying no.
-							failed.Inc()
-							break
-						}
-						// Honor the server's backpressure, jittering around the
-						// advertised delay (uniform in [base/2, base*3/2)) so a
-						// throttled cohort does not retry in lockstep and
-						// re-create the very spike that throttled it.
-						throttled.Inc()
-						delay := time.Second
-						if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && ra > 0 {
-							delay = time.Duration(ra) * time.Second
-						}
-						time.Sleep(delay/2 + time.Duration(rng.Int63n(int64(delay))))
-						continue
-					}
-					if resp.StatusCode == http.StatusAccepted {
-						accepted.Inc()
-					} else {
-						failed.Inc()
-					}
-					break
-				}
-			}
-		}()
-	}
-	for _, doc := range docs {
-		next <- doc
-	}
-	close(next)
-	wg.Wait()
-	el := time.Since(start)
-	fmt.Printf("sent %d uploads in %v: %.0f uploads/s (accepted=%d throttled-retries=%d failed=%d)\n",
-		uploads, el.Round(time.Millisecond), float64(uploads)/el.Seconds(),
-		accepted.Value(), throttled.Value(), failed.Value())
-	h := reg.Snapshot().Histogram("fleetload_upload_latency_ms")
-	fmt.Printf("upload latency: p50=%.2fms p95=%.2fms p99=%.2fms (%d round trips)\n",
-		h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99), h.Count)
-	if failed.Value() > 0 {
-		os.Exit(1)
-	}
-}
-
-// runHTTPBinary uploads in the binary wire encoding: devices are sticky to
-// one worker (dictionary deltas are ordered per device) and to one node via
-// the consistent-hash ring, each device streams several uploads through its
-// own encoder, and a 409 answer triggers the reset-and-resend resync.
-func runHTTPBinary(urls string, uploads, entries, conc int, seed int64, maxRetries int) {
-	nodes := splitNodes(urls)
-	ring := fleet.NewRing(nodes, 0)
-	const perDev = 8 // uploads per device: deltas amortize the dictionary
-	reg := obs.NewRegistry()
-	accepted := reg.Counter("fleetload_uploads_accepted_total", "Uploads acknowledged with 202.")
-	throttled := reg.Counter("fleetload_throttle_retries_total", "429 responses honored with a backoff retry.")
-	resyncs := reg.Counter("fleetload_dict_resyncs_total", "409 dictionary resets honored with a full-dictionary resend.")
-	failed := reg.Counter("fleetload_uploads_failed_total", "Uploads that errored or got a non-202 terminal status.")
-	sent := reg.Counter("fleetload_bytes_sent_total", "Request body bytes sent (all attempts).")
-	latency := reg.Histogram("fleetload_upload_latency_ms",
-		"Round-trip wall time of one upload POST.", obs.ExpBuckets(0.25, 2, 16))
-	var wg sync.WaitGroup
-	client := tunedClient(conc)
-	start := time.Now()
-	for w := 0; w < conc; w++ {
-		wg.Add(1)
-		rng := simrand.New(uint64(seed)).Derive("fleetload/retry").Derive(strconv.Itoa(w))
-		go func(w int) {
-			defer wg.Done()
-			body := bytes.NewReader(nil)
-			post := func(node string, doc []byte) (int, error) {
-				t0 := time.Now()
-				body.Reset(doc)
-				req, err := http.NewRequest(http.MethodPost, node+"/v1/upload", body)
-				if err != nil {
-					return 0, err
-				}
-				req.Header.Set("Content-Type", core.BinaryContentType)
-				resp, err := client.Do(req)
-				if err != nil {
-					return 0, err
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				sent.Add(int64(len(doc)))
-				latency.Observe(float64(time.Since(t0)) / float64(time.Millisecond))
-				return resp.StatusCode, nil
-			}
-			for d := w; d*perDev < uploads; d += conc {
-				device := fmt.Sprintf("device-%06d", d)
-				node := ring.Node(device)
-				enc := core.NewBinaryEncoder(device)
-				lo, hi := d*perDev, (d+1)*perDev
-				if hi > uploads {
-					hi = uploads
-				}
-				for i := lo; i < hi; i++ {
-					rep := fleet.SyntheticUpload(seed+int64(i), device, entries)
-					doc := append([]byte(nil), enc.Encode(rep)...)
-					ok := false
-					for retries := 0; retries <= maxRetries; retries++ {
-						code, err := post(node, doc)
-						if err != nil {
-							break
-						}
-						if code == http.StatusConflict {
-							// The server lost this device's dictionary
-							// (restart or eviction): resend self-contained.
-							resyncs.Inc()
-							enc.Reset()
-							doc = append(doc[:0], enc.Encode(rep)...)
-							continue
-						}
-						if code == http.StatusTooManyRequests {
-							throttled.Inc()
-							time.Sleep(time.Second/2 + time.Duration(rng.Int63n(int64(time.Second))))
-							continue
-						}
-						ok = code == http.StatusAccepted
-						break
-					}
-					if ok {
-						accepted.Inc()
-					} else {
-						failed.Inc()
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	el := time.Since(start)
-	fmt.Printf("sent %d binary uploads across %d node(s) in %v: %.0f uploads/s (accepted=%d resyncs=%d throttled-retries=%d failed=%d, %.1f MiB sent)\n",
-		uploads, len(nodes), el.Round(time.Millisecond), float64(uploads)/el.Seconds(),
-		accepted.Value(), resyncs.Value(), throttled.Value(), failed.Value(),
-		float64(sent.Value())/(1<<20))
-	h := reg.Snapshot().Histogram("fleetload_upload_latency_ms")
-	fmt.Printf("upload latency: p50=%.2fms p95=%.2fms p99=%.2fms (%d round trips)\n",
-		h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99), h.Count)
-	if failed.Value() > 0 {
-		os.Exit(1)
-	}
-}
-
-func runInproc(sweep string, uploads, entries, conc int, seed int64) {
-	reps := make([]*core.Report, uploads)
-	for i := range reps {
-		reps[i] = fleet.SyntheticUpload(seed+int64(i), fmt.Sprintf("device-%04d", i), entries)
-	}
-	type row struct {
-		shards int
-		rate   float64
-	}
-	var rows []row
-	for _, f := range strings.Split(sweep, ",") {
-		shards, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || shards < 1 {
-			log.Fatalf("bad -sweep element %q", f)
-		}
-		agg := fleet.NewAggregator(fleet.Config{Shards: shards, QueueDepth: 4 * uploads})
-		start := time.Now()
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < conc; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					// Submissions hand ownership to the aggregator; clone so
-					// the pre-built upload survives for the next sweep point.
-					if err := agg.SubmitWait(reps[i].Clone()); err != nil {
-						log.Fatalf("submit: %v", err)
-					}
-				}
-			}()
-		}
-		for i := range reps {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-		agg.Close() // drain: the measurement covers every merge
-		el := time.Since(start)
-		rate := float64(uploads) / el.Seconds()
-		rows = append(rows, row{shards, rate})
-		rep := agg.Fold()
-		fmt.Printf("shards=%-2d  %8.0f uploads/s  (%v total, %d causes, %d hangs)\n",
-			shards, rate, el.Round(time.Millisecond), rep.Len(), rep.TotalHangs())
-	}
-	if len(rows) > 1 {
-		base := rows[0]
-		for _, r := range rows[1:] {
-			fmt.Printf("speedup %d->%d shards: %.2fx\n", base.shards, r.shards, r.rate/base.rate)
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Fleet simulation
-
-type simArgs struct {
-	urls         string
-	devices      int
-	uploads      int64
-	entries      int
-	shards       int
-	workers      int
-	epochMS      int64
-	restartEvery int64
-	batch        int
-	seed         int64
-	maxRetries   int
-}
-
-// runSim drives the sharded virtual-time engine (internal/sim). Without
-// -url the fleet uploads in-process straight into a sharded aggregator
-// (the decoded-wire zero-copy path, batched); with -url the fleet speaks
-// the real binary protocol against the given fleetd nodes — dictionary
-// deltas, device restarts, 409 resyncs, 429 backpressure — with devices
-// ring-routed to nodes exactly like production clients. The old
-// single-goroutine, single-heap scheduler this replaces lives on only as
-// the baseline-pr7 row of BenchmarkSimEngine.
-func runSim(a simArgs) {
-	cfg := sim.Config{
-		Devices:      a.devices,
-		Uploads:      a.uploads,
-		Entries:      a.entries,
-		Workers:      a.workers,
-		Seed:         a.seed,
-		EpochMS:      a.epochMS,
-		RestartEvery: a.restartEvery,
-		Batch:        a.batch,
-		MaxRetries:   a.maxRetries,
-	}
-	var agg *fleet.Aggregator
-	mode := "http"
-	if a.urls == "" {
-		agg = fleet.NewAggregator(fleet.Config{Shards: a.shards, QueueDepth: 4096})
-		cfg.Agg = agg
-		mode = "inproc"
-	} else {
-		cfg.Nodes = splitNodes(a.urls)
-	}
-	eng, err := sim.New(cfg)
-	if err != nil {
-		log.Fatalf("fleetload: %v", err)
-	}
-	fmt.Printf("simulating %d devices, %d uploads (%d entries each): %s sink, %d workers\n",
-		a.devices, a.uploads, a.entries, mode, eng.Workers())
-	st, err := eng.Run()
-	if err != nil {
-		log.Fatalf("fleetload: sim run: %v", err)
-	}
-	fmt.Printf("sim: delivered %d uploads in %v: %.0f uploads/s, %.3g simulated device-seconds/s\n",
-		st.Uploads, st.Wall.Round(time.Millisecond), float64(st.Uploads)/st.Wall.Seconds(),
-		st.DeviceSecondsPerSec())
-	fmt.Printf("sim: failed=%d resyncs=%d server-resyncs=%d throttled=%d epochs=%d wire=%.1f MiB\n",
-		st.Failed, st.Resyncs, st.ServerResyncs, st.Throttled, st.Epochs,
-		float64(st.WireBytes)/(1<<20))
-	if agg != nil {
-		agg.Close()
-		rep := agg.Fold()
-		fmt.Printf("fleet report: %d root causes, %d diagnosed hangs\n", rep.Len(), rep.TotalHangs())
-	}
-	if st.Failed > 0 {
-		os.Exit(1)
-	}
 }

@@ -448,23 +448,6 @@ func (we *WireEntry) entry() ReportEntry {
 	}
 }
 
-// Split partitions a decoded binary upload by ShardIndexKey of each entry,
-// mirroring Report.Split without materializing an intermediate report: a
-// nil slice means the shard gets nothing, and the health section (when
-// present) rides with shard 0. Entries are referenced, not copied — the
-// caller must not reuse the WireReport afterwards.
-func (wr *WireReport) Split(shards int) (entries [][]WireEntry, health Health) {
-	if shards <= 1 {
-		shards = 1
-	}
-	entries = make([][]WireEntry, shards)
-	for i := range wr.Entries {
-		s := ShardIndexKey(wr.Entries[i].Key, shards)
-		entries[s] = append(entries[s], wr.Entries[i])
-	}
-	return entries, wr.Health
-}
-
 // ---------------------------------------------------------------------------
 // Decoder
 

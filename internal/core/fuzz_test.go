@@ -144,3 +144,19 @@ func TestReportMergeCommutative(t *testing.T) {
 		t.Fatal("merge order changed the fleet report")
 	}
 }
+
+// TestFoldOrderDisagreeingMetadata: two devices that disagree on where a
+// root cause lives fold to one row whatever the order — the smallest
+// (file, line), self-developed if either device said so.
+func TestFoldOrderDisagreeingMetadata(t *testing.T) {
+	a, b := NewReport(), NewReport()
+	a.Add("app", "dev-a", "act", Diagnosis{RootCause: "r", File: "F.java", Line: 20}, simclock.Second)
+	b.Add("app", "dev-b", "act", Diagnosis{RootCause: "r", File: "F.java", Line: 10, ViaCaller: true}, simclock.Second)
+	ab, ba := FoldReports(a, b).Render(), FoldReports(b, a).Render()
+	if ab != ba {
+		t.Fatalf("fold order changed the report:\n%s\nvs\n%s", ab, ba)
+	}
+	if !strings.Contains(ab, "r (F.java:10) [self-developed] @ act") {
+		t.Fatalf("merged row lost the smallest location or the caller flag:\n%s", ab)
+	}
+}

@@ -45,8 +45,8 @@ func (e *ReportEntry) AvgResponse() simclock.Duration {
 // A clone is a merge into an empty entry; cloneLeaf (trie.go) builds one
 // in place in a new trie leaf.
 
-// empty returns a new entry carrying only e's identity fields — the zero
-// of merge for e's key. n sizes its device set.
+// empty returns a new entry with e's key and source location and nothing
+// counted: merging e into it yields e. n sizes its device set.
 func (e *ReportEntry) empty(n int) *ReportEntry {
 	return &ReportEntry{
 		App: e.App, ActionUID: e.ActionUID, RootCause: e.RootCause,
@@ -56,11 +56,16 @@ func (e *ReportEntry) empty(n int) *ReportEntry {
 }
 
 // merge folds src into e: hang counts and response sums add, the larger
-// maximum wins, device sets union and chains fold by mergeChain. e keeps
-// its own identity fields (first writer wins). src's devices are
+// maximum wins, device sets union and chains fold by mergeChain. Devices
+// may disagree on where a root cause lives, so the smallest (File, Line)
+// wins and ViaCaller holds if either side set it. src's devices are
 // src.Devices plus devs, the list form decoded documents carry, so they
 // merge without building a set first.
 func (e *ReportEntry) merge(src *ReportEntry, devs []string) {
+	if src.File < e.File || src.File == e.File && src.Line < e.Line {
+		e.File, e.Line = src.File, src.Line
+	}
+	e.ViaCaller = e.ViaCaller || src.ViaCaller
 	e.Hangs += src.Hangs
 	e.SumResponse += src.SumResponse
 	if src.MaxResponse > e.MaxResponse {

@@ -328,10 +328,10 @@ func (n *trieNode) since(v uint64, all bool, fn func(l *trieLeaf)) {
 // diffLeaves calls fn for every leaf of b (a node at shift) that a does not
 // hold at the same place, skipping every subtree the two share: between
 // two versions of a persistent trie it costs the changed leaves, not the
-// trie. Leaves only a holds are not reported.
+// trie. Leaves only a holds are not reported, so an empty b reports none.
 func diffLeaves(a, b *trieNode, shift uint, fn func(l *trieLeaf)) {
 	switch {
-	case a == b:
+	case a == b, b == nil:
 		return
 	case a == nil || shift >= trieBucket:
 		b.since(0, true, fn)

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -104,8 +105,8 @@ type ShardStats struct {
 // upload is one queued submission: the report (or, for the binary fast
 // path, the decoded wire view), its content-hash identity (zero unless the
 // submitter supplied it; a durable dispatcher derives a zero one from the
-// log record it encodes), and the optional durability ack. Exactly one of
-// rep/wire is set.
+// log record it encodes), and the optional ack that settles it (see
+// uploadAck). Exactly one of rep/wire is set.
 type upload struct {
 	rep  *core.Report
 	wire *core.WireReport
@@ -114,12 +115,12 @@ type upload struct {
 }
 
 // uploadAck settles one submission. Completion is delivered one of two
-// ways: blocking waiters (SubmitDurable) wait on done, which closes once
-// every routed fragment has merged, or once the committer deduplicated the
-// upload or failed to make it durable; callback acks (SubmitWireAcked)
-// carry fn instead, invoked once with the outcome — fn-based acks have no
-// done channel and are reusable across submissions. err holds the outcome
-// for done's waiter.
+// ways: blocking waiters (submitAcked) wait on done, which closes once
+// every routed fragment (for a deduplicated resend, every shard's fence)
+// has merged, or once the committer failed to make the upload durable;
+// callback acks (SubmitWireAcked) carry fn instead, invoked once with the
+// outcome — fn-based acks have no done channel and are reusable across
+// submissions. err holds the outcome for done's waiter.
 type uploadAck struct {
 	remaining atomic.Int32
 	err       error
@@ -132,7 +133,7 @@ func newUploadAck() *uploadAck { return &uploadAck{done: make(chan struct{})} }
 // finish delivers the outcome: the callback for fn-based acks, closing done
 // for channel-based ones. Called exactly once per submission — by the last
 // complete(), or directly by whoever settles the upload without routing
-// it: an upload with no fragments, a duplicate, a failed append or barrier.
+// it: an upload with no fragments, a failed append or barrier.
 func (a *uploadAck) finish(err error) {
 	if a == nil {
 		return
@@ -165,7 +166,8 @@ type shardSnap struct {
 // fragment to merge (with its upload's ack), a slice of decoded wire
 // entries from the binary fast path (optionally carrying the upload's
 // health section, which rides shard 0), or a control request (stats, a
-// versioned snapshot, or with delta set the changes since version since).
+// versioned snapshot, with delta set the changes since version since, or
+// with only ack set a fence that completes the ack).
 type shardMsg struct {
 	frag   *core.Report
 	wire   []core.WireEntry
@@ -210,7 +212,7 @@ func (m *shardMsg) mark(sc *core.SnapshotCache) {
 type logged struct {
 	frame []byte
 	id    UploadID
-	frags []*core.Report
+	frags []shardMsg
 	ack   *uploadAck
 }
 
@@ -241,7 +243,7 @@ type Aggregator struct {
 	crashCh chan struct{}
 
 	mu        sync.RWMutex
-	closed    bool // no further Submits
+	closed    bool // no further uploads
 	crashed   bool // torn down abruptly; shard state abandoned
 	finalized bool // shards exited; finals hold their reports
 	finals    []*core.Report
@@ -252,7 +254,7 @@ type Aggregator struct {
 }
 
 // Open starts the shard and dispatcher goroutines and returns an
-// aggregator ready for Submit. With cfg.WAL set, it first replays the
+// aggregator ready for uploads. With cfg.WAL set, it first replays the
 // node's snapshot and log tail and splits the recovered report into the
 // shards' starting state — Open does not return (and intake does not open)
 // until recovery is complete, and recovery failures are returned here.
@@ -329,7 +331,7 @@ func (a *Aggregator) Metrics() *Metrics { return a.metrics }
 // Durable reports whether the WAL layer is enabled.
 func (a *Aggregator) Durable() bool { return a.cfg.WAL != nil }
 
-// Draining reports whether shutdown (or a crash) has begun: Submits are
+// Draining reports whether shutdown (or a crash) has begun: uploads are
 // refused and /healthz should answer 503.
 func (a *Aggregator) Draining() bool {
 	a.mu.RLock()
@@ -421,80 +423,50 @@ func (a *Aggregator) scrape() {
 	}
 }
 
-// Submit enqueues one validated upload without blocking. It returns
-// ErrQueueFull when the bounded queue is at capacity and ErrClosed after
-// Close; on success the report is owned by the aggregator (callers must not
-// mutate it afterwards). With a WAL the upload is logged durably in the
-// background but Submit does not wait for the barrier — use SubmitDurable
-// when the acknowledgement must imply durability.
-func (a *Aggregator) Submit(rep *core.Report) error {
+// enqueue is the one way into the intake queue: it refuses uploads once
+// the aggregator is closed, then either waits for queue space (block) or
+// fails fast with ErrQueueFull, and counts the upload accepted or
+// rejected. On success the aggregator owns u and everything it carries.
+// A blocked send needs no crash arm: Crash closes crashCh only after it
+// takes the write lock, which waits for this read lock, so the pipeline
+// keeps draining the queue until the send lands.
+func (a *Aggregator) enqueue(u *upload, block bool) error {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	if a.closed {
 		a.metrics.rejected.Inc()
 		return ErrClosed
 	}
-	select {
-	case a.intake <- &upload{rep: rep}:
-		a.metrics.accepted.Inc()
-		return nil
-	default:
-		a.metrics.rejected.Inc()
-		return ErrQueueFull
+	if block {
+		a.intake <- u
+	} else {
+		select {
+		case a.intake <- u:
+		default:
+			a.metrics.rejected.Inc()
+			return ErrQueueFull
+		}
 	}
+	a.metrics.accepted.Inc()
+	return nil
 }
 
-// SubmitWait is Submit without the non-blocking policy: it waits for queue
-// space instead of rejecting. Bulk importers (cmd/fleet) and benchmarks use
-// it; the HTTP path uses Submit so overload turns into backpressure.
+// SubmitWait enqueues one validated upload, waiting for queue space, and
+// returns once it is queued. The report is owned by the aggregator from
+// then on. Bulk importers (cmd/fleet) and benchmarks use it; devices go
+// through the HTTP handlers, which fail fast so overload turns into
+// backpressure.
 func (a *Aggregator) SubmitWait(rep *core.Report) error {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	if a.closed {
-		a.metrics.rejected.Inc()
-		return ErrClosed
-	}
-	a.intake <- &upload{rep: rep}
-	a.metrics.accepted.Inc()
-	return nil
+	return a.enqueue(&upload{rep: rep}, true)
 }
 
-// SubmitWire enqueues one decoded binary upload without blocking — the
-// zero-copy ingest path: the dispatcher routes the already-keyed wire
-// entries straight to their shards, which merge them without building an
-// intermediate report. The aggregator takes ownership of wr (decode with
-// BinaryDecoder.Decode, not DecodeScratch). On a durable aggregator the
-// upload is materialized to a report at dispatch so it can be logged; use
-// SubmitDurable when the acknowledgement must imply durability.
-func (a *Aggregator) SubmitWire(wr *core.WireReport) error {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	if a.closed {
-		a.metrics.rejected.Inc()
-		return ErrClosed
-	}
-	select {
-	case a.intake <- &upload{wire: wr}:
-		a.metrics.accepted.Inc()
-		return nil
-	default:
-		a.metrics.rejected.Inc()
-		return ErrQueueFull
-	}
-}
-
-// SubmitWireWait is SubmitWire that waits for queue space instead of
-// rejecting — the bulk-import and benchmark counterpart of SubmitWait.
+// SubmitWireWait is SubmitWait for a decoded binary upload — the
+// zero-copy path: its already-keyed wire entries go straight to their
+// shards, which merge them without building an intermediate report. The
+// aggregator takes ownership of wr (decode with BinaryDecoder.Decode, not
+// DecodeScratch).
 func (a *Aggregator) SubmitWireWait(wr *core.WireReport) error {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	if a.closed {
-		a.metrics.rejected.Inc()
-		return ErrClosed
-	}
-	a.intake <- &upload{wire: wr}
-	a.metrics.accepted.Inc()
-	return nil
+	return a.enqueue(&upload{wire: wr}, true)
 }
 
 // WireAck is a reusable merge-completion acknowledgement for
@@ -502,9 +474,9 @@ func (a *Aggregator) SubmitWireWait(wr *core.WireReport) error {
 // upload is queued — an acked submission notifies the callback only after
 // every routed fragment has merged (or, durably, passed the WAL barrier).
 // That is the signal a zero-copy producer needs to recycle the buffer its
-// wire entries alias: WireReport.Split copies entry values into per-shard
-// slices, but the Devices strings still point into the producer's encode
-// buffer until the shards are done with them.
+// wire entries alias: routing copies entry values into per-shard slices,
+// but the shards read their Devices slices, and the upload's health
+// section, from the producer's buffers until they are done merging.
 //
 // A WireAck tracks one in-flight submission at a time; reusing it for the
 // next upload is only legal after the callback fires. The callback runs on
@@ -537,30 +509,17 @@ func putUpload(u *upload) {
 
 // SubmitWireAcked enqueues one decoded binary upload on the zero-copy path
 // and arranges for wa's callback to fire when every routed fragment has
-// merged. It blocks for queue space like SubmitWireWait (producers that
-// want backpressure, not rejection); ErrClosed and ErrCrashed are returned
-// synchronously, and then the callback never fires — the caller still owns
-// the buffer.
+// merged. It waits for queue space like SubmitWireWait (producers that
+// want backpressure, not rejection). ErrClosed is returned synchronously,
+// and then the callback never fires — the caller still owns the buffer.
 func (a *Aggregator) SubmitWireAcked(wr *core.WireReport, wa *WireAck) error {
-	a.mu.RLock()
-	if a.closed {
-		a.mu.RUnlock()
-		a.metrics.rejected.Inc()
-		return ErrClosed
-	}
 	u := uploadPool.Get().(*upload)
 	u.wire, u.ack = wr, &wa.ack
-	select {
-	case a.intake <- u:
-		a.metrics.accepted.Inc()
-		a.mu.RUnlock()
-		return nil
-	case <-a.crashCh:
-		a.mu.RUnlock()
+	err := a.enqueue(u, true)
+	if err != nil {
 		putUpload(u)
-		a.metrics.rejected.Inc()
-		return ErrCrashed
 	}
+	return err
 }
 
 // Crashed returns a channel that closes when the aggregator is torn down
@@ -573,27 +532,26 @@ func (a *Aggregator) Crashed() <-chan struct{} { return a.crashCh }
 // WAL's sync policy and merged (without a WAL, merged). id is the upload's
 // content hash (ReportUploadID), or zero to have the aggregator derive it
 // from the canonical encoding it logs anyway; an upload whose id is
-// already durable is acknowledged without being logged or merged again, so
-// resending after a crash, a 5xx, or a lost response is idempotent.
+// already durable is acknowledged, once its first copy has merged, without
+// being logged or merged again, so resending after a crash, a 5xx, or a
+// lost response is idempotent.
 // Queue-full still fails fast with ErrQueueFull.
 func (a *Aggregator) SubmitDurable(rep *core.Report, id UploadID) error {
+	return a.submitAcked(&upload{rep: rep, id: id})
+}
+
+// submitAcked is the device-facing submit behind SubmitDurable and both
+// upload handlers: it fails fast when the queue is full, then waits for
+// the upload's ack, so a nil return means merged and, with a WAL, durable
+// first.
+func (a *Aggregator) submitAcked(u *upload) error {
+	// Once queued, u belongs to the dispatcher, which recycles it: wait on
+	// the ack through this copy of the pointer.
 	ack := newUploadAck()
-	a.mu.RLock()
-	if a.closed {
-		a.mu.RUnlock()
-		a.metrics.rejected.Inc()
-		return ErrClosed
+	u.ack = ack
+	if err := a.enqueue(u, false); err != nil {
+		return err
 	}
-	u := &upload{rep: rep, id: id, ack: ack}
-	select {
-	case a.intake <- u:
-		a.metrics.accepted.Inc()
-	default:
-		a.mu.RUnlock()
-		a.metrics.rejected.Inc()
-		return ErrQueueFull
-	}
-	a.mu.RUnlock()
 	select {
 	case <-ack.done:
 		return ack.err
@@ -630,32 +588,54 @@ func (a *Aggregator) runDispatcher() {
 // ID — and hands record and fragments to the committer. It returns false
 // if a crash unwound the dispatcher.
 func (a *Aggregator) dispatchOne(u *upload) bool {
+	frags := a.split(u)
 	if a.commit == nil {
-		if u.wire != nil {
-			return a.dispatchWire(u)
-		}
-		return a.route(u.rep.Split(a.cfg.Shards), u.ack)
+		return a.route(frags, u.ack)
 	}
-	if u.wire != nil {
-		// The log holds reports; materialize once.
-		u.rep = u.wire.Report()
+	rep := u.rep
+	if rep == nil {
+		rep = u.wire.Report() // the log holds reports
 	}
-	frame, id := uploadRecord(u.rep, u.id)
+	frame, id := uploadRecord(rep, u.id)
 	select {
-	case a.commit <- logged{frame: frame, id: id, frags: u.rep.Split(a.cfg.Shards), ack: u.ack}:
+	case a.commit <- logged{frame: frame, id: id, frags: frags, ack: u.ack}:
 		return true
 	case <-a.crashCh:
 		return false
 	}
 }
 
-// route sends an upload's fragments to their shards; the shard that merges
-// the last one completes the ack. It returns false if a crash unwound it.
-func (a *Aggregator) route(frags []*core.Report, ack *uploadAck) bool {
+// split cuts an upload into one message per shard, in the upload's own
+// form: a report into fragment reports (Report.Split), a decoded binary
+// upload into per-shard copies of its already-keyed entries, routed by
+// core.ShardIndexKey, with its health section riding shard 0. A shard's
+// message is empty when it gets nothing.
+func (a *Aggregator) split(u *upload) []shardMsg {
+	msgs := make([]shardMsg, a.cfg.Shards)
+	if u.wire == nil {
+		for i, frag := range u.rep.Split(a.cfg.Shards) {
+			msgs[i].frag = frag
+		}
+		return msgs
+	}
+	for i := range u.wire.Entries {
+		s := core.ShardIndexKey(u.wire.Entries[i].Key, a.cfg.Shards)
+		msgs[s].wire = append(msgs[s].wire, u.wire.Entries[i])
+	}
+	if !u.wire.Health.Zero() {
+		msgs[0].health = &u.wire.Health
+	}
+	return msgs
+}
+
+// route sends an upload's non-empty fragments to their shards; the shard
+// that merges the last one completes the ack. It returns false if a crash
+// unwound it.
+func (a *Aggregator) route(frags []shardMsg, ack *uploadAck) bool {
 	if ack != nil {
 		n := 0
-		for _, frag := range frags {
-			if frag != nil {
+		for i := range frags {
+			if frags[i].payload() {
 				n++
 			}
 		}
@@ -666,53 +646,13 @@ func (a *Aggregator) route(frags []*core.Report, ack *uploadAck) bool {
 		// The count must be set before the first fragment can complete.
 		ack.remaining.Store(int32(n))
 	}
-	for i, frag := range frags {
-		if frag == nil {
+	for i, m := range frags {
+		if !m.payload() {
 			continue
 		}
+		m.ack = ack
 		select {
-		case a.shards[i] <- shardMsg{frag: frag, ack: ack}:
-		case <-a.crashCh:
-			return false
-		}
-	}
-	return true
-}
-
-// dispatchWire routes a decoded binary upload's entries to their shards by
-// precomputed entry key — no Split, no fragment reports, no re-hashing of
-// strings the decoder already keyed. It returns false if a crash unwound
-// the dispatcher mid-route.
-func (a *Aggregator) dispatchWire(u *upload) bool {
-	frags, health := u.wire.Split(a.cfg.Shards)
-	var h *core.Health
-	if !health.Zero() {
-		h = &health
-	}
-	if u.ack != nil {
-		n := 0
-		for i, entries := range frags {
-			if entries != nil || (i == 0 && h != nil) {
-				n++
-			}
-		}
-		if n == 0 {
-			u.ack.finish(nil)
-			return true
-		}
-		// The count must be set before the first routed fragment completes.
-		u.ack.remaining.Store(int32(n))
-	}
-	for i, entries := range frags {
-		var eh *core.Health
-		if i == 0 {
-			eh = h
-		}
-		if entries == nil && eh == nil {
-			continue
-		}
-		select {
-		case a.shards[i] <- shardMsg{wire: entries, health: eh, ack: u.ack}:
+		case a.shards[i] <- m:
 		case <-a.crashCh:
 			return false
 		}
@@ -779,9 +719,9 @@ func (a *Aggregator) runCommitter(w *nodeWAL) {
 // commitBatch makes one batch of uploads durable and routes the survivors
 // to the shards:
 //
-//  1. an upload whose ID is already durable is not logged again: a copy
-//     in the dedup window is acked at once, a copy earlier in this batch
-//     shares that copy's barrier outcome;
+//  1. an upload whose ID is in the dedup window or earlier in this batch
+//     is not logged again; it is acked once its first copy has merged, or
+//     nacked if that copy was in this batch and failed the barrier;
 //  2. the others are appended to the log, one record each; an append
 //     failure nacks just that upload (the tail is repaired before the next
 //     append);
@@ -795,24 +735,11 @@ func (a *Aggregator) runCommitter(w *nodeWAL) {
 // It returns false if a crash unwound the routing.
 func (a *Aggregator) commitBatch(w *nodeWAL, batch []logged) bool {
 	appended := batch[:0] // in place: appended never overtakes the loop
-	var dups []*uploadAck
-	inBatch := func(id UploadID) bool {
-		for _, l := range appended {
-			if l.id == id {
-				return true
-			}
-		}
-		return false
-	}
+	var dups []logged
 	for _, l := range batch {
-		if w.dedup.has(l.id) {
+		if w.dedup.has(l.id) || slices.ContainsFunc(appended, func(o logged) bool { return o.id == l.id }) {
 			a.walM.deduped.Inc()
-			l.ack.finish(nil)
-			continue
-		}
-		if inBatch(l.id) {
-			a.walM.deduped.Inc()
-			dups = append(dups, l.ack)
+			dups = append(dups, l)
 			continue
 		}
 		err := w.append(l.frame)
@@ -829,21 +756,36 @@ func (a *Aggregator) commitBatch(w *nodeWAL, batch []logged) bool {
 	if len(appended) > 0 && a.cfg.WAL.Sync != SyncAlways {
 		err = w.barrier()
 	}
-	for _, ack := range dups {
-		ack.finish(err)
-	}
 	if err != nil {
 		// Nothing appended in this batch is durable (the log was rolled
 		// back to the last durable watermark).
 		for _, l := range appended {
 			l.ack.finish(err)
 		}
-		return true
+		appended = nil
 	}
 	for _, l := range appended {
 		w.dedup.add(l.id)
 		if !a.route(l.frags, l.ack) {
 			return false
+		}
+	}
+	for _, l := range dups {
+		if err != nil && !w.dedup.has(l.id) {
+			l.ack.finish(err) // its first copy was in this batch
+			continue
+		}
+		// A fence on every shard: each completes it only after merging
+		// what was queued ahead of it, the first copy's fragments included.
+		if l.ack != nil {
+			l.ack.remaining.Store(int32(a.cfg.Shards))
+		}
+		for _, ch := range a.shards {
+			select {
+			case ch <- shardMsg{ack: l.ack}:
+			case <-a.crashCh:
+				return false
+			}
 		}
 	}
 	return true
@@ -887,6 +829,8 @@ func (a *Aggregator) runShard(i int, rep *core.Report) {
 				a.metrics.snapshotReuses.Inc()
 			}
 			m.snap <- shardSnap{rep: cache.Snapshot(rep), version: cache.Version()}
+		default:
+			m.ack.complete() // a fence: everything queued before it has merged
 		}
 	}
 	for {
@@ -1129,9 +1073,7 @@ func (a *Aggregator) Close() {
 		a.mu.Unlock()
 		// Whether the first teardown was a Close or a Crash, the waitgroups
 		// terminate; wait so the WAL directory is quiescent on return.
-		a.dispatchWG.Wait()
-		a.commitWG.Wait()
-		a.shardWG.Wait()
+		a.wait()
 		return
 	}
 	a.closed = true
@@ -1173,9 +1115,7 @@ func (a *Aggregator) Crash() {
 			// A concurrent Crash won the race; wait out its teardown so the
 			// committer is no longer touching the WAL directory when this
 			// call returns (callers immediately reopen that directory).
-			a.dispatchWG.Wait()
-			a.commitWG.Wait()
-			a.shardWG.Wait()
+			a.wait()
 		}
 		return
 	}
@@ -1183,10 +1123,11 @@ func (a *Aggregator) Crash() {
 	close(a.crashCh)
 	close(a.intake)
 	a.mu.Unlock()
-	a.dispatchWG.Wait()
-	a.commitWG.Wait()
-	a.shardWG.Wait()
+	a.wait()
 }
+
+// wait blocks until every dispatcher, the committer and every shard exited.
+func (a *Aggregator) wait() { a.dispatchWG.Wait(); a.commitWG.Wait(); a.shardWG.Wait() }
 
 // String describes the aggregator's shape for logs.
 func (a *Aggregator) String() string {

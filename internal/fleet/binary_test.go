@@ -26,7 +26,7 @@ func postBinary(t *testing.T, ts *httptest.Server, doc []byte) *http.Response {
 
 // TestSubmitWireFoldByteIdentical pins the zero-copy ingest path to the
 // same determinism bar as everything else: uploads that travel encoder →
-// decoder → SubmitWire fold byte-identically to the same reports submitted
+// decoder → SubmitWireWait fold byte-identically to the same reports submitted
 // directly, for every shard count.
 func TestSubmitWireFoldByteIdentical(t *testing.T) {
 	reps := uploads(24, 60)

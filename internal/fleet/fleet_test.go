@@ -3,11 +3,13 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -64,8 +66,8 @@ func TestShardedMergeByteIdentical(t *testing.T) {
 }
 
 // TestConcurrentUploadsRace hammers one aggregator from many goroutines —
-// mixed Submit/SubmitWait, interleaved snapshots and stats — and checks
-// nothing is lost. Run under -race this is the single-writer proof.
+// SubmitWait from eight writers, interleaved snapshots and stats — and
+// checks nothing is lost. Run under -race this is the single-writer proof.
 func TestConcurrentUploadsRace(t *testing.T) {
 	reps := uploads(64, 40)
 	serial := core.NewReport()
@@ -123,56 +125,50 @@ func TestConcurrentUploadsRace(t *testing.T) {
 // wedgeShard blocks a shard goroutine on an unbuffered snapshot reply the
 // test controls, making backpressure deterministic: with the shard stuck,
 // fragments pile into its channel, then the dispatcher blocks, then the
-// bounded intake queue fills.
+// bounded intake queue fills. release is idempotent, so a test can defer
+// it ahead of Close and still fail cleanly with the shard wedged.
 func wedgeShard(a *Aggregator, i int) (release func()) {
 	ch := make(chan shardSnap)
 	a.shards[i] <- shardMsg{snap: ch}
-	return func() { <-ch }
+	var once sync.Once
+	return func() { once.Do(func() { <-ch }) }
 }
 
-// TestBackpressure: once the intake queue is full, Submit fails fast with
-// ErrQueueFull and the HTTP layer turns that into 429 + Retry-After; after
-// the jam clears, everything accepted is merged and nothing rejected leaks
-// into the fleet view.
+// fillWedged fills a one-shard, one-dispatcher aggregator whose shard is
+// wedged with exactly as many uploads as its pipeline holds — a full shard
+// channel, one upload in the blocked dispatcher, and a full intake queue —
+// and returns them. Every later non-blocking submit fails with
+// ErrQueueFull until the shard is released.
+func fillWedged(t *testing.T, a *Aggregator) []*core.Report {
+	t.Helper()
+	reps := uploads(cap(a.shards[0])+1+cap(a.intake), 10)
+	for _, r := range reps {
+		if err := a.SubmitWait(r); err != nil {
+			t.Fatalf("fill: %v", err)
+		}
+	}
+	return reps
+}
+
+// TestBackpressure: once the pipeline is full, SubmitDurable fails fast
+// with ErrQueueFull and the HTTP layer turns that into 429 + Retry-After;
+// after the jam clears, everything accepted is merged and nothing rejected
+// leaks into the fleet view.
 func TestBackpressure(t *testing.T) {
 	agg := NewAggregator(Config{Shards: 1, QueueDepth: 2, BatchSize: 1, Dispatchers: 1})
 	release := wedgeShard(agg, 0)
 	srv := NewServer(agg)
-
-	// With its shard wedged the pipeline holds exactly this many one-shard
-	// uploads: a full shard channel, one upload in the blocked dispatcher,
-	// and a full intake queue. Until it is full, ErrQueueFull only means
-	// the dispatcher has not drained the intake yet, so retry.
-	capacity := cap(agg.shards[0]) + 1 + cap(agg.intake)
-	reps := uploads(capacity+8, 10)
-	var rejected int
-	deadline := time.Now().Add(10 * time.Second)
-	for _, r := range reps[:capacity] {
-		for {
-			err := agg.Submit(r)
-			if err == nil {
-				break
-			}
-			if err != ErrQueueFull {
-				t.Fatalf("submit: %v", err)
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("pipeline refused uploads below its capacity of %d", capacity)
-			}
-			rejected++
-			time.Sleep(time.Millisecond)
-		}
-	}
-	kept := reps[:capacity]
-	for _, r := range reps[capacity:] {
-		if err := agg.Submit(r); err != ErrQueueFull {
+	kept := fillWedged(t, agg)
+	var rejected int64
+	for i := 0; i < 8; i++ {
+		if err := agg.SubmitDurable(SyntheticUpload(int64(900+i), "device-late", 10), UploadID{}); err != ErrQueueFull {
 			t.Fatalf("submit to a full pipeline: %v, want ErrQueueFull", err)
 		}
 		rejected++
 	}
 
 	// The HTTP face of the same condition.
-	doc := exportBytes(t, reps[0])
+	doc := exportBytes(t, kept[0])
 	rec := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/upload", bytes.NewReader(doc)))
 	if rec.Code != http.StatusTooManyRequests {
@@ -189,8 +185,147 @@ func TestBackpressure(t *testing.T) {
 	if got := exportBytes(t, agg.Fold()); !bytes.Equal(got, exportBytes(t, want)) {
 		t.Error("post-drain fleet view does not equal the accepted uploads")
 	}
-	if ms := agg.Metrics().Snapshot(); ms.Rejected < int64(rejected)+1 {
-		t.Errorf("rejected metric %d below observed rejections %d", ms.Rejected, rejected+1)
+	if ms := agg.Metrics().Snapshot(); ms.Rejected != rejected+1 {
+		t.Errorf("rejected metric %d, want the %d observed rejections", ms.Rejected, rejected+1)
+	}
+}
+
+// TestSubmitContracts pins every write entry point in one table. After
+// Close each refuses with ErrClosed (HTTP 503) and counts one rejection.
+// On a full pipeline the device-facing calls — SubmitDurable and both
+// upload handlers — fail fast with ErrQueueFull (HTTP 429 + Retry-After),
+// while the bulk and simulator calls wait for queue space and return only
+// after the jam clears. A SubmitWireAcked rejected synchronously never
+// fires its callback.
+func TestSubmitContracts(t *testing.T) {
+	rep := SyntheticUpload(7, "device-late", 10)
+	jsonDoc, binDoc := exportBytes(t, rep), core.AppendReportBinary(nil, rep)
+	post := func(ctype string, doc []byte) func(*Aggregator, *core.WireReport) error {
+		return func(a *Aggregator, _ *core.WireReport) error {
+			rec := httptest.NewRecorder()
+			req := httptest.NewRequest(http.MethodPost, "/v1/upload", bytes.NewReader(doc))
+			req.Header.Set("Content-Type", ctype)
+			NewServer(a).Handler().ServeHTTP(rec, req)
+			switch rec.Code {
+			case http.StatusAccepted:
+				return nil
+			case http.StatusTooManyRequests:
+				if rec.Header().Get("Retry-After") == "" {
+					return errors.New("429 without Retry-After")
+				}
+				return ErrQueueFull
+			case http.StatusServiceUnavailable:
+				return ErrClosed
+			}
+			return fmt.Errorf("status %d", rec.Code)
+		}
+	}
+	var fired atomic.Int64
+	wa := NewWireAck(func(error) { fired.Add(1) })
+	cases := []struct {
+		name   string
+		blocks bool
+		submit func(*Aggregator, *core.WireReport) error
+	}{
+		{"SubmitDurable", false, func(a *Aggregator, _ *core.WireReport) error { return a.SubmitDurable(rep.Clone(), UploadID{}) }},
+		{"SubmitWait", true, func(a *Aggregator, _ *core.WireReport) error { return a.SubmitWait(rep.Clone()) }},
+		{"SubmitWireWait", true, (*Aggregator).SubmitWireWait},
+		{"SubmitWireAcked", true, func(a *Aggregator, wr *core.WireReport) error { return a.SubmitWireAcked(wr, wa) }},
+		{"POST json", false, post("application/json", jsonDoc)},
+		{"POST binary", false, post(core.BinaryContentType, binDoc)},
+	}
+	// wire decodes a fresh binary upload for one submission to own.
+	wire := func(t *testing.T) *core.WireReport {
+		wr, err := core.NewBinaryDecoder().Decode(binDoc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wr
+	}
+	for _, c := range cases {
+		t.Run(c.name+"/closed", func(t *testing.T) {
+			agg := NewAggregator(Config{Shards: 2})
+			agg.Close()
+			fired.Store(0)
+			if err := c.submit(agg, wire(t)); !errors.Is(err, ErrClosed) {
+				t.Fatalf("after Close: %v, want ErrClosed", err)
+			}
+			if got := agg.Metrics().Snapshot().Rejected; got != 1 {
+				t.Errorf("rejected = %d, want 1", got)
+			}
+			if n := fired.Load(); n != 0 {
+				t.Errorf("callback fired %d times after a synchronous rejection", n)
+			}
+		})
+		t.Run(c.name+"/full", func(t *testing.T) {
+			agg := NewAggregator(Config{Shards: 1, QueueDepth: 2, BatchSize: 1, Dispatchers: 1})
+			defer agg.Close()
+			release := wedgeShard(agg, 0)
+			defer release()
+			fillWedged(t, agg)
+			wr := wire(t)
+			done := make(chan error, 1)
+			go func() { done <- c.submit(agg, wr) }()
+			if !c.blocks {
+				if err := <-done; !errors.Is(err, ErrQueueFull) {
+					t.Errorf("full pipeline: %v, want ErrQueueFull", err)
+				}
+				release()
+				return
+			}
+			select {
+			case err := <-done:
+				t.Fatalf("returned %v while the pipeline was full", err)
+			case <-time.After(50 * time.Millisecond):
+			}
+			release()
+			if err := <-done; err != nil {
+				t.Fatalf("after release: %v", err)
+			}
+		})
+	}
+}
+
+// TestUploadAnswersAfterMerge: on a memory-only node a 202 means merged,
+// in either format. With the node's one shard wedged an upload is queued
+// but cannot merge, so the POST does not answer until the shard is
+// released — and once it answers, the fold holds the upload.
+func TestUploadAnswersAfterMerge(t *testing.T) {
+	rep := SyntheticUpload(5, "device-a", 8)
+	for _, f := range []struct {
+		ctype string
+		doc   []byte
+	}{
+		{"application/json", exportBytes(t, rep)},
+		{core.BinaryContentType, core.AppendReportBinary(nil, rep)},
+	} {
+		t.Run(f.ctype, func(t *testing.T) {
+			agg := NewAggregator(Config{Shards: 1})
+			defer agg.Close()
+			srv := NewServer(agg)
+			release := wedgeShard(agg, 0)
+			defer release()
+			answered := make(chan int, 1)
+			go func() {
+				rec := httptest.NewRecorder()
+				req := httptest.NewRequest(http.MethodPost, "/v1/upload", bytes.NewReader(f.doc))
+				req.Header.Set("Content-Type", f.ctype)
+				srv.Handler().ServeHTTP(rec, req)
+				answered <- rec.Code
+			}()
+			select {
+			case code := <-answered:
+				t.Fatalf("upload answered %d before its shard could merge it", code)
+			case <-time.After(50 * time.Millisecond):
+			}
+			release()
+			if code := <-answered; code != http.StatusAccepted {
+				t.Fatalf("upload answered %d, want 202", code)
+			}
+			if got, want := exportBytes(t, agg.Fold()), exportBytes(t, rep); !bytes.Equal(got, want) {
+				t.Error("the fold after the 202 does not hold the upload")
+			}
+		})
 	}
 }
 
@@ -200,7 +335,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	reps := uploads(32, 30)
 	agg := NewAggregator(Config{Shards: 3, QueueDepth: 64})
 	for _, r := range reps {
-		if err := agg.Submit(r); err != nil {
+		if err := agg.SubmitWait(r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -211,8 +346,8 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	if got, want := exportBytes(t, agg.Fold()), exportBytes(t, serial); !bytes.Equal(got, want) {
 		t.Error("drained fleet view incomplete after Close")
 	}
-	if err := agg.Submit(reps[0]); err != ErrClosed {
-		t.Errorf("Submit after Close = %v, want ErrClosed", err)
+	if err := agg.SubmitDurable(reps[0], UploadID{}); err != ErrClosed {
+		t.Errorf("SubmitDurable after Close = %v, want ErrClosed", err)
 	}
 	rec := httptest.NewRecorder()
 	srv := NewServer(agg)

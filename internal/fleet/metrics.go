@@ -10,7 +10,7 @@ import (
 // Metrics is the aggregator's ingestion accounting, held in an obs
 // registry so fleetd's /metrics is the standard exposition rather than a
 // hand-rolled formatter. The per-upload counters are lock-free obs
-// counters (the Submit hot path never takes a lock to account an
+// counters (the enqueue hot path never takes a lock to account an
 // upload). The merge triple — merges, fragments, total nanoseconds — is
 // updated and read under one mutex, so a snapshot can never observe a
 // merge whose fragment count arrived but whose latency has not (the

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -69,30 +70,40 @@ func TestMergeTripleNeverTears(t *testing.T) {
 
 // TestObsViewMatchesSnapshot is the differential test for the refactor:
 // after a workload, the obs exposition, the MetricsSnapshot struct, and
-// an independent tally of Submit results must all report the same
+// an independent tally of submit results must all report the same
 // totals — the registry is a view over the same accounting, not a second
 // set of books that can drift.
 func TestObsViewMatchesSnapshot(t *testing.T) {
 	agg := NewAggregator(Config{Shards: 4, QueueDepth: 8})
-	var accepted, rejected int64
-	for i := 0; i < 200; i++ {
-		rep := SyntheticUpload(int64(i), fmt.Sprintf("dev-%d", i%7), 4)
-		switch err := agg.Submit(rep); err {
-		case nil:
-			accepted++
-		case ErrQueueFull:
-			rejected++
-		default:
-			t.Fatalf("submit: %v", err)
-		}
+	// Sixteen fail-fast submitters against an eight-deep queue: some
+	// uploads are accepted, some may be turned away.
+	var accepted, rejected atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := g; i < 200; i += 16 {
+				rep := SyntheticUpload(int64(i), fmt.Sprintf("dev-%d", i%7), 4)
+				switch err := agg.SubmitDurable(rep, UploadID{}); err {
+				case nil:
+					accepted.Add(1)
+				case ErrQueueFull:
+					rejected.Add(1)
+				default:
+					t.Errorf("submit: %v", err)
+				}
+			}
+		}()
 	}
+	wg.Wait()
 	agg.Metrics().NoteInvalid()
 	agg.Close()
 
 	ms := agg.Metrics().Snapshot()
-	if ms.Accepted != accepted || ms.Rejected != rejected || ms.Invalid != 1 {
+	if ms.Accepted != accepted.Load() || ms.Rejected != rejected.Load() || ms.Invalid != 1 {
 		t.Fatalf("snapshot (acc=%d rej=%d inv=%d) != tally (acc=%d rej=%d inv=1)",
-			ms.Accepted, ms.Rejected, ms.Invalid, accepted, rejected)
+			ms.Accepted, ms.Rejected, ms.Invalid, accepted.Load(), rejected.Load())
 	}
 	obsSnap := agg.Metrics().Registry().Snapshot()
 	for name, want := range map[string]int64{

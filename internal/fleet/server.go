@@ -128,18 +128,9 @@ func (s *Server) uploadJSON(w http.ResponseWriter, body []byte) {
 		return
 	}
 	entries, hangs := rep.Len(), rep.TotalHangs()
-	if s.agg.Durable() {
-		// On a durable aggregator 202 means "on disk": the upload's dedup
-		// identity is its canonical content hash — a client that re-encodes
-		// the same document (key order, whitespace, or a binary re-send)
-		// still deduplicates — and the submit waits for the WAL barrier.
-		// The zero ID lets the aggregator hash the one canonical encoding
-		// it logs instead of encoding the upload a second time here.
-		err = s.agg.SubmitDurable(rep, UploadID{})
-	} else {
-		err = s.agg.Submit(rep)
-	}
-	s.finishUpload(w, err, entries, hangs)
+	// The zero ID lets a durable aggregator hash the one canonical encoding
+	// it logs instead of encoding the upload a second time here.
+	s.finishUpload(w, s.agg.SubmitDurable(rep, UploadID{}), entries, hangs)
 }
 
 func (s *Server) uploadBinary(w http.ResponseWriter, body []byte) {
@@ -165,17 +156,17 @@ func (s *Server) uploadBinary(w http.ResponseWriter, body []byte) {
 		return
 	}
 	entries, hangs := len(wr.Entries), wr.TotalHangs()
-	if s.agg.Durable() {
-		err = s.agg.SubmitDurable(wr.Report(), UploadID{})
-	} else {
-		// Zero-copy ingest: the decoded wire entries go straight to their
-		// shards, keyed by the decoder's dictionary.
-		err = s.agg.SubmitWire(wr)
-	}
-	s.finishUpload(w, err, entries, hangs)
+	// Zero-copy ingest: the decoded wire entries go straight to their
+	// shards, keyed by the decoder's dictionary.
+	s.finishUpload(w, s.agg.submitAcked(&upload{wire: wr}), entries, hangs)
 }
 
-// finishUpload maps a submit outcome onto the response.
+// finishUpload maps a submit outcome onto the response. Both formats
+// submit the same way on every node, so a 202 always means the upload has
+// merged (a deduplicated resend: its first copy) — and on a durable node
+// that it was durable first: its dedup identity is its canonical content
+// hash, so a client that re-encodes the same document (key order,
+// whitespace, or a binary re-send) still deduplicates.
 func (s *Server) finishUpload(w http.ResponseWriter, err error, entries, hangs int) {
 	switch {
 	case err == nil:

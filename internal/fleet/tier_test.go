@@ -133,11 +133,8 @@ func TestRegionalFoldByteIdentical(t *testing.T) {
 		t.Fatalf("nodes accepted %d uploads, want %d", accepted, devices*uploadsPer)
 	}
 
-	// A 202 acknowledges the enqueue, not the merge: drain both nodes
-	// (Close is idempotent) so their snapshots are final before folding.
-	agg1.Close()
-	agg2.Close()
-
+	// A 202 means merged, so both nodes' snapshots already hold every
+	// upload: the poll needs no drain first.
 	reg := NewRegional([]string{node1.URL, node2.URL}, nil)
 	res := reg.PollDelta(context.Background())
 	if res.Failed != 0 {

@@ -16,6 +16,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"hangdoctor/internal/core"
 	"hangdoctor/internal/fault"
@@ -294,6 +295,84 @@ func TestResendDeduplicated(t *testing.T) {
 	snap := agg.Metrics().Registry().Snapshot()
 	if n := snap.Value("hangdoctor_fleet_wal_fragments_deduped_total"); n == 0 {
 		t.Error("dedup counter never moved")
+	}
+}
+
+// TestResendAnswersAfterMerge: a deduplicated resend is acknowledged only
+// once its first copy has merged, like any other upload. The shard is
+// wedged in the barrier that makes the first copy durable, so an ack that
+// waited only for durability would land before the merge. The resend meets
+// its first copy in the dedup window (a later batch) or in the same batch.
+func TestResendAnswersAfterMerge(t *testing.T) {
+	first, rep := SyntheticUpload(8, "device-first", 12), SyntheticUpload(9, "device-resend", 12)
+	for _, inBatch := range []bool{false, true} {
+		t.Run(fmt.Sprintf("in-batch=%v", inBatch), func(t *testing.T) {
+			cfg := durableCfg(t.TempDir(), 1)
+			var agg *Aggregator
+			var armed atomic.Bool
+			var syncs atomic.Int32
+			holding, wedged := make(chan struct{}), make(chan func(), 1)
+			cfg.WAL.FS = crashOnSync{FS: fault.DiskFS, onSync: func() {
+				if !armed.Load() {
+					return
+				}
+				switch n := syncs.Add(1); {
+				case inBatch && n == 1:
+					// The committer is in the barrier of an earlier upload:
+					// hold it until both copies queue behind it, so they
+					// share the next batch.
+					close(holding)
+					for len(agg.commit) < 2 {
+						time.Sleep(time.Millisecond)
+					}
+				case inBatch && n == 2, !inBatch && n == 1:
+					wedged <- wedgeShard(agg, 0)
+				}
+			}}
+			agg = mustOpen(t, cfg)
+			defer agg.Close()
+			armed.Store(true)
+			want := core.NewReport()
+			answered := make(chan error, 2)
+			submit := func() { answered <- agg.SubmitDurable(rep.Clone(), UploadID{}) }
+			if inBatch {
+				if err := agg.SubmitWait(first.Clone()); err != nil {
+					t.Fatal(err)
+				}
+				want.Merge(first)
+				<-holding
+				go submit()
+			}
+			go submit()
+			release := <-wedged
+			defer release()
+			if !inBatch {
+				// The first copy is durable and its fragment waits behind
+				// the wedge.
+				for len(agg.shards[0]) == 0 {
+					time.Sleep(time.Millisecond)
+				}
+				go submit()
+			}
+			select {
+			case err := <-answered:
+				t.Fatalf("an upload was answered (%v) before its shard could merge it", err)
+			case <-time.After(50 * time.Millisecond):
+			}
+			release()
+			want.Merge(rep)
+			for i := 0; i < 2; i++ {
+				if err := <-answered; err != nil {
+					t.Fatal(err)
+				}
+				if got := exportBytes(t, agg.Fold()); !bytes.Equal(got, exportBytes(t, want)) {
+					t.Fatal("the fold after an ack does not hold the upload exactly once")
+				}
+			}
+			if n := agg.Metrics().Registry().Snapshot().Value("hangdoctor_fleet_wal_fragments_deduped_total"); n != 1 {
+				t.Errorf("deduplicated %d uploads, want 1", n)
+			}
+		})
 	}
 }
 

@@ -134,18 +134,21 @@ func (w *worker) postDoc(dev uint32, doc []byte, full bool) {
 	}
 }
 
+// post sends one attempt and records its round trip.
 func (w *worker) post(url string, doc []byte) (status int, retryAfter time.Duration, err error) {
 	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(doc))
 	if err != nil {
 		return 0, 0, err
 	}
 	req.Header.Set("Content-Type", core.BinaryContentType)
+	t0 := time.Now()
 	resp, err := w.client.Do(req)
 	if err != nil {
 		return 0, 0, err
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
+	w.rttH.Observe(float64(time.Since(t0)) / float64(time.Millisecond))
 	var ra time.Duration
 	if s := resp.Header.Get("Retry-After"); s != "" {
 		if secs, perr := strconv.Atoi(s); perr == nil && secs > 0 {

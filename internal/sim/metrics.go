@@ -9,7 +9,8 @@ import (
 // metrics.go: the engine's observability surface, projected lock-free —
 // every counter is a CounterFunc summing per-worker atomics, so scraping
 // never touches the tick path. Per-worker gauges (heap depth) and the
-// barrier-wait histogram are written only at epoch boundaries.
+// barrier-wait histogram are written only at epoch boundaries; the upload
+// round-trip histogram once per HTTP attempt.
 
 func (e *Engine) registerMetrics(reg *obs.Registry) {
 	sum := func(f func(*worker) int64) func() int64 {
@@ -70,8 +71,12 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 	wait := reg.Histogram("hangdoctor_sim_epoch_wait_ms",
 		"Barrier wait at virtual-time epoch boundaries (ms).",
 		obs.ExpBuckets(0.01, 2, 16))
+	rtt := reg.Histogram("hangdoctor_sim_upload_rtt_ms",
+		"Round-trip wall time of each answered upload POST attempt (ms, HTTP mode).",
+		obs.ExpBuckets(0.25, 2, 16))
 	for i := range e.workers {
 		e.workers[i].depthG = depth.With(strconv.Itoa(i))
 		e.workers[i].waitH = wait
+		e.workers[i].rttH = rtt
 	}
 }

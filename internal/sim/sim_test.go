@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"runtime"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"hangdoctor/internal/fleet"
+	"hangdoctor/internal/golden"
 )
 
 func foldBytes(t *testing.T, agg *fleet.Aggregator) []byte {
@@ -100,10 +102,22 @@ func TestDeterminismAcrossBatchSizes(t *testing.T) {
 	}
 }
 
+// TestInprocFoldGolden pins the in-process fold at one fixed config to a
+// committed digest.
+func TestInprocFoldGolden(t *testing.T) {
+	cfg := Config{Devices: 500, Uploads: 2500, Entries: 4, Seed: 7, RestartEvery: 64, Batch: 16}
+	fold, st := runInproc(t, 2, cfg)
+	if st.Failed != 0 || st.Uploads != cfg.Uploads {
+		t.Fatalf("run: %s", st)
+	}
+	golden.Check(t, "inproc-fold.json", fold)
+}
+
 // TestHTTPMatchesInproc pins cross-mode determinism: the same config
 // driven over the real binary HTTP protocol — including dictionary
 // deltas, device restarts, and server-side 409 resyncs forced by a tiny
-// dictionary cache — folds byte-identical to the in-process run.
+// dictionary cache — folds byte-identical to the in-process run, against
+// a memory-only node and a durable one alike.
 func TestHTTPMatchesInproc(t *testing.T) {
 	cfg := Config{
 		Devices:      300,
@@ -114,38 +128,52 @@ func TestHTTPMatchesInproc(t *testing.T) {
 	}
 	wantFold, wantStats := runInproc(t, 2, cfg)
 
-	agg := fleet.NewAggregator(fleet.Config{Shards: 4})
-	// A dictionary cache far smaller than the fleet forces evictions and
-	// 409 resync round trips on the steady state.
-	srv := httptest.NewServer(fleet.NewServerDict(agg, 64).Handler())
-	defer srv.Close()
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
+			fcfg := fleet.Config{Shards: 4}
+			if durable {
+				fcfg.WAL = &fleet.WALConfig{Dir: t.TempDir()}
+			}
+			agg, err := fleet.Open(fcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A dictionary cache far smaller than the fleet forces evictions
+			// and 409 resync round trips on the steady state.
+			srv := httptest.NewServer(fleet.NewServerDict(agg, 64).Handler())
+			defer srv.Close()
 
-	c := cfg
-	c.Nodes = []string{srv.URL}
-	c.Workers = 3
-	eng, err := New(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := eng.Run()
-	if err != nil {
-		t.Fatalf("http run: %v", err)
-	}
-	if st.Failed != 0 {
-		t.Fatalf("http run failed=%d (throttled=%d)", st.Failed, st.Throttled)
-	}
-	if st.Uploads != wantStats.Uploads {
-		t.Fatalf("http uploads=%d, want %d", st.Uploads, wantStats.Uploads)
-	}
-	if st.ServerResyncs == 0 {
-		t.Fatal("expected 409 resyncs with a 64-device dictionary cache")
-	}
-	if st.WireBytes == 0 {
-		t.Fatal("http run reported no wire bytes")
-	}
-	agg.Close()
-	if got := foldBytes(t, agg); !bytes.Equal(got, wantFold) {
-		t.Fatalf("HTTP fold diverges from inproc fold (%d vs %d bytes)", len(got), len(wantFold))
+			c := cfg
+			c.Nodes = []string{srv.URL}
+			c.Workers = 3
+			eng, err := New(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := eng.Run()
+			if err != nil {
+				t.Fatalf("http run: %v", err)
+			}
+			if st.Failed != 0 {
+				t.Fatalf("http run failed=%d (throttled=%d)", st.Failed, st.Throttled)
+			}
+			if st.Uploads != wantStats.Uploads {
+				t.Fatalf("http uploads=%d, want %d", st.Uploads, wantStats.Uploads)
+			}
+			if st.ServerResyncs == 0 {
+				t.Fatal("expected 409 resyncs with a 64-device dictionary cache")
+			}
+			if st.WireBytes == 0 {
+				t.Fatal("http run reported no wire bytes")
+			}
+			if h := eng.Registry().Snapshot().Histogram("hangdoctor_sim_upload_rtt_ms"); h.Count < uint64(st.Uploads+st.ServerResyncs) {
+				t.Fatalf("round-trip histogram saw %d attempts, want at least %d", h.Count, st.Uploads+st.ServerResyncs)
+			}
+			agg.Close()
+			if got := foldBytes(t, agg); !bytes.Equal(got, wantFold) {
+				t.Fatalf("HTTP fold diverges from inproc fold (%d vs %d bytes)", len(got), len(wantFold))
+			}
+		})
 	}
 }
 

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -72,6 +71,7 @@ type worker struct {
 
 	depthG *obs.Gauge
 	waitH  *obs.Histogram
+	rttH   *obs.Histogram
 }
 
 func (w *worker) init(e *Engine, id, devs int) {
@@ -353,16 +353,15 @@ func (w *worker) flushInproc() {
 	w.cur = nil
 	b.wr.Entries = b.entries
 	if err := w.e.cfg.Agg.SubmitWireAcked(&b.wr, b.ack); err != nil {
-		// Synchronous rejection: the callback never fires, we still own b.
+		// Synchronous rejection (the aggregator is closed): the callback
+		// never fires, we still own b.
 		n := int64(b.n)
 		w.lFailed += n
 		w.lUploads -= n
 		w.lEntries -= n * int64(w.e.entriesPer)
 		b.reset()
 		w.free <- b
-		if errors.Is(err, fleet.ErrCrashed) || errors.Is(err, fleet.ErrClosed) {
-			w.abortErr = err
-		}
+		w.abortErr = err
 	}
 }
 
