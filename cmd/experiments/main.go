@@ -8,7 +8,9 @@
 //
 // With no -run flag it regenerates everything in paper order. -parallel
 // bounds the experiment engine's worker pool (0 = one worker per CPU,
-// 1 = serial); artifacts are byte-identical at every setting.
+// 1 = serial); artifacts are byte-identical at every setting. Stdout holds
+// only the artifacts, so it is byte-reproducible; the per-experiment wall
+// times and the engine-metrics summary go to stderr.
 package main
 
 import (
@@ -90,10 +92,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "experiment %s failed: %v\n", name, err)
 			os.Exit(1)
 		}
-		fmt.Println(res.Render())
-		fmt.Printf("[%s regenerated in %v]\n\n", res.Name(), time.Since(start).Round(time.Millisecond))
+		fmt.Printf("%s\n\n", res.Render())
+		fmt.Fprintf(os.Stderr, "[%s regenerated in %v]\n", res.Name(), time.Since(start).Round(time.Millisecond))
 	}
-	fmt.Printf("engine metrics:\n%s", reg.Snapshot().Summary())
+	fmt.Fprintf(os.Stderr, "engine metrics:\n%s", reg.Snapshot().Summary())
 
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)

@@ -1,12 +1,29 @@
 package main
 
 import (
+	"bytes"
 	"testing"
 
 	"hangdoctor/internal/android/app"
 	"hangdoctor/internal/core"
 	"hangdoctor/internal/corpus"
+	"hangdoctor/internal/golden"
 )
+
+// TestRunGolden pins the command's stdout for the Table-5 reference app and
+// the causal-async app: detection counts, dashboard, Hang Bug Report, state
+// transitions and offline findings.
+func TestRunGolden(t *testing.T) {
+	for _, name := range []string{"K9-Mail", "NewsBurst"} {
+		t.Run(name, func(t *testing.T) {
+			var out bytes.Buffer
+			if err := run(&out, []string{"-app", name, "-transitions", "-offline"}); err != nil {
+				t.Fatal(err)
+			}
+			golden.Check(t, name+".txt", out.Bytes())
+		})
+	}
+}
 
 func TestBuildDetector(t *testing.T) {
 	c := corpus.Build()

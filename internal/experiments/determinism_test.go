@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"testing"
+
+	"hangdoctor/internal/golden"
 )
 
 // renderAt runs one registry experiment on a fresh context pinned to the
@@ -23,7 +25,9 @@ func renderAt(t *testing.T, name string, parallel int) string {
 // for every registry experiment, the rendered artifact at -parallel 1 (the
 // inline serial path) is byte-identical to -parallel 8. Work units derive
 // their RNG from (seed, unit identity) and merge in unit order, so worker
-// scheduling must never leak into the output.
+// scheduling must never leak into the output. The serial artifact is also
+// pinned to its committed golden digest, so a change to any experiment's
+// output fails here across commits, not only across worker counts.
 func TestRenderDeterministicAcrossParallelism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-registry double sweep; skipped in -short")
@@ -32,6 +36,7 @@ func TestRenderDeterministicAcrossParallelism(t *testing.T) {
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
 			serial := renderAt(t, e.Name, 1)
+			golden.Check(t, e.Name+".txt", []byte(serial))
 			parallel := renderAt(t, e.Name, 8)
 			if serial != parallel {
 				t.Errorf("%s renders differently at parallel=1 vs parallel=8:\n--- parallel=1 ---\n%s\n--- parallel=8 ---\n%s",
