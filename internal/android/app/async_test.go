@@ -49,13 +49,13 @@ func TestSampleTaggedWorkerProvenance(t *testing.T) {
 		t.Fatalf("pool width = %d, want default 2", len(s.WorkerThreads()))
 	}
 	st := stack.New(stack.Frame{Class: "com.demo.db.Store", Method: "query", File: "Store.java", Line: 10})
-	s.MainThread().Enqueue(cpu.Compute{Dur: simclock.Duration(1e12), Stack: st})
+	s.MainThread().Enqueue(cpu.Compute(simclock.Duration(1e12), nil, st))
 
 	// Only worker 0 is busy; worker 1 stays idle and must not be sampled.
 	origin := stack.Origin{ActionUID: "AsyncApp/Load", Site: "com.demo.db.Store.query", Kind: "submit"}
 	s.pool.busy[0] = true
 	s.pool.origins[0] = origin
-	s.pool.threads[0].Enqueue(cpu.Compute{Dur: simclock.Duration(1e12), Stack: st})
+	s.pool.threads[0].Enqueue(cpu.Compute(simclock.Duration(1e12), nil, st))
 
 	out, missed, truncated, lost := s.SampleTagged(nil)
 	if missed || truncated != 0 || lost != 0 {
@@ -81,11 +81,11 @@ func TestSampleTaggedZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := stack.New(stack.Frame{Class: "com.demo.db.Store", Method: "query", File: "Store.java", Line: 10})
-	s.MainThread().Enqueue(cpu.Compute{Dur: simclock.Duration(1e12), Stack: st})
+	s.MainThread().Enqueue(cpu.Compute(simclock.Duration(1e12), nil, st))
 	for i, th := range s.pool.threads {
 		s.pool.busy[i] = true
 		s.pool.origins[i] = stack.Origin{ActionUID: "AsyncApp/Load", Site: "com.demo.db.Store.query", Kind: "submit"}
-		th.Enqueue(cpu.Compute{Dur: simclock.Duration(1e12), Stack: st})
+		th.Enqueue(cpu.Compute(simclock.Duration(1e12), nil, st))
 	}
 	buf := make([]stack.Tagged, 0, 64)
 	out, missed, truncated, lost := s.SampleTagged(buf)

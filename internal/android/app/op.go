@@ -303,7 +303,8 @@ type Op struct {
 
 	// heavyRates / lightRates are the cost models' event-rate vectors,
 	// derived once at App.Finalize so dispatches stop recomputing the
-	// 40-slot HW vector per execution. lightRates is only meaningful when
+	// 40-slot HW vector per execution; segments point at them, so they are
+	// written nowhere else. lightRates is only meaningful when
 	// Light is non-nil (ops without a Light model share defaultLightRates).
 	heavyRates cpu.Rates
 	lightRates cpu.Rates

@@ -80,7 +80,7 @@ func (p *workerPool) start(i int, t *poolTask) {
 	p.ops[i] = t.op
 	program := make([]cpu.Segment, 0, len(t.segs)+1)
 	program = append(program, t.segs...)
-	program = append(program, cpu.Call{Fn: func() { p.finish(i, t) }})
+	program = append(program, cpu.Call(func() { p.finish(i, t) }))
 	p.threads[i].Enqueue(program...)
 }
 
@@ -95,7 +95,7 @@ func (p *workerPool) finish(i int, t *poolTask) {
 		p.ops[i] = next.op
 		program := make([]cpu.Segment, 0, len(next.segs)+1)
 		program = append(program, next.segs...)
-		program = append(program, cpu.Call{Fn: func() { p.finish(i, next) }})
+		program = append(program, cpu.Call(func() { p.finish(i, next) }))
 		p.threads[i].Enqueue(program...)
 		return
 	}
@@ -144,15 +144,15 @@ func taskSegments(cost CostModel, rates *cpu.Rates, f float64, st *stack.Stack) 
 	segs := make([]cpu.Segment, 0, n)
 	if cost.Blocks > 0 {
 		chunk := cpuTotal / simclock.Duration(cost.Blocks+1)
-		segs = append(segs, cpu.Compute{Dur: chunk, Rates: *rates, Stack: st})
+		segs = append(segs, cpu.Compute(chunk, rates, st))
 		for i := 0; i < cost.Blocks; i++ {
 			segs = append(segs,
-				cpu.Block{Dur: blockEach, Stack: st},
-				cpu.Compute{Dur: chunk, Rates: *rates, Stack: st},
+				cpu.Block(blockEach, st),
+				cpu.Compute(chunk, rates, st),
 			)
 		}
 	} else {
-		segs = append(segs, cpu.Compute{Dur: cpuTotal, Rates: *rates, Stack: st})
+		segs = append(segs, cpu.Compute(cpuTotal, rates, st))
 	}
 	return segs, dur
 }

@@ -2,6 +2,7 @@ package app
 
 import (
 	"fmt"
+	"strconv"
 
 	"hangdoctor/internal/android/looper"
 	"hangdoctor/internal/android/render"
@@ -116,8 +117,20 @@ type Session struct {
 	// action), while detached tasks deliberately are not waited on.
 	pendingCompletions int
 
-	bg     []*cpu.Thread
+	bg     []*bgThread
 	bgStop bool
+}
+
+// bgThread is one background interference thread. It is created at the
+// session's first action and parked (exited, then restarted) between
+// actions, so a session has one scheduler thread per interference slot.
+type bgThread struct {
+	th  *cpu.Thread
+	rng simrand.Rand
+	// key is the RNG's derivation key, "bg/<i>/" then the action's start
+	// time; prefix is the length of "bg/<i>/".
+	key    []byte
+	prefix int
 }
 
 // NewSession builds the full simulated stack for one app on one device.
@@ -438,18 +451,18 @@ func (s *Session) asyncSegments(op *Op, heavy bool, f float64, cost CostModel, r
 			compCost, cRates = defaultLightCost(), &defaultLightRates
 		}
 		compSegs, compDur = taskSegments(compCost, cRates, s.rng.Jitter(1, compCost.Jitter), fullStack)
-		compSegs = append(compSegs, cpu.Call{Fn: func() { s.pendingCompletions-- }})
+		compSegs = append(compSegs, cpu.Call(func() { s.pendingCompletions-- }))
 	}
 
 	var gate *cpu.Gate
 	if spec.Await {
 		gate = cpu.NewGate()
 	}
-	segs = append(segs, cpu.Call{Fn: func() {
+	segs = append(segs, cpu.Call(func() {
 		s.launchAsync(op, exec, tasks, gate, compSegs, compDur, heavy)
-	}})
+	}))
 	if spec.Await {
-		segs = append(segs, cpu.WaitGate{G: gate, Stack: op.awaitStack})
+		segs = append(segs, cpu.WaitGate(gate, op.awaitStack))
 	}
 	return segs
 }
@@ -554,7 +567,7 @@ var frameworkFrames = []stack.Frame{
 // jitter factor onto segs, returning the extended program and the planned
 // main-thread duration. callerStack and fullStack are the action's and
 // op's precomputed immutable stacks; rates points at the matching
-// precomputed vector (segments copy it by value).
+// precomputed vector, which the segments share.
 func (s *Session) opSegments(op *Op, cost CostModel, rates *cpu.Rates, f float64,
 	callerStack, fullStack *stack.Stack, segs []cpu.Segment) ([]cpu.Segment, simclock.Duration) {
 	cpuTotal := simclock.Duration(float64(cost.CPU) * f)
@@ -568,22 +581,22 @@ func (s *Session) opSegments(op *Op, cost CostModel, rates *cpu.Rates, f float64
 	mainDur := cpuTotal + simclock.Duration(cost.Blocks)*blockEach
 
 	if pre > 0 {
-		segs = append(segs, cpu.Compute{Dur: pre, Rates: *rates, Stack: callerStack})
+		segs = append(segs, cpu.Compute(pre, rates, callerStack))
 	}
 	if cost.Blocks > 0 {
 		chunk := mid / simclock.Duration(cost.Blocks+1)
-		segs = append(segs, cpu.Compute{Dur: chunk, Rates: *rates, Stack: fullStack})
+		segs = append(segs, cpu.Compute(chunk, rates, fullStack))
 		for i := 0; i < cost.Blocks; i++ {
 			segs = append(segs,
-				cpu.Block{Dur: blockEach, Stack: fullStack},
-				cpu.Compute{Dur: chunk, Rates: *rates, Stack: fullStack},
+				cpu.Block(blockEach, fullStack),
+				cpu.Compute(chunk, rates, fullStack),
 			)
 		}
 	} else if mid > 0 {
-		segs = append(segs, cpu.Compute{Dur: mid, Rates: *rates, Stack: fullStack})
+		segs = append(segs, cpu.Compute(mid, rates, fullStack))
 	}
 	if post > 0 {
-		segs = append(segs, cpu.Compute{Dur: post, Rates: *rates, Stack: callerStack})
+		segs = append(segs, cpu.Compute(post, rates, callerStack))
 	}
 	if cost.Frames > 0 && cost.PerFrame > 0 {
 		// Render cost varies per execution independently of the main-thread
@@ -593,9 +606,9 @@ func (s *Session) opSegments(op *Op, cost CostModel, rates *cpu.Rates, f float64
 		batch := render.FrameBatch{
 			Frames:   cost.Frames,
 			PerFrame: simclock.Duration(float64(cost.PerFrame) * rf),
-			Rates:    renderRatesV,
+			Rates:    &renderRatesV,
 		}
-		segs = append(segs, cpu.Call{Fn: func() { s.Render.Post(batch) }})
+		segs = append(segs, cpu.Call(func() { s.Render.Post(batch) }))
 	}
 	return segs, mainDur
 }
@@ -603,42 +616,50 @@ func (s *Session) opSegments(op *Op, cost CostModel, rates *cpu.Rates, f float64
 // startInterference spins up the device's background threads for the action
 // window: system services and app workers whose bursts preempt the app
 // threads, producing the involuntary context switches long main-thread
-// computations accumulate on a real phone.
+// computations accumulate on a real phone. Each action restarts the same
+// threads and re-derives each one's RNG from "bg/<i>/<action start>", so
+// every action sees the same interference as if its threads were new.
 func (s *Session) startInterference() {
 	s.bgStop = false
-	if s.Device.BGThreads <= 0 {
-		return
-	}
-	s.bg = s.bg[:0]
 	for i := 0; i < s.Device.BGThreads; i++ {
-		th := s.Sched.NewThread(fmt.Sprintf("bg%d", i))
-		rng := s.rng.Derive(fmt.Sprintf("bg/%d/%d", i, s.Clk.Now()))
-		burst, gap := s.Device.BGBurst, s.Device.BGGap
-		th.SetOnIdle(func() {
-			if s.bgStop {
-				return
-			}
-			th.Enqueue(
-				cpu.Block{Dur: simclock.Duration(rng.Jitter(float64(gap), 0.4))},
-				cpu.Compute{
-					Dur:   simclock.Duration(rng.Jitter(float64(burst), 0.4)),
-					Rates: defaultLightRates,
-				},
-			)
-		})
+		if i == len(s.bg) {
+			s.bg = append(s.bg, s.newBGThread(i))
+		} else {
+			s.bg[i].th.Restart()
+		}
+		b := s.bg[i]
+		b.key = strconv.AppendInt(b.key[:b.prefix], int64(s.Clk.Now()), 10)
+		s.rng.DeriveInto(&b.rng, b.key)
 		// Kick the loop.
-		th.Enqueue(cpu.Block{Dur: simclock.Duration(rng.Jitter(float64(gap)/2, 0.4))})
-		s.bg = append(s.bg, th)
+		b.th.Enqueue(cpu.Block(simclock.Duration(b.rng.Jitter(float64(s.Device.BGGap)/2, 0.4)), nil))
 	}
 }
 
-// stopInterference tears the background threads down at action end.
+// newBGThread creates interference thread i with its burst loop: each time
+// it drains, it sleeps a jittered gap and then computes a jittered burst,
+// until stopInterference ends the action.
+func (s *Session) newBGThread(i int) *bgThread {
+	name := "bg" + strconv.Itoa(i)
+	b := &bgThread{th: s.Sched.NewThread(name), key: []byte("bg/" + strconv.Itoa(i) + "/")}
+	b.prefix = len(b.key)
+	b.th.SetOnIdle(func() {
+		if s.bgStop {
+			return
+		}
+		b.th.Enqueue(
+			cpu.Block(simclock.Duration(b.rng.Jitter(float64(s.Device.BGGap), 0.4)), nil),
+			cpu.Compute(simclock.Duration(b.rng.Jitter(float64(s.Device.BGBurst), 0.4)), &defaultLightRates, nil),
+		)
+	})
+	return b
+}
+
+// stopInterference parks the background threads at action end.
 func (s *Session) stopInterference() {
 	s.bgStop = true
-	for _, th := range s.bg {
-		if th.State() != cpu.Dead {
-			th.Exit()
+	for _, b := range s.bg {
+		if b.th.State() != cpu.Dead {
+			b.th.Exit()
 		}
 	}
-	s.bg = s.bg[:0]
 }

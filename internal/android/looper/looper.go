@@ -54,14 +54,23 @@ type Looper struct {
 
 	current      *Message
 	currentStart simclock.Time
+
+	// fed is the message feed handed to the thread whose begin bracket has
+	// not run yet; prog is feed's reused program buffer; beginFn and endFn
+	// are the dispatch brackets, bound once.
+	fed            *Message
+	prog           []cpu.Segment
+	beginFn, endFn func()
 }
 
 // New creates a looper with a fresh thread named name on sched.
 func New(sched *cpu.Scheduler, name string) *Looper {
-	return &Looper{
+	l := &Looper{
 		clk:    sched.Clock(),
 		thread: sched.NewThread(name),
 	}
+	l.beginFn, l.endFn = l.begin, l.end
+	return l
 }
 
 // Thread returns the looper's thread (the app's "main thread").
@@ -119,18 +128,23 @@ func (l *Looper) PostDelayed(m *Message, delay simclock.Duration) {
 // feed moves the next queued message onto the thread, bracketed by the
 // dispatch hooks. The end bracket chains into the next message so that
 // back-to-back messages run without the thread parking in between (matching
-// Looper.loop's behaviour and its context-switch profile).
+// Looper.loop's behaviour and its context-switch profile). Only one message
+// is on the thread at a time, so the brackets find it in l.fed and
+// l.current. The program goes to the thread in one Enqueue, which copies
+// it, so prog is free again by the time a nested feed reuses it.
 func (l *Looper) feed() {
 	m := l.queue[0]
 	l.queue = l.queue[1:]
-	program := make([]cpu.Segment, 0, len(m.Segments)+2)
-	program = append(program, cpu.Call{Fn: func() { l.begin(m) }})
-	program = append(program, m.Segments...)
-	program = append(program, cpu.Call{Fn: func() { l.end(m) }})
-	l.thread.Enqueue(program...)
+	l.fed = m
+	l.prog = append(l.prog[:0], cpu.Call(l.beginFn))
+	l.prog = append(l.prog, m.Segments...)
+	l.prog = append(l.prog, cpu.Call(l.endFn))
+	l.thread.Enqueue(l.prog...)
 }
 
-func (l *Looper) begin(m *Message) {
+func (l *Looper) begin() {
+	m := l.fed
+	l.fed = nil
 	l.current = m
 	l.currentStart = l.clk.Now()
 	if l.logging != nil {
@@ -141,7 +155,8 @@ func (l *Looper) begin(m *Message) {
 	}
 }
 
-func (l *Looper) end(m *Message) {
+func (l *Looper) end() {
+	m := l.current
 	start := l.currentStart
 	now := l.clk.Now()
 	l.current = nil

@@ -33,7 +33,7 @@ func TestDispatchResponseTime(t *testing.T) {
 	clk, _, l := setup()
 	h := &recordingHook{}
 	l.AddDispatchHook(h)
-	l.Post(&Message{Name: "evt", Segments: []cpu.Segment{cpu.Compute{Dur: 123 * simclock.Millisecond}}})
+	l.Post(&Message{Name: "evt", Segments: []cpu.Segment{cpu.Compute(123*simclock.Millisecond, nil, nil)}})
 	clk.RunUntilIdle(10000)
 	if len(h.starts) != 1 || len(h.ends) != 1 {
 		t.Fatalf("hook fired %d/%d times", len(h.starts), len(h.ends))
@@ -49,7 +49,7 @@ func TestFIFOOrderAndNoInterleaving(t *testing.T) {
 	h := &recordingHook{}
 	l.AddDispatchHook(h)
 	for _, name := range []string{"a", "b", "c"} {
-		l.Post(&Message{Name: name, Segments: []cpu.Segment{cpu.Compute{Dur: 10 * simclock.Millisecond}}})
+		l.Post(&Message{Name: name, Segments: []cpu.Segment{cpu.Compute(10*simclock.Millisecond, nil, nil)}})
 	}
 	clk.RunUntilIdle(10000)
 	if strings.Join(h.names, "") != "abc" {
@@ -66,7 +66,7 @@ func TestFIFOOrderAndNoInterleaving(t *testing.T) {
 func TestBackToBackMessagesNoExtraSwitches(t *testing.T) {
 	clk, _, l := setup()
 	for i := 0; i < 5; i++ {
-		l.Post(&Message{Name: "m", Segments: []cpu.Segment{cpu.Compute{Dur: simclock.Millisecond}}})
+		l.Post(&Message{Name: "m", Segments: []cpu.Segment{cpu.Compute(simclock.Millisecond, nil, nil)}})
 	}
 	clk.RunUntilIdle(10000)
 	// A queue of back-to-back messages drains with a single park at the end,
@@ -80,7 +80,7 @@ func TestMessageLoggingFormat(t *testing.T) {
 	clk, _, l := setup()
 	var lines []string
 	l.SetMessageLogging(func(s string) { lines = append(lines, s) })
-	l.Post(&Message{Name: "Open Email/evt0", Segments: []cpu.Segment{cpu.Compute{Dur: simclock.Millisecond}}})
+	l.Post(&Message{Name: "Open Email/evt0", Segments: []cpu.Segment{cpu.Compute(simclock.Millisecond, nil, nil)}})
 	clk.RunUntilIdle(10000)
 	if len(lines) != 2 {
 		t.Fatalf("logging lines = %v", lines)
@@ -98,10 +98,10 @@ func TestPostWhileDispatching(t *testing.T) {
 	h := &recordingHook{}
 	l.AddDispatchHook(h)
 	l.Post(&Message{Name: "first", Segments: []cpu.Segment{
-		cpu.Call{Fn: func() {
-			l.Post(&Message{Name: "nested", Segments: []cpu.Segment{cpu.Compute{Dur: simclock.Millisecond}}})
-		}},
-		cpu.Compute{Dur: 5 * simclock.Millisecond},
+		cpu.Call(func() {
+			l.Post(&Message{Name: "nested", Segments: []cpu.Segment{cpu.Compute(simclock.Millisecond, nil, nil)}})
+		}),
+		cpu.Compute(5*simclock.Millisecond, nil, nil),
 	}})
 	clk.RunUntilIdle(10000)
 	if len(h.names) != 2 || h.names[0] != "first" || h.names[1] != "nested" {
@@ -118,8 +118,8 @@ func TestIdleAndQueueLen(t *testing.T) {
 	if !l.Idle() {
 		t.Fatal("fresh looper should be idle")
 	}
-	l.Post(&Message{Name: "a", Segments: []cpu.Segment{cpu.Compute{Dur: 20 * simclock.Millisecond}}})
-	l.Post(&Message{Name: "b", Segments: []cpu.Segment{cpu.Compute{Dur: 20 * simclock.Millisecond}}})
+	l.Post(&Message{Name: "a", Segments: []cpu.Segment{cpu.Compute(20*simclock.Millisecond, nil, nil)}})
+	l.Post(&Message{Name: "b", Segments: []cpu.Segment{cpu.Compute(20*simclock.Millisecond, nil, nil)}})
 	if l.Idle() {
 		t.Fatal("looper with queued work reported idle")
 	}
@@ -145,9 +145,9 @@ func TestBlockingSegmentsKeepResponseTimeInclusive(t *testing.T) {
 	h := &recordingHook{}
 	l.AddDispatchHook(h)
 	l.Post(&Message{Name: "io", Segments: []cpu.Segment{
-		cpu.Compute{Dur: 10 * simclock.Millisecond},
-		cpu.Block{Dur: 90 * simclock.Millisecond},
-		cpu.Compute{Dur: 10 * simclock.Millisecond},
+		cpu.Compute(10*simclock.Millisecond, nil, nil),
+		cpu.Block(90*simclock.Millisecond, nil),
+		cpu.Compute(10*simclock.Millisecond, nil, nil),
 	}})
 	clk.RunUntilIdle(10000)
 	rt := h.ends[0].Sub(h.starts[0])

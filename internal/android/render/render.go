@@ -19,11 +19,11 @@ const VsyncPeriod = simclock.Duration(16_666_667)
 
 // FrameBatch is a block of rendering work posted by a main-thread UI
 // operation: Frames frames, each costing PerFrame of render-thread CPU at
-// the given event rates.
+// the event rates *Rates (shared, not copied; nil accrues none).
 type FrameBatch struct {
 	Frames   int
 	PerFrame simclock.Duration
-	Rates    cpu.Rates
+	Rates    *cpu.Rates
 }
 
 // Thread is the render thread plus its frame pump.
@@ -33,14 +33,17 @@ type Thread struct {
 
 	pending []FrameBatch
 	active  bool
+	pumpFn  func() // pump, bound once
 }
 
 // New creates the render thread on sched.
 func New(sched *cpu.Scheduler) *Thread {
-	return &Thread{
+	r := &Thread{
 		clk:    sched.Clock(),
 		thread: sched.NewThread("RenderThread"),
 	}
+	r.pumpFn = r.pump
+	return r
 }
 
 // CPUThread exposes the underlying scheduler thread for perf attachment.
@@ -85,16 +88,16 @@ func (r *Thread) pump() {
 	}
 	b := &r.pending[0]
 	b.Frames--
-	frame := cpu.Compute{Dur: b.PerFrame, Rates: b.Rates}
+	frame := cpu.Compute(b.PerFrame, b.Rates, nil)
 	if b.Frames == 0 {
 		r.pending = r.pending[1:]
 	}
 	now := r.clk.Now()
 	next := nextVsync(now)
 	r.thread.Enqueue(
-		cpu.BlockUntil{At: next},
+		cpu.BlockUntil(next, nil),
 		frame,
-		cpu.Call{Fn: r.pump},
+		cpu.Call(r.pumpFn),
 	)
 }
 

@@ -62,7 +62,7 @@ func TestRatesApplied(t *testing.T) {
 	clk, r := setup()
 	var rates cpu.Rates
 	rates.MinorFaults = 10000
-	r.Post(FrameBatch{Frames: 5, PerFrame: 10 * simclock.Millisecond, Rates: rates})
+	r.Post(FrameBatch{Frames: 5, PerFrame: 10 * simclock.Millisecond, Rates: &rates})
 	clk.RunUntilIdle(100000)
 	// 50ms of render CPU at 10k faults/s = 500 faults.
 	if got := r.CPUThread().Counters().MinorFaults; got != 500 {

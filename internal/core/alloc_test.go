@@ -48,7 +48,7 @@ func TestSamplerPathZeroAlloc(t *testing.T) {
 	st := corpus.DispatchStacks(a)[0]
 	// Park the main thread inside a long Compute so CurrentStack sees it,
 	// exactly as the sampler does mid-hang.
-	s.MainThread().Enqueue(cpu.Compute{Dur: simclock.Duration(1e12), Stack: st})
+	s.MainThread().Enqueue(cpu.Compute(simclock.Duration(1e12), nil, st))
 	if got := s.MainThread().State(); got != cpu.Running {
 		t.Fatalf("main thread state = %v, want Running", got)
 	}

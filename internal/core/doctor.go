@@ -78,8 +78,8 @@ type Doctor struct {
 	// Per-action-execution state.
 	perfSess    *perf.Session
 	earlyRead   *perf.Reading
-	earlyTimer  *simclock.Event
-	retryTimer  *simclock.Event
+	earlyTimer  simclock.Handle
+	retryTimer  simclock.Handle
 	curRec      *actionRecord
 	curExec     *app.ActionExec
 	curTraces   []*stack.Stack
@@ -87,7 +87,7 @@ type Doctor struct {
 	curMain     int
 	curDropped  int
 	openFailed  bool
-	sampler     *simclock.Event
+	sampler     simclock.Handle
 	sampling    bool
 	adaptSet    []LabeledReading
 	deviceLabel string
@@ -149,10 +149,13 @@ func (d *Doctor) Attach(s *app.Session) {
 // timers are cancelled, and per-execution state is cleared so a later
 // re-attach starts clean instead of inheriting a dangling execution.
 func (d *Doctor) Detach() {
+	if d.session == nil {
+		return // never attached: nothing is armed or open
+	}
 	d.stopSampler()
 	d.wide.stopSampler()
-	d.cancelEarly()
-	d.cancelRetry()
+	d.session.Clk.Cancel(d.earlyTimer)
+	d.session.Clk.Cancel(d.retryTimer)
 	if d.perfSess != nil {
 		d.perfSess.Stop()
 		d.log.AddCost(d.perfSess.CostNs())
@@ -258,7 +261,6 @@ func (d *Doctor) ActionStart(e *app.ActionExec) {
 		}
 		if d.cfg.EarlyRead > 0 {
 			d.earlyTimer = d.session.Clk.After(d.cfg.EarlyRead, func() {
-				d.earlyTimer = nil
 				if d.perfSess != nil {
 					rd := d.perfSess.Stop()
 					d.earlyRead = &rd
@@ -284,7 +286,6 @@ func (d *Doctor) openPerf(r *actionRecord, e *app.ActionExec, attempt int) {
 			d.health.PerfOpenRetries++
 			backoff := d.cfg.PerfRetryBackoff << attempt
 			d.retryTimer = d.session.Clk.After(backoff, func() {
-				d.retryTimer = nil
 				if d.curExec == e && d.perfSess == nil && d.earlyRead == nil {
 					d.openPerf(r, e, attempt+1)
 				}
@@ -361,7 +362,6 @@ func (d *Doctor) startSampler() {
 	d.samplerStart = d.session.Clk.Now()
 	var tick func()
 	tick = func() {
-		d.sampler = nil
 		if !d.sampling {
 			return
 		}
@@ -420,24 +420,7 @@ func (d *Doctor) stopSampler() {
 		d.metrics.stackCollectMs.Observe(elapsed.Milliseconds())
 	}
 	d.sampling = false
-	if d.sampler != nil {
-		d.session.Clk.Cancel(d.sampler)
-		d.sampler = nil
-	}
-}
-
-func (d *Doctor) cancelEarly() {
-	if d.earlyTimer != nil {
-		d.session.Clk.Cancel(d.earlyTimer)
-		d.earlyTimer = nil
-	}
-}
-
-func (d *Doctor) cancelRetry() {
-	if d.retryTimer != nil {
-		d.session.Clk.Cancel(d.retryTimer)
-		d.retryTimer = nil
-	}
+	d.session.Clk.Cancel(d.sampler)
 }
 
 // EventEnd stops trace collection at the end of a hanging event.
@@ -455,15 +438,15 @@ func (d *Doctor) ActionEnd(e *app.ActionExec) {
 	if r == nil {
 		return
 	}
-	d.cancelEarly()
-	if d.retryTimer != nil {
+	d.session.Clk.Cancel(d.earlyTimer)
+	if d.session.Clk.Pending(d.retryTimer) {
 		// The action ended while an open retry was still backing off: every
 		// attempt this execution made has failed, and no further one can run
 		// inside its window. Count the execution as an open failure now —
 		// otherwise actions shorter than the backoff never accumulate
 		// consecutive failures and quarantine never engages — and cancel the
 		// stale callback so it cannot fire into a later execution.
-		d.cancelRetry()
+		d.session.Clk.Cancel(d.retryTimer)
 		d.openFailed = true
 	}
 	rt := e.ResponseTime()

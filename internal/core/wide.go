@@ -19,7 +19,7 @@ type wideCollector struct {
 
 	sess     *perf.Session
 	traces   []*stack.Stack
-	sampler  *simclock.Event
+	sampler  simclock.Handle
 	sampling bool
 	count    int
 	data     []HeavyReading
@@ -61,7 +61,6 @@ func (w *wideCollector) startSampler() {
 	w.sampling = true
 	var tick func()
 	tick = func() {
-		w.sampler = nil
 		if !w.sampling {
 			return
 		}
@@ -77,10 +76,7 @@ func (w *wideCollector) startSampler() {
 
 func (w *wideCollector) stopSampler() {
 	w.sampling = false
-	if w.sampler != nil {
-		w.doctor.session.Clk.Cancel(w.sampler)
-		w.sampler = nil
-	}
+	w.doctor.session.Clk.Cancel(w.sampler)
 }
 
 // onActionEnd closes the session and, for hangs with enough samples,

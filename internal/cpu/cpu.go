@@ -7,11 +7,11 @@
 // faults (attributed to compute segments through per-second rates).
 //
 // Threads execute *segment programs*: Compute consumes CPU, Block and
-// BlockUntil sleep, and Call runs an instantaneous callback that may enqueue
-// further work on any thread. Higher layers (the Android looper, the render
-// thread, background interference) are all expressed as segment producers,
-// which keeps every microsecond of simulated execution attributable and
-// reproducible.
+// BlockUntil sleep, WaitGate parks until a Gate opens, and Call runs an
+// instantaneous callback that may enqueue further work on any thread.
+// Higher layers (the Android looper, the render thread, background
+// interference) are all expressed as segment producers, which keeps every
+// microsecond of simulated execution attributable and reproducible.
 //
 // The model intentionally mirrors the mechanisms — not the implementation —
 // of the Linux scheduler the paper measured through simpleperf: a global FIFO
@@ -145,55 +145,67 @@ func (c Counters) Add(o Counters) Counters {
 	return r
 }
 
-// Segment is one step of a thread program.
-type Segment interface{ isSegment() }
+// segKind tags a Segment's variant. The zero kind is invalid, so a zero
+// Segment fails loudly instead of running as an empty Compute.
+type segKind uint8
 
-// Compute consumes Dur of CPU time, accruing events at Rates, with Stack
-// visible to samplers while it runs.
-type Compute struct {
-	Dur   simclock.Duration
-	Rates Rates
-	Stack *stack.Stack
+const (
+	segCompute segKind = iota + 1
+	segBlock
+	segBlockUntil
+	segCall
+	segWaitGate
+)
+
+// Segment is one step of a thread program, built by Compute, Block,
+// BlockUntil, Call or WaitGate. It is a small tagged value, so a program is
+// one slice of segments with no per-step allocation.
+type Segment struct {
+	kind segKind
+	// t is the duration of a Compute or Block, or BlockUntil's wake time.
+	t     int64
+	rates *Rates
+	stack *stack.Stack
+	fn    func()
+	gate  *Gate
 }
 
-// Block sleeps for Dur (blocking I/O, lock wait, ...). Entering a Block is a
-// voluntary context switch. Stack is what a sampler sees while blocked —
+// Compute consumes d of CPU time, accruing events at *r, with st visible to
+// samplers while it runs. r is shared, not copied, so it must not change
+// while the segment is queued; nil accrues no fault or HW events.
+func Compute(d simclock.Duration, r *Rates, st *stack.Stack) Segment {
+	return Segment{kind: segCompute, t: int64(d), rates: r, stack: st}
+}
+
+// Block sleeps for d (blocking I/O, lock wait, ...). Entering a Block is a
+// voluntary context switch. st is what a sampler sees while blocked —
 // exactly how a blocking API shows up in a real ANR trace.
-type Block struct {
-	Dur   simclock.Duration
-	Stack *stack.Stack
+func Block(d simclock.Duration, st *stack.Stack) Segment {
+	return Segment{kind: segBlock, t: int64(d), stack: st}
 }
 
-// BlockUntil sleeps until the absolute time At (vsync waits, alarms). If At
+// BlockUntil sleeps until the absolute time at (vsync waits, alarms). If at
 // is not in the future when reached, it is skipped without a context switch.
-type BlockUntil struct {
-	At    simclock.Time
-	Stack *stack.Stack
+func BlockUntil(at simclock.Time, st *stack.Stack) Segment {
+	return Segment{kind: segBlockUntil, t: int64(at), stack: st}
 }
 
-// Call runs Fn instantaneously on the thread. Fn may enqueue segments on any
+// Call runs fn instantaneously on the thread. fn may enqueue segments on any
 // thread, start/stop samplers, or record timestamps. It must not advance the
 // clock.
-type Call struct {
-	Fn func()
+func Call(fn func()) Segment {
+	return Segment{kind: segCall, fn: fn}
 }
 
-// WaitGate parks the thread until G opens — the completion of asynchronous
+// WaitGate parks the thread until g opens — the completion of asynchronous
 // work whose finish time is unknown when the segment is enqueued, unlike
-// Block's fixed Dur. Entering the wait is a voluntary context switch; Stack
-// is what a sampler sees while parked (an await frame such as
+// Block's fixed duration. Entering the wait is a voluntary context switch;
+// st is what a sampler sees while parked (an await frame such as
 // FutureTask.get, exactly as in a real ANR trace). A WaitGate reached after
 // its gate already opened is skipped without a switch.
-type WaitGate struct {
-	G     *Gate
-	Stack *stack.Stack
+func WaitGate(g *Gate, st *stack.Stack) Segment {
+	return Segment{kind: segWaitGate, gate: g, stack: st}
 }
-
-func (Compute) isSegment()    {}
-func (Block) isSegment()      {}
-func (BlockUntil) isSegment() {}
-func (Call) isSegment()       {}
-func (WaitGate) isSegment()   {}
 
 // Gate is a one-shot completion latch: threads wait on it with a WaitGate
 // segment, and whoever finishes the guarded work calls Open exactly once to
@@ -220,14 +232,11 @@ func (g *Gate) Open() {
 	g.open = true
 	var s *Scheduler
 	for _, t := range g.waiters {
-		if t.state != Blocked || len(t.segs) == 0 {
-			continue
-		}
-		if wg, ok := t.segs[0].(WaitGate); !ok || wg.G != g {
+		if seg := t.current(); t.state != Blocked || seg == nil || seg.kind != segWaitGate || seg.gate != g {
 			continue
 		}
 		t.blockStack = nil
-		t.segs = t.segs[1:] // retire the WaitGate
+		t.pc++ // retire the WaitGate
 		s = t.sched
 		s.makeRunnable(t)
 	}
@@ -245,7 +254,11 @@ type Thread struct {
 	sched *Scheduler
 	state State
 
-	segs []Segment // pending program; segs[0] is current when Running/Blocked
+	// prog[pc:] is the pending program; prog[pc] is current when
+	// Running/Blocked. Enqueue slides it back to the front of the slice, so
+	// one slice serves the thread's whole life.
+	prog []Segment
+	pc   int
 
 	// Running bookkeeping.
 	core         int // core index when Running, else -1
@@ -253,8 +266,8 @@ type Thread struct {
 	remaining    simclock.Duration
 	chargedUntil simclock.Time
 	sliceLeft    simclock.Duration
-	runEvent     *simclock.Event
-	wakeEvent    *simclock.Event
+	runEvent     simclock.Handle
+	wakeEvent    simclock.Handle
 	blockStack   *stack.Stack
 
 	counters   Counters
@@ -263,6 +276,18 @@ type Thread struct {
 	hwAccum    [NumHWCounters]float64
 
 	onIdle func() // optional work refill hook; see SetOnIdle
+
+	// onRun and onWake are the thread's clock callbacks, bound once by
+	// NewThread so arming a slice or a wakeup allocates nothing.
+	onRun, onWake func()
+}
+
+// current returns the segment the program is at, or nil when it is empty.
+func (t *Thread) current() *Segment {
+	if t.pc == len(t.prog) {
+		return nil
+	}
+	return &t.prog[t.pc]
 }
 
 // State returns the thread's current scheduling state.
@@ -280,21 +305,13 @@ func (t *Thread) SetOnIdle(fn func()) { t.onIdle = fn }
 // Runnable between slices with no stack, or Dead).
 func (t *Thread) CurrentStack() *stack.Stack {
 	switch t.state {
-	case Running:
-		if len(t.segs) > 0 {
-			if c, ok := t.segs[0].(Compute); ok {
-				return c.Stack
-			}
+	case Running, Runnable:
+		// Runnable: preempted mid-Compute, the frames are still on the stack.
+		if seg := t.current(); seg != nil && seg.kind == segCompute {
+			return seg.stack
 		}
 	case Blocked:
 		return t.blockStack
-	case Runnable:
-		// Preempted mid-Compute: the frames are still on the stack.
-		if len(t.segs) > 0 {
-			if c, ok := t.segs[0].(Compute); ok {
-				return c.Stack
-			}
-		}
 	}
 	return nil
 }
@@ -316,7 +333,15 @@ func (t *Thread) Enqueue(segs ...Segment) {
 	if len(segs) == 0 {
 		return
 	}
-	t.segs = append(t.segs, segs...)
+	if t.pc > 0 {
+		// Slide the pending tail to the front so the slice is reused rather
+		// than grown, and clear the vacated tail so retired callbacks and
+		// stacks are not kept alive.
+		n := copy(t.prog, t.prog[t.pc:])
+		clear(t.prog[n:])
+		t.prog, t.pc = t.prog[:n], 0
+	}
+	t.prog = append(t.prog, segs...)
 	if t.state == Waiting {
 		t.sched.makeRunnable(t)
 		t.sched.dispatch()
@@ -325,7 +350,7 @@ func (t *Thread) Enqueue(segs ...Segment) {
 
 // QueueLen reports the number of pending segments (including the one
 // currently executing).
-func (t *Thread) QueueLen() int { return len(t.segs) }
+func (t *Thread) QueueLen() int { return len(t.prog) - t.pc }
 
 // Exit terminates the thread. Pending segments are dropped. Exiting a
 // Running or Blocked thread releases its core / cancels its wakeup.
@@ -335,16 +360,15 @@ func (t *Thread) Exit() {
 	case Running:
 		t.charge(s.clk.Now())
 		s.clk.Cancel(t.runEvent)
-		t.runEvent = nil
 		s.traceDescheduled(t, DeschedExited)
 		s.releaseCore(t)
 	case Blocked:
 		s.clk.Cancel(t.wakeEvent)
-		t.wakeEvent = nil
 	case Runnable:
 		s.removeFromRunq(t)
 	}
-	t.segs = nil
+	clear(t.prog)
+	t.prog, t.pc = t.prog[:0], 0
 	t.state = Dead
 	t.blockStack = nil
 	s.dispatch()
@@ -363,18 +387,17 @@ func (t *Thread) charge(now simclock.Time) {
 	ns := int64(dt)
 	t.counters.TaskClock += ns
 	t.counters.CPUClock += ns
-	if len(t.segs) > 0 {
-		if c, ok := t.segs[0].(Compute); ok {
-			sec := float64(ns) / 1e9
-			t.minorAccum += c.Rates.MinorFaults * sec
-			t.majorAccum += c.Rates.MajorFaults * sec
-			for i := range c.Rates.HW {
-				if c.Rates.HW[i] != 0 {
-					t.hwAccum[i] += c.Rates.HW[i] * sec
-				}
+	if seg := t.current(); seg != nil && seg.kind == segCompute && seg.rates != nil {
+		r := seg.rates
+		sec := float64(ns) / 1e9
+		t.minorAccum += r.MinorFaults * sec
+		t.majorAccum += r.MajorFaults * sec
+		for i := range r.HW {
+			if r.HW[i] != 0 {
+				t.hwAccum[i] += r.HW[i] * sec
 			}
-			t.flushAccums()
 		}
+		t.flushAccums()
 	}
 	t.sched.busyNs += ns
 }
@@ -490,17 +513,43 @@ func (s *Scheduler) Threads() []*Thread { return s.threads }
 
 // NewThread creates a parked (Waiting) thread.
 func (s *Scheduler) NewThread(name string) *Thread {
-	t := &Thread{
-		ID:       s.nextTID,
-		Name:     name,
-		sched:    s,
-		state:    Waiting,
-		core:     -1,
-		lastCore: -1,
-	}
+	t := &Thread{ID: s.nextTID, Name: name, sched: s}
+	t.onRun = func() { s.onRunEvent(t) }
+	t.onWake = func() { s.onWake(t) }
+	t.reset()
 	s.nextTID++
 	s.threads = append(s.threads, t)
 	return t
+}
+
+// Restart revives an exited thread as a parked thread that equals a fresh
+// NewThread of the same name, except that it keeps its ID and its SetOnIdle
+// hook: counters, accumulators, program and core history start over. A
+// component that runs the same thread population episode after episode
+// reuses its threads this way instead of creating new ones. Restarting a
+// thread that has not exited panics.
+func (t *Thread) Restart() {
+	if t.state != Dead {
+		panic("cpu: Restart of live thread " + t.Name)
+	}
+	t.reset()
+}
+
+// reset puts t in NewThread's state, keeping its identity, its bound clock
+// callbacks, its SetOnIdle hook and its program slice.
+func (t *Thread) reset() {
+	*t = Thread{
+		ID:       t.ID,
+		Name:     t.Name,
+		sched:    t.sched,
+		state:    Waiting,
+		core:     -1,
+		lastCore: -1,
+		prog:     t.prog[:0],
+		onIdle:   t.onIdle,
+		onRun:    t.onRun,
+		onWake:   t.onWake,
+	}
 }
 
 func (s *Scheduler) makeRunnable(t *Thread) {
@@ -581,11 +630,11 @@ func (s *Scheduler) runThread(t *Thread) {
 		if t.state == Dead {
 			return // a Call exited the thread
 		}
-		if len(t.segs) == 0 {
+		seg := t.current()
+		if seg == nil {
 			if t.onIdle != nil {
-				before := len(t.segs)
 				t.onIdle()
-				if len(t.segs) > before {
+				if t.current() != nil {
 					continue // refilled; keep running without a switch
 				}
 			}
@@ -597,75 +646,77 @@ func (s *Scheduler) runThread(t *Thread) {
 			s.dispatch()
 			return
 		}
-		switch seg := t.segs[0].(type) {
-		case Call:
-			t.segs = t.segs[1:]
-			seg.Fn()
-		case Block:
-			if seg.Dur <= 0 {
-				t.segs = t.segs[1:]
+		switch seg.kind {
+		case segCall:
+			fn := seg.fn
+			t.pc++
+			fn()
+		case segBlock:
+			if seg.t <= 0 {
+				t.pc++
 				continue
 			}
-			s.blockThread(t, now.Add(seg.Dur), seg.Stack)
+			s.blockThread(t, now.Add(simclock.Duration(seg.t)), seg.stack)
 			return
-		case BlockUntil:
-			if seg.At <= now {
-				t.segs = t.segs[1:]
-				continue
+		case segBlockUntil:
+			if at := simclock.Time(seg.t); at > now {
+				s.blockThread(t, at, seg.stack)
+				return
 			}
-			s.blockThread(t, seg.At, seg.Stack)
-			return
-		case WaitGate:
-			if seg.G.open {
-				t.segs = t.segs[1:]
+			t.pc++
+		case segWaitGate:
+			if seg.gate.open {
+				t.pc++
 				continue
 			}
 			// Park like blockThread, but with no wake event: Open pops the
 			// segment and re-runs the thread whenever the guarded work lands.
-			seg.G.waiters = append(seg.G.waiters, t)
+			seg.gate.waiters = append(seg.gate.waiters, t)
 			t.counters.VoluntaryCtxSwitches++
 			t.state = Blocked
-			t.blockStack = seg.Stack
+			t.blockStack = seg.stack
 			s.traceDescheduled(t, DeschedBlocked)
 			s.releaseCore(t)
 			s.dispatch()
 			return
-		case Compute:
-			if seg.Dur <= 0 {
-				t.segs = t.segs[1:]
+		case segCompute:
+			if seg.t <= 0 {
+				t.pc++
 				continue
 			}
 			if t.remaining <= 0 {
-				t.remaining = seg.Dur // fresh segment
+				t.remaining = simclock.Duration(seg.t) // fresh segment
 			}
 			t.chargedUntil = now
 			s.armRunEvent(t)
 			return
 		default:
-			panic(fmt.Sprintf("cpu: unknown segment type %T", seg))
+			panic(fmt.Sprintf("cpu: thread %s reached a zero Segment (build segments with the constructors)", t.Name))
 		}
 	}
 }
 
 // blockThread transitions a running thread into a sleep until wake.
 func (s *Scheduler) blockThread(t *Thread, wake simclock.Time, st *stack.Stack) {
-	// segs[0] stays the Block segment while asleep so QueueLen reflects it;
-	// pop it on wake.
+	// The Block stays the current segment while asleep so QueueLen
+	// reflects it; onWake retires it.
 	t.counters.VoluntaryCtxSwitches++
 	t.state = Blocked
 	t.blockStack = st
 	s.traceDescheduled(t, DeschedBlocked)
 	s.releaseCore(t)
-	t.wakeEvent = s.clk.At(wake, func() {
-		t.wakeEvent = nil
-		t.blockStack = nil
-		if t.state != Blocked {
-			return
-		}
-		t.segs = t.segs[1:] // retire the Block
-		s.makeRunnable(t)
-		s.dispatch()
-	})
+	t.wakeEvent = s.clk.At(wake, t.onWake)
+	s.dispatch()
+}
+
+// onWake ends t's Block or BlockUntil sleep.
+func (s *Scheduler) onWake(t *Thread) {
+	t.blockStack = nil
+	if t.state != Blocked {
+		return
+	}
+	t.pc++ // retire the Block
+	s.makeRunnable(t)
 	s.dispatch()
 }
 
@@ -680,10 +731,7 @@ func (s *Scheduler) armRunEvent(t *Thread) {
 	if run <= 0 {
 		run = 1 // defensive: always make progress
 	}
-	t.runEvent = s.clk.After(run, func() {
-		t.runEvent = nil
-		s.onRunEvent(t)
-	})
+	t.runEvent = s.clk.After(run, t.onRun)
 }
 
 // onRunEvent handles Compute completion or slice expiry for t.
@@ -692,7 +740,7 @@ func (s *Scheduler) onRunEvent(t *Thread) {
 	t.charge(now)
 	if t.remaining <= 0 {
 		// Segment retired; continue the program on-core.
-		t.segs = t.segs[1:]
+		t.pc++
 		t.remaining = 0
 		s.runThread(t)
 		return

@@ -24,7 +24,7 @@ func drain(t *testing.T, clk *simclock.Clock) {
 func TestSingleComputeAccounting(t *testing.T) {
 	clk, s := newSched(1)
 	th := s.NewThread("main")
-	th.Enqueue(Compute{Dur: 50 * simclock.Millisecond, Rates: Rates{MinorFaults: 1000}})
+	th.Enqueue(Compute(50*simclock.Millisecond, &Rates{MinorFaults: 1000}, nil))
 	drain(t, clk)
 	c := th.Counters()
 	if c.TaskClock != int64(50*simclock.Millisecond) {
@@ -53,9 +53,9 @@ func TestBlockCountsVoluntarySwitch(t *testing.T) {
 	clk, s := newSched(1)
 	th := s.NewThread("io")
 	th.Enqueue(
-		Compute{Dur: 5 * simclock.Millisecond},
-		Block{Dur: 20 * simclock.Millisecond},
-		Compute{Dur: 5 * simclock.Millisecond},
+		Compute(5*simclock.Millisecond, nil, nil),
+		Block(20*simclock.Millisecond, nil),
+		Compute(5*simclock.Millisecond, nil, nil),
 	)
 	drain(t, clk)
 	c := th.Counters()
@@ -75,8 +75,8 @@ func TestPreemptionUnderContention(t *testing.T) {
 	clk, s := newSched(1)
 	a := s.NewThread("a")
 	b := s.NewThread("b")
-	a.Enqueue(Compute{Dur: 50 * simclock.Millisecond})
-	b.Enqueue(Compute{Dur: 50 * simclock.Millisecond})
+	a.Enqueue(Compute(50*simclock.Millisecond, nil, nil))
+	b.Enqueue(Compute(50*simclock.Millisecond, nil, nil))
 	drain(t, clk)
 	ca, cb := a.Counters(), b.Counters()
 	if ca.TaskClock != int64(50*simclock.Millisecond) || cb.TaskClock != int64(50*simclock.Millisecond) {
@@ -95,7 +95,7 @@ func TestPreemptionUnderContention(t *testing.T) {
 func TestNoPreemptionWhenAlone(t *testing.T) {
 	clk, s := newSched(2)
 	a := s.NewThread("solo")
-	a.Enqueue(Compute{Dur: 100 * simclock.Millisecond})
+	a.Enqueue(Compute(100*simclock.Millisecond, nil, nil))
 	drain(t, clk)
 	if got := a.Counters().InvoluntaryCtxSwitch; got != 0 {
 		t.Fatalf("uncontended thread has %d involuntary switches, want 0", got)
@@ -106,8 +106,8 @@ func TestTwoCoresRunInParallel(t *testing.T) {
 	clk, s := newSched(2)
 	a := s.NewThread("a")
 	b := s.NewThread("b")
-	a.Enqueue(Compute{Dur: 40 * simclock.Millisecond})
-	b.Enqueue(Compute{Dur: 40 * simclock.Millisecond})
+	a.Enqueue(Compute(40*simclock.Millisecond, nil, nil))
+	b.Enqueue(Compute(40*simclock.Millisecond, nil, nil))
 	drain(t, clk)
 	if clk.Now() != simclock.Time(40*simclock.Millisecond) {
 		t.Fatalf("end = %v, want 40ms (parallel execution)", clk.Now())
@@ -121,7 +121,7 @@ func TestMigrationCounting(t *testing.T) {
 	ths := make([]*Thread, 3)
 	for i := range ths {
 		ths[i] = s.NewThread("t")
-		ths[i].Enqueue(Compute{Dur: 60 * simclock.Millisecond})
+		ths[i].Enqueue(Compute(60*simclock.Millisecond, nil, nil))
 	}
 	drain(t, clk)
 	var mig int64
@@ -138,9 +138,9 @@ func TestCallSegmentsRunInline(t *testing.T) {
 	th := s.NewThread("main")
 	var at []simclock.Time
 	th.Enqueue(
-		Call{Fn: func() { at = append(at, clk.Now()) }},
-		Compute{Dur: 7 * simclock.Millisecond},
-		Call{Fn: func() { at = append(at, clk.Now()) }},
+		Call(func() { at = append(at, clk.Now()) }),
+		Compute(7*simclock.Millisecond, nil, nil),
+		Call(func() { at = append(at, clk.Now()) }),
 	)
 	drain(t, clk)
 	if len(at) != 2 {
@@ -155,9 +155,9 @@ func TestBlockUntilSkippedWhenPast(t *testing.T) {
 	clk, s := newSched(1)
 	th := s.NewThread("r")
 	th.Enqueue(
-		Compute{Dur: 10 * simclock.Millisecond},
-		BlockUntil{At: 5 * 1e6}, // already past by then
-		Compute{Dur: 10 * simclock.Millisecond},
+		Compute(10*simclock.Millisecond, nil, nil),
+		BlockUntil(5*1e6, nil), // already past by then
+		Compute(10*simclock.Millisecond, nil, nil),
 	)
 	drain(t, clk)
 	c := th.Counters()
@@ -173,7 +173,7 @@ func TestBlockUntilSkippedWhenPast(t *testing.T) {
 func TestBlockUntilFuture(t *testing.T) {
 	clk, s := newSched(1)
 	th := s.NewThread("r")
-	th.Enqueue(BlockUntil{At: simclock.Time(16 * simclock.Millisecond)}, Compute{Dur: simclock.Millisecond})
+	th.Enqueue(BlockUntil(simclock.Time(16*simclock.Millisecond), nil), Compute(simclock.Millisecond, nil, nil))
 	drain(t, clk)
 	if clk.Now() != simclock.Time(17*simclock.Millisecond) {
 		t.Fatalf("end = %v, want 17ms", clk.Now())
@@ -187,10 +187,10 @@ func TestOnIdleRefillKeepsRunningWithoutSwitch(t *testing.T) {
 	th.SetOnIdle(func() {
 		if n < 5 {
 			n++
-			th.Enqueue(Compute{Dur: simclock.Millisecond})
+			th.Enqueue(Compute(simclock.Millisecond, nil, nil))
 		}
 	})
-	th.Enqueue(Compute{Dur: simclock.Millisecond})
+	th.Enqueue(Compute(simclock.Millisecond, nil, nil))
 	drain(t, clk)
 	c := th.Counters()
 	if c.TaskClock != int64(6*simclock.Millisecond) {
@@ -205,12 +205,12 @@ func TestOnIdleRefillKeepsRunningWithoutSwitch(t *testing.T) {
 func TestEnqueueWakesParkedThread(t *testing.T) {
 	clk, s := newSched(1)
 	th := s.NewThread("main")
-	th.Enqueue(Compute{Dur: simclock.Millisecond})
+	th.Enqueue(Compute(simclock.Millisecond, nil, nil))
 	drain(t, clk)
 	if th.State() != Waiting {
 		t.Fatal("thread should be parked")
 	}
-	th.Enqueue(Compute{Dur: 2 * simclock.Millisecond})
+	th.Enqueue(Compute(2*simclock.Millisecond, nil, nil))
 	if th.State() != Running {
 		t.Fatalf("state after wake = %v, want running", th.State())
 	}
@@ -226,8 +226,8 @@ func TestCurrentStackVisibility(t *testing.T) {
 	computeStack := stack.New(stack.Frame{Class: "a.B", Method: "busy", File: "B.java", Line: 10})
 	blockStack := stack.New(stack.Frame{Class: "a.IO", Method: "read", File: "IO.java", Line: 20})
 	th.Enqueue(
-		Compute{Dur: 10 * simclock.Millisecond, Stack: computeStack},
-		Block{Dur: 10 * simclock.Millisecond, Stack: blockStack},
+		Compute(10*simclock.Millisecond, nil, computeStack),
+		Block(10*simclock.Millisecond, blockStack),
 	)
 	clk.At(5*1e6, func() {
 		if got := th.CurrentStack(); got != computeStack {
@@ -248,7 +248,7 @@ func TestCurrentStackVisibility(t *testing.T) {
 func TestCountersMidSegment(t *testing.T) {
 	clk, s := newSched(1)
 	th := s.NewThread("main")
-	th.Enqueue(Compute{Dur: 100 * simclock.Millisecond, Rates: Rates{MinorFaults: 10000}})
+	th.Enqueue(Compute(100*simclock.Millisecond, &Rates{MinorFaults: 10000}, nil))
 	clk.At(30*1e6, func() {
 		c := th.Counters()
 		if c.TaskClock != int64(30*simclock.Millisecond) {
@@ -268,8 +268,8 @@ func TestExitRunningThread(t *testing.T) {
 	clk, s := newSched(1)
 	a := s.NewThread("a")
 	b := s.NewThread("b")
-	a.Enqueue(Compute{Dur: 100 * simclock.Millisecond})
-	b.Enqueue(Compute{Dur: 10 * simclock.Millisecond})
+	a.Enqueue(Compute(100*simclock.Millisecond, nil, nil))
+	b.Enqueue(Compute(10*simclock.Millisecond, nil, nil))
 	clk.At(20*1e6, func() { a.Exit() })
 	drain(t, clk)
 	if a.State() != Dead {
@@ -296,7 +296,7 @@ func TestEnqueueOnDeadThreadPanics(t *testing.T) {
 			t.Fatal("expected panic enqueueing to dead thread")
 		}
 	}()
-	th.Enqueue(Compute{Dur: 1})
+	th.Enqueue(Compute(1, nil, nil))
 }
 
 func TestCountersSubAdd(t *testing.T) {
@@ -318,8 +318,8 @@ func TestBusyNs(t *testing.T) {
 	clk, s := newSched(2)
 	a := s.NewThread("a")
 	b := s.NewThread("b")
-	a.Enqueue(Compute{Dur: 30 * simclock.Millisecond})
-	b.Enqueue(Compute{Dur: 20 * simclock.Millisecond})
+	a.Enqueue(Compute(30*simclock.Millisecond, nil, nil))
+	b.Enqueue(Compute(20*simclock.Millisecond, nil, nil))
 	drain(t, clk)
 	if got := s.BusyNs(); got != int64(50*simclock.Millisecond) {
 		t.Fatalf("BusyNs = %d, want 50ms", got)
@@ -329,7 +329,7 @@ func TestBusyNs(t *testing.T) {
 func TestZeroDurationSegmentsSkipped(t *testing.T) {
 	clk, s := newSched(1)
 	th := s.NewThread("z")
-	th.Enqueue(Compute{Dur: 0}, Block{Dur: 0}, Compute{Dur: simclock.Millisecond})
+	th.Enqueue(Compute(0, nil, nil), Block(0, nil), Compute(simclock.Millisecond, nil, nil))
 	drain(t, clk)
 	c := th.Counters()
 	if c.TaskClock != int64(simclock.Millisecond) {
@@ -359,9 +359,9 @@ func TestConservationProperty(t *testing.T) {
 			for j := 0; j < nSegs; j++ {
 				d := simclock.Duration(1+r.Int63n(30)) * simclock.Millisecond
 				if r.Bool(0.3) {
-					segs = append(segs, Block{Dur: d})
+					segs = append(segs, Block(d, nil))
 				} else {
-					segs = append(segs, Compute{Dur: d})
+					segs = append(segs, Compute(d, nil, nil))
 					want[i] += int64(d)
 				}
 			}
@@ -399,10 +399,10 @@ func TestCtxSwitchLowerBound(t *testing.T) {
 		for j := 0; j < 1+r.Intn(8); j++ {
 			d := simclock.Duration(1+r.Int63n(10)) * simclock.Millisecond
 			if r.Bool(0.5) {
-				segs = append(segs, Block{Dur: d})
+				segs = append(segs, Block(d, nil))
 				blocks++
 			} else {
-				segs = append(segs, Compute{Dur: d})
+				segs = append(segs, Compute(d, nil, nil))
 			}
 		}
 		th.Enqueue(segs...)
@@ -419,8 +419,8 @@ func TestRunnablePreemptedStackStillVisible(t *testing.T) {
 	a := s.NewThread("a")
 	b := s.NewThread("b")
 	st := stack.New(stack.Frame{Class: "x.Y", Method: "loop", File: "Y.java", Line: 1})
-	a.Enqueue(Compute{Dur: 50 * simclock.Millisecond, Stack: st})
-	b.Enqueue(Compute{Dur: 50 * simclock.Millisecond})
+	a.Enqueue(Compute(50*simclock.Millisecond, nil, st))
+	b.Enqueue(Compute(50*simclock.Millisecond, nil, nil))
 	// After the first slice (10ms), one of them is preempted (Runnable); its
 	// stack must still be observable, as a real /proc stack dump would show.
 	clk.At(15*1e6, func() {

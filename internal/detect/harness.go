@@ -42,7 +42,7 @@ func (h *Harness) EnableCostInjection() {
 		if ns <= 0 {
 			return
 		}
-		monitor.Enqueue(cpu.Compute{Dur: simclock.Duration(ns)})
+		monitor.Enqueue(cpu.Compute(simclock.Duration(ns), nil, nil))
 	}
 	for _, d := range h.Detectors {
 		d.Log().Inject = inject

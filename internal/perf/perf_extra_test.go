@@ -58,7 +58,7 @@ func TestReadingWindow(t *testing.T) {
 	s := cpu.New(clk, 1)
 	th := s.NewThread("x")
 	sess := Open(clk, []*cpu.Thread{th}, []Event{TaskClock}, Config{})
-	th.Enqueue(cpu.Compute{Dur: 30 * simclock.Millisecond})
+	th.Enqueue(cpu.Compute(30*simclock.Millisecond, nil, nil))
 	clk.RunUntil(simclock.Time(45 * simclock.Millisecond))
 	r := sess.Stop()
 	if got := r.Window(); got != 45*simclock.Millisecond {
@@ -166,7 +166,7 @@ func TestGalaxyS3RegistersIncreaseMuxError(t *testing.T) {
 				}
 			}
 			sess := Open(clk, []*cpu.Thread{th}, events, Config{Registers: regs, Rng: rng})
-			th.Enqueue(cpu.Compute{Dur: 100 * simclock.Millisecond, Rates: rates})
+			th.Enqueue(cpu.Compute(100*simclock.Millisecond, &rates, nil))
 			clk.RunUntilIdle(100000)
 			r := sess.Stop()
 			truth := 200_000_000.0

@@ -96,8 +96,8 @@ func TestSessionExactWithoutNoise(t *testing.T) {
 	rates.MinorFaults = 2000
 	rates.HW[Instructions.HWIndex()] = 1e9
 	sess := Open(clk, []*cpu.Thread{main, render}, []Event{TaskClock, PageFaults, Instructions, ContextSwitches}, Config{})
-	main.Enqueue(cpu.Compute{Dur: 100 * simclock.Millisecond, Rates: rates})
-	render.Enqueue(cpu.Compute{Dur: 40 * simclock.Millisecond})
+	main.Enqueue(cpu.Compute(100*simclock.Millisecond, &rates, nil))
+	render.Enqueue(cpu.Compute(40*simclock.Millisecond, nil, nil))
 	clk.RunUntilIdle(100000)
 	r := sess.Stop()
 	if got := r.Value(0, TaskClock); got != int64(100*simclock.Millisecond) {
@@ -119,11 +119,11 @@ func TestSessionExactWithoutNoise(t *testing.T) {
 
 func TestSessionCountsOnlyItsWindow(t *testing.T) {
 	clk, main, _ := runWorkload(t)
-	main.Enqueue(cpu.Compute{Dur: 50 * simclock.Millisecond})
+	main.Enqueue(cpu.Compute(50*simclock.Millisecond, nil, nil))
 	clk.RunUntilIdle(100000)
 	// Open after the first burst: it must not be visible.
 	sess := Open(clk, []*cpu.Thread{main}, []Event{TaskClock}, Config{})
-	main.Enqueue(cpu.Compute{Dur: 30 * simclock.Millisecond})
+	main.Enqueue(cpu.Compute(30*simclock.Millisecond, nil, nil))
 	clk.RunUntilIdle(100000)
 	r := sess.Stop()
 	if got := r.Value(0, TaskClock); got != int64(30*simclock.Millisecond) {
@@ -152,7 +152,7 @@ func TestMultiplexingError(t *testing.T) {
 		var rates cpu.Rates
 		rates.HW[Instructions.HWIndex()] = 2e9
 		sess := Open(clk, []*cpu.Thread{main}, events, Config{Rng: rng})
-		main.Enqueue(cpu.Compute{Dur: 200 * simclock.Millisecond, Rates: rates})
+		main.Enqueue(cpu.Compute(200*simclock.Millisecond, &rates, nil))
 		clk.RunUntilIdle(100000)
 		r := sess.Stop()
 		return r.Value(0, Instructions), 400_000_000
@@ -190,7 +190,7 @@ func TestKernelEventsNeverMultiplexed(t *testing.T) {
 		return pmu
 	}()...)
 	sess := Open(clk, []*cpu.Thread{main}, events, Config{Rng: rng})
-	main.Enqueue(cpu.Compute{Dur: 80 * simclock.Millisecond})
+	main.Enqueue(cpu.Compute(80*simclock.Millisecond, nil, nil))
 	clk.RunUntilIdle(100000)
 	r := sess.Stop()
 	if got := r.Value(0, TaskClock); got != int64(80*simclock.Millisecond) {
@@ -212,8 +212,8 @@ func TestNoiseCommonModeCancelsInDiff(t *testing.T) {
 		main := s.NewThread("main")
 		render := s.NewThread("render")
 		sess := Open(clk, []*cpu.Thread{main, render}, []Event{TaskClock}, Config{Noise: noise, Rng: rng})
-		main.Enqueue(cpu.Compute{Dur: 100 * simclock.Millisecond})
-		render.Enqueue(cpu.Compute{Dur: 100 * simclock.Millisecond})
+		main.Enqueue(cpu.Compute(100*simclock.Millisecond, nil, nil))
+		render.Enqueue(cpu.Compute(100*simclock.Millisecond, nil, nil))
 		clk.RunUntilIdle(100000)
 		r := sess.Stop()
 		d := float64(r.Diff(TaskClock)) // truth: 0
@@ -230,7 +230,7 @@ func TestSampleEvery(t *testing.T) {
 	clk, main, render := runWorkload(t)
 	sess := Open(clk, []*cpu.Thread{main, render}, []Event{TaskClock}, Config{})
 	sess.SampleEvery(100 * simclock.Millisecond)
-	main.Enqueue(cpu.Compute{Dur: 350 * simclock.Millisecond})
+	main.Enqueue(cpu.Compute(350*simclock.Millisecond, nil, nil))
 	clk.RunUntil(simclock.Time(500 * simclock.Millisecond))
 	r := sess.Stop()
 	samples := sess.Samples()
@@ -308,7 +308,7 @@ func TestSampleAdditivityProperty(t *testing.T) {
 		total := simclock.Duration(50+r.Intn(300)) * simclock.Millisecond
 		sess := Open(clk, []*cpu.Thread{main}, []Event{TaskClock, PageFaults, ContextSwitches}, Config{})
 		sess.SampleEvery(simclock.Duration(10+r.Intn(50)) * simclock.Millisecond)
-		main.Enqueue(cpu.Compute{Dur: total, Rates: rates})
+		main.Enqueue(cpu.Compute(total, &rates, nil))
 		clk.RunUntil(simclock.Time(total) + simclock.Time(100*simclock.Millisecond))
 		final := sess.Stop()
 		var sum [3]int64

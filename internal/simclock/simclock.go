@@ -7,10 +7,7 @@
 // wall time and is bit-for-bit reproducible.
 package simclock
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Time is an absolute simulated timestamp in nanoseconds since device boot.
 type Time int64
@@ -56,23 +53,50 @@ func (d Duration) String() string {
 	}
 }
 
-// Event is a scheduled callback. Events fire in (time, scheduling order).
-type Event struct {
-	at    Time
-	seq   uint64
-	index int // heap index, -1 once fired or cancelled
-	fn    func()
+// Handle names one scheduled event so that it can be cancelled. It is a
+// (slot, generation) pair: the event's slot in the clock's table and its
+// sequence number, which no other event of the clock ever gets. A handle
+// whose event fired or was cancelled therefore never matches the slot's
+// next occupant, and the zero Handle names no event.
+type Handle struct {
+	slot int32
+	seq  uint64
 }
-
-// Time returns the moment this event is scheduled to fire.
-func (e *Event) Time() Time { return e.at }
 
 // Clock is a discrete-event virtual clock. The zero value is ready to use
 // and starts at time 0.
+//
+// Pending events are values: a 4-ary min-heap of (time, seq, slot) entries
+// over a table of slots that hold the callbacks, with a free list of slots,
+// so scheduling, firing and cancelling allocate nothing once the table has
+// grown to the simulation's peak event count.
 type Clock struct {
-	now    Time
-	seq    uint64
-	events eventHeap
+	now   Time
+	seq   uint64
+	heap  []entry
+	slots []slot
+	free  []int32
+}
+
+// entry is one pending event in heap order.
+type entry struct {
+	at   Time
+	seq  uint64
+	slot int32
+}
+
+// before orders events by (time, scheduling order), so simultaneous events
+// fire in the order they were scheduled and the simulation is deterministic.
+func (e entry) before(o entry) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
+}
+
+// slot holds a pending event's callback. seq is the occupying event's
+// sequence number, 0 while the slot is free; pos is its heap index.
+type slot struct {
+	fn  func()
+	seq uint64
+	pos int32
 }
 
 // New returns a clock starting at time 0.
@@ -85,50 +109,66 @@ func (c *Clock) Now() Time { return c.now }
 // in a discrete-event simulation that is always a logic bug and silently
 // clamping it would hide causality violations. Scheduling at exactly Now is
 // allowed and runs after currently queued events at Now.
-func (c *Clock) At(t Time, fn func()) *Event {
+func (c *Clock) At(t Time, fn func()) Handle {
 	if t < c.now {
 		panic(fmt.Sprintf("simclock: scheduling event at %d before now %d", t, c.now))
 	}
 	if fn == nil {
 		panic("simclock: nil event function")
 	}
-	e := &Event{at: t, seq: c.seq, fn: fn}
 	c.seq++
-	heap.Push(&c.events, e)
-	return e
+	var i int32
+	if n := len(c.free); n > 0 {
+		i = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		i = int32(len(c.slots))
+		c.slots = append(c.slots, slot{})
+	}
+	c.slots[i] = slot{fn: fn, seq: c.seq}
+	c.heap = append(c.heap, entry{at: t, seq: c.seq, slot: i})
+	c.up(len(c.heap) - 1)
+	return Handle{slot: i, seq: c.seq}
 }
 
 // After schedules fn to run d from now. Negative d panics via At.
-func (c *Clock) After(d Duration, fn func()) *Event {
+func (c *Clock) After(d Duration, fn func()) Handle {
 	return c.At(c.now.Add(d), fn)
 }
 
-// Cancel removes e from the queue. Cancelling an already-fired or
-// already-cancelled event is a no-op, so callers can cancel unconditionally
-// in cleanup paths.
-func (c *Clock) Cancel(e *Event) {
-	if e == nil || e.index < 0 {
+// Pending reports whether h's event is still queued: neither fired nor
+// cancelled.
+func (c *Clock) Pending(h Handle) bool {
+	return h.seq != 0 && int(h.slot) < len(c.slots) && c.slots[h.slot].seq == h.seq
+}
+
+// Cancel removes h's event from the queue. Cancelling an event that already
+// fired or was cancelled, or the zero Handle, is a no-op, so callers can
+// cancel unconditionally in cleanup paths.
+func (c *Clock) Cancel(h Handle) {
+	if !c.Pending(h) {
 		return
 	}
-	heap.Remove(&c.events, e.index)
-	e.index = -1
-	e.fn = nil
+	c.removeAt(int(c.slots[h.slot].pos))
+	c.release(h.slot)
 }
 
 // Len reports the number of pending events.
-func (c *Clock) Len() int { return len(c.events) }
+func (c *Clock) Len() int { return len(c.heap) }
 
 // Step fires the earliest pending event, advancing Now to its timestamp.
-// It returns false if the queue is empty.
+// It returns false if the queue is empty. The event's slot is released
+// before its callback runs, so the callback may schedule into it and a
+// Cancel through the fired handle is a no-op.
 func (c *Clock) Step() bool {
-	if len(c.events) == 0 {
+	if len(c.heap) == 0 {
 		return false
 	}
-	e := heap.Pop(&c.events).(*Event)
-	e.index = -1
+	e := c.heap[0]
+	c.removeAt(0)
 	c.now = e.at
-	fn := e.fn
-	e.fn = nil
+	fn := c.slots[e.slot].fn
+	c.release(e.slot)
 	fn()
 	return true
 }
@@ -139,7 +179,7 @@ func (c *Clock) RunUntil(t Time) {
 	if t < c.now {
 		panic(fmt.Sprintf("simclock: RunUntil target %d before now %d", t, c.now))
 	}
-	for len(c.events) > 0 && c.events[0].at <= t {
+	for len(c.heap) > 0 && c.heap[0].at <= t {
 		c.Step()
 	}
 	c.now = t
@@ -158,32 +198,70 @@ func (c *Clock) RunUntilIdle(maxEvents int) (fired int, drained bool) {
 	return fired, c.Len() == 0
 }
 
-// eventHeap orders events by (time, seq) so simultaneous events fire in
-// scheduling order, which keeps the simulation deterministic.
-type eventHeap []*Event
+// release returns slot i to the free list.
+func (c *Clock) release(i int32) {
+	c.slots[i] = slot{}
+	c.free = append(c.free, i)
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// removeAt deletes the heap entry at index i, filling the hole with the last
+// entry and restoring heap order around it.
+func (c *Clock) removeAt(i int) {
+	n := len(c.heap) - 1
+	last := c.heap[n]
+	c.heap = c.heap[:n]
+	if i == n {
+		return
 	}
-	return h[i].seq < h[j].seq
+	c.heap[i] = last
+	if i > 0 && last.before(c.heap[(i-1)/4]) {
+		c.up(i)
+	} else {
+		c.down(i)
+	}
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+// place stores e at heap index i and records the index in e's slot.
+func (c *Clock) place(i int, e entry) {
+	c.heap[i] = e
+	c.slots[e.slot].pos = int32(i)
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
+
+// up moves the entry at i toward the root until its parent comes before it.
+func (c *Clock) up(i int) {
+	e := c.heap[i]
+	for i > 0 {
+		p := (i - 1) / 4
+		if !e.before(c.heap[p]) {
+			break
+		}
+		c.place(i, c.heap[p])
+		i = p
+	}
+	c.place(i, e)
 }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+
+// down moves the entry at i away from the root until it comes before all of
+// its (up to four) children.
+func (c *Clock) down(i int) {
+	h := c.heap
+	e := h[i]
+	for {
+		first := 4*i + 1
+		if first >= len(h) {
+			break
+		}
+		m := first
+		for j := first + 1; j < first+4 && j < len(h); j++ {
+			if h[j].before(h[m]) {
+				m = j
+			}
+		}
+		if !h[m].before(e) {
+			break
+		}
+		c.place(i, h[m])
+		i = m
+	}
+	c.place(i, e)
 }

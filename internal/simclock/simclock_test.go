@@ -1,6 +1,7 @@
 package simclock
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -48,15 +49,81 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	// Double cancel and nil cancel are no-ops.
+	// Double cancel and zero-handle cancel are no-ops.
 	c.Cancel(e)
-	c.Cancel(nil)
+	c.Cancel(Handle{})
+}
+
+// TestStaleHandleCancelIsNoop fires or cancels an event, lets a newer event
+// take its slot, then cancels through the old handle: the newer event must
+// still fire.
+func TestStaleHandleCancelIsNoop(t *testing.T) {
+	for _, fire := range []bool{true, false} {
+		c := New()
+		old := c.At(1, func() {})
+		if fire {
+			c.Step()
+		} else {
+			c.Cancel(old)
+		}
+		ran := false
+		newer := c.At(2, func() { ran = true })
+		if newer.slot != old.slot {
+			t.Fatalf("fire=%v: newer event took slot %d, not the freed slot %d", fire, newer.slot, old.slot)
+		}
+		c.Cancel(old)
+		if c.Pending(old) || !c.Pending(newer) {
+			t.Fatalf("fire=%v: Pending(old)=%v Pending(newer)=%v, want false, true", fire, c.Pending(old), c.Pending(newer))
+		}
+		c.RunUntilIdle(10)
+		if !ran {
+			t.Fatalf("fire=%v: Cancel through a stale handle cancelled the slot's newer event", fire)
+		}
+	}
+}
+
+// TestSelfCancelIsNoop cancels the firing event from inside its own
+// callback, after the callback scheduled a new event into the freed slot.
+func TestSelfCancelIsNoop(t *testing.T) {
+	c := New()
+	var self Handle
+	next := false
+	self = c.At(5, func() {
+		c.After(1, func() { next = true })
+		c.Cancel(self)
+	})
+	c.RunUntilIdle(10)
+	if !next {
+		t.Fatal("a self-cancel from inside the callback cancelled the event it scheduled")
+	}
+}
+
+// TestWarmClockZeroAlloc pins the value-event design: once the slot table
+// has grown, scheduling, firing and cancelling allocate nothing.
+func TestWarmClockZeroAlloc(t *testing.T) {
+	c := New()
+	fn := func() {}
+	for i := 0; i < 8; i++ {
+		c.After(Duration(i), fn)
+	}
+	c.RunUntilIdle(100)
+	if n := testing.AllocsPerRun(100, func() {
+		c.At(c.Now()+1, fn)
+		c.Step()
+	}); n != 0 {
+		t.Errorf("warm At+Step allocates %.1f objects, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		c.Cancel(c.After(7, fn))
+	}); n != 0 {
+		t.Errorf("warm After+Cancel allocates %.1f objects, want 0", n)
+	}
 }
 
 func TestCancelMiddleOfHeap(t *testing.T) {
 	c := New()
 	var fired []int
-	var events []*Event
+	var events []Handle
 	for i := 0; i < 20; i++ {
 		i := i
 		events = append(events, c.At(Time(i*10), func() { fired = append(fired, i) }))
@@ -147,37 +214,70 @@ func TestRunUntilIdleBound(t *testing.T) {
 	}
 }
 
-func TestEventTimeAccessor(t *testing.T) {
-	c := New()
-	e := c.At(77, func() {})
-	if e.Time() != 77 {
-		t.Fatalf("Time() = %d, want 77", e.Time())
-	}
-}
-
-// TestHeapPropertyRandomized checks, with random schedules and cancellations,
-// that surviving events always fire in nondecreasing time order.
+// TestHeapPropertyRandomized checks, with random schedules (many of them at
+// equal times) and cancellations, some made while events fire and some
+// through handles whose slot was already reused, that the surviving events
+// fire in exactly the order of a reference sorted by (time, scheduling
+// order).
 func TestHeapPropertyRandomized(t *testing.T) {
 	rng := simrand.New(99)
 	f := func(seed uint16) bool {
 		r := rng.Derive(string(rune(seed)))
 		c := New()
-		var events []*Event
-		var firedTimes []Time
+		type ev struct {
+			at        Time
+			id        int
+			h         Handle
+			cancelled bool
+		}
+		var evs []*ev
+		var fired []int
+		schedule := func(at Time) {
+			e := &ev{at: at, id: len(evs)}
+			e.h = c.At(at, func() { fired = append(fired, e.id) })
+			evs = append(evs, e)
+		}
+		cancel := func(e *ev) {
+			if c.Pending(e.h) {
+				e.cancelled = true
+			}
+			c.Cancel(e.h)
+		}
 		n := 5 + r.Intn(50)
 		for i := 0; i < n; i++ {
-			at := Time(r.Int63n(1000))
-			events = append(events, c.At(at, func() { firedTimes = append(firedTimes, c.Now()) }))
+			// Times in [0, 40) force plenty of same-time ties.
+			schedule(Time(r.Int63n(40)))
 		}
-		// Randomly cancel about a third.
-		for _, e := range events {
+		for _, e := range evs {
 			if r.Bool(0.33) {
-				c.Cancel(e)
+				cancel(e)
 			}
 		}
+		// Interleave firing with more scheduling and cancelling, so freed
+		// slots are reused and stale handles get cancelled.
+		for c.Len() > 0 && r.Bool(0.9) {
+			c.Step()
+			schedule(c.Now() + Time(r.Int63n(20)))
+			cancel(evs[r.Intn(len(evs))])
+		}
 		c.RunUntilIdle(10000)
-		for i := 1; i < len(firedTimes); i++ {
-			if firedTimes[i] < firedTimes[i-1] {
+		var want []*ev
+		for _, e := range evs {
+			if !e.cancelled {
+				want = append(want, e)
+			}
+		}
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].at != want[j].at {
+				return want[i].at < want[j].at
+			}
+			return want[i].id < want[j].id
+		})
+		if len(fired) != len(want) {
+			return false
+		}
+		for i, e := range want {
+			if fired[i] != e.id {
 				return false
 			}
 		}

@@ -59,20 +59,28 @@ func New(seed uint64) *Rand {
 // generators in the same state yields identical sub-streams. Derive does not
 // consume numbers from r.
 func (r *Rand) Derive(name string) *Rand {
+	child := &Rand{}
+	r.DeriveInto(child, []byte(name))
+	return child
+}
+
+// DeriveInto is Derive into an existing generator: it overwrites dst with
+// the sub-stream Derive(string(name)) would return, without allocating, so
+// a component that re-derives a stream per episode can keep one generator.
+func (r *Rand) DeriveInto(dst *Rand, name []byte) {
 	h := uint64(14695981039346656037) // FNV-64 offset basis
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
+	for _, b := range name {
+		h ^= uint64(b)
 		h *= 1099511628211
 	}
 	sm := r.s[0] ^ bits.RotateLeft64(r.s[1], 13) ^ h
-	child := &Rand{}
-	for i := range child.s {
-		child.s[i] = splitmix64(&sm)
+	*dst = Rand{}
+	for i := range dst.s {
+		dst.s[i] = splitmix64(&sm)
 	}
-	if child.s[0]|child.s[1]|child.s[2]|child.s[3] == 0 {
-		child.s[0] = 1
+	if dst.s[0]|dst.s[1]|dst.s[2]|dst.s[3] == 0 {
+		dst.s[0] = 1
 	}
-	return child
 }
 
 // Uint64 returns the next 64 random bits (xoshiro256**).

@@ -53,6 +53,25 @@ func TestDeriveIndependence(t *testing.T) {
 	}
 }
 
+// TestDeriveIntoMatchesDerive re-derives into a generator that already
+// holds another stream and a cached Gaussian: the result must draw exactly
+// what a fresh Derive of the same name draws.
+func TestDeriveIntoMatchesDerive(t *testing.T) {
+	root := New(5)
+	dst := root.Derive("previous")
+	dst.NormFloat64() // leaves the second Box-Muller value cached
+	root.DeriveInto(dst, []byte("bg/1/42"))
+	want := root.Derive("bg/1/42")
+	for i := 0; i < 100; i++ {
+		if a, b := dst.NormFloat64(), want.NormFloat64(); a != b {
+			t.Fatalf("draw %d: DeriveInto gave %v, Derive %v", i, a, b)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { root.DeriveInto(dst, []byte("bg/1/42")) }); n != 0 {
+		t.Fatalf("DeriveInto allocates %.1f objects, want 0", n)
+	}
+}
+
 func TestFloat64Range(t *testing.T) {
 	r := New(3)
 	for i := 0; i < 10000; i++ {

@@ -44,7 +44,7 @@ func (p *Process) startBackground() {
 	}
 	p.bgActive = true
 	if p.worker.QueueLen() == 0 {
-		p.worker.Enqueue(cpu.Block{Dur: simclock.Duration(p.rng.Jitter(float64(p.dev.SyncGap), 0.4))})
+		p.worker.Enqueue(cpu.Block(simclock.Duration(p.rng.Jitter(float64(p.dev.SyncGap), 0.4)), nil))
 	}
 }
 
@@ -111,8 +111,8 @@ func (d *Device) Install(a *app.App) (*Process, error) {
 			return
 		}
 		p.worker.Enqueue(
-			cpu.Block{Dur: simclock.Duration(p.rng.Jitter(float64(d.SyncGap), 0.4))},
-			cpu.Compute{Dur: simclock.Duration(p.rng.Jitter(float64(d.SyncBurst), 0.4))},
+			cpu.Block(simclock.Duration(p.rng.Jitter(float64(d.SyncGap), 0.4)), nil),
+			cpu.Compute(simclock.Duration(p.rng.Jitter(float64(d.SyncBurst), 0.4)), nil, nil),
 		)
 	})
 	d.procs = append(d.procs, p)
