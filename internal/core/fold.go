@@ -37,10 +37,9 @@ func ShardIndexKey(key string, shards int) int {
 }
 
 // Clone returns a deep copy of the report; mutating either copy never
-// affects the other. Shards use it to answer snapshot requests without
-// handing their single-writer state to a reader.
+// affects the other.
 func (r *Report) Clone() *Report {
-	return &Report{entries: r.entries.deepCopy(0), totalHangs: r.totalHangs, Health: r.Health}
+	return &Report{entries: r.entries.deepCopy(), totalHangs: r.totalHangs, Health: r.Health}
 }
 
 // Split partitions the report into shards fragment reports by ShardIndex of
@@ -71,8 +70,8 @@ func (r *Report) Split(shards int) []*Report {
 	r.entries.each(func(l *trieLeaf) {
 		e := l.e
 		f := frag(ShardIndex(e.App, e.ActionUID, e.RootCause, shards))
-		f.entries.bind(l.key, e, nil, 0)
-		f.totalHangs += e.Hangs
+		f.entries.bind(l.key, e, nil)
+		f.totalHangs = satAdd(f.totalHangs, e.Hangs)
 	})
 	return out
 }

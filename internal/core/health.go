@@ -44,20 +44,20 @@ type Health struct {
 // Zero reports whether nothing degraded.
 func (h Health) Zero() bool { return h == Health{} }
 
-// Add accumulates another summary (fleet-side merge).
+// Add accumulates another summary (fleet-side merge), saturating.
 func (h *Health) Add(o Health) {
-	h.PerfOpenFailures += o.PerfOpenFailures
-	h.PerfOpenRetries += o.PerfOpenRetries
-	h.CountersLost += o.CountersLost
-	h.RenderLost += o.RenderLost
-	h.StacksDropped += o.StacksDropped
-	h.StacksTruncated += o.StacksTruncated
-	h.SamplerOverruns += o.SamplerOverruns
-	h.VerdictsDeferred += o.VerdictsDeferred
-	h.LowConfidence += o.LowConfidence
-	h.Quarantines += o.Quarantines
-	h.WorkerStacksLost += o.WorkerStacksLost
-	h.CausalFallbacks += o.CausalFallbacks
+	h.PerfOpenFailures = satAdd(h.PerfOpenFailures, o.PerfOpenFailures)
+	h.PerfOpenRetries = satAdd(h.PerfOpenRetries, o.PerfOpenRetries)
+	h.CountersLost = satAdd(h.CountersLost, o.CountersLost)
+	h.RenderLost = satAdd(h.RenderLost, o.RenderLost)
+	h.StacksDropped = satAdd(h.StacksDropped, o.StacksDropped)
+	h.StacksTruncated = satAdd(h.StacksTruncated, o.StacksTruncated)
+	h.SamplerOverruns = satAdd(h.SamplerOverruns, o.SamplerOverruns)
+	h.VerdictsDeferred = satAdd(h.VerdictsDeferred, o.VerdictsDeferred)
+	h.LowConfidence = satAdd(h.LowConfidence, o.LowConfidence)
+	h.Quarantines = satAdd(h.Quarantines, o.Quarantines)
+	h.WorkerStacksLost = satAdd(h.WorkerStacksLost, o.WorkerStacksLost)
+	h.CausalFallbacks = satAdd(h.CausalFallbacks, o.CausalFallbacks)
 }
 
 // String renders the summary on one line. The causal counters are appended

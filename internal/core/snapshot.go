@@ -6,13 +6,15 @@ package core
 // side needs. All three rest on the report's entry trie (trie.go), so each
 // read costs O(changed state), not O(total state):
 //
-//   - A shard owns a mutating Report and a SnapshotCache. Merges append the
-//     touched entry keys, with the version they will commit at, to a change
-//     list and bump a monotonically increasing version. A snapshot request
-//     at an unchanged version returns the cached immutable snapshot; an
-//     outdated one is the previous snapshot plus one batch that re-clones
-//     the listed keys, stamped with their versions, sharing every other
-//     trie node. A delta walks only the subtrees stamped after its base.
+//   - A shard owns a mutating Report and a SnapshotCache bound to it.
+//     Merges stamp every leaf they write with the version their batch
+//     commits at, and the cache bumps a monotonically increasing version
+//     once per batch. A snapshot is the live report's trie itself, handed
+//     out as it stands; the live report goes on as a new batch over it, so
+//     the first write after a hand-out copies the nodes and leaf it
+//     touches, and the snapshot never changes. A snapshot request at an
+//     unchanged version returns the cached snapshot. A delta walks only
+//     the subtrees stamped after its base.
 //   - The aggregator folds shard snapshots through a FoldCache keyed by the
 //     shard version vector: only shards whose version moved are re-merged,
 //     in one batch over the previous fold, and because shards own disjoint
@@ -32,122 +34,75 @@ package core
 // ---------------------------------------------------------------------------
 // Versioned persistent snapshots
 
-// SnapshotCache tracks a mutating Report's changes so reads can reuse
-// prior work. The owner marks every entry key it touches, bumps the
-// version once per mutation batch, and serves reads through Snapshot —
-// which is free when nothing changed and proportional to the marked keys
-// otherwise. Each snapshot's trie leaves carry the version that last
-// changed them, so DeltaSince answers "what moved since version v" with a
-// walk of the newer subtrees, without diffing state.
+// SnapshotCache versions a mutating Report so reads can reuse prior work.
+// The owner merges into the report and bumps the version once per
+// mutation batch, and serves reads through Snapshot, which hands out the
+// report's trie in O(1). Each leaf carries the version of the batch that
+// last changed it, so DeltaSince answers "what moved since version v" with
+// a walk of the newer subtrees, without diffing state.
 //
 // A SnapshotCache is owned by the goroutine that owns the Report; it is
 // not safe for concurrent use. The *Report values it returns are
 // immutable and safe to share across goroutines.
 type SnapshotCache struct {
+	live    *Report
 	version uint64
-	// changes lists the keys marked since snap was built, each with the
-	// version that commits it. Once it outgrows twice the snapshot, it and
-	// snap are dropped: the next snapshot is rebuilt in full, every leaf
-	// stamped at that version.
-	changes []keyChange
-	snap    *Report // cached immutable snapshot; nil until built
-	snapV   uint64  // version snap covers
+	snap    *Report // live as handed out at version, or nil
 }
 
-type keyChange struct {
-	key string
-	ver uint64
+// NewSnapshotCache returns a cache at version 0 over live, whose merges
+// from then on are stamped with the version of the batch they belong to.
+// Entries live already holds keep their stamps (0 for a report nothing
+// versioned).
+func NewSnapshotCache(live *Report) *SnapshotCache {
+	live.entries.ver = 1
+	return &SnapshotCache{live: live}
 }
-
-// NewSnapshotCache returns an empty cache at version 0.
-func NewSnapshotCache() *SnapshotCache { return &SnapshotCache{} }
 
 // Version returns the current state version: 0 until the first Bump, then
 // monotonically increasing.
 func (sc *SnapshotCache) Version() uint64 { return sc.version }
 
-// MarkKey records that the entry at key is about to change in the batch
-// the next Bump commits.
-func (sc *SnapshotCache) MarkKey(key string) {
-	switch {
-	case sc.snap == nil: // the next snapshot is built in full
-	case len(sc.changes) >= 2*sc.snap.Len():
-		sc.changes, sc.snap = sc.changes[:0], nil
-	default:
-		sc.changes = append(sc.changes, keyChange{key, sc.version + 1})
-	}
-}
-
-// MarkReport marks every entry key of frag (the fragment about to merge).
-func (sc *SnapshotCache) MarkReport(frag *Report) {
-	frag.entries.each(func(l *trieLeaf) { sc.MarkKey(l.key) })
-}
-
-// MarkWireEntries marks the precomputed keys of decoded wire entries.
-func (sc *SnapshotCache) MarkWireEntries(entries []WireEntry) {
-	for i := range entries {
-		sc.MarkKey(entries[i].Key)
-	}
-}
-
 // Bump commits one mutation batch: the version moves even when the batch
-// touched no entry keys (a health-only merge still changes report bytes).
-func (sc *SnapshotCache) Bump() { sc.version++ }
+// touched no entry (a health-only merge still changes report bytes), and
+// the live report's later merges are stamped with the next version.
+func (sc *SnapshotCache) Bump() {
+	sc.version++
+	sc.snap = nil
+	sc.live.entries.ver = sc.version + 1
+}
 
 // Cached reports whether the next Snapshot call will return the cached
-// snapshot unchanged (nothing has moved since it was built).
-func (sc *SnapshotCache) Cached() bool { return sc.snap != nil && sc.snapV == sc.version }
+// snapshot unchanged (nothing has moved since it was handed out).
+func (sc *SnapshotCache) Cached() bool { return sc.snap != nil }
 
-// Snapshot returns an immutable snapshot of live at the current version.
-// If the version is unchanged since the last call the cached snapshot is
-// returned as-is. Otherwise the new snapshot is the previous one plus one
-// batch that deep-clones each listed key's entry from live, stamped with
-// the key's newest mark; every other entry and trie node is shared with
-// the previous snapshot. Without a previous snapshot, or after the change
-// list overflowed, every entry is cloned. Callers must treat the result
+// Snapshot returns an immutable snapshot of the live report at the current
+// version. If the version is unchanged since the last call the cached
+// snapshot is returned as-is. Otherwise the live report's trie is handed
+// out as the snapshot, sharing every node, leaf and entry, and the live
+// report continues as a new batch over it. Callers must treat the result
 // (and everything reachable from it) as read-only.
-func (sc *SnapshotCache) Snapshot(live *Report) *Report {
-	if sc.Cached() {
-		return sc.snap
-	}
-	out := &Report{totalHangs: live.totalHangs, Health: live.Health}
+func (sc *SnapshotCache) Snapshot() *Report {
 	if sc.snap == nil {
-		out.entries = live.entries.deepCopy(sc.version)
-	} else {
-		out.entries = sc.snap.entries.batch()
-		// Newest marks first: a key's later duplicates find it stamped
-		// after snapV and are skipped, so each changed entry clones once.
-		for i := len(sc.changes) - 1; i >= 0; i-- {
-			c := sc.changes[i]
-			if l := out.entries.leaf(c.key); l != nil && l.ver > sc.snapV {
-				continue
-			}
-			if e := live.entries.get(c.key); e != nil {
-				out.entries.bind(c.key, e, nil, c.ver)
-			} else {
-				out.entries.del(c.key)
-			}
-		}
+		live := sc.live
+		sc.snap = &Report{entries: live.entries, totalHangs: live.totalHangs, Health: live.Health}
+		live.entries = live.entries.batch()
 	}
-	sc.changes = sc.changes[:0]
-	sc.snap, sc.snapV = out, sc.version
-	return out
+	return sc.snap
 }
 
 // DeltaSince returns the current version and an immutable report holding
-// the entries changed after version since, with live's full Health
-// (health rides every delta — it is absolute, cheap, and saves tracking a
-// separate health version). Entries, and the trie leaves binding them,
-// are shared with the current snapshot.
+// exactly the entries changed after version since, with the live report's
+// full Health (health rides every delta — it is absolute, cheap, and saves
+// tracking a separate health version). Entries, and the trie leaves
+// binding them, are shared with the current snapshot.
 // since at or beyond the current version yields an entry-less report.
-// After a full rebuild the delta may also carry unchanged entries; their
-// absolute states apply idempotently.
-func (sc *SnapshotCache) DeltaSince(live *Report, since uint64) (*Report, uint64) {
-	snap := sc.Snapshot(live)
+func (sc *SnapshotCache) DeltaSince(since uint64) (*Report, uint64) {
+	snap := sc.Snapshot()
 	out := &Report{Health: snap.Health}
 	snap.entries.changedSince(since, func(l *trieLeaf) {
 		out.entries.put(l)
-		out.totalHangs += l.e.Hangs
+		out.totalHangs = satAdd(out.totalHangs, l.e.Hangs)
 	})
 	return out, sc.version
 }
@@ -162,10 +117,10 @@ func (sc *SnapshotCache) DeltaSince(live *Report, since uint64) (*Report, uint64
 // and the result matches a serial deep Merge byte for byte.
 func (r *Report) addShared(part *Report) {
 	r.Health.Add(part.Health)
-	r.totalHangs += part.totalHangs
+	r.totalHangs = satAdd(r.totalHangs, part.totalHangs)
 	part.entries.each(func(l *trieLeaf) {
 		if old := r.entries.put(l); old != nil {
-			merged, _ := r.entries.bind(l.key, old.e, nil, 0)
+			merged, _ := r.entries.bind(l.key, old.e, nil)
 			merged.merge(l.e, nil)
 		}
 	})
@@ -239,7 +194,7 @@ func (fc *FoldCache) Update(parts []*Report, vers []uint64) (rep *Report, hit bo
 			}
 			diffLeaves(prev, p.entries.root, 0, func(l *trieLeaf) { out.entries.put(l) })
 		}
-		out.totalHangs += p.totalHangs
+		out.totalHangs = satAdd(out.totalHangs, p.totalHangs)
 		out.Health.Add(p.Health)
 	}
 	fc.result, fc.parts, fc.vers = out, append([]*Report(nil), parts...), vers
@@ -260,10 +215,10 @@ func (r *Report) ApplyWireDelta(wr *WireReport) []string {
 	for i := range wr.Entries {
 		we := &wr.Entries[i]
 		src := we.entry()
-		if _, old := r.entries.bind(we.Key, &src, we.Devices, 0); old != nil {
+		if _, old := r.entries.bind(we.Key, &src, we.Devices); old != nil {
 			r.totalHangs -= old.Hangs
 		}
-		r.totalHangs += we.Hangs
+		r.totalHangs = satAdd(r.totalHangs, we.Hangs)
 		changed = append(changed, we.Key)
 	}
 	r.Health = wr.Health
@@ -282,8 +237,8 @@ func (r *Report) ApplyWireFull(wr *WireReport) []string {
 	for i := range wr.Entries {
 		we := &wr.Entries[i]
 		src := we.entry()
-		r.entries.bind(we.Key, &src, we.Devices, 0)
-		r.totalHangs += we.Hangs
+		r.entries.bind(we.Key, &src, we.Devices)
+		r.totalHangs = satAdd(r.totalHangs, we.Hangs)
 		changed = append(changed, we.Key)
 	}
 	old.each(func(l *trieLeaf) {
@@ -316,7 +271,7 @@ func (r *Report) RefreshKeys(keys []string, parts ...*Report) *Report {
 				continue
 			}
 			if merged == nil {
-				merged, _ = out.entries.bind(key, e, nil, 0)
+				merged, _ = out.entries.bind(key, e, nil)
 			} else {
 				merged.merge(e, nil)
 			}
@@ -327,7 +282,7 @@ func (r *Report) RefreshKeys(keys []string, parts ...*Report) *Report {
 	}
 	for _, p := range parts {
 		if p != nil {
-			out.totalHangs += p.totalHangs
+			out.totalHangs = satAdd(out.totalHangs, p.totalHangs)
 			out.Health.Add(p.Health)
 		}
 	}

@@ -7,55 +7,47 @@ import (
 	"testing"
 
 	"hangdoctor/internal/simclock"
+	"hangdoctor/internal/simrand"
 )
 
-// markAll marks every entry key of r dirty in sc (the shape of a merge
-// that touched the whole report) and commits the batch.
-func markAll(sc *SnapshotCache, r *Report) {
-	sc.MarkReport(r)
-	sc.Bump()
-}
-
 // TestSnapshotCacheCOW pins the copy-on-write contract: an unchanged
-// version returns the identical snapshot, a changed version deep-clones
-// only the marked entries and shares every clean *ReportEntry pointer
-// with the previous snapshot — and every snapshot exports byte-identically
-// to a deep clone of the live report at that moment.
+// version returns the identical snapshot, a changed version shares every
+// clean *ReportEntry pointer with the previous snapshot and holds its own
+// copy of each written one, and every snapshot exports byte-identically
+// to the live report at that moment.
 func TestSnapshotCacheCOW(t *testing.T) {
 	live := foldFixture()
-	sc := NewSnapshotCache()
-	markAll(sc, live)
+	sc := NewSnapshotCache(live)
+	sc.Bump()
 
-	s1 := sc.Snapshot(live)
-	if got, want := exportBytes(t, s1), exportBytes(t, live.Clone()); !bytes.Equal(got, want) {
+	s1 := sc.Snapshot()
+	if got, want := exportBytes(t, s1), exportBytes(t, live); !bytes.Equal(got, want) {
 		t.Fatal("first snapshot does not match the live report")
 	}
-	if sc.Snapshot(live) != s1 {
+	if sc.Snapshot() != s1 {
 		t.Fatal("unchanged version must return the cached snapshot")
 	}
 	if !sc.Cached() {
 		t.Fatal("Cached() false right after a snapshot build")
 	}
 
-	// Mutate one entry and add one new entry; mark exactly those keys.
+	// Mutate one entry and add one new entry, in two batches.
 	diag := Diagnosis{RootCause: "com.example.Fresh.run", File: "Fresh.java", Line: 3}
 	live.Add("app-0", "device-9", "app-0/Action-0", diag, 300*simclock.Millisecond)
-	sc.MarkKey(entryKey("app-0", "app-0/Action-0", diag.RootCause))
 	hot := live.Entries()[0]
 	hotKey := entryKey(hot.App, hot.ActionUID, hot.RootCause)
+	sc.Bump()
 	live.Add(hot.App, "device-new", hot.ActionUID,
 		Diagnosis{RootCause: hot.RootCause, File: hot.File, Line: hot.Line, ViaCaller: hot.ViaCaller},
 		500*simclock.Millisecond)
-	sc.Bump()
-	sc.MarkKey(hotKey)
 	sc.Bump()
 	if sc.Cached() {
 		t.Fatal("Cached() true after the version moved")
 	}
 
-	s2 := sc.Snapshot(live)
-	if got, want := exportBytes(t, s2), exportBytes(t, live.Clone()); !bytes.Equal(got, want) {
-		t.Fatal("rebuilt snapshot does not match the live report")
+	s2 := sc.Snapshot()
+	if got, want := exportBytes(t, s2), exportBytes(t, live); !bytes.Equal(got, want) {
+		t.Fatal("new snapshot does not match the live report")
 	}
 	// Clean entries share structure, the dirtied one does not.
 	shared, cloned := 0, 0
@@ -84,12 +76,12 @@ func TestSnapshotCacheCOW(t *testing.T) {
 // sums exactly the included entries.
 func TestSnapshotCacheDelta(t *testing.T) {
 	live := foldFixture()
-	sc := NewSnapshotCache()
-	markAll(sc, live)
-	_ = sc.Snapshot(live)
+	sc := NewSnapshotCache(live)
+	sc.Bump()
+	_ = sc.Snapshot()
 	v1 := sc.Version()
 
-	d, v := sc.DeltaSince(live, v1)
+	d, v := sc.DeltaSince(v1)
 	if v != v1 || d.Len() != 0 {
 		t.Fatalf("delta at the current version: %d entries, version %d (want 0 at %d)", d.Len(), v, v1)
 	}
@@ -100,10 +92,9 @@ func TestSnapshotCacheDelta(t *testing.T) {
 	diag := Diagnosis{RootCause: "com.example.Late.run", File: "Late.java", Line: 8}
 	live.Add("app-1", "device-1", "app-1/Action-1", diag, 250*simclock.Millisecond)
 	key := entryKey("app-1", "app-1/Action-1", diag.RootCause)
-	sc.MarkKey(key)
 	sc.Bump()
 
-	d, v = sc.DeltaSince(live, v1)
+	d, v = sc.DeltaSince(v1)
 	if v != v1+1 {
 		t.Fatalf("delta version = %d, want %d", v, v1+1)
 	}
@@ -113,44 +104,157 @@ func TestSnapshotCacheDelta(t *testing.T) {
 	if d.TotalHangs() != d.entries.get(key).Hangs {
 		t.Errorf("delta hang total %d != its entries' sum %d", d.TotalHangs(), d.entries.get(key).Hangs)
 	}
-	// since=0 returns everything ever modified.
-	d, _ = sc.DeltaSince(live, 0)
-	if d.Len() != live.Len() {
-		t.Errorf("delta since 0 holds %d entries, want all %d", d.Len(), live.Len())
+	// The fixture's entries predate the cache (stamp 0), so a delta since
+	// 0 holds only what changed after it was built.
+	if d, _ := sc.DeltaSince(0); d.Len() != 1 {
+		t.Errorf("delta since 0 holds %d entries, want the 1 changed since the cache began", d.Len())
 	}
 }
 
-// TestSnapshotCacheOverflowRebuildsInFull: once the marks since the last
-// snapshot outgrow twice its size, the next snapshot is rebuilt in full,
-// stamped at its version. A delta across the rebuild then carries every
-// entry, changed or not, and applying it still converges a mirror.
-func TestSnapshotCacheOverflowRebuildsInFull(t *testing.T) {
+// TestSnapshotSharesLiveReport: a snapshot is the live report's trie as it
+// stands, so right after Snapshot the two share every leaf. The next write
+// copies exactly the leaf it writes, a second write in the same batch
+// reuses that copy, and the snapshot keeps its bytes.
+func TestSnapshotSharesLiveReport(t *testing.T) {
 	live := foldFixture()
-	sc := NewSnapshotCache()
-	markAll(sc, live)
-	mirror := NewReport()
-	mirror.ApplyWireFull(wireFrom(t, sc.Snapshot(live)))
-	v1 := sc.Version()
+	sc := NewSnapshotCache(live)
+	sc.Bump()
+	snap := sc.Snapshot()
+	before := exportBytes(t, snap)
+	snap.entries.each(func(l *trieLeaf) {
+		if live.entries.leaf(l.key) != l {
+			t.Fatalf("snapshot and live report hold different leaves for %q", l.key)
+		}
+	})
 
-	diag := Diagnosis{RootCause: "com.example.Hot.run", File: "Hot.java", Line: 4}
-	key := entryKey("app-0", "app-0/Hot", diag.RootCause)
-	for i := 0; i <= 2*live.Len(); i++ {
-		sc.MarkKey(key)
-		live.Add("app-0", fmt.Sprintf("device-%d", i%3), "app-0/Hot", diag, 100*simclock.Millisecond)
+	hot := live.Entries()[0]
+	key := entryKey(hot.App, hot.ActionUID, hot.RootCause)
+	diag := Diagnosis{RootCause: hot.RootCause, File: hot.File, Line: hot.Line}
+	live.Add(hot.App, "device-new", hot.ActionUID, diag, 500*simclock.Millisecond)
+	written := live.entries.leaf(key)
+	live.Add(hot.App, "device-newer", hot.ActionUID, diag, 600*simclock.Millisecond)
+	if live.entries.leaf(key) != written {
+		t.Error("a second write in the batch copied the leaf again")
+	}
+	sc.Bump()
+	snap.entries.each(func(l *trieLeaf) {
+		if copied := live.entries.leaf(l.key) != l; copied != (l.key == key) {
+			t.Errorf("%q: copied=%v after a write to %q only", l.key, copied, key)
+		}
+	})
+	if !bytes.Equal(exportBytes(t, snap), before) {
+		t.Fatal("a write after the hand-out changed the snapshot")
+	}
+}
+
+// TestDeltaSinceExact: for every v up to Version(), including versions no
+// snapshot was taken at, DeltaSince(v) holds exactly the keys whose last
+// change came in a batch after v. Snapshots are rare, so a key changes in
+// several batches between two of them and is merged in place after its
+// first copy; each of those merges must restamp it.
+func TestDeltaSinceExact(t *testing.T) {
+	rng := simrand.New(5).Derive("delta-exact")
+	const keys, batches = 12, 80
+	live := NewReport()
+	sc := NewSnapshotCache(live)
+	last := map[string]uint64{} // key -> batch that last changed it
+	check := func() {
+		t.Helper()
+		for v := uint64(0); v <= sc.Version(); v++ {
+			d, _ := sc.DeltaSince(v)
+			want := 0
+			for key, at := range last {
+				if in := d.entries.get(key) != nil; in != (at > v) {
+					t.Fatalf("after batch %d: DeltaSince(%d) holds %q=%v, last changed in batch %d", sc.Version(), v, key, in, at)
+				}
+				if at > v {
+					want++
+				}
+			}
+			if d.Len() != want {
+				t.Fatalf("after batch %d: DeltaSince(%d) holds %d entries, want %d", sc.Version(), v, d.Len(), want)
+			}
+		}
+	}
+	for b := 1; b <= batches; b++ {
+		for i := 0; i < 1+rng.Intn(4); i++ {
+			k := rng.Intn(keys)
+			action := fmt.Sprintf("app/act-%d", k)
+			live.Add("app", fmt.Sprintf("device-%d", rng.Intn(5)), action,
+				Diagnosis{RootCause: fmt.Sprintf("c.C%d.m", k), File: "C.java", Line: k}, 100*simclock.Millisecond)
+			last[entryKey("app", action, fmt.Sprintf("c.C%d.m", k))] = uint64(b)
+		}
 		sc.Bump()
+		if rng.Intn(10) == 0 {
+			check()
+		}
 	}
-	if sc.Cached() || sc.snap != nil || len(sc.changes) != 0 {
-		t.Fatalf("change list did not overflow: %d listed", len(sc.changes))
-	}
-	d, v := sc.DeltaSince(live, v1)
-	if d.Len() != live.Len() {
-		t.Fatalf("delta across a full rebuild holds %d entries, want all %d", d.Len(), live.Len())
-	}
-	if mirror.ApplyWireDelta(wireFrom(t, d)); !bytes.Equal(exportBytes(t, mirror), exportBytes(t, live)) {
-		t.Fatal("mirror did not converge through the rebuilt delta")
-	}
-	if d, _ := sc.DeltaSince(live, v); d.Len() != 0 {
-		t.Fatalf("delta since the rebuild's own version holds %d entries", d.Len())
+	check()
+}
+
+// TestSnapshotRandomBatches drives a live report through random batches of
+// fragment and wire merges, with snapshots and delta polls at random
+// points. Every handed-out snapshot must keep the bytes it had when handed
+// out, a mirror fed by ApplyWireFull and ApplyWireDelta must converge to
+// the live report, and the live report must equal FoldReports of every
+// input merged so far.
+func TestSnapshotRandomBatches(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		rng := simrand.New(seed).Derive("snapshot-batches")
+		live := NewReport()
+		sc := NewSnapshotCache(live)
+		var inputs []*Report
+		type handed struct {
+			snap  *Report
+			bytes []byte
+		}
+		var snaps []handed
+		mirror, mirrorV := NewReport(), uint64(0)
+		for b := 0; b < 60; b++ {
+			for i := 0; i < 1+rng.Intn(3); i++ {
+				frag := NewReport()
+				for j := 0; j < 1+rng.Intn(5); j++ {
+					k := rng.Intn(16)
+					frag.Add(fmt.Sprintf("app-%d", k%3), fmt.Sprintf("device-%d", rng.Intn(6)), fmt.Sprintf("act-%d", k%5),
+						Diagnosis{RootCause: fmt.Sprintf("c.C%d.m", k), File: "C.java", Line: 1 + rng.Intn(9)},
+						simclock.Duration(1+rng.Intn(900))*simclock.Millisecond)
+				}
+				frag.Health.StacksDropped = rng.Intn(2)
+				inputs = append(inputs, frag)
+				if rng.Intn(2) == 0 {
+					live.Merge(frag)
+				} else {
+					wr := wireFrom(t, frag)
+					live.Health.Add(wr.Health)
+					live.MergeWireEntries(wr.Entries)
+				}
+			}
+			sc.Bump()
+			switch rng.Intn(6) {
+			case 0:
+				s := sc.Snapshot()
+				snaps = append(snaps, handed{s, exportBytes(t, s)})
+			case 1:
+				if mirrorV == 0 || rng.Intn(4) == 0 {
+					mirror.ApplyWireFull(wireFrom(t, sc.Snapshot()))
+				} else {
+					d, _ := sc.DeltaSince(mirrorV)
+					mirror.ApplyWireDelta(wireFrom(t, d))
+				}
+				mirrorV = sc.Version()
+				if !bytes.Equal(exportBytes(t, mirror), exportBytes(t, live)) {
+					t.Fatalf("seed %d batch %d: mirror diverged from the live report", seed, b)
+				}
+			}
+		}
+		for i, h := range snaps {
+			if !bytes.Equal(exportBytes(t, h.snap), h.bytes) {
+				t.Fatalf("seed %d: snapshot %d changed after it was handed out", seed, i)
+			}
+		}
+		if !bytes.Equal(exportBytes(t, live), exportBytes(t, FoldReports(inputs...))) {
+			t.Fatalf("seed %d: live report diverged from FoldReports of its inputs", seed)
+		}
 	}
 }
 
@@ -265,13 +369,12 @@ func wireFrom(t *testing.T, r *Report) *WireReport {
 // full apply after upstream data loss shrinks the mirror.
 func TestApplyWireFullAndDelta(t *testing.T) {
 	live := foldFixture()
-	sc := NewSnapshotCache()
-	markAll(sc, live)
-	_ = sc.Snapshot(live)
+	sc := NewSnapshotCache(live)
+	sc.Bump()
 	v1 := sc.Version()
 
 	mirror := NewReport()
-	if changed := mirror.ApplyWireFull(wireFrom(t, sc.Snapshot(live))); len(changed) != live.Len() {
+	if changed := mirror.ApplyWireFull(wireFrom(t, sc.Snapshot())); len(changed) != live.Len() {
 		t.Fatalf("full apply reported %d changed keys, want %d", len(changed), live.Len())
 	}
 	if !bytes.Equal(exportBytes(t, mirror), exportBytes(t, live)) {
@@ -281,9 +384,8 @@ func TestApplyWireFullAndDelta(t *testing.T) {
 	diag := Diagnosis{RootCause: "com.example.Delta.run", File: "Delta.java", Line: 2}
 	live.Add("app-2", "device-2", "app-2/Action-2", diag, 400*simclock.Millisecond)
 	live.Health.StacksDropped++
-	sc.MarkKey(entryKey("app-2", "app-2/Action-2", diag.RootCause))
 	sc.Bump()
-	d, _ := sc.DeltaSince(live, v1)
+	d, _ := sc.DeltaSince(v1)
 	if changed := mirror.ApplyWireDelta(wireFrom(t, d)); len(changed) != 1 {
 		t.Fatalf("delta apply reported %d changed keys, want 1", len(changed))
 	}
@@ -320,7 +422,7 @@ func TestRefreshKeys(t *testing.T) {
 	repl.Hangs += 5
 	repl.Devices["device-refresh"] = true
 	a.totalHangs += 5
-	a.entries.bind(key, repl, nil, 0)
+	a.entries.bind(key, repl, nil)
 
 	before := exportBytes(t, master)
 	oldEntry := master.entries.get(key)
@@ -341,7 +443,7 @@ func TestRefreshKeys(t *testing.T) {
 
 	// A key held by no part disappears.
 	ghost := "no\x00such\x00key"
-	next.entries.bind(ghost, victim, nil, 0)
+	next.entries.bind(ghost, victim, nil)
 	if next = next.RefreshKeys([]string{ghost}, a, b); next.entries.get(ghost) != nil {
 		t.Error("RefreshKeys kept a key no part holds")
 	}
@@ -351,7 +453,7 @@ func TestRefreshKeys(t *testing.T) {
 // cost: with the same 16 keys changing per round, the bytes one read
 // round allocates must not grow with the state it reads. It fills a
 // report to 1k and to 32k entries and compares one shard delta round
-// (mark, Bump, DeltaSince) and one regional round (RefreshKeys over two
+// (merge, Bump, DeltaSince) and one regional round (RefreshKeys over two
 // mirrors) at both sizes. A delta round that rebuilds a map of every
 // entry allocates about 25x more at 32k than at 1k; copying only the
 // changed trie paths stays under 1.5x.
@@ -383,25 +485,34 @@ func TestReadsScaleWithChange(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return float64(after.TotalAlloc-before.TotalAlloc) / rounds
 	}
+	// bump adds one hang to key's entry through the merge path, which
+	// stamps it for DeltaSince.
 	bump := func(r *Report, key string) {
-		next, _ := r.entries.bind(key, r.entries.get(key), nil, 0)
+		one := r.entries.get(key).empty(0)
+		one.Hangs = 1
+		r.add(key, one, nil)
+	}
+	// rebind replaces key's entry with a copy holding one more hang, as
+	// ApplyWireDelta replaces a mirror's entries: a fold sharing the old
+	// entry keeps it unchanged.
+	rebind := func(r *Report, key string) {
+		next, _ := r.entries.bind(key, r.entries.get(key), nil)
 		next.Hangs++
 		r.totalHangs++
 	}
 
 	shardDelta := func(n int) float64 {
-		live, sc := fill("app", n), NewSnapshotCache()
-		markAll(sc, live)
-		sc.Snapshot(live)
+		live := fill("app", n)
+		sc := NewSnapshotCache(live)
+		sc.Bump()
 		keys := hotKeys(live)
 		return bytesPerRound(func() {
 			since := sc.Version()
 			for _, key := range keys {
 				bump(live, key)
-				sc.MarkKey(key)
 			}
 			sc.Bump()
-			if d, _ := sc.DeltaSince(live, since); d.Len() != hot {
+			if d, _ := sc.DeltaSince(since); d.Len() != hot {
 				t.Fatalf("delta holds %d entries, want %d", d.Len(), hot)
 			}
 		})
@@ -412,7 +523,7 @@ func TestReadsScaleWithChange(t *testing.T) {
 		keys := hotKeys(a)
 		return bytesPerRound(func() {
 			for _, key := range keys {
-				bump(a, key)
+				rebind(a, key)
 			}
 			if master = master.RefreshKeys(keys, a, b); master.Len() != n {
 				t.Fatalf("master holds %d entries, want %d", master.Len(), n)

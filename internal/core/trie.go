@@ -8,19 +8,19 @@ package core
 // every node the newest stamp below it, so "what changed after version v"
 // is a walk that skips every subtree stamped at or before v.
 //
-// Ownership decides whether a write copies. Leaves are immutable (the
-// entries they bind follow the report's rule: only the owner of a report
-// never handed out merges into its entries in place), and every node
-// carries the edit token of the trie that created it; a trie changes its
-// own nodes in place. A trie that was never handed out to readers is
-// therefore updated in place by its owner. A trie that was handed out is
-// never written again: batch derives a new trie that shares all of its
-// nodes, and the batch's first write to a node copies it once (stamping
-// the copy with the batch's token); later writes in the batch update that
-// copy in place. The handed-out trie stays unchanged, and a batch that
-// changes k keys costs at most one copy per node on their paths. A slot
-// is two pointers, so a full node copies in 512 bytes. Two versions of a
-// trie share every unchanged subtree, so diffLeaves compares them in time
+// Ownership decides whether a write copies, by one rule for nodes and
+// leaves alike: each carries the edit token of the trie that created it,
+// and a trie changes in place only what carries its own token. A trie
+// that was handed out to readers is never written again: batch derives a
+// new trie that shares all of its nodes and leaves, and the batch's first
+// write to a node or leaf copies it once, with the batch's token; later
+// writes in the batch change that copy in place. The handed-out trie
+// stays unchanged, and a batch that changes k keys costs at most one copy
+// per node on their paths and one per leaf. A slot is two pointers, so a
+// full node copies in 512 bytes. A leaf binds its entry, so merging into
+// an entry in place is a write to its leaf: a report merges in place only
+// into entries its trie owns (Report.add). Two versions of a trie share
+// every unchanged subtree, so diffLeaves compares them in time
 // proportional to what changed.
 //
 // Iteration order is unspecified; every rendered output sorts.
@@ -47,14 +47,15 @@ func keyHash(key string) uint64 { return maphash.String(trieSeed, key) }
 // holding the same entries in the same shape stay deeply equal.
 type editToken struct{ _ byte }
 
-// trieLeaf binds a key, with its hash, to an entry. Leaves are never
-// changed once built, so tries share them freely: every version of a
-// persistent trie, and a fold with the parts it shares entries with.
+// trieLeaf binds a key, with its hash, to an entry. Only the trie whose
+// token it carries changes it or its entry, so tries share leaves freely:
+// versions of a persistent trie, and a fold with the parts it shares.
 type trieLeaf struct {
-	ver uint64
-	h   uint64
-	key string
-	e   *ReportEntry
+	edit *editToken
+	ver  uint64
+	h    uint64
+	key  string
+	e    *ReportEntry
 }
 
 // leafEntry is an entry with the leaf that binds it, allocated as one
@@ -64,11 +65,11 @@ type leafEntry struct {
 	entry ReportEntry
 }
 
-// cloneLeaf returns a new leaf, stamped ver, binding key (hash h) to a
-// clone of src with devs merged in: the report algebra's empty-then-merge,
-// built in place in the leaf's own entry.
-func cloneLeaf(ver, h uint64, key string, src *ReportEntry, devs []string) *trieLeaf {
-	le := &leafEntry{leaf: trieLeaf{ver: ver, h: h, key: key}, entry: *src.empty(len(src.Devices) + len(devs))}
+// newLeaf returns a new leaf of t, stamped t.ver, binding key (hash h) to
+// a clone of src with devs merged in: the report algebra's
+// empty-then-merge, built in place in the leaf's own entry.
+func (t *entryTrie) newLeaf(h uint64, key string, src *ReportEntry, devs []string) *trieLeaf {
+	le := &leafEntry{leaf: trieLeaf{edit: t.token(), ver: t.ver, h: h, key: key}, entry: *src.empty(len(src.Devices) + len(devs))}
 	le.entry.merge(src, devs)
 	le.leaf.e = &le.entry
 	return &le.leaf
@@ -92,15 +93,30 @@ type entryTrie struct {
 	root *trieNode
 	n    int
 	edit *editToken // taken on the first write
+	// ver stamps every leaf t writes: 0 unless a SnapshotCache versions
+	// t's report, which keeps it at the version of the batch being merged.
+	ver uint64
 }
 
-// batch returns a trie sharing every node of t whose writes never touch
-// t's nodes. t must not be written in place afterwards.
-func (t *entryTrie) batch() entryTrie { return entryTrie{root: t.root, n: t.n} }
+// batch returns a trie sharing every node and leaf of t whose writes
+// never touch t's. t must not be written in place afterwards.
+func (t *entryTrie) batch() entryTrie { return entryTrie{root: t.root, n: t.n, ver: t.ver} }
+
+// token returns t's edit token, taking one on t's first write.
+func (t *entryTrie) token() *editToken {
+	if t.edit == nil {
+		t.edit = new(editToken)
+	}
+	return t.edit
+}
+
+// owns reports whether t created what carries edit, a node or a leaf,
+// since t was last handed out, so that t may change it in place.
+func (t *entryTrie) owns(edit *editToken) bool { return edit == t.edit }
 
 // own returns n if t may change it in place, else t's copy of it.
 func (t *entryTrie) own(n *trieNode) *trieNode {
-	if n.edit == t.edit {
+	if t.owns(n.edit) {
 		return n
 	}
 	return &trieNode{edit: t.edit, bitmap: n.bitmap, ver: n.ver, slots: append([]trieSlot(nil), n.slots...)}
@@ -158,11 +174,43 @@ func (t *entryTrie) get(key string) *ReportEntry {
 	return nil
 }
 
-// bind binds key, stamped ver, to a new entry: a clone of src with devs
-// merged in. It returns that entry and the one it replaced (nil if key is
-// new).
-func (t *entryTrie) bind(key string, src *ReportEntry, devs []string, ver uint64) (bound, old *ReportEntry) {
-	l := cloneLeaf(ver, keyHash(key), key, src, devs)
+// writable returns the entry of key (hash h), stamped t.ver, for the
+// caller to merge into in place, or nil if t does not hold key. The walk
+// raises the stamp of each node t owns; a leaf t owns has only such nodes
+// on its path, and any other leaf is replaced by t's copy of it, whose
+// put copies the path.
+func (t *entryTrie) writable(h uint64, key string) *ReportEntry {
+	t.token()
+	for n, shift := t.root, uint(0); n != nil; shift += trieBits {
+		i, _, hit := n.locate(shift, h, key)
+		if !hit {
+			return nil
+		}
+		if t.owns(n.edit) {
+			n.ver = max(n.ver, t.ver)
+		}
+		l := n.slots[i].leaf
+		switch {
+		case l == nil:
+			n = n.slots[i].child
+			continue
+		case l.h != h || l.key != key:
+			return nil
+		case t.owns(l.edit):
+			l.ver = t.ver
+		default:
+			l = t.newLeaf(h, key, l.e, nil)
+			t.put(l)
+		}
+		return l.e
+	}
+	return nil
+}
+
+// bind binds key to a new leaf of t (newLeaf). It returns the leaf's
+// entry and the entry it replaced (nil if key is new).
+func (t *entryTrie) bind(key string, src *ReportEntry, devs []string) (bound, old *ReportEntry) {
+	l := t.newLeaf(keyHash(key), key, src, devs)
 	if o := t.put(l); o != nil {
 		old = o.e
 	}
@@ -173,9 +221,7 @@ func (t *entryTrie) bind(key string, src *ReportEntry, devs []string, ver uint64
 // replaced (nil if the key is new). Putting the leaf a key already holds,
 // or an equal one, changes (and copies) nothing.
 func (t *entryTrie) put(l *trieLeaf) *trieLeaf {
-	if t.edit == nil {
-		t.edit = new(editToken)
-	}
+	t.token()
 	var old *trieLeaf
 	t.root, old = t.setAt(t.root, 0, l)
 	if old == nil {
@@ -250,9 +296,7 @@ func (t *entryTrie) remove(h uint64, key string) bool {
 	if t.root == nil {
 		return false
 	}
-	if t.edit == nil {
-		t.edit = new(editToken)
-	}
+	t.token()
 	root, removed := t.delAt(t.root, 0, h, key)
 	if !removed {
 		return false
@@ -357,23 +401,23 @@ func diffLeaves(a, b *trieNode, shift uint, fn func(l *trieLeaf)) {
 }
 
 // deepCopy returns a trie of t's shape whose leaves hold clones of t's
-// entries, every one stamped ver.
-func (t *entryTrie) deepCopy(ver uint64) entryTrie {
+// entries, every node and leaf stamped 0.
+func (t *entryTrie) deepCopy() entryTrie {
 	out := entryTrie{n: t.n, edit: new(editToken)}
-	out.root = t.root.deepCopy(out.edit, ver)
+	out.root = t.root.deepCopy(&out)
 	return out
 }
 
-func (n *trieNode) deepCopy(edit *editToken, ver uint64) *trieNode {
+func (n *trieNode) deepCopy(t *entryTrie) *trieNode {
 	if n == nil {
 		return nil
 	}
-	c := &trieNode{edit: edit, bitmap: n.bitmap, ver: ver, slots: make([]trieSlot, len(n.slots))}
+	c := t.node(n.bitmap, 0, make([]trieSlot, len(n.slots))...)
 	for i, s := range n.slots {
 		if s.child != nil {
-			c.slots[i].child = s.child.deepCopy(edit, ver)
+			c.slots[i].child = s.child.deepCopy(t)
 		} else {
-			c.slots[i].leaf = cloneLeaf(ver, s.leaf.h, s.leaf.key, s.leaf.e, nil)
+			c.slots[i].leaf = t.newLeaf(s.leaf.h, s.leaf.key, s.leaf.e, nil)
 		}
 	}
 	return c

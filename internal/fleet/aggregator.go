@@ -197,16 +197,6 @@ func (m *shardMsg) merge(rep *core.Report) {
 	rep.MergeWireEntries(m.wire)
 }
 
-// mark records the payload's entry keys in the shard's snapshot cache so
-// the next snapshot re-clones only what this merge changed.
-func (m *shardMsg) mark(sc *core.SnapshotCache) {
-	if m.frag != nil {
-		sc.MarkReport(m.frag)
-		return
-	}
-	sc.MarkWireEntries(m.wire)
-}
-
 // logged is one upload on its way through the committer: its framed log
 // record, its identity, its per-shard fragments and its ack.
 type logged struct {
@@ -811,24 +801,23 @@ func (a *Aggregator) runShard(i int, rep *core.Report) {
 	ch := a.shards[i]
 	batch := make([]shardMsg, 0, a.cfg.BatchSize)
 	ctrl := make([]shardMsg, 0, 4)
-	// cache is the shard's versioned snapshot state: merges mark the keys
-	// they touch and bump the version once per batch; reads reuse the
-	// cached immutable snapshot whenever the version is unchanged, and a
-	// stale one is rebuilt as the previous snapshot plus the marked keys,
-	// re-cloned and stamped with their versions.
-	cache := core.NewSnapshotCache()
+	// cache versions rep: merges stamp the leaves they write and bump the
+	// version once per batch. A read hands out rep's trie as it stands
+	// (the cached one while the version is unchanged), and the first merge
+	// after it copies the nodes and entries it writes.
+	cache := core.NewSnapshotCache(rep)
 	serve := func(m shardMsg) {
 		switch {
 		case m.stats != nil:
 			m.stats <- ShardStats{Entries: rep.Len(), Hangs: rep.TotalHangs(), Health: rep.Health}
 		case m.delta:
-			d, v := cache.DeltaSince(rep, m.since)
+			d, v := cache.DeltaSince(m.since)
 			m.snap <- shardSnap{rep: d, version: v}
 		case m.snap != nil:
 			if cache.Cached() {
 				a.metrics.snapshotReuses.Inc()
 			}
-			m.snap <- shardSnap{rep: cache.Snapshot(rep), version: cache.Version()}
+			m.snap <- shardSnap{rep: cache.Snapshot(), version: cache.Version()}
 		default:
 			m.ack.complete() // a fence: everything queued before it has merged
 		}
@@ -882,7 +871,6 @@ func (a *Aggregator) runShard(i int, rep *core.Report) {
 func (a *Aggregator) processBatch(rep *core.Report, sc *core.SnapshotCache, batch []shardMsg) {
 	start := time.Now()
 	for i := range batch {
-		batch[i].mark(sc)
 		batch[i].merge(rep)
 	}
 	sc.Bump()

@@ -9,9 +9,11 @@ package fleet
 //	                          pre-incremental cost, the baseline)
 //	BenchmarkFold/warm      — Fold with nothing changed: cached shard
 //	                          snapshots + version-vector fold cache hit
-//	BenchmarkFold/dirty1pct — Fold after ~1% of entries churned: snapshot
-//	                          batches re-clone the changed keys, the fold
-//	                          cache re-merges the moved shards in one batch
+//	BenchmarkFold/dirty1pct — Fold after ~1% of entries churned: each
+//	                          moved shard hands out its live trie, and the
+//	                          fold cache re-merges the moved shards in one
+//	                          batch. The churn's merge, which copied the
+//	                          entries it wrote, runs outside the timer
 //
 //	BenchmarkRegionalPoll/full  — ForceResync + PollDelta: every node
 //	                              refetched as a full snapshot
