@@ -1,7 +1,7 @@
 // Command fleetd is the fleet ingestion server: the always-on half of the
 // paper's §3.2 upload path. Devices POST their anonymized Hang Bug Reports
 // to /v1/upload; fleetd validates each document, shards its entries across
-// single-writer merge goroutines behind a bounded backpressure queue, and
+// single-writer merge goroutines behind a bounded set of admission slots, and
 // serves the folded fleet-wide report on /v1/report plus /healthz and
 // /metrics for operations.
 //
@@ -43,7 +43,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8717", "listen address")
 	shards := flag.Int("shards", 8, "number of single-writer merge shards")
-	queue := flag.Int("queue", 1024, "bounded ingest queue depth (429 beyond it)")
+	queue := flag.Int("queue", 1024, "most uploads admitted but not yet handed off to the shards (429 beyond it)")
 	batch := flag.Int("batch", 16, "max fragments folded per shard merge")
 	retryAfter := flag.Duration("retry-after", time.Second, "backoff advertised on 429 responses")
 	printFinal := flag.Bool("print-final", true, "print the folded fleet report on shutdown")

@@ -326,8 +326,8 @@ func TestBinaryDecodeScratchAllocs(t *testing.T) {
 }
 
 // TestShardIndexKeyMatchesShardIndex: the key-form router must agree with
-// the field-form router (both paths of the dispatcher must agree on shard
-// ownership).
+// the field-form router (a report upload and a wire upload must agree on
+// shard ownership).
 func TestShardIndexKeyMatchesShardIndex(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		rep := synthReport(seed, "d", 20)

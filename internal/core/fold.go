@@ -9,7 +9,7 @@ package core
 // server's tests pin down.
 
 // fnv64a hashes s with FNV-1a inline (no hash.Hash allocation — shard
-// routing runs once per entry on the dispatch hot path).
+// routing runs once per entry on the submit hot path).
 func fnv64a(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {

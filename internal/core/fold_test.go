@@ -73,7 +73,7 @@ func TestSplitFoldRoundTrip(t *testing.T) {
 }
 
 // TestSplitSkipsEmptyFragments: an upload with nothing for a shard yields a
-// nil fragment so the dispatcher can skip the send entirely.
+// nil fragment so the router can skip the send entirely.
 func TestSplitSkipsEmptyFragments(t *testing.T) {
 	r := NewReport()
 	diag := Diagnosis{RootCause: "com.example.Only.run", File: "Only.java", Line: 1}

@@ -41,8 +41,8 @@ func (c *ackCollector) counts() (int, int) {
 
 // TestSubmitWireAcked pins the contract the zero-alloc simulator builds on:
 // the callback fires exactly once per submission, only after every routed
-// fragment merged, and the folded state matches SubmitWireWait of the same
-// uploads byte for byte.
+// fragment merged, and the folded state matches SubmitWait of the same
+// uploads, decoded back into reports, byte for byte.
 func TestSubmitWireAcked(t *testing.T) {
 	const uploads = 64
 	want := NewAggregator(Config{Shards: 4})
@@ -59,7 +59,7 @@ func TestSubmitWireAcked(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := want.SubmitWireWait(w1); err != nil {
+		if err := want.SubmitWait(w1.Report()); err != nil {
 			t.Fatal(err)
 		}
 		if err := got.SubmitWireAcked(w2, wa); err != nil {

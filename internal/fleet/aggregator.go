@@ -2,15 +2,15 @@
 // production scale: many devices upload Hang Bug Reports ((*core.Report)
 // documents) and the service aggregates them into one fleet-wide view.
 //
-// The write path is sharded: an upload is accepted into a bounded intake
-// queue (backpressure, not unbounded buffering, when ingest outruns
-// merging), split by a stable hash of each entry's identity into per-shard
-// fragments, and merged by N single-writer shard goroutines, each owning a
-// private core.Report. Reads fold shard snapshots on demand. Because
-// core.Report.Merge is commutative and associative, the folded view is
-// byte-identical to a serial merge of the same uploads regardless of shard
-// count, batch boundaries, or arrival order — the property the determinism
-// tests pin down.
+// The write path is sharded: an upload takes one of a bounded number of
+// admission slots (backpressure, not unbounded buffering, when ingest
+// outruns merging), is split on its submitter's goroutine by a stable hash
+// of each entry's identity into per-shard fragments, and is merged by N
+// single-writer shard goroutines, each owning a private core.Report. Reads
+// fold shard snapshots on demand. Because core.Report.Merge is commutative
+// and associative, the folded view is byte-identical to a serial merge of
+// the same uploads regardless of shard count, batch boundaries, or arrival
+// order — the property the determinism tests pin down.
 //
 // With a WALConfig the aggregator is also durable: a committer goroutine
 // appends each upload, whole, to one node log (see wal.go) and routes its
@@ -23,7 +23,6 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"strconv"
 	"sync"
@@ -35,7 +34,7 @@ import (
 
 // Errors the submit paths can return.
 var (
-	// ErrQueueFull means the intake queue is at capacity; the caller should
+	// ErrQueueFull means every admission slot is taken; the caller should
 	// back off and retry (the HTTP layer maps it to 429 + Retry-After).
 	ErrQueueFull = errors.New("fleet: ingest queue full")
 	// ErrClosed means the aggregator is shutting down and accepts no more
@@ -53,19 +52,15 @@ type Config struct {
 	// Shards is the number of single-writer merge goroutines; entry keys
 	// hash onto them (default 4).
 	Shards int
-	// QueueDepth bounds the intake queue; a full queue rejects uploads with
-	// ErrQueueFull instead of buffering without limit (default 256).
+	// QueueDepth bounds the uploads admitted but not yet handed off; beyond
+	// it a fail-fast submit gets ErrQueueFull and a waiting one blocks,
+	// instead of buffering without limit (default 256).
 	QueueDepth int
 	// BatchSize is the most fragments a shard folds per merge call; batching
 	// amortizes per-wakeup overhead under load without adding latency when
 	// idle (default 16). With a WAL it is also the group-commit window: the
 	// most uploads one barrier on the node log covers.
 	BatchSize int
-	// Dispatchers is the number of goroutines splitting queued uploads into
-	// per-shard fragments; splitting hashes every entry, so it must scale
-	// alongside the shards or it becomes the serial bottleneck (default:
-	// max(Shards, GOMAXPROCS/2)).
-	Dispatchers int
 	// WAL, when non-nil, enables the durability layer: one append-only
 	// node log of whole uploads, group-committed ahead of the shard merge,
 	// with snapshot compaction and replay-on-open.
@@ -82,12 +77,6 @@ func (c Config) withDefaults() Config {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 16
 	}
-	if c.Dispatchers <= 0 {
-		c.Dispatchers = c.Shards
-		if half := runtime.GOMAXPROCS(0) / 2; half > c.Dispatchers {
-			c.Dispatchers = half
-		}
-	}
 	if c.WAL != nil {
 		c.WAL = c.WAL.withDefaults()
 	}
@@ -100,18 +89,6 @@ type ShardStats struct {
 	Entries int
 	Hangs   int
 	Health  core.Health
-}
-
-// upload is one queued submission: the report (or, for the binary fast
-// path, the decoded wire view), its content-hash identity (zero unless the
-// submitter supplied it; a durable dispatcher derives a zero one from the
-// log record it encodes), and the optional ack that settles it (see
-// uploadAck). Exactly one of rep/wire is set.
-type upload struct {
-	rep  *core.Report
-	wire *core.WireReport
-	id   UploadID
-	ack  *uploadAck
 }
 
 // uploadAck settles one submission. Completion is delivered one of two
@@ -209,7 +186,7 @@ type logged struct {
 // Aggregator is the sharded fleet-report builder.
 type Aggregator struct {
 	cfg     Config
-	intake  chan *upload
+	slots   chan struct{} // one per upload admitted but not yet handed off
 	shards  []chan shardMsg
 	metrics *Metrics
 	walM    *walMetrics // nil when the WAL is disabled
@@ -238,22 +215,21 @@ type Aggregator struct {
 	finalized bool // shards exited; finals hold their reports
 	finals    []*core.Report
 
-	dispatchWG sync.WaitGroup
-	commitWG   sync.WaitGroup
-	shardWG    sync.WaitGroup
+	commitWG sync.WaitGroup
+	shardWG  sync.WaitGroup
 }
 
-// Open starts the shard and dispatcher goroutines and returns an
-// aggregator ready for uploads. With cfg.WAL set, it first replays the
-// node's snapshot and log tail and splits the recovered report into the
-// shards' starting state — Open does not return (and intake does not open)
+// Open starts the shard goroutines (and, with a WAL, the committer) and
+// returns an aggregator ready for uploads. With cfg.WAL set, it first
+// replays the node's snapshot and log tail and splits the recovered report
+// into the shards' starting state — Open does not return (and intake does not open)
 // until recovery is complete, and recovery failures are returned here.
 // Call Close to drain and stop the aggregator.
 func Open(cfg Config) (*Aggregator, error) {
 	cfg = cfg.withDefaults()
 	a := &Aggregator{
 		cfg:     cfg,
-		intake:  make(chan *upload, cfg.QueueDepth),
+		slots:   make(chan struct{}, cfg.QueueDepth),
 		shards:  make([]chan shardMsg, cfg.Shards),
 		finals:  make([]*core.Report, cfg.Shards),
 		metrics: newMetrics(cfg.QueueDepth),
@@ -277,8 +253,8 @@ func Open(cfg Config) (*Aggregator, error) {
 		a.commit = make(chan logged, 2*cfg.BatchSize)
 	}
 	a.metrics.reg.GaugeFunc("hangdoctor_fleet_queue_depth",
-		"Current intake backlog.",
-		func() int64 { return int64(len(a.intake)) })
+		"Uploads admitted but not yet handed off.",
+		func() int64 { return int64(len(a.slots)) })
 	for i := range a.shards {
 		a.shards[i] = make(chan shardMsg, 2*cfg.BatchSize)
 		rep := starts[i]
@@ -291,10 +267,6 @@ func Open(cfg Config) (*Aggregator, error) {
 	if w != nil {
 		a.commitWG.Add(1)
 		go a.runCommitter(w)
-	}
-	for i := 0; i < cfg.Dispatchers; i++ {
-		a.dispatchWG.Add(1)
-		go a.runDispatcher()
 	}
 	return a, nil
 }
@@ -312,8 +284,8 @@ func NewAggregator(cfg Config) *Aggregator {
 // Shards returns the configured shard count.
 func (a *Aggregator) Shards() int { return a.cfg.Shards }
 
-// QueueDepth returns the current intake backlog.
-func (a *Aggregator) QueueDepth() int { return len(a.intake) }
+// QueueDepth returns the number of uploads admitted but not yet handed off.
+func (a *Aggregator) QueueDepth() int { return len(a.slots) }
 
 // Metrics returns the aggregator's counters.
 func (a *Aggregator) Metrics() *Metrics { return a.metrics }
@@ -331,7 +303,7 @@ func (a *Aggregator) Draining() bool {
 
 // AggregatorSnapshot is one consistent read of the aggregator's state:
 // the ingestion counters (with the merge triple read atomically), the
-// live queue backlog, and every shard's self-description. It backs
+// uploads in hand-off, and every shard's self-description. It backs
 // /healthz, /metrics.json, and the shutdown log line, so all three
 // surfaces describe the same moment instead of re-reading counters that
 // advanced between them.
@@ -413,14 +385,19 @@ func (a *Aggregator) scrape() {
 	}
 }
 
-// enqueue is the one way into the intake queue: it refuses uploads once
-// the aggregator is closed, then either waits for queue space (block) or
-// fails fast with ErrQueueFull, and counts the upload accepted or
-// rejected. On success the aggregator owns u and everything it carries.
-// A blocked send needs no crash arm: Crash closes crashCh only after it
-// takes the write lock, which waits for this read lock, so the pipeline
-// keeps draining the queue until the send lands.
-func (a *Aggregator) enqueue(u *upload, block bool) error {
+// submit is the one way in for uploads, run on the submitter's goroutine.
+// It refuses uploads after Close, takes an admission slot (waiting if
+// block, else failing fast with ErrQueueFull), counts the upload, splits
+// it and hands it on — to the shards on a memory-only node, or as its log
+// record plus fragments to the committer on a durable one — then gives the
+// slot back. Exactly one of rep and wr is set; id is the upload's content
+// hash or zero; ack, if set, settles once the upload has merged.
+//
+// The read lock is held until the hand-off lands, so Close and Crash, which
+// take the write lock, never close a channel under a submitter. Nor does
+// the hand-off need a crash arm: crashCh closes only under the write lock,
+// and until then the shards and the committer keep draining.
+func (a *Aggregator) submit(rep *core.Report, wr *core.WireReport, id UploadID, ack *uploadAck, block bool) error {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	if a.closed {
@@ -428,50 +405,54 @@ func (a *Aggregator) enqueue(u *upload, block bool) error {
 		return ErrClosed
 	}
 	if block {
-		a.intake <- u
+		a.slots <- struct{}{}
 	} else {
 		select {
-		case a.intake <- u:
+		case a.slots <- struct{}{}:
 		default:
 			a.metrics.rejected.Inc()
 			return ErrQueueFull
 		}
 	}
 	a.metrics.accepted.Inc()
+	frags := a.split(rep, wr)
+	if a.commit == nil {
+		a.route(frags, ack)
+	} else {
+		if rep == nil {
+			rep = wr.Report() // the log holds reports
+		}
+		frame, id := uploadRecord(rep, id)
+		a.commit <- logged{frame: frame, id: id, frags: frags, ack: ack}
+	}
+	<-a.slots
 	return nil
 }
 
-// SubmitWait enqueues one validated upload, waiting for queue space, and
-// returns once it is queued. The report is owned by the aggregator from
+// SubmitWait submits one validated upload, waiting for an admission slot,
+// and returns once it is handed off — to the shards' channels, or with a
+// WAL to the committer — not merged. The aggregator owns the report from
 // then on. Bulk importers (cmd/fleet) and benchmarks use it; devices go
 // through the HTTP handlers, which fail fast so overload turns into
 // backpressure.
 func (a *Aggregator) SubmitWait(rep *core.Report) error {
-	return a.enqueue(&upload{rep: rep}, true)
-}
-
-// SubmitWireWait is SubmitWait for a decoded binary upload — the
-// zero-copy path: its already-keyed wire entries go straight to their
-// shards, which merge them without building an intermediate report. The
-// aggregator takes ownership of wr (decode with BinaryDecoder.Decode, not
-// DecodeScratch).
-func (a *Aggregator) SubmitWireWait(wr *core.WireReport) error {
-	return a.enqueue(&upload{wire: wr}, true)
+	return a.submit(rep, nil, UploadID{}, nil, true)
 }
 
 // WireAck is a reusable merge-completion acknowledgement for
-// SubmitWireAcked. Unlike SubmitWireWait — which returns as soon as the
-// upload is queued — an acked submission notifies the callback only after
-// every routed fragment has merged (or, durably, passed the WAL barrier).
-// That is the signal a zero-copy producer needs to recycle the buffer its
-// wire entries alias: routing copies entry values into per-shard slices,
-// but the shards read their Devices slices, and the upload's health
-// section, from the producer's buffers until they are done merging.
+// SubmitWireAcked. The callback fires only after every routed fragment
+// has merged (or, durably, passed the WAL barrier). That is the signal a
+// zero-copy producer needs to recycle the buffer its wire entries alias:
+// splitting copies entry values into per-shard runs, but the shards read
+// their Devices slices, and the upload's health section, from the
+// producer's buffers until they are done merging.
 //
 // A WireAck tracks one in-flight submission at a time; reusing it for the
 // next upload is only legal after the callback fires. The callback runs on
-// an aggregator goroutine — it must be cheap and must not call back into
-// the aggregator.
+// an aggregator goroutine, or, for an upload with nothing to route on a
+// memory-only node, on the submitting goroutine before SubmitWireAcked
+// returns. Either way it must be cheap and must not call back into the
+// aggregator.
 type WireAck struct {
 	ack uploadAck
 }
@@ -487,29 +468,13 @@ func NewWireAck(fn func(error)) *WireAck {
 	return w
 }
 
-// uploadPool recycles upload envelopes on the acked wire path, where a
-// steady-state producer submits millions of uploads and the envelope would
-// otherwise be the last per-submission allocation.
-var uploadPool = sync.Pool{New: func() any { return new(upload) }}
-
-func putUpload(u *upload) {
-	*u = upload{}
-	uploadPool.Put(u)
-}
-
-// SubmitWireAcked enqueues one decoded binary upload on the zero-copy path
+// SubmitWireAcked submits one decoded binary upload on the zero-copy path
 // and arranges for wa's callback to fire when every routed fragment has
-// merged. It waits for queue space like SubmitWireWait (producers that
-// want backpressure, not rejection). ErrClosed is returned synchronously,
-// and then the callback never fires — the caller still owns the buffer.
+// merged. It waits for an admission slot (producers that want
+// backpressure, not rejection). ErrClosed is returned synchronously, and
+// then the callback never fires — the caller still owns the buffer.
 func (a *Aggregator) SubmitWireAcked(wr *core.WireReport, wa *WireAck) error {
-	u := uploadPool.Get().(*upload)
-	u.wire, u.ack = wr, &wa.ack
-	err := a.enqueue(u, true)
-	if err != nil {
-		putUpload(u)
-	}
-	return err
+	return a.submit(nil, wr, UploadID{}, &wa.ack, true)
 }
 
 // Crashed returns a channel that closes when the aggregator is torn down
@@ -518,28 +483,25 @@ func (a *Aggregator) SubmitWireAcked(wr *core.WireReport, wa *WireAck) error {
 // to unwind instead of deadlocking.
 func (a *Aggregator) Crashed() <-chan struct{} { return a.crashCh }
 
-// SubmitDurable enqueues one upload and waits until it is durable per the
+// SubmitDurable submits one upload and waits until it is durable per the
 // WAL's sync policy and merged (without a WAL, merged). id is the upload's
 // content hash (ReportUploadID), or zero to have the aggregator derive it
 // from the canonical encoding it logs anyway; an upload whose id is
 // already durable is acknowledged, once its first copy has merged, without
 // being logged or merged again, so resending after a crash, a 5xx, or a
 // lost response is idempotent.
-// Queue-full still fails fast with ErrQueueFull.
+// With every admission slot taken it fails fast with ErrQueueFull.
 func (a *Aggregator) SubmitDurable(rep *core.Report, id UploadID) error {
-	return a.submitAcked(&upload{rep: rep, id: id})
+	return a.submitAcked(rep, nil, id)
 }
 
 // submitAcked is the device-facing submit behind SubmitDurable and both
-// upload handlers: it fails fast when the queue is full, then waits for
-// the upload's ack, so a nil return means merged and, with a WAL, durable
-// first.
-func (a *Aggregator) submitAcked(u *upload) error {
-	// Once queued, u belongs to the dispatcher, which recycles it: wait on
-	// the ack through this copy of the pointer.
+// upload handlers: it fails fast when no admission slot is free, then,
+// with the lock released, waits for the upload's ack, so a nil return
+// means merged and, with a WAL, durable first.
+func (a *Aggregator) submitAcked(rep *core.Report, wr *core.WireReport, id UploadID) error {
 	ack := newUploadAck()
-	u.ack = ack
-	if err := a.enqueue(u, false); err != nil {
+	if err := a.submit(rep, wr, id, ack, false); err != nil {
 		return err
 	}
 	select {
@@ -556,71 +518,50 @@ func (a *Aggregator) submitAcked(u *upload) error {
 	}
 }
 
-// runDispatcher splits queued uploads into per-shard fragments. Several
-// dispatchers run concurrently — splitting hashes every entry, and a single
-// splitter would serialize the whole write path (Amdahl) — which is safe
-// because fragment routing is order-independent under a commutative merge.
-func (a *Aggregator) runDispatcher() {
-	defer a.dispatchWG.Done()
-	for u := range a.intake {
-		if !a.dispatchOne(u) {
-			return
-		}
-		// Everything downstream needs was copied out of the envelope; it is
-		// free to recycle.
-		putUpload(u)
-	}
-}
-
-// dispatchOne splits one upload into per-shard fragments. A memory-only
-// aggregator routes them at once. A durable one first encodes the upload's
-// log record — its one canonical binary encoding, which also yields a zero
-// ID — and hands record and fragments to the committer. It returns false
-// if a crash unwound the dispatcher.
-func (a *Aggregator) dispatchOne(u *upload) bool {
-	frags := a.split(u)
-	if a.commit == nil {
-		return a.route(frags, u.ack)
-	}
-	rep := u.rep
-	if rep == nil {
-		rep = u.wire.Report() // the log holds reports
-	}
-	frame, id := uploadRecord(rep, u.id)
-	select {
-	case a.commit <- logged{frame: frame, id: id, frags: frags, ack: u.ack}:
-		return true
-	case <-a.crashCh:
-		return false
-	}
-}
-
 // split cuts an upload into one message per shard, in the upload's own
 // form: a report into fragment reports (Report.Split), a decoded binary
-// upload into per-shard copies of its already-keyed entries, routed by
-// core.ShardIndexKey, with its health section riding shard 0. A shard's
+// upload into per-shard runs of its already-keyed entries, routed by
+// core.ShardIndexKey, with its health section riding shard 0. The runs
+// are cut from one backing array: split hashes each entry once, counts
+// each shard's run, then fills the runs in upload order. A shard's
 // message is empty when it gets nothing.
-func (a *Aggregator) split(u *upload) []shardMsg {
-	msgs := make([]shardMsg, a.cfg.Shards)
-	if u.wire == nil {
-		for i, frag := range u.rep.Split(a.cfg.Shards) {
+func (a *Aggregator) split(rep *core.Report, wr *core.WireReport) []shardMsg {
+	n := a.cfg.Shards
+	msgs := make([]shardMsg, n)
+	if wr == nil {
+		for i, frag := range rep.Split(n) {
 			msgs[i].frag = frag
 		}
 		return msgs
 	}
-	for i := range u.wire.Entries {
-		s := core.ShardIndexKey(u.wire.Entries[i].Key, a.cfg.Shards)
-		msgs[s].wire = append(msgs[s].wire, u.wire.Entries[i])
+	ents := wr.Entries
+	scratch := make([]int, len(ents)+n) // each entry's shard, then each shard's run length
+	shardOf, runs := scratch[:len(ents)], scratch[len(ents):]
+	for i := range ents {
+		s := core.ShardIndexKey(ents[i].Key, n)
+		shardOf[i] = s
+		runs[s]++
 	}
-	if !u.wire.Health.Zero() {
-		msgs[0].health = &u.wire.Health
+	backing := make([]core.WireEntry, len(ents))
+	off := 0
+	for s, l := range runs {
+		if l > 0 {
+			msgs[s].wire = backing[off : off : off+l]
+			off += l
+		}
+	}
+	for i, s := range shardOf {
+		msgs[s].wire = append(msgs[s].wire, ents[i])
+	}
+	if !wr.Health.Zero() {
+		msgs[0].health = &wr.Health
 	}
 	return msgs
 }
 
 // route sends an upload's non-empty fragments to their shards; the shard
 // that merges the last one completes the ack. It returns false if a crash
-// unwound it.
+// unwound it, which only the committer, running without the lock, can see.
 func (a *Aggregator) route(frags []shardMsg, ack *uploadAck) bool {
 	if ack != nil {
 		n := 0
@@ -1050,10 +991,10 @@ func (a *Aggregator) Delta(since VersionVector) (rep *core.Report, vec VersionVe
 }
 
 // Close drains and stops the aggregator: no new uploads are accepted, but
-// everything already queued is split and merged before Close returns, so a
-// graceful shutdown loses nothing it acknowledged. With a WAL, the
-// committer drains and writes one final compacted snapshot before the
-// shards stop, so a clean restart replays a snapshot and an empty tail.
+// every upload already admitted is handed off and merged before Close
+// returns, so a graceful shutdown loses nothing it acknowledged. With a
+// WAL, the committer drains and writes one final compacted snapshot before
+// the shards stop, so a clean restart replays a snapshot and an empty tail.
 // Close is idempotent.
 func (a *Aggregator) Close() {
 	a.mu.Lock()
@@ -1064,15 +1005,14 @@ func (a *Aggregator) Close() {
 		a.wait()
 		return
 	}
+	// The write lock waited out every submit in hand-off, and closed keeps
+	// new ones out.
 	a.closed = true
-	close(a.intake)
 	a.mu.Unlock()
 
-	a.dispatchWG.Wait()
 	if a.commit != nil {
-		// The dispatchers were its only senders. The committer's final
-		// snapshot gathers from the shards, so they stay open until it is
-		// done.
+		// Submitters were its only senders. The committer's final snapshot
+		// gathers from the shards, so they stay open until it is done.
 		close(a.commit)
 		a.commitWG.Wait()
 	}
@@ -1109,13 +1049,12 @@ func (a *Aggregator) Crash() {
 	}
 	a.closed, a.crashed, a.finalized = true, true, true
 	close(a.crashCh)
-	close(a.intake)
 	a.mu.Unlock()
 	a.wait()
 }
 
-// wait blocks until every dispatcher, the committer and every shard exited.
-func (a *Aggregator) wait() { a.dispatchWG.Wait(); a.commitWG.Wait(); a.shardWG.Wait() }
+// wait blocks until the committer and every shard exited.
+func (a *Aggregator) wait() { a.commitWG.Wait(); a.shardWG.Wait() }
 
 // String describes the aggregator's shape for logs.
 func (a *Aggregator) String() string {
@@ -1123,6 +1062,6 @@ func (a *Aggregator) String() string {
 	if a.cfg.WAL != nil {
 		wal = fmt.Sprintf("dir=%s sync=%s compact-every=%d", a.cfg.WAL.Dir, a.cfg.WAL.Sync, a.cfg.WAL.CompactEvery)
 	}
-	return fmt.Sprintf("fleet.Aggregator{shards=%d queue=%d batch=%d dispatchers=%d wal=%s}",
-		a.cfg.Shards, a.cfg.QueueDepth, a.cfg.BatchSize, a.cfg.Dispatchers, wal)
+	return fmt.Sprintf("fleet.Aggregator{shards=%d queue=%d batch=%d wal=%s}",
+		a.cfg.Shards, a.cfg.QueueDepth, a.cfg.BatchSize, wal)
 }

@@ -26,8 +26,8 @@ func postBinary(t *testing.T, ts *httptest.Server, doc []byte) *http.Response {
 
 // TestSubmitWireFoldByteIdentical pins the zero-copy ingest path to the
 // same determinism bar as everything else: uploads that travel encoder →
-// decoder → SubmitWireWait fold byte-identically to the same reports submitted
-// directly, for every shard count.
+// decoder → SubmitWireAcked fold byte-identically to the same reports
+// submitted directly, for every shard count.
 func TestSubmitWireFoldByteIdentical(t *testing.T) {
 	reps := uploads(24, 60)
 	serial := core.NewReport()
@@ -37,21 +37,43 @@ func TestSubmitWireFoldByteIdentical(t *testing.T) {
 	for _, shards := range []int{1, 2, 4, 7} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			agg := NewAggregator(Config{Shards: shards, QueueDepth: 8, BatchSize: 4})
+			col := newAckCollector()
+			wa := NewWireAck(col.fn)
 			for i, r := range reps {
 				enc := core.NewBinaryEncoder(fmt.Sprintf("device-%03d", i))
 				wr, err := core.NewBinaryDecoder().Decode(enc.Encode(r))
 				if err != nil {
 					t.Fatalf("decode upload %d: %v", i, err)
 				}
-				if err := agg.SubmitWireWait(wr); err != nil {
+				if err := agg.SubmitWireAcked(wr, wa); err != nil {
 					t.Fatal(err)
 				}
+				<-col.fired // the ack is reusable once it fired
 			}
 			agg.Close()
 			if got := exportBytes(t, agg.Fold()); !bytes.Equal(got, want) {
 				t.Error("wire-path fold diverged from serial merge")
 			}
 		})
+	}
+}
+
+// TestSplitAllocs: splitting a decoded binary upload costs the same few
+// allocations whatever its entry count, because its per-shard runs are cut
+// from one backing array rather than grown one slice per shard.
+func TestSplitAllocs(t *testing.T) {
+	agg := NewAggregator(Config{Shards: 8})
+	defer agg.Close()
+	var allocs []float64
+	for _, entries := range []int{4, 120} {
+		wr, err := core.NewBinaryDecoder().Decode(encodeUpload(t, 3, "device-a", entries))
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs = append(allocs, testing.AllocsPerRun(100, func() { agg.split(nil, wr) }))
+	}
+	if allocs[0] != allocs[1] || allocs[1] > 4 {
+		t.Errorf("split allocates %v for 4 and 120 entries, want one count of at most 4", allocs)
 	}
 }
 

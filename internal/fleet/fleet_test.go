@@ -124,9 +124,10 @@ func TestConcurrentUploadsRace(t *testing.T) {
 
 // wedgeShard blocks a shard goroutine on an unbuffered snapshot reply the
 // test controls, making backpressure deterministic: with the shard stuck,
-// fragments pile into its channel, then the dispatcher blocks, then the
-// bounded intake queue fills. release is idempotent, so a test can defer
-// it ahead of Close and still fail cleanly with the shard wedged.
+// fragments pile into its channel, then admitted submitters block handing
+// off theirs until every admission slot is taken. release is idempotent,
+// so a test can defer it ahead of Close and still fail cleanly with the
+// shard wedged.
 func wedgeShard(a *Aggregator, i int) (release func()) {
 	ch := make(chan shardSnap)
 	a.shards[i] <- shardMsg{snap: ch}
@@ -134,18 +135,29 @@ func wedgeShard(a *Aggregator, i int) (release func()) {
 	return func() { once.Do(func() { <-ch }) }
 }
 
-// fillWedged fills a one-shard, one-dispatcher aggregator whose shard is
-// wedged with exactly as many uploads as its pipeline holds — a full shard
-// channel, one upload in the blocked dispatcher, and a full intake queue —
-// and returns them. Every later non-blocking submit fails with
-// ErrQueueFull until the shard is released.
+// fillWedged parks exactly as many blocking submitters on a one-shard
+// aggregator whose shard is wedged as its pipeline holds — a full shard
+// channel, plus one submitter blocked in hand-off per admission slot — and
+// returns their uploads once the pipeline is full. Every later
+// non-blocking submit fails with ErrQueueFull until the shard is released.
+// The parked submitters finish after the release; the test's cleanup
+// waits for them, so a test must release the shard before it returns.
 func fillWedged(t *testing.T, a *Aggregator) []*core.Report {
 	t.Helper()
-	reps := uploads(cap(a.shards[0])+1+cap(a.intake), 10)
+	reps := uploads(cap(a.shards[0])+cap(a.slots), 10)
+	var parked sync.WaitGroup
+	t.Cleanup(parked.Wait)
 	for _, r := range reps {
-		if err := a.SubmitWait(r); err != nil {
-			t.Fatalf("fill: %v", err)
-		}
+		parked.Add(1)
+		go func() {
+			defer parked.Done()
+			if err := a.SubmitWait(r); err != nil {
+				t.Errorf("fill: %v", err)
+			}
+		}()
+	}
+	for a.QueueDepth() < cap(a.slots) || len(a.shards[0]) < cap(a.shards[0]) {
+		time.Sleep(time.Millisecond) // no event marks a submitter as parked
 	}
 	return reps
 }
@@ -155,8 +167,9 @@ func fillWedged(t *testing.T, a *Aggregator) []*core.Report {
 // after the jam clears, everything accepted is merged and nothing rejected
 // leaks into the fleet view.
 func TestBackpressure(t *testing.T) {
-	agg := NewAggregator(Config{Shards: 1, QueueDepth: 2, BatchSize: 1, Dispatchers: 1})
+	agg := NewAggregator(Config{Shards: 1, QueueDepth: 2, BatchSize: 1})
 	release := wedgeShard(agg, 0)
+	defer release()
 	srv := NewServer(agg)
 	kept := fillWedged(t, agg)
 	var rejected int64
@@ -202,22 +215,7 @@ func TestSubmitContracts(t *testing.T) {
 	jsonDoc, binDoc := exportBytes(t, rep), core.AppendReportBinary(nil, rep)
 	post := func(ctype string, doc []byte) func(*Aggregator, *core.WireReport) error {
 		return func(a *Aggregator, _ *core.WireReport) error {
-			rec := httptest.NewRecorder()
-			req := httptest.NewRequest(http.MethodPost, "/v1/upload", bytes.NewReader(doc))
-			req.Header.Set("Content-Type", ctype)
-			NewServer(a).Handler().ServeHTTP(rec, req)
-			switch rec.Code {
-			case http.StatusAccepted:
-				return nil
-			case http.StatusTooManyRequests:
-				if rec.Header().Get("Retry-After") == "" {
-					return errors.New("429 without Retry-After")
-				}
-				return ErrQueueFull
-			case http.StatusServiceUnavailable:
-				return ErrClosed
-			}
-			return fmt.Errorf("status %d", rec.Code)
+			return postUpload(NewServer(a).Handler(), ctype, doc)
 		}
 	}
 	var fired atomic.Int64
@@ -229,7 +227,6 @@ func TestSubmitContracts(t *testing.T) {
 	}{
 		{"SubmitDurable", false, func(a *Aggregator, _ *core.WireReport) error { return a.SubmitDurable(rep.Clone(), UploadID{}) }},
 		{"SubmitWait", true, func(a *Aggregator, _ *core.WireReport) error { return a.SubmitWait(rep.Clone()) }},
-		{"SubmitWireWait", true, (*Aggregator).SubmitWireWait},
 		{"SubmitWireAcked", true, func(a *Aggregator, wr *core.WireReport) error { return a.SubmitWireAcked(wr, wa) }},
 		{"POST json", false, post("application/json", jsonDoc)},
 		{"POST binary", false, post(core.BinaryContentType, binDoc)},
@@ -258,7 +255,7 @@ func TestSubmitContracts(t *testing.T) {
 			}
 		})
 		t.Run(c.name+"/full", func(t *testing.T) {
-			agg := NewAggregator(Config{Shards: 1, QueueDepth: 2, BatchSize: 1, Dispatchers: 1})
+			agg := NewAggregator(Config{Shards: 1, QueueDepth: 2, BatchSize: 1})
 			defer agg.Close()
 			release := wedgeShard(agg, 0)
 			defer release()
@@ -284,6 +281,28 @@ func TestSubmitContracts(t *testing.T) {
 			}
 		})
 	}
+}
+
+// postUpload POSTs one document to h's /v1/upload and maps the answer back
+// onto the submit errors: 202 is nil, 429 with Retry-After is
+// ErrQueueFull, and 503 is ErrClosed.
+func postUpload(h http.Handler, ctype string, doc []byte) error {
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, "/v1/upload", bytes.NewReader(doc))
+	req.Header.Set("Content-Type", ctype)
+	h.ServeHTTP(rec, req)
+	switch rec.Code {
+	case http.StatusAccepted:
+		return nil
+	case http.StatusTooManyRequests:
+		if rec.Header().Get("Retry-After") == "" {
+			return errors.New("429 without Retry-After")
+		}
+		return ErrQueueFull
+	case http.StatusServiceUnavailable:
+		return ErrClosed
+	}
+	return fmt.Errorf("status %d", rec.Code)
 }
 
 // TestUploadAnswersAfterMerge: on a memory-only node a 202 means merged,

@@ -10,7 +10,7 @@ import (
 // Metrics is the aggregator's ingestion accounting, held in an obs
 // registry so fleetd's /metrics is the standard exposition rather than a
 // hand-rolled formatter. The per-upload counters are lock-free obs
-// counters (the enqueue hot path never takes a lock to account an
+// counters (the submit hot path never takes a lock to account an
 // upload). The merge triple — merges, fragments, total nanoseconds — is
 // updated and read under one mutex, so a snapshot can never observe a
 // merge whose fragment count arrived but whose latency has not (the
@@ -119,7 +119,7 @@ func newMetrics(queueCap int) *Metrics {
 		reg:      reg,
 		queueCap: queueCap,
 		accepted: reg.Counter("hangdoctor_fleet_uploads_accepted_total",
-			"Uploads admitted to the intake queue."),
+			"Uploads admitted through an admission slot."),
 		rejected: reg.Counter("hangdoctor_fleet_uploads_rejected_total",
 			"Uploads refused for backpressure or shutdown."),
 		invalid: reg.Counter("hangdoctor_fleet_uploads_invalid_total",
@@ -146,7 +146,7 @@ func newMetrics(queueCap int) *Metrics {
 			"since= snapshot polls that degraded to a full snapshot (vector mismatch)."),
 	}
 	reg.GaugeFunc("hangdoctor_fleet_queue_capacity",
-		"Configured intake bound.",
+		"Configured bound on uploads admitted but not yet handed off.",
 		func() int64 { return int64(queueCap) })
 	reg.CounterFunc("hangdoctor_fleet_merges_total",
 		"Shard merge calls.",
@@ -163,7 +163,7 @@ func newMetrics(queueCap int) *Metrics {
 func (m *Metrics) Registry() *obs.Registry { return m.reg }
 
 // NoteInvalid counts an upload that failed validation before it could be
-// queued (the HTTP layer's 400 path).
+// submitted (the HTTP layer's 400 path).
 func (m *Metrics) NoteInvalid() { m.invalid.Inc() }
 
 // noteMerge accounts one shard merge call: the triple moves together
@@ -187,7 +187,7 @@ func (m *Metrics) noteFold(d time.Duration) {
 // triple is read in one critical section: Merges, MergedFragments, and
 // MergeNs always describe the same set of completed merges.
 type MetricsSnapshot struct {
-	// Accepted counts uploads admitted to the intake queue.
+	// Accepted counts uploads admitted through an admission slot.
 	Accepted int64 `json:"accepted"`
 	// Rejected counts uploads refused for backpressure or shutdown.
 	Rejected int64 `json:"rejected"`
@@ -215,7 +215,7 @@ type MetricsSnapshot struct {
 	// FullResyncs counts since= polls that degraded to a full snapshot.
 	DeltaRequests int64 `json:"delta_requests"`
 	FullResyncs   int64 `json:"full_resyncs"`
-	// QueueCapacity is the configured intake bound.
+	// QueueCapacity is Config.QueueDepth: the most uploads in hand-off.
 	QueueCapacity int `json:"queue_capacity"`
 }
 

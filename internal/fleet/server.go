@@ -158,7 +158,7 @@ func (s *Server) uploadBinary(w http.ResponseWriter, body []byte) {
 	entries, hangs := len(wr.Entries), wr.TotalHangs()
 	// Zero-copy ingest: the decoded wire entries go straight to their
 	// shards, keyed by the decoder's dictionary.
-	s.finishUpload(w, s.agg.submitAcked(&upload{wire: wr}), entries, hangs)
+	s.finishUpload(w, s.agg.submitAcked(nil, wr, UploadID{}), entries, hangs)
 }
 
 // finishUpload maps a submit outcome onto the response. Both formats

@@ -262,8 +262,8 @@ func encodeHeader(h walHeader) ([]byte, error) {
 
 // uploadRecord encodes rep once, as the framed log record of one upload:
 // [len][crc32c][kind][id][canonical binary document]. A zero id becomes
-// the hash of that document — the bytes ReportUploadID hashes. Dispatchers
-// call it in parallel, so the committer only writes.
+// the hash of that document — the bytes ReportUploadID hashes. Submitters
+// call it on their own goroutines, so the committer only writes.
 func uploadRecord(rep *core.Report, id UploadID) ([]byte, UploadID) {
 	const docOff = walFrameHeaderLen + 1 + len(UploadID{})
 	buf := make([]byte, docOff, docOff+512)

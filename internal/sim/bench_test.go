@@ -1,28 +1,20 @@
 package sim
 
 import (
-	"container/heap"
-	"container/list"
-	"errors"
 	"fmt"
 	"net/http/httptest"
 	"os"
 	"strconv"
 	"testing"
 
-	"hangdoctor/internal/core"
 	"hangdoctor/internal/fleet"
-	"hangdoctor/internal/simrand"
 )
 
-// bench_test.go: the tentpole's evidence. BenchmarkSimEngine produces the
-// rows committed to BENCH_sim.json:
+// bench_test.go: BenchmarkSimEngine produces the rows committed to
+// BENCH_sim.json (whose baseline-pr7 row came from a since-deleted replica
+// of the single-heap scheduler the engine replaced):
 //
-//   baseline-pr7        faithful replica of the PR 7 fleetload scheduler
-//                       (one container/heap, Sprintf names, SyntheticUpload,
-//                       per-device BinaryEncoder/Decoder LRUs, SubmitWireWait)
-//   inproc/workers=N    the engine end to end into a sharded aggregator —
-//                       the ≥10× claim is inproc/workers=8 vs baseline-pr7
+//   inproc/workers=N    the engine end to end into a sharded aggregator
 //   sched/workers=N     discard sink: scheduler + draw + entry fill only —
 //                       the worker-scaling gate runs on these rows
 //   tick                warm steady-state tick, 0 allocs/op gate
@@ -45,9 +37,6 @@ const benchEntries = 4
 
 func BenchmarkSimEngine(b *testing.B) {
 	devices := benchDevices()
-	b.Run("baseline-pr7", func(b *testing.B) {
-		benchBaselinePR7(b, devices, benchEntries)
-	})
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("inproc/workers=%d", w), func(b *testing.B) {
 			benchEngine(b, Config{
@@ -105,7 +94,7 @@ func benchEngine(b *testing.B, cfg Config, inproc bool) {
 	b.ResetTimer()
 	st, err := eng.Run()
 	if inproc {
-		agg.Close() // the measurement covers every merge, like the PR 7 path
+		agg.Close() // the measurement covers every merge
 	}
 	b.StopTimer()
 	if err != nil {
@@ -145,132 +134,4 @@ func BenchmarkSimEngineHTTP(b *testing.B) {
 	if st.Failed != 0 {
 		b.Fatalf("failed=%d", st.Failed)
 	}
-}
-
-// ---------------------------------------------------------------------------
-// PR 7 baseline replica
-//
-// A faithful copy of the scheduler cmd/fleetload ran before this PR: one
-// global container/heap over all devices, device names re-formatted with
-// fmt.Sprintf on every event, fleet.SyntheticUpload building a full
-// core.Report per upload, a client-side BinaryEncoder LRU and server-side
-// BinaryDecoder LRU (evictions drive resyncs), and one blocking
-// SubmitWireWait per upload. This is the denominator of the ≥10× claim, so
-// it must stay byte-for-byte the old algorithm — do not optimize it.
-
-type pr7Event struct {
-	at  int64
-	dev int32
-}
-
-type pr7Heap []pr7Event
-
-func (h pr7Heap) Len() int { return len(h) }
-func (h pr7Heap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].dev < h[j].dev
-}
-func (h pr7Heap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *pr7Heap) Push(x any)   { *h = append(*h, x.(pr7Event)) }
-func (h *pr7Heap) Pop() any     { old := *h; x := old[len(old)-1]; *h = old[:len(old)-1]; return x }
-
-type pr7LRU struct {
-	cap int
-	l   *list.List
-	m   map[int32]*list.Element
-}
-
-type pr7Item struct {
-	key int32
-	val any
-}
-
-func newPR7LRU(cap int) *pr7LRU {
-	return &pr7LRU{cap: cap, l: list.New(), m: make(map[int32]*list.Element)}
-}
-
-func (c *pr7LRU) get(k int32) (any, bool) {
-	el, ok := c.m[k]
-	if !ok {
-		return nil, false
-	}
-	c.l.MoveToFront(el)
-	return el.Value.(*pr7Item).val, true
-}
-
-func (c *pr7LRU) put(k int32, v any) {
-	c.m[k] = c.l.PushFront(&pr7Item{key: k, val: v})
-	for len(c.m) > c.cap {
-		oldest := c.l.Back()
-		c.l.Remove(oldest)
-		delete(c.m, oldest.Value.(*pr7Item).key)
-	}
-}
-
-func benchBaselinePR7(b *testing.B, devices, entries int) {
-	const seed = int64(1)
-	dictCap := devices / 4 // the old -sim-dict default ratio (250k at 1e6)
-	if dictCap < 1 {
-		dictCap = 1
-	}
-	agg := fleet.NewAggregator(fleet.Config{Shards: 8, QueueDepth: 4096})
-	rng := simrand.New(uint64(seed)).Derive("fleetload/sim")
-
-	const hourMS = 3_600_000
-	sched := make(pr7Heap, devices)
-	for d := range sched {
-		sched[d] = pr7Event{at: rng.Int63n(hourMS), dev: int32(d)}
-	}
-	heap.Init(&sched)
-
-	encs := newPR7LRU(4 * dictCap)
-	decs := newPR7LRU(dictCap)
-	seq := make(map[int32]int64, devices/8)
-
-	b.ResetTimer()
-	for u := 0; u < b.N; u++ {
-		ev := sched[0]
-		seq[ev.dev]++
-		device := fmt.Sprintf("device-%07d", ev.dev)
-		rep := fleet.SyntheticUpload(seed+int64(ev.dev)*7919+seq[ev.dev], device, entries)
-
-		var enc *core.BinaryEncoder
-		if v, ok := encs.get(ev.dev); ok {
-			enc = v.(*core.BinaryEncoder)
-		} else {
-			enc = core.NewBinaryEncoder(device)
-			encs.put(ev.dev, enc)
-		}
-		doc := enc.Encode(rep)
-
-		var dec *core.BinaryDecoder
-		if v, ok := decs.get(ev.dev); ok {
-			dec = v.(*core.BinaryDecoder)
-		} else {
-			dec = core.NewBinaryDecoder()
-			decs.put(ev.dev, dec)
-		}
-		wr, err := dec.Decode(doc)
-		if err != nil {
-			var dm *core.DictMismatchError
-			if !errors.As(err, &dm) {
-				b.Fatalf("decode: %v", err)
-			}
-			enc.Reset()
-			doc = enc.Encode(rep)
-			if wr, err = dec.Decode(doc); err != nil {
-				b.Fatalf("resync resend: %v", err)
-			}
-		}
-		if err := agg.SubmitWireWait(wr); err != nil {
-			b.Fatalf("submit: %v", err)
-		}
-
-		sched[0].at = ev.at + hourMS - hourMS/10 + rng.Int63n(hourMS/5)
-		heap.Fix(&sched, 0)
-	}
-	agg.Close()
-	b.StopTimer()
 }
