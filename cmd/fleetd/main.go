@@ -113,11 +113,16 @@ func main() {
 		log.Printf("shutdown: %v", err)
 	}
 	agg.Close()
-	snap := agg.Snapshot()
-	log.Printf("drained: accepted=%d rejected=%d invalid=%d merges=%d entries=%d hangs=%d",
-		snap.Accepted, snap.Rejected, snap.Invalid, snap.Merges, snap.Entries(), snap.Hangs())
+	snap := agg.Metrics().Registry().Snapshot()
+	rep := agg.Fold()
+	log.Printf("drained: accepted=%d rejected=%d invalid=%d merges=%d entries=%d hangs=%d wal_compaction_errors=%d",
+		snap.Value("hangdoctor_fleet_uploads_accepted_total"),
+		snap.Value("hangdoctor_fleet_uploads_rejected_total"),
+		snap.Value("hangdoctor_fleet_uploads_invalid_total"),
+		snap.Value("hangdoctor_fleet_merges_total"),
+		rep.Len(), rep.TotalHangs(),
+		snap.Value("hangdoctor_fleet_wal_compaction_errors_total"))
 	if *printFinal {
-		rep := agg.Fold()
 		fmt.Printf("fleet report: %d root causes, %d diagnosed hangs\n\n%s", rep.Len(), rep.TotalHangs(), rep.Render())
 	}
 }

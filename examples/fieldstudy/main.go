@@ -10,11 +10,21 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"os"
 
 	"hangdoctor"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run writes the example's output to w.
+func run(w io.Writer) error {
 	c := hangdoctor.LoadCorpus()
 	andstatus := c.MustApp("AndStatus")
 
@@ -33,7 +43,7 @@ func main() {
 		dev.Name = fmt.Sprintf("user-%02d (%s)", u, dev.Name)
 		sess, err := hangdoctor.NewSession(andstatus, dev, uint64(1000+u))
 		if err != nil {
-			panic(err)
+			return err
 		}
 		doctor := hangdoctor.Monitor(sess, hangdoctor.Config{})
 		hangdoctor.RunTrace(sess, hangdoctor.Trace(andstatus, uint64(1000+u), actionsPerUser), hangdoctor.Second)
@@ -46,26 +56,27 @@ func main() {
 		// service parses and merges it.
 		var wire bytes.Buffer
 		if err := doctor.Report().Anonymize("fleet-salt").Export(&wire); err != nil {
-			panic(err)
+			return err
 		}
 		uploadedBytes += wire.Len()
 		imported, err := hangdoctor.ImportReport(&wire)
 		if err != nil {
-			panic(err)
+			return err
 		}
 		fleet.Merge(imported)
 	}
 
-	fmt.Printf("fleet: %d users x %d actions each, %d bytes of anonymized JSON uploaded\n\n", users, actionsPerUser, uploadedBytes)
-	fmt.Println("merged Hang Bug Report (Figure 2(b)):")
-	fmt.Print(fleet.Render())
+	fmt.Fprintf(w, "fleet: %d users x %d actions each, %d bytes of anonymized JSON uploaded\n\n", users, actionsPerUser, uploadedBytes)
+	fmt.Fprintln(w, "merged Hang Bug Report (Figure 2(b)):")
+	fmt.Fprint(w, fleet.Render())
 
-	fmt.Println("\nper-entry device coverage:")
+	fmt.Fprintln(w, "\nper-entry device coverage:")
 	for _, e := range fleet.Entries() {
-		fmt.Printf("  %-66s seen on %d/%d devices (%.0f%%)\n",
+		fmt.Fprintf(w, "  %-66s seen on %d/%d devices (%.0f%%)\n",
 			e.RootCause+" @ "+e.ActionUID, len(e.Devices), users,
 			100*float64(len(e.Devices))/float64(users))
 	}
 
-	fmt.Printf("\ndistinct root causes diagnosed across the fleet: %d (AndStatus seeds 3 bugs)\n", len(found))
+	fmt.Fprintf(w, "\ndistinct root causes diagnosed across the fleet: %d (AndStatus seeds 3 bugs)\n", len(found))
+	return nil
 }

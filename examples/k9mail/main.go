@@ -6,21 +6,31 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"hangdoctor"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run writes the example's output to w.
+func run(w io.Writer) error {
 	c := hangdoctor.LoadCorpus()
 	k9 := c.MustApp("K9-Mail")
 
 	sess, err := hangdoctor.NewSession(k9, hangdoctor.LGV10(), 42)
 	if err != nil {
-		panic(err)
+		return err
 	}
 	doctor := hangdoctor.Monitor(sess, hangdoctor.Config{})
 
-	fmt.Println("driving 150 user actions on K9-Mail (Open Email, Inbox, Folders, ...)")
+	fmt.Fprintln(w, "driving 150 user actions on K9-Mail (Open Email, Inbox, Folders, ...)")
 	hangs := 0
 	for _, act := range hangdoctor.Trace(k9, 42, 150) {
 		exec := sess.Perform(act)
@@ -29,30 +39,31 @@ func main() {
 		}
 		sess.Idle(hangdoctor.Second)
 	}
-	fmt.Printf("observed %d soft hangs\n\n", hangs)
+	fmt.Fprintf(w, "observed %d soft hangs\n\n", hangs)
 
-	fmt.Println("state transitions (Figure 3 / Figure 7):")
+	fmt.Fprintln(w, "state transitions (Figure 3 / Figure 7):")
 	for _, tr := range doctor.Transitions() {
-		fmt.Printf("  %-30s %-10s %-13v -> %v (execution %d)\n",
+		fmt.Fprintf(w, "  %-30s %-10s %-13v -> %v (execution %d)\n",
 			tr.ActionUID, tr.Phase, tr.From, tr.To, tr.ExecSeq)
 	}
 
-	fmt.Println("\nconfirmed diagnoses (Figure 6's outcome):")
+	fmt.Fprintln(w, "\nconfirmed diagnoses (Figure 6's outcome):")
 	for _, det := range doctor.Detections() {
-		fmt.Printf("  %s\n    root cause %s (%s:%d), occurrence %.0f%%, diagnosed %d times, worst hang %v\n",
+		fmt.Fprintf(w, "  %s\n    root cause %s (%s:%d), occurrence %.0f%%, diagnosed %d times, worst hang %v\n",
 			det.ActionUID, det.RootCause, det.File, det.Line,
 			100*det.Occurrence, det.Count, det.MaxResponse)
 	}
 
-	fmt.Println("\nHang Bug Report:")
-	fmt.Print(doctor.Report().Render())
+	fmt.Fprintln(w, "\nHang Bug Report:")
+	fmt.Fprint(w, doctor.Report().Render())
 
 	// Offline tools now know about the APIs Hang Doctor diagnosed.
-	fmt.Println("\nnewly learned blocking APIs:")
+	fmt.Fprintln(w, "\nnewly learned blocking APIs:")
 	for _, key := range []string{
 		"org.htmlcleaner.HtmlCleaner.clean",
 		"org.apache.james.mime4j.parser.MimeStreamParser.parse",
 	} {
-		fmt.Printf("  %-60s known=%v\n", key, c.Registry.IsKnownBlocking(key))
+		fmt.Fprintf(w, "  %-60s known=%v\n", key, c.Registry.IsKnownBlocking(key))
 	}
+	return nil
 }

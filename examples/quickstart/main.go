@@ -10,11 +10,21 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"hangdoctor"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run writes the example's output to w.
+func run(w io.Writer) error {
 	// 1. An API universe: the platform classes plus our app's own library.
 	reg := hangdoctor.NewRegistry()
 	cacheClass := reg.DefineClass("com.example.notes.NoteCache", false, "", false)
@@ -57,7 +67,7 @@ func main() {
 	// 3. Run the app on a simulated LG V10 with Hang Doctor attached.
 	sess, err := hangdoctor.NewSession(notes, hangdoctor.LGV10(), 7)
 	if err != nil {
-		panic(err)
+		return err
 	}
 	doctor := hangdoctor.Monitor(sess, hangdoctor.Config{})
 
@@ -65,23 +75,24 @@ func main() {
 		act := notes.Actions[i%2]
 		exec := sess.Perform(act)
 		if rt := exec.ResponseTime(); rt > hangdoctor.PerceivableDelay {
-			fmt.Printf("soft hang: %-12s %9v  (state now %v)\n",
+			fmt.Fprintf(w, "soft hang: %-12s %9v  (state now %v)\n",
 				act.Name, rt, doctor.State(act.UID))
 		}
 		sess.Idle(hangdoctor.Second)
 	}
 
 	// 4. What the developer sees.
-	fmt.Println("\nHang Bug Report:")
-	fmt.Print(doctor.Report().Render())
+	fmt.Fprintln(w, "\nHang Bug Report:")
+	fmt.Fprint(w, doctor.Report().Render())
 
-	fmt.Println("\naction states:")
+	fmt.Fprintln(w, "\naction states:")
 	for _, act := range notes.Actions {
-		fmt.Printf("  %-12s -> %v\n", act.Name, doctor.State(act.UID))
+		fmt.Fprintf(w, "  %-12s -> %v\n", act.Name, doctor.State(act.UID))
 	}
 
 	// 5. The feedback loop: the diagnosed API is now in the database that
 	// offline tools scan with.
-	fmt.Printf("\nNoteCache.warmUp known blocking after the run: %v\n",
+	fmt.Fprintf(w, "\nNoteCache.warmUp known blocking after the run: %v\n",
 		reg.IsKnownBlocking("com.example.notes.NoteCache.warmUp"))
+	return nil
 }

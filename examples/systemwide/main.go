@@ -12,6 +12,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"hangdoctor"
 	"hangdoctor/internal/corpus"
@@ -19,10 +21,18 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run writes the example's output to w.
+func run(w io.Writer) error {
 	c := corpus.Build()
 	dev, err := system.NewDevice(hangdoctor.LGV10(), 42)
 	if err != nil {
-		panic(err)
+		return err
 	}
 	svc := dev.EnableHangService(hangdoctor.Config{})
 
@@ -30,18 +40,18 @@ func main() {
 	for _, name := range []string{"K9-Mail", "AndStatus", "Omni-Notes"} {
 		p, err := dev.Install(c.MustApp(name))
 		if err != nil {
-			panic(err)
+			return err
 		}
 		procs = append(procs, p)
 	}
-	fmt.Printf("device: %s, %d cores, %d apps installed, HangService on\n\n",
+	fmt.Fprintf(w, "device: %s, %d cores, %d apps installed, HangService on\n\n",
 		dev.Model.Name, dev.Model.Cores, len(dev.Processes()))
 
 	// The user bounces between apps; ~70 actions per app overall.
 	for round := 0; round < 7; round++ {
 		for _, p := range procs {
 			if err := dev.SwitchTo(p); err != nil {
-				panic(err)
+				return err
 			}
 			for _, act := range corpus.Trace(p.App, uint64(100+round), 10) {
 				p.Session.Perform(act)
@@ -50,14 +60,15 @@ func main() {
 		}
 	}
 
-	fmt.Println("soft hang bugs diagnosed across the device:")
+	fmt.Fprintln(w, "soft hang bugs diagnosed across the device:")
 	for _, f := range svc.SoftHangBugsFound() {
-		fmt.Println("  " + f)
+		fmt.Fprintln(w, "  "+f)
 	}
 
-	fmt.Println("\ndevice-wide Hang Bug Report:")
-	fmt.Print(svc.DeviceReport().Render())
+	fmt.Fprintln(w, "\ndevice-wide Hang Bug Report:")
+	fmt.Fprint(w, svc.DeviceReport().Render())
 
-	fmt.Printf("\nstock ANR tool (5s timeout) dialogs shown: %d\n", len(svc.ANRs()))
-	fmt.Println("every one of the hangs above was invisible to it")
+	fmt.Fprintf(w, "\nstock ANR tool (5s timeout) dialogs shown: %d\n", len(svc.ANRs()))
+	fmt.Fprintln(w, "every one of the hangs above was invisible to it")
+	return nil
 }

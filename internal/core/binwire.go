@@ -67,6 +67,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"unicode/utf8"
 
 	"hangdoctor/internal/simclock"
@@ -84,7 +85,6 @@ const (
 	binEntryViaCall = 1 << 0
 	maxBinStringLen = 1 << 20 // longest single dictionary string
 	maxBinPrealloc  = 4096    // cap on count-driven preallocation
-	binHealthFields = 10
 	binMinHeaderLen = len(binMagic) + 2
 )
 
@@ -301,7 +301,7 @@ func (e *BinaryEncoder) appendDoc(dst []byte, rep *Report) []byte {
 	if !rep.Health.Zero() {
 		flags |= binFlagHealth
 	}
-	if chained > 0 || rep.Health.WorkerStacksLost != 0 || rep.Health.CausalFallbacks != 0 {
+	if chained > 0 || !rep.Health.causalZero() {
 		flags |= binFlagCausal
 	}
 	dst = append(dst, flags)
@@ -333,22 +333,17 @@ func (e *BinaryEncoder) appendDoc(dst []byte, rep *Report) []byte {
 		dst = appendUvarint(dst, uint64(en.SumResponse))
 	}
 	if flags&binFlagHealth != 0 {
-		h := rep.Health
-		for _, v := range [binHealthFields]int{
-			h.PerfOpenFailures, h.PerfOpenRetries, h.CountersLost,
-			h.RenderLost, h.StacksDropped, h.StacksTruncated,
-			h.SamplerOverruns, h.VerdictsDeferred, h.LowConfidence,
-			h.Quarantines,
-		} {
-			dst = appendUvarint(dst, uint64(v))
+		for _, c := range healthCounters[:healthLegacy] {
+			dst = appendUvarint(dst, uint64(*c.field(&rep.Health)))
 		}
 	}
 	if flags&binFlagCausal != 0 {
 		// Extension sections are length-prefixed; build the body in scratch
 		// first so the prefix is exact.
 		e.ext = e.ext[:0]
-		e.ext = appendUvarint(e.ext, uint64(rep.Health.WorkerStacksLost))
-		e.ext = appendUvarint(e.ext, uint64(rep.Health.CausalFallbacks))
+		for _, c := range healthCounters[healthLegacy:] {
+			e.ext = appendUvarint(e.ext, uint64(*c.field(&rep.Health)))
+		}
 		e.ext = appendUvarint(e.ext, uint64(chained))
 		for i := range encs {
 			ee := &encs[i]
@@ -678,20 +673,12 @@ func (d *BinaryDecoder) decodeInto(doc []byte, wr *WireReport, devBuf *[]string)
 
 	var health Health
 	if flags&binFlagHealth != 0 {
-		var vals [binHealthFields]int
-		for i := range vals {
+		for i, c := range healthCounters[:healthLegacy] {
 			v, err := r.uvarint()
 			if err != nil || v > math.MaxInt {
 				return fmt.Errorf("core: binary report: health field %d: invalid", i)
 			}
-			vals[i] = int(v)
-		}
-		health = Health{
-			PerfOpenFailures: vals[0], PerfOpenRetries: vals[1],
-			CountersLost: vals[2], RenderLost: vals[3],
-			StacksDropped: vals[4], StacksTruncated: vals[5],
-			SamplerOverruns: vals[6], VerdictsDeferred: vals[7],
-			LowConfidence: vals[8], Quarantines: vals[9],
+			*c.field(&health) = int(v)
 		}
 	}
 	// Extension sections, one per set flag bit above bit0 in ascending bit
@@ -741,16 +728,13 @@ func (d *BinaryDecoder) decodeInto(doc []byte, wr *WireReport, devBuf *[]string)
 // decodeCausal parses the causal extension section into the two post-legacy
 // health counters and per-entry chain provenance.
 func (d *BinaryDecoder) decodeCausal(r *binReader, entries []WireEntry, health *Health) error {
-	wsl, err := r.uvarint()
-	if err != nil || wsl > math.MaxInt {
-		return errors.New("core: binary report: causal section: worker stacks lost: invalid")
+	for _, c := range healthCounters[healthLegacy:] {
+		v, err := r.uvarint()
+		if err != nil || v > math.MaxInt {
+			return fmt.Errorf("core: binary report: causal section: %s: invalid", strings.ReplaceAll(c.stem, "_", " "))
+		}
+		*c.field(health) = int(v)
 	}
-	cf, err := r.uvarint()
-	if err != nil || cf > math.MaxInt {
-		return errors.New("core: binary report: causal section: causal fallbacks: invalid")
-	}
-	health.WorkerStacksLost = int(wsl)
-	health.CausalFallbacks = int(cf)
 	nChained, err := r.length("chained entry")
 	if err != nil {
 		return err

@@ -30,24 +30,6 @@ type doctorMetrics struct {
 	reportFoldNs    *obs.Histogram
 }
 
-// healthCounterNames pairs each Health field with its exposition name, in
-// struct order. Kept next to doctorMetrics so adding a Health field shows
-// up as a missing registration in code review.
-var healthCounterHelp = [...][2]string{
-	{"hangdoctor_health_perf_open_failures_total", "perf_event_open attempts that failed."},
-	{"hangdoctor_health_perf_open_retries_total", "Backed-off retries of failed perf opens."},
-	{"hangdoctor_health_counters_lost_total", "Per-condition counter values lost to multiplexing."},
-	{"hangdoctor_health_render_lost_total", "Sessions that lost the render thread's counters."},
-	{"hangdoctor_health_stacks_dropped_total", "Stack samples lost entirely."},
-	{"hangdoctor_health_stacks_truncated_total", "Stack samples that lost outer frames."},
-	{"hangdoctor_health_sampler_overruns_total", "Sampler ticks that fired late."},
-	{"hangdoctor_health_verdicts_deferred_total", "Judgements skipped for lack of surviving data."},
-	{"hangdoctor_health_low_confidence_total", "Verdicts rendered from a degraded plane."},
-	{"hangdoctor_health_quarantines_total", "Actions quarantined after consecutive open failures."},
-	{"hangdoctor_health_worker_stacks_lost_total", "Pool-worker stack samples lost during causal collection."},
-	{"hangdoctor_health_causal_fallbacks_total", "Await diagnoses degraded to main-thread-only attribution."},
-}
-
 func newDoctorMetrics(d *Doctor) *doctorMetrics {
 	reg := obs.NewRegistry()
 	m := &doctorMetrics{
@@ -66,9 +48,9 @@ func newDoctorMetrics(d *Doctor) *doctorMetrics {
 			"Wall-clock latency of folding one diagnosis into the report.",
 			obs.ExpBuckets(128, 4, 10)),
 	}
-	for i, hc := range healthCounterHelp {
-		v := healthField(&d.health, i)
-		reg.CounterFunc(hc[0], hc[1], func() int64 { return int64(*v) })
+	for _, c := range healthCounters {
+		v := c.field(&d.health)
+		reg.CounterFunc("hangdoctor_health_"+c.stem+"_total", c.help, func() int64 { return int64(*v) })
 	}
 	reg.CounterFunc("hangdoctor_actions_total",
 		"Action executions observed.",
@@ -91,40 +73,6 @@ func newDoctorMetrics(d *Doctor) *doctorMetrics {
 		return d.session.Faults().Stats()
 	})
 	return m
-}
-
-// healthField maps an index in healthCounterHelp order to the matching
-// Health field. A switch rather than reflection: the registry snapshot
-// path stays allocation-predictable and the mapping is greppable.
-func healthField(h *Health, i int) *int {
-	switch i {
-	case 0:
-		return &h.PerfOpenFailures
-	case 1:
-		return &h.PerfOpenRetries
-	case 2:
-		return &h.CountersLost
-	case 3:
-		return &h.RenderLost
-	case 4:
-		return &h.StacksDropped
-	case 5:
-		return &h.StacksTruncated
-	case 6:
-		return &h.SamplerOverruns
-	case 7:
-		return &h.VerdictsDeferred
-	case 8:
-		return &h.LowConfidence
-	case 9:
-		return &h.Quarantines
-	case 10:
-		return &h.WorkerStacksLost
-	case 11:
-		return &h.CausalFallbacks
-	default:
-		panic("core: healthField index out of range")
-	}
 }
 
 // Metrics returns a deterministic point-in-time snapshot of the Doctor's

@@ -17,25 +17,8 @@ type reportWire struct {
 	Entries []entryWire `json:"entries"`
 	// Health is present only when the device's measurement plane degraded,
 	// so fault-free uploads are byte-identical to the pre-health schema.
-	Health *healthWire `json:"health,omitempty"`
+	Health *Health `json:"health,omitempty"`
 }
-
-type healthWire struct {
-	PerfOpenFailures int `json:"perf_open_failures,omitempty"`
-	PerfOpenRetries  int `json:"perf_open_retries,omitempty"`
-	CountersLost     int `json:"counters_lost,omitempty"`
-	RenderLost       int `json:"render_lost,omitempty"`
-	StacksDropped    int `json:"stacks_dropped,omitempty"`
-	StacksTruncated  int `json:"stacks_truncated,omitempty"`
-	SamplerOverruns  int `json:"sampler_overruns,omitempty"`
-	VerdictsDeferred int `json:"verdicts_deferred,omitempty"`
-	LowConfidence    int `json:"low_confidence,omitempty"`
-	Quarantines      int `json:"quarantines,omitempty"`
-	WorkerStacksLost int `json:"worker_stacks_lost,omitempty"`
-	CausalFallbacks  int `json:"causal_fallbacks,omitempty"`
-}
-
-func (hw healthWire) toHealth() Health { return Health(hw) }
 
 type entryWire struct {
 	App         string   `json:"app"`
@@ -65,8 +48,7 @@ const reportWireVersion = 1
 func (r *Report) Export(w io.Writer) error {
 	doc := reportWire{Version: reportWireVersion}
 	if !r.Health.Zero() {
-		hw := healthWire(r.Health)
-		doc.Health = &hw
+		doc.Health = &r.Health
 	}
 	for _, e := range r.Entries() {
 		devs := make([]string, 0, len(e.Devices))
@@ -104,14 +86,12 @@ func ImportReport(rd io.Reader) (*Report, error) {
 	}
 	out := NewReport()
 	if doc.Health != nil {
-		h := doc.Health.toHealth()
-		if h.PerfOpenFailures < 0 || h.PerfOpenRetries < 0 || h.CountersLost < 0 ||
-			h.RenderLost < 0 || h.StacksDropped < 0 || h.StacksTruncated < 0 ||
-			h.SamplerOverruns < 0 || h.VerdictsDeferred < 0 || h.LowConfidence < 0 ||
-			h.Quarantines < 0 || h.WorkerStacksLost < 0 || h.CausalFallbacks < 0 {
-			return nil, fmt.Errorf("core: negative health counter in %+v", h)
+		for _, c := range healthCounters {
+			if *c.field(doc.Health) < 0 {
+				return nil, fmt.Errorf("core: negative health counter in %+v", *doc.Health)
+			}
 		}
-		out.Health = h
+		out.Health = *doc.Health
 	}
 	for _, ew := range doc.Entries {
 		if ew.RootCause == "" {

@@ -83,14 +83,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// ShardStats is one shard's cheap self-description, served from inside the
-// shard goroutine so no reader ever touches single-writer state.
-type ShardStats struct {
-	Entries int
-	Hangs   int
-	Health  core.Health
-}
-
 // uploadAck settles one submission. Completion is delivered one of two
 // ways: blocking waiters (submitAcked) wait on done, which closes once
 // every routed fragment (for a deduplicated resend, every shard's fence)
@@ -142,22 +134,21 @@ type shardSnap struct {
 // shardMsg is the only thing that crosses into a shard goroutine: a
 // fragment to merge (with its upload's ack), a slice of decoded wire
 // entries from the binary fast path (optionally carrying the upload's
-// health section, which rides shard 0), or a control request (stats, a
-// versioned snapshot, with delta set the changes since version since, or
-// with only ack set a fence that completes the ack).
+// health section, which rides shard 0), or a control request (a versioned
+// snapshot, with delta set the changes since version since, or with only
+// ack set a fence that completes the ack).
 type shardMsg struct {
 	frag   *core.Report
 	wire   []core.WireEntry
 	health *core.Health
 	ack    *uploadAck
-	stats  chan ShardStats
 	snap   chan shardSnap
 	delta  bool
 	since  uint64
 }
 
 // payload reports whether the message carries data to merge (as opposed to
-// a stats/snapshot/delta control request).
+// a snapshot/delta/fence control request).
 func (m *shardMsg) payload() bool {
 	return m.frag != nil || m.wire != nil || m.health != nil
 }
@@ -301,88 +292,37 @@ func (a *Aggregator) Draining() bool {
 	return a.closed
 }
 
-// AggregatorSnapshot is one consistent read of the aggregator's state:
-// the ingestion counters (with the merge triple read atomically), the
-// uploads in hand-off, and every shard's self-description. It backs
-// /healthz, /metrics.json, and the shutdown log line, so all three
-// surfaces describe the same moment instead of re-reading counters that
-// advanced between them.
-type AggregatorSnapshot struct {
-	MetricsSnapshot
-	QueueDepth int          `json:"queue_depth"`
-	Shards     []ShardStats `json:"shards"`
-}
-
-// Entries sums root-cause entries across shards.
-func (s AggregatorSnapshot) Entries() int {
-	n := 0
-	for _, st := range s.Shards {
-		n += st.Entries
-	}
-	return n
-}
-
-// Hangs sums diagnosed hangs across shards.
-func (s AggregatorSnapshot) Hangs() int {
-	n := 0
-	for _, st := range s.Shards {
-		n += st.Hangs
-	}
-	return n
-}
-
-// Snapshot reads the counters, the queue depth, and the shard stats in
-// that order. Shard stats are answered at merge boundaries, so while
-// traffic is in flight the counters may be slightly ahead of the shard
-// view — but each piece is internally consistent.
-func (a *Aggregator) Snapshot() AggregatorSnapshot {
-	return AggregatorSnapshot{
-		MetricsSnapshot: a.metrics.Snapshot(),
-		QueueDepth:      a.QueueDepth(),
-		Shards:          a.ShardStats(),
-	}
-}
-
 // scrape refreshes the scrape-time gauges that project live shard state
 // into the registry — per-shard entry counts, fleet-wide totals, and the
-// summed device health — immediately before an exposition is written.
+// summed device health — immediately before an exposition is written. It
+// reads the reports Fold reads; after a crash every shard reads empty.
 // Gauge re-registration is idempotent, so repeated scrapes update the
 // same series.
 func (a *Aggregator) scrape() {
-	stats := a.ShardStats()
+	a.mu.RLock()
+	reps, _, _, ok := a.reports()
+	a.mu.RUnlock()
 	reg := a.metrics.reg
 	shardEntries := reg.GaugeVec("hangdoctor_fleet_shard_entries",
 		"Root-cause entries owned by each shard.", "shard")
 	var entries, hangs int64
 	var health core.Health
-	for i, st := range stats {
-		shardEntries.With(strconv.Itoa(i)).Set(int64(st.Entries))
-		entries += int64(st.Entries)
-		hangs += int64(st.Hangs)
-		health.Add(st.Health)
+	for i := range a.shards {
+		var n int
+		if ok {
+			n = reps[i].Len()
+			hangs += int64(reps[i].TotalHangs())
+			health.Add(reps[i].Health)
+		}
+		shardEntries.With(strconv.Itoa(i)).Set(int64(n))
+		entries += int64(n)
 	}
 	reg.Gauge("hangdoctor_fleet_entries", "Distinct root causes fleet-wide.").Set(entries)
 	reg.Gauge("hangdoctor_fleet_hangs", "Diagnosed soft hangs fleet-wide.").Set(hangs)
-	for _, hc := range []struct {
-		name string
-		v    int
-	}{
-		{"perf_open_failures", health.PerfOpenFailures},
-		{"perf_open_retries", health.PerfOpenRetries},
-		{"counters_lost", health.CountersLost},
-		{"render_lost", health.RenderLost},
-		{"stacks_dropped", health.StacksDropped},
-		{"stacks_truncated", health.StacksTruncated},
-		{"sampler_overruns", health.SamplerOverruns},
-		{"verdicts_deferred", health.VerdictsDeferred},
-		{"low_confidence", health.LowConfidence},
-		{"quarantines", health.Quarantines},
-		{"worker_stacks_lost", health.WorkerStacksLost},
-		{"causal_fallbacks", health.CausalFallbacks},
-	} {
-		reg.Gauge("hangdoctor_fleet_health_"+hc.name,
-			"Summed degraded-mode health counter across devices.").Set(int64(hc.v))
-	}
+	health.EachCounter(func(stem string, v int) {
+		reg.Gauge("hangdoctor_fleet_health_"+stem,
+			"Summed degraded-mode health counter across devices.").Set(int64(v))
+	})
 }
 
 // submit is the one way in for uploads, run on the submitter's goroutine.
@@ -615,9 +555,7 @@ func (a *Aggregator) runCommitter(w *nodeWAL) {
 			// Clean drain: the next boot replays a snapshot instead of the
 			// whole tail.
 			if w.records > 0 || w.dirty {
-				if err := a.compact(w); err != nil {
-					fmt.Printf("fleet: final wal compaction failed (tail remains replayable): %v\n", err)
-				}
+				a.compact(w)
 			}
 			return
 		}
@@ -638,11 +576,7 @@ func (a *Aggregator) runCommitter(w *nodeWAL) {
 			return
 		}
 		if w.records >= a.cfg.WAL.CompactEvery*a.cfg.Shards {
-			if err := a.compact(w); err != nil {
-				// The old log is intact; keep appending to it and let the
-				// next batch retry. appendErrors already counted barriers.
-				fmt.Printf("fleet: wal compaction failed (will retry): %v\n", err)
-			}
+			a.compact(w)
 		}
 	}
 }
@@ -723,20 +657,24 @@ func (a *Aggregator) commitBatch(w *nodeWAL, batch []logged) bool {
 }
 
 // compact snapshots the state the log's records built and compacts the log
-// into it.
-func (a *Aggregator) compact(w *nodeWAL) error {
+// into it. A failure is counted, not returned: the old log is intact, so
+// the committer keeps appending to it and the next batch retries, and
+// after a failed final compaction the next boot replays the tail.
+func (a *Aggregator) compact(w *nodeWAL) {
 	reps, _, ok := a.gather(nil)
 	if !ok {
-		return nil // crashed: recovery replays the log as it stands
+		return // crashed: recovery replays the log as it stands
 	}
-	return w.compact(core.FoldReportsShared(reps...))
+	if err := w.compact(core.FoldReportsShared(reps...)); err != nil {
+		a.walM.compactionErrors.Inc()
+	}
 }
 
 // runShard is a single-writer merge loop: only this goroutine ever touches
 // its core.Report, which starts as the shard's share of the recovered
 // state. Fragments are drained in batches of up to BatchSize per merge
-// call, and control messages (stats/snapshot) are answered between
-// batches, so they observe merge-complete states only.
+// call, and control messages (snapshots, deltas, fences) are answered
+// between batches, so they observe merge-complete states only.
 func (a *Aggregator) runShard(i int, rep *core.Report) {
 	defer a.shardWG.Done()
 	ch := a.shards[i]
@@ -749,8 +687,6 @@ func (a *Aggregator) runShard(i int, rep *core.Report) {
 	cache := core.NewSnapshotCache(rep)
 	serve := func(m shardMsg) {
 		switch {
-		case m.stats != nil:
-			m.stats <- ShardStats{Entries: rep.Len(), Hangs: rep.TotalHangs(), Health: rep.Health}
 		case m.delta:
 			d, v := cache.DeltaSince(m.since)
 			m.snap <- shardSnap{rep: d, version: v}
@@ -821,48 +757,6 @@ func (a *Aggregator) processBatch(rep *core.Report, sc *core.SnapshotCache, batc
 	}
 }
 
-// ShardStats queries every shard; after Close it reads the final reports
-// directly.
-func (a *Aggregator) ShardStats() []ShardStats {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	out := make([]ShardStats, a.cfg.Shards)
-	if a.crashed {
-		return out
-	}
-	if a.finalized {
-		// Shard channels are closed; wait for the drain to finish (outside
-		// the lock) and read the final reports directly.
-		a.mu.RUnlock()
-		a.shardWG.Wait()
-		a.mu.RLock()
-		for i, rep := range a.finals {
-			if rep == nil {
-				continue
-			}
-			out[i] = ShardStats{Entries: rep.Len(), Hangs: rep.TotalHangs(), Health: rep.Health}
-		}
-		return out
-	}
-	replies := make([]chan ShardStats, a.cfg.Shards)
-	for i, ch := range a.shards {
-		replies[i] = make(chan ShardStats, 1)
-		select {
-		case ch <- shardMsg{stats: replies[i]}:
-		case <-a.crashCh:
-			return out
-		}
-	}
-	for i := range replies {
-		select {
-		case out[i] = <-replies[i]:
-		case <-a.crashCh:
-			return out
-		}
-	}
-	return out
-}
-
 // Fold returns the folded fleet report. While traffic is in flight the
 // result is a consistent merge-boundary snapshot per shard (not a global
 // cut); once the aggregator is closed and drained it is the exact fleet
@@ -890,36 +784,48 @@ func (a *Aggregator) FoldVersioned() (*core.Report, VersionVector) {
 	defer func() { a.metrics.noteFold(time.Since(start)) }()
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	if a.crashed {
-		a.metrics.foldErrors.Inc()
-		return core.NewReport(), VersionVector{}
-	}
-	if a.finalized {
-		a.mu.RUnlock()
-		a.shardWG.Wait()
-		a.mu.RLock()
-		// Post-drain state is frozen: fold once, serve the memo forever.
-		a.foldMu.Lock()
-		defer a.foldMu.Unlock()
-		if a.foldFinal == nil {
-			a.foldFinal = core.FoldReportsShared(a.finals...)
-		} else {
-			a.metrics.foldCacheHits.Inc()
-		}
-		return a.foldFinal, VersionVector{Epoch: a.epoch}
-	}
-	snaps, vers, ok := a.gather(nil)
+	reps, vers, final, ok := a.reports()
 	if !ok {
 		a.metrics.foldErrors.Inc()
 		return core.NewReport(), VersionVector{}
 	}
 	a.foldMu.Lock()
 	defer a.foldMu.Unlock()
-	rep, hit := a.foldCache.Update(snaps, vers)
+	if final {
+		// Post-drain state is frozen: fold once, serve the memo forever.
+		if a.foldFinal == nil {
+			a.foldFinal = core.FoldReportsShared(reps...)
+		} else {
+			a.metrics.foldCacheHits.Inc()
+		}
+		return a.foldFinal, VersionVector{Epoch: a.epoch}
+	}
+	rep, hit := a.foldCache.Update(reps, vers)
 	if hit {
 		a.metrics.foldCacheHits.Inc()
 	}
 	return rep, VersionVector{Epoch: a.epoch, Shards: vers}
+}
+
+// reports returns every shard's report: while the shards run, its cached
+// persistent snapshot and version (a gather); once Close has drained them,
+// its final report, with final set. ok is false after a crash, or when one
+// unwound the gather. The caller holds a.mu.RLock, which reports drops
+// while it waits out the drain.
+func (a *Aggregator) reports() (reps []*core.Report, vers []uint64, final, ok bool) {
+	switch {
+	case a.crashed:
+		return nil, nil, false, false
+	case a.finalized:
+		// The shard channels are closed: wait for the drain to finish
+		// (outside the lock) and read the final reports directly.
+		a.mu.RUnlock()
+		a.shardWG.Wait()
+		a.mu.RLock()
+		return a.finals, nil, true, true
+	}
+	reps, vers, ok = a.gather(nil)
+	return reps, vers, false, ok
 }
 
 // gather collects one (report, version) pair from every shard: its cached

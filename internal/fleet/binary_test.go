@@ -107,8 +107,8 @@ func TestBinaryUploadHTTP(t *testing.T) {
 	if got, want := exportBytes(t, agg.Fold()), exportBytes(t, serial); !bytes.Equal(got, want) {
 		t.Error("binary HTTP ingest diverged from serial merge")
 	}
-	if ms := agg.Metrics().Snapshot(); ms.BinaryUploads != 2 {
-		t.Errorf("binary uploads counter = %d, want 2", ms.BinaryUploads)
+	if n := agg.Metrics().binaryUploads.Value(); n != 2 {
+		t.Errorf("binary uploads counter = %d, want 2", n)
 	}
 }
 
@@ -151,8 +151,8 @@ func TestBinaryUploadDictMismatch409(t *testing.T) {
 	if got, want := exportBytes(t, agg.Fold()), exportBytes(t, rep); !bytes.Equal(got, want) {
 		t.Error("post-resync fold diverged (the rejected document must not have merged)")
 	}
-	if ms := agg.Metrics().Snapshot(); ms.DictMismatches != 1 {
-		t.Errorf("dict mismatches = %d, want 1", ms.DictMismatches)
+	if n := agg.Metrics().dictMismatches.Value(); n != 1 {
+		t.Errorf("dict mismatches = %d, want 1", n)
 	}
 }
 

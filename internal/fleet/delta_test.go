@@ -157,9 +157,8 @@ func TestSnapshotDeltaHTTP(t *testing.T) {
 	if _, _, kind, _ := getSnapshot(t, node.URL, alien.String()); kind != SnapshotFull {
 		t.Errorf("alien epoch answered %q, want a full resync", kind)
 	}
-	snap := agg.Metrics().Snapshot()
-	if snap.DeltaRequests == 0 || snap.FullResyncs == 0 {
-		t.Errorf("protocol counters not accounted: deltas=%d resyncs=%d", snap.DeltaRequests, snap.FullResyncs)
+	if m := agg.Metrics(); m.deltaRequests.Value() == 0 || m.fullResyncs.Value() == 0 {
+		t.Errorf("protocol counters not accounted: deltas=%d resyncs=%d", m.deltaRequests.Value(), m.fullResyncs.Value())
 	}
 }
 
@@ -235,12 +234,11 @@ func TestFoldCachedByteIdenticalUnderRace(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
-	snap := agg.Metrics().Snapshot()
-	if snap.FoldCacheHits == 0 {
+	if agg.Metrics().foldCacheHits.Value() == 0 {
 		t.Error("no fold was ever served from the version-vector cache")
 	}
-	if snap.FoldErrors != 0 {
-		t.Errorf("healthy run recorded %d fold errors", snap.FoldErrors)
+	if n := agg.Metrics().foldErrors.Value(); n != 0 {
+		t.Errorf("healthy run recorded %d fold errors", n)
 	}
 }
 

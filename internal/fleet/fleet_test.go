@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -100,7 +101,7 @@ func TestConcurrentUploadsRace(t *testing.T) {
 					return
 				default:
 					agg.Fold()
-					agg.ShardStats()
+					agg.scrape()
 				}
 			}
 		}()
@@ -117,8 +118,8 @@ func TestConcurrentUploadsRace(t *testing.T) {
 	if got, want := exportBytes(t, agg.Fold()), exportBytes(t, serial); !bytes.Equal(got, want) {
 		t.Error("concurrent sharded ingest diverged from serial merge")
 	}
-	if ms := agg.Metrics().Snapshot(); ms.Accepted != int64(len(reps)) {
-		t.Errorf("accepted=%d, want %d", ms.Accepted, len(reps))
+	if n := agg.Metrics().accepted.Value(); n != int64(len(reps)) {
+		t.Errorf("accepted=%d, want %d", n, len(reps))
 	}
 }
 
@@ -198,8 +199,8 @@ func TestBackpressure(t *testing.T) {
 	if got := exportBytes(t, agg.Fold()); !bytes.Equal(got, exportBytes(t, want)) {
 		t.Error("post-drain fleet view does not equal the accepted uploads")
 	}
-	if ms := agg.Metrics().Snapshot(); ms.Rejected != rejected+1 {
-		t.Errorf("rejected metric %d, want the %d observed rejections", ms.Rejected, rejected+1)
+	if n := agg.Metrics().rejected.Value(); n != rejected+1 {
+		t.Errorf("rejected metric %d, want the %d observed rejections", n, rejected+1)
 	}
 }
 
@@ -247,7 +248,7 @@ func TestSubmitContracts(t *testing.T) {
 			if err := c.submit(agg, wire(t)); !errors.Is(err, ErrClosed) {
 				t.Fatalf("after Close: %v, want ErrClosed", err)
 			}
-			if got := agg.Metrics().Snapshot().Rejected; got != 1 {
+			if got := agg.Metrics().rejected.Value(); got != 1 {
 				t.Errorf("rejected = %d, want 1", got)
 			}
 			if n := fired.Load(); n != 0 {
@@ -507,13 +508,17 @@ func TestServerEndToEnd(t *testing.T) {
 }
 
 // TestHealthCountersSurvive: degraded-mode health uploaded by devices is
-// summed exactly once across the sharded path.
+// summed exactly once across the sharded path, into the fold and into
+// every hangdoctor_fleet_health_<stem> gauge a scrape sets.
 func TestHealthCountersSurvive(t *testing.T) {
 	agg := NewAggregator(Config{Shards: 4})
 	var want core.Health
 	for i := 0; i < 10; i++ {
 		r := SyntheticUpload(int64(i), fmt.Sprintf("d%d", i), 5)
-		r.Health = core.Health{PerfOpenFailures: i, Quarantines: 1, StacksDropped: 2 * i}
+		hv := reflect.ValueOf(&r.Health).Elem()
+		for f := 0; f < hv.NumField(); f++ {
+			hv.Field(f).SetInt(int64(1 + f + 100*i))
+		}
 		want.Add(r.Health)
 		if err := agg.SubmitWait(r); err != nil {
 			t.Fatal(err)
@@ -522,5 +527,17 @@ func TestHealthCountersSurvive(t *testing.T) {
 	agg.Close()
 	if got := agg.Fold().Health; got != want {
 		t.Errorf("fleet health = %+v, want %+v", got, want)
+	}
+	agg.scrape()
+	snap := agg.Metrics().Registry().Snapshot()
+	n := 0
+	want.EachCounter(func(stem string, v int) {
+		n++
+		if got := snap.Value("hangdoctor_fleet_health_" + stem); got != int64(v) {
+			t.Errorf("hangdoctor_fleet_health_%s = %d, want %d", stem, got, v)
+		}
+	})
+	if n != reflect.TypeOf(want).NumField() {
+		t.Errorf("EachCounter visited %d counters, want every Health field", n)
 	}
 }

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"sync"
 	"time"
 
 	"hangdoctor/internal/obs"
@@ -9,14 +8,9 @@ import (
 
 // Metrics is the aggregator's ingestion accounting, held in an obs
 // registry so fleetd's /metrics is the standard exposition rather than a
-// hand-rolled formatter. The per-upload counters are lock-free obs
-// counters (the submit hot path never takes a lock to account an
-// upload). The merge triple — merges, fragments, total nanoseconds — is
-// updated and read under one mutex, so a snapshot can never observe a
-// merge whose fragment count arrived but whose latency has not (the
-// torn-read hazard of the old independent atomics); merge accounting
-// happens on N shard goroutines once per *batch*, where a mutex is
-// noise.
+// hand-rolled formatter. Every counter is a lock-free obs counter: the
+// submit hot path never takes a lock to account an upload, and a shard
+// accounts its merges once per batch.
 type Metrics struct {
 	reg *obs.Registry
 
@@ -30,9 +24,12 @@ type Metrics struct {
 	binaryUploads  *obs.Counter
 	dictMismatches *obs.Counter
 
-	// mergeLatency distributes per-merge wall time; its _sum line carries
-	// the same total as MergeNs.
-	mergeLatency *obs.Histogram
+	// merges counts shard merge calls and mergedFragments the fragments
+	// they folded; mergeLatency distributes per-merge wall time, so its
+	// _sum line is the total time spent merging.
+	merges          *obs.Counter
+	mergedFragments *obs.Counter
+	mergeLatency    *obs.Histogram
 	// foldLatency distributes whole-fleet fold (read-path) wall time.
 	foldLatency *obs.Histogram
 
@@ -51,34 +48,28 @@ type Metrics struct {
 	deltaRequests  *obs.Counter
 	fullResyncs    *obs.Counter
 
-	mu              sync.Mutex
-	merges          int64
-	mergedFragments int64
-	mergeNs         int64
-
-	queueCap int
-
 	// wal holds the durability-layer families; nil until initWAL (so a
 	// memory-only aggregator's exposition carries no wal series).
 	wal *walMetrics
 }
 
 // walMetrics is the durability layer's accounting: appends and the bytes
-// and fsyncs behind them, compactions, and the recovery-side counters
-// (replayed records, truncated tails, corrupt records, replay latency).
-// All counters are lock-free obs counters bumped by the committer (and,
-// before intake opens, by recovery).
+// and fsyncs behind them, compactions and failed ones, and the
+// recovery-side counters (replayed records, truncated tails, corrupt
+// records, replay latency). All counters are lock-free obs counters bumped
+// by the committer (and, before intake opens, by recovery).
 type walMetrics struct {
-	appended       *obs.Counter
-	bytesWritten   *obs.Counter
-	fsyncs         *obs.Counter
-	appendErrors   *obs.Counter
-	deduped        *obs.Counter
-	compactions    *obs.Counter
-	replayed       *obs.Counter
-	truncatedTails *obs.Counter
-	corruptRecords *obs.Counter
-	replayLatency  *obs.Histogram
+	appended         *obs.Counter
+	bytesWritten     *obs.Counter
+	fsyncs           *obs.Counter
+	appendErrors     *obs.Counter
+	deduped          *obs.Counter
+	compactions      *obs.Counter
+	compactionErrors *obs.Counter
+	replayed         *obs.Counter
+	truncatedTails   *obs.Counter
+	corruptRecords   *obs.Counter
+	replayLatency    *obs.Histogram
 }
 
 // initWAL registers the durability families (idempotent) and returns them.
@@ -100,6 +91,8 @@ func (m *Metrics) initWAL() *walMetrics {
 			"Uploads skipped because they were already durable (resend after crash or 5xx); the name predates whole-upload log records."),
 		compactions: reg.Counter("hangdoctor_fleet_wal_compactions_total",
 			"Snapshot compactions (log rotations)."),
+		compactionErrors: reg.Counter("hangdoctor_fleet_wal_compaction_errors_total",
+			"Failed snapshot compactions (the log stays replayable; the next batch retries)."),
 		replayed: reg.Counter("hangdoctor_fleet_wal_replayed_records_total",
 			"Upload records replayed from the log tail at startup."),
 		truncatedTails: reg.Counter("hangdoctor_fleet_wal_truncated_tails_total",
@@ -115,9 +108,11 @@ func (m *Metrics) initWAL() *walMetrics {
 
 func newMetrics(queueCap int) *Metrics {
 	reg := obs.NewRegistry()
-	m := &Metrics{
-		reg:      reg,
-		queueCap: queueCap,
+	reg.GaugeFunc("hangdoctor_fleet_queue_capacity",
+		"Configured bound on uploads admitted but not yet handed off.",
+		func() int64 { return int64(queueCap) })
+	return &Metrics{
+		reg: reg,
 		accepted: reg.Counter("hangdoctor_fleet_uploads_accepted_total",
 			"Uploads admitted through an admission slot."),
 		rejected: reg.Counter("hangdoctor_fleet_uploads_rejected_total",
@@ -128,6 +123,10 @@ func newMetrics(queueCap int) *Metrics {
 			"Uploads received in the binary wire encoding."),
 		dictMismatches: reg.Counter("hangdoctor_fleet_dict_mismatches_total",
 			"Binary uploads rejected for a dictionary-delta mismatch (409 resync)."),
+		merges: reg.Counter("hangdoctor_fleet_merges_total",
+			"Shard merge calls."),
+		mergedFragments: reg.Counter("hangdoctor_fleet_merged_fragments_total",
+			"Fragments folded across all merges."),
 		mergeLatency: reg.Histogram("hangdoctor_fleet_merge_latency_ns",
 			"Wall time of one shard merge call.",
 			obs.ExpBuckets(1024, 4, 12)),
@@ -145,16 +144,6 @@ func newMetrics(queueCap int) *Metrics {
 		fullResyncs: reg.Counter("hangdoctor_fleet_full_resyncs_total",
 			"since= snapshot polls that degraded to a full snapshot (vector mismatch)."),
 	}
-	reg.GaugeFunc("hangdoctor_fleet_queue_capacity",
-		"Configured bound on uploads admitted but not yet handed off.",
-		func() int64 { return int64(queueCap) })
-	reg.CounterFunc("hangdoctor_fleet_merges_total",
-		"Shard merge calls.",
-		func() int64 { m.mu.Lock(); defer m.mu.Unlock(); return m.merges })
-	reg.CounterFunc("hangdoctor_fleet_merged_fragments_total",
-		"Fragments folded across all merges.",
-		func() int64 { m.mu.Lock(); defer m.mu.Unlock(); return m.mergedFragments })
-	return m
 }
 
 // Registry exposes the live obs registry, for serving /metrics and for
@@ -166,78 +155,14 @@ func (m *Metrics) Registry() *obs.Registry { return m.reg }
 // submitted (the HTTP layer's 400 path).
 func (m *Metrics) NoteInvalid() { m.invalid.Inc() }
 
-// noteMerge accounts one shard merge call: the triple moves together
-// under the mutex, the histogram takes the same duration.
+// noteMerge accounts one shard merge call of frags fragments.
 func (m *Metrics) noteMerge(frags int, d time.Duration) {
-	ns := d.Nanoseconds()
-	m.mergeLatency.Observe(float64(ns))
-	m.mu.Lock()
-	m.merges++
-	m.mergedFragments += int64(frags)
-	m.mergeNs += ns
-	m.mu.Unlock()
+	m.merges.Inc()
+	m.mergedFragments.Add(int64(frags))
+	m.mergeLatency.Observe(float64(d.Nanoseconds()))
 }
 
 // noteFold accounts one whole-fleet fold.
 func (m *Metrics) noteFold(d time.Duration) {
 	m.foldLatency.Observe(float64(d.Nanoseconds()))
-}
-
-// MetricsSnapshot is a point-in-time copy of the counters. The merge
-// triple is read in one critical section: Merges, MergedFragments, and
-// MergeNs always describe the same set of completed merges.
-type MetricsSnapshot struct {
-	// Accepted counts uploads admitted through an admission slot.
-	Accepted int64 `json:"accepted"`
-	// Rejected counts uploads refused for backpressure or shutdown.
-	Rejected int64 `json:"rejected"`
-	// Invalid counts uploads that failed schema validation.
-	Invalid int64 `json:"invalid"`
-	// BinaryUploads counts uploads received in the binary wire encoding;
-	// DictMismatches counts binary uploads bounced with the 409 dictionary
-	// resync protocol.
-	BinaryUploads  int64 `json:"binary_uploads"`
-	DictMismatches int64 `json:"dict_mismatches"`
-	// Merges counts shard merge calls; MergedFragments counts the fragments
-	// they folded (MergedFragments/Merges is the realized batch size).
-	Merges          int64 `json:"merges"`
-	MergedFragments int64 `json:"merged_fragments"`
-	// MergeNs is total wall time spent inside shard merges.
-	MergeNs int64 `json:"merge_ns"`
-	// FoldErrors counts folds that degraded to an empty report because
-	// shard state was unreachable; nonzero marks the node degraded.
-	FoldErrors int64 `json:"fold_errors"`
-	// FoldCacheHits counts folds served from the version-vector cache;
-	// SnapshotReuses counts shard snapshots served from the COW cache.
-	FoldCacheHits  int64 `json:"fold_cache_hits"`
-	SnapshotReuses int64 `json:"snapshot_reuses"`
-	// DeltaRequests counts snapshot polls answered with a delta;
-	// FullResyncs counts since= polls that degraded to a full snapshot.
-	DeltaRequests int64 `json:"delta_requests"`
-	FullResyncs   int64 `json:"full_resyncs"`
-	// QueueCapacity is Config.QueueDepth: the most uploads in hand-off.
-	QueueCapacity int `json:"queue_capacity"`
-}
-
-// Snapshot reads every counter once.
-func (m *Metrics) Snapshot() MetricsSnapshot {
-	m.mu.Lock()
-	merges, frags, ns := m.merges, m.mergedFragments, m.mergeNs
-	m.mu.Unlock()
-	return MetricsSnapshot{
-		Accepted:        m.accepted.Value(),
-		Rejected:        m.rejected.Value(),
-		Invalid:         m.invalid.Value(),
-		BinaryUploads:   m.binaryUploads.Value(),
-		DictMismatches:  m.dictMismatches.Value(),
-		Merges:          merges,
-		MergedFragments: frags,
-		MergeNs:         ns,
-		FoldErrors:      m.foldErrors.Value(),
-		FoldCacheHits:   m.foldCacheHits.Value(),
-		SnapshotReuses:  m.snapshotReuses.Value(),
-		DeltaRequests:   m.deltaRequests.Value(),
-		FullResyncs:     m.fullResyncs.Value(),
-		QueueCapacity:   m.queueCap,
-	}
 }

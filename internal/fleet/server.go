@@ -22,7 +22,6 @@ import (
 //	                          (what a regional fleet-agg folds)
 //	GET  /healthz           — liveness + queue occupancy
 //	GET  /metrics           — Prometheus text exposition (obs registry)
-//	GET  /metrics.json      — the same state as one AggregatorSnapshot JSON document
 //	GET  /metrics/snapshot  — the obs registry as an obs.Snapshot JSON document
 //	                          (the shape obs.MergeSnapshots folds across nodes)
 type Server struct {
@@ -78,7 +77,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/snapshot", s.handleSnapshot)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/metrics.json", s.handleMetricsJSON)
 	mux.HandleFunc("/metrics/snapshot", s.handleMetricsSnapshot)
 	return mux
 }
@@ -288,9 +286,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// Once Close (or Crash) has begun the server can no longer accept
 	// uploads; report that as 503 "draining" so load balancers stop
 	// routing to it instead of reading an unconditional "ok".
-	snap := s.agg.Snapshot()
+	m := s.agg.Metrics()
 	status, code := "ok", http.StatusOK
-	if snap.FoldErrors > 0 {
+	if m.foldErrors.Value() > 0 {
 		// Some fold served an empty report in place of real shard state; the
 		// node still answers (200) but readers should distrust its folds.
 		status = "degraded"
@@ -303,12 +301,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(map[string]any{
 		"status":         status,
 		"shards":         s.agg.Shards(),
-		"queue_depth":    snap.QueueDepth,
-		"queue_capacity": snap.QueueCapacity,
-		"accepted":       snap.Accepted,
-		"rejected":       snap.Rejected,
-		"invalid":        snap.Invalid,
-		"fold_errors":    snap.FoldErrors,
+		"queue_depth":    s.agg.QueueDepth(),
+		"queue_capacity": s.agg.cfg.QueueDepth,
+		"accepted":       m.accepted.Value(),
+		"rejected":       m.rejected.Value(),
+		"invalid":        m.invalid.Value(),
+		"fold_errors":    m.foldErrors.Value(),
 	})
 }
 
@@ -318,11 +316,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.agg.scrape()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.agg.Metrics().Registry().WritePrometheus(w)
-}
-
-func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(s.agg.Snapshot())
 }
 
 // handleMetricsSnapshot serves the registry as an obs.Snapshot document —

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 
@@ -55,8 +56,9 @@ func submitVia(way int, a *Aggregator, h http.Handler, rep *core.Report) (acked 
 // TestTeardownDuringHandOff races Close and Crash against submitters that
 // are mid-hand-off through every write entry point, with two admission
 // slots for six writers so that teardown finds submitters waiting for a
-// slot and blocked handing off. Every call must end in nil or one of the
-// submit errors, never in a panic from a send on a closed channel. After
+// slot and blocked handing off, and a reader scraping /metrics throughout.
+// Every call must end in nil or one of the submit errors, never in a panic
+// from a send on a closed channel, and every scrape in a 200. After
 // Close the fold is exactly the uploads that returned nil (or whose
 // callback fired with nil); after Crash and reopen every acked durable
 // upload is recovered.
@@ -109,6 +111,24 @@ func TestTeardownDuringHandOff(t *testing.T) {
 					}
 				}()
 			}
+			stop := make(chan struct{})
+			scraped := make(chan struct{})
+			go func() {
+				defer close(scraped)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+					if rec.Code != http.StatusOK {
+						t.Errorf("scrape during teardown: status %d", rec.Code)
+						return
+					}
+				}
+			}()
 			<-acking // tear down while the writers are under way
 			if tc.crash {
 				agg.Crash()
@@ -116,6 +136,8 @@ func TestTeardownDuringHandOff(t *testing.T) {
 				agg.Close()
 			}
 			wg.Wait()
+			close(stop)
+			<-scraped
 
 			if !tc.crash {
 				if got, want := exportBytes(t, agg.Fold()), exportBytes(t, core.FoldReports(kept...)); !bytes.Equal(got, want) {

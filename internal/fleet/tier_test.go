@@ -123,10 +123,10 @@ func TestRegionalFoldByteIdentical(t *testing.T) {
 	// upload past the first rode that node's dictionary: no resyncs.
 	var accepted int64
 	for _, agg := range nodeAgg {
-		s := agg.Metrics().Snapshot()
-		accepted += s.Accepted
-		if s.DictMismatches != 0 {
-			t.Errorf("node saw %d dict mismatches; ring affinity should avoid all", s.DictMismatches)
+		m := agg.Metrics()
+		accepted += m.accepted.Value()
+		if n := m.dictMismatches.Value(); n != 0 {
+			t.Errorf("node saw %d dict mismatches; ring affinity should avoid all", n)
 		}
 	}
 	if accepted != devices*uploadsPer {

@@ -535,6 +535,60 @@ func (f syncHookFile) Sync() error {
 	return err
 }
 
+// failSnapCommit is a fault.FS that fails, and counts, every Rename onto
+// the node snapshot: every compaction fails before its commit.
+type failSnapCommit struct {
+	fault.FS
+	attempts *atomic.Int64
+}
+
+func (f failSnapCommit) Rename(oldpath, newpath string) error {
+	if filepath.Base(newpath) == nodeSnapName {
+		f.attempts.Add(1)
+		return errors.New("injected: snapshot commit failed")
+	}
+	return f.FS.Rename(oldpath, newpath)
+}
+
+// TestCompactionFailuresCounted: a node whose snapshot commits always fail
+// still acks every upload, counts every failed compaction (one after each
+// upload's batch at CompactEvery 1 on one shard, and Close's final one) and
+// no successful one, and a reopen on a clean filesystem replays the whole
+// tail to the serial merge.
+func TestCompactionFailuresCounted(t *testing.T) {
+	dir := t.TempDir()
+	reps := uploads(12, 20)
+	serial := core.NewReport()
+	serial.Merge(reps...)
+
+	var attempts atomic.Int64
+	cfg := durableCfg(dir, 1)
+	cfg.WAL.CompactEvery = 1
+	cfg.WAL.FS = failSnapCommit{FS: fault.DiskFS, attempts: &attempts}
+	agg := mustOpen(t, cfg)
+	submitAllDurable(t, agg, reps) // one upload per batch: each waits for its ack
+	agg.Close()
+	if n := attempts.Load(); n != int64(len(reps))+1 {
+		t.Errorf("%d snapshot commits attempted, want one per upload plus the final one (%d)", n, len(reps)+1)
+	}
+	snap := agg.Metrics().Registry().Snapshot()
+	if got, want := snap.Value("hangdoctor_fleet_wal_compaction_errors_total"), attempts.Load(); got != want {
+		t.Errorf("compaction_errors_total = %d, want the %d failed attempts", got, want)
+	}
+	if got := snap.Value("hangdoctor_fleet_wal_compactions_total"); got != 0 {
+		t.Errorf("compactions_total = %d, want 0", got)
+	}
+
+	agg2 := mustOpen(t, durableCfg(dir, 1))
+	defer agg2.Close()
+	if got := exportBytes(t, agg2.Fold()); !bytes.Equal(got, exportBytes(t, serial)) {
+		t.Error("replayed fold diverged from serial merge")
+	}
+	if n := agg2.Metrics().Registry().Snapshot().Value("hangdoctor_fleet_wal_replayed_records_total"); n != int64(len(reps)) {
+		t.Errorf("reopen replayed %d records, want the whole tail (%d)", n, len(reps))
+	}
+}
+
 // TestCrashAfterBarrierBeforeMerge crashes the node right after the
 // barrier of its k-th upload, before the committer can route the upload
 // to the shards. The upload is durable but unacknowledged: recovery holds
