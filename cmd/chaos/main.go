@@ -373,7 +373,7 @@ func storageRound(sr fault.StorageRates, readFault bool, seed uint64, uploads in
 	cell.acked = int(ackCount.Load())
 
 	// Recover. Under read faults recovery itself is the system under test:
-	// it must never panic; refusing a corrupted snapshot is legitimate, so
+	// it must never panic; refusing a corrupted base record is legitimate, so
 	// retry until the fault streams let a replay through.
 	recovered, err := openRetry(walCfg(recoverFS), 100)
 	if err != nil {

@@ -12,16 +12,15 @@
 //
 // A 202 means the upload has merged into the node's fleet view. With
 // -wal-dir set, ingestion is durable: the upload reached the node's
-// write-ahead log first, one group-committed record per upload, and
-// survives a crash; on boot the WAL directory is replayed (snapshot plus
-// log tail) before intake opens, and a torn final record — the signature
-// of dying mid-append — is truncated, never fatal. The shard count may
-// change across restarts.
+// write-ahead log, node.wal, first, one group-committed record per upload,
+// and survives a crash; on boot the log is replayed (its compacted base
+// record, then the uploads behind it) before intake opens, and a torn
+// final record — the signature of dying mid-append — is truncated, never
+// fatal. The shard count may change across restarts.
 //
 // On SIGINT/SIGTERM the server stops accepting connections, drains every
-// upload it already acknowledged (writing one final compacted snapshot
-// when durable), and prints the final fleet report to stdout before
-// exiting.
+// upload it already acknowledged (compacting the log one final time when
+// durable), and prints the final fleet report to stdout before exiting.
 package main
 
 import (
@@ -47,7 +46,7 @@ func main() {
 	batch := flag.Int("batch", 16, "max fragments folded per shard merge")
 	retryAfter := flag.Duration("retry-after", time.Second, "backoff advertised on 429 responses")
 	printFinal := flag.Bool("print-final", true, "print the folded fleet report on shutdown")
-	walDir := flag.String("wal-dir", "", "durable mode: directory of the node's WAL, node.wal and node.snap (empty = memory-only)")
+	walDir := flag.String("wal-dir", "", "durable mode: directory of the node's WAL, node.wal (empty = memory-only)")
 	walSync := flag.String("wal-sync", "batch", "WAL durability barrier: always | batch | off")
 	compactEvery := flag.Int("compact-every", 4096, "snapshot-compact the node log after this many records per shard (compact-every x shards uploads)")
 	dictCache := flag.Int("dict-cache", fleet.DefaultDictDevices, "devices whose binary-upload dictionary state is retained (LRU beyond it)")

@@ -170,16 +170,6 @@ func RegisterStats(reg *obs.Registry, get func() Stats) {
 	}
 }
 
-// MetricsInto registers this injector's own delivered-fault counters into
-// reg (a no-op on a nil injector) — the standalone-injector convenience
-// over RegisterStats.
-func (in *Injector) MetricsInto(reg *obs.Registry) {
-	if in == nil {
-		return
-	}
-	RegisterStats(reg, in.Stats)
-}
-
 // fire draws one decision at rate p from rng. It never draws when the rate
 // is <= 0, so a zero-rate stream stays untouched and bit-reproducibility
 // with the no-injector configuration holds.

@@ -23,7 +23,7 @@ package fault
 // file no matter how shards interleave or how often recovery reopens a
 // log — a fault is a property of the stream's position, never a curse on
 // a fixed file offset that would make every retry fail identically.
-// Per-shard WAL files are single-writer, which keeps the per-operation
+// The node WAL has a single writer, which keeps the per-operation
 // decision path lock-free (the only lock is at OpenFile, off the hot
 // path); the delivered-fault counters are atomics.
 
@@ -35,7 +35,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"hangdoctor/internal/obs"
 	"hangdoctor/internal/simrand"
 )
 
@@ -57,10 +56,11 @@ type File interface {
 type FS interface {
 	// OpenFile opens name with os.OpenFile semantics (flag is a
 	// combination of os.O_RDONLY, os.O_WRONLY, os.O_CREATE, os.O_APPEND,
-	// os.O_TRUNC, ...).
+	// os.O_TRUNC, ...). A directory opened O_RDONLY yields a handle whose
+	// Sync makes the renames inside it durable.
 	OpenFile(name string, flag int, perm fs.FileMode) (File, error)
 	// Rename atomically replaces newpath with oldpath (the commit point
-	// of snapshot compaction).
+	// of WAL compaction).
 	Rename(oldpath, newpath string) error
 	// Remove deletes a file.
 	Remove(name string) error
@@ -219,25 +219,6 @@ func (in *StorageInjector) Stats() StorageStats {
 		FsyncFails:   in.fsyncFails.Load(),
 		DiskFulls:    in.diskFulls.Load(),
 		CorruptReads: in.corruptReads.Load(),
-	}
-}
-
-// RegisterStorageStats registers hangdoctor_fault_storage_* callback
-// counters into reg, reading delivered-fault counts from get at snapshot
-// time — the storage-plane twin of RegisterStats.
-func RegisterStorageStats(reg *obs.Registry, get func() StorageStats) {
-	for _, c := range []struct {
-		name, help string
-		sel        func(StorageStats) int64
-	}{
-		{"hangdoctor_fault_storage_torn_writes_total", "Injected torn (partial) writes.", func(s StorageStats) int64 { return s.TornWrites }},
-		{"hangdoctor_fault_storage_short_reads_total", "Injected short reads.", func(s StorageStats) int64 { return s.ShortReads }},
-		{"hangdoctor_fault_storage_fsync_failures_total", "Injected fsync failures.", func(s StorageStats) int64 { return s.FsyncFails }},
-		{"hangdoctor_fault_storage_disk_fulls_total", "Injected disk-full write refusals.", func(s StorageStats) int64 { return s.DiskFulls }},
-		{"hangdoctor_fault_storage_corrupt_reads_total", "Injected read corruptions (bit flips).", func(s StorageStats) int64 { return s.CorruptReads }},
-	} {
-		sel := c.sel
-		reg.CounterFunc(c.name, c.help, func() int64 { return sel(get()) })
 	}
 }
 

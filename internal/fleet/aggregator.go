@@ -16,8 +16,8 @@
 // appends each upload, whole, to one node log (see wal.go) and routes its
 // fragments to the shards only after the durability barrier, so the shards
 // stay purely in memory; acknowledgements wait for that barrier, startup
-// replays snapshot-then-tail before intake opens, and a crash loses nothing
-// it acknowledged.
+// replays the log (a compacted base, then the uploads behind it) before
+// intake opens, and a crash loses nothing it acknowledged.
 package fleet
 
 import (
@@ -63,7 +63,7 @@ type Config struct {
 	BatchSize int
 	// WAL, when non-nil, enables the durability layer: one append-only
 	// node log of whole uploads, group-committed ahead of the shard merge,
-	// with snapshot compaction and replay-on-open.
+	// with compaction and replay-on-open.
 	WAL *WALConfig
 }
 
@@ -212,9 +212,10 @@ type Aggregator struct {
 
 // Open starts the shard goroutines (and, with a WAL, the committer) and
 // returns an aggregator ready for uploads. With cfg.WAL set, it first
-// replays the node's snapshot and log tail and splits the recovered report
-// into the shards' starting state — Open does not return (and intake does not open)
-// until recovery is complete, and recovery failures are returned here.
+// replays the node's log into the shards' starting state, splitting each
+// record as submit splits a live binary upload — Open does not return (and
+// intake does not open) until recovery is complete, and recovery failures
+// are returned here.
 // Call Close to drain and stop the aggregator.
 func Open(cfg Config) (*Aggregator, error) {
 	cfg = cfg.withDefaults()
@@ -228,18 +229,26 @@ func Open(cfg Config) (*Aggregator, error) {
 		crashCh: make(chan struct{}),
 	}
 	starts := make([]*core.Report, cfg.Shards)
+	for i := range starts {
+		starts[i] = core.NewReport()
+	}
 	var w *nodeWAL
 	if cfg.WAL != nil {
 		if cfg.WAL.Dir == "" {
 			return nil, errors.New("fleet: WALConfig.Dir must be set")
 		}
 		a.walM = a.metrics.initWAL()
-		var rep *core.Report
 		var err error
-		if w, rep, err = openNodeWAL(cfg.WAL, a.walM); err != nil {
+		if w, err = openNodeWAL(cfg.WAL, a.walM, func(wr *core.WireReport) {
+			for i, m := range a.split(nil, wr) {
+				starts[i].MergeWireEntries(m.wire)
+				if m.health != nil {
+					starts[i].Health.Add(*m.health)
+				}
+			}
+		}); err != nil {
 			return nil, err
 		}
-		starts = rep.Split(cfg.Shards)
 		// Sized like a shard channel: two committer batches in flight.
 		a.commit = make(chan logged, 2*cfg.BatchSize)
 	}
@@ -248,12 +257,8 @@ func Open(cfg Config) (*Aggregator, error) {
 		func() int64 { return int64(len(a.slots)) })
 	for i := range a.shards {
 		a.shards[i] = make(chan shardMsg, 2*cfg.BatchSize)
-		rep := starts[i]
-		if rep == nil {
-			rep = core.NewReport()
-		}
 		a.shardWG.Add(1)
-		go a.runShard(i, rep)
+		go a.runShard(i, starts[i])
 	}
 	if w != nil {
 		a.commitWG.Add(1)
@@ -537,8 +542,8 @@ func (a *Aggregator) route(frags []shardMsg, ack *uploadAck) bool {
 // shards. Because it is the only sender of payload on the shard channels,
 // a snapshot request it queues behind the fragments it routed is answered
 // with exactly the state its records built: that is the compaction cut.
-// On a clean drain it writes one final snapshot; a crash abandons the log
-// as it stands.
+// On a clean drain it compacts the log one final time; a crash abandons
+// the log as it stands.
 func (a *Aggregator) runCommitter(w *nodeWAL) {
 	defer a.commitWG.Done()
 	defer w.close()
@@ -552,8 +557,8 @@ func (a *Aggregator) runCommitter(w *nodeWAL) {
 		case l, ok = <-a.commit:
 		}
 		if !ok {
-			// Clean drain: the next boot replays a snapshot instead of the
-			// whole tail.
+			// Clean drain: the next boot replays one base record instead
+			// of the whole tail.
 			if w.records > 0 || w.dirty {
 				a.compact(w)
 			}
@@ -656,9 +661,9 @@ func (a *Aggregator) commitBatch(w *nodeWAL, batch []logged) bool {
 	return true
 }
 
-// compact snapshots the state the log's records built and compacts the log
-// into it. A failure is counted, not returned: the old log is intact, so
-// the committer keeps appending to it and the next batch retries, and
+// compact folds the state the log's records built and compacts the log
+// into it. A failure is counted, not returned: the log stays replayable,
+// so the committer keeps appending to it and the next batch retries, and
 // after a failed final compaction the next boot replays the tail.
 func (a *Aggregator) compact(w *nodeWAL) {
 	reps, _, ok := a.gather(nil)
@@ -667,7 +672,9 @@ func (a *Aggregator) compact(w *nodeWAL) {
 	}
 	if err := w.compact(core.FoldReportsShared(reps...)); err != nil {
 		a.walM.compactionErrors.Inc()
+		return
 	}
+	a.walM.compactions.Inc()
 }
 
 // runShard is a single-writer merge loop: only this goroutine ever touches
@@ -899,8 +906,8 @@ func (a *Aggregator) Delta(since VersionVector) (rep *core.Report, vec VersionVe
 // Close drains and stops the aggregator: no new uploads are accepted, but
 // every upload already admitted is handed off and merged before Close
 // returns, so a graceful shutdown loses nothing it acknowledged. With a
-// WAL, the committer drains and writes one final compacted snapshot before
-// the shards stop, so a clean restart replays a snapshot and an empty tail.
+// WAL, the committer drains and compacts the log one final time before the
+// shards stop, so a clean restart replays one base record and no tail.
 // Close is idempotent.
 func (a *Aggregator) Close() {
 	a.mu.Lock()
@@ -917,8 +924,9 @@ func (a *Aggregator) Close() {
 	a.mu.Unlock()
 
 	if a.commit != nil {
-		// Submitters were its only senders. The committer's final snapshot
-		// gathers from the shards, so they stay open until it is done.
+		// Submitters were its only senders. The committer's final
+		// compaction gathers from the shards, so they stay open until it is
+		// done.
 		close(a.commit)
 		a.commitWG.Wait()
 	}

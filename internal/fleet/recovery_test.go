@@ -42,7 +42,7 @@ func crashRun(t *testing.T, seed uint64, fs fault.FS) int64 {
 
 	cfg := durableCfg(dir, 4)
 	cfg.WAL.FS = fs
-	// Startup itself writes through the faulty FS (log headers, possibly a
+	// Startup itself writes through the faulty FS (a first base, possibly a
 	// torn-tail repair), so under injection Open may legitimately fail; a
 	// retry draws the next decisions from the per-file fault streams, like
 	// a supervisor restarting a crashed fleetd on a sick disk.
@@ -143,7 +143,7 @@ func reportContains(super, sub *core.Report) bool {
 
 // TestCrashRecoveryDifferential sweeps crash points on a healthy disk.
 // Some crashes must land after a mid-run compaction, so recovery also
-// replays a snapshot plus the tail behind it.
+// replays a base record plus the tail behind it.
 func TestCrashRecoveryDifferential(t *testing.T) {
 	var compactions int64
 	for seed := uint64(1); seed <= 6; seed++ {

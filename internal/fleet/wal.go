@@ -1,36 +1,42 @@
 package fleet
 
 // wal.go is the durability layer of the aggregator: one append-only node
-// log and one snapshot file, owned by the committer goroutine. Because only
-// that goroutine ever touches them, the layer is lock-free by construction.
+// log, owned by the committer goroutine. Because only that goroutine ever
+// touches it, the layer is lock-free by construction.
 //
 // On-disk layout (inside WALConfig.Dir):
 //
-//	node.wal    length+CRC-framed records: one header record naming the
-//	            log generation, then one record per durably accepted
-//	            upload — its UploadID followed by its canonical binary
-//	            document
-//	node.snap   one framed snapshot record: the node's compacted report
-//	            plus its dedup window, tagged with the log generation it
-//	            covers
-//	*.tmp       in-flight snapshot/rotation files (crash debris, replaced
-//	            atomically by rename)
+//	node.wal      length+CRC-framed records: one base record, the node's
+//	              compacted state, then one record per durably accepted
+//	              upload
+//	node.wal.tmp  an in-flight compaction (crash debris, replaced
+//	              atomically by rename)
 //
 // Record framing is [len uint32le][crc32c uint32le][payload]; the payload
-// starts with a one-byte kind. A torn tail (crash mid-append) fails the
-// length, CRC, or read-full check; recovery truncates the file back to the
-// last whole record and carries on — it never aborts.
+// starts with a one-byte kind and is 1 to maxWALRecordLen bytes long. The
+// writer applies the same bound as the reader, so it never commits a
+// record that recovery would call corrupt. A base (kind 6) is a uvarint
+// count, that many 16-byte upload IDs (the dedup window, oldest first),
+// then the fold's canonical binary document: the bytes /v1/snapshot
+// serves for that fold. An upload (kind 5) is its UploadID, then its
+// canonical binary document. Replay decodes both the same way. A torn
+// tail (crash mid-append) fails the length, CRC, or read-full check;
+// recovery truncates the file back to the last whole record and carries
+// on — it never aborts. A base that cannot be read is a hard error
+// instead: the records it compacted are gone.
 //
-// Compaction protocol: write snapshot-for-generation-G to a tmp file,
-// fsync, rename over the snapshot (the atomic commit point), then rotate
-// the log to generation G+1 the same way. A crash between the two steps
-// leaves a snapshot at G and a log still at G; replay skips any log whose
-// generation is <= the snapshot's, so nothing is double-merged.
+// Compaction writes a one-record log holding the base to node.wal.tmp,
+// fsyncs it, renames it over node.wal (the atomic commit point) and
+// fsyncs the directory, so that the rename survives a power loss; the
+// handle that wrote the base becomes the append handle. There are no
+// generations: the log is the snapshot plus what came after it. A failed
+// directory sync is retried by the next barrier, which acknowledges
+// nothing until it succeeds.
 //
 // Exactly-once across crash/resend: a record is a whole upload, so an
 // upload is durable all at once or not at all, and its record carries the
 // upload's 128-bit content hash. Replay rebuilds the dedup window from the
-// snapshot and the tail, so when a client resends an upload whose ack never
+// base and the tail, so when a client resends an upload whose ack never
 // came, the committer finds it in the window and acks it without logging or
 // merging it again — the recovered fold is byte-identical to a run that
 // never crashed. Records do not depend on the shard count, so replay
@@ -38,10 +44,8 @@ package fleet
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -84,14 +88,14 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 
 // WALConfig enables the durability layer.
 type WALConfig struct {
-	// Dir holds the node's log and snapshot files.
+	// Dir holds the node's log.
 	Dir string
 	// Sync is the durability barrier policy (default SyncBatch).
 	Sync SyncPolicy
-	// CompactEvery sets how often the node log is compacted into its
-	// snapshot: after CompactEvery × Shards appended records, the volume
-	// the per-shard logs of earlier releases held between them (default
-	// 4096).
+	// CompactEvery sets how often the node log is compacted into one
+	// base record: after CompactEvery × Shards appended records, the
+	// volume the per-shard logs of earlier releases held between them
+	// (default 4096).
 	CompactEvery int
 	// DedupWindow caps the remembered upload IDs, FIFO-evicted (default
 	// 65536). Resends arriving within the window are exactly-once; the
@@ -157,21 +161,19 @@ func ReportUploadID(rep *core.Report) (UploadID, error) {
 const (
 	walFrameHeaderLen = 8
 	// maxWALRecordLen bounds a frame so a corrupt length field can never
-	// drive an allocation; it comfortably exceeds the 8 MiB upload cap.
+	// drive an allocation. An upload under the 8 MiB body cap can still
+	// exceed it: a binary upload may reference strings its device sent
+	// earlier, which its record spells out in full.
 	maxWALRecordLen = 64 << 20
 
-	recKindHeader   byte = 1
-	recKindSnapshot byte = 3
-	// recKindUpload is one whole upload: its ID, then its canonical binary
-	// document. Kinds 2 and 4 (per-shard fragments) are retired; never
-	// reuse them.
+	// Record kinds; the file comment gives their layouts. A new layout
+	// takes a new kind. Kinds 1 and 3 (the JSON log header and snapshot of
+	// earlier releases) and 2 and 4 (per-shard fragments) are retired;
+	// never reuse them.
 	recKindUpload byte = 5
+	recKindBase   byte = 6
 
-	// walFormatVersion 2 is the node log; version 1 was per-shard logs.
-	walFormatVersion = 2
-
-	nodeLogName  = "node.wal"
-	nodeSnapName = "node.snap"
+	nodeLogName = "node.wal"
 )
 
 var walCRCTable = crc32.MakeTable(crc32.Castagnoli)
@@ -181,6 +183,15 @@ func appendFrame(dst, payload []byte) []byte {
 	var hdr [walFrameHeaderLen]byte
 	putFrameHeader(hdr[:], payload)
 	return append(append(dst, hdr[:]...), payload...)
+}
+
+// recordLenError applies the frame bound. The reader refuses a frame
+// outside it as corrupt, so the writer must refuse to write one.
+func recordLenError(n int64) error {
+	if n <= 0 || n > maxWALRecordLen {
+		return fmt.Errorf("record length %d outside 1..%d", n, maxWALRecordLen)
+	}
+	return nil
 }
 
 // putFrameHeader writes payload's [len][crc32c] frame header into hdr.
@@ -228,8 +239,8 @@ func (fr *frameReader) next() ([]byte, error) {
 		return nil, &frameError{torn: true, reason: "truncated frame header"}
 	}
 	ln := binary.LittleEndian.Uint32(hdr[0:4])
-	if ln == 0 || ln > maxWALRecordLen {
-		return nil, &frameError{reason: fmt.Sprintf("implausible record length %d", ln)}
+	if err := recordLenError(int64(ln)); err != nil {
+		return nil, &frameError{reason: err.Error()}
 	}
 	payload := make([]byte, ln)
 	n, err := io.ReadFull(fr.r, payload)
@@ -245,20 +256,6 @@ func (fr *frameReader) next() ([]byte, error) {
 
 // ---------------------------------------------------------------------------
 // Record payloads
-
-// walHeader is the first record of every log file, naming its generation.
-type walHeader struct {
-	Version int    `json:"version"`
-	Gen     uint64 `json:"gen"`
-}
-
-func encodeHeader(h walHeader) ([]byte, error) {
-	body, err := json.Marshal(h)
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte{recKindHeader}, body...), nil
-}
 
 // uploadRecord encodes rep once, as the framed log record of one upload:
 // [len][crc32c][kind][id][canonical binary document]. A zero id becomes
@@ -277,24 +274,45 @@ func uploadRecord(rep *core.Report, id UploadID) ([]byte, UploadID) {
 	return buf, id
 }
 
-// decodeRecord parses an upload record's payload.
-func decodeRecord(payload []byte) (UploadID, *core.WireReport, error) {
-	var id UploadID
-	if len(payload) < 1+len(id) || payload[0] != recKindUpload {
-		return id, nil, errors.New("fleet: wal record is not an upload")
+// baseRecord encodes rep and the dedup window ids as the framed base
+// record: [len][crc32c][kind][uvarint count][count × id][canonical binary
+// document].
+func baseRecord(rep *core.Report, ids []UploadID) []byte {
+	buf := make([]byte, walFrameHeaderLen, walFrameHeaderLen+1+binary.MaxVarintLen64+len(ids)*len(UploadID{}))
+	buf = append(buf, recKindBase)
+	buf = binary.AppendUvarint(buf, uint64(len(ids)))
+	for _, id := range ids {
+		buf = append(buf, id[:]...)
 	}
-	copy(id[:], payload[1:1+len(id)])
-	wr, err := core.NewBinaryDecoder().Decode(payload[1+len(id):])
-	return id, wr, err
+	buf = core.AppendReportBinary(buf, rep)
+	putFrameHeader(buf[:walFrameHeaderLen], buf[walFrameHeaderLen:])
+	return buf
 }
 
-// walSnapshot is the single record of a snapshot file: the node's whole
-// compacted state, covering every log generation <= Gen.
-type walSnapshot struct {
-	Version int             `json:"version"`
-	Gen     uint64          `json:"gen"`
-	IDs     []string        `json:"ids"`
-	Report  json.RawMessage `json:"report"`
+// decodeRecord parses a record payload of kind want into its upload IDs
+// (an upload's own, or a base's dedup window) and its document. The bytes
+// come from disk, so the ID count is checked against what is there.
+func decodeRecord(payload []byte, want byte) ([]UploadID, *core.WireReport, error) {
+	if len(payload) == 0 || payload[0] != want {
+		return nil, nil, fmt.Errorf("fleet: wal record is not of kind %d", want)
+	}
+	body, n := payload[1:], uint64(1)
+	if want == recKindBase {
+		var k int
+		if n, k = binary.Uvarint(body); k <= 0 {
+			return nil, nil, errors.New("fleet: wal base has a malformed id count")
+		}
+		body = body[k:]
+	}
+	if n > uint64(len(body)/len(UploadID{})) {
+		return nil, nil, fmt.Errorf("fleet: wal record claims %d upload ids in %d bytes", n, len(body))
+	}
+	ids := make([]UploadID, n)
+	for i := range ids {
+		body = body[copy(ids[i][:], body):]
+	}
+	wr, err := core.NewBinaryDecoder().Decode(body)
+	return ids, wr, err
 }
 
 // ---------------------------------------------------------------------------
@@ -339,83 +357,56 @@ type nodeWAL struct {
 	cfg *WALConfig
 	m   *walMetrics
 
-	gen     uint64     // generation of the live log file
-	snapGen uint64     // generation covered by the committed snapshot
-	wf      fault.File // append handle on the live log
+	wf      fault.File // append handle on the log
 	goodOff int64      // end of the last fully written record
 	syncOff int64      // durable watermark (<= goodOff)
 	dirty   bool       // bytes beyond goodOff may be garbage (failed write)
-	records int        // upload records appended this generation
-	dedup   *dedupSet
+	// dirPending: the last rename onto the log is not durable yet, so the
+	// next barrier must sync the directory before it may succeed.
+	dirPending bool
+	records    int // upload records behind the base
+	dedup      *dedupSet
 }
 
-func (w *nodeWAL) logPath() string  { return filepath.Join(w.cfg.Dir, nodeLogName) }
-func (w *nodeWAL) snapPath() string { return filepath.Join(w.cfg.Dir, nodeSnapName) }
+func (w *nodeWAL) logPath() string { return filepath.Join(w.cfg.Dir, nodeLogName) }
 
-// openNodeWAL recovers the node's state from disk: load the snapshot if
-// one exists, replay the log tail on top of it (truncating a torn final
-// record instead of aborting), rotate the log if the snapshot already
-// covers it, and leave an append handle positioned for new records.
-func openNodeWAL(cfg *WALConfig, m *walMetrics) (*nodeWAL, *core.Report, error) {
+// openNodeWAL recovers the node's state from disk: it hands the base and
+// every upload record behind it to apply, in log order (truncating a torn
+// final record instead of aborting), or commits a base of the empty state
+// when there is no log yet, and leaves an append handle positioned for new
+// records.
+func openNodeWAL(cfg *WALConfig, m *walMetrics, apply func(*core.WireReport)) (*nodeWAL, error) {
 	start := time.Now()
-	if err := refuseShardLayout(cfg.Dir); err != nil {
-		return nil, nil, err
+	if err := refuseOldLayout(cfg.Dir); err != nil {
+		return nil, err
 	}
 	w := &nodeWAL{cfg: cfg, m: m, dedup: newDedupSet(cfg.DedupWindow)}
 	if err := cfg.FS.MkdirAll(cfg.Dir, 0o755); err != nil {
-		return nil, nil, fmt.Errorf("fleet: wal dir: %w", err)
+		return nil, fmt.Errorf("fleet: wal dir: %w", err)
 	}
-
-	rep := core.NewReport()
-	snap, err := w.loadSnapshot()
+	based, err := w.replay(apply)
+	switch {
+	case err != nil:
+	case based:
+		err = w.openAppend()
+	default:
+		err = w.compact(core.NewReport()) // no log yet: start one holding the empty state
+	}
 	if err != nil {
-		return nil, nil, err
-	}
-	if snap != nil {
-		rep, err = core.ImportReport(bytes.NewReader(snap.Report))
-		if err != nil {
-			return nil, nil, fmt.Errorf("fleet: wal snapshot report: %w", err)
-		}
-		for _, hs := range snap.IDs {
-			raw, err := hex.DecodeString(hs)
-			if err != nil || len(raw) != len(UploadID{}) {
-				return nil, nil, fmt.Errorf("fleet: wal snapshot has malformed upload id %q", hs)
-			}
-			var id UploadID
-			copy(id[:], raw)
-			w.dedup.add(id)
-		}
-		w.snapGen = snap.Gen
-	}
-
-	logGen, err := w.replayLog(rep)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// Open the append handle, repairing whatever the replay flagged.
-	if err := w.openAppend(); err != nil {
-		return nil, nil, err
-	}
-	if logGen <= w.snapGen {
-		// An empty or brand-new log, or a crash between snapshot commit
-		// and log rotation (the snapshot already covers every record
-		// here): stamp a fresh log with the next generation.
-		if err := w.rotate(w.snapGen + 1); err != nil {
-			return nil, nil, err
-		}
-	} else {
-		w.gen = logGen
+		w.close()
+		return nil, err
 	}
 	m.replayLatency.Observe(float64(time.Since(start).Nanoseconds()))
-	return w, rep, nil
+	return w, nil
 }
 
-// refuseShardLayout fails when dir holds the per-shard logs of an earlier
-// release. A node log started beside them would silently drop every upload
-// they acknowledged. The FS seam has no directory listing, so this reads
-// the directory itself; it writes nothing.
-func refuseShardLayout(dir string) error {
+// refuseOldLayout fails when dir holds the files of an earlier release:
+// per-shard logs, or a node snapshot. A node log started beside them would
+// silently drop every upload they acknowledged. The FS seam has no
+// directory listing, so this reads the directory itself; it writes
+// nothing. (A node.wal of an earlier release is refused by replay: it
+// opens with a JSON header, not a base.)
+func refuseOldLayout(dir string) error {
 	ents, err := os.ReadDir(dir)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return fmt.Errorf("fleet: wal dir: %w", err)
@@ -424,47 +415,15 @@ func refuseShardLayout(dir string) error {
 	for _, e := range ents {
 		wal, _ := filepath.Match("shard-*.wal", e.Name())
 		snap, _ := filepath.Match("shard-*.snap", e.Name())
-		if wal || snap {
+		if wal || snap || e.Name() == "node.snap" {
 			old = append(old, e.Name())
 		}
 	}
 	if len(old) > 0 {
-		return fmt.Errorf("fleet: wal dir %s holds per-shard logs of an older format (%s); this release keeps one node log and cannot read them",
+		return fmt.Errorf("fleet: wal dir %s holds files of an older format (%s); this release keeps one node log and cannot read them",
 			dir, strings.Join(old, ", "))
 	}
 	return nil
-}
-
-// loadSnapshot reads and validates the snapshot file; a missing file is
-// (nil, nil). A snapshot is committed atomically by rename, so a torn one
-// cannot exist; an unreadable or corrupt one is a hard error — the log
-// records it compacted are gone, and inventing an empty state would
-// silently drop acknowledged uploads.
-func (w *nodeWAL) loadSnapshot() (*walSnapshot, error) {
-	f, err := w.cfg.FS.OpenFile(w.snapPath(), os.O_RDONLY, 0)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("fleet: wal snapshot open: %w", err)
-	}
-	defer f.Close()
-	fr := &frameReader{r: bufio.NewReaderSize(readerOnly{f}, 1<<16)}
-	payload, err := fr.next()
-	if err != nil {
-		return nil, fmt.Errorf("fleet: wal snapshot unreadable (refusing to drop compacted state): %w", err)
-	}
-	if len(payload) < 1 || payload[0] != recKindSnapshot {
-		return nil, fmt.Errorf("fleet: wal snapshot has record kind %d, want snapshot", payload[0])
-	}
-	var snap walSnapshot
-	if err := json.Unmarshal(payload[1:], &snap); err != nil {
-		return nil, fmt.Errorf("fleet: wal snapshot: %w", err)
-	}
-	if snap.Version != walFormatVersion {
-		return nil, fmt.Errorf("fleet: wal snapshot has version %d, want %d", snap.Version, walFormatVersion)
-	}
-	return &snap, nil
 }
 
 // readerOnly hides everything but Read so bufio never sees other methods.
@@ -472,93 +431,65 @@ type readerOnly struct{ f fault.File }
 
 func (r readerOnly) Read(p []byte) (int, error) { return r.f.Read(p) }
 
-// replayLog scans the log file, merging upload records newer than the
-// snapshot into rep and rebuilding the dedup window. It returns the log's
-// generation (0 when the file is missing or empty/headerless). A torn or
-// corrupt frame ends the scan: goodOff marks the salvaged prefix and
-// dirty is set so the tail is truncated before the next append.
-func (w *nodeWAL) replayLog(rep *core.Report) (uint64, error) {
+// replay hands the log's records to apply and rebuilds the dedup window:
+// the base, then every upload record behind it. It reports false when the
+// log is missing or empty. A log that does not open with a readable base
+// is a hard error: the records a base compacted are gone, and inventing an
+// empty state would silently drop acknowledged uploads. A torn or corrupt
+// upload record ends the scan: goodOff marks the salvaged prefix and dirty
+// is set so the tail is truncated before the next append.
+func (w *nodeWAL) replay(apply func(*core.WireReport)) (bool, error) {
 	f, err := w.cfg.FS.OpenFile(w.logPath(), os.O_RDONLY, 0)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
-			return 0, nil
+			return false, nil
 		}
-		return 0, fmt.Errorf("fleet: wal log open: %w", err)
+		return false, fmt.Errorf("fleet: wal log open: %w", err)
 	}
 	defer f.Close()
 
 	fr := &frameReader{r: bufio.NewReaderSize(readerOnly{f}, 1<<16)}
-	stop := func(fe *frameError) {
+	for kind := recKindBase; ; kind = recKindUpload {
 		w.goodOff = fr.off
-		w.dirty = true
-		w.m.truncatedTails.Inc()
-		if !fe.torn {
-			w.m.corruptRecords.Inc()
-		}
-	}
-
-	payload, err := fr.next()
-	if err == io.EOF {
-		return 0, nil
-	}
-	if err != nil {
-		var fe *frameError
-		if errors.As(err, &fe) {
-			// Even the header is torn: scrap the whole file.
-			stop(fe)
-			return 0, nil
-		}
-		return 0, err
-	}
-	if len(payload) < 1 || payload[0] != recKindHeader {
-		stop(&frameError{reason: "first record is not a log header"})
-		return 0, nil
-	}
-	var hdr walHeader
-	if err := json.Unmarshal(payload[1:], &hdr); err != nil {
-		stop(&frameError{reason: "undecodable log header"})
-		return 0, nil
-	}
-	if hdr.Version != walFormatVersion {
-		return 0, fmt.Errorf("fleet: wal log has version %d, want %d", hdr.Version, walFormatVersion)
-	}
-	w.goodOff = fr.off
-	apply := hdr.Gen > w.snapGen
-
-	for {
 		payload, err := fr.next()
 		if err == io.EOF {
-			break
+			return kind == recKindUpload, nil
+		}
+		var ids []UploadID
+		var wr *core.WireReport
+		if err == nil {
+			ids, wr, err = decodeRecord(payload, kind)
+		}
+		if err != nil && kind == recKindBase {
+			return false, fmt.Errorf("fleet: wal %s does not open with a readable base record (a log of an older format opens with a kind-1 JSON header); refusing to drop the state it holds: %w",
+				w.logPath(), err)
 		}
 		if err != nil {
+			// A frame that ends at EOF is a crash mid-append; one whose
+			// bytes are all there but fail their CRC, length bound or
+			// decode is corruption. Salvage the prefix either way.
 			var fe *frameError
-			if errors.As(err, &fe) {
-				stop(fe)
-				break
+			if !errors.As(err, &fe) || !fe.torn {
+				w.m.corruptRecords.Inc()
 			}
-			return 0, err
+			w.m.truncatedTails.Inc()
+			w.dirty = true
+			return true, nil
 		}
-		id, wr, derr := decodeRecord(payload)
-		if derr != nil {
-			// The frame passed its CRC but the payload is gibberish:
-			// corruption (or version drift). Salvage the prefix.
-			stop(&frameError{reason: derr.Error()})
-			break
-		}
-		if apply {
-			rep.MergeWire(wr)
+		apply(wr)
+		for _, id := range ids {
 			w.dedup.add(id)
+		}
+		if kind == recKindUpload {
 			w.m.replayed.Inc()
 			w.records++
 		}
-		w.goodOff = fr.off
 	}
-	return hdr.Gen, nil
 }
 
-// openAppend opens (creating if needed) the append handle on the log.
+// openAppend opens the append handle on the log.
 func (w *nodeWAL) openAppend() error {
-	f, err := w.cfg.FS.OpenFile(w.logPath(), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	f, err := w.cfg.FS.OpenFile(w.logPath(), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("fleet: wal log append open: %w", err)
 	}
@@ -582,16 +513,11 @@ func (w *nodeWAL) repair() error {
 
 // append writes one framed record onto the log. On failure the record is
 // not durable, the tail is flagged for repair, and the caller must not ack.
+// A record beyond the frame bound is refused with nothing written.
 func (w *nodeWAL) append(frame []byte) error {
-	if w.wf == nil || w.gen <= w.snapGen {
-		// A compaction committed its snapshot but the log rotation failed
-		// (possibly leaving no append handle at all). Appending to a
-		// generation the snapshot already covers would be silently skipped
-		// at replay, so reestablish a fresh generation first.
-		if err := w.rotate(w.snapGen + 1); err != nil {
-			w.m.appendErrors.Inc()
-			return err
-		}
+	if err := recordLenError(int64(len(frame) - walFrameHeaderLen)); err != nil {
+		w.m.appendErrors.Inc()
+		return fmt.Errorf("fleet: wal append: %w", err)
 	}
 	if err := w.repair(); err != nil {
 		w.m.appendErrors.Inc()
@@ -617,17 +543,24 @@ func (w *nodeWAL) append(frame []byte) error {
 	return nil
 }
 
-// barrier makes everything appended so far durable per the sync policy.
-// On failure it rolls the log back to the last durable watermark; the
-// caller must nack (and must not merge) every record past it.
+// barrier makes everything appended so far durable per the sync policy,
+// the rename that made the log the log included. On failure it rolls the
+// log back to the last durable watermark; the caller must nack (and must
+// not merge) every record past it.
 func (w *nodeWAL) barrier() error {
 	if w.cfg.Sync == SyncOff {
 		w.syncOff = w.goodOff
 		return nil
 	}
-	if err := w.wf.Sync(); err != nil {
-		// The unsynced suffix may or may not have hit the platter; roll
-		// back so the on-disk log only ever contains acknowledged state.
+	err := w.wf.Sync()
+	if err == nil {
+		w.m.fsyncs.Inc()
+		err = w.syncDir()
+	}
+	if err != nil {
+		// The unsynced suffix may or may not survive a power loss, and
+		// while the rename is not durable neither is the file it sits in.
+		// Roll back so the log only ever contains acknowledged state.
 		if terr := w.wf.Truncate(w.syncOff); terr != nil {
 			w.dirty = true
 		}
@@ -635,94 +568,69 @@ func (w *nodeWAL) barrier() error {
 		w.m.appendErrors.Inc()
 		return fmt.Errorf("fleet: wal sync: %w", err)
 	}
-	w.m.fsyncs.Inc()
 	w.syncOff = w.goodOff
 	return nil
 }
 
-// writeFileAtomic writes a fully framed file (tmp + fsync + rename).
-func (w *nodeWAL) writeFileAtomic(path string, frame []byte) error {
-	tmp := path + ".tmp"
-	f, err := w.cfg.FS.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+// syncDir fsyncs the WAL directory if the last rename onto the log is not
+// durable yet. It is not a barrier: hangdoctor_fleet_wal_fsyncs_total
+// counts only the log's.
+func (w *nodeWAL) syncDir() error {
+	if !w.dirPending {
+		return nil
+	}
+	d, err := w.cfg.FS.OpenFile(w.cfg.Dir, os.O_RDONLY, 0)
+	if err == nil {
+		err = d.Sync()
+		d.Close()
+	}
 	if err != nil {
-		return err
+		return fmt.Errorf("fleet: wal dir sync: %w", err)
 	}
-	if _, err := f.Write(frame); err != nil {
-		f.Close()
-		w.cfg.FS.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		w.cfg.FS.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		w.cfg.FS.Remove(tmp)
-		return err
-	}
-	return w.cfg.FS.Rename(tmp, path)
+	w.dirPending = false
+	return nil
 }
 
-// rotate atomically replaces the log with a fresh one at generation gen.
-func (w *nodeWAL) rotate(gen uint64) error {
-	payload, err := encodeHeader(walHeader{Version: walFormatVersion, Gen: gen})
+// compact replaces the log with one base record holding rep — exactly the
+// state the log's records built — and the dedup window.
+func (w *nodeWAL) compact(rep *core.Report) error {
+	return w.commitBase(baseRecord(rep, w.dedup.order))
+}
+
+// commitBase makes frame, a framed base record, the whole log: tmp + fsync
+// + rename, the commit point, then a directory sync (skipped under
+// SyncOff). The handle that wrote the base becomes the append handle. A
+// failure before the rename, a base beyond the frame bound included,
+// leaves the old log and its handle in place, so the committer keeps
+// appending to it; a failed directory sync leaves the new log in place,
+// and the next barrier retries the sync.
+func (w *nodeWAL) commitBase(frame []byte) error {
+	if err := recordLenError(int64(len(frame) - walFrameHeaderLen)); err != nil {
+		return fmt.Errorf("fleet: wal compact: %w", err)
+	}
+	tmp := w.logPath() + ".tmp"
+	f, err := w.cfg.FS.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC|os.O_APPEND, 0o644)
 	if err != nil {
-		return err
+		return fmt.Errorf("fleet: wal compact: %w", err)
 	}
-	frame := appendFrame(nil, payload)
-	if w.wf != nil {
-		w.wf.Close()
-		w.wf = nil
+	if _, err = f.Write(frame); err == nil {
+		if err = f.Sync(); err == nil {
+			err = w.cfg.FS.Rename(tmp, w.logPath())
+		}
 	}
-	if err := w.writeFileAtomic(w.logPath(), frame); err != nil {
-		return fmt.Errorf("fleet: wal rotate: %w", err)
+	if err != nil {
+		f.Close()
+		w.cfg.FS.Remove(tmp)
+		return fmt.Errorf("fleet: wal compact: %w", err)
 	}
-	if err := w.openAppend(); err != nil {
-		return err
-	}
-	w.gen = gen
+	w.close()
+	w.wf = f
 	w.goodOff = int64(len(frame))
 	w.syncOff = w.goodOff
 	w.dirty = false
 	w.records = 0
-	return nil
-}
-
-// compact writes rep — exactly the state the log's records built — as the
-// snapshot and rotates the log. A failure before the snapshot commit
-// leaves the old snapshot and log intact (compaction is all-or-nothing)
-// and the committer keeps appending to the old generation; a failure after
-// the commit marks the covered generation via snapGen so the next append
-// rotates past it.
-func (w *nodeWAL) compact(rep *core.Report) error {
-	var repBuf bytes.Buffer
-	if err := rep.Export(&repBuf); err != nil {
-		return fmt.Errorf("fleet: wal compact export: %w", err)
-	}
-	ids := make([]string, 0, len(w.dedup.order))
-	for _, id := range w.dedup.order {
-		ids = append(ids, id.String())
-	}
-	body, err := json.Marshal(walSnapshot{
-		Version: walFormatVersion, Gen: w.gen, IDs: ids, Report: json.RawMessage(repBuf.Bytes()),
-	})
-	if err != nil {
-		return fmt.Errorf("fleet: wal compact: %w", err)
-	}
-	frame := appendFrame(nil, append([]byte{recKindSnapshot}, body...))
-	if err := w.writeFileAtomic(w.snapPath(), frame); err != nil {
-		return fmt.Errorf("fleet: wal compact snapshot: %w", err)
-	}
-	// The snapshot is committed: it covers every log generation <= w.gen.
-	// Record that before rotating, so if the rotation fails the next
-	// append knows it must not land in a covered generation.
-	w.snapGen = w.gen
-	if err := w.rotate(w.gen + 1); err != nil {
-		return err
-	}
-	w.m.compactions.Inc()
-	return nil
+	w.dirPending = w.cfg.Sync != SyncOff
+	return w.syncDir()
 }
 
 // close releases the append handle without any final barrier — the crash

@@ -3,7 +3,6 @@ package fleet
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -13,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -58,7 +58,7 @@ func submitAllDurable(t *testing.T, agg *Aggregator, reps []*core.Report) {
 // appendFrame come back from frameReader byte-identical and in order.
 func TestWALFrameRoundTrip(t *testing.T) {
 	payloads := [][]byte{
-		{recKindHeader, 'x'},
+		{recKindBase, 'x'},
 		bytes.Repeat([]byte{0xAB}, 1),
 		bytes.Repeat([]byte("fragment"), 512),
 	}
@@ -131,9 +131,9 @@ func TestWALFrameTornAndCorrupt(t *testing.T) {
 }
 
 // TestDurableCleanRestart is the clean half of the durability story: a
-// durable aggregator that is closed (drained, final snapshot) and
+// durable aggregator that is closed (drained, final compaction) and
 // reopened folds byte-identically to a serial merge — and the restart
-// replays a snapshot, not a log tail, because Close compacted.
+// replays one base record, not a log tail, because Close compacted.
 func TestDurableCleanRestart(t *testing.T) {
 	dir := t.TempDir()
 	reps := uploads(20, 30)
@@ -147,6 +147,33 @@ func TestDurableCleanRestart(t *testing.T) {
 	if got := exportBytes(t, agg.Fold()); !bytes.Equal(got, want) {
 		t.Fatal("pre-restart fold diverged from serial merge")
 	}
+	// The directory holds node.wal alone, and the log one base record:
+	// every upload's ID, then the fold's canonical binary document.
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 || ents[0].Name() != nodeLogName {
+		t.Fatalf("WAL dir after Close holds %v (err %v), want only %s", ents, err, nodeLogName)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, nodeLogName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr := &frameReader{r: bytes.NewReader(raw)}
+	payload, err := fr.next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fr.next(); err != io.EOF {
+		t.Errorf("node.wal holds more than one record after Close (next: %v)", err)
+	}
+	if payload[0] != recKindBase {
+		t.Fatalf("node.wal opens with record kind %d, want the base (%d)", payload[0], recKindBase)
+	}
+	n, k := binary.Uvarint(payload[1:])
+	if k <= 0 || n != uint64(len(reps)) {
+		t.Fatalf("base holds %d upload IDs, want %d", n, len(reps))
+	}
+	if doc := payload[1+k+int(n)*len(UploadID{}):]; !bytes.Equal(doc, core.AppendReportBinary(nil, agg.Fold())) {
+		t.Error("the base document is not the canonical binary encoding of the fold")
+	}
 
 	agg2 := mustOpen(t, durableCfg(dir, 4))
 	defer agg2.Close()
@@ -155,16 +182,13 @@ func TestDurableCleanRestart(t *testing.T) {
 	}
 	snap := agg2.Metrics().Registry().Snapshot()
 	if n := snap.Value("hangdoctor_fleet_wal_replayed_records_total"); n != 0 {
-		t.Errorf("clean restart replayed %d tail records, want 0 (final snapshot should cover everything)", n)
-	}
-	if _, err := os.Stat(filepath.Join(dir, nodeSnapName)); err != nil {
-		t.Errorf("final node snapshot missing: %v", err)
+		t.Errorf("clean restart replayed %d tail records, want 0 (the final base should cover everything)", n)
 	}
 }
 
 // TestDurableRestartWithoutClose covers the tail-replay path: the first
-// aggregator is crashed (no drain, no final snapshot), so the second one
-// must rebuild state from snapshot + log tail.
+// aggregator is crashed (no drain, no final compaction), so the second one
+// must rebuild state from the base record and the log tail behind it.
 func TestDurableRestartWithoutClose(t *testing.T) {
 	dir := t.TempDir()
 	reps := uploads(20, 30)
@@ -378,7 +402,7 @@ func TestResendAnswersAfterMerge(t *testing.T) {
 }
 
 // TestResendDeduplicatedAcrossRestart: the dedup window survives both the
-// snapshot (compacted IDs) and the tail (replayed IDs), so resends after
+// base record (compacted IDs) and the tail (replayed IDs), so resends after
 // a restart still merge exactly once.
 func TestResendDeduplicatedAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
@@ -400,7 +424,7 @@ func TestResendDeduplicatedAcrossRestart(t *testing.T) {
 
 // TestShardCountChangeAcrossRestart: log records are whole uploads, so a
 // node may reopen its WAL with another shard count. Written at 4 shards
-// and closed (a snapshot), reopened at 8 and crashed (a log tail), then
+// and closed (a base record), reopened at 8 and crashed (a log tail), then
 // reopened at 2, every fold is byte-identical to the serial merge of what
 // was submitted so far.
 func TestShardCountChangeAcrossRestart(t *testing.T) {
@@ -434,31 +458,38 @@ func TestShardCountChangeAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestShardLayoutRefused: a directory holding per-shard logs of the
-// earlier format is refused by name, and nothing is written beside them —
-// a node log started there would drop every upload they acknowledged.
+// TestShardLayoutRefused: a directory holding the files of an earlier
+// release is refused by name, and nothing is written beside them — a node
+// log started there would drop every upload they acknowledged. Those files
+// are a per-shard log, a node snapshot, and a node log that opens with the
+// JSON header (kind 1) instead of a base.
 func TestShardLayoutRefused(t *testing.T) {
-	dir := t.TempDir()
-	hdr, err := json.Marshal(map[string]any{"version": 1, "shard": 0, "shards": 4, "gen": 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := appendFrame(nil, append([]byte{recKindHeader}, hdr...))
 	frag := append([]byte{4}, make([]byte, len(UploadID{}))...)
-	old = appendFrame(old, core.AppendReportBinary(frag, SyntheticUpload(1, "device-old", 3)))
-	if err := os.WriteFile(filepath.Join(dir, "shard-0000.wal"), old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err = Open(durableCfg(dir, 4))
-	if err == nil || !strings.Contains(err.Error(), "shard-0000.wal") {
-		t.Fatalf("Open beside a per-shard log: err=%v, want a refusal naming shard-0000.wal", err)
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 1 {
-		t.Errorf("refused Open left %d files, want only the old log", len(ents))
+	shardLog := appendFrame(nil, append([]byte{1}, `{"version":1,"shard":0,"shards":4,"gen":1}`...))
+	shardLog = appendFrame(shardLog, core.AppendReportBinary(frag, SyntheticUpload(1, "device-old", 3)))
+	snap := appendFrame(nil, append([]byte{3}, `{"version":2,"gen":1,"ids":[],"report":{"version":1,"entries":[]}}`...))
+	nodeLog := appendFrame(nil, append([]byte{1}, `{"version":2,"gen":2}`...))
+	for name, old := range map[string][]byte{"shard-0000.wal": shardLog, "node.snap": snap, nodeLogName: nodeLog} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, name), old, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := Open(durableCfg(dir, 4))
+			if err == nil || !strings.Contains(err.Error(), name) {
+				t.Fatalf("Open beside an old %s: err=%v, want a refusal naming it", name, err)
+			}
+			ents, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ents) != 1 {
+				t.Errorf("refused Open left %d files, want only the old one", len(ents))
+			}
+			if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, old) {
+				t.Errorf("refused Open changed %s (err %v)", name, err)
+			}
+		})
 	}
 }
 
@@ -508,7 +539,7 @@ func TestDurableUploadOneRecordOneBarrier(t *testing.T) {
 }
 
 // crashOnSync is a fault.FS whose files run onSync after every successful
-// Sync — a durability barrier, or a snapshot or rotation commit.
+// Sync — a durability barrier, a compaction's tmp file or a directory.
 type crashOnSync struct {
 	fault.FS
 	onSync func()
@@ -535,41 +566,44 @@ func (f syncHookFile) Sync() error {
 	return err
 }
 
-// failSnapCommit is a fault.FS that fails, and counts, every Rename onto
-// the node snapshot: every compaction fails before its commit.
-type failSnapCommit struct {
+// failLogCommit is a fault.FS that, once armed, fails and counts every
+// Rename onto the node log: every compaction fails before its commit.
+type failLogCommit struct {
 	fault.FS
+	armed    *atomic.Bool
 	attempts *atomic.Int64
 }
 
-func (f failSnapCommit) Rename(oldpath, newpath string) error {
-	if filepath.Base(newpath) == nodeSnapName {
+func (f failLogCommit) Rename(oldpath, newpath string) error {
+	if f.armed.Load() && filepath.Base(newpath) == nodeLogName {
 		f.attempts.Add(1)
-		return errors.New("injected: snapshot commit failed")
+		return errors.New("injected: compaction commit failed")
 	}
 	return f.FS.Rename(oldpath, newpath)
 }
 
-// TestCompactionFailuresCounted: a node whose snapshot commits always fail
-// still acks every upload, counts every failed compaction (one after each
-// upload's batch at CompactEvery 1 on one shard, and Close's final one) and
-// no successful one, and a reopen on a clean filesystem replays the whole
-// tail to the serial merge.
+// TestCompactionFailuresCounted: a node whose compaction commits always
+// fail after Open still acks every upload, counts every failed compaction
+// (one after each upload's batch at CompactEvery 1 on one shard, and
+// Close's final one) and no successful one, and a reopen on a clean
+// filesystem replays the whole tail to the serial merge.
 func TestCompactionFailuresCounted(t *testing.T) {
 	dir := t.TempDir()
 	reps := uploads(12, 20)
 	serial := core.NewReport()
 	serial.Merge(reps...)
 
+	var armed atomic.Bool
 	var attempts atomic.Int64
 	cfg := durableCfg(dir, 1)
 	cfg.WAL.CompactEvery = 1
-	cfg.WAL.FS = failSnapCommit{FS: fault.DiskFS, attempts: &attempts}
-	agg := mustOpen(t, cfg)
+	cfg.WAL.FS = failLogCommit{FS: fault.DiskFS, armed: &armed, attempts: &attempts}
+	agg := mustOpen(t, cfg) // its first base commits
+	armed.Store(true)
 	submitAllDurable(t, agg, reps) // one upload per batch: each waits for its ack
 	agg.Close()
 	if n := attempts.Load(); n != int64(len(reps))+1 {
-		t.Errorf("%d snapshot commits attempted, want one per upload plus the final one (%d)", n, len(reps)+1)
+		t.Errorf("%d compaction commits attempted, want one per upload plus the final one (%d)", n, len(reps)+1)
 	}
 	snap := agg.Metrics().Registry().Snapshot()
 	if got, want := snap.Value("hangdoctor_fleet_wal_compaction_errors_total"), attempts.Load(); got != want {
@@ -587,6 +621,214 @@ func TestCompactionFailuresCounted(t *testing.T) {
 	if n := agg2.Metrics().Registry().Snapshot().Value("hangdoctor_fleet_wal_replayed_records_total"); n != int64(len(reps)) {
 		t.Errorf("reopen replayed %d records, want the whole tail (%d)", n, len(reps))
 	}
+}
+
+// TestWALRecordBound: the writer applies the frame bound the reader
+// enforces. An upload record beyond it (an upload can be: its canonical
+// re-encoding spells out every string its device sent in earlier uploads)
+// is nacked with nothing written; acked, it would have been salvaged away
+// at the next boot with every record behind it.
+func TestWALRecordBound(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durableCfg(dir, 1)
+	cfg.WAL.CompactEvery = 1 << 20
+	reps := uploads(2, 10)
+	serial := core.NewReport()
+	serial.Merge(reps...)
+	agg := mustOpen(t, cfg)
+	submitAllDurable(t, agg, reps[:1])
+	path := filepath.Join(dir, nodeLogName)
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// One byte beyond the bound. The check comes first, so the frame's
+	// pages are never touched.
+	over := make([]byte, walFrameHeaderLen+maxWALRecordLen+1)
+	binary.LittleEndian.PutUint32(over, maxWALRecordLen+1)
+	ack := newUploadAck()
+	agg.commit <- logged{frame: over, id: UploadID{1}, frags: make([]shardMsg, 1), ack: ack}
+	<-ack.done
+	if ack.err == nil {
+		t.Fatal("an upload record beyond the frame bound was acknowledged")
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("the refused record changed the log (err %v)", err)
+	}
+	submitAllDurable(t, agg, reps[1:])
+	agg.Crash()
+
+	agg2 := mustOpen(t, durableCfg(dir, 1))
+	defer agg2.Close()
+	if got := exportBytes(t, agg2.Fold()); !bytes.Equal(got, exportBytes(t, serial)) {
+		t.Error("the log behind a refused record does not replay to the serial merge")
+	}
+	if n := agg2.Metrics().Registry().Snapshot().Value("hangdoctor_fleet_wal_replayed_records_total"); n != int64(len(reps)) {
+		t.Errorf("replayed %d records, want %d", n, len(reps))
+	}
+}
+
+// TestWALBaseBound: a base beyond the frame bound is refused before
+// anything is written, and the log it would have replaced still takes
+// appends and replays them.
+func TestWALBaseBound(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durableCfg(dir, 1).WAL.withDefaults()
+	w, err := openNodeWAL(cfg, newMetrics(1).initWAL(), func(*core.WireReport) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := SyntheticUpload(5, "device-base", 8)
+	frame, id := uploadRecord(rep, UploadID{})
+	if err := w.append(frame); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.barrier(); err != nil {
+		t.Fatal(err)
+	}
+	over := make([]byte, walFrameHeaderLen+maxWALRecordLen+1)
+	if err := w.commitBase(over); err == nil {
+		t.Fatal("a base beyond the frame bound was committed")
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 {
+		t.Fatalf("a refused base left %v in the WAL dir (err %v), want only %s", ents, err, nodeLogName)
+	}
+	frame2, _ := uploadRecord(SyntheticUpload(6, "device-base", 8), UploadID{})
+	if err := w.append(frame2); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.barrier(); err != nil {
+		t.Fatal(err)
+	}
+	w.close()
+
+	got := core.NewReport()
+	w2, err := openNodeWAL(cfg, newMetrics(1).initWAL(), got.MergeWire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.close()
+	want := core.NewReport()
+	want.Merge(rep, SyntheticUpload(6, "device-base", 8))
+	if !bytes.Equal(exportBytes(t, got), exportBytes(t, want)) || w2.records != 2 || !w2.dedup.has(id) {
+		t.Errorf("reopened log holds %d records, want both appends", w2.records)
+	}
+}
+
+// dirSyncFS is a fault.FS that logs every Rename onto the node log and
+// every Sync of the WAL directory, failing the next failDirSyncs of them.
+type dirSyncFS struct {
+	fault.FS
+	dir          string
+	mu           sync.Mutex
+	ops          []string
+	failDirSyncs int
+}
+
+func (d *dirSyncFS) Rename(oldpath, newpath string) error {
+	err := d.FS.Rename(oldpath, newpath)
+	d.mu.Lock()
+	d.ops = append(d.ops, "rename "+filepath.Base(newpath))
+	d.mu.Unlock()
+	return err
+}
+
+func (d *dirSyncFS) OpenFile(name string, flag int, perm iofs.FileMode) (fault.File, error) {
+	f, err := d.FS.OpenFile(name, flag, perm)
+	if err != nil || name != d.dir {
+		return f, err
+	}
+	return dirHandle{File: f, fs: d}, nil
+}
+
+type dirHandle struct {
+	fault.File
+	fs *dirSyncFS
+}
+
+func (h dirHandle) Sync() error {
+	h.fs.mu.Lock()
+	defer h.fs.mu.Unlock()
+	if h.fs.failDirSyncs > 0 {
+		h.fs.failDirSyncs--
+		h.fs.ops = append(h.fs.ops, "dirsync failed")
+		return errors.New("injected: directory sync failed")
+	}
+	h.fs.ops = append(h.fs.ops, "dirsync")
+	return h.File.Sync()
+}
+
+// TestRenameDirSynced: every rename onto node.wal is made durable by a
+// sync of the WAL directory before anything appended to the renamed log is
+// acknowledged. Open's first base and each compaction sync it at once; when
+// that sync fails the compaction is counted as failed, and the next upload
+// is nacked (and rolled back) until a later directory sync succeeds.
+// Directory syncs are not barriers. Under SyncOff nothing is synced.
+func TestRenameDirSynced(t *testing.T) {
+	reps := uploads(2, 12)
+	dir := t.TempDir()
+	fs := &dirSyncFS{FS: fault.DiskFS, dir: dir}
+	cfg := durableCfg(dir, 1)
+	cfg.WAL.CompactEvery = 1
+	cfg.WAL.FS = fs
+	agg := mustOpen(t, cfg)
+	fs.mu.Lock()
+	fs.failDirSyncs = 2
+	fs.mu.Unlock()
+	submitAllDurable(t, agg, reps[:1]) // its compaction's directory sync fails
+	id, _ := ReportUploadID(reps[1])
+	if err := agg.SubmitDurable(reps[1].Clone(), id); err == nil {
+		t.Fatal("an upload was acked while the rename of its log was not durable")
+	}
+	submitAllDurable(t, agg, reps[1:]) // the resend
+	agg.Close()
+
+	fs.mu.Lock()
+	ops := fs.ops
+	fs.mu.Unlock()
+	want := []string{
+		"rename node.wal", "dirsync", // Open's first base
+		"rename node.wal", "dirsync failed", // compaction after the first upload
+		"dirsync failed",             // the second upload's barrier: nacked
+		"rename node.wal", "dirsync", // compaction of the nacked attempt's batch
+		"rename node.wal", "dirsync", // compaction after the resend
+	}
+	if !slices.Equal(ops, want) {
+		t.Errorf("WAL renames and directory syncs:\n got %q\nwant %q", ops, want)
+	}
+	snap := agg.Metrics().Registry().Snapshot()
+	for name, want := range map[string]int64{
+		"hangdoctor_fleet_wal_compaction_errors_total": 1,
+		"hangdoctor_fleet_wal_append_errors_total":     1,
+		"hangdoctor_fleet_wal_fsyncs_total":            3, // one barrier per upload attempt
+	} {
+		if got := snap.Value(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	serial := core.NewReport()
+	serial.Merge(reps...)
+	agg2 := mustOpen(t, durableCfg(dir, 1))
+	defer agg2.Close()
+	if got := exportBytes(t, agg2.Fold()); !bytes.Equal(got, exportBytes(t, serial)) {
+		t.Error("reopened fold does not hold each upload exactly once")
+	}
+
+	t.Run("sync-off", func(t *testing.T) {
+		dir := t.TempDir()
+		fs := &dirSyncFS{FS: fault.DiskFS, dir: dir}
+		cfg := durableCfg(dir, 1)
+		cfg.WAL.Sync, cfg.WAL.FS = SyncOff, fs
+		agg := mustOpen(t, cfg)
+		submitAllDurable(t, agg, reps)
+		agg.Close()
+		for _, op := range fs.ops {
+			if op != "rename node.wal" {
+				t.Errorf("SyncOff node logged %q", op)
+			}
+		}
+	})
 }
 
 // TestCrashAfterBarrierBeforeMerge crashes the node right after the
@@ -702,7 +944,7 @@ func TestReplayUnderCorruptReads(t *testing.T) {
 		cfg.WAL.FS = fault.FaultyFS(fault.DiskFS, fault.NewStorage(seed, fault.StorageRates{CorruptRead: 0.05}))
 		agg2, err := Open(cfg)
 		if err != nil {
-			continue // detected corruption in a snapshot: a legitimate refusal
+			continue // detected corruption in a base record: a legitimate refusal
 		}
 		agg2.Crash()
 	}
@@ -832,11 +1074,17 @@ func TestUploadHangsBeyondInt32(t *testing.T) {
 // record, exactly the three outcomes recovery handles.
 func FuzzWALFrameDecode(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(appendFrame(nil, []byte{recKindHeader, '{', '}'}))
+	base := baseRecord(SyntheticUpload(3, "device-fuzz", 4), []UploadID{{1}, {2}})
+	f.Add(base)
 	valid := appendFrame(appendFrame(nil, []byte{recKindUpload, 0, 1}), bytes.Repeat([]byte{7}, 300))
 	f.Add(valid)
 	f.Add(valid[:len(valid)-4])
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0, 1})
+	// A torn base, and a whole frame holding a truncated base payload.
+	f.Add(base[:len(base)-7])
+	f.Add(appendFrame(nil, base[walFrameHeaderLen:len(base)-7]))
+	// A base claiming more upload IDs than its payload holds.
+	f.Add(appendFrame(nil, []byte{recKindBase, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1, 2, 3}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr := &frameReader{r: bytes.NewReader(data)}
 		var consumed int64
@@ -862,10 +1110,10 @@ func FuzzWALFrameDecode(f *testing.F) {
 				t.Fatal("decoder returned an empty frame without error")
 			}
 			consumed = fr.off
-			// Upload payloads additionally go through the report
+			// Upload and base payloads additionally go through the record
 			// decoder, which must reject garbage rather than panic.
-			if payload[0] == recKindUpload {
-				decodeRecord(payload)
+			if kind := payload[0]; kind == recKindUpload || kind == recKindBase {
+				decodeRecord(payload, kind)
 			}
 		}
 	})
