@@ -42,8 +42,10 @@
 // resending the unacknowledged ones converges byte-identically to an
 // unbroken run. Storage kinds: torn (partial appends), fsync (failed
 // barriers), full (ENOSPC), short (short reads during replay), corrupt
-// (bit rot during replay — detection is asserted, loss is legitimate),
-// all (the three write faults together).
+// (bit rot during replay, per byte read — detection is asserted, loss is
+// legitimate), all (the three write faults together). A corrupt cell with
+// a nonzero rate fails if it rotted no byte, or if replay detected nothing:
+// no record salvaged away and no base refused.
 package main
 
 import (
@@ -248,6 +250,7 @@ type storageCell struct {
 	replayed  int64
 	truncated int64
 	corrupt   int64
+	refused   int // recovery opens that refused a corrupt base
 }
 
 // runStorageSweep kills a durable aggregator mid-load at every fault rate
@@ -257,8 +260,8 @@ type storageCell struct {
 func runStorageSweep(kind string, rates []float64, seed uint64, uploads int) {
 	readFault := kind == "short" || kind == "corrupt"
 	fmt.Printf("chaos storage sweep: fault=%s uploads=%d seed=%d\n\n", kind, uploads, seed)
-	fmt.Printf("%6s %7s %10s %10s %9s %9s %8s %10s\n",
-		"rate", "acked", "lost-acked", "injected", "replayed", "truncated", "corrupt", "identical")
+	fmt.Printf("%6s %7s %10s %10s %9s %9s %8s %8s %10s\n",
+		"rate", "acked", "lost-acked", "injected", "replayed", "truncated", "corrupt", "refused", "identical")
 	failed := false
 	for ri, rate := range rates {
 		sr, err := storageRatesFor(kind, rate)
@@ -273,22 +276,34 @@ func runStorageSweep(kind string, rates []float64, seed uint64, uploads int) {
 		}
 		cell.rate = rate
 		injected := cell.stats.TornWrites + cell.stats.FsyncFails + cell.stats.DiskFulls +
-			cell.stats.ShortReads + cell.stats.CorruptReads
-		fmt.Printf("%6.2f %7d %10d %10d %9d %9d %8d %10v\n",
+			cell.stats.ShortReads + cell.stats.CorruptBytes
+		fmt.Printf("%6.2f %7d %10d %10d %9d %9d %8d %8d %10v\n",
 			cell.rate, cell.acked, cell.lostAcked, injected,
-			cell.replayed, cell.truncated, cell.corrupt, cell.identical)
-		// Bit rot (corrupt) legitimately loses data — the assertion there is
-		// detection without panic or abort; every other kind must be lossless.
-		if kind != "corrupt" && (cell.lostAcked > 0 || !cell.identical) {
+			cell.replayed, cell.truncated, cell.corrupt, cell.refused, cell.identical)
+		switch {
+		case kind == "corrupt" && rate > 0 && injected == 0:
+			fmt.Fprintf(os.Stderr, "FAIL: rate %.2f rotted no byte: the cell tests nothing\n", rate)
+			failed = true
+		case kind == "corrupt":
+			// Bit rot legitimately loses data; the assertion is detection
+			// without panic or abort. The log was written whole, so every
+			// salvaged tail is detected rot: a rotted length that points
+			// past the end of the log reads as a torn record, not a
+			// corrupt one.
+			if rate > 0 && cell.truncated == 0 && cell.refused == 0 {
+				fmt.Fprintf(os.Stderr, "FAIL: rate %.2f: replay detected none of %d rotted bytes\n", rate, injected)
+				failed = true
+			}
+		case cell.lostAcked > 0 || !cell.identical:
+			fmt.Fprintf(os.Stderr, "FAIL: rate %.2f: recovery lost acknowledged uploads or diverged from the unbroken run\n", rate)
 			failed = true
 		}
 	}
 	if failed {
-		fmt.Fprintln(os.Stderr, "\nFAIL: recovery lost acknowledged uploads or diverged from the unbroken run")
 		os.Exit(1)
 	}
 	if kind == "corrupt" {
-		fmt.Println("\nOK: replay detected every injected corruption without panicking or aborting")
+		fmt.Println("\nOK: every fault rate rotted bytes, and replay detected the rot without panicking or aborting")
 		return
 	}
 	fmt.Println("\nOK: no fault rate lost an acknowledged upload; recovery+resend is byte-identical")
@@ -335,7 +350,7 @@ func storageRound(sr fault.StorageRates, readFault bool, seed uint64, uploads in
 	// Startup writes through the faulty FS too; retry like a supervisor
 	// restarting fleetd on a sick disk (the fault streams continue, so a
 	// retry is a fresh draw, not a replay of the same refusal).
-	agg, err := openRetry(walCfg(loadFS), 100)
+	agg, _, err := openRetry(walCfg(loadFS), 100)
 	if err != nil {
 		return cell, fmt.Errorf("open under injection: %w", err)
 	}
@@ -351,9 +366,9 @@ func storageRound(sr fault.StorageRates, readFault bool, seed uint64, uploads in
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				err := agg.SubmitDurable(reps[i].Clone(), ids[i])
+				err := agg.SubmitDurable(reps[i], ids[i])
 				for errors.Is(err, fleet.ErrQueueFull) {
-					err = agg.SubmitDurable(reps[i].Clone(), ids[i])
+					err = agg.SubmitDurable(reps[i], ids[i])
 				}
 				if err == nil {
 					acked[i].Store(true)
@@ -374,8 +389,14 @@ func storageRound(sr fault.StorageRates, readFault bool, seed uint64, uploads in
 
 	// Recover. Under read faults recovery itself is the system under test:
 	// it must never panic; refusing a corrupted base record is legitimate, so
-	// retry until the fault streams let a replay through.
-	recovered, err := openRetry(walCfg(recoverFS), 100)
+	// retry until the fault streams let a replay through. Bit rot dense
+	// enough to hit the base on every retry leaves nothing to compare.
+	recovered, refused, err := openRetry(walCfg(recoverFS), 100)
+	cell.refused = refused
+	if err != nil && sr.CorruptRead > 0 {
+		cell.stats = in.Stats()
+		return cell, nil
+	}
 	if err != nil {
 		return cell, fmt.Errorf("recovery: %w", err)
 	}
@@ -391,7 +412,7 @@ func storageRound(sr fault.StorageRates, readFault bool, seed uint64, uploads in
 	// clean FS and compare against the unbroken run.
 	for i := range reps {
 		if !acked[i].Load() {
-			if err := recovered.SubmitDurable(reps[i].Clone(), ids[i]); err != nil {
+			if err := recovered.SubmitDurable(reps[i], ids[i]); err != nil {
 				recovered.Close()
 				return cell, fmt.Errorf("resend %d: %w", i, err)
 			}
@@ -481,7 +502,7 @@ func runFleetscaleSweep(kind string, rates []float64, seed uint64, devices int, 
 				WAL: &fleet.WALConfig{Dir: dir, Sync: fleet.SyncBatch, CompactEvery: 16, FS: fs},
 			}
 		}
-		agg, err := openRetry(walCfg(fault.FaultyFS(fault.DiskFS, in)), 100)
+		agg, _, err := openRetry(walCfg(fault.FaultyFS(fault.DiskFS, in)), 100)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "FAIL: rate %.2f: open under injection: %v\n", rate, err)
 			os.Exit(1)
@@ -508,7 +529,7 @@ func runFleetscaleSweep(kind string, rates []float64, seed uint64, devices int, 
 
 		// Reopen on a clean filesystem: recovery must reproduce exactly the
 		// state the aggregator acknowledged and folded before closing.
-		recovered, err := openRetry(walCfg(nil), 10)
+		recovered, _, err := openRetry(walCfg(nil), 10)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "FAIL: rate %.2f: reopen: %v\n", rate, err)
 			os.Exit(1)
@@ -537,12 +558,18 @@ func runFleetscaleSweep(kind string, rates []float64, seed uint64, devices int, 
 	fmt.Println("\nOK: every upload acked or failed loudly; reopen is byte-identical; rate 0 matches the clean reference")
 }
 
-func openRetry(cfg fleet.Config, attempts int) (*fleet.Aggregator, error) {
+// openRetry opens cfg, retrying up to attempts times, and reports how many
+// opens failed.
+func openRetry(cfg fleet.Config, attempts int) (*fleet.Aggregator, int, error) {
 	agg, err := fleet.Open(cfg)
-	for i := 0; err != nil && i < attempts; i++ {
+	failed := 0
+	for err != nil {
+		if failed++; failed > attempts {
+			return nil, failed, err
+		}
 		agg, err = fleet.Open(cfg)
 	}
-	return agg, err
+	return agg, failed, nil
 }
 
 func exportReport(rep *core.Report) ([]byte, error) {

@@ -76,10 +76,6 @@ type Action struct {
 	inputOrigin stack.Origin
 }
 
-// InputOrigin returns the causal edge of this action's input-event
-// dispatches; zero before App.Finalize.
-func (a *Action) InputOrigin() stack.Origin { return a.inputOrigin }
-
 // CallerStack returns the action's precomputed handler-plus-framework stack
 // (what a sampler sees while the main thread runs caller-level code). It is
 // nil before App.Finalize. The stack is immutable and shared by every

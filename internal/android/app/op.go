@@ -371,10 +371,6 @@ func (o *Op) TaskLeafFrame() stack.Frame {
 	return o.LeafFrame()
 }
 
-// SpawnOrigin returns the causal edge tasks spawned by this op carry; zero
-// before App.Finalize or for non-async ops.
-func (o *Op) SpawnOrigin() stack.Origin { return o.spawnOrigin }
-
 // LeafFrame returns the innermost frame this op puts on the stack.
 func (o *Op) LeafFrame() stack.Frame {
 	if o.API != nil {

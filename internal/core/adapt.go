@@ -131,11 +131,3 @@ func HeavyAdapt(events []perf.Event, data []HeavyReading, maxEvents int) (AdaptR
 	}
 	return out, nil
 }
-
-// SetConditions installs adapted conditions on a Doctor (between actions).
-func (d *Doctor) SetConditions(conds []Condition) {
-	if len(conds) == 0 {
-		panic("core: SetConditions with empty set")
-	}
-	d.cfg.Conditions = append([]Condition(nil), conds...)
-}

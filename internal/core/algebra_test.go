@@ -218,11 +218,11 @@ func TestReportAlgebraLaws(t *testing.T) {
 			check("FoldReports", FoldReports(reportOf(a), reportOf(b)), ab)
 			check("FoldReportsShared", FoldReportsShared(reportOf(a), reportOf(b)), ab)
 			check("Clone", reportOf(a).Clone(), a)
-			for _, f := range reportOf(a).Split(3) {
-				if f != nil {
-					check("Split", f, a)
-				}
-			}
+			wired := reportOf(a)
+			wv := wired.Wire()
+			check("Wire", wv.Report(), a)
+			wired.Merge(reportOf(b))
+			check("Wire after its report's write", wv.Report(), a)
 			live := reportOf(a)
 			sc := NewSnapshotCache(live)
 			sc.Bump()
@@ -345,6 +345,9 @@ func TestReportAlgebraLaws(t *testing.T) {
 		}
 
 		r := foldFixture()
+		if !reflect.DeepEqual(r.Wire().Report(), r) {
+			t.Fatal("Report → Wire → Report differs from its source")
+		}
 		cl := r.Clone()
 		if !reflect.DeepEqual(cl, r) {
 			t.Fatal("clone differs from its source")

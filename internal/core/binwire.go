@@ -196,7 +196,7 @@ type BinaryEncoder struct {
 
 // NewBinaryEncoder returns an encoder for one device's upload stream.
 // device "" produces stateless self-contained documents (every document
-// carries its full dictionary) — the form used for WAL fragments, node
+// carries its full dictionary) — the form used for WAL records, node
 // snapshots, and canonical content hashing.
 func NewBinaryEncoder(device string) *BinaryEncoder {
 	return &BinaryEncoder{device: device, refs: map[string]uint32{}}
@@ -227,7 +227,7 @@ func (e *BinaryEncoder) Encode(rep *Report) []byte {
 
 // AppendReportBinary appends rep's canonical stateless encoding (full
 // dictionary, device "") to dst — the one-shot form used for content
-// hashing, WAL fragments, and node snapshots.
+// hashing, WAL records, and node snapshots.
 func AppendReportBinary(dst []byte, rep *Report) []byte {
 	e := NewBinaryEncoder("")
 	return e.appendDoc(dst, rep)
@@ -413,6 +413,31 @@ func (wr *WireReport) Report() *Report {
 	return out
 }
 
+// Wire returns r's wire view, the inverse of WireReport.Report: one entry
+// per key, in no particular order, and r's health. The entries' device
+// lists are cut from one backing array, so the view costs the same few
+// allocations at any size, and it shares nothing mutable with r: writing
+// r afterwards leaves the view as it was.
+func (r *Report) Wire() *WireReport {
+	devs := 0
+	r.entries.each(func(l *trieLeaf) { devs += len(l.e.Devices) })
+	wr := &WireReport{Entries: make([]WireEntry, 0, r.entries.n), Health: r.Health}
+	backing := make([]string, 0, devs)
+	r.entries.each(func(l *trieLeaf) {
+		e, from := l.e, len(backing)
+		for d := range e.Devices {
+			backing = append(backing, d)
+		}
+		wr.Entries = append(wr.Entries, WireEntry{
+			Key: l.key, App: e.App, ActionUID: e.ActionUID, RootCause: e.RootCause,
+			File: e.File, Line: e.Line, ViaCaller: e.ViaCaller, Hangs: e.Hangs,
+			Devices:     backing[from:len(backing):len(backing)],
+			MaxResponse: e.MaxResponse, SumResponse: e.SumResponse, Chain: e.Chain,
+		})
+	})
+	return wr
+}
+
 // MergeWire folds a decoded binary upload into r without intermediate maps
 // or re-keying: entry keys come precomputed from the dictionary, so merging
 // into an entry the report already holds allocates nothing.
@@ -421,9 +446,9 @@ func (r *Report) MergeWire(wr *WireReport) {
 	r.MergeWireEntries(wr.Entries)
 }
 
-// MergeWireEntries merges decoded entries into r. It is the shard-side hot
-// path of binary ingest: a fragment of wire entries goes straight from the
-// decoder into the shard's report.
+// MergeWireEntries merges wire entries into r. It is the shard-side merge
+// of every upload: a fragment of wire entries goes straight from the
+// decoder, or from Report.Wire, into the shard's report.
 func (r *Report) MergeWireEntries(entries []WireEntry) {
 	for i := range entries {
 		we := &entries[i]

@@ -325,20 +325,39 @@ func TestBinaryDecodeScratchAllocs(t *testing.T) {
 	}
 }
 
-// TestShardIndexKeyMatchesShardIndex: the key-form router must agree with
-// the field-form router (a report upload and a wire upload must agree on
-// shard ownership).
+// TestShardIndexKeyMatchesShardIndex: a report upload (its Wire view) and
+// the same report as a decoded binary upload must agree on shard
+// ownership, fragment for fragment.
 func TestShardIndexKeyMatchesShardIndex(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		rep := synthReport(seed, "d", 20)
-		for _, e := range rep.Entries() {
-			for _, shards := range []int{1, 2, 4, 7, 16} {
-				byFields := ShardIndex(e.App, e.ActionUID, e.RootCause, shards)
-				byKey := ShardIndexKey(entryKey(e.App, e.ActionUID, e.RootCause), shards)
-				if byFields != byKey {
-					t.Fatalf("shard routing diverges for %s: %d vs %d", e.RootCause, byFields, byKey)
+		rep.Health.StacksDropped = int(seed)
+		decoded, err := NewBinaryDecoder().Decode(AppendReportBinary(nil, rep))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range []int{1, 2, 4, 7, 16} {
+			byWire, byDecode := shardParts(rep.Wire(), shards), shardParts(decoded, shards)
+			for i := range byWire {
+				if (byWire[i] == nil) != (byDecode[i] == nil) ||
+					byWire[i] != nil && !bytes.Equal(exportJSON(t, byWire[i]), exportJSON(t, byDecode[i])) {
+					t.Fatalf("seed %d, shards=%d: shard %d differs between the Wire view and the decoded upload", seed, shards, i)
 				}
 			}
 		}
+	}
+}
+
+// TestWireAllocs: a report's wire view costs the same few allocations
+// whatever its entry count, because every entry's device list is cut from
+// one backing array.
+func TestWireAllocs(t *testing.T) {
+	var allocs []float64
+	for _, entries := range []int{4, 120} {
+		rep := synthReport(3, "device-a", entries)
+		allocs = append(allocs, testing.AllocsPerRun(100, func() { rep.Wire() }))
+	}
+	if allocs[0] != allocs[1] || allocs[1] > 3 {
+		t.Errorf("Wire allocates %v for 4 and 120 entries, want one count of at most 3", allocs)
 	}
 }

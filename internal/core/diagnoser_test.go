@@ -166,6 +166,20 @@ func TestStateMachineLegalEdges(t *testing.T) {
 	}
 }
 
+// TestTransitionAllocs: a legal transition reads the one Figure 3 edge
+// table and allocates nothing.
+func TestTransitionAllocs(t *testing.T) {
+	r := &actionRecord{uid: "x", state: Uncategorized}
+	allocs := testing.AllocsPerRun(100, func() {
+		r.state = Uncategorized
+		r.transition(Suspicious)
+		r.transition(HangBug)
+	})
+	if allocs != 0 {
+		t.Fatalf("a legal transition allocates %v times, want 0", allocs)
+	}
+}
+
 func TestStateMachineIllegalEdgePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

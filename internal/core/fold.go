@@ -1,12 +1,12 @@
 package core
 
 // This file holds the merge/fold helpers the fleet ingestion service builds
-// on: partitioning a device upload into per-shard fragments and folding the
-// shard-local reports back into one fleet view. Every operation here is a
-// rearrangement of Merge's commutative sums and set unions, so any
-// partition/fold composition yields byte-identical Export/Render output to a
-// serial Merge of the same uploads — the determinism guarantee the sharded
-// server's tests pin down.
+// on: routing an upload's wire entries to per-shard fragments and folding
+// the shard-local reports back into one fleet view. Every operation here is
+// a rearrangement of Merge's commutative sums and set unions, so any
+// partition/fold composition yields byte-identical Export/Render output to
+// a serial Merge of the same uploads — the determinism guarantee the
+// sharded server's tests pin down.
 
 // fnv64a hashes s with FNV-1a inline (no hash.Hash allocation — shard
 // routing runs once per entry on the submit hot path).
@@ -19,16 +19,11 @@ func fnv64a(s string) uint64 {
 	return h
 }
 
-// ShardIndex returns the shard an entry belongs to: a stable FNV-1a hash of
-// the entry identity modulo the shard count. Every device reporting the
-// same (app, action, root cause) lands on the same shard, so each shard owns
-// a disjoint slice of the fleet's entry key space.
-func ShardIndex(appName, actionUID, rootCause string, shards int) int {
-	return ShardIndexKey(entryKey(appName, actionUID, rootCause), shards)
-}
-
-// ShardIndexKey is ShardIndex for an already-built entry key (the form
-// decoded binary uploads carry); it hashes without allocating.
+// ShardIndexKey returns the shard an entry belongs to: a stable FNV-1a
+// hash of its entry key modulo the shard count, computed without
+// allocating. Every device reporting the same (app, action, root cause)
+// lands on the same shard, so each shard owns a disjoint slice of the
+// fleet's entry key space.
 func ShardIndexKey(key string, shards int) int {
 	if shards <= 1 {
 		return 0
@@ -40,40 +35,6 @@ func ShardIndexKey(key string, shards int) int {
 // affects the other.
 func (r *Report) Clone() *Report {
 	return &Report{entries: r.entries.deepCopy(), totalHangs: r.totalHangs, Health: r.Health}
-}
-
-// Split partitions the report into shards fragment reports by ShardIndex of
-// each entry. The report's Health counters ride on fragment 0 (they are
-// device-wide, not per-entry, and must be counted exactly once), and each
-// fragment's hang total covers only its own entries, so merging every
-// fragment reconstructs the original report exactly. Entries are deep-copied;
-// the receiver is left untouched. Fragments with no entries and zero health
-// are returned as nil so callers can skip routing them.
-func (r *Report) Split(shards int) []*Report {
-	if shards <= 1 {
-		frag := r.Clone()
-		if frag.Len() == 0 && frag.Health.Zero() {
-			return []*Report{nil}
-		}
-		return []*Report{frag}
-	}
-	out := make([]*Report, shards)
-	frag := func(i int) *Report {
-		if out[i] == nil {
-			out[i] = NewReport()
-		}
-		return out[i]
-	}
-	if !r.Health.Zero() {
-		frag(0).Health = r.Health
-	}
-	r.entries.each(func(l *trieLeaf) {
-		e := l.e
-		f := frag(ShardIndex(e.App, e.ActionUID, e.RootCause, shards))
-		f.entries.bind(l.key, e, nil)
-		f.totalHangs = satAdd(f.totalHangs, e.Hangs)
-	})
-	return out
 }
 
 // FoldReports merges parts (nil entries are skipped) into a fresh report.

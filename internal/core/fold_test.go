@@ -39,17 +39,33 @@ func exportBytes(t *testing.T, r *Report) []byte {
 	return buf.Bytes()
 }
 
-// TestSplitFoldRoundTrip: splitting a report into any number of fragments
-// and folding them back must reproduce the original byte-for-byte, and must
-// leave the source untouched.
+// shardParts partitions a wire view as a fleet node routes an upload: its
+// entries by ShardIndexKey, its health on part 0. Each part is a report of
+// its own, nil when it holds nothing.
+func shardParts(wr *WireReport, shards int) []*Report {
+	runs := make([]WireReport, shards)
+	runs[0].Health = wr.Health
+	for _, e := range wr.Entries {
+		s := ShardIndexKey(e.Key, shards)
+		runs[s].Entries = append(runs[s].Entries, e)
+	}
+	parts := make([]*Report, shards)
+	for i := range runs {
+		if len(runs[i].Entries) > 0 || !runs[i].Health.Zero() {
+			parts[i] = runs[i].Report()
+		}
+	}
+	return parts
+}
+
+// TestSplitFoldRoundTrip: splitting a report's wire view into any number of
+// fragments and folding them back must reproduce the original
+// byte-for-byte, and must leave the source untouched.
 func TestSplitFoldRoundTrip(t *testing.T) {
 	r := foldFixture()
 	want := exportBytes(t, r)
 	for _, shards := range []int{1, 2, 3, 8, 32} {
-		frags := r.Split(shards)
-		if len(frags) != shards {
-			t.Fatalf("Split(%d) returned %d fragments", shards, len(frags))
-		}
+		frags := shardParts(r.Wire(), shards)
 		hangs := 0
 		for _, f := range frags {
 			if f != nil {
@@ -68,35 +84,7 @@ func TestSplitFoldRoundTrip(t *testing.T) {
 		}
 	}
 	if got := exportBytes(t, r); !bytes.Equal(got, want) {
-		t.Error("Split mutated its receiver")
-	}
-}
-
-// TestSplitSkipsEmptyFragments: an upload with nothing for a shard yields a
-// nil fragment so the router can skip the send entirely.
-func TestSplitSkipsEmptyFragments(t *testing.T) {
-	r := NewReport()
-	diag := Diagnosis{RootCause: "com.example.Only.run", File: "Only.java", Line: 1}
-	r.Add("app", "dev", "app/Act", diag, 200*simclock.Millisecond)
-	frags := r.Split(64)
-	nonNil := 0
-	for _, f := range frags {
-		if f != nil {
-			nonNil++
-		}
-	}
-	if nonNil != 1 {
-		t.Errorf("single-entry report split into %d non-nil fragments, want 1", nonNil)
-	}
-	if empty := NewReport().Split(4); func() bool {
-		for _, f := range empty {
-			if f != nil {
-				return false
-			}
-		}
-		return true
-	}() == false {
-		t.Error("empty zero-health report produced non-nil fragments")
+		t.Error("Wire mutated its receiver")
 	}
 }
 
@@ -121,20 +109,20 @@ func TestCloneIsIndependent(t *testing.T) {
 func TestShardIndexStable(t *testing.T) {
 	seen := map[int]bool{}
 	for i := 0; i < 100; i++ {
-		app, action, root := fmt.Sprintf("a%d", i%5), fmt.Sprintf("act%d", i), fmt.Sprintf("r%d", i%13)
-		idx := ShardIndex(app, action, root, 8)
+		key := entryKey(fmt.Sprintf("a%d", i%5), fmt.Sprintf("act%d", i), fmt.Sprintf("r%d", i%13))
+		idx := ShardIndexKey(key, 8)
 		if idx < 0 || idx >= 8 {
-			t.Fatalf("ShardIndex out of range: %d", idx)
+			t.Fatalf("ShardIndexKey out of range: %d", idx)
 		}
-		if idx != ShardIndex(app, action, root, 8) {
-			t.Fatal("ShardIndex not deterministic")
+		if idx != ShardIndexKey(key, 8) {
+			t.Fatal("ShardIndexKey not deterministic")
 		}
 		seen[idx] = true
 	}
 	if len(seen) < 2 {
 		t.Errorf("100 keys all hashed to %d shard(s)", len(seen))
 	}
-	if ShardIndex("a", "b", "c", 1) != 0 || ShardIndex("a", "b", "c", 0) != 0 {
+	if key := entryKey("a", "b", "c"); ShardIndexKey(key, 1) != 0 || ShardIndexKey(key, 0) != 0 {
 		t.Error("degenerate shard counts must map to shard 0")
 	}
 }

@@ -81,7 +81,3 @@ func newDoctorMetrics(d *Doctor) *doctorMetrics {
 // the four stage-latency histograms. Snapshots from many Doctors merge
 // with obs.MergeSnapshots.
 func (d *Doctor) Metrics() obs.Snapshot { return d.metrics.reg.Snapshot() }
-
-// MetricsRegistry exposes the live registry, for serving /metrics off a
-// running Doctor.
-func (d *Doctor) MetricsRegistry() *obs.Registry { return d.metrics.reg }

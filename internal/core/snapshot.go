@@ -128,7 +128,7 @@ func (r *Report) addShared(part *Report) {
 
 // FoldReportsShared is FoldReports for immutable parts with (mostly)
 // disjoint entry-key sets — the shape of shard snapshots, whose keys are
-// routed by ShardIndex. Entries are shared, not deep-copied, so the fold
+// routed by ShardIndexKey. Entries are shared, not deep-copied, so the fold
 // costs trie inserts instead of device-set clones; collisions fall back to
 // a copy-on-write merge, keeping the result byte-identical to FoldReports
 // for any input. The result must be treated as read-only.

@@ -263,7 +263,7 @@ func TestSnapshotRandomBatches(t *testing.T) {
 // must never mutate its inputs.
 func TestFoldReportsSharedByteIdentical(t *testing.T) {
 	r := foldFixture()
-	disjoint := r.Split(4)
+	disjoint := shardParts(r.Wire(), 4)
 	overlapping := []*Report{r.Clone(), foldFixture(), nil, r.Clone()}
 	for name, parts := range map[string][]*Report{"disjoint": disjoint, "overlapping": overlapping} {
 		before := make([][]byte, len(parts))
@@ -292,7 +292,7 @@ func TestFoldReportsSharedByteIdentical(t *testing.T) {
 func TestFoldCacheIncremental(t *testing.T) {
 	base := foldFixture()
 	const shards = 4
-	parts := base.Split(shards)
+	parts := shardParts(base.Wire(), shards)
 	vers := []uint64{1, 1, 1, 1}
 	var fc FoldCache
 	r1, hit := fc.Update(parts, vers)
@@ -311,7 +311,7 @@ func TestFoldCacheIncremental(t *testing.T) {
 	grown := base.Clone()
 	diag := Diagnosis{RootCause: "com.example.Grow.run", File: "Grow.java", Line: 7}
 	grown.Add("app-9", "device-g", "app-9/Act", diag, 150*simclock.Millisecond)
-	next := grown.Split(shards)
+	next := shardParts(grown.Wire(), shards)
 	nextVers := make([]uint64, shards)
 	moved := 0
 	for i := range next {
@@ -346,7 +346,7 @@ func TestFoldCacheIncremental(t *testing.T) {
 	}
 
 	// Part-count change invalidates the structure and rebuilds.
-	r3, _ := fc.Update(grown.Split(8), make([]uint64, 8))
+	r3, _ := fc.Update(shardParts(grown.Wire(), 8), make([]uint64, 8))
 	if got, want := exportBytes(t, r3), exportBytes(t, grown); !bytes.Equal(got, want) {
 		t.Fatal("rebuild after part-count change diverged")
 	}

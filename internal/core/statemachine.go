@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // ActionState is the per-action state Hang Doctor transitions through its
 // two-phase algorithm (Figure 3 of the paper).
@@ -59,25 +62,25 @@ type actionRecord struct {
 	quarantineLeft int
 }
 
+// fig3Edges lists, for each state, the states the paper's Figure 3 lets it
+// move to.
+var fig3Edges = [...][]ActionState{
+	Uncategorized: {Normal, Suspicious},
+	Suspicious:    {Normal, HangBug, Suspicious},
+	Normal:        {Uncategorized},
+	HangBug:       {HangBug},
+}
+
 // transition records a state change, enforcing the legal edges of the
 // paper's Figure 3.
 func (r *actionRecord) transition(to ActionState) {
-	legal := map[ActionState][]ActionState{
-		Uncategorized: {Normal, Suspicious},
-		Suspicious:    {Normal, HangBug, Suspicious},
-		Normal:        {Uncategorized},
-		HangBug:       {HangBug},
+	if !slices.Contains(fig3Edges[r.state], to) {
+		panic(fmt.Sprintf("core: illegal transition %v -> %v for %s", r.state, to, r.uid))
 	}
-	for _, ok := range legal[r.state] {
-		if ok == to {
-			if to == Normal {
-				r.sinceNormal = 0
-			}
-			r.state = to
-			return
-		}
+	if to == Normal {
+		r.sinceNormal = 0
 	}
-	panic(fmt.Sprintf("core: illegal transition %v -> %v for %s", r.state, to, r.uid))
+	r.state = to
 }
 
 // StateTransition is an audit-log entry of a state change (consumed by the

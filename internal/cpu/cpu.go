@@ -219,9 +219,6 @@ type Gate struct {
 // NewGate returns a closed gate.
 func NewGate() *Gate { return &Gate{} }
 
-// Opened reports whether Open has been called.
-func (g *Gate) Opened() bool { return g.open }
-
 // Open releases the gate, waking every thread parked in a WaitGate on it.
 // Waiters that exited while parked are skipped. Opening twice panics: the
 // one-shot contract keeps completion accounting honest.
@@ -493,9 +490,6 @@ func (s *Scheduler) SetTimeslice(d simclock.Duration) {
 
 // Clock returns the shared simulation clock.
 func (s *Scheduler) Clock() *simclock.Clock { return s.clk }
-
-// NumCores returns the number of simulated cores.
-func (s *Scheduler) NumCores() int { return len(s.cores) }
 
 // BusyNs returns total CPU nanoseconds consumed by all threads so far; the
 // denominator for overhead percentages.

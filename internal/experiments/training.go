@@ -65,10 +65,6 @@ func TrainingSet(c *corpus.Corpus) []TrainingItem {
 	return items
 }
 
-// ValidationBugs returns the paper's validation set: the 23 bugs missed by
-// offline detection.
-func ValidationBugs(c *corpus.Corpus) []*app.Bug { return c.MissedOfflineBugs() }
-
 // SampleSet holds per-event sample vectors for the correlation analyses,
 // in both thread-selection modes of Table 3.
 type SampleSet struct {

@@ -15,8 +15,8 @@ package fault
 //   - short read: a read returns fewer bytes than asked with no error —
 //     contract-legal for io.Reader, and exactly the case sloppy decoders
 //     mishandle;
-//   - corrupt read: bit rot flips a byte, which the WAL's per-record CRC
-//     must catch.
+//   - corrupt read: bit rot flips bits in the bytes a read returns, which
+//     the WAL's per-record CRC must catch.
 //
 // Decision streams derive from (seed, file name) and persist across
 // reopens of the same name, so a run draws one reproducible sequence per
@@ -104,8 +104,10 @@ type StorageRates struct {
 	// DiskFull is the per-Write probability of an up-front ENOSPC-style
 	// refusal (nothing written).
 	DiskFull float64
-	// CorruptRead is the per-Read probability that one returned byte has
-	// a bit flipped (bit rot the CRC must catch).
+	// CorruptRead is the per-byte probability that a byte a Read returns
+	// has a bit flipped (bit rot the CRC must catch). It is per byte, not
+	// per Read, so a log replayed in a few large reads still rots at the
+	// rate its size implies.
 	CorruptRead float64
 }
 
@@ -144,7 +146,7 @@ type StorageStats struct {
 	ShortReads   int64
 	FsyncFails   int64
 	DiskFulls    int64
-	CorruptReads int64
+	CorruptBytes int64
 }
 
 // StorageInjector makes storage-fault decisions. Unlike the measurement
@@ -167,7 +169,7 @@ type StorageInjector struct {
 	shortReads   atomic.Int64
 	fsyncFails   atomic.Int64
 	diskFulls    atomic.Int64
-	corruptReads atomic.Int64
+	corruptBytes atomic.Int64
 }
 
 // NewStorage builds a storage injector whose per-file decisions are a
@@ -218,7 +220,7 @@ func (in *StorageInjector) Stats() StorageStats {
 		ShortReads:   in.shortReads.Load(),
 		FsyncFails:   in.fsyncFails.Load(),
 		DiskFulls:    in.diskFulls.Load(),
-		CorruptReads: in.corruptReads.Load(),
+		CorruptBytes: in.corruptBytes.Load(),
 	}
 }
 
@@ -291,9 +293,15 @@ func (f *faultyFile) Read(p []byte) (int, error) {
 		p = p[:1+f.s.short.Intn(len(p)-1)]
 	}
 	n, err := f.f.Read(p)
-	if n > 0 && fire(f.s.corrupt, f.in.rates.CorruptRead) {
-		f.in.corruptReads.Add(1)
-		p[f.s.corrupt.Intn(n)] ^= 0x40
+	if rate := f.in.rates.CorruptRead; rate > 0 {
+		flips := 0
+		for i := range p[:n] {
+			if fire(f.s.corrupt, rate) {
+				p[i] ^= 0x40
+				flips++
+			}
+		}
+		f.in.corruptBytes.Add(int64(flips))
 	}
 	return n, err
 }

@@ -104,32 +104,41 @@ func TestShortReadIsLossless(t *testing.T) {
 	}
 }
 
-// TestCorruptReadFlipsBits: corrupt reads must actually change bytes (and
-// count them), never lengths.
+// TestCorruptReadFlipsBits: corrupt reads must actually change bytes,
+// each byte at the configured rate however few reads deliver them, and
+// count them, never changing lengths.
 func TestCorruptReadFlipsBits(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "data")
 	want := bytes.Repeat([]byte{0x00}, 1<<16)
 	if err := os.WriteFile(path, want, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	in := NewStorage(13, StorageRates{CorruptRead: 0.5})
-	f, err := FaultyFS(DiskFS, in).OpenFile(path, os.O_RDONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	got, err := io.ReadAll(readerFunc(f.Read))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("corrupt reads changed the length: %d, want %d", len(got), len(want))
-	}
-	if bytes.Equal(got, want) {
-		t.Error("no bytes flipped at rate 0.5")
-	}
-	if in.Stats().CorruptReads == 0 {
-		t.Error("corrupt reads went uncounted")
+	for _, rate := range []float64{0.01, 0.5} {
+		in := NewStorage(13, StorageRates{CorruptRead: rate})
+		f, err := FaultyFS(DiskFS, in).OpenFile(path, os.O_RDONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(readerFunc(f.Read))
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("rate %v: corrupt reads changed the length: %d, want %d", rate, len(got), len(want))
+		}
+		flipped := 0
+		for i := range got {
+			if got[i] != want[i] {
+				flipped++
+			}
+		}
+		if n := in.Stats().CorruptBytes; n != int64(flipped) {
+			t.Errorf("rate %v: %d bytes flipped, %d counted", rate, flipped, n)
+		}
+		if exp := rate * float64(len(want)); float64(flipped) < exp/2 || float64(flipped) > exp*2 {
+			t.Errorf("rate %v: %d of %d bytes flipped, want about %.0f", rate, flipped, len(want), exp)
+		}
 	}
 }
 

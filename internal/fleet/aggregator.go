@@ -5,12 +5,13 @@
 // The write path is sharded: an upload takes one of a bounded number of
 // admission slots (backpressure, not unbounded buffering, when ingest
 // outruns merging), is split on its submitter's goroutine by a stable hash
-// of each entry's identity into per-shard fragments, and is merged by N
-// single-writer shard goroutines, each owning a private core.Report. Reads
-// fold shard snapshots on demand. Because core.Report.Merge is commutative
-// and associative, the folded view is byte-identical to a serial merge of
-// the same uploads regardless of shard count, batch boundaries, or arrival
-// order — the property the determinism tests pin down.
+// of each entry's identity into per-shard runs of wire entries, and is
+// merged by N single-writer shard goroutines, each owning a private
+// core.Report. Reads fold shard snapshots on demand. Because
+// core.Report.Merge is commutative and associative, the folded view is
+// byte-identical to a serial merge of the same uploads regardless of shard
+// count, batch boundaries, or arrival order — the property the determinism
+// tests pin down.
 //
 // With a WALConfig the aggregator is also durable: a committer goroutine
 // appends each upload, whole, to one node log (see wal.go) and routes its
@@ -44,6 +45,10 @@ var (
 	// path) while the submission was in flight; the upload was not
 	// acknowledged and should be resent after recovery.
 	ErrCrashed = errors.New("fleet: aggregator crashed")
+	// ErrRecordTooLarge means a durable node refused an upload whose log
+	// record would exceed the WAL's frame bound; the same upload can never
+	// be logged, so resending it is futile (mapped to 413).
+	ErrRecordTooLarge = errors.New("fleet: wal record too large")
 )
 
 // Config parameterizes an Aggregator. The zero value is completed by
@@ -132,13 +137,11 @@ type shardSnap struct {
 }
 
 // shardMsg is the only thing that crosses into a shard goroutine: a
-// fragment to merge (with its upload's ack), a slice of decoded wire
-// entries from the binary fast path (optionally carrying the upload's
-// health section, which rides shard 0), or a control request (a versioned
-// snapshot, with delta set the changes since version since, or with only
-// ack set a fence that completes the ack).
+// fragment to merge with its upload's ack — a run of the upload's wire
+// entries, and on shard 0 its health section — or a control request (a
+// versioned snapshot, with delta set the changes since version since, or
+// with only ack set a fence that completes the ack).
 type shardMsg struct {
-	frag   *core.Report
 	wire   []core.WireEntry
 	health *core.Health
 	ack    *uploadAck
@@ -150,15 +153,12 @@ type shardMsg struct {
 // payload reports whether the message carries data to merge (as opposed to
 // a snapshot/delta/fence control request).
 func (m *shardMsg) payload() bool {
-	return m.frag != nil || m.wire != nil || m.health != nil
+	return m.wire != nil || m.health != nil
 }
 
-// merge folds the message's payload into rep, whichever form it carries.
+// merge folds the message's payload into rep: the one merge of the shard
+// loop and of WAL replay.
 func (m *shardMsg) merge(rep *core.Report) {
-	if m.frag != nil {
-		rep.Merge(m.frag)
-		return
-	}
 	if m.health != nil {
 		rep.Health.Add(*m.health)
 	}
@@ -212,10 +212,10 @@ type Aggregator struct {
 
 // Open starts the shard goroutines (and, with a WAL, the committer) and
 // returns an aggregator ready for uploads. With cfg.WAL set, it first
-// replays the node's log into the shards' starting state, splitting each
-// record as submit splits a live binary upload — Open does not return (and
-// intake does not open) until recovery is complete, and recovery failures
-// are returned here.
+// replays the node's log into the shards' starting state, splitting and
+// merging each record as submit and the shards do a live upload — Open
+// does not return (and intake does not open) until recovery is complete,
+// and recovery failures are returned here.
 // Call Close to drain and stop the aggregator.
 func Open(cfg Config) (*Aggregator, error) {
 	cfg = cfg.withDefaults()
@@ -240,11 +240,8 @@ func Open(cfg Config) (*Aggregator, error) {
 		a.walM = a.metrics.initWAL()
 		var err error
 		if w, err = openNodeWAL(cfg.WAL, a.walM, func(wr *core.WireReport) {
-			for i, m := range a.split(nil, wr) {
-				starts[i].MergeWireEntries(m.wire)
-				if m.health != nil {
-					starts[i].Health.Add(*m.health)
-				}
+			for i, m := range a.split(wr) {
+				m.merge(starts[i])
 			}
 		}); err != nil {
 			return nil, err
@@ -333,10 +330,12 @@ func (a *Aggregator) scrape() {
 // submit is the one way in for uploads, run on the submitter's goroutine.
 // It refuses uploads after Close, takes an admission slot (waiting if
 // block, else failing fast with ErrQueueFull), counts the upload, splits
-// it and hands it on — to the shards on a memory-only node, or as its log
-// record plus fragments to the committer on a durable one — then gives the
-// slot back. Exactly one of rep and wr is set; id is the upload's content
-// hash or zero; ack, if set, settles once the upload has merged.
+// its wire view (a report upload's is made here, once) and hands it on —
+// to the shards on a memory-only node, or as its log record plus fragments
+// to the committer on a durable one — then gives the slot back. Exactly one
+// of rep and wr is set; id is the upload's content hash or zero; ack, if
+// set, settles once the upload has merged. Nothing handed on refers to
+// rep, so the caller keeps it.
 //
 // The read lock is held until the hand-off lands, so Close and Crash, which
 // take the write lock, never close a channel under a submitter. Nor does
@@ -360,7 +359,10 @@ func (a *Aggregator) submit(rep *core.Report, wr *core.WireReport, id UploadID, 
 		}
 	}
 	a.metrics.accepted.Inc()
-	frags := a.split(rep, wr)
+	if wr == nil {
+		wr = rep.Wire()
+	}
+	frags := a.split(wr)
 	if a.commit == nil {
 		a.route(frags, ack)
 	} else {
@@ -376,10 +378,10 @@ func (a *Aggregator) submit(rep *core.Report, wr *core.WireReport, id UploadID, 
 
 // SubmitWait submits one validated upload, waiting for an admission slot,
 // and returns once it is handed off — to the shards' channels, or with a
-// WAL to the committer — not merged. The aggregator owns the report from
-// then on. Bulk importers (cmd/fleet) and benchmarks use it; devices go
-// through the HTTP handlers, which fail fast so overload turns into
-// backpressure.
+// WAL to the committer — not merged. The caller keeps the report: what is
+// handed off is a copy. Bulk importers (cmd/fleet) and benchmarks use it;
+// devices go through the HTTP handlers, which fail fast so overload turns
+// into backpressure.
 func (a *Aggregator) SubmitWait(rep *core.Report) error {
 	return a.submit(rep, nil, UploadID{}, nil, true)
 }
@@ -463,22 +465,14 @@ func (a *Aggregator) submitAcked(rep *core.Report, wr *core.WireReport, id Uploa
 	}
 }
 
-// split cuts an upload into one message per shard, in the upload's own
-// form: a report into fragment reports (Report.Split), a decoded binary
-// upload into per-shard runs of its already-keyed entries, routed by
-// core.ShardIndexKey, with its health section riding shard 0. The runs
-// are cut from one backing array: split hashes each entry once, counts
-// each shard's run, then fills the runs in upload order. A shard's
-// message is empty when it gets nothing.
-func (a *Aggregator) split(rep *core.Report, wr *core.WireReport) []shardMsg {
+// split cuts an upload's wire view into one message per shard: runs of
+// its already-keyed entries, routed by core.ShardIndexKey, with its health
+// section riding shard 0. The runs are cut from one backing array: split
+// hashes each entry once, counts each shard's run, then fills the runs in
+// upload order. A shard's message is empty when it gets nothing.
+func (a *Aggregator) split(wr *core.WireReport) []shardMsg {
 	n := a.cfg.Shards
 	msgs := make([]shardMsg, n)
-	if wr == nil {
-		for i, frag := range rep.Split(n) {
-			msgs[i].frag = frag
-		}
-		return msgs
-	}
 	ents := wr.Entries
 	scratch := make([]int, len(ents)+n) // each entry's shard, then each shard's run length
 	shardOf, runs := scratch[:len(ents)], scratch[len(ents):]
@@ -780,9 +774,6 @@ func (a *Aggregator) Fold() *core.Report {
 	rep, _ := a.FoldVersioned()
 	return rep
 }
-
-// Epoch identifies this aggregator instance in version vectors.
-func (a *Aggregator) Epoch() uint64 { return a.epoch }
 
 // FoldVersioned is Fold plus the shard version vector the fold covers —
 // the value a delta-polling client echoes back as /v1/snapshot?since=.

@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
 	"hangdoctor/internal/core"
+	"hangdoctor/internal/simclock"
 )
 
 // postBinary uploads one binary document, returning the response.
@@ -70,10 +72,39 @@ func TestSplitAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		allocs = append(allocs, testing.AllocsPerRun(100, func() { agg.split(nil, wr) }))
+		allocs = append(allocs, testing.AllocsPerRun(100, func() { agg.split(wr) }))
 	}
 	if allocs[0] != allocs[1] || allocs[1] > 4 {
 		t.Errorf("split allocates %v for 4 and 120 entries, want one count of at most 4", allocs)
+	}
+}
+
+// TestSplitSkipsEmptyFragments: a shard an upload has nothing for gets an
+// empty message, which route skips, and the health section rides shard 0
+// alone.
+func TestSplitSkipsEmptyFragments(t *testing.T) {
+	agg := NewAggregator(Config{Shards: 64})
+	defer agg.Close()
+	payloads := func(rep *core.Report) (shards []int) {
+		for i, m := range agg.split(rep.Wire()) {
+			if m.payload() {
+				shards = append(shards, i)
+			}
+		}
+		return shards
+	}
+	one := core.NewReport()
+	one.Add("app", "dev", "app/Act", core.Diagnosis{RootCause: "com.example.Only.run", File: "Only.java", Line: 1}, 200*simclock.Millisecond)
+	if got := payloads(one); len(got) != 1 {
+		t.Errorf("single-entry upload split into %d non-empty fragments, want 1", len(got))
+	}
+	if got := payloads(core.NewReport()); len(got) != 0 {
+		t.Errorf("empty zero-health upload produced non-empty fragments on shards %v", got)
+	}
+	healthOnly := core.NewReport()
+	healthOnly.Health.StacksDropped = 1
+	if got := payloads(healthOnly); !slices.Equal(got, []int{0}) {
+		t.Errorf("health-only upload has payload on shards %v, want [0]", got)
 	}
 }
 

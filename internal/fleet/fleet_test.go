@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"hangdoctor/internal/core"
+	"hangdoctor/internal/simclock"
 )
 
 // uploads builds n distinct synthetic device reports.
@@ -304,6 +305,37 @@ func postUpload(h http.Handler, ctype string, doc []byte) error {
 		return ErrClosed
 	}
 	return fmt.Errorf("status %d", rec.Code)
+}
+
+// TestSubmitKeepsNoReference: a report upload is handed on as a copy, so
+// its caller may write the report as soon as the submit returns — before
+// the shards merge it, on a memory-only node and a durable one. Under
+// -race a shared device set or entry is a reported data race.
+func TestSubmitKeepsNoReference(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
+			cfg := Config{Shards: 3}
+			if durable {
+				cfg = durableCfg(t.TempDir(), 3)
+			}
+			agg := mustOpen(t, cfg)
+			rep := SyntheticUpload(21, "device-keep", 30)
+			rep.Health.StacksDropped = 2
+			want := exportBytes(t, rep)
+			if err := agg.SubmitWait(rep); err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range rep.Entries() {
+				rep.Add(e.App, "device-later", e.ActionUID,
+					core.Diagnosis{RootCause: e.RootCause, File: e.File, Line: e.Line}, simclock.Second)
+			}
+			rep.Health.StacksDropped++
+			agg.Close()
+			if got := exportBytes(t, agg.Fold()); !bytes.Equal(got, want) {
+				t.Error("a write to the report after its submit reached the fleet view")
+			}
+		})
+	}
 }
 
 // TestUploadAnswersAfterMerge: on a memory-only node a 202 means merged,

@@ -62,8 +62,8 @@ func TestObsViewMatchesSnapshot(t *testing.T) {
 			for i := g; i < 200; i += 16 {
 				rep := SyntheticUpload(int64(i), fmt.Sprintf("dev-%d", i%7), 4)
 				frags := 0
-				for _, f := range rep.Split(shards) {
-					if f != nil {
+				for _, m := range agg.split(rep.Wire()) {
+					if m.payload() {
 						frags++
 					}
 				}

@@ -87,9 +87,6 @@ func NewRegional(nodes []string, client *http.Client) *Regional {
 	return r
 }
 
-// Nodes returns the configured node list.
-func (r *Regional) Nodes() []string { return append([]string(nil), r.nodes...) }
-
 // nodeFetch is one node's decoded /v1/snapshot response.
 type nodeFetch struct {
 	wr    *core.WireReport

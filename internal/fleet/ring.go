@@ -28,7 +28,6 @@ const defaultRingReplicas = 128
 // Ring is an immutable consistent-hash ring over node names. Build one
 // with NewRing; share it freely (reads only).
 type Ring struct {
-	nodes  []string
 	hashes []uint64 // sorted virtual points
 	owner  []string // owner[i] owns hashes[i]
 }
@@ -41,7 +40,6 @@ func NewRing(nodes []string, replicas int) *Ring {
 		replicas = defaultRingReplicas
 	}
 	r := &Ring{
-		nodes:  append([]string(nil), nodes...),
 		hashes: make([]uint64, 0, len(nodes)*replicas),
 		owner:  make([]string, 0, len(nodes)*replicas),
 	}
@@ -83,9 +81,6 @@ func (r *Ring) Node(key string) string {
 	}
 	return r.owner[i]
 }
-
-// Nodes returns the ring's member list in construction order.
-func (r *Ring) Nodes() []string { return append([]string(nil), r.nodes...) }
 
 // RingHash exposes the ring's key hash. The simulation engine uses it to
 // partition devices across workers with the same function that routes them

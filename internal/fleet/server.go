@@ -180,6 +180,10 @@ func (s *Server) finishUpload(w http.ResponseWriter, err error, entries, hangs i
 		http.Error(w, "ingest queue full, retry later", http.StatusTooManyRequests)
 	case errors.Is(err, ErrClosed), errors.Is(err, ErrCrashed):
 		http.Error(w, "shutting down", http.StatusServiceUnavailable)
+	case errors.Is(err, ErrRecordTooLarge):
+		// The same document would be refused again: too large, not a
+		// transient failure worth a resend.
+		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
 	default:
 		// A durability failure (failed append or barrier): the upload was
 		// not acknowledged and the same document can safely be resent.

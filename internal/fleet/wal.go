@@ -513,11 +513,12 @@ func (w *nodeWAL) repair() error {
 
 // append writes one framed record onto the log. On failure the record is
 // not durable, the tail is flagged for repair, and the caller must not ack.
-// A record beyond the frame bound is refused with nothing written.
+// A record beyond the frame bound is refused with ErrRecordTooLarge and
+// nothing written.
 func (w *nodeWAL) append(frame []byte) error {
 	if err := recordLenError(int64(len(frame) - walFrameHeaderLen)); err != nil {
 		w.m.appendErrors.Inc()
-		return fmt.Errorf("fleet: wal append: %w", err)
+		return fmt.Errorf("%w: %w", ErrRecordTooLarge, err)
 	}
 	if err := w.repair(); err != nil {
 		w.m.appendErrors.Inc()

@@ -650,8 +650,8 @@ func TestWALRecordBound(t *testing.T) {
 	ack := newUploadAck()
 	agg.commit <- logged{frame: over, id: UploadID{1}, frags: make([]shardMsg, 1), ack: ack}
 	<-ack.done
-	if ack.err == nil {
-		t.Fatal("an upload record beyond the frame bound was acknowledged")
+	if !errors.Is(ack.err, ErrRecordTooLarge) {
+		t.Fatalf("an upload record beyond the frame bound was answered %v, want ErrRecordTooLarge", ack.err)
 	}
 	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
 		t.Fatalf("the refused record changed the log (err %v)", err)
@@ -666,6 +666,39 @@ func TestWALRecordBound(t *testing.T) {
 	}
 	if n := agg2.Metrics().Registry().Snapshot().Value("hangdoctor_fleet_wal_replayed_records_total"); n != int64(len(reps)) {
 		t.Errorf("replayed %d records, want %d", n, len(reps))
+	}
+}
+
+// TestRecordTooLarge413: an upload the WAL refuses for its frame bound is
+// answered 413 without Retry-After, since the same document would be
+// refused again; both upload handlers answer through finishUpload. Other
+// durability failures stay 500, which invites a resend.
+func TestRecordTooLarge413(t *testing.T) {
+	cfg := durableCfg(t.TempDir(), 1).WAL.withDefaults()
+	w, err := openNodeWAL(cfg, newMetrics(1).initWAL(), func(*core.WireReport) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.close()
+	refused := w.append(make([]byte, walFrameHeaderLen+maxWALRecordLen+1))
+	agg := NewAggregator(Config{Shards: 1})
+	defer agg.Close()
+	srv := NewServer(agg)
+	for _, tc := range []struct {
+		err  error
+		code int
+	}{
+		{refused, http.StatusRequestEntityTooLarge},
+		{fmt.Errorf("fleet: wal sync: %w", fault.ErrFsyncFail), http.StatusInternalServerError},
+	} {
+		rec := httptest.NewRecorder()
+		srv.finishUpload(rec, tc.err, 1, 1)
+		if rec.Code != tc.code {
+			t.Errorf("%v: status %d, want %d", tc.err, rec.Code, tc.code)
+		}
+		if ra := rec.Header().Get("Retry-After"); ra != "" {
+			t.Errorf("%v: Retry-After %q, want none", tc.err, ra)
+		}
 	}
 }
 
@@ -932,21 +965,35 @@ func TestReplayUnderShortReads(t *testing.T) {
 
 // TestReplayUnderCorruptReads: injected bit rot during replay may lose
 // data (that is what bit rot does) but must always be detected by the
-// CRC — recovery returns an error or salvages, and never panics.
+// CRC — recovery refuses a corrupt base or salvages the prefix before a
+// corrupt record, and never panics. Every seed rots bytes, and at least
+// one replay must detect it.
 func TestReplayUnderCorruptReads(t *testing.T) {
 	dir := t.TempDir()
 	agg := mustOpen(t, durableCfg(dir, 2))
 	submitAllDurable(t, agg, uploads(16, 20))
 	agg.Crash()
 
+	detected := 0
 	for seed := uint64(1); seed <= 5; seed++ {
+		in := fault.NewStorage(seed, fault.StorageRates{CorruptRead: 0.05})
 		cfg := durableCfg(dir, 2)
-		cfg.WAL.FS = fault.FaultyFS(fault.DiskFS, fault.NewStorage(seed, fault.StorageRates{CorruptRead: 0.05}))
+		cfg.WAL.FS = fault.FaultyFS(fault.DiskFS, in)
 		agg2, err := Open(cfg)
+		if in.Stats().CorruptBytes == 0 {
+			t.Errorf("seed %d: replay read the log without a rotted byte", seed)
+		}
 		if err != nil {
-			continue // detected corruption in a base record: a legitimate refusal
+			detected++ // a corrupt base record: a legitimate refusal
+			continue
+		}
+		if agg2.Metrics().Registry().Snapshot().Value("hangdoctor_fleet_wal_corrupt_records_total") > 0 {
+			detected++
 		}
 		agg2.Crash()
+	}
+	if detected == 0 {
+		t.Error("no replay detected the injected bit rot")
 	}
 }
 

@@ -133,9 +133,6 @@ func (h *Histogram) Count() uint64 {
 	return n
 }
 
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return h.sum.load() }
-
 // snapshot copies the bucket counts once. Count is derived from the copied
 // buckets (not read separately), so a snapshot is always internally
 // consistent even while observations land concurrently.
@@ -152,18 +149,6 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 		Count:  total,
 		Sum:    h.sum.load(),
 	}
-}
-
-// LinearBuckets returns n bounds start, start+width, ...
-func LinearBuckets(start, width float64, n int) []float64 {
-	if n <= 0 || width <= 0 {
-		panic("obs: LinearBuckets needs n > 0 and width > 0")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
 }
 
 // ExpBuckets returns n bounds start, start*factor, start*factor², ...

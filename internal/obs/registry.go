@@ -242,24 +242,6 @@ func (v *GaugeVec) With(labelValues ...string) *Gauge {
 	return v.f.get(labelValues, func(s *series) { s.g = &Gauge{} }).g
 }
 
-// HistogramVec is a histogram family keyed by label values; every series
-// shares the family's bucket bounds.
-type HistogramVec struct{ f *family }
-
-// HistogramVec registers (or fetches) a labeled histogram family.
-func (r *Registry) HistogramVec(name, help string, bounds []float64, labelNames ...string) *HistogramVec {
-	if len(labelNames) == 0 {
-		panic("obs: HistogramVec needs at least one label")
-	}
-	return &HistogramVec{r.lookup(name, help, KindHistogram, labelNames, bounds)}
-}
-
-// With returns the histogram for the given label values, creating it on
-// first use.
-func (v *HistogramVec) With(labelValues ...string) *Histogram {
-	return v.f.get(labelValues, func(s *series) { s.h = newHistogram(v.f.bounds) }).h
-}
-
 // sortedFamilies returns the families ordered by name.
 func (r *Registry) sortedFamilies() []*family {
 	r.mu.Lock()

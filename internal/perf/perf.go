@@ -267,7 +267,8 @@ type Config struct {
 	Metrics *Metrics
 }
 
-// Values holds one reading: Values[i] is the count for Session.Events()[i].
+// Values holds one reading: Values[i] is the count for the i-th event the
+// session was opened with.
 type Values []int64
 
 // Reading is a completed measurement over a window.
@@ -363,7 +364,8 @@ var ErrOpenFailed = errors.New("perf: perf_event_open failed")
 // TryOpen is Open with the measurement-plane failure modes a real device
 // exhibits: the whole open can fail (ErrOpenFailed), or the render thread's
 // counters can be unavailable, in which case the session silently degrades
-// to the surviving prefix of threads (callers detect this via NumThreads).
+// to the surviving prefix of threads (callers detect this by the length of
+// a Reading's PerThread).
 // Both decisions come from cfg.Faults and never fire when it is nil.
 func TryOpen(clk *simclock.Clock, threads []*cpu.Thread, events []Event, cfg Config) (*Session, error) {
 	if cfg.Faults.PerfOpenFails() {
@@ -418,13 +420,6 @@ func Open(clk *simclock.Clock, threads []*cpu.Thread, events []Event, cfg Config
 	}
 	return s
 }
-
-// Events returns the events the session was opened with.
-func (s *Session) Events() []Event { return s.events }
-
-// NumThreads returns how many threads the session is actually measuring —
-// fewer than requested when TryOpen lost the render thread.
-func (s *Session) NumThreads() int { return len(s.threads) }
 
 // CostNs returns the simulated CPU cost this session has charged so far
 // (open + every read performed).

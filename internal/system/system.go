@@ -180,6 +180,3 @@ func (d *Device) EnableHangService(cfg core.Config) *HangService {
 	}
 	return d.svc
 }
-
-// Service returns the hang service, or nil if not enabled.
-func (d *Device) Service() *HangService { return d.svc }
