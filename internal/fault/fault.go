@@ -16,8 +16,6 @@
 package fault
 
 import (
-	"fmt"
-
 	"hangdoctor/internal/obs"
 	"hangdoctor/internal/simclock"
 	"hangdoctor/internal/simrand"
@@ -57,30 +55,6 @@ func (r Rates) Zero() bool {
 	return r.PerfOpenFail == 0 && r.CounterDrop == 0 && r.RenderLoss == 0 &&
 		r.StackMiss == 0 && r.StackTruncate == 0 && r.SamplerOverrun == 0 &&
 		r.WorkerStackMiss == 0
-}
-
-// String renders the non-zero rates compactly ("open=0.10 stack=0.50").
-func (r Rates) String() string {
-	s := ""
-	add := func(name string, v float64) {
-		if v != 0 {
-			if s != "" {
-				s += " "
-			}
-			s += fmt.Sprintf("%s=%.2f", name, v)
-		}
-	}
-	add("open", r.PerfOpenFail)
-	add("counter", r.CounterDrop)
-	add("render", r.RenderLoss)
-	add("stack", r.StackMiss)
-	add("trunc", r.StackTruncate)
-	add("overrun", r.SamplerOverrun)
-	add("worker", r.WorkerStackMiss)
-	if s == "" {
-		return "none"
-	}
-	return s
 }
 
 // Stats counts the faults an injector actually delivered, for the chaos
@@ -124,14 +98,6 @@ func New(seed uint64, rates Rates) *Injector {
 		overrunRng: root.Derive("fault/sampler-overrun"),
 		workerRng:  root.Derive("fault/worker-stack-miss"),
 	}
-}
-
-// Rates returns the configured rates (zero Rates for a nil injector).
-func (in *Injector) Rates() Rates {
-	if in == nil {
-		return Rates{}
-	}
-	return in.rates
 }
 
 // Stats returns the faults delivered so far (zero for a nil injector).

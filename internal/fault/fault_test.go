@@ -20,9 +20,6 @@ func TestNilInjectorInjectsNothing(t *testing.T) {
 	if s := in.Stats(); s != (Stats{}) {
 		t.Fatalf("nil injector stats = %+v", s)
 	}
-	if !in.Rates().Zero() {
-		t.Fatal("nil injector has non-zero rates")
-	}
 }
 
 func TestZeroRatesNeverFireAndNeverDraw(t *testing.T) {
@@ -113,15 +110,5 @@ func TestFaultKindsAreIndependentStreams(t *testing.T) {
 		if both.StackMissed() != only.StackMissed() {
 			t.Fatalf("stack decision %d perturbed by counter stream", i)
 		}
-	}
-}
-
-func TestRatesString(t *testing.T) {
-	if got := (Rates{}).String(); got != "none" {
-		t.Fatalf("zero rates render as %q", got)
-	}
-	r := Rates{StackMiss: 0.5, PerfOpenFail: 0.1}
-	if got := r.String(); got != "open=0.10 stack=0.50" {
-		t.Fatalf("rates render as %q", got)
 	}
 }

@@ -29,7 +29,6 @@ package fault
 
 import (
 	"errors"
-	"fmt"
 	"io/fs"
 	"os"
 	"sync"
@@ -95,8 +94,11 @@ type StorageRates struct {
 	// TornWrite is the per-Write probability that only a random prefix of
 	// the buffer reaches the file before the write errors out.
 	TornWrite float64
-	// ShortRead is the per-Read probability that fewer bytes than
-	// available are returned with a nil error.
+	// ShortRead is the per-page probability that a Read returns fewer
+	// bytes than asked with a nil error: each 4 KiB page of the request
+	// draws once, and the first page that fires cuts the read short inside
+	// it. It is per page, not per Read, so a log replayed in a few large
+	// reads still meets short reads at the rate its size implies.
 	ShortRead float64
 	// FsyncFail is the per-Sync probability that the durability barrier
 	// reports failure.
@@ -115,28 +117,6 @@ type StorageRates struct {
 func (r StorageRates) Zero() bool {
 	return r.TornWrite == 0 && r.ShortRead == 0 && r.FsyncFail == 0 &&
 		r.DiskFull == 0 && r.CorruptRead == 0
-}
-
-// String renders the non-zero rates compactly ("torn=0.10 fsync=0.50").
-func (r StorageRates) String() string {
-	s := ""
-	add := func(name string, v float64) {
-		if v != 0 {
-			if s != "" {
-				s += " "
-			}
-			s += fmt.Sprintf("%s=%.2f", name, v)
-		}
-	}
-	add("torn", r.TornWrite)
-	add("shortread", r.ShortRead)
-	add("fsync", r.FsyncFail)
-	add("full", r.DiskFull)
-	add("corrupt", r.CorruptRead)
-	if s == "" {
-		return "none"
-	}
-	return s
 }
 
 // StorageStats counts the storage faults actually delivered, the chaos
@@ -200,14 +180,6 @@ func (in *StorageInjector) streams(name string) *fileStreams {
 		in.files[name] = st
 	}
 	return st
-}
-
-// Rates returns the configured rates (zero for a nil injector).
-func (in *StorageInjector) Rates() StorageRates {
-	if in == nil {
-		return StorageRates{}
-	}
-	return in.rates
 }
 
 // Stats returns the faults delivered so far (zero for a nil injector).
@@ -283,14 +255,21 @@ func (f *faultyFile) Write(p []byte) (int, error) {
 	return f.f.Write(p)
 }
 
+// shortReadPage is the unit ShortRead draws per: one page of a request.
+const shortReadPage = 4096
+
 func (f *faultyFile) Read(p []byte) (int, error) {
-	if len(p) > 1 && fire(f.s.short, f.in.rates.ShortRead) {
-		// Shrink the request before it reaches the file: a short read
-		// returns fewer bytes with a nil error (io.Reader-legal, the case
-		// sloppy decoders mishandle) — it never consumes bytes it does not
-		// report, which would be data loss rather than a short read.
-		f.in.shortReads.Add(1)
-		p = p[:1+f.s.short.Intn(len(p)-1)]
+	// Shrink the request before it reaches the file: a short read returns
+	// fewer bytes with a nil error (io.Reader-legal, the case sloppy
+	// decoders mishandle) — it never consumes bytes it does not report,
+	// which would be data loss rather than a short read. The first page
+	// that fires ends the request at a random byte inside it.
+	for off := 0; off < len(p)-1; off += shortReadPage {
+		if fire(f.s.short, f.in.rates.ShortRead) {
+			f.in.shortReads.Add(1)
+			p = p[:off+1+f.s.short.Intn(min(shortReadPage, len(p)-off)-1)]
+			break
+		}
 	}
 	n, err := f.f.Read(p)
 	if rate := f.in.rates.CorruptRead; rate > 0 {

@@ -104,6 +104,35 @@ func TestShortReadIsLossless(t *testing.T) {
 	}
 }
 
+// TestShortReadDrawsPerPage: a short read is drawn once per 4 KiB page
+// requested, so one 64 KiB read (replay's buffer size) at a modest rate
+// is almost always short, and it always returns at least one byte.
+func TestShortReadDrawsPerPage(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "data")
+	if err := os.WriteFile(path, make([]byte, 1<<16), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	in := NewStorage(17, StorageRates{ShortRead: 0.25})
+	short := 0
+	for i := 0; i < 32; i++ {
+		f, err := FaultyFS(DiskFS, in).OpenFile(path, os.O_RDONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := f.Read(make([]byte, 1<<16))
+		f.Close()
+		if err != nil || n == 0 {
+			t.Fatalf("read %d: n=%d err=%v", i, n, err)
+		}
+		if n < 1<<16 {
+			short++
+		}
+	}
+	if got := in.Stats().ShortReads; got != int64(short) || short < 30 {
+		t.Errorf("%d of 32 reads short, %d counted; want at least 30, all counted", short, got)
+	}
+}
+
 // TestCorruptReadFlipsBits: corrupt reads must actually change bytes,
 // each byte at the configured rate however few reads deliver them, and
 // count them, never changing lengths.
@@ -146,8 +175,8 @@ func TestCorruptReadFlipsBits(t *testing.T) {
 // nil injector reports zeros.
 func TestStorageStatsAndSync(t *testing.T) {
 	var nilIn *StorageInjector
-	if nilIn.Stats() != (StorageStats{}) || !nilIn.Rates().Zero() {
-		t.Error("nil injector must report zero stats and rates")
+	if nilIn.Stats() != (StorageStats{}) {
+		t.Error("nil injector must report zero stats")
 	}
 
 	path := filepath.Join(t.TempDir(), "log")
@@ -164,17 +193,6 @@ func TestStorageStatsAndSync(t *testing.T) {
 	}
 	if got := in.Stats().FsyncFails; got != 3 {
 		t.Errorf("FsyncFails = %d, want 3", got)
-	}
-}
-
-// TestStorageRatesString pins the compact rendering the chaos harness logs.
-func TestStorageRatesString(t *testing.T) {
-	if got := (StorageRates{}).String(); got != "none" {
-		t.Errorf("zero rates render %q, want \"none\"", got)
-	}
-	r := StorageRates{TornWrite: 0.1, FsyncFail: 0.5}
-	if got := r.String(); got != "torn=0.10 fsync=0.50" {
-		t.Errorf("rates render %q", got)
 	}
 }
 

@@ -19,11 +19,13 @@ package fleet
 // count, that many 16-byte upload IDs (the dedup window, oldest first),
 // then the fold's canonical binary document: the bytes /v1/snapshot
 // serves for that fold. An upload (kind 5) is its UploadID, then its
-// canonical binary document. Replay decodes both the same way. A torn
-// tail (crash mid-append) fails the length, CRC, or read-full check;
-// recovery truncates the file back to the last whole record and carries
-// on — it never aborts. A base that cannot be read is a hard error
-// instead: the records it compacted are gone.
+// canonical binary document. Replay decodes both the same way. An upload
+// record whose bytes are all there but fail their CRC or decode (bit rot)
+// is counted and skipped by its length. A torn tail (crash mid-append) or
+// a length out of bounds ends the scan instead: recovery truncates the
+// file back to the end of the last record it applied and carries on — it
+// never aborts. A base that cannot be read is a hard error: the records
+// it compacted are gone.
 //
 // Compaction writes a one-record log holding the base to node.wal.tmp,
 // fsyncs it, renames it over node.wal (the atomic commit point) and
@@ -200,12 +202,15 @@ func putFrameHeader(hdr, payload []byte) {
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, walCRCTable))
 }
 
-// frameError describes why decoding stopped mid-file.
+// frameError describes a frame that failed to decode.
 type frameError struct {
 	// torn means the file simply ended inside a frame — the signature of
 	// a crash mid-append. Anything else (bad CRC with all bytes present,
 	// an absurd length) is corruption.
-	torn   bool
+	torn bool
+	// whole means every byte the frame's length claims was read, and it
+	// failed its CRC, so the reader has moved past it and may go on.
+	whole  bool
 	reason string
 }
 
@@ -225,8 +230,8 @@ type frameReader struct {
 }
 
 // next returns the next frame payload. io.EOF means a clean end exactly
-// at a frame boundary; a *frameError means decoding must stop and the
-// file should be truncated at fr.off.
+// at a frame boundary. A *frameError that is not whole means decoding
+// must stop at fr.off; a whole one leaves fr.off past the bad frame.
 func (fr *frameReader) next() ([]byte, error) {
 	var hdr [walFrameHeaderLen]byte
 	if _, err := io.ReadFull(fr.r, hdr[:1]); err != nil {
@@ -247,10 +252,10 @@ func (fr *frameReader) next() ([]byte, error) {
 	if err != nil {
 		return nil, &frameError{torn: true, reason: fmt.Sprintf("record body short: %d of %d bytes", n, ln)}
 	}
-	if crc := crc32.Checksum(payload, walCRCTable); crc != binary.LittleEndian.Uint32(hdr[4:8]) {
-		return nil, &frameError{reason: "crc mismatch"}
-	}
 	fr.off += int64(walFrameHeaderLen) + int64(ln)
+	if crc := crc32.Checksum(payload, walCRCTable); crc != binary.LittleEndian.Uint32(hdr[4:8]) {
+		return nil, &frameError{whole: true, reason: "crc mismatch"}
+	}
 	return payload, nil
 }
 
@@ -435,9 +440,13 @@ func (r readerOnly) Read(p []byte) (int, error) { return r.f.Read(p) }
 // the base, then every upload record behind it. It reports false when the
 // log is missing or empty. A log that does not open with a readable base
 // is a hard error: the records a base compacted are gone, and inventing an
-// empty state would silently drop acknowledged uploads. A torn or corrupt
-// upload record ends the scan: goodOff marks the salvaged prefix and dirty
-// is set so the tail is truncated before the next append.
+// empty state would silently drop acknowledged uploads. An upload record
+// read whole that fails its CRC or decode is counted and skipped. A torn
+// record or an out-of-bounds length ends the scan, and dirty is set so the
+// log is truncated back to goodOff, the end of the last record applied,
+// before the next append. A length rotted within bounds can send a skip
+// into the middle of a record; the scan then ends in the garbage, and the
+// truncation drops it.
 func (w *nodeWAL) replay(apply func(*core.WireReport)) (bool, error) {
 	f, err := w.cfg.FS.OpenFile(w.logPath(), os.O_RDONLY, 0)
 	if err != nil {
@@ -450,9 +459,9 @@ func (w *nodeWAL) replay(apply func(*core.WireReport)) (bool, error) {
 
 	fr := &frameReader{r: bufio.NewReaderSize(readerOnly{f}, 1<<16)}
 	for kind := recKindBase; ; kind = recKindUpload {
-		w.goodOff = fr.off
 		payload, err := fr.next()
 		if err == io.EOF {
+			w.goodOff = fr.off
 			return kind == recKindUpload, nil
 		}
 		var ids []UploadID
@@ -467,10 +476,15 @@ func (w *nodeWAL) replay(apply func(*core.WireReport)) (bool, error) {
 		if err != nil {
 			// A frame that ends at EOF is a crash mid-append; one whose
 			// bytes are all there but fail their CRC, length bound or
-			// decode is corruption. Salvage the prefix either way.
+			// decode is corruption. A whole frame is skipped; any other
+			// failure ends the scan.
 			var fe *frameError
-			if !errors.As(err, &fe) || !fe.torn {
+			ended := errors.As(err, &fe) && !fe.whole
+			if fe == nil || !fe.torn {
 				w.m.corruptRecords.Inc()
+			}
+			if !ended {
+				continue
 			}
 			w.m.truncatedTails.Inc()
 			w.dirty = true
@@ -484,6 +498,7 @@ func (w *nodeWAL) replay(apply func(*core.WireReport)) (bool, error) {
 			w.m.replayed.Inc()
 			w.records++
 		}
+		w.goodOff = fr.off
 	}
 }
 
