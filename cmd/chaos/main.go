@@ -20,8 +20,8 @@
 // A second mode sweeps the storage plane, one crash-recovery differential
 // per rate:
 //
-//	chaos -storage torn -rates 0,0.05,0.1     # torn writes under crash recovery
-//	chaos -storage all                        # torn + fsync + disk-full together
+//	chaos -storage torn -rates 0,0.05,0.1 -uploads 128  # torn writes under crash recovery
+//	chaos -storage all -rates 0,0.05,0.1 -uploads 128   # torn + fsync + disk-full together
 //
 // Storage kinds: torn (partial appends), fsync (failed barriers), full
 // (ENOSPC), short (short reads during replay, per page), corrupt (bit rot
@@ -32,7 +32,7 @@
 // durable node whose WAL sits on a fault-injected filesystem:
 //
 //	chaos -fleetscale torn -rates 0,0.1,0.5   # engine vs torn WAL appends
-//	chaos -fleetscale all                     # torn + fsync + disk-full
+//	chaos -fleetscale all -rates 0,0.05,0.2   # torn + fsync + disk-full
 //
 // It exits 2 on bad input and 1 when a cell breaks its contract; a cell
 // with a nonzero rate that injected no fault breaks it too.
@@ -65,8 +65,7 @@ func main() {
 	for _, s := range strings.Split(*ratesFlag, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 		if err != nil || v < 0 || v > 1 {
-			fmt.Fprintf(os.Stderr, "bad rate %q: want a number in [0,1]\n", s)
-			os.Exit(2)
+			exit(2, fmt.Errorf("bad rate %q: want a number in [0,1]", s))
 		}
 		rates = append(rates, v)
 	}
@@ -108,8 +107,7 @@ func measureSweep(kind string, rates []float64, apps string, n int, seed uint64)
 	fmt.Printf("\nsweep metrics (all %d cells merged):\n%s",
 		len(rows)*len(appList), metrics.Summary())
 	if err := chaos.CheckMeasure(rows); err != nil {
-		fmt.Fprintf(os.Stderr, "\nFAIL: %v\n", err)
-		os.Exit(1)
+		exit(1, fmt.Errorf("\nFAIL: %w", err))
 	}
 	fmt.Println("OK: no fault rate produced new false positives")
 }

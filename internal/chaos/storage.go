@@ -21,9 +21,9 @@ type Recovery struct {
 	Acked       int   // uploads acknowledged before the crash
 	LostAcked   int   // acknowledged uploads missing after recovery
 	Identical   bool  // recovery plus resend folds to the serial merge
-	Injected    int64 // faults delivered; each rotted byte counts one
+	Injected    int64 // faults delivered once the loaded node was open; each rotted byte counts one
 	Compactions int64 // compactions the crashed node completed
-	Refused     int   // recovery opens that refused a corrupt base
+	Refused     int   // recovery opens that failed
 	// The recovered node's WAL counters.
 	Replayed, Truncated, Corrupt int64
 }
@@ -38,6 +38,12 @@ func (r Recovery) Check() error {
 		if r.Corrupt+r.Truncated == 0 && r.Refused == 0 {
 			return fmt.Errorf("replay detected none of %d rotted bytes", r.Injected)
 		}
+		return nil
+	case r.Refused > 0:
+		return fmt.Errorf("recovery failed %d opens with no bit rot", r.Refused)
+	case r.Corrupt > 0 || r.Rates.TornWrite == 0 && r.Truncated > 0:
+		// Only a torn write leaves a bad frame, and only at the tail.
+		return fmt.Errorf("replay skipped %d records and truncated %d tails no fault could damage", r.Corrupt, r.Truncated)
 	case r.LostAcked > 0:
 		return fmt.Errorf("recovery lost %d of %d acknowledged uploads", r.LostAcked, r.Acked)
 	case !r.Identical:
@@ -49,8 +55,8 @@ func (r Recovery) Check() error {
 // Differential runs the crash-recovery differential with uploads (at
 // least 2) synthetic uploads. Six submitters load a durable node whose
 // writes draw rates' write faults, and the node is crashed at a seeded ack
-// count, but not before a write fault has fired, so that a faulty cell
-// never crashes on the fault-free path. A second node recovers the
+// count, but not before the load has drawn a write fault, so that a faulty
+// cell never crashes on the fault-free path. A second node recovers the
 // directory through rates' read faults, retrying an open that refuses a
 // corrupt base. Then every unacknowledged upload, and every seventh
 // acknowledged one, which must deduplicate, is resent. The error reports
@@ -77,10 +83,17 @@ func Differential(rates fault.StorageRates, seed uint64, uploads int) (Recovery,
 	write := fault.StorageRates{TornWrite: rates.TornWrite, FsyncFail: rates.FsyncFail, DiskFull: rates.DiskFull}
 	load := fault.NewStorage(seed, write)
 	replay := fault.NewStorage(seed, fault.StorageRates{ShortRead: rates.ShortRead, CorruptRead: rates.CorruptRead})
+	// Compact every 8 records, but never under bit rot: drawn per byte, rot
+	// would hit nearly every open's base, and no open would reach the
+	// upload records whose skip the cell tests.
+	compactEvery := 2
+	if rates.CorruptRead > 0 {
+		compactEvery = uploads // × 4 shards: more records than the cell appends
+	}
 	cfg := func(in *fault.StorageInjector) fleet.Config {
 		return fleet.Config{
 			Shards: 4, QueueDepth: 256, BatchSize: 4,
-			WAL: &fleet.WALConfig{Dir: dir, Sync: fleet.SyncBatch, CompactEvery: 2, FS: fault.FaultyFS(fault.DiskFS, in)},
+			WAL: &fleet.WALConfig{Dir: dir, Sync: fleet.SyncBatch, CompactEvery: compactEvery, FS: fault.FaultyFS(fault.DiskFS, in)},
 		}
 	}
 	agg, _, err := openRetry(cfg(load))
@@ -88,7 +101,8 @@ func Differential(rates fault.StorageRates, seed uint64, uploads int) (Recovery,
 		return r, fmt.Errorf("open under injection: %w", err)
 	}
 
-	faulted := func() bool { return write.Zero() || injected(load) > 0 }
+	// Faults the open absorbed are not the load's.
+	opened := injected(load)
 	crashAt := int64(1 + simrand.New(seed).Derive("chaos/storage").Intn(uploads-1))
 	var acks atomic.Int64
 	var crashed atomic.Bool
@@ -106,7 +120,7 @@ func Differential(rates fault.StorageRates, seed uint64, uploads int) (Recovery,
 				}
 				if err == nil {
 					acked[i].Store(true)
-					if acks.Add(1) >= crashAt && faulted() && crashed.CompareAndSwap(false, true) {
+					if acks.Add(1) >= crashAt && (write.Zero() || injected(load) > opened) && crashed.CompareAndSwap(false, true) {
 						go agg.Crash()
 					}
 				}
@@ -124,7 +138,7 @@ func Differential(rates fault.StorageRates, seed uint64, uploads int) (Recovery,
 
 	recovered, refused, err := openRetry(cfg(replay))
 	r.Refused = refused
-	r.Injected = injected(load) + injected(replay)
+	r.Injected = injected(load) - opened + injected(replay)
 	if err != nil && rates.CorruptRead > 0 {
 		return r, nil // rot dense enough to hit every retry's base: nothing to compare
 	}
@@ -139,8 +153,6 @@ func Differential(rates fault.StorageRates, seed uint64, uploads int) (Recovery,
 		if acked[i].Load() && !covered(have, reps[i]) {
 			r.LostAcked++
 		}
-	}
-	for i := range reps {
 		if !acked[i].Load() || i%7 == 0 {
 			if err := recovered.SubmitDurable(reps[i], fleet.UploadID{}); err != nil {
 				recovered.Close()
@@ -262,16 +274,13 @@ func exportReport(rep *core.Report) ([]byte, error) {
 // openRetry opens cfg, retrying up to 100 times like a supervisor
 // restarting a node on a sick disk: the fault streams continue across
 // opens, so a retry is a fresh draw. It reports how many opens failed.
-func openRetry(cfg fleet.Config) (*fleet.Aggregator, int, error) {
-	agg, err := fleet.Open(cfg)
-	failed := 0
-	for err != nil {
-		if failed++; failed > 100 {
-			return nil, failed, err
+func openRetry(cfg fleet.Config) (agg *fleet.Aggregator, failed int, err error) {
+	for ; failed <= 100; failed++ {
+		if agg, err = fleet.Open(cfg); err == nil {
+			break
 		}
-		agg, err = fleet.Open(cfg)
 	}
-	return agg, failed, nil
+	return agg, failed, err
 }
 
 // injected is the number of faults in has delivered.

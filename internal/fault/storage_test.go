@@ -106,7 +106,10 @@ func TestShortReadIsLossless(t *testing.T) {
 
 // TestShortReadDrawsPerPage: a short read is drawn once per 4 KiB page
 // requested, so one 64 KiB read (replay's buffer size) at a modest rate
-// is almost always short, and it always returns at least one byte.
+// is almost always short (1 - 0.75^16, about 99%), and it always returns
+// at least one byte. The temporary path keys the fault streams, so the
+// bound leaves room: fewer than 24 of 32 short reads is all but
+// impossible here, and one draw per Read gives about 8.
 func TestShortReadDrawsPerPage(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "data")
 	if err := os.WriteFile(path, make([]byte, 1<<16), 0o644); err != nil {
@@ -128,8 +131,8 @@ func TestShortReadDrawsPerPage(t *testing.T) {
 			short++
 		}
 	}
-	if got := in.Stats().ShortReads; got != int64(short) || short < 30 {
-		t.Errorf("%d of 32 reads short, %d counted; want at least 30, all counted", short, got)
+	if got := in.Stats().ShortReads; got != int64(short) || short < 24 {
+		t.Errorf("%d of 32 reads short, %d counted; want at least 24, all counted", short, got)
 	}
 }
 
