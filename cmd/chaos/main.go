@@ -20,8 +20,8 @@
 // A second mode sweeps the storage plane, one crash-recovery differential
 // per rate:
 //
-//	chaos -storage torn -rates 0,0.05,0.1 -uploads 128  # torn writes under crash recovery
-//	chaos -storage all -rates 0,0.05,0.1 -uploads 128   # torn + fsync + disk-full together
+//	chaos -storage torn                     # torn writes under crash recovery
+//	chaos -storage all -rates 0,0.02,0.05   # torn + fsync + disk-full together
 //
 // Storage kinds: torn (partial appends), fsync (failed barriers), full
 // (ENOSPC), short (short reads during replay, per page), corrupt (bit rot
@@ -31,8 +31,13 @@
 // A third mode drives the virtual-time fleet simulation engine into a
 // durable node whose WAL sits on a fault-injected filesystem:
 //
-//	chaos -fleetscale torn -rates 0,0.1,0.5   # engine vs torn WAL appends
-//	chaos -fleetscale all -rates 0,0.05,0.2   # torn + fsync + disk-full
+//	chaos -fleetscale torn                  # engine vs torn WAL appends
+//	chaos -fleetscale all -rates 0,0.05,0.2 # torn + fsync + disk-full
+//
+// Without -rates, the storage and fleetscale modes sweep per-kind rates at
+// which every kind holds its contract: 0,0.05,0.1 for the write faults,
+// 0,0.5,0.9 for short and 0,0.01,0.02 for corrupt. Higher write-fault
+// rates can keep the loading node from opening at all.
 //
 // It exits 2 on bad input and 1 when a cell breaks its contract; a cell
 // with a nonzero rate that injected no fault breaks it too.
@@ -53,16 +58,26 @@ func main() {
 	n := flag.Int("n", 150, "actions per trace")
 	seed := flag.Uint64("seed", 11, "base seed (trace, session, and faults derive from it)")
 	kind := flag.String("fault", "stack", "fault kind: open|counter|render|stack|trunc|overrun|worker|all")
-	ratesFlag := flag.String("rates", "0,0.1,0.25,0.5,0.75,1", "comma-separated fault rates to sweep")
+	ratesFlag := flag.String("rates", "0,0.1,0.25,0.5,0.75,1", "comma-separated fault rates to sweep (storage and fleetscale modes default per kind)")
 	storage := flag.String("storage", "", "sweep the storage plane instead: torn|fsync|full|short|corrupt|all")
-	uploadsFlag := flag.Int("uploads", 48, "durable uploads per storage-sweep cell")
+	uploadsFlag := flag.Int("uploads", 128, "durable uploads per storage-sweep cell")
 	fleetscale := flag.String("fleetscale", "", "drive the fleet simulation engine against a durable WAL under write faults: torn|fsync|full|all")
 	fleetDevices := flag.Int("fleet-devices", 2000, "devices in each -fleetscale cell")
 	fleetUploads := flag.Int64("fleet-uploads", 10_000, "uploads in each -fleetscale cell")
 	flag.Parse()
+	given := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
+	ratesList := *ratesFlag
+	storageKind := *storage
+	if storageKind == "" {
+		storageKind = *fleetscale
+	}
+	if storageKind != "" && !given["rates"] {
+		ratesList = storageDefaultRates(storageKind)
+	}
 
 	var rates []float64
-	for _, s := range strings.Split(*ratesFlag, ",") {
+	for _, s := range strings.Split(ratesList, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 		if err != nil || v < 0 || v > 1 {
 			exit(2, fmt.Errorf("bad rate %q: want a number in [0,1]", s))
@@ -77,6 +92,18 @@ func main() {
 	default:
 		measureSweep(*kind, rates, *appsFlag, *n, *seed)
 	}
+}
+
+// storageDefaultRates returns the rates a storage or fleetscale sweep of
+// kind runs without -rates; the measurement sweep keeps the flag default.
+func storageDefaultRates(kind string) string {
+	switch kind {
+	case "short":
+		return "0,0.5,0.9"
+	case "corrupt":
+		return "0,0.01,0.02"
+	}
+	return "0,0.05,0.1"
 }
 
 // exit prints err to stderr and exits with code when err is not nil.
@@ -146,8 +173,8 @@ func storageSweep(kind string, rates []float64, seed uint64, uploads int) {
 
 func fleetscaleSweep(kind string, rates []float64, seed uint64, devices int, uploads int64) {
 	fmt.Printf("chaos fleetscale sweep: fault=%s devices=%d uploads=%d seed=%d\n\n", kind, devices, uploads, seed)
-	fmt.Printf("%6s %9s %8s %11s %9s %12s\n",
-		"rate", "delivered", "failed", "append-errs", "reopened", "clean-ident")
+	fmt.Printf("%6s %9s %8s %11s %9s %9s %12s\n",
+		"rate", "delivered", "failed", "append-errs", "injected", "reopened", "clean-ident")
 	failed := false
 	for i, rate := range rates {
 		sr, err := chaos.FleetscaleRates(kind, rate)
@@ -156,8 +183,8 @@ func fleetscaleSweep(kind string, rates []float64, seed uint64, devices int, upl
 		if err != nil {
 			exit(1, fmt.Errorf("FAIL: rate %.2f: %w", rate, err))
 		}
-		fmt.Printf("%6.2f %9d %8d %11d %9v %12s\n",
-			rate, c.Delivered, c.Failed, c.AppendErrs, c.Reopened,
+		fmt.Printf("%6.2f %9d %8d %11d %9d %9v %12s\n",
+			rate, c.Delivered, c.Failed, c.AppendErrs, c.Injected, c.Reopened,
 			map[bool]string{true: "ok", false: "MISMATCH"}[c.Clean])
 		if err := c.Check(); err != nil {
 			fmt.Fprintf(os.Stderr, "FAIL: rate %.2f: %v\n", rate, err)

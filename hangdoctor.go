@@ -41,7 +41,6 @@ import (
 	"hangdoctor/internal/core"
 	"hangdoctor/internal/corpus"
 	"hangdoctor/internal/detect"
-	"hangdoctor/internal/fault"
 	"hangdoctor/internal/obs"
 	"hangdoctor/internal/simclock"
 )
@@ -80,36 +79,16 @@ type (
 	// Health is the Doctor's degraded-operation summary: what the
 	// measurement plane lost and how the Doctor compensated.
 	Health = core.Health
-	// FaultRates configures the substrate fault-injection layer, one
-	// independent probability per modeled measurement-plane failure.
-	FaultRates = fault.Rates
-	// FaultInjector makes seeded deterministic fault decisions; install one
-	// on a Session with SetFaults to exercise degraded operation.
-	FaultInjector = fault.Injector
-	// FaultStats counts the faults an injector actually delivered.
-	FaultStats = fault.Stats
 	// Metrics is a deterministic point-in-time snapshot of a Doctor's obs
 	// registry: health and accounting counters, perf-plane counters,
 	// injected-fault ground truth, and the stage-latency histograms.
 	// Obtain one with (*Doctor).Metrics(); merge many with MergeMetrics.
 	Metrics = obs.Snapshot
-	// MetricsFamily is one named metric within a Metrics snapshot.
-	MetricsFamily = obs.Family
-	// MetricsHistogram is a point-in-time copy of one histogram, with
-	// Quantile for p50/p95/p99-style queries.
-	MetricsHistogram = obs.HistogramSnapshot
 )
 
 // MergeMetrics folds metrics snapshots from many Doctors into one
 // fleet-style view: counters and gauges sum, histograms add bucket-wise.
 func MergeMetrics(snaps ...Metrics) Metrics { return obs.MergeSnapshots(snaps...) }
-
-// NewFaultInjector builds a fault injector whose decisions are a pure
-// function of seed and rates. Install it with (*Session).SetFaults before
-// running a trace; a nil injector (the default) is a perfect plane.
-func NewFaultInjector(seed uint64, rates FaultRates) *FaultInjector {
-	return fault.New(seed, rates)
-}
 
 // LightAdapt nudges the current thresholds on collected labeled readings
 // (the on-device adaptation pass); it reports false when heavy adaptation

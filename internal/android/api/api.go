@@ -177,9 +177,6 @@ func NewRegistry() *Registry {
 	return r
 }
 
-// Symtab returns the registry's symbol table.
-func (r *Registry) Symtab() *stack.Symtab { return r.symtab }
-
 // SymtabView returns a lock-free snapshot of the symbol table for
 // ID-indexed hot loops; see stack.Symtab.View.
 func (r *Registry) SymtabView() stack.View { return r.symtab.View() }
@@ -245,29 +242,9 @@ func (r *Registry) APIBySym(id stack.SymID) (*API, bool) {
 	return r.apisBySym[id], true
 }
 
-// IsUISym is the ID-indexed fast path of IsUIClass: the verdict was
-// resolved once when the symbol was interned.
-func (r *Registry) IsUISym(id stack.SymID) bool {
-	return r.symtab.Attrs(id)&stack.SymUI != 0
-}
-
 // IsAwaitSym is the ID-indexed fast path of IsAwaitMethod.
 func (r *Registry) IsAwaitSym(id stack.SymID) bool {
 	return r.symtab.Attrs(id)&stack.SymAwait != 0
-}
-
-// IsKnownBlockingSym is the ID-indexed fast path of IsKnownBlocking. The
-// verdict is cached per symbol under the table's known-blocking epoch;
-// database mutations (AddKnownBlocking, SnapshotYear) start a new epoch and
-// stale entries lazily re-resolve through the string-keyed database.
-func (r *Registry) IsKnownBlockingSym(id stack.SymID) bool {
-	return r.symtab.KnownBlocking(id, r.IsKnownBlocking)
-}
-
-// Class looks up a class by fully qualified name.
-func (r *Registry) Class(name string) (*Class, bool) {
-	c, ok := r.classes[name]
-	return c, ok
 }
 
 // API looks up an API by "class.method" key.
@@ -299,18 +276,14 @@ func (r *Registry) IsKnownBlocking(key string) bool {
 }
 
 // AddKnownBlocking inserts key into the database (Hang Doctor's feedback to
-// offline tools, Figure 2a). It reports whether the entry was new. An
-// insert starts a new symbol-table epoch so cached per-symbol verdicts
-// re-resolve.
+// offline tools, Figure 2a). It reports whether the entry was new.
 func (r *Registry) AddKnownBlocking(key string) bool {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.knownBlocking[key] {
-		r.mu.Unlock()
 		return false
 	}
 	r.knownBlocking[key] = true
-	r.mu.Unlock()
-	r.symtab.InvalidateKnownBlocking()
 	return true
 }
 
@@ -328,18 +301,16 @@ func (r *Registry) KnownBlocking() []string {
 
 // SnapshotYear resets the known-blocking database to what an offline tool
 // shipped in the given year would contain: every registered API documented
-// blocking in or before that year. The reset starts a new symbol-table
-// epoch so cached per-symbol verdicts re-resolve.
+// blocking in or before that year.
 func (r *Registry) SnapshotYear(year int) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.knownBlocking = map[string]bool{}
 	for k, a := range r.apis {
 		if a.KnownBlockingSince != 0 && a.KnownBlockingSince <= year {
 			r.knownBlocking[k] = true
 		}
 	}
-	r.mu.Unlock()
-	r.symtab.InvalidateKnownBlocking()
 }
 
 // preload registers the platform classes and APIs the paper mentions.

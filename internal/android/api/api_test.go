@@ -132,9 +132,6 @@ func TestAPIKeyAndFrame(t *testing.T) {
 
 func TestLookupMissing(t *testing.T) {
 	r := NewRegistry()
-	if _, ok := r.Class("no.such.Class"); ok {
-		t.Fatal("found missing class")
-	}
 	if _, ok := r.API("no.such.Class.m"); ok {
 		t.Fatal("found missing API")
 	}

@@ -12,7 +12,7 @@ func TestInternAssignsAttrs(t *testing.T) {
 	fw := r.Intern("android.os.Looper", "loop")
 	plain := r.Intern("org.htmlcleaner.HtmlCleaner", "clean")
 	v := r.SymtabView()
-	if v.Attrs(ui)&stack.SymUI == 0 || !r.IsUISym(ui) {
+	if v.Attrs(ui)&stack.SymUI == 0 {
 		t.Fatal("UI attribute missing on interned UI symbol")
 	}
 	if v.Attrs(fw)&stack.SymFramework == 0 {
@@ -22,8 +22,8 @@ func TestInternAssignsAttrs(t *testing.T) {
 		t.Fatal("plain symbol grew attributes")
 	}
 	// ID and string paths must agree.
-	if r.IsUISym(ui) != r.IsUIClass("android.widget.TextView") {
-		t.Fatal("IsUISym disagrees with IsUIClass")
+	if (v.Attrs(ui)&stack.SymUI != 0) != r.IsUIClass("android.widget.TextView") {
+		t.Fatal("SymUI disagrees with IsUIClass")
 	}
 }
 
@@ -70,50 +70,5 @@ func TestAPIBySym(t *testing.T) {
 	// The API's frame carries the cached symbol.
 	if f := a.Frame(); f.Sym != a.Sym {
 		t.Fatalf("Frame.Sym = %d, want %d", f.Sym, a.Sym)
-	}
-}
-
-func TestIsKnownBlockingSymTracksFeedback(t *testing.T) {
-	r := NewRegistry()
-	id := r.Intern("org.htmlcleaner.HtmlCleaner", "clean")
-	if r.IsKnownBlockingSym(id) {
-		t.Fatal("clean should start unknown")
-	}
-	// Read again so the epoch cache is warm, then mutate the database.
-	r.IsKnownBlockingSym(id)
-	r.AddKnownBlocking("org.htmlcleaner.HtmlCleaner.clean")
-	if !r.IsKnownBlockingSym(id) {
-		t.Fatal("stale cached verdict after AddKnownBlocking")
-	}
-	// Snapshot reset invalidates in the other direction.
-	r.SnapshotYear(2010)
-	if r.IsKnownBlockingSym(id) {
-		t.Fatal("feedback entry survived snapshot reset")
-	}
-	// ID path matches string path on a preloaded API too.
-	cam, ok := r.Symtab().LookupKey("android.hardware.Camera.open")
-	if !ok {
-		t.Fatal("preloaded API never interned")
-	}
-	r.SnapshotYear(ShippedYear)
-	if r.IsKnownBlockingSym(cam) != r.IsKnownBlocking("android.hardware.Camera.open") {
-		t.Fatal("ID and string known-blocking paths disagree")
-	}
-}
-
-func TestIsKnownBlockingSymZeroAllocWarm(t *testing.T) {
-	r := NewRegistry()
-	id, ok := r.Symtab().LookupKey("android.hardware.Camera.open")
-	if !ok {
-		t.Fatal("preloaded API never interned")
-	}
-	r.IsKnownBlockingSym(id) // warm the epoch cache
-	allocs := testing.AllocsPerRun(100, func() {
-		if !r.IsKnownBlockingSym(id) {
-			t.Fatal("verdict flipped")
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm IsKnownBlockingSym allocates %.1f objects, want 0", allocs)
 	}
 }

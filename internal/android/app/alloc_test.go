@@ -47,14 +47,18 @@ func TestBackgroundThreadsReused(t *testing.T) {
 	}
 	col := trace.NewCollector(s.Clk)
 	s.Sched.SetTracer(col)
-	var threads int
+	// A new thread's ID counts the threads created before it, so two probe
+	// threads one ID apart bracket a stretch that created no other thread.
+	var probe int
 	for i, act := range corpus.Trace(a, 42, 40) {
 		s.Perform(act)
 		s.Idle(simclock.Second)
 		if i == 0 {
-			threads = len(s.Sched.Threads())
-		} else if got := len(s.Sched.Threads()); got != threads {
-			t.Fatalf("action %d: %d scheduler threads, want %d as after the first action", i, got, threads)
+			probe = s.Sched.NewThread("probe").ID
+		} else if got := s.Sched.NewThread("probe").ID; got != probe+1 {
+			t.Fatalf("action %d: %d threads created since the first action, want 0", i, got-probe-1)
+		} else {
+			probe = got
 		}
 	}
 	tids := map[string]map[int]bool{}

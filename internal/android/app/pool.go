@@ -104,19 +104,6 @@ func (p *workerPool) finish(i int, t *poolTask) {
 	p.ops[i] = nil
 }
 
-// idle reports whether no worker is busy and nothing is queued.
-func (p *workerPool) idle() bool {
-	if len(p.queue) > 0 {
-		return false
-	}
-	for _, b := range p.busy {
-		if b {
-			return false
-		}
-	}
-	return true
-}
-
 // blocker returns the op of a currently running task (lowest worker index
 // first) spawned by a different op than o — the work a fresh submission
 // would queue behind. nil when no such task runs.

@@ -3,13 +3,11 @@
 // Looper.setMessageLogging hook that brackets every dispatch. The paper's
 // response-time monitor (§3.5) measures each input event as the time between
 // the ">>>>> Dispatching" and "<<<<< Finished" logging callbacks; this
-// package exposes both the string-typed logging hook (for fidelity) and
-// structured dispatch hooks (what the monitor actually consumes).
+// package exposes those brackets as structured dispatch hooks, which the
+// monitor consumes.
 package looper
 
 import (
-	"fmt"
-
 	"hangdoctor/internal/cpu"
 	"hangdoctor/internal/simclock"
 	"hangdoctor/internal/stack"
@@ -18,7 +16,7 @@ import (
 // Message is one unit of main-thread work: an input event (or any posted
 // runnable) expressed as scheduler segments.
 type Message struct {
-	// Name identifies the message for logging, e.g. "Open Email/evt0".
+	// Name identifies the message, e.g. "Open Email/evt0".
 	Name string
 	// Segments is the main-thread program the message executes.
 	Segments []cpu.Segment
@@ -49,8 +47,7 @@ type Looper struct {
 	queue       []*Message
 	dispatching bool
 
-	hooks   []DispatchHook
-	logging func(string)
+	hooks []DispatchHook
 
 	current      *Message
 	currentStart simclock.Time
@@ -76,20 +73,10 @@ func New(sched *cpu.Scheduler, name string) *Looper {
 // Thread returns the looper's thread (the app's "main thread").
 func (l *Looper) Thread() *cpu.Thread { return l.thread }
 
-// SetMessageLogging installs the Android-compatible string logging callback.
-// It receives ">>>>> Dispatching to <name>" and "<<<<< Finished to <name>"
-// lines, exactly the two invocations the paper exploits to measure response
-// time.
-func (l *Looper) SetMessageLogging(fn func(string)) { l.logging = fn }
-
 // AddDispatchHook registers a structured observer of dispatch boundaries.
 func (l *Looper) AddDispatchHook(h DispatchHook) {
 	l.hooks = append(l.hooks, h)
 }
-
-// QueueLen returns the number of messages not yet started (the currently
-// executing message is excluded).
-func (l *Looper) QueueLen() int { return len(l.queue) }
 
 // Idle reports whether no message is executing and the queue is empty.
 func (l *Looper) Idle() bool { return !l.dispatching && len(l.queue) == 0 }
@@ -147,9 +134,6 @@ func (l *Looper) begin() {
 	l.fed = nil
 	l.current = m
 	l.currentStart = l.clk.Now()
-	if l.logging != nil {
-		l.logging(fmt.Sprintf(">>>>> Dispatching to %s", m.Name))
-	}
 	for _, h := range l.hooks {
 		h.DispatchStart(m, l.currentStart)
 	}
@@ -160,9 +144,6 @@ func (l *Looper) end() {
 	start := l.currentStart
 	now := l.clk.Now()
 	l.current = nil
-	if l.logging != nil {
-		l.logging(fmt.Sprintf("<<<<< Finished to %s", m.Name))
-	}
 	for _, h := range l.hooks {
 		h.DispatchEnd(m, start, now)
 	}

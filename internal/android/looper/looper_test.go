@@ -76,23 +76,6 @@ func TestBackToBackMessagesNoExtraSwitches(t *testing.T) {
 	}
 }
 
-func TestMessageLoggingFormat(t *testing.T) {
-	clk, _, l := setup()
-	var lines []string
-	l.SetMessageLogging(func(s string) { lines = append(lines, s) })
-	l.Post(&Message{Name: "Open Email/evt0", Segments: []cpu.Segment{cpu.Compute(simclock.Millisecond, nil, nil)}})
-	clk.RunUntilIdle(10000)
-	if len(lines) != 2 {
-		t.Fatalf("logging lines = %v", lines)
-	}
-	if !strings.HasPrefix(lines[0], ">>>>> Dispatching to ") || !strings.Contains(lines[0], "Open Email/evt0") {
-		t.Fatalf("start line = %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "<<<<< Finished") {
-		t.Fatalf("end line = %q", lines[1])
-	}
-}
-
 func TestPostWhileDispatching(t *testing.T) {
 	clk, _, l := setup()
 	h := &recordingHook{}
@@ -124,8 +107,8 @@ func TestIdleAndQueueLen(t *testing.T) {
 		t.Fatal("looper with queued work reported idle")
 	}
 	clk.At(5*1e6, func() {
-		if l.QueueLen() != 1 {
-			t.Errorf("QueueLen during first message = %d, want 1", l.QueueLen())
+		if len(l.queue) != 1 {
+			t.Errorf("queue length during first message = %d, want 1", len(l.queue))
 		}
 		if l.Current() == nil || l.Current().Name != "a" {
 			t.Errorf("Current = %v", l.Current())

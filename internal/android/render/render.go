@@ -52,18 +52,6 @@ func (r *Thread) CPUThread() *cpu.Thread { return r.thread }
 // Idle reports whether all posted frames have been rendered.
 func (r *Thread) Idle() bool { return !r.active && len(r.pending) == 0 }
 
-// PendingFrames returns the number of frames queued behind the one
-// currently in flight (the pump hands a frame to the thread as soon as it
-// is posted, so an otherwise-empty queue reports 0 while that frame waits
-// for vsync).
-func (r *Thread) PendingFrames() int {
-	n := 0
-	for _, b := range r.pending {
-		n += b.Frames
-	}
-	return n
-}
-
 // Post enqueues a frame batch. Batches with no frames or non-positive cost
 // are ignored.
 func (r *Thread) Post(b FrameBatch) {

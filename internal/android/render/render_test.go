@@ -46,8 +46,12 @@ func TestMultipleBatchesQueue(t *testing.T) {
 	r.Post(FrameBatch{Frames: 2, PerFrame: simclock.Millisecond})
 	r.Post(FrameBatch{Frames: 3, PerFrame: simclock.Millisecond})
 	// The first frame is already in flight; four remain queued.
-	if got := r.PendingFrames(); got != 4 {
-		t.Fatalf("PendingFrames = %d, want 4", got)
+	queued := 0
+	for _, b := range r.pending {
+		queued += b.Frames
+	}
+	if queued != 4 {
+		t.Fatalf("queued frames = %d, want 4", queued)
 	}
 	clk.RunUntilIdle(100000)
 	if !r.Idle() {

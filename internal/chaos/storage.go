@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 
@@ -63,11 +64,14 @@ func (r Recovery) Check() error {
 // a harness failure; the contract is Recovery.Check's.
 func Differential(rates fault.StorageRates, seed uint64, uploads int) (Recovery, error) {
 	r := Recovery{Rates: rates}
-	dir, err := os.MkdirTemp("", "chaos-wal-")
+	parent, err := os.MkdirTemp("", "chaos-wal-")
 	if err != nil {
 		return r, err
 	}
-	defer os.RemoveAll(dir)
+	defer os.RemoveAll(parent)
+	// A fixed leaf keeps the directory handle's fault stream, keyed by base
+	// name like the log's, independent of the temporary parent.
+	dir := filepath.Join(parent, "wal")
 
 	reps := make([]*core.Report, uploads)
 	for i := range reps {
@@ -218,11 +222,12 @@ func Fleetscale(rates fault.StorageRates, fleetSeed, faultSeed uint64, devices i
 		return rep, st, err
 	}
 
-	dir, err := os.MkdirTemp("", "chaos-fleetscale-")
+	parent, err := os.MkdirTemp("", "chaos-fleetscale-")
 	if err != nil {
 		return c, err
 	}
-	defer os.RemoveAll(dir)
+	defer os.RemoveAll(parent)
+	dir := filepath.Join(parent, "wal") // fixed leaf, as in Differential
 	in := fault.NewStorage(faultSeed, rates)
 	cfg := func(fs fault.FS) fleet.Config {
 		return fleet.Config{

@@ -202,10 +202,6 @@ func NewBinaryEncoder(device string) *BinaryEncoder {
 	return &BinaryEncoder{device: device, refs: map[string]uint32{}}
 }
 
-// DictLen returns the number of dictionary strings the encoder has
-// committed (and assumes the decoder holds).
-func (e *BinaryEncoder) DictLen() int { return e.base }
-
 // Reset forgets the dictionary. The next Encode emits a full dictionary
 // with dictBase 0, which instructs the decoder to reset too — the recovery
 // step after a dictionary-mismatch rejection.
@@ -504,9 +500,6 @@ func NewBinaryDecoder() *BinaryDecoder {
 // the compatibility tests use it to prove a decoder that predates the
 // causal section still parses documents carrying one.
 func (d *BinaryDecoder) restrictExtensions(mask byte) { d.extMask = mask }
-
-// DictLen returns the number of committed dictionary strings.
-func (d *BinaryDecoder) DictLen() int { return len(d.strs) }
 
 // Decode parses one document, returning a view whose slices are freshly
 // allocated (safe to retain and hand across goroutines). The dictionary

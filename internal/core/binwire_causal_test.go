@@ -127,8 +127,8 @@ func TestBinaryCausalDictDelta(t *testing.T) {
 			t.Fatalf("delta upload lost chain: %+v", e)
 		}
 	}
-	if enc.DictLen() != dec.DictLen() {
-		t.Fatalf("dictionaries diverged: enc=%d dec=%d", enc.DictLen(), dec.DictLen())
+	if enc.base != len(dec.strs) {
+		t.Fatalf("dictionaries diverged: enc=%d dec=%d", enc.base, len(dec.strs))
 	}
 }
 

@@ -86,8 +86,8 @@ func FuzzBinaryDeltaSequence(f *testing.F) {
 			if !bytes.Equal(want.Bytes(), got.Bytes()) {
 				t.Fatalf("upload %d content diverged", i)
 			}
-			if enc.DictLen() != dec.DictLen() {
-				t.Fatalf("upload %d: dictionaries diverged: enc=%d dec=%d", i, enc.DictLen(), dec.DictLen())
+			if enc.base != len(dec.strs) {
+				t.Fatalf("upload %d: dictionaries diverged: enc=%d dec=%d", i, enc.base, len(dec.strs))
 			}
 		}
 	})

@@ -125,8 +125,8 @@ func TestBinaryDictDelta(t *testing.T) {
 	if got, want := exportJSON(t, wr1.Report()), exportJSON(t, rep1); !bytes.Equal(got, want) {
 		t.Fatal("upload 1 content diverged")
 	}
-	if dec.DictLen() == 0 || dec.DictLen() != enc.DictLen() {
-		t.Fatalf("dict lengths diverge: enc=%d dec=%d", enc.DictLen(), dec.DictLen())
+	if len(dec.strs) == 0 || len(dec.strs) != enc.base {
+		t.Fatalf("dict lengths diverge: enc=%d dec=%d", enc.base, len(dec.strs))
 	}
 
 	// Steady state: the device re-reports the same causes with new hangs —
@@ -152,7 +152,7 @@ func TestBinaryDictDelta(t *testing.T) {
 	// Partial overlap: a shifted seed re-uses hot strings and deltas only
 	// the unseen tail.
 	rep3 := synthReport(2, "device-7", 60)
-	dict3 := dec.DictLen()
+	dict3 := len(dec.strs)
 	doc3 := append([]byte(nil), enc.Encode(rep3)...)
 	wr3, err := dec.Decode(doc3)
 	if err != nil {
@@ -161,7 +161,7 @@ func TestBinaryDictDelta(t *testing.T) {
 	if got, want := exportJSON(t, wr3.Report()), exportJSON(t, rep3); !bytes.Equal(got, want) {
 		t.Fatal("upload 3 content diverged")
 	}
-	if dec.DictLen() <= dict3 {
+	if len(dec.strs) <= dict3 {
 		t.Fatal("partial-overlap upload added no dictionary strings")
 	}
 }
@@ -200,14 +200,14 @@ func TestBinaryDictMismatchAndReset(t *testing.T) {
 	if _, err := warm.Decode(full); err != nil {
 		t.Fatal(err)
 	}
-	before := warm.DictLen()
+	before := len(warm.strs)
 	enc2 := NewBinaryEncoder("d")
 	tiny := synthReport(4, "d", 2)
 	if _, err := warm.Decode(enc2.Encode(tiny)); err != nil {
 		t.Fatalf("reset document rejected: %v", err)
 	}
-	if warm.DictLen() >= before {
-		t.Fatalf("dictionary did not reset: %d -> %d", before, warm.DictLen())
+	if len(warm.strs) >= before {
+		t.Fatalf("dictionary did not reset: %d -> %d", before, len(warm.strs))
 	}
 }
 
@@ -222,8 +222,8 @@ func TestBinaryRejectedDocDoesNotCommit(t *testing.T) {
 	if _, err := dec.Decode(doc[:len(doc)-1]); err == nil {
 		t.Fatal("truncated document accepted")
 	}
-	if dec.DictLen() != 0 {
-		t.Fatalf("rejected document committed %d dictionary strings", dec.DictLen())
+	if len(dec.strs) != 0 {
+		t.Fatalf("rejected document committed %d dictionary strings", len(dec.strs))
 	}
 	if _, err := dec.Decode(doc); err != nil {
 		t.Fatalf("clean document after rejection: %v", err)
@@ -281,10 +281,10 @@ func TestMergeWireMatchesMerge(t *testing.T) {
 	base := synthReport(7, "base", 30)
 	up := synthReport(8, "d8", 30)
 
-	want := base.Clone()
-	want.Merge(up.Clone())
+	want := FoldReports(base)
+	want.Merge(FoldReports(up))
 
-	got := base.Clone()
+	got := FoldReports(base)
 	dec := NewBinaryDecoder()
 	wr, err := dec.Decode(AppendReportBinary(nil, up))
 	if err != nil {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"strings"
-
 	"hangdoctor/internal/android/api"
 	"hangdoctor/internal/stack"
 )
@@ -29,12 +27,6 @@ type Diagnosis struct {
 	// many light operations (the self-developed heavy-operation case).
 	ViaCaller bool
 }
-
-// frameworkClass reports whether a class is main-loop plumbing that can
-// never be a root cause (it tops every main-thread stack). The ID-based
-// analyzer reads the same predicate from the symbol table's SymFramework
-// attribute bit, resolved once at intern time.
-func frameworkClass(cls string) bool { return api.IsFrameworkClass(cls) }
 
 // TraceAnalyzer is the allocation-free Trace Analyzer (§3.4.1): it computes
 // occurrence factors over dense per-symbol counters instead of string maps.
@@ -226,20 +218,4 @@ func (ta *TraceAnalyzer) Analyze(traces []*stack.Stack, reg *api.Registry, occHi
 	}
 	d.IsUI = view.Attrs(d.Sym)&stack.SymUI != 0
 	return d, true
-}
-
-// AnalyzeTraces runs the Trace Analyzer with throwaway scratch buffers. It
-// is the convenience entry point for one-shot callers (tests, examples);
-// the Doctor's hot path reuses its own TraceAnalyzer across hangs instead.
-func AnalyzeTraces(traces []*stack.Stack, reg *api.Registry, occHigh float64) (Diagnosis, bool) {
-	var ta TraceAnalyzer
-	return ta.Analyze(traces, reg, occHigh)
-}
-
-// classOf splits a class.method key back into its class part.
-func classOf(key string) string {
-	if i := strings.LastIndexByte(key, '.'); i >= 0 {
-		return key[:i]
-	}
-	return key
 }

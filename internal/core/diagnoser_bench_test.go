@@ -11,7 +11,7 @@ import (
 // corpus-derived sampled-stack sets at several stack depths (apps with
 // different wrapper-chain shapes) and sample counts (short vs long hangs).
 // The trace sets are synthesized once outside the timed loop — exactly what
-// the Diagnoser hands AnalyzeTraces per traced soft hang — so ns/op and
+// the Diagnoser hands the Trace Analyzer per traced soft hang — so ns/op and
 // allocs/op isolate the analysis itself. CI records these rows in
 // BENCH_diagnoser.json.
 func BenchmarkAnalyzeTraces(b *testing.B) {

@@ -1,9 +1,27 @@
 package core
 
 import (
+	"strings"
+
 	"hangdoctor/internal/android/api"
 	"hangdoctor/internal/stack"
 )
+
+// analyzeTraces runs the Trace Analyzer with throwaway scratch buffers, the
+// one-shot form tests use; the Doctor's hot path reuses its own
+// TraceAnalyzer across hangs instead.
+func analyzeTraces(traces []*stack.Stack, reg *api.Registry, occHigh float64) (Diagnosis, bool) {
+	var ta TraceAnalyzer
+	return ta.Analyze(traces, reg, occHigh)
+}
+
+// classOf splits a class.method key back into its class part.
+func classOf(key string) string {
+	if i := strings.LastIndexByte(key, '.'); i >= 0 {
+		return key[:i]
+	}
+	return key
+}
 
 // analyzeTracesReference is the retained string-map reference
 // implementation of the Trace Analyzer: maps keyed by Frame.Key() strings,
@@ -38,7 +56,7 @@ func analyzeTracesReference(traces []*stack.Stack, reg *api.Registry, occHigh fl
 		seen := map[string]bool{lf.Key(): true}
 		for i := 1; i < len(tr.Frames); i++ {
 			f := tr.Frames[i]
-			if frameworkClass(f.Class) || seen[f.Key()] {
+			if api.IsFrameworkClass(f.Class) || seen[f.Key()] {
 				continue
 			}
 			seen[f.Key()] = true

@@ -37,7 +37,7 @@ func TestAnalyzeSingleHeavyAPI(t *testing.T) {
 			"android.os.Looper.loop",
 		))
 	}
-	d, ok := AnalyzeTraces(traces, reg, 0.5)
+	d, ok := analyzeTraces(traces, reg, 0.5)
 	if !ok {
 		t.Fatal("no diagnosis")
 	}
@@ -62,7 +62,7 @@ func TestAnalyzeUIRootCause(t *testing.T) {
 			"android.os.Looper.loop",
 		))
 	}
-	d, ok := AnalyzeTraces(traces, reg, 0.5)
+	d, ok := analyzeTraces(traces, reg, 0.5)
 	if !ok || !d.IsUI {
 		t.Fatalf("UI hang misdiagnosed: %+v (ok=%v)", d, ok)
 	}
@@ -85,7 +85,7 @@ func TestAnalyzeSelfDevelopedAggregate(t *testing.T) {
 			"android.os.Looper.loop",
 		))
 	}
-	d, ok := AnalyzeTraces(traces, reg, 0.5)
+	d, ok := analyzeTraces(traces, reg, 0.5)
 	if !ok {
 		t.Fatal("no diagnosis")
 	}
@@ -112,7 +112,7 @@ func TestAnalyzeCallerPrefersClosestToLeaf(t *testing.T) {
 			"android.os.Looper.loop",
 		))
 	}
-	d, _ := AnalyzeTraces(traces, reg, 0.5)
+	d, _ := analyzeTraces(traces, reg, 0.5)
 	if d.RootCause != "com.app.Worker.inner" {
 		t.Fatalf("root = %q, want the innermost common caller", d.RootCause)
 	}
@@ -130,7 +130,7 @@ func TestAnalyzeFrameworkNeverRoot(t *testing.T) {
 			"android.os.Looper.loop",
 		))
 	}
-	d, ok := AnalyzeTraces(traces, reg, 0.5)
+	d, ok := analyzeTraces(traces, reg, 0.5)
 	if !ok {
 		t.Fatal("no diagnosis")
 	}
@@ -141,10 +141,10 @@ func TestAnalyzeFrameworkNeverRoot(t *testing.T) {
 
 func TestAnalyzeEmpty(t *testing.T) {
 	reg := api.NewRegistry()
-	if _, ok := AnalyzeTraces(nil, reg, 0.5); ok {
+	if _, ok := analyzeTraces(nil, reg, 0.5); ok {
 		t.Fatal("empty trace set produced a diagnosis")
 	}
-	if _, ok := AnalyzeTraces([]*stack.Stack{{}}, reg, 0.5); ok {
+	if _, ok := analyzeTraces([]*stack.Stack{{}}, reg, 0.5); ok {
 		t.Fatal("zero-depth traces produced a diagnosis")
 	}
 }

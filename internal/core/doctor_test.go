@@ -252,8 +252,8 @@ func TestReportMerge(t *testing.T) {
 	if top.MaxResponse != 300*simclock.Millisecond {
 		t.Fatalf("MaxResponse = %v", top.MaxResponse)
 	}
-	if top.AvgResponse() != 250*simclock.Millisecond {
-		t.Fatalf("AvgResponse = %v", top.AvgResponse())
+	if avg := top.SumResponse / simclock.Duration(top.Hangs); avg != 250*simclock.Millisecond {
+		t.Fatalf("mean response = %v", avg)
 	}
 }
 

@@ -90,8 +90,8 @@ func TestDocWriterDeltaProtocol(t *testing.T) {
 	if _, err := dec.Decode(docWriterDoc(&w, "device-x", 0, docWriterDict)); err != nil {
 		t.Fatalf("full upload: %v", err)
 	}
-	if dec.DictLen() != len(docWriterDict) {
-		t.Fatalf("dict len %d, want %d", dec.DictLen(), len(docWriterDict))
+	if len(dec.strs) != len(docWriterDict) {
+		t.Fatalf("dict len %d, want %d", len(dec.strs), len(docWriterDict))
 	}
 
 	// Steady state: empty delta against the committed base.

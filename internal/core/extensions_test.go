@@ -206,14 +206,14 @@ func TestTelemetryDashboard(t *testing.T) {
 	c := buildCorpus(t)
 	d, _ := runHD(t, c, "K9-Mail", Config{}, 11, 120)
 	tel := d.Telemetry()
-	open := tel.Action("K9-Mail/Open Email")
+	open := tel.actions["K9-Mail/Open Email"]
 	if open == nil || open.Executions == 0 {
 		t.Fatal("no telemetry for Open Email")
 	}
 	if open.HangRate() <= 0 {
 		t.Fatal("Open Email hang rate zero despite its bug")
 	}
-	quickAct := tel.Action("K9-Mail/Mark Read")
+	quickAct := tel.actions["K9-Mail/Mark Read"]
 	if quickAct == nil {
 		t.Fatal("no telemetry for Mark Read")
 	}
@@ -242,7 +242,7 @@ func TestTelemetryReservoirBounded(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		tel.Record("a/x", simclock.Duration(i)*simclock.Millisecond)
 	}
-	s := tel.Action("a/x")
+	s := tel.actions["a/x"]
 	if s.Executions != 5000 {
 		t.Fatalf("executions = %d", s.Executions)
 	}

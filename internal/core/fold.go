@@ -31,12 +31,6 @@ func ShardIndexKey(key string, shards int) int {
 	return int(fnv64a(key) % uint64(shards))
 }
 
-// Clone returns a deep copy of the report; mutating either copy never
-// affects the other.
-func (r *Report) Clone() *Report {
-	return &Report{entries: r.entries.deepCopy(), totalHangs: r.totalHangs, Health: r.Health}
-}
-
 // FoldReports merges parts (nil entries are skipped) into a fresh report.
 // Because Merge is commutative and associative, the fold result is
 // independent of part order and of how entries were partitioned.

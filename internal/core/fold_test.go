@@ -88,19 +88,20 @@ func TestSplitFoldRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCloneIsIndependent: mutating a clone must not leak into the source.
+// TestCloneIsIndependent: a fold of one report is a copy of it, and
+// mutating that copy must not leak into the source.
 func TestCloneIsIndependent(t *testing.T) {
 	r := foldFixture()
 	want := exportBytes(t, r)
-	c := r.Clone()
+	c := FoldReports(r)
 	if got := exportBytes(t, c); !bytes.Equal(got, want) {
-		t.Fatal("clone does not export identically to its source")
+		t.Fatal("a fold of one report does not export identically to its source")
 	}
 	c.Add("new-app", "new-dev", "new-app/Act",
 		Diagnosis{RootCause: "com.example.New.run", File: "New.java", Line: 9}, simclock.Second)
 	c.Health.Quarantines++
 	if got := exportBytes(t, r); !bytes.Equal(got, want) {
-		t.Error("mutating a clone changed the source report")
+		t.Error("mutating a fold of one report changed its source")
 	}
 }
 

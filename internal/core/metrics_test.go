@@ -115,7 +115,7 @@ func TestPercentileCacheCorrectAndInvalidated(t *testing.T) {
 	for _, ms := range []int{30, 10, 20} {
 		tel.Record("a", simclock.Duration(ms)*simclock.Millisecond)
 	}
-	s := tel.Action("a")
+	s := tel.actions["a"]
 	if got := s.Percentile(0.5); got != 20 {
 		t.Fatalf("p50 of {10,20,30} = %v, want 20", got)
 	}
@@ -148,7 +148,7 @@ func TestPercentileWarmZeroAlloc(t *testing.T) {
 	for i := 0; i < 2*maxReservoir; i++ {
 		tel.Record("a", simclock.Duration(i%400)*simclock.Millisecond)
 	}
-	s := tel.Action("a")
+	s := tel.actions["a"]
 	s.Percentile(0.5) // build the cache
 	allocs := testing.AllocsPerRun(100, func() {
 		_ = s.Percentile(0.50)

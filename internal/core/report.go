@@ -32,14 +32,6 @@ type ReportEntry struct {
 	Chain CausalChain
 }
 
-// AvgResponse returns the mean diagnosed hang length.
-func (e *ReportEntry) AvgResponse() simclock.Duration {
-	if e.Hangs == 0 {
-		return 0
-	}
-	return e.SumResponse / simclock.Duration(e.Hangs)
-}
-
 // The report algebra. Every path that builds, copies or combines entries
 // goes through empty and merge, so a new ReportEntry field is merged in
 // exactly one place (TestReportAlgebraLaws fails on a field merge ignores).

@@ -264,7 +264,7 @@ func TestSnapshotRandomBatches(t *testing.T) {
 func TestFoldReportsSharedByteIdentical(t *testing.T) {
 	r := foldFixture()
 	disjoint := shardParts(r.Wire(), 4)
-	overlapping := []*Report{r.Clone(), foldFixture(), nil, r.Clone()}
+	overlapping := []*Report{FoldReports(r), foldFixture(), nil, FoldReports(r)}
 	for name, parts := range map[string][]*Report{"disjoint": disjoint, "overlapping": overlapping} {
 		before := make([][]byte, len(parts))
 		for i, p := range parts {
@@ -308,7 +308,7 @@ func TestFoldCacheIncremental(t *testing.T) {
 
 	// Grow the underlying state by one entry and re-split: shard key sets
 	// only grow, and exactly one shard moves.
-	grown := base.Clone()
+	grown := FoldReports(base)
 	diag := Diagnosis{RootCause: "com.example.Grow.run", File: "Grow.java", Line: 7}
 	grown.Add("app-9", "device-g", "app-9/Act", diag, 150*simclock.Millisecond)
 	next := shardParts(grown.Wire(), shards)

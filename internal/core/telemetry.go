@@ -125,9 +125,6 @@ func (t *Telemetry) Record(actionUID string, rt simclock.Duration) {
 	}
 }
 
-// Action returns one action's stats (nil if never observed).
-func (t *Telemetry) Action(uid string) *ActionStats { return t.actions[uid] }
-
 // Actions returns all stats sorted by hang rate descending.
 func (t *Telemetry) Actions() []*ActionStats {
 	out := make([]*ActionStats, 0, len(t.actions))

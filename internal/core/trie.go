@@ -399,26 +399,3 @@ func diffLeaves(a, b *trieNode, shift uint, fn func(l *trieLeaf)) {
 		}
 	}
 }
-
-// deepCopy returns a trie of t's shape whose leaves hold clones of t's
-// entries, every node and leaf stamped 0.
-func (t *entryTrie) deepCopy() entryTrie {
-	out := entryTrie{n: t.n, edit: new(editToken)}
-	out.root = t.root.deepCopy(&out)
-	return out
-}
-
-func (n *trieNode) deepCopy(t *entryTrie) *trieNode {
-	if n == nil {
-		return nil
-	}
-	c := t.node(n.bitmap, 0, make([]trieSlot, len(n.slots))...)
-	for i, s := range n.slots {
-		if s.child != nil {
-			c.slots[i].child = s.child.deepCopy(t)
-		} else {
-			c.slots[i].leaf = t.newLeaf(s.leaf.h, s.leaf.key, s.leaf.e, nil)
-		}
-	}
-	return c
-}

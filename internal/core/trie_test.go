@@ -178,17 +178,6 @@ func runTrieOps(t *testing.T, ops []byte, colliding bool) {
 			}
 		}
 	}
-
-	// A deep copy has the same keys, cloned entries and stamp 0.
-	cp := cur.deepCopy()
-	cloned := map[string]modelLeaf{}
-	cp.each(func(c *trieLeaf) {
-		if l := model[c.key]; l.e == nil || c.e == l.e || c.e.Hangs != l.e.Hangs {
-			t.Fatalf("deepCopy: %q holds %+v, want a clone of %+v", c.key, c.e, l.e)
-		}
-		cloned[c.key] = modelLeaf{c.e, 0, c.e.Hangs}
-	})
-	checkTrie(t, "deep copy", &cp, cloned, hash)
 }
 
 // checkTrie compares tr with model and checks its shape: bitmaps match

@@ -110,16 +110,6 @@ func (c *Corpus) App(name string) (*app.App, bool) {
 	return nil, false
 }
 
-// AsyncBugs returns the seeded bugs of the async slice, sorted by ID.
-func (c *Corpus) AsyncBugs() []*app.Bug {
-	var out []*app.Bug
-	for _, a := range c.Async {
-		out = append(out, a.Bugs...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
 // MustApp returns the named app or panics.
 func (c *Corpus) MustApp(name string) *app.App {
 	a, ok := c.App(name)
@@ -368,65 +358,4 @@ func RunTrace(s *app.Session, trace []*app.Action, think simclock.Duration) []*a
 		s.Idle(think)
 	}
 	return execs
-}
-
-// CheckInvariants validates global corpus invariants and returns an error
-// describing the first violation; tests and Build-time checks use it.
-func (c *Corpus) CheckInvariants() error {
-	if len(c.Apps) != 114 {
-		return fmt.Errorf("corpus has %d apps, want 114", len(c.Apps))
-	}
-	if len(c.Table5) != 16 {
-		return fmt.Errorf("corpus has %d Table-5 apps, want 16", len(c.Table5))
-	}
-	if len(c.Motivation) != 8 {
-		return fmt.Errorf("corpus has %d motivation apps, want 8", len(c.Motivation))
-	}
-	if got := len(c.Table5Bugs()); got != 34 {
-		return fmt.Errorf("Table-5 bugs = %d, want 34", got)
-	}
-	if got := len(c.MissedOfflineBugs()); got != 23 {
-		return fmt.Errorf("missed-offline bugs = %d, want 23", got)
-	}
-	if len(c.Async) != 9 {
-		return fmt.Errorf("corpus has %d async apps, want 9", len(c.Async))
-	}
-	if got := len(c.AsyncBugs()); got != 6 {
-		return fmt.Errorf("async bugs = %d, want 6", got)
-	}
-	asyncBugApps, asyncClean := 0, 0
-	for _, a := range c.Async {
-		if !a.HasAsync() {
-			return fmt.Errorf("async app %s has no async ops", a.Name)
-		}
-		if len(a.Bugs) > 0 {
-			asyncBugApps++
-		} else {
-			asyncClean++
-		}
-	}
-	if asyncBugApps != 6 || asyncClean != 3 {
-		return fmt.Errorf("async slice = %d bug apps + %d controls, want 6 + 3", asyncBugApps, asyncClean)
-	}
-	names := map[string]bool{}
-	for _, a := range c.Apps {
-		if names[a.Name] {
-			return fmt.Errorf("duplicate app name %q", a.Name)
-		}
-		names[a.Name] = true
-	}
-	for _, a := range c.Async {
-		if names[a.Name] {
-			return fmt.Errorf("duplicate app name %q", a.Name)
-		}
-		names[a.Name] = true
-	}
-	ids := map[string]bool{}
-	for _, b := range append(c.AllBugs(), c.AsyncBugs()...) {
-		if ids[b.ID] {
-			return fmt.Errorf("duplicate bug ID %q", b.ID)
-		}
-		ids[b.ID] = true
-	}
-	return nil
 }

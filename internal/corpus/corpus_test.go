@@ -1,15 +1,86 @@
 package corpus
 
 import (
+	"fmt"
 	"testing"
 
 	"hangdoctor/internal/android/app"
 	"hangdoctor/internal/simclock"
 )
 
+// asyncBugs returns the seeded bugs of the async slice.
+func asyncBugs(c *Corpus) []*app.Bug {
+	var out []*app.Bug
+	for _, a := range c.Async {
+		out = append(out, a.Bugs...)
+	}
+	return out
+}
+
+// checkInvariants validates global corpus invariants and returns an error
+// describing the first violation.
+func checkInvariants(c *Corpus) error {
+	if len(c.Apps) != 114 {
+		return fmt.Errorf("corpus has %d apps, want 114", len(c.Apps))
+	}
+	if len(c.Table5) != 16 {
+		return fmt.Errorf("corpus has %d Table-5 apps, want 16", len(c.Table5))
+	}
+	if len(c.Motivation) != 8 {
+		return fmt.Errorf("corpus has %d motivation apps, want 8", len(c.Motivation))
+	}
+	if got := len(c.Table5Bugs()); got != 34 {
+		return fmt.Errorf("Table-5 bugs = %d, want 34", got)
+	}
+	if got := len(c.MissedOfflineBugs()); got != 23 {
+		return fmt.Errorf("missed-offline bugs = %d, want 23", got)
+	}
+	if len(c.Async) != 9 {
+		return fmt.Errorf("corpus has %d async apps, want 9", len(c.Async))
+	}
+	if got := len(asyncBugs(c)); got != 6 {
+		return fmt.Errorf("async bugs = %d, want 6", got)
+	}
+	asyncBugApps, asyncClean := 0, 0
+	for _, a := range c.Async {
+		if !a.HasAsync() {
+			return fmt.Errorf("async app %s has no async ops", a.Name)
+		}
+		if len(a.Bugs) > 0 {
+			asyncBugApps++
+		} else {
+			asyncClean++
+		}
+	}
+	if asyncBugApps != 6 || asyncClean != 3 {
+		return fmt.Errorf("async slice = %d bug apps + %d controls, want 6 + 3", asyncBugApps, asyncClean)
+	}
+	names := map[string]bool{}
+	for _, a := range c.Apps {
+		if names[a.Name] {
+			return fmt.Errorf("duplicate app name %q", a.Name)
+		}
+		names[a.Name] = true
+	}
+	for _, a := range c.Async {
+		if names[a.Name] {
+			return fmt.Errorf("duplicate app name %q", a.Name)
+		}
+		names[a.Name] = true
+	}
+	ids := map[string]bool{}
+	for _, b := range append(c.AllBugs(), asyncBugs(c)...) {
+		if ids[b.ID] {
+			return fmt.Errorf("duplicate bug ID %q", b.ID)
+		}
+		ids[b.ID] = true
+	}
+	return nil
+}
+
 func TestBuildInvariants(t *testing.T) {
 	c := Build()
-	if err := c.CheckInvariants(); err != nil {
+	if err := checkInvariants(c); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -126,25 +126,6 @@ func (c Counters) Sub(o Counters) Counters {
 	return r
 }
 
-// Add returns c + o field by field.
-func (c Counters) Add(o Counters) Counters {
-	r := Counters{
-		TaskClock:            c.TaskClock + o.TaskClock,
-		CPUClock:             c.CPUClock + o.CPUClock,
-		VoluntaryCtxSwitches: c.VoluntaryCtxSwitches + o.VoluntaryCtxSwitches,
-		InvoluntaryCtxSwitch: c.InvoluntaryCtxSwitch + o.InvoluntaryCtxSwitch,
-		Migrations:           c.Migrations + o.Migrations,
-		MinorFaults:          c.MinorFaults + o.MinorFaults,
-		MajorFaults:          c.MajorFaults + o.MajorFaults,
-		AlignmentFaults:      c.AlignmentFaults + o.AlignmentFaults,
-		EmulationFaults:      c.EmulationFaults + o.EmulationFaults,
-	}
-	for i := range c.HW {
-		r.HW[i] = c.HW[i] + o.HW[i]
-	}
-	return r
-}
-
 // segKind tags a Segment's variant. The zero kind is invalid, so a zero
 // Segment fails loudly instead of running as an empty Compute.
 type segKind uint8
@@ -396,7 +377,6 @@ func (t *Thread) charge(now simclock.Time) {
 		}
 		t.flushAccums()
 	}
-	t.sched.busyNs += ns
 }
 
 // flushAccums moves whole events from float accumulators into counters.
@@ -445,10 +425,8 @@ type Scheduler struct {
 	clk       *simclock.Clock
 	cores     []*Thread // nil = idle
 	runq      []*Thread
-	threads   []*Thread
 	timeslice simclock.Duration
 	nextTID   int
-	busyNs    int64
 	inDisp    bool
 	tracer    ExecTracer
 }
@@ -480,30 +458,8 @@ func New(clk *simclock.Clock, numCores int) *Scheduler {
 	}
 }
 
-// SetTimeslice overrides the preemption quantum (for tests and ablations).
-func (s *Scheduler) SetTimeslice(d simclock.Duration) {
-	if d <= 0 {
-		panic("cpu: non-positive timeslice")
-	}
-	s.timeslice = d
-}
-
 // Clock returns the shared simulation clock.
 func (s *Scheduler) Clock() *simclock.Clock { return s.clk }
-
-// BusyNs returns total CPU nanoseconds consumed by all threads so far; the
-// denominator for overhead percentages.
-func (s *Scheduler) BusyNs() int64 {
-	for _, t := range s.threads {
-		if t.state == Running {
-			t.charge(s.clk.Now())
-		}
-	}
-	return s.busyNs
-}
-
-// Threads returns all live and dead threads ever created (stable order).
-func (s *Scheduler) Threads() []*Thread { return s.threads }
 
 // NewThread creates a parked (Waiting) thread.
 func (s *Scheduler) NewThread(name string) *Thread {
@@ -512,7 +468,6 @@ func (s *Scheduler) NewThread(name string) *Thread {
 	t.onWake = func() { s.onWake(t) }
 	t.reset()
 	s.nextTID++
-	s.threads = append(s.threads, t)
 	return t
 }
 

@@ -308,9 +308,8 @@ func TestCountersSubAdd(t *testing.T) {
 	if d.TaskClock != 60 || d.MinorFaults != 3 || d.VoluntaryCtxSwitches != 1 || d.HW[3] != 30 {
 		t.Fatalf("Sub wrong: %+v", d)
 	}
-	back := d.Add(b)
-	if back != a {
-		t.Fatalf("Add(Sub) != identity: %+v vs %+v", back, a)
+	if back := a.Sub(d); back != b {
+		t.Fatalf("a.Sub(a.Sub(b)) != b: %+v vs %+v", back, b)
 	}
 }
 
@@ -321,8 +320,8 @@ func TestBusyNs(t *testing.T) {
 	a.Enqueue(Compute(30*simclock.Millisecond, nil, nil))
 	b.Enqueue(Compute(20*simclock.Millisecond, nil, nil))
 	drain(t, clk)
-	if got := s.BusyNs(); got != int64(50*simclock.Millisecond) {
-		t.Fatalf("BusyNs = %d, want 50ms", got)
+	if got := a.Counters().TaskClock + b.Counters().TaskClock; got != int64(50*simclock.Millisecond) {
+		t.Fatalf("busy time = %d, want 50ms", got)
 	}
 }
 

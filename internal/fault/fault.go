@@ -50,13 +50,6 @@ type Rates struct {
 	WorkerStackMiss float64
 }
 
-// Zero reports whether every rate is zero.
-func (r Rates) Zero() bool {
-	return r.PerfOpenFail == 0 && r.CounterDrop == 0 && r.RenderLoss == 0 &&
-		r.StackMiss == 0 && r.StackTruncate == 0 && r.SamplerOverrun == 0 &&
-		r.WorkerStackMiss == 0
-}
-
 // Stats counts the faults an injector actually delivered, for the chaos
 // harness's ground-truth view of how hostile a run really was.
 type Stats struct {

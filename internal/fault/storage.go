@@ -18,11 +18,12 @@ package fault
 //   - corrupt read: bit rot flips bits in the bytes a read returns, which
 //     the WAL's per-record CRC must catch.
 //
-// Decision streams derive from (seed, file name) and persist across
-// reopens of the same name, so a run draws one reproducible sequence per
-// file no matter how shards interleave or how often recovery reopens a
-// log — a fault is a property of the stream's position, never a curse on
-// a fixed file offset that would make every retry fail identically.
+// Decision streams derive from (seed, the file's base name) and persist
+// across reopens of the same name, so a run draws one reproducible
+// sequence per file no matter how shards interleave, how often recovery
+// reopens a log, or which temporary directory holds it — a fault is a
+// property of the stream's position, never a curse on a fixed file offset
+// that would make every retry fail identically.
 // The node WAL has a single writer, which keeps the per-operation
 // decision path lock-free (the only lock is at OpenFile, off the hot
 // path); the delivered-fault counters are atomics.
@@ -31,6 +32,7 @@ import (
 	"errors"
 	"io/fs"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 
@@ -133,15 +135,16 @@ type StorageStats struct {
 // plane's Injector (single-threaded per Doctor), files are opened and
 // used from many shard goroutines, so the delivered-fault counters are
 // atomics; the random decision streams stay lock-free because each
-// opened file derives its own private sub-streams from (seed, name).
+// opened file derives its own private sub-streams from (seed, base name).
 type StorageInjector struct {
 	seed  uint64
 	rates StorageRates
 
-	// files caches the per-name decision streams so reopening a file
+	// files caches the per-base-name decision streams so reopening a file
 	// continues its sequence instead of restarting it. Guarded by mu;
-	// taken only at OpenFile. Two concurrently open handles on one name
-	// would share streams — callers (the node WAL) never do that.
+	// taken only at OpenFile. Two files of one base name in different
+	// directories would share streams, so an injector serves one
+	// directory, as a node WAL's does.
 	mu    sync.Mutex
 	files map[string]*fileStreams
 
@@ -153,7 +156,7 @@ type StorageInjector struct {
 }
 
 // NewStorage builds a storage injector whose per-file decisions are a
-// pure function of (seed, file name, operation sequence on that file).
+// pure function of (seed, base name, operation sequence on that file).
 func NewStorage(seed uint64, rates StorageRates) *StorageInjector {
 	return &StorageInjector{seed: seed, rates: rates, files: make(map[string]*fileStreams)}
 }
@@ -163,8 +166,10 @@ type fileStreams struct {
 	torn, short, fsync, full, corrupt *simrand.Rand
 }
 
-// streams returns name's decision streams, creating them on first open.
+// streams returns the decision streams of name's base name, creating them
+// on first open.
 func (in *StorageInjector) streams(name string) *fileStreams {
+	name = filepath.Base(name)
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	st := in.files[name]

@@ -224,3 +224,54 @@ func countTrue(b []bool) int {
 	}
 	return n
 }
+
+// TestStorageStreamsKeyedByBaseName: one seed draws the same torn-write,
+// fsync and short-read decisions on node.wal wherever its directory lives,
+// so a chaos cell in a fresh temporary directory replays from its seed.
+func TestStorageStreamsKeyedByBaseName(t *testing.T) {
+	rates := StorageRates{TornWrite: 0.3, FsyncFail: 0.3, ShortRead: 0.5}
+	run := func() []int {
+		path := filepath.Join(t.TempDir(), "node.wal")
+		in := NewStorage(5, rates)
+		fsys := FaultyFS(DiskFS, in)
+		f, err := fsys.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []int // write lengths, -1 per failed sync, read lengths
+		buf := bytes.Repeat([]byte("x"), 4096)
+		for i := 0; i < 40; i++ {
+			n, _ := f.Write(buf)
+			got = append(got, n)
+			if f.Sync() != nil {
+				got = append(got, -1)
+			}
+		}
+		f.Close()
+		if f, err = fsys.OpenFile(path, os.O_RDONLY, 0); err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		p := make([]byte, 8*4096)
+		for {
+			n, err := f.Read(p)
+			if err != nil {
+				break
+			}
+			got = append(got, n)
+		}
+		if st := in.Stats(); st.TornWrites == 0 || st.FsyncFails == 0 || st.ShortReads == 0 {
+			t.Fatalf("a fault kind never fired: %+v", st)
+		}
+		return got
+	}
+	a, b := run(), run()
+	if len(a) != len(b) {
+		t.Fatalf("decision sequences differ in length across directories: %d vs %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("decision %d differs across directories: %d vs %d\n%v\n%v", i, a[i], b[i], a, b)
+		}
+	}
+}

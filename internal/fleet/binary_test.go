@@ -361,7 +361,7 @@ func TestSnapshotEndpointCanonical(t *testing.T) {
 	agg := NewAggregator(Config{Shards: 2, QueueDepth: 8})
 	reps := uploads(6, 30)
 	for _, r := range reps {
-		if err := agg.SubmitWait(r.Clone()); err != nil {
+		if err := agg.SubmitWait(core.FoldReports(r)); err != nil {
 			t.Fatal(err)
 		}
 	}

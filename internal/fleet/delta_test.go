@@ -23,6 +23,17 @@ import (
 	"hangdoctor/internal/core"
 )
 
+// forceResync discards every node's vector so the next PollDelta refetches
+// full snapshots: the full-poll reference the convergence tests and the
+// full-poll benchmark pin delta polling against.
+func (r *Regional) forceResync() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i := range r.states {
+		r.states[i].synced = false
+	}
+}
+
 // mergeAll submits reps and returns only after every one has merged
 // (SubmitDurable without a WAL acks post-merge), so the caller's next
 // fold is a deterministic quiescent point. It returns reps, so callers
@@ -291,7 +302,7 @@ func TestRegionalDeltaConvergesWithFold(t *testing.T) {
 		t.Fatal("a later poll round mutated a previously returned report")
 	}
 
-	reg.ForceResync()
+	reg.forceResync()
 	res4 := reg.PollDelta(ctx)
 	if res4.Deltas != 0 {
 		t.Fatalf("post-resync round rode %d deltas, want full refetches", res4.Deltas)

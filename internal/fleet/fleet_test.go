@@ -227,8 +227,10 @@ func TestSubmitContracts(t *testing.T) {
 		blocks bool
 		submit func(*Aggregator, *core.WireReport) error
 	}{
-		{"SubmitDurable", false, func(a *Aggregator, _ *core.WireReport) error { return a.SubmitDurable(rep.Clone(), UploadID{}) }},
-		{"SubmitWait", true, func(a *Aggregator, _ *core.WireReport) error { return a.SubmitWait(rep.Clone()) }},
+		{"SubmitDurable", false, func(a *Aggregator, _ *core.WireReport) error {
+			return a.SubmitDurable(core.FoldReports(rep), UploadID{})
+		}},
+		{"SubmitWait", true, func(a *Aggregator, _ *core.WireReport) error { return a.SubmitWait(core.FoldReports(rep)) }},
 		{"SubmitWireAcked", true, func(a *Aggregator, wr *core.WireReport) error { return a.SubmitWireAcked(wr, wa) }},
 		{"POST json", false, post("application/json", jsonDoc)},
 		{"POST binary", false, post(core.BinaryContentType, binDoc)},

@@ -15,7 +15,7 @@ package fleet
 //	                          batch. The churn's merge, which copied the
 //	                          entries it wrote, runs outside the timer
 //
-//	BenchmarkRegionalPoll/full  — ForceResync + PollDelta: every node
+//	BenchmarkRegionalPoll/full  — forceResync + PollDelta: every node
 //	                              refetched as a full snapshot
 //	BenchmarkRegionalPoll/delta — steady-state delta poll of the same nodes,
 //	                              which never change
@@ -102,7 +102,7 @@ func coldFold(a *Aggregator) *core.Report {
 		return core.NewReport()
 	}
 	for i, s := range snaps {
-		snaps[i] = s.Clone()
+		snaps[i] = core.FoldReports(s)
 	}
 	return core.FoldReports(snaps...)
 }
@@ -178,7 +178,7 @@ func BenchmarkRegionalPoll(b *testing.B) {
 		reg := NewRegional(urls, nil)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			reg.ForceResync()
+			reg.forceResync()
 			res := reg.PollDelta(ctx)
 			if res.Failed != 0 {
 				b.Fatalf("poll failed: %v", res.Errs)

@@ -114,7 +114,7 @@ func TestMetricsSnapshotEndpoint(t *testing.T) {
 	serial := core.NewReport()
 	for i := 0; i < 6; i++ {
 		rep := SyntheticUpload(int64(i), "dev", 3)
-		serial.Merge(rep.Clone())
+		serial.Merge(core.FoldReports(rep))
 		if err := agg.SubmitDurable(rep, UploadID{}); err != nil {
 			t.Fatal(err)
 		}

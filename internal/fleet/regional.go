@@ -19,11 +19,10 @@ package fleet
 // the next master with RefreshKeys, which shares every unchanged entry
 // and trie node with the previous one, and hands it out as is. A node
 // restart (epoch change) degrades that node to a full snapshot
-// automatically, ForceResync refetches every node in full, and a failed
-// node — one that does not answer, or whose aggregator crashed and
-// answers 503 — keeps its last mirrored state so the region serves
-// stale-but-complete data instead of nothing (the caller surfaces the
-// failure as degraded).
+// automatically, and a failed node — one that does not answer, or whose
+// aggregator crashed and answers 503 — keeps its last mirrored state so
+// the region serves stale-but-complete data instead of nothing (the
+// caller surfaces the failure as degraded).
 
 import (
 	"context"
@@ -206,17 +205,6 @@ func (r *Regional) PollDelta(ctx context.Context) PollResult {
 	}
 	res.Report = r.master
 	return res
-}
-
-// ForceResync discards every node's vector so the next PollDelta refetches
-// full snapshots — the operator's "re-verify from scratch" lever; the
-// convergence tests use it to pin delta polling against full polling.
-func (r *Regional) ForceResync() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := range r.states {
-		r.states[i].synced = false
-	}
 }
 
 // Metrics fetches every node's obs snapshot from /metrics/snapshot and

@@ -94,7 +94,7 @@ func TestTeardownDuringHandOff(t *testing.T) {
 					for i := 0; i < perWriter; i++ {
 						// One device per upload: its name marks the upload in a fold.
 						rep := SyntheticUpload(int64(100*g+i), fmt.Sprintf("device-%d-%02d", g, i), 6)
-						want := rep.Clone()
+						want := core.FoldReports(rep)
 						isAck, err := submitVia((g+i)%5, agg, h, rep)
 						switch {
 						case err == nil:

@@ -48,7 +48,7 @@ func submitAllDurable(t *testing.T, agg *Aggregator, reps []*core.Report) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := agg.SubmitDurable(r.Clone(), id); err != nil {
+		if err := agg.SubmitDurable(core.FoldReports(r), id); err != nil {
 			t.Fatalf("SubmitDurable: %v", err)
 		}
 	}
@@ -347,7 +347,7 @@ func TestResendDeduplicated(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := agg.SubmitDurable(rep.Clone(), id); err != nil {
+		if err := agg.SubmitDurable(core.FoldReports(rep), id); err != nil {
 			t.Fatalf("resend %d: %v", i, err)
 		}
 	}
@@ -397,9 +397,9 @@ func TestResendAnswersAfterMerge(t *testing.T) {
 			armed.Store(true)
 			want := core.NewReport()
 			answered := make(chan error, 2)
-			submit := func() { answered <- agg.SubmitDurable(rep.Clone(), UploadID{}) }
+			submit := func() { answered <- agg.SubmitDurable(core.FoldReports(rep), UploadID{}) }
 			if inBatch {
-				if err := agg.SubmitWait(first.Clone()); err != nil {
+				if err := agg.SubmitWait(core.FoldReports(first)); err != nil {
 					t.Fatal(err)
 				}
 				want.Merge(first)
@@ -546,7 +546,7 @@ func TestDurableUploadOneRecordOneBarrier(t *testing.T) {
 		agg := mustOpen(t, Config{Shards: 8, WAL: &WALConfig{Dir: t.TempDir(), Sync: SyncBatch}})
 		defer agg.Close()
 		for _, r := range reps {
-			if err := agg.SubmitDurable(r.Clone(), UploadID{}); err != nil {
+			if err := agg.SubmitDurable(core.FoldReports(r), UploadID{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -563,7 +563,7 @@ func TestDurableUploadOneRecordOneBarrier(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				for i := g; i < n; i += 32 {
-					if err := agg.SubmitDurable(reps[i].Clone(), UploadID{}); err != nil {
+					if err := agg.SubmitDurable(core.FoldReports(reps[i]), UploadID{}); err != nil {
 						t.Error(err)
 					}
 				}
@@ -849,7 +849,7 @@ func TestRenameDirSynced(t *testing.T) {
 	fs.mu.Unlock()
 	submitAllDurable(t, agg, reps[:1]) // its compaction's directory sync fails
 	id, _ := ReportUploadID(reps[1])
-	if err := agg.SubmitDurable(reps[1].Clone(), id); err == nil {
+	if err := agg.SubmitDurable(core.FoldReports(reps[1]), id); err == nil {
 		t.Fatal("an upload was acked while the rename of its log was not durable")
 	}
 	submitAllDurable(t, agg, reps[1:]) // the resend
@@ -927,7 +927,7 @@ func TestCrashAfterBarrierBeforeMerge(t *testing.T) {
 			agg = mustOpen(t, cfg)
 			armed.Store(true)
 			for _, r := range reps[:k] {
-				if err := agg.SubmitDurable(r.Clone(), UploadID{}); err != nil && !errors.Is(err, ErrCrashed) {
+				if err := agg.SubmitDurable(core.FoldReports(r), UploadID{}); err != nil && !errors.Is(err, ErrCrashed) {
 					t.Fatal(err)
 				}
 			}
@@ -940,7 +940,7 @@ func TestCrashAfterBarrierBeforeMerge(t *testing.T) {
 				re.Close()
 				t.Fatal("recovered fold does not hold the crashed upload exactly once")
 			}
-			if err := re.SubmitDurable(reps[k-1].Clone(), UploadID{}); err != nil {
+			if err := re.SubmitDurable(core.FoldReports(reps[k-1]), UploadID{}); err != nil {
 				re.Close()
 				t.Fatal(err)
 			}

@@ -9,11 +9,11 @@
 // "how is this process doing" (Registry.Snapshot) and one wire format to
 // scrape it (Registry.WritePrometheus).
 //
-// Hot-path contract: Counter.Inc/Add, Gauge.Set/Add, and Histogram.Observe
+// Hot-path contract: Counter.Inc/Add, Gauge.Set, and Histogram.Observe
 // on an already-obtained handle are lock-free, wait-free apart from the
 // histogram sum's CAS loop, and perform zero heap allocations. Handles are
-// obtained once at setup time (Registry.Counter, Vec.With, ...), which may
-// allocate and take the registry lock; callers cache them.
+// obtained once at setup time (Registry.Counter, GaugeVec.With, ...),
+// which may allocate and take the registry lock; callers cache them.
 //
 // Snapshots are deterministic: families sort by name, series by label
 // values, so two snapshots of registries holding the same values render
@@ -55,15 +55,6 @@ type Gauge struct {
 
 // Set replaces the value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add moves the value by n (negative deltas allowed).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Inc adds one.
-func (g *Gauge) Inc() { g.v.Add(1) }
-
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.v.Add(-1) }
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
@@ -122,15 +113,6 @@ func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
 	h.sum.add(v)
-}
-
-// Count returns the number of observations so far.
-func (h *Histogram) Count() uint64 {
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
 }
 
 // snapshot copies the bucket counts once. Count is derived from the copied

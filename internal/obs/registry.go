@@ -208,23 +208,6 @@ func (r *Registry) GaugeFunc(name, help string, fn func() int64) {
 	f.mu.Unlock()
 }
 
-// CounterVec is a counter family keyed by label values.
-type CounterVec struct{ f *family }
-
-// CounterVec registers (or fetches) a labeled counter family.
-func (r *Registry) CounterVec(name, help string, labelNames ...string) *CounterVec {
-	if len(labelNames) == 0 {
-		panic("obs: CounterVec needs at least one label")
-	}
-	return &CounterVec{r.lookup(name, help, KindCounter, labelNames, nil)}
-}
-
-// With returns the counter for the given label values, creating it on first
-// use. Callers cache the handle; With itself may allocate.
-func (v *CounterVec) With(labelValues ...string) *Counter {
-	return v.f.get(labelValues, func(s *series) { s.c = &Counter{} }).c
-}
-
 // GaugeVec is a gauge family keyed by label values.
 type GaugeVec struct{ f *family }
 

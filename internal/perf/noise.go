@@ -38,9 +38,6 @@ type NoiseModel struct {
 	PMUThreadSigma float64
 	// BaseScale multiplies every baseline rate (device "busyness" knob).
 	BaseScale float64
-
-	pendingG float64
-	haveG    bool
 }
 
 // DefaultNoise returns the measurement model calibrated against the paper's

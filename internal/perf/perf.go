@@ -151,15 +151,6 @@ func AllEvents() []Event {
 	return out
 }
 
-// KernelEvents returns only the kernel software events.
-func KernelEvents() []Event {
-	out := make([]Event, numKernelEvents)
-	for i := range out {
-		out[i] = Event(i)
-	}
-	return out
-}
-
 // ReadCounter extracts event e from a raw counter snapshot.
 func ReadCounter(c cpu.Counters, e Event) int64 {
 	switch e {
@@ -282,9 +273,6 @@ type Reading struct {
 	// every counter survived (the common case).
 	lost [][]bool
 }
-
-// Window returns the measurement window length.
-func (r Reading) Window() simclock.Duration { return r.End.Sub(r.Start) }
 
 // Value returns thread t's count for event e; it panics if e was not part
 // of the session.

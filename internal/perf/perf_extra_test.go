@@ -61,8 +61,8 @@ func TestReadingWindow(t *testing.T) {
 	th.Enqueue(cpu.Compute(30*simclock.Millisecond, nil, nil))
 	clk.RunUntil(simclock.Time(45 * simclock.Millisecond))
 	r := sess.Stop()
-	if got := r.Window(); got != 45*simclock.Millisecond {
-		t.Fatalf("Window = %v", got)
+	if got := r.End.Sub(r.Start); got != 45*simclock.Millisecond {
+		t.Fatalf("window = %v", got)
 	}
 }
 
@@ -92,7 +92,7 @@ func TestBaselineCoversEveryEvent(t *testing.T) {
 }
 
 func TestKernelSigmaScalePositive(t *testing.T) {
-	for _, e := range KernelEvents() {
+	for e := Event(0); e < numKernelEvents; e++ {
 		if kernelSigmaScale(e) <= 0 {
 			t.Errorf("event %v has non-positive sigma scale", e)
 		}

@@ -24,10 +24,10 @@ func newBarrier(parties int) *barrier {
 	return &barrier{parties: parties, gen: make(chan struct{})}
 }
 
-// await blocks until every current party arrives, or either signal channel
-// closes (engine stop, aggregator crash); it reports whether the barrier
-// opened normally. A nil signal channel never fires.
-func (b *barrier) await(stop, crash <-chan struct{}) bool {
+// await blocks until every current party arrives, or crash closes (the
+// aggregator died); it reports whether the barrier opened normally. A nil
+// crash channel never fires.
+func (b *barrier) await(crash <-chan struct{}) bool {
 	b.mu.Lock()
 	gen := b.gen
 	b.waiting++
@@ -42,8 +42,6 @@ func (b *barrier) await(stop, crash <-chan struct{}) bool {
 	select {
 	case <-gen:
 		return true
-	case <-stop:
-		return false
 	case <-crash:
 		return false
 	}

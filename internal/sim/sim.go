@@ -203,14 +203,12 @@ type Engine struct {
 	nodeIdx  []uint8 // ring-routed node index
 	nodeURL  []string
 
-	pool     *contentPool
-	workers  []worker
-	bar      *barrier
-	stopCh   chan struct{}
-	stopOnce sync.Once
-	crash    <-chan struct{} // Agg.Crashed() in inproc mode
-	started  atomic.Bool
-	wg       sync.WaitGroup
+	pool    *contentPool
+	workers []worker
+	bar     *barrier
+	crash   <-chan struct{} // Agg.Crashed() in inproc mode
+	started atomic.Bool
+	wg      sync.WaitGroup
 }
 
 const (
@@ -236,7 +234,6 @@ func New(cfg Config) (*Engine, error) {
 		periodMS:   cfg.PeriodMS,
 		jitterMS:   cfg.PeriodMS / 5,
 		pool:       content(),
-		stopCh:     make(chan struct{}),
 	}
 	if e.jitterMS < 1 {
 		e.jitterMS = 1
@@ -363,12 +360,6 @@ func (e *Engine) Registry() *obs.Registry { return e.cfg.Registry }
 
 // Workers returns the configured worker count.
 func (e *Engine) Workers() int { return len(e.workers) }
-
-// Stop asks a running engine to wind down at the next epoch boundary;
-// Run then returns the partial stats. Safe to call concurrently.
-func (e *Engine) Stop() {
-	e.stopOnce.Do(func() { close(e.stopCh) })
-}
 
 // Run executes the configured upload budget and returns the run's stats.
 // An engine runs once. The error is non-nil when the sink failed out from

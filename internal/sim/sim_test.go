@@ -208,37 +208,6 @@ func TestCrashUnblocksRun(t *testing.T) {
 
 // TestStopWindsDown: Stop ends the run at the next epoch boundary with
 // partial stats and no error.
-func TestStopWindsDown(t *testing.T) {
-	agg := fleet.NewAggregator(fleet.Config{Shards: 2})
-	defer agg.Close()
-	eng, err := New(Config{
-		Devices: 2000,
-		Uploads: 50_000_000,
-		Entries: 2,
-		Seed:    3,
-		Workers: 2,
-		Agg:     agg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := eng.Run()
-		done <- err
-	}()
-	time.Sleep(20 * time.Millisecond)
-	eng.Stop()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("stopped run returned error: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Run did not return after Stop")
-	}
-}
-
 // TestQuotaSpread: the upload budget must land exactly, spread across
 // devices, and the engine must refuse to run twice.
 func TestQuotaSpread(t *testing.T) {

@@ -150,7 +150,8 @@ func (w *worker) publish() {
 
 // run is the worker goroutine: process every event inside the current
 // epoch, flush, rendezvous at the barrier, repeat until the partition's
-// quotas drain (leave the barrier and exit) or a stop/crash unwinds it.
+// quotas drain (leave the barrier and exit) or an aggregator crash unwinds
+// it.
 func (w *worker) run() {
 	defer w.e.wg.Done()
 	defer w.e.bar.leave()
@@ -179,16 +180,9 @@ func (w *worker) run() {
 		if w.depthG != nil {
 			w.depthG.Set(int64(w.h.len()))
 		}
-		// The barrier's fast path (last arrival releases inline) never
-		// selects on the stop channel, so poll it once per epoch here.
-		select {
-		case <-e.stopCh:
-			return
-		default:
-		}
 		waitStart := time.Now()
-		if !e.bar.await(e.stopCh, e.crash) {
-			w.abortErr = w.stopCause()
+		if !e.bar.await(e.crash) {
+			w.abortErr = fleet.ErrCrashed
 			return
 		}
 		if w.waitH != nil {
@@ -196,19 +190,6 @@ func (w *worker) run() {
 		}
 		epochEnd += e.cfg.EpochMS
 	}
-}
-
-// stopCause distinguishes a crash-unwind (an error: uploads were lost)
-// from a voluntary Stop (not an error).
-func (w *worker) stopCause() error {
-	if w.e.crash != nil {
-		select {
-		case <-w.e.crash:
-			return fleet.ErrCrashed
-		default:
-		}
-	}
-	return nil
 }
 
 // tick simulates one device upload: draw the tick stream (fixed order —

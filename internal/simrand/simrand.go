@@ -176,16 +176,6 @@ func (r *Rand) Jitter(base float64, sigma float64) float64 {
 	return base * r.LogNormal(0, sigma)
 }
 
-// ExpFloat64 returns an exponential variate with rate 1.
-func (r *Rand) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
 // Perm returns a random permutation of [0, n).
 func (r *Rand) Perm(n int) []int {
 	p := make([]int, n)
@@ -202,15 +192,6 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 		j := int(r.Int63n(int64(i + 1)))
 		swap(i, j)
 	}
-}
-
-// Pick returns a uniformly random index into a slice of length n, or -1 for
-// an empty slice.
-func (r *Rand) Pick(n int) int {
-	if n == 0 {
-		return -1
-	}
-	return r.Intn(n)
 }
 
 // WeightedPick returns an index sampled in proportion to weights. Negative

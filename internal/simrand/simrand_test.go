@@ -6,6 +6,28 @@ import (
 	"testing/quick"
 )
 
+// ExpFloat64 and Pick are draws no simulation uses; they live here with the
+// tests that pin them.
+
+// ExpFloat64 returns an exponential variate with rate 1.
+func (r *Rand) ExpFloat64() float64 {
+	for {
+		u := r.Float64()
+		if u > 0 {
+			return -math.Log(u)
+		}
+	}
+}
+
+// Pick returns a uniformly random index into a slice of length n, or -1 for
+// an empty slice.
+func (r *Rand) Pick(n int) int {
+	if n == 0 {
+		return -1
+	}
+	return r.Intn(n)
+}
+
 func TestDeterminism(t *testing.T) {
 	a := New(42)
 	b := New(42)

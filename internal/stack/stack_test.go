@@ -6,6 +6,86 @@ import (
 	"testing/quick"
 )
 
+// The helpers below are test-only stack builders and queries; production
+// code reads stacks through Leaf, Depth, Truncate and the frames' Sym IDs.
+
+// Package returns the package portion of the class name ("org.htmlcleaner"
+// for "org.htmlcleaner.HtmlCleaner"), or "" if the class has no package.
+func (f Frame) Package() string {
+	if i := strings.LastIndexByte(f.Class, '.'); i >= 0 {
+		return f.Class[:i]
+	}
+	return ""
+}
+
+// matchesKey reports whether f's class.method equals key without building
+// the concatenation: key must be f.Class, a '.', then f.Method.
+func (f *Frame) matchesKey(key string) bool {
+	nc, nm := len(f.Class), len(f.Method)
+	if len(key) != nc+1+nm || key[nc] != '.' {
+		return false
+	}
+	return key[:nc] == f.Class && key[nc+1:] == f.Method
+}
+
+// Contains reports whether any frame has the given key (class.method).
+func (s *Stack) Contains(key string) bool {
+	if s == nil {
+		return false
+	}
+	for i := range s.Frames {
+		if s.Frames[i].matchesKey(key) {
+			return true
+		}
+	}
+	return false
+}
+
+// CallerOf returns the frame immediately above the first frame matching key,
+// and whether such a caller exists.
+func (s *Stack) CallerOf(key string) (Frame, bool) {
+	if s == nil {
+		return Frame{}, false
+	}
+	for i := range s.Frames {
+		if s.Frames[i].matchesKey(key) && i+1 < len(s.Frames) {
+			return s.Frames[i+1], true
+		}
+	}
+	return Frame{}, false
+}
+
+// Push returns a new stack with frame added as the new leaf. The receiver is
+// not modified.
+func (s *Stack) Push(frame Frame) *Stack {
+	var base []Frame
+	if s != nil {
+		base = s.Frames
+	}
+	frames := make([]Frame, 0, len(base)+1)
+	frames = append(frames, frame)
+	frames = append(frames, base...)
+	return &Stack{Frames: frames}
+}
+
+// Concat returns a new stack with inner's frames below... is the leaf side;
+// specifically the result is inner.Frames followed by s.Frames, i.e. inner
+// becomes the innermost portion. Used to nest a blocking API inside library
+// wrapper frames and then inside the app handler frames.
+func (s *Stack) Concat(inner *Stack) *Stack {
+	var a, b []Frame
+	if inner != nil {
+		a = inner.Frames
+	}
+	if s != nil {
+		b = s.Frames
+	}
+	frames := make([]Frame, 0, len(a)+len(b))
+	frames = append(frames, a...)
+	frames = append(frames, b...)
+	return &Stack{Frames: frames}
+}
+
 func frame(cls, m string) Frame {
 	return Frame{Class: cls, Method: m, File: m + ".java", Line: 1}
 }

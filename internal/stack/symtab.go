@@ -24,12 +24,6 @@ const (
 	// Looper.loop) that top every main-thread stack and can never be a root
 	// cause.
 	SymFramework
-	// SymKnownBlocking marks symbols currently in the known-blocking
-	// database. Unlike the other bits it is mutable at runtime (Hang
-	// Doctor's feedback loop extends the database), so it is cached per
-	// symbol under an epoch counter and re-resolved lazily after each
-	// database change; read it through KnownBlocking, never through Attrs.
-	SymKnownBlocking
 	// SymAwait marks synchronization symbols (FutureTask.get,
 	// CountDownLatch.await, ...) whose presence at the leaf of a main-thread
 	// stack means the dispatch is waiting on asynchronous work: the hang's
@@ -47,16 +41,8 @@ type symKey struct{ class, method string }
 // symEntry is the immutable per-symbol record. The canonical key string is
 // built once here so ID-to-key resolution never concatenates again.
 type symEntry struct {
-	class, method string
-	key           string // class + "." + method
-	attrs         SymAttrs
-}
-
-// kbSlot caches one symbol's known-blocking verdict, valid while its epoch
-// matches the table's current known-blocking epoch.
-type kbSlot struct {
-	epoch uint64
-	known bool
+	key   string // class + "." + method
+	attrs SymAttrs
 }
 
 // Symtab interns class.method frame keys to dense symbol IDs with attribute
@@ -70,14 +56,6 @@ type Symtab struct {
 	mu      sync.RWMutex
 	ids     map[symKey]SymID
 	entries []symEntry // index = SymID; entries[0] is the NoSym placeholder
-
-	// Known-blocking cache: epoch bumps on every database change
-	// (InvalidateKnownBlocking); slots lazily re-resolve on first read in
-	// the new epoch. Guarded by its own mutex so the read-mostly static
-	// tables above stay contention-free.
-	kbMu    sync.Mutex
-	kbEpoch uint64
-	kb      []kbSlot
 }
 
 // NewSymtab returns an empty table whose static attribute bits are computed
@@ -90,7 +68,6 @@ func NewSymtab(resolve AttrResolver) *Symtab {
 		resolve: resolve,
 		ids:     map[symKey]SymID{},
 		entries: make([]symEntry, 1), // reserve NoSym
-		kbEpoch: 1,
 	}
 }
 
@@ -112,37 +89,11 @@ func (t *Symtab) Intern(class, method string) SymID {
 	}
 	id = SymID(len(t.entries))
 	t.entries = append(t.entries, symEntry{
-		class: class, method: method,
 		key:   class + "." + method,
 		attrs: t.resolve(class, method),
 	})
 	t.ids[k] = id
 	return id
-}
-
-// Lookup returns the ID for class.method without interning, and whether it
-// exists.
-func (t *Symtab) Lookup(class, method string) (SymID, bool) {
-	t.mu.RLock()
-	id, ok := t.ids[symKey{class, method}]
-	t.mu.RUnlock()
-	return id, ok
-}
-
-// LookupKey is Lookup for an already-concatenated "class.method" key (the
-// string-input boundary: fleet imports, offline tools, tests).
-func (t *Symtab) LookupKey(key string) (SymID, bool) {
-	cls, m := splitKey(key)
-	return t.Lookup(cls, m)
-}
-
-// Len returns the number of slots including the NoSym placeholder, i.e. one
-// past the highest assigned ID. Dense per-symbol scratch buffers size to it.
-func (t *Symtab) Len() int {
-	t.mu.RLock()
-	n := len(t.entries)
-	t.mu.RUnlock()
-	return n
 }
 
 // Key returns the canonical "class.method" string for id ("" for NoSym or
@@ -182,88 +133,10 @@ func (v View) Key(id SymID) string {
 	return v.entries[id].key
 }
 
-// Class returns the class part for id ("" when out of view).
-func (v View) Class(id SymID) string {
-	if int(id) >= len(v.entries) {
-		return ""
-	}
-	return v.entries[id].class
-}
-
-// Method returns the method part for id ("" when out of view).
-func (v View) Method(id SymID) string {
-	if int(id) >= len(v.entries) {
-		return ""
-	}
-	return v.entries[id].method
-}
-
 // Attrs returns the static attribute bits for id (zero when out of view).
 func (v View) Attrs(id SymID) SymAttrs {
 	if int(id) >= len(v.entries) {
 		return 0
 	}
 	return v.entries[id].attrs
-}
-
-// InvalidateKnownBlocking starts a new known-blocking epoch: every cached
-// SymKnownBlocking verdict becomes stale and re-resolves on its next read.
-// The table's owner calls this after any database mutation (feedback-loop
-// insert, snapshot reset) — an O(1) bump instead of rewriting a bit per
-// symbol.
-func (t *Symtab) InvalidateKnownBlocking() {
-	t.kbMu.Lock()
-	t.kbEpoch++
-	t.kbMu.Unlock()
-}
-
-// KnownBlocking reports whether id's symbol is in the known-blocking
-// database, consulting the per-symbol cache and re-resolving through
-// resolve (a string-keyed database lookup) only when the cache predates the
-// current epoch. resolve must not call back into this Symtab.
-func (t *Symtab) KnownBlocking(id SymID, resolve func(key string) bool) bool {
-	if id == NoSym {
-		return false
-	}
-	key := t.Key(id)
-	if key == "" {
-		return false
-	}
-	t.kbMu.Lock()
-	if int(id) >= len(t.kb) {
-		grown := make([]kbSlot, t.Len())
-		copy(grown, t.kb)
-		t.kb = grown
-	}
-	slot := &t.kb[id]
-	if slot.epoch == t.kbEpoch {
-		known := slot.known
-		t.kbMu.Unlock()
-		return known
-	}
-	epoch := t.kbEpoch
-	t.kbMu.Unlock()
-
-	// Resolve outside kbMu: the database lookup takes the owner's lock, and
-	// holding both here would order locks against the owner's own
-	// mutate-then-invalidate path.
-	known := resolve(key)
-
-	t.kbMu.Lock()
-	if t.kbEpoch == epoch && int(id) < len(t.kb) {
-		t.kb[id] = kbSlot{epoch: epoch, known: known}
-	}
-	t.kbMu.Unlock()
-	return known
-}
-
-// splitKey splits "class.method" at the last dot; a dotless key is all
-// class.
-func splitKey(key string) (class, method string) {
-	for i := len(key) - 1; i >= 0; i-- {
-		if key[i] == '.' {
-			return key[:i], key[i+1:]
-		}
-	}
-	return key, ""
 }

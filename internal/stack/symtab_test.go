@@ -16,6 +16,15 @@ func testResolver(class, method string) SymAttrs {
 	return a
 }
 
+// Lookup returns the ID for class.method without interning, and whether it
+// exists; production code only interns.
+func (t *Symtab) Lookup(class, method string) (SymID, bool) {
+	t.mu.RLock()
+	id, ok := t.ids[symKey{class, method}]
+	t.mu.RUnlock()
+	return id, ok
+}
+
 func TestSymtabInternIdempotent(t *testing.T) {
 	st := NewSymtab(testResolver)
 	a := st.Intern("a.B", "m")
@@ -29,8 +38,8 @@ func TestSymtabInternIdempotent(t *testing.T) {
 	if again := st.Intern("a.B", "m"); again != a {
 		t.Fatalf("re-intern = %d, want %d", again, a)
 	}
-	if st.Len() != 3 { // NoSym placeholder + 2 symbols
-		t.Fatalf("Len = %d, want 3", st.Len())
+	if st.View().Len() != 3 { // NoSym placeholder + 2 symbols
+		t.Fatalf("Len = %d, want 3", st.View().Len())
 	}
 	if k := st.Key(a); k != "a.B.m" {
 		t.Fatalf("Key = %q", k)
@@ -48,12 +57,6 @@ func TestSymtabLookup(t *testing.T) {
 	}
 	if _, ok := st.Lookup("p.C", "absent"); ok {
 		t.Fatal("Lookup invented a symbol")
-	}
-	if got, ok := st.LookupKey("p.C.run"); !ok || got != id {
-		t.Fatalf("LookupKey = %d, %v", got, ok)
-	}
-	if _, ok := st.LookupKey("nodotkey"); ok {
-		t.Fatal("dotless key resolved")
 	}
 }
 
@@ -80,8 +83,8 @@ func TestSymtabViewSnapshot(t *testing.T) {
 	st := NewSymtab(testResolver)
 	a := st.Intern("a.A", "x")
 	v := st.View()
-	if v.Len() != 2 || v.Key(a) != "a.A.x" || v.Class(a) != "a.A" || v.Method(a) != "x" {
-		t.Fatalf("view = len %d key %q class %q method %q", v.Len(), v.Key(a), v.Class(a), v.Method(a))
+	if v.Len() != 2 || v.Key(a) != "a.A.x" {
+		t.Fatalf("view = len %d key %q", v.Len(), v.Key(a))
 	}
 	// Symbols interned after the snapshot are out of range for it.
 	b := st.Intern("b.B", "y")
@@ -93,38 +96,6 @@ func TestSymtabViewSnapshot(t *testing.T) {
 	}
 	if st.View().Key(b) != "b.B.y" {
 		t.Fatal("fresh view missed the new symbol")
-	}
-}
-
-func TestSymtabKnownBlockingEpoch(t *testing.T) {
-	st := NewSymtab(nil)
-	id := st.Intern("java.net.Socket", "connect")
-	db := map[string]bool{}
-	resolves := 0
-	resolve := func(key string) bool { resolves++; return db[key] }
-
-	if st.KnownBlocking(id, resolve) {
-		t.Fatal("empty database reported blocking")
-	}
-	// Cached: same epoch, no second resolve.
-	st.KnownBlocking(id, resolve)
-	if resolves != 1 {
-		t.Fatalf("resolves = %d, want 1 (cached)", resolves)
-	}
-	// Database mutation + invalidate: next read re-resolves and flips.
-	db["java.net.Socket.connect"] = true
-	st.InvalidateKnownBlocking()
-	if !st.KnownBlocking(id, resolve) {
-		t.Fatal("stale verdict served after invalidation")
-	}
-	if resolves != 2 {
-		t.Fatalf("resolves = %d, want 2", resolves)
-	}
-	if !st.KnownBlocking(id, resolve) || resolves != 2 {
-		t.Fatalf("verdict not re-cached (resolves = %d)", resolves)
-	}
-	if st.KnownBlocking(NoSym, resolve) {
-		t.Fatal("NoSym reported blocking")
 	}
 }
 
@@ -150,8 +121,8 @@ func TestSymtabConcurrentIntern(t *testing.T) {
 			}
 		}
 	}
-	if st.Len() != 51 { // placeholder + 50 classes
-		t.Fatalf("Len = %d, want 51", st.Len())
+	if st.View().Len() != 51 { // placeholder + 50 classes
+		t.Fatalf("Len = %d, want 51", st.View().Len())
 	}
 }
 

@@ -174,17 +174,6 @@ type Selection struct {
 	TrueNegatives  int
 }
 
-// Flag evaluates the selection's OR-rule on one sample (values keyed by
-// event name; missing events count as not exceeding).
-func (s Selection) Flag(values map[string]float64) bool {
-	for _, c := range s.Conditions {
-		if v, ok := values[c.Name]; ok && v > c.Threshold {
-			return true
-		}
-	}
-	return false
-}
-
 // bestThreshold finds, for one event, the threshold that best
 // *distinguishes* bugs from UI samples given the conditions selected so
 // far: it minimizes total residual errors (uncaught bugs plus flagged UI

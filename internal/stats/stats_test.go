@@ -8,6 +8,17 @@ import (
 	"hangdoctor/internal/simrand"
 )
 
+// Flag evaluates the selection's OR-rule on one sample (values keyed by
+// event name; missing events count as not exceeding).
+func (s Selection) Flag(values map[string]float64) bool {
+	for _, c := range s.Conditions {
+		if v, ok := values[c.Name]; ok && v > c.Threshold {
+			return true
+		}
+	}
+	return false
+}
+
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestPearsonPerfectCorrelation(t *testing.T) {

@@ -39,9 +39,6 @@ func (s *HangService) attach(p *Process) {
 	p.Session.AddListener(&anrWatchdog{svc: s, proc: p})
 }
 
-// Doctor returns the per-app doctor.
-func (s *HangService) Doctor(p *Process) *core.Doctor { return s.doctors[p] }
-
 // ANRs returns the ANR dialogs the stock tool would have shown.
 func (s *HangService) ANRs() []ANREvent { return s.anrs }
 

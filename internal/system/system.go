@@ -34,9 +34,6 @@ type Process struct {
 	rng      *simrand.Rand
 }
 
-// Foreground reports whether this process currently owns the screen.
-func (p *Process) Foreground() bool { return p.dev.foreground == p }
-
 // startBackground arms the periodic sync loop on the worker thread.
 func (p *Process) startBackground() {
 	if p.bgActive {
@@ -130,9 +127,6 @@ func (d *Device) Install(a *app.App) (*Process, error) {
 // Processes returns the installed processes in install order.
 func (d *Device) Processes() []*Process { return d.procs }
 
-// Foreground returns the process owning the screen.
-func (d *Device) Foreground() *Process { return d.foreground }
-
 // SwitchTo brings p to the foreground; the previous foreground app moves to
 // the background and resumes its sync jobs.
 func (d *Device) SwitchTo(p *Process) error {
@@ -148,18 +142,6 @@ func (d *Device) SwitchTo(p *Process) error {
 	p.stopBackground()
 	d.foreground = p
 	return nil
-}
-
-// Perform executes a user action on the foreground app.
-func (d *Device) Perform(actionName string) (*app.ActionExec, error) {
-	if d.foreground == nil {
-		return nil, fmt.Errorf("system: no foreground app")
-	}
-	act, ok := d.foreground.App.Action(actionName)
-	if !ok {
-		return nil, fmt.Errorf("system: %s has no action %q", d.foreground.App.Name, actionName)
-	}
-	return d.foreground.Session.Perform(act), nil
 }
 
 // Idle advances device time (screen off, user reading, ...). Background

@@ -1,6 +1,7 @@
 package system
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -9,6 +10,19 @@ import (
 	"hangdoctor/internal/corpus"
 	"hangdoctor/internal/simclock"
 )
+
+// Perform executes a user action on the foreground app, by name; the
+// examples drive a process's session directly instead.
+func (d *Device) Perform(actionName string) (*app.ActionExec, error) {
+	if d.foreground == nil {
+		return nil, fmt.Errorf("system: no foreground app")
+	}
+	act, ok := d.foreground.App.Action(actionName)
+	if !ok {
+		return nil, fmt.Errorf("system: %s has no action %q", d.foreground.App.Name, actionName)
+	}
+	return d.foreground.Session.Perform(act), nil
+}
 
 func bootDevice(t *testing.T, appNames ...string) (*Device, *corpus.Corpus, []*Process) {
 	t.Helper()
@@ -30,16 +44,13 @@ func bootDevice(t *testing.T, appNames ...string) (*Device, *corpus.Corpus, []*P
 
 func TestInstallAndForeground(t *testing.T) {
 	d, _, procs := bootDevice(t, "K9-Mail", "AndStatus", "Omni-Notes")
-	if d.Foreground() != procs[0] {
+	if d.foreground != procs[0] {
 		t.Fatal("first installed app not foreground")
-	}
-	if !procs[0].Foreground() || procs[1].Foreground() {
-		t.Fatal("Foreground() accessor wrong")
 	}
 	if err := d.SwitchTo(procs[1]); err != nil {
 		t.Fatal(err)
 	}
-	if d.Foreground() != procs[1] {
+	if d.foreground != procs[1] {
 		t.Fatal("switch failed")
 	}
 	// Reinstall is rejected.
@@ -70,7 +81,7 @@ func TestBackgroundSyncPreemptsForeground(t *testing.T) {
 	// preempted — cross-app contention replaces synthetic interference.
 	d, _, procs := bootDevice(t, "QKSMS", "K9-Mail", "AndStatus")
 	_ = procs
-	before := d.Foreground().Session.MainThread().Counters()
+	before := d.foreground.Session.MainThread().Counters()
 	// Backup Messages is a ~420ms CPU loop.
 	for i := 0; i < 6; i++ {
 		if _, err := d.Perform("Backup Messages"); err != nil {
@@ -78,7 +89,7 @@ func TestBackgroundSyncPreemptsForeground(t *testing.T) {
 		}
 		d.Idle(simclock.Second)
 	}
-	delta := d.Foreground().Session.MainThread().Counters().Sub(before)
+	delta := d.foreground.Session.MainThread().Counters().Sub(before)
 	if delta.InvoluntaryCtxSwitch < 5 {
 		t.Fatalf("foreground loop preempted only %d times; background apps idle?", delta.InvoluntaryCtxSwitch)
 	}
@@ -165,7 +176,7 @@ func TestHangServiceAttachesToLaterInstalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if svc.Doctor(p) == nil {
+	if svc.doctors[p] == nil {
 		t.Fatal("service did not attach to a later install")
 	}
 	d.SwitchTo(p)
@@ -173,7 +184,7 @@ func TestHangServiceAttachesToLaterInstalls(t *testing.T) {
 		p.Session.Perform(act)
 		d.Idle(simclock.Second)
 	}
-	if len(svc.Doctor(p).Detections()) == 0 {
+	if len(svc.doctors[p].Detections()) == 0 {
 		t.Fatal("no detections for the later-installed app")
 	}
 }

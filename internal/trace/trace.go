@@ -136,18 +136,6 @@ func (c *Collector) Spans() []Span {
 	return out
 }
 
-// OnCPUTime sums the on-CPU span time of one thread ID, a cross-check
-// against the scheduler's task clock.
-func (c *Collector) OnCPUTime(threadID int) simclock.Duration {
-	var total simclock.Duration
-	for _, s := range c.spans {
-		if s.Category == "sched" && s.ThreadID == threadID {
-			total += s.Dur()
-		}
-	}
-	return total
-}
-
 // chromeEvent is the Chrome trace-event wire format ("X" complete events,
 // timestamps and durations in microseconds).
 type chromeEvent struct {

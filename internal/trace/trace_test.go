@@ -58,7 +58,12 @@ func TestOnCPUTimeMatchesTaskClock(t *testing.T) {
 		s.Idle(simclock.Second)
 	}
 	main := s.MainThread()
-	got := col.OnCPUTime(main.ID)
+	var got simclock.Duration
+	for _, sp := range col.Spans() {
+		if sp.Category == "sched" && sp.ThreadID == main.ID {
+			got += sp.Dur()
+		}
+	}
 	want := simclock.Duration(main.Counters().TaskClock)
 	// On-CPU occupancy includes zero-cost scheduling overheadless gaps; the
 	// two accountings must agree exactly in this simulator.
