@@ -39,9 +39,17 @@ func TestExportedSurface(t *testing.T) {
 	if len(exportedAllowlist) > maxAllowlist {
 		t.Errorf("allowlist has %d entries, want at most %d", len(exportedAllowlist), maxAllowlist)
 	}
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for key, why := range exportedAllowlist {
 		if strings.TrimSpace(why) == "" {
 			t.Errorf("allowlist entry %s gives no reason", key)
+		}
+		// A root-package entry is public API only if the README shows it.
+		if name, ok := strings.CutPrefix(key, "hangdoctor."); ok && !strings.Contains(string(readme), name) {
+			t.Errorf("allowlist entry %s is root API that README.md never mentions", key)
 		}
 	}
 	problems, summary, err := checkExportedSurface(".", exportedAllowlist)
