@@ -478,11 +478,6 @@ type BinaryDecoder struct {
 	strs []string             // dictionary: ref i at strs[i-1]
 	keys map[keyTriple]string // composite entry-key cache
 
-	// extMask is the set of extension flag bits this decoder understands;
-	// sections for bits outside it are skipped by length. Tests restrict it
-	// to emulate decoders predating an extension.
-	extMask byte
-
 	// Scratch reused by DecodeScratch (and the pending-delta staging that
 	// both decode paths share).
 	pending []string
@@ -493,13 +488,8 @@ type BinaryDecoder struct {
 
 // NewBinaryDecoder returns an empty-dictionary decoder.
 func NewBinaryDecoder() *BinaryDecoder {
-	return &BinaryDecoder{keys: map[keyTriple]string{}, extMask: binFlagCausal}
+	return &BinaryDecoder{keys: map[keyTriple]string{}}
 }
-
-// restrictExtensions narrows the decoder to the given extension bits —
-// the compatibility tests use it to prove a decoder that predates the
-// causal section still parses documents carrying one.
-func (d *BinaryDecoder) restrictExtensions(mask byte) { d.extMask = mask }
 
 // Decode parses one document, returning a view whose slices are freshly
 // allocated (safe to retain and hand across goroutines). The dictionary
@@ -700,7 +690,8 @@ func (d *BinaryDecoder) decodeInto(doc []byte, wr *WireReport, devBuf *[]string)
 		}
 	}
 	// Extension sections, one per set flag bit above bit0 in ascending bit
-	// order. Bits outside extMask are skipped by their length prefix.
+	// order. Bits other than binFlagCausal are skipped by their length
+	// prefix, so a section added later does not break this decoder.
 	for bit := byte(binFlagHealth << 1); bit != 0; bit <<= 1 {
 		if flags&bit == 0 {
 			continue
@@ -709,16 +700,13 @@ func (d *BinaryDecoder) decodeInto(doc []byte, wr *WireReport, devBuf *[]string)
 		if err != nil {
 			return err
 		}
-		if bit&d.extMask == 0 {
+		if bit != binFlagCausal {
 			r.off += n
 			continue
 		}
 		sr := &binReader{buf: r.buf[:r.off+n], off: r.off}
-		switch bit {
-		case binFlagCausal:
-			if err := d.decodeCausal(sr, entries, &health); err != nil {
-				return err
-			}
+		if err := d.decodeCausal(sr, entries, &health); err != nil {
+			return err
 		}
 		if sr.off != r.off+n {
 			return fmt.Errorf("core: binary report: extension bit %d: %d bytes left over", bit, r.off+n-sr.off)

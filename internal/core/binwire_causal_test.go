@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"reflect"
 	"testing"
 
 	"hangdoctor/internal/simclock"
@@ -42,46 +44,27 @@ func TestBinaryCausalFlagSetOnlyWhenNeeded(t *testing.T) {
 	}
 }
 
-// TestBinaryPR9DecoderSkipsCausal emulates the previous decoder generation
-// (no causal support) via restrictExtensions(0): a causal document must
-// decode cleanly, with identical entries minus the chain provenance and
-// with the new health counters dropped.
-func TestBinaryPR9DecoderSkipsCausal(t *testing.T) {
-	rep := causalReport()
-	doc := AppendReportBinary(nil, rep)
-
-	full, err := NewBinaryDecoder().Decode(doc)
+// TestBinaryDecoderSkipsUnknownExtension pins forward compatibility: a
+// document carrying an extension section this decoder does not know (a
+// flag bit above causal and a length-prefixed body) decodes to the same
+// view as the same document without it.
+func TestBinaryDecoderSkipsUnknownExtension(t *testing.T) {
+	doc := AppendReportBinary(nil, causalReport())
+	want, err := NewBinaryDecoder().Decode(doc)
 	if err != nil {
-		t.Fatalf("full decode: %v", err)
-	}
-	old := NewBinaryDecoder()
-	old.restrictExtensions(0)
-	legacy, err := old.Decode(doc)
-	if err != nil {
-		t.Fatalf("legacy decode of causal doc: %v", err)
+		t.Fatalf("decode: %v", err)
 	}
 
-	if got := legacy.Report().Health; got.WorkerStacksLost != 0 || got.CausalFallbacks != 0 {
-		t.Fatalf("legacy decoder surfaced causal health counters: %+v", got)
+	extended := append([]byte(nil), doc...)
+	extended[len(binMagic)+1] |= binFlagCausal << 1
+	extended = binary.AppendUvarint(extended, 3)
+	extended = append(extended, 0xde, 0xad, 0xbe)
+	got, err := NewBinaryDecoder().Decode(extended)
+	if err != nil {
+		t.Fatalf("decode with an unknown extension section: %v", err)
 	}
-	fullRep, legacyRep := full.Report(), legacy.Report()
-	if fullRep.Len() != legacyRep.Len() || fullRep.TotalHangs() != legacyRep.TotalHangs() {
-		t.Fatalf("legacy decode lost entries: %d/%d vs %d/%d hangs",
-			legacyRep.Len(), legacyRep.TotalHangs(), fullRep.Len(), fullRep.TotalHangs())
-	}
-	fullEntries, legacyEntries := fullRep.Entries(), legacyRep.Entries()
-	for i := range fullEntries {
-		fe, le := fullEntries[i], legacyEntries[i]
-		if !le.Chain.Zero() {
-			t.Fatalf("legacy decoder produced a chain: %+v", le.Chain)
-		}
-		if fe.RootCause != le.RootCause || fe.Hangs != le.Hangs || fe.ActionUID != le.ActionUID ||
-			fe.MaxResponse != le.MaxResponse || fe.SumResponse != le.SumResponse {
-			t.Fatalf("legacy decode diverged beyond chains:\n  full   = %+v\n  legacy = %+v", fe, le)
-		}
-		if fe.Chain.Zero() {
-			t.Fatal("causalReport produced a chain-free entry; test fixture broken")
-		}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("unknown extension changed the decoded view:\n got  %+v\n want %+v", got, want)
 	}
 }
 

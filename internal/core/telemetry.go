@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"hangdoctor/internal/simclock"
+	"hangdoctor/internal/stats"
 )
 
 // maxReservoir bounds per-action response-time samples; beyond it, samples
@@ -49,20 +50,7 @@ func (s *ActionStats) Percentile(q float64) float64 {
 		sort.Float64s(s.sorted)
 		s.sortedValid = true
 	}
-	sorted := s.sorted
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[len(sorted)-1]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
+	return stats.SortedQuantile(s.sorted, q)
 }
 
 // Telemetry tracks per-action responsiveness across a deployment — the

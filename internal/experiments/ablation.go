@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"hangdoctor/internal/core"
-	"hangdoctor/internal/corpus"
-	"hangdoctor/internal/detect"
 	"hangdoctor/internal/experiments/pool"
 	"hangdoctor/internal/perf"
 	"hangdoctor/internal/simclock"
@@ -90,11 +88,10 @@ func RunAblations(ctx *Context) (*Ablation, error) {
 		for _, appName := range apps {
 			a := ctx.Corpus.MustApp(appName)
 			d := core.New(v.Cfg)
-			h, err := detect.NewHarness(a, appDevice(), ctx.Seed, d)
+			h, err := runOn(ctx, a, appDevice(), 0, d)
 			if err != nil {
 				return AblationRow{}, err
 			}
-			h.Run(corpus.Trace(a, ctx.Seed, ctx.Scale.TracePerApp), ctx.Scale.Think)
 			ev := h.Evaluate(d)
 			row.TP += ev.TP
 			row.FP += ev.FP

@@ -47,12 +47,12 @@ func RunCausal(ctx *Context) (*Causal, error) {
 		a := apps[i]
 		// The same seed offset for both modes: identical trace, identical
 		// manifest draws, so the only variable is the analyzer.
-		dc, _, err := RunHDOnApp(ctx, a, core.Config{}, 5000+uint64(i))
-		if err != nil {
+		dc := core.New(core.Config{})
+		if _, err := runOn(ctx, a, appDevice(), 5000+uint64(i), dc); err != nil {
 			return appResult{}, err
 		}
-		dm, _, err := RunHDOnApp(ctx, a, core.Config{NoCausal: true}, 5000+uint64(i))
-		if err != nil {
+		dm := core.New(core.Config{NoCausal: true})
+		if _, err := runOn(ctx, a, appDevice(), 5000+uint64(i), dm); err != nil {
 			return appResult{}, err
 		}
 		var res appResult

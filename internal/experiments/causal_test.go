@@ -6,32 +6,39 @@ import (
 )
 
 // TestCausalBeatsMainOnly is the headline claim of the causal extension:
-// over the async corpus slice, causal-chain attribution recalls strictly
-// more seeded bugs than the paper's main-thread-only analysis, without
-// giving back precision.
+// over the async corpus slice, causal-chain attribution recalls every
+// seeded bug and strictly more than the paper's main-thread-only analysis,
+// without giving back precision. It holds at both scales, at
+// cmd/experiments' default seed.
 func TestCausalBeatsMainOnly(t *testing.T) {
-	ctx := NewContext(42, SmallScale())
-	res, err := RunCausal(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Seeded != 6 {
-		t.Fatalf("async slice seeds %d bugs, want 6", res.Seeded)
-	}
-	if res.CausalFound != res.Seeded {
-		t.Errorf("causal mode found %d/%d seeded async bugs", res.CausalFound, res.Seeded)
-	}
-	if res.CausalFound <= res.MainFound {
-		t.Errorf("causal recall %d not strictly above main-thread-only %d", res.CausalFound, res.MainFound)
-	}
-	if res.CausalFalse > res.MainFalse {
-		t.Errorf("causal false attributions %d exceed main-thread-only %d", res.CausalFalse, res.MainFalse)
-	}
-	render := res.Render()
-	for _, want := range []string{"ChatRelay", "CloudNotes", "StreamCast", "TOTAL"} {
-		if !strings.Contains(render, want) {
-			t.Errorf("render missing %q:\n%s", want, render)
-		}
+	for _, sc := range []struct {
+		name  string
+		scale Scale
+	}{{"small", SmallScale()}, {"full", FullScale()}} {
+		t.Run("scale="+sc.name, func(t *testing.T) {
+			res, err := RunCausal(NewContext(42, sc.scale))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Seeded != 6 {
+				t.Fatalf("async slice seeds %d bugs, want 6", res.Seeded)
+			}
+			if res.CausalFound != res.Seeded {
+				t.Errorf("causal mode found %d/%d seeded async bugs", res.CausalFound, res.Seeded)
+			}
+			if res.CausalFound <= res.MainFound {
+				t.Errorf("causal recall %d not strictly above main-thread-only %d", res.CausalFound, res.MainFound)
+			}
+			if res.CausalFalse > res.MainFalse {
+				t.Errorf("causal false attributions %d exceed main-thread-only %d", res.CausalFalse, res.MainFalse)
+			}
+			render := res.Render()
+			for _, want := range []string{"ChatRelay", "CloudNotes", "StreamCast", "TOTAL"} {
+				if !strings.Contains(render, want) {
+					t.Errorf("render missing %q:\n%s", want, render)
+				}
+			}
+		})
 	}
 }
 

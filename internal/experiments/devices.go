@@ -6,20 +6,8 @@ import (
 
 	"hangdoctor/internal/android/app"
 	"hangdoctor/internal/core"
-	"hangdoctor/internal/corpus"
-	"hangdoctor/internal/detect"
 	"hangdoctor/internal/experiments/pool"
 )
-
-// newHarnessOn runs one app's standard trace on a specific device model.
-func newHarnessOn(ctx *Context, a *app.App, dev app.Device, seedOffset uint64, d detect.Detector) (*detect.Harness, error) {
-	h, err := detect.NewHarness(a, dev, ctx.Seed+seedOffset, d)
-	if err != nil {
-		return nil, err
-	}
-	h.Run(corpus.Trace(a, ctx.Seed+seedOffset, ctx.Scale.TracePerApp), ctx.Scale.Think)
-	return h, nil
-}
 
 // DeviceGenerality tests the paper's §3.3.1 claim that the filter's events
 // and thresholds, designed on the LG V10, "are generally good also for
@@ -85,7 +73,7 @@ func RunDeviceGenerality(ctx *Context) (*DeviceGenerality, error) {
 		d := core.New(core.Config{})
 		// Same per-app trace and seed on every device: only the device
 		// model differs.
-		if _, err := newHarnessOn(ctx, a, dev, uint64(5000+(i+1)*7), d); err != nil {
+		if _, err := runOn(ctx, a, dev, uint64(5000+(i+1)*7), d); err != nil {
 			return nil, err
 		}
 		found := map[string]bool{}

@@ -5,8 +5,6 @@ import (
 	"strings"
 
 	"hangdoctor/internal/core"
-	"hangdoctor/internal/corpus"
-	"hangdoctor/internal/detect"
 )
 
 // Fig2b reproduces the paper's Figure 2(b): Hang Bug Report entries for
@@ -31,15 +29,13 @@ func RunFig2b(ctx *Context) (*Fig2b, error) {
 	merged := core.NewReport()
 	for u := 0; u < ctx.Scale.Users; u++ {
 		d := core.New(core.Config{})
-		h, err := detect.NewHarness(a, appDevice(), ctx.Seed+uint64(300+u), d)
-		if err != nil {
-			return nil, err
-		}
 		// Each simulated user drives their own trace; the doctor labels
 		// entries with the device, so the merge counts distinct devices.
-		h.Session.Device.Name = fmt.Sprintf("user-%02d", u)
-		d.Attach(h.Session)
-		h.Run(corpus.Trace(a, ctx.Seed+uint64(300+u), ctx.Scale.TracePerApp), ctx.Scale.Think)
+		dev := appDevice()
+		dev.Name = fmt.Sprintf("user-%02d", u)
+		if _, err := runOn(ctx, a, dev, uint64(300+u), d); err != nil {
+			return nil, err
+		}
 		merged.Merge(d.Report())
 	}
 	out := &Fig2b{Report: merged}

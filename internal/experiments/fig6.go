@@ -6,7 +6,6 @@ import (
 
 	"hangdoctor/internal/android/app"
 	"hangdoctor/internal/core"
-	"hangdoctor/internal/corpus"
 	"hangdoctor/internal/detect"
 	"hangdoctor/internal/simclock"
 )
@@ -109,11 +108,9 @@ func (f *Fig7) Render() string { return f.Text }
 func RunFig7(ctx *Context) (*Fig7, error) {
 	a := ctx.Corpus.MustApp("K9-Mail")
 	d := core.New(core.Config{ResetEvery: 1 << 30})
-	h, err := detect.NewHarness(a, appDevice(), ctx.Seed+3, d)
-	if err != nil {
+	if _, err := runOn(ctx, a, appDevice(), 3, d); err != nil {
 		return nil, err
 	}
-	h.Run(corpus.Trace(a, ctx.Seed+3, ctx.Scale.TracePerApp), ctx.Scale.Think)
 
 	out := &Fig7{Paths: map[string][]string{}, FinalStates: map[string]core.ActionState{}}
 	for _, tr := range d.Transitions() {

@@ -83,15 +83,13 @@ func RunFig8(ctx *Context) (*Fig8, error) {
 		if err != nil {
 			return nil, err
 		}
-		trace := corpus.Trace(a, ctx.Seed, ctx.Scale.TracePerApp)
 		results := map[string]Fig8Row{}
 		for _, name := range Fig8Detectors {
 			det := roster[name]()
-			h, err := detect.NewHarness(a, appDevice(), ctx.Seed, det)
+			h, err := runOn(ctx, a, appDevice(), 0, det)
 			if err != nil {
 				return nil, err
 			}
-			h.Run(trace, ctx.Scale.Think)
 			ev := h.Evaluate(det)
 			results[name] = Fig8Row{
 				App: appName, Detector: name,

@@ -73,7 +73,7 @@ func RunSeedRobustness(ctx *Context) (*SeedRobustness, error) {
 		s, i := u/nApps, u%nApps
 		a := ctx.Corpus.MustApp(seedProbeApps[i])
 		d := core.New(core.Config{})
-		h, err := newHarnessOn(ctx, a, appDevice(), uint64(7000+s*97+i), d)
+		h, err := runOn(ctx, a, appDevice(), uint64(7000+s*97+i), d)
 		if err != nil {
 			return seedUnit{}, err
 		}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"hangdoctor/internal/corpus"
 	"hangdoctor/internal/detect"
 	"hangdoctor/internal/experiments/pool"
 	"hangdoctor/internal/simclock"
@@ -96,15 +95,13 @@ func RunTable2(ctx *Context) (*Table2, error) {
 	apps := ctx.Corpus.Motivation
 	units, err := pool.Map(ctx.Workers(), len(apps), func(i int) (t2unit, error) {
 		a := apps[i]
-		trace := corpus.Trace(a, ctx.Seed, ctx.Scale.TracePerApp)
 		u := t2unit{tp: make([]int, len(timeouts)), fp: make([]int, len(timeouts))}
 		for k, d := range timeouts {
 			ti := detect.NewTimeout(d)
-			h, err := detect.NewHarness(a, appDevice(), ctx.Seed, ti)
+			h, err := runOn(ctx, a, appDevice(), 0, ti)
 			if err != nil {
 				return t2unit{}, err
 			}
-			h.Run(trace, ctx.Scale.Think)
 			ev := h.Evaluate(ti)
 			u.tp[k], u.fp[k] = ev.TP, ev.FP
 			if d == 100*simclock.Millisecond {

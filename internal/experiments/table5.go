@@ -27,15 +27,16 @@ func matchDetections(a *app.App, dets []*core.Detection) map[string]*core.Detect
 	return out
 }
 
-// RunHDOnApp runs Hang Doctor over one app's trace and returns the doctor.
-func RunHDOnApp(ctx *Context, a *app.App, cfg core.Config, seedOffset uint64) (*core.Doctor, *detect.Harness, error) {
-	d := core.New(cfg)
-	h, err := detect.NewHarness(a, appDevice(), ctx.Seed+seedOffset, d)
+// runOn runs app a's standard trace, drawn at ctx.Seed+seedOffset, on a
+// session of device dev seeded with the same value, with detector d
+// attached, and returns the harness.
+func runOn(ctx *Context, a *app.App, dev app.Device, seedOffset uint64, d detect.Detector) (*detect.Harness, error) {
+	h, err := detect.NewHarness(a, dev, ctx.Seed+seedOffset, d)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	h.Run(corpus.Trace(a, ctx.Seed+seedOffset, ctx.Scale.TracePerApp), ctx.Scale.Think)
-	return d, h, nil
+	return h, nil
 }
 
 // Table5 reproduces the paper's Table 5: per-app bugs detected by Hang
@@ -85,8 +86,8 @@ func RunTable5(ctx *Context) (*Table5, error) {
 	apps := ctx.Corpus.Apps
 	results, err := pool.Map(ctx.Workers(), len(apps), func(i int) (appResult, error) {
 		a := apps[i]
-		d, _, err := RunHDOnApp(ctx, a, core.Config{}, uint64(i))
-		if err != nil {
+		d := core.New(core.Config{})
+		if _, err := runOn(ctx, a, appDevice(), uint64(i), d); err != nil {
 			return appResult{}, err
 		}
 		return appResult{
@@ -183,8 +184,8 @@ func RunTable6(ctx *Context) (*Table6, error) {
 	cells, err := pool.Map(ctx.Workers(), len(appOrder), func(i int) ([4]int, error) {
 		name := appOrder[i]
 		a := ctx.Corpus.MustApp(name)
-		d, _, err := RunHDOnApp(ctx, a, core.Config{}, 1000+uint64(i))
-		if err != nil {
+		d := core.New(core.Config{})
+		if _, err := runOn(ctx, a, appDevice(), 1000+uint64(i), d); err != nil {
 			return [4]int{}, err
 		}
 		matched := matchDetections(a, d.Detections())

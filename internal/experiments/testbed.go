@@ -61,11 +61,10 @@ func RunTestbed(ctx *Context) (*Testbed, error) {
 
 		// In the wild: weighted user trace, full environment, two-phase HD.
 		dWild := core.New(core.Config{})
-		hWild, err := detect.NewHarness(a, appDevice(), ctx.Seed+uint64(2000+i), dWild)
+		hWild, err := runOn(ctx, a, appDevice(), uint64(2000+i), dWild)
 		if err != nil {
 			return nil, err
 		}
-		hWild.Run(corpus.Trace(a, ctx.Seed+uint64(2000+i), ctx.Scale.TracePerApp), ctx.Scale.Think)
 		wild := len(matchDetections(a, dWild.Detections()))
 		wildCost += hWild.Overhead(dWild).Avg()
 

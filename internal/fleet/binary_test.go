@@ -210,7 +210,10 @@ func TestDictCacheEviction(t *testing.T) {
 			t.Fatalf("%s: %v", dev, err)
 		}
 	}
-	if got := c.devices(); got != 2 {
+	c.mu.Lock()
+	got := len(c.byDev)
+	c.mu.Unlock()
+	if got != 2 {
 		t.Fatalf("cache holds %d devices, want 2", got)
 	}
 	// dev-a was coldest and must have been evicted: its delta now mismatches.

@@ -103,10 +103,3 @@ func (c *dictCache) decode(doc []byte) (*core.WireReport, error) {
 	defer e.mu.Unlock()
 	return e.dec.Decode(doc)
 }
-
-// devices returns the number of devices with live dictionary state.
-func (c *dictCache) devices() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.byDev)
-}

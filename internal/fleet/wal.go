@@ -180,13 +180,6 @@ const (
 
 var walCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
-// appendFrame frames payload onto dst: [len][crc32c][payload].
-func appendFrame(dst, payload []byte) []byte {
-	var hdr [walFrameHeaderLen]byte
-	putFrameHeader(hdr[:], payload)
-	return append(append(dst, hdr[:]...), payload...)
-}
-
 // recordLenError applies the frame bound. The reader refuses a frame
 // outside it as corrupt, so the writer must refuse to write one.
 func recordLenError(n int64) error {

@@ -54,6 +54,14 @@ func submitAllDurable(t *testing.T, agg *Aggregator, reps []*core.Report) {
 	}
 }
 
+// appendFrame frames payload onto dst as the WAL writes it:
+// [len][crc32c][payload].
+func appendFrame(dst, payload []byte) []byte {
+	var hdr [walFrameHeaderLen]byte
+	putFrameHeader(hdr[:], payload)
+	return append(append(dst, hdr[:]...), payload...)
+}
+
 // TestWALFrameRoundTrip pins the record framing: frames written by
 // appendFrame come back from frameReader byte-identical and in order.
 func TestWALFrameRoundTrip(t *testing.T) {

@@ -6,28 +6,6 @@ import (
 	"testing/quick"
 )
 
-// ExpFloat64 and Pick are draws no simulation uses; they live here with the
-// tests that pin them.
-
-// ExpFloat64 returns an exponential variate with rate 1.
-func (r *Rand) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
-// Pick returns a uniformly random index into a slice of length n, or -1 for
-// an empty slice.
-func (r *Rand) Pick(n int) int {
-	if n == 0 {
-		return -1
-	}
-	return r.Intn(n)
-}
-
 func TestDeterminism(t *testing.T) {
 	a := New(42)
 	b := New(42)
@@ -269,23 +247,5 @@ func TestWeightedPickAllZero(t *testing.T) {
 	}
 	if len(seen) != 3 {
 		t.Fatalf("uniform fallback did not cover all buckets: %v", seen)
-	}
-}
-
-func TestPickEmpty(t *testing.T) {
-	if got := New(1).Pick(0); got != -1 {
-		t.Fatalf("Pick(0) = %d, want -1", got)
-	}
-}
-
-func TestExpFloat64Mean(t *testing.T) {
-	r := New(41)
-	const n = 200000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.ExpFloat64()
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.02 {
-		t.Fatalf("exponential mean = %v, want ~1", mean)
 	}
 }

@@ -16,15 +16,6 @@ func testResolver(class, method string) SymAttrs {
 	return a
 }
 
-// Lookup returns the ID for class.method without interning, and whether it
-// exists; production code only interns.
-func (t *Symtab) Lookup(class, method string) (SymID, bool) {
-	t.mu.RLock()
-	id, ok := t.ids[symKey{class, method}]
-	t.mu.RUnlock()
-	return id, ok
-}
-
 func TestSymtabInternIdempotent(t *testing.T) {
 	st := NewSymtab(testResolver)
 	a := st.Intern("a.B", "m")
@@ -46,17 +37,6 @@ func TestSymtabInternIdempotent(t *testing.T) {
 	}
 	if k := st.Key(NoSym); k != "" {
 		t.Fatalf("Key(NoSym) = %q, want empty", k)
-	}
-}
-
-func TestSymtabLookup(t *testing.T) {
-	st := NewSymtab(nil)
-	id := st.Intern("p.C", "run")
-	if got, ok := st.Lookup("p.C", "run"); !ok || got != id {
-		t.Fatalf("Lookup = %d, %v", got, ok)
-	}
-	if _, ok := st.Lookup("p.C", "absent"); ok {
-		t.Fatal("Lookup invented a symbol")
 	}
 }
 
@@ -123,31 +103,5 @@ func TestSymtabConcurrentIntern(t *testing.T) {
 	}
 	if st.View().Len() != 51 { // placeholder + 50 classes
 		t.Fatalf("Len = %d, want 51", st.View().Len())
-	}
-}
-
-// TestContainsCallerOfZeroAlloc pins the satellite fix: membership and
-// caller scans compare Class/Method fields directly instead of building a
-// key string per frame.
-func TestContainsCallerOfZeroAlloc(t *testing.T) {
-	s := New(
-		frame("lib.API", "get"),
-		frame("app.Repo", "load"),
-		frame("app.UI", "onClick"),
-		frame("android.os.Looper", "loop"),
-	)
-	allocs := testing.AllocsPerRun(100, func() {
-		if !s.Contains("app.Repo.load") || s.Contains("absent.X.y") {
-			t.Fatal("Contains wrong")
-		}
-		if _, ok := s.CallerOf("lib.API.get"); !ok {
-			t.Fatal("CallerOf wrong")
-		}
-		if _, ok := s.CallerOf("android.os.Looper.loop"); ok {
-			t.Fatal("outermost frame grew a caller")
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("Contains/CallerOf allocate %.1f objects, want 0", allocs)
 	}
 }

@@ -64,6 +64,12 @@ func Quantile(x []float64, q float64) float64 {
 	}
 	s := append([]float64(nil), x...)
 	sort.Float64s(s)
+	return SortedQuantile(s, q)
+}
+
+// SortedQuantile is Quantile over s, which the caller has already sorted
+// ascending; it neither copies nor allocates. It panics on an empty slice.
+func SortedQuantile(s []float64, q float64) float64 {
 	if q <= 0 {
 		return s[0]
 	}

@@ -8,17 +8,6 @@ import (
 	"hangdoctor/internal/simrand"
 )
 
-// Flag evaluates the selection's OR-rule on one sample (values keyed by
-// event name; missing events count as not exceeding).
-func (s Selection) Flag(values map[string]float64) bool {
-	for _, c := range s.Conditions {
-		if v, ok := values[c.Name]; ok && v > c.Threshold {
-			return true
-		}
-	}
-	return false
-}
-
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestPearsonPerfectCorrelation(t *testing.T) {
@@ -242,22 +231,6 @@ func TestGreedySelectRespectsMaxEvents(t *testing.T) {
 	}
 	if sel.FalseNegatives != 1 {
 		t.Fatalf("FN = %d, want 1 (third bug uncatchable)", sel.FalseNegatives)
-	}
-}
-
-func TestSelectionFlag(t *testing.T) {
-	sel := Selection{Conditions: []Condition{{Name: "ctx", Threshold: 0}, {Name: "pf", Threshold: 500}}}
-	if !sel.Flag(map[string]float64{"ctx": 5, "pf": 100}) {
-		t.Fatal("ctx>0 should flag")
-	}
-	if !sel.Flag(map[string]float64{"ctx": -3, "pf": 900}) {
-		t.Fatal("pf>500 should flag")
-	}
-	if sel.Flag(map[string]float64{"ctx": -3, "pf": 100}) {
-		t.Fatal("neither condition met; must not flag")
-	}
-	if sel.Flag(map[string]float64{"other": 1e9}) {
-		t.Fatal("unknown events must not flag")
 	}
 }
 
