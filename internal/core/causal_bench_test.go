@@ -33,8 +33,7 @@ func causalBenchSamples(mainN, workerN int) []stack.Tagged {
 
 // BenchmarkCausalAnalyze measures the causal analyzer's steady-state cost on
 // the escalation path (await verdict → chain grouping → second occurrence
-// pass). CI records these rows in BENCH_causal.json and fails if the warm
-// path allocates.
+// pass). cmd/benchgate fails CI's bench job if a row allocates.
 func BenchmarkCausalAnalyze(b *testing.B) {
 	reg := api.NewRegistry()
 	for _, tc := range []struct{ mainN, workerN int }{

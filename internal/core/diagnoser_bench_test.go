@@ -12,8 +12,13 @@ import (
 // different wrapper-chain shapes) and sample counts (short vs long hangs).
 // The trace sets are synthesized once outside the timed loop — exactly what
 // the Diagnoser hands the Trace Analyzer per traced soft hang — so ns/op and
-// allocs/op isolate the analysis itself. CI records these rows in
-// BENCH_diagnoser.json.
+// allocs/op isolate the analysis itself. The analyzer is warm, as in the
+// Doctor's steady state, and cmd/benchgate holds every row at 0 allocs/op
+// in CI.
+//
+// History: when symbols were interned, the string-map implementation at
+// commit 820c73e ran these cases in 8.3–76.2 µs with 92–975 allocations,
+// 13–40× the interned analyzer's time (DESIGN.md §10).
 func BenchmarkAnalyzeTraces(b *testing.B) {
 	c := corpus.Shared()
 	cases := []struct {

@@ -117,7 +117,18 @@ func copyDir(b *testing.B, src, dst string) {
 
 // BenchmarkCompact times the final compaction a clean Close writes. Each
 // iteration reopens a copy of a crashed node, whose replay leaves every
-// upload in the log tail, and times its Close.
+// upload in the log tail, and times its Close. The node is durable, has 8
+// shards and SyncBatch, and holds the per-node state of cmd/bench's region
+// workload (3,000 SyntheticUpload uploads × 16 entries from 2,048 devices,
+// 27,424 entries); 'walbytes' is the WAL directory's size after Close. The
+// row is recorded, not gated.
+//
+// History: this benchmark uses only the exported API, so it ran unchanged
+// on the commit before the compacted log became the snapshot, whose node
+// kept a JSON node.snap beside node.wal. Medians of 5 alternating runs on
+// a 2-vCPU Intel Xeon VM (GOMAXPROCS 2): 400.3 ms, 142.5 MB and 55,494
+// allocs per compaction and a 6,295,528-byte directory before; 96.1 ms,
+// 8.8 MB, 22,081 allocs and 773,236 bytes after.
 func BenchmarkCompact(b *testing.B) {
 	crashed, entries := walBenchNode(b, true)
 	var size int64
@@ -142,7 +153,12 @@ func BenchmarkCompact(b *testing.B) {
 }
 
 // BenchmarkReplay times Open of a cleanly closed node's directory: the
-// recovery every restart after a drain runs before intake opens.
+// recovery every restart after a drain runs before intake opens. The node
+// is BenchmarkCompact's; the row is recorded, not gated.
+//
+// History, measured as BenchmarkCompact's: 336.8 ms, 92.4 MB and 477,417
+// allocs per replay with the JSON node.snap; 77.5 ms, 56.9 MB and 138,006
+// allocs with one node.wal opening with a binary base.
 func BenchmarkReplay(b *testing.B) {
 	dir, entries := walBenchNode(b, false)
 	size := dirBytes(b, dir)

@@ -4,8 +4,9 @@ import (
 	"testing"
 )
 
-// BenchmarkObsCounterInc measures the counter hot path; CI fails the bench
-// job if it allocates.
+// BenchmarkObsCounterInc measures the counter hot path; cmd/benchgate fails
+// CI's bench job if it, the parallel variant or BenchmarkObsHistogramObserve
+// allocates or is missing.
 func BenchmarkObsCounterInc(b *testing.B) {
 	r := NewRegistry()
 	c := r.Counter("bench_events_total", "bench")
@@ -30,7 +31,7 @@ func BenchmarkObsCounterIncParallel(b *testing.B) {
 }
 
 // BenchmarkObsHistogramObserve measures the histogram hot path — binary
-// search plus two atomic updates; CI fails the bench job if it allocates.
+// search plus two atomic updates; it must not allocate.
 func BenchmarkObsHistogramObserve(b *testing.B) {
 	r := NewRegistry()
 	h := r.Histogram("bench_latency_ms", "bench", ExpBuckets(1, 2, 14))

@@ -11,14 +11,14 @@ import (
 )
 
 // bench_test.go: BenchmarkSimEngine produces the rows committed to
-// BENCH_sim.json (whose baseline-pr7 row came from a since-deleted replica
-// of the single-heap scheduler the engine replaced):
+// BENCH_sim.json, gated by cmd/benchgate:
 //
 //   inproc/workers=N    the engine end to end into a sharded aggregator
 //   sched/workers=N     discard sink: scheduler + draw + entry fill only —
 //                       the worker-scaling gate runs on these rows
 //   tick                warm steady-state tick, 0 allocs/op gate
-//   tick-http           warm tick through the full binary document encode
+//   tick-http           warm tick through the full binary document encode,
+//                       0 allocs/op gate
 //
 // Every row reports ns per device upload (Uploads = b.N), so throughput is
 // 1e9/ns_per_op uploads/s. SIM_BENCH_DEVICES overrides the resident fleet
