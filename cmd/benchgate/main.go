@@ -10,7 +10,7 @@
 // from:
 //
 //	go build -o /tmp/benchgate ./cmd/benchgate
-//	go test -bench 'Ingest|Fold' -benchmem -run XXX ./internal/fleet/ | /tmp/benchgate
+//	go test -bench BenchmarkObs -benchmem -run XXX ./internal/obs/ | /tmp/benchgate
 //
 // A bar applies when its package appears in the input, and a row it names
 // must then be present, so a renamed benchmark cannot silently stop being
@@ -113,25 +113,17 @@ type ratio struct {
 	Bar   float64 `json:"bar"`
 }
 
-// input is one parse of go test output.
-type input struct {
-	cpu    string
-	procs  int
-	rows   map[string]map[string]map[string]float64
-	failed []string // packages go test reported FAIL for
-}
-
 func main() {
 	os.Exit(run(os.Stdin, os.Stdout, os.Stderr))
 }
 
 func run(stdin io.Reader, stdout, stderr io.Writer) int {
-	in, err := parse(stdin)
+	l, failed, err := parse(stdin)
 	if err != nil {
 		fmt.Fprintln(stderr, "benchgate:", err)
 		return 1
 	}
-	l, violations := check(in)
+	violations := check(l, failed)
 	l.Host.Cores = runtime.NumCPU()
 	l.Host.Go = runtime.Version()
 	if bi, ok := debug.ReadBuildInfo(); ok {
@@ -145,11 +137,10 @@ func run(stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 	}
 	out, err := json.MarshalIndent(l, "", "  ")
-	if err != nil {
-		fmt.Fprintln(stderr, "benchgate:", err)
-		return 1
+	if err == nil {
+		_, err = stdout.Write(append(out, '\n'))
 	}
-	if _, err := stdout.Write(append(out, '\n')); err != nil {
+	if err != nil {
 		fmt.Fprintln(stderr, "benchgate:", err)
 		return 1
 	}
@@ -164,10 +155,12 @@ func run(stdin io.Reader, stdout, stderr io.Writer) int {
 
 var procsSuffix = regexp.MustCompile(`-([0-9]+)$`)
 
-// parse reads go test -bench output. A package is in the input when a
-// `pkg:` header or go test's closing ok or FAIL line names it.
-func parse(r io.Reader) (*input, error) {
-	in := &input{procs: 1, rows: map[string]map[string]map[string]float64{}}
+// parse reads go test -bench output into a ledger without the host facts
+// the gate reads from itself, and lists the packages go test reported FAIL
+// for. A package is in the input when a `pkg:` header or go test's closing
+// ok or FAIL line names it.
+func parse(r io.Reader) (l *ledger, failed []string, err error) {
+	l = &ledger{Version: schemaVersion, Packages: map[string]map[string]map[string]float64{}, Ratios: []ratio{}}
 	raw := map[string][]string{} // package -> row names as printed
 	pkg := ""
 	sc := bufio.NewScanner(r)
@@ -179,19 +172,19 @@ func parse(r io.Reader) (*input, error) {
 		case len(f) < 2:
 		case strings.HasPrefix(line, "pkg: "):
 			pkg = f[1]
-			if in.rows[pkg] == nil {
-				in.rows[pkg] = map[string]map[string]float64{}
+			if l.Packages[pkg] == nil {
+				l.Packages[pkg] = map[string]map[string]float64{}
 			}
 		case strings.HasPrefix(line, "cpu: "):
-			if in.cpu == "" {
-				in.cpu = strings.TrimSpace(line[len("cpu: "):])
+			if l.Host.CPU == "" {
+				l.Host.CPU = strings.TrimSpace(line[len("cpu: "):])
 			}
 		case strings.HasPrefix(line, "ok  \t"), strings.HasPrefix(line, "FAIL\t"):
-			if in.rows[f[1]] == nil {
-				in.rows[f[1]] = map[string]map[string]float64{}
+			if l.Packages[f[1]] == nil {
+				l.Packages[f[1]] = map[string]map[string]float64{}
 			}
 			if f[0] == "FAIL" {
-				in.failed = append(in.failed, f[1])
+				failed = append(failed, f[1])
 			}
 		case strings.HasPrefix(line, "Benchmark"):
 			n, err := strconv.ParseInt(f[1], 10, 64)
@@ -199,37 +192,36 @@ func parse(r io.Reader) (*input, error) {
 				continue // a name printed ahead of a benchmark's log lines
 			}
 			if pkg == "" {
-				return nil, fmt.Errorf("row %s before any pkg: header", f[0])
+				return nil, nil, fmt.Errorf("row %s before any pkg: header", f[0])
 			}
 			if len(f)%2 != 0 {
-				return nil, fmt.Errorf("%s: row %s: a value without a unit", pkg, f[0])
+				return nil, nil, fmt.Errorf("%s: row %s: a value without a unit", pkg, f[0])
 			}
 			row := map[string]float64{"iterations": float64(n)}
 			for i := 2; i < len(f); i += 2 {
 				v, err := strconv.ParseFloat(f[i], 64)
 				if err != nil {
-					return nil, fmt.Errorf("%s: row %s: %s: %v", pkg, f[0], f[i+1], err)
+					return nil, nil, fmt.Errorf("%s: row %s: %s: %v", pkg, f[0], f[i+1], err)
 				}
 				row[f[i+1]] = v
 			}
-			if _, dup := in.rows[pkg][f[0]]; dup {
-				return nil, fmt.Errorf("%s: row %s appears twice (run with -count 1)", pkg, f[0])
+			if _, dup := l.Packages[pkg][f[0]]; dup {
+				return nil, nil, fmt.Errorf("%s: row %s appears twice (run with -count 1)", pkg, f[0])
 			}
-			in.rows[pkg][f[0]] = row
+			l.Packages[pkg][f[0]] = row
 			raw[pkg] = append(raw[pkg], f[0])
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Go appends -N to every row name when GOMAXPROCS is N > 1. Row names
 	// may end in digits themselves, so the suffix is read as GOMAXPROCS
 	// only when every row of the package carries the same one.
-	procsOf := map[string]int{}
-	for p, names := range raw {
-		suffix := ""
-		for i, name := range names {
+	for _, p := range sortedKeys(raw) {
+		procs, suffix := 1, ""
+		for i, name := range raw[p] {
 			m := procsSuffix.FindStringSubmatch(name)
 			if m == nil || (i > 0 && m[1] != suffix) {
 				suffix = ""
@@ -237,61 +229,43 @@ func parse(r io.Reader) (*input, error) {
 			}
 			suffix = m[1]
 		}
-		procsOf[p] = 1
-		if suffix == "" {
-			continue
+		if suffix != "" {
+			procs, _ = strconv.Atoi(suffix)
+			stripped := map[string]map[string]float64{}
+			for _, name := range raw[p] {
+				stripped[strings.TrimSuffix(name, "-"+suffix)] = l.Packages[p][name]
+			}
+			l.Packages[p] = stripped
 		}
-		procsOf[p], _ = strconv.Atoi(suffix)
-		stripped := map[string]map[string]float64{}
-		for _, name := range names {
-			stripped[strings.TrimSuffix(name, "-"+suffix)] = in.rows[p][name]
+		if l.Host.GOMAXPROCS != 0 && procs != l.Host.GOMAXPROCS {
+			return nil, nil, fmt.Errorf("%s ran at GOMAXPROCS %d, a package before it at %d", p, procs, l.Host.GOMAXPROCS)
 		}
-		in.rows[p] = stripped
+		l.Host.GOMAXPROCS = procs
 	}
-	pkgs := make([]string, 0, len(procsOf))
-	for p := range procsOf {
-		pkgs = append(pkgs, p)
+	if l.Host.GOMAXPROCS == 0 {
+		l.Host.GOMAXPROCS = 1
 	}
-	sort.Strings(pkgs)
-	for i, p := range pkgs {
-		if i > 0 && procsOf[p] != in.procs {
-			return nil, fmt.Errorf("%s ran at GOMAXPROCS %d but %s at %d", p, procsOf[p], pkgs[0], in.procs)
-		}
-		in.procs = procsOf[p]
-	}
-	return in, nil
+	return l, failed, nil
 }
 
-// check builds the ledger of in, less the host facts the gate reads from
-// itself, and lists every violated bar.
-func check(in *input) (*ledger, []string) {
-	l := &ledger{
-		Version:  schemaVersion,
-		Host:     host{CPU: in.cpu, GOMAXPROCS: in.procs},
-		Packages: in.rows,
-		Ratios:   []ratio{},
-	}
+// check adds the ratios the bars divide to l and lists every violated bar.
+func check(l *ledger, failed []string) []string {
 	var bad []string
-	if len(in.rows) == 0 {
+	if len(l.Packages) == 0 {
 		bad = append(bad, "the input names no package")
 	}
-	pkgs := make([]string, 0, len(in.rows))
-	for p := range in.rows {
-		pkgs = append(pkgs, p)
-	}
-	sort.Strings(pkgs)
-	for _, p := range pkgs {
-		if len(in.rows[p]) == 0 {
+	for _, p := range sortedKeys(l.Packages) {
+		if len(l.Packages[p]) == 0 {
 			bad = append(bad, fmt.Sprintf("%s: no benchmark rows", p))
 		}
 	}
-	for _, p := range in.failed {
+	for _, p := range failed {
 		bad = append(bad, fmt.Sprintf("%s: go test reported FAIL", p))
 	}
 
 	// lookup returns the row, or records it as missing.
 	lookup := func(pkg, name string) map[string]float64 {
-		row := in.rows[pkg][name]
+		row := l.Packages[pkg][name]
 		if row == nil {
 			bad = append(bad, fmt.Sprintf("%s: row %s is missing", pkg, name))
 		}
@@ -305,20 +279,15 @@ func check(in *input) (*ledger, []string) {
 		}
 	}
 	for _, b := range allocFree {
-		rows, ok := in.rows[b.pkg]
+		rows, ok := l.Packages[b.pkg]
 		if !ok {
 			continue
 		}
 		if b.prefix != "" {
-			names := make([]string, 0, len(rows))
-			for name := range rows {
+			for _, name := range sortedKeys(rows) {
 				if strings.HasPrefix(name, b.prefix) {
-					names = append(names, name)
+					zeroAllocs(b.pkg, name, rows[name])
 				}
-			}
-			sort.Strings(names)
-			for _, name := range names {
-				zeroAllocs(b.pkg, name, rows[name])
 			}
 		}
 		for _, name := range b.rows {
@@ -327,8 +296,9 @@ func check(in *input) (*ledger, []string) {
 			}
 		}
 	}
+	procs := l.Host.GOMAXPROCS
 	for _, s := range speedups {
-		if _, ok := in.rows[s.pkg]; !ok {
+		if _, ok := l.Packages[s.pkg]; !ok {
 			continue
 		}
 		num, den := lookup(s.pkg, s.num), lookup(s.pkg, s.den)
@@ -339,12 +309,21 @@ func check(in *input) (*ledger, []string) {
 			bad = append(bad, fmt.Sprintf("%s: %s or %s reports no positive ns/op", s.pkg, s.num, s.den))
 			continue
 		}
-		v, bar := num["ns/op"]/den["ns/op"], s.bar(in.procs)
+		v, bar := num["ns/op"]/den["ns/op"], s.bar(procs)
 		if v < bar {
 			bad = append(bad, fmt.Sprintf("%s: %s ÷ %s = %.3f in ns/op, below the %g bar at GOMAXPROCS %d",
-				s.pkg, s.num, s.den, v, bar, in.procs))
+				s.pkg, s.num, s.den, v, bar, procs))
 		}
 		l.Ratios = append(l.Ratios, ratio{Pkg: s.pkg, Num: s.num, Den: s.den, Value: math.Round(v*100) / 100, Bar: bar})
 	}
-	return l, bad
+	return bad
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

@@ -35,11 +35,11 @@ func readCapture(t *testing.T, name string) string {
 // gate parses text and checks it, failing the test on an input error.
 func gate(t *testing.T, text string) (*ledger, []string) {
 	t.Helper()
-	in, err := parse(strings.NewReader(text))
+	l, failed, err := parse(strings.NewReader(text))
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	return check(in)
+	return l, check(l, failed)
 }
 
 // editRows applies edit to the fields of every row line of text whose name,
@@ -255,7 +255,7 @@ func TestMalformedInput(t *testing.T) {
 		"mixed procs":      fleet + atProcs(readCapture(t, "sim"), 8),
 		"mixed procs at 1": atProcs(fleet, 1) + readCapture(t, "sim"),
 	} {
-		if _, err := parse(strings.NewReader(text)); err == nil {
+		if _, _, err := parse(strings.NewReader(text)); err == nil {
 			t.Errorf("%s: parsed", name)
 		}
 	}
