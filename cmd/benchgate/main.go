@@ -13,8 +13,9 @@
 //	go test -bench BenchmarkObs -benchmem -run XXX ./internal/obs/ | /tmp/benchgate
 //
 // A bar applies when its package appears in the input, and a row it names
-// must then be present, so a renamed benchmark cannot silently stop being
-// checked. Every package in the input must report at least one row.
+// must then be present, as must each row the ledgers record without a bar,
+// so a renamed benchmark cannot silently stop being checked or recorded.
+// Every package in the input must report at least one row.
 package main
 
 import (
@@ -27,6 +28,7 @@ import (
 	"regexp"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -44,17 +46,32 @@ const (
 )
 
 // allocFree lists the rows that must report 0 allocs/op: every row whose
-// name starts with prefix, and each row in rows, which must be present.
+// name contains match, and each row in rows, which must be present.
 var allocFree = []struct {
-	pkg    string
-	prefix string
-	rows   []string
+	pkg   string
+	match string
+	rows  []string
 }{
-	{pkg: corePkg, prefix: "BenchmarkAnalyzeTraces"},
-	{pkg: corePkg, prefix: "BenchmarkCausalAnalyze"},
-	{pkg: obsPkg, rows: []string{"BenchmarkObsCounterInc", "BenchmarkObsCounterIncParallel", "BenchmarkObsHistogramObserve"}},
+	{pkg: corePkg, match: "BenchmarkAnalyzeTraces"},
+	{pkg: corePkg, match: "BenchmarkCausalAnalyze"},
+	{pkg: obsPkg, match: "CounterInc", rows: []string{"BenchmarkObsCounterInc", "BenchmarkObsCounterIncParallel"}},
+	{pkg: obsPkg, match: "HistogramObserve", rows: []string{"BenchmarkObsHistogramObserve"}},
 	{pkg: fleetPkg, rows: []string{"BenchmarkBinaryDecode"}},
 	{pkg: simPkg, rows: []string{"BenchmarkSimEngine/tick", "BenchmarkSimEngine/tick-http"}},
+}
+
+// recorded lists rows the ledgers keep under no bar of their own. Like the
+// rows a bar names, each must be present when its package is.
+var recorded = []struct {
+	pkg  string
+	rows []string
+}{
+	{fleetPkg, []string{"BenchmarkRegionalPoll/full", "BenchmarkRegionalPoll/delta", "BenchmarkRegionalPoll/churn"}},
+	{simPkg, []string{
+		"BenchmarkSimEngine/inproc/workers=1", "BenchmarkSimEngine/inproc/workers=2",
+		"BenchmarkSimEngine/inproc/workers=4", "BenchmarkSimEngine/inproc/workers=8",
+		"BenchmarkSimEngine/sched/workers=2", "BenchmarkSimEngine/sched/workers=4",
+	}},
 }
 
 // speedups lists the bars on ns/op ratios: num's ns/op divided by den's must
@@ -161,7 +178,6 @@ var procsSuffix = regexp.MustCompile(`-([0-9]+)$`)
 // ok or FAIL line names it.
 func parse(r io.Reader) (l *ledger, failed []string, err error) {
 	l = &ledger{Version: schemaVersion, Packages: map[string]map[string]map[string]float64{}, Ratios: []ratio{}}
-	raw := map[string][]string{} // package -> row names as printed
 	pkg := ""
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 1024*1024)
@@ -209,7 +225,6 @@ func parse(r io.Reader) (l *ledger, failed []string, err error) {
 				return nil, nil, fmt.Errorf("%s: row %s appears twice (run with -count 1)", pkg, f[0])
 			}
 			l.Packages[pkg][f[0]] = row
-			raw[pkg] = append(raw[pkg], f[0])
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -219,11 +234,15 @@ func parse(r io.Reader) (l *ledger, failed []string, err error) {
 	// Go appends -N to every row name when GOMAXPROCS is N > 1. Row names
 	// may end in digits themselves, so the suffix is read as GOMAXPROCS
 	// only when every row of the package carries the same one.
-	for _, p := range sortedKeys(raw) {
+	for _, p := range sortedKeys(l.Packages) {
+		rows := l.Packages[p]
+		if len(rows) == 0 {
+			continue
+		}
 		procs, suffix := 1, ""
-		for i, name := range raw[p] {
+		for name := range rows {
 			m := procsSuffix.FindStringSubmatch(name)
-			if m == nil || (i > 0 && m[1] != suffix) {
+			if m == nil || (suffix != "" && m[1] != suffix) {
 				suffix = ""
 				break
 			}
@@ -232,8 +251,8 @@ func parse(r io.Reader) (l *ledger, failed []string, err error) {
 		if suffix != "" {
 			procs, _ = strconv.Atoi(suffix)
 			stripped := map[string]map[string]float64{}
-			for _, name := range raw[p] {
-				stripped[strings.TrimSuffix(name, "-"+suffix)] = l.Packages[p][name]
+			for name, row := range rows {
+				stripped[strings.TrimSuffix(name, "-"+suffix)] = row
 			}
 			l.Packages[p] = stripped
 		}
@@ -283,16 +302,19 @@ func check(l *ledger, failed []string) []string {
 		if !ok {
 			continue
 		}
-		if b.prefix != "" {
-			for _, name := range sortedKeys(rows) {
-				if strings.HasPrefix(name, b.prefix) {
-					zeroAllocs(b.pkg, name, rows[name])
-				}
+		for _, name := range b.rows {
+			lookup(b.pkg, name)
+		}
+		for _, name := range sortedKeys(rows) {
+			if (b.match != "" && strings.Contains(name, b.match)) || slices.Contains(b.rows, name) {
+				zeroAllocs(b.pkg, name, rows[name])
 			}
 		}
-		for _, name := range b.rows {
-			if row := lookup(b.pkg, name); row != nil {
-				zeroAllocs(b.pkg, name, row)
+	}
+	for _, r := range recorded {
+		if _, ok := l.Packages[r.pkg]; ok {
+			for _, name := range r.rows {
+				lookup(r.pkg, name)
 			}
 		}
 	}

@@ -181,15 +181,23 @@ func TestAllocBars(t *testing.T) {
 		{"diagnoser", "BenchmarkAnalyzeTraces/app=SageMath/samples=64"},
 		{"causal", "BenchmarkCausalAnalyze/main=256/worker=128"},
 		{"obs", "BenchmarkObsCounterIncParallel"},
+		{"obs", "BenchmarkObsHistogramObserve"},
 		{"fleet", "BenchmarkBinaryDecode"},
 		{"sim", "BenchmarkSimEngine/tick-http"},
 	} {
-		t.Run(tc.capture, func(t *testing.T) {
+		t.Run(tc.row, func(t *testing.T) {
 			text := setMetric(t, readCapture(t, tc.capture), tc.row, "allocs/op", 1)
 			_, bad := gate(t, text)
 			oneViolation(t, bad, tc.row, "1 allocs/op")
 		})
 	}
+	// A variant the obs rules match by name is held at 0 without being listed.
+	text := editRows(readCapture(t, "obs"), "BenchmarkObsSnapshot", func(f []string) []string {
+		f[0] = "BenchmarkObsLabeledCounterInc-2"
+		return f
+	})
+	_, bad := gate(t, text)
+	oneViolation(t, bad, "BenchmarkObsLabeledCounterInc", "33 allocs/op")
 }
 
 // TestSpeedupBars puts each ratio bar just out of reach.
@@ -228,11 +236,38 @@ func TestSpeedupBars(t *testing.T) {
 	}
 }
 
-// TestMissingRow: a row a bar names must be there when its package is.
+// TestMissingRow deletes, one at a time, each row that must be there when
+// its package is: every row a bar names, and the regional poll and
+// simulator rows the ledgers record without a bar.
 func TestMissingRow(t *testing.T) {
-	text := editRows(readCapture(t, "obs"), "BenchmarkObsHistogramObserve", func([]string) []string { return nil })
-	_, bad := gate(t, text)
-	oneViolation(t, bad, obsPkg, "BenchmarkObsHistogramObserve is missing")
+	required := map[string][]string{
+		"obs": {"BenchmarkObsCounterInc", "BenchmarkObsCounterIncParallel", "BenchmarkObsHistogramObserve"},
+		"fleet": {"BenchmarkBinaryDecode", "BenchmarkIngest/json/shards=4", "BenchmarkIngest/binary/shards=4",
+			"BenchmarkFold/cold", "BenchmarkFold/warm", "BenchmarkFold/dirty1pct",
+			"BenchmarkRegionalPoll/full", "BenchmarkRegionalPoll/delta", "BenchmarkRegionalPoll/churn"},
+		"sim": {"BenchmarkSimEngine/tick", "BenchmarkSimEngine/tick-http"},
+	}
+	for _, group := range []string{"inproc", "sched"} {
+		for _, w := range []string{"1", "2", "4", "8"} {
+			required["sim"] = append(required["sim"], "BenchmarkSimEngine/"+group+"/workers="+w)
+		}
+	}
+	for capture, rows := range required {
+		for _, row := range rows {
+			t.Run(row, func(t *testing.T) {
+				text := editRows(readCapture(t, capture), row, func([]string) []string { return nil })
+				_, bad := gate(t, text)
+				if len(bad) == 0 {
+					t.Fatal("passed")
+				}
+				for _, v := range bad {
+					if !strings.Contains(v, ": row "+row+" is missing") {
+						t.Errorf("violation %q does not name %s as missing", v, row)
+					}
+				}
+			})
+		}
+	}
 }
 
 func TestPackageWithoutRows(t *testing.T) {

@@ -11,7 +11,8 @@ import (
 )
 
 // bench_test.go: BenchmarkSimEngine produces the rows committed to
-// BENCH_sim.json, gated by cmd/benchgate:
+// BENCH_sim.json, gated by cmd/benchgate, which also fails if any of
+// these rows is missing:
 //
 //   inproc/workers=N    the engine end to end into a sharded aggregator
 //   sched/workers=N     discard sink: scheduler + draw + entry fill only —
