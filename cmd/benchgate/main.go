@@ -66,11 +66,12 @@ var recorded = []struct {
 	pkg  string
 	rows []string
 }{
-	{fleetPkg, []string{"BenchmarkRegionalPoll/full", "BenchmarkRegionalPoll/delta", "BenchmarkRegionalPoll/churn"}},
+	{fleetPkg, []string{"BenchmarkSerialMerge", "BenchmarkRegionalPoll/full", "BenchmarkRegionalPoll/delta", "BenchmarkRegionalPoll/churn"}},
 	{simPkg, []string{
 		"BenchmarkSimEngine/inproc/workers=1", "BenchmarkSimEngine/inproc/workers=2",
 		"BenchmarkSimEngine/inproc/workers=4", "BenchmarkSimEngine/inproc/workers=8",
 		"BenchmarkSimEngine/sched/workers=2", "BenchmarkSimEngine/sched/workers=4",
+		"BenchmarkSimEngineHTTP",
 	}},
 }
 

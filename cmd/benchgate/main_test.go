@@ -19,8 +19,8 @@ import (
 //	diagnoser    go test -bench BenchmarkAnalyzeTraces -benchtime 1s -benchmem -run XXX ./internal/core/
 //	causal       go test -bench BenchmarkCausalAnalyze -benchtime 1s -benchmem -run XXX ./internal/core/
 //	obs          go test -bench BenchmarkObs -benchtime 1s -benchmem -run XXX ./internal/obs/
-//	fleet        go test -bench 'Ingest|BinaryDecode|Fold|RegionalPoll|Compact|Replay' -benchtime 1s -benchmem -run XXX ./internal/fleet/
-//	sim          go test -bench 'BenchmarkSimEngine$' -benchtime 100000x -benchmem -run XXX ./internal/sim/
+//	fleet        go test -bench 'Ingest|BinaryDecode|SerialMerge|Fold|RegionalPoll|Compact|Replay' -benchtime 1s -benchmem -run XXX ./internal/fleet/
+//	sim          go test -bench 'BenchmarkSimEngine(HTTP)?$' -benchtime 100000x -benchmem -run XXX ./internal/sim/
 var captures = []string{"experiments", "diagnoser", "causal", "obs", "fleet", "sim"}
 
 func readCapture(t *testing.T, name string) string {
@@ -237,15 +237,15 @@ func TestSpeedupBars(t *testing.T) {
 }
 
 // TestMissingRow deletes, one at a time, each row that must be there when
-// its package is: every row a bar names, and the regional poll and
-// simulator rows the ledgers record without a bar.
+// its package is: every row a bar names, and the serial merge, regional
+// poll and simulator rows the ledgers record without a bar.
 func TestMissingRow(t *testing.T) {
 	required := map[string][]string{
 		"obs": {"BenchmarkObsCounterInc", "BenchmarkObsCounterIncParallel", "BenchmarkObsHistogramObserve"},
 		"fleet": {"BenchmarkBinaryDecode", "BenchmarkIngest/json/shards=4", "BenchmarkIngest/binary/shards=4",
 			"BenchmarkFold/cold", "BenchmarkFold/warm", "BenchmarkFold/dirty1pct",
-			"BenchmarkRegionalPoll/full", "BenchmarkRegionalPoll/delta", "BenchmarkRegionalPoll/churn"},
-		"sim": {"BenchmarkSimEngine/tick", "BenchmarkSimEngine/tick-http"},
+			"BenchmarkSerialMerge", "BenchmarkRegionalPoll/full", "BenchmarkRegionalPoll/delta", "BenchmarkRegionalPoll/churn"},
+		"sim": {"BenchmarkSimEngine/tick", "BenchmarkSimEngine/tick-http", "BenchmarkSimEngineHTTP"},
 	}
 	for _, group := range []string{"inproc", "sched"} {
 		for _, w := range []string{"1", "2", "4", "8"} {

@@ -73,8 +73,8 @@ func run(w io.Writer) error {
 	fmt.Fprintln(w, "\nper-entry device coverage:")
 	for _, e := range fleet.Entries() {
 		fmt.Fprintf(w, "  %-66s seen on %d/%d devices (%.0f%%)\n",
-			e.RootCause+" @ "+e.ActionUID, len(e.Devices), users,
-			100*float64(len(e.Devices))/float64(users))
+			e.RootCause+" @ "+e.ActionUID, e.Devices.Len(), users,
+			100*float64(e.Devices.Len())/float64(users))
 	}
 
 	fmt.Fprintf(w, "\ndistinct root causes diagnosed across the fleet: %d (AndStatus seeds 3 bugs)\n", len(found))

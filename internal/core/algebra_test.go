@@ -24,6 +24,14 @@ var identityFields = map[string]bool{"App": true, "ActionUID": true, "RootCause"
 // needs a generator before the laws can pass.
 func fillRandom(t *testing.T, rng *simrand.Rand, v reflect.Value) {
 	t.Helper()
+	if v.Type() == reflect.TypeOf(DeviceSet{}) {
+		devs := make([]string, 1+rng.Intn(5))
+		for i := range devs {
+			devs[i] = fmt.Sprintf("device-%d", rng.Intn(8))
+		}
+		v.Set(reflect.ValueOf(DeviceSet{}.with(devs)))
+		return
+	}
 	switch v.Kind() {
 	case reflect.String:
 		v.SetString(fmt.Sprintf("s%d", rng.Intn(6)))
@@ -33,12 +41,6 @@ func fillRandom(t *testing.T, rng *simrand.Rand, v reflect.Value) {
 		v.SetInt(1 + rng.Int63n(int64(10*simclock.Second)))
 	case reflect.Bool:
 		v.SetBool(rng.Intn(2) == 1)
-	case reflect.Map:
-		m := reflect.MakeMap(v.Type())
-		for i := 0; i < 1+rng.Intn(5); i++ {
-			m.SetMapIndex(reflect.ValueOf(fmt.Sprintf("device-%d", rng.Intn(8))), reflect.ValueOf(true))
-		}
-		v.Set(m)
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
 			fillRandom(t, rng, v.Field(i))
@@ -52,7 +54,7 @@ func fillRandom(t *testing.T, rng *simrand.Rand, v reflect.Value) {
 // field random.
 func randEntry(t *testing.T, rng *simrand.Rand, id *ReportEntry) *ReportEntry {
 	t.Helper()
-	e := id.empty(0)
+	e := id.empty()
 	v := reflect.ValueOf(e).Elem()
 	for i := 0; i < v.NumField(); i++ {
 		if !identityFields[v.Type().Field(i).Name] {
@@ -72,7 +74,7 @@ func randIdentity(t *testing.T, rng *simrand.Rand) *ReportEntry {
 			fillRandom(t, rng, v.Field(i))
 		}
 	}
-	return e.empty(0)
+	return e.empty()
 }
 
 // clone returns a deep copy of e through newLeaf, which every
@@ -150,7 +152,7 @@ func TestReportAlgebraLaws(t *testing.T) {
 				continue
 			}
 			id := randIdentity(t, rng)
-			a, b := id.empty(0), id.empty(0)
+			a, b := id.empty(), id.empty()
 			for reflect.DeepEqual(a, b) {
 				fillRandom(t, rng, reflect.ValueOf(a).Elem().Field(i))
 				fillRandom(t, rng, reflect.ValueOf(b).Elem().Field(i))
@@ -165,10 +167,10 @@ func TestReportAlgebraLaws(t *testing.T) {
 		for trial := 0; trial < 300; trial++ {
 			id := randIdentity(t, rng)
 			a, b, c := randEntry(t, rng, id), randEntry(t, rng, id), randEntry(t, rng, id)
-			if got := sum(a.empty(0), a); !reflect.DeepEqual(got, a) {
+			if got := sum(a.empty(), a); !reflect.DeepEqual(got, a) {
 				t.Fatalf("empty is not a left identity:\n got %+v\nwant %+v", got, a)
 			}
-			if got := sum(a, a.empty(0)); !reflect.DeepEqual(got, a) {
+			if got := sum(a, a.empty()); !reflect.DeepEqual(got, a) {
 				t.Fatalf("empty is not a right identity:\n got %+v\nwant %+v", got, a)
 			}
 			if ab, ba := sum(a, b), sum(b, a); !reflect.DeepEqual(ab, ba) {
@@ -255,9 +257,9 @@ func TestReportAlgebraLaws(t *testing.T) {
 				added.AddChained(id.App, dev, id.ActionUID,
 					Diagnosis{RootCause: id.RootCause, File: id.File, Line: id.Line, ViaCaller: id.ViaCaller},
 					chain, rt)
-				h := id.empty(1)
+				h := id.empty()
 				h.Hangs, h.MaxResponse, h.SumResponse, h.Chain = 1, rt, rt, chain
-				h.Devices[dev] = true
+				h.Devices = DeviceSet{}.with([]string{dev})
 				hangs = append(hangs, h)
 			}
 			check("AddChained", added, sum(hangs...))
@@ -268,10 +270,10 @@ func TestReportAlgebraLaws(t *testing.T) {
 				t.Fatal("Anonymize does not commute with Merge")
 			}
 			got, plain := anonAB.entries.get(key).clone(), ab.clone()
-			if len(got.Devices) != len(plain.Devices) {
-				t.Fatalf("Anonymize: %d devices, want %d", len(got.Devices), len(plain.Devices))
+			if got.Devices.Len() != plain.Devices.Len() {
+				t.Fatalf("Anonymize: %d devices, want %d", got.Devices.Len(), plain.Devices.Len())
 			}
-			got.Devices, plain.Devices = nil, nil
+			got.Devices, plain.Devices = DeviceSet{}, DeviceSet{}
 			if !reflect.DeepEqual(got, plain) {
 				t.Fatalf("Anonymize changed more than devices:\n got %+v\nwant %+v", got, plain)
 			}

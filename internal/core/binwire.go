@@ -45,8 +45,9 @@ package core
 //	         ndev ndev×devRef maxResponseNs sumResponseNs
 //
 // Canonical form: the encoder walks entries in Report.Entries() order
-// (hangs descending, then key ascending), devices sorted ascending within
-// an entry, and assigns dictionary refs in first-use order over that walk.
+// (hangs descending, then key ascending), devices ascending within an
+// entry (the order a DeviceSet keeps them in), and assigns dictionary refs
+// in first-use order over that walk.
 // Encoding is therefore a pure function of report content and prior
 // dictionary state — encode→decode→encode round-trips byte-identically,
 // which is what makes the encoding usable as a canonical content hash for
@@ -66,7 +67,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"unicode/utf8"
 
@@ -189,7 +189,6 @@ type BinaryEncoder struct {
 	refs   map[string]uint32 // string -> 1-based dictionary position
 	base   int               // positions the decoder held before the next doc
 	buf    []byte
-	devs   []string // scratch for sorting an entry's device set
 	delta  []string // scratch for the current document's new strings
 	ext    []byte   // scratch for length-prefixed extension sections
 }
@@ -267,13 +266,8 @@ func (e *BinaryEncoder) appendDoc(dst []byte, rep *Report) []byte {
 			root:   e.ref(en.RootCause),
 			file:   e.ref(en.File),
 		}
-		e.devs = e.devs[:0]
-		for d := range en.Devices {
-			e.devs = append(e.devs, d)
-		}
-		sort.Strings(e.devs)
 		start := len(devRefs)
-		for _, d := range e.devs {
+		for _, d := range en.Devices.ids {
 			devRefs = append(devRefs, e.ref(d))
 		}
 		ee.devs = devRefs[start:len(devRefs):len(devRefs)]
@@ -410,25 +404,18 @@ func (wr *WireReport) Report() *Report {
 }
 
 // Wire returns r's wire view, the inverse of WireReport.Report: one entry
-// per key, in no particular order, and r's health. The entries' device
-// lists are cut from one backing array, so the view costs the same few
-// allocations at any size, and it shares nothing mutable with r: writing
-// r afterwards leaves the view as it was.
+// per key, in no particular order, and r's health. Each entry's device
+// list is the entry's own device set, which never changes, so the view
+// costs the same two allocations at any size and writing r afterwards
+// leaves it as it was. Readers of the view must not write the lists.
 func (r *Report) Wire() *WireReport {
-	devs := 0
-	r.entries.each(func(l *trieLeaf) { devs += len(l.e.Devices) })
 	wr := &WireReport{Entries: make([]WireEntry, 0, r.entries.n), Health: r.Health}
-	backing := make([]string, 0, devs)
 	r.entries.each(func(l *trieLeaf) {
-		e, from := l.e, len(backing)
-		for d := range e.Devices {
-			backing = append(backing, d)
-		}
+		e := l.e
 		wr.Entries = append(wr.Entries, WireEntry{
 			Key: l.key, App: e.App, ActionUID: e.ActionUID, RootCause: e.RootCause,
 			File: e.File, Line: e.Line, ViaCaller: e.ViaCaller, Hangs: e.Hangs,
-			Devices:     backing[from:len(backing):len(backing)],
-			MaxResponse: e.MaxResponse, SumResponse: e.SumResponse, Chain: e.Chain,
+			Devices: e.Devices.ids, MaxResponse: e.MaxResponse, SumResponse: e.SumResponse, Chain: e.Chain,
 		})
 	})
 	return wr

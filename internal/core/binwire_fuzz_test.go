@@ -27,6 +27,9 @@ func FuzzBinaryDecode(f *testing.F) {
 	f.Add([]byte(binMagic))
 	f.Add(append([]byte(binMagic), binWireVersion, 0, 0, 0, 0, 0))
 	f.Add([]byte("garbage that is longer than the header"))
+	// An entry that lists a device twice and out of order: both decoders
+	// accept it, and the canonical form sorts and deduplicates the set.
+	f.Add(nonCanonicalBinary())
 	// A huge claimed entry count with no bytes behind it.
 	f.Add(append(append([]byte(binMagic), binWireVersion, 0, 0, 0, 0), 0xFF, 0xFF, 0xFF, 0xFF, 0x0F))
 

@@ -1,0 +1,143 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+
+	"hangdoctor/internal/simclock"
+)
+
+// nonCanonicalJSON holds one key in two entries whose device lists are out
+// of order and repeat a device, and a second key that lists one device
+// twice. Both decoders accept lists in any order.
+const nonCanonicalJSON = `{"version":1,"entries":[` +
+	`{"app":"A","action_uid":"A/act","root_cause":"x.Y.m","file":"Y.java","line":2,"hangs":2,"devices":["d3","d1","d3"],"max_response_ns":5,"sum_response_ns":9},` +
+	`{"app":"A","action_uid":"A/act","root_cause":"x.Y.m","file":"Y.java","line":2,"hangs":4,"devices":["d2","d1"],"max_response_ns":7,"sum_response_ns":20},` +
+	`{"app":"A","action_uid":"A/b","root_cause":"z.W.n","file":"W.java","line":8,"hangs":1,"devices":["d9","d9"],"max_response_ns":3,"sum_response_ns":3}]}`
+
+// canonicalJSON is nonCanonicalJSON with one entry per key and every
+// device list sorted and without repeats.
+const canonicalJSON = `{"version":1,"entries":[` +
+	`{"app":"A","action_uid":"A/act","root_cause":"x.Y.m","file":"Y.java","line":2,"hangs":6,"devices":["d1","d2","d3"],"max_response_ns":7,"sum_response_ns":29},` +
+	`{"app":"A","action_uid":"A/b","root_cause":"z.W.n","file":"W.java","line":8,"hangs":1,"devices":["d9"],"max_response_ns":3,"sum_response_ns":3}]}`
+
+// nonCanonicalBinary is nonCanonicalJSON as a hand-written binary document,
+// with its device refs in the same order and repeats.
+func nonCanonicalBinary() []byte {
+	var w DocWriter
+	w.Begin("", 0, []string{"A", "A/act", "x.Y.m", "Y.java", "d3", "d1", "d2", "A/b", "z.W.n", "W.java", "d9"}, 3)
+	w.Entry(1, 2, 3, 4, 2, false, 2, []uint32{5, 6, 5}, 5, 9)
+	w.Entry(1, 2, 3, 4, 2, false, 4, []uint32{7, 6}, 7, 20)
+	w.Entry(1, 8, 9, 10, 8, false, 1, []uint32{11, 11}, 3, 3)
+	return w.Finish()
+}
+
+// TestDeviceSetNormalisesImports: device lists in any order, with repeats,
+// import to the sets of their canonical form, and re-export in both
+// formats byte-identically to it.
+func TestDeviceSetNormalisesImports(t *testing.T) {
+	canon, err := ImportReport(strings.NewReader(canonicalJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := canon.entries.get(entryKey("A", "A/act", "x.Y.m")).Devices.ids; !slices.Equal(got, []string{"d1", "d2", "d3"}) {
+		t.Fatalf("canonical entry holds devices %q", got)
+	}
+	fromJSON, err := ImportReport(strings.NewReader(nonCanonicalJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wr, err := NewBinaryDecoder().Decode(nonCanonicalBinary())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]*Report{"JSON": fromJSON, "binary": wr.Report()} {
+		if !reflect.DeepEqual(r, canon) {
+			t.Errorf("%s import differs from its canonical form:\n%s\nwant\n%s", name, r.Render(), canon.Render())
+		}
+		if !bytes.Equal(exportJSON(t, r), exportJSON(t, canon)) {
+			t.Errorf("%s import re-exports JSON differently from its canonical form", name)
+		}
+		if !bytes.Equal(AppendReportBinary(nil, r), AppendReportBinary(nil, canon)) {
+			t.Errorf("%s import re-encodes differently from its canonical form", name)
+		}
+	}
+}
+
+// TestDeviceSetCopyOnWrite: a device merged into a shard's live report
+// after a hand-out builds a new set, so the snapshot, a wire view taken
+// before the merge and a shared fold of the snapshot keep the old one.
+func TestDeviceSetCopyOnWrite(t *testing.T) {
+	diag := Diagnosis{RootCause: "x.Y.m", File: "Y.java", Line: 2}
+	key := entryKey("A", "A/act", diag.RootCause)
+	live := NewReport()
+	for _, dev := range []string{"d1", "d3"} {
+		live.Add("A", dev, "A/act", diag, simclock.Second)
+	}
+	sc := NewSnapshotCache(live)
+	sc.Bump()
+	snap := sc.Snapshot()
+	view := live.Wire()
+	other := NewReport()
+	other.Add("B", "d7", "B/act", diag, simclock.Second)
+	fold := FoldReportsShared(snap, other)
+
+	// One device lands inside the set and one before it, through both
+	// merge paths.
+	live.Add("A", "d2", "A/act", diag, simclock.Second)
+	live.MergeWireEntries([]WireEntry{{Key: key, App: "A", ActionUID: "A/act", RootCause: diag.RootCause, Hangs: 1, Devices: []string{"d0"}}})
+	sc.Bump()
+	if got := live.entries.get(key).Devices.ids; !slices.Equal(got, []string{"d0", "d1", "d2", "d3"}) {
+		t.Fatalf("live entry holds devices %q", got)
+	}
+	want := []string{"d1", "d3"}
+	for name, got := range map[string][]string{
+		"snapshot":    snap.entries.get(key).Devices.ids,
+		"wire view":   view.Entries[0].Devices,
+		"shared fold": fold.entries.get(key).Devices.ids,
+	} {
+		if !slices.Equal(got, want) {
+			t.Errorf("%s holds devices %q after the live merge, want %q", name, got, want)
+		}
+	}
+}
+
+// TestDeviceSetAllocs: merging a device an owned entry already holds
+// allocates nothing, and copying a handed-out entry on write allocates
+// its leaf and nothing else, whatever the size of its device set.
+func TestDeviceSetAllocs(t *testing.T) {
+	we := []WireEntry{{Key: entryKey("A", "A/act", "x.Y.m"), App: "A", ActionUID: "A/act", RootCause: "x.Y.m", Hangs: 1, Devices: []string{"d1"}}}
+	r := NewReport()
+	r.MergeWireEntries(we)
+	if n := testing.AllocsPerRun(100, func() { r.MergeWireEntries(we) }); n != 0 {
+		t.Errorf("merging a device the entry holds allocates %v objects, want 0", n)
+	}
+
+	devs := make([]string, 50)
+	for i := range devs {
+		devs[i] = fmt.Sprintf("device-%02d", i)
+	}
+	key := we[0].Key
+	var from entryTrie
+	src := we[0].entry()
+	from.bind(key, &src, devs)
+	handedOut := from.leaf(key)
+	// t owns its root node but not the leaf in it, as a batch does after
+	// its first write elsewhere on the path: writable copies the leaf
+	// alone.
+	var tr entryTrie
+	tr.put(handedOut)
+	allocs := testing.AllocsPerRun(100, func() {
+		tr.root.slots[0] = trieSlot{leaf: handedOut}
+		if e := tr.writable(handedOut.h, key); e == handedOut.e || e.Devices.Len() != 50 {
+			t.Fatal("writable did not copy the handed-out entry with its 50 devices")
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("copying a handed-out entry with 50 devices allocates %v objects, want 1 (the leaf)", allocs)
+	}
+}

@@ -246,7 +246,7 @@ func TestReportMerge(t *testing.T) {
 		t.Fatalf("merged: len=%d hangs=%d", a.Len(), a.TotalHangs())
 	}
 	top := a.Entries()[0]
-	if top.RootCause != "x.Y.m" || top.Hangs != 2 || len(top.Devices) != 2 {
+	if top.RootCause != "x.Y.m" || top.Hangs != 2 || top.Devices.Len() != 2 {
 		t.Fatalf("top entry: %+v", top)
 	}
 	if top.MaxResponse != 300*simclock.Millisecond {

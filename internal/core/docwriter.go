@@ -3,7 +3,7 @@ package core
 // docwriter.go is the zero-allocation client-side counterpart of
 // BinaryEncoder: a writer for callers that already know their dictionary
 // refs. BinaryEncoder owns the whole canonical pipeline — it walks a
-// *Report, sorts entries and devices, interns strings in a map, and
+// *Report, sorts entries, interns strings in a map, and
 // assigns refs in first-use order — which is exactly right for real
 // devices but far too heavy for a load generator that keeps per-device
 // ref assignments precomputed (internal/sim holds them in packed

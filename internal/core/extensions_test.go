@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -120,7 +121,7 @@ func TestReportExportImportRoundTrip(t *testing.T) {
 	a, b := r.Entries(), back.Entries()
 	for i := range a {
 		if a[i].RootCause != b[i].RootCause || a[i].Hangs != b[i].Hangs ||
-			len(a[i].Devices) != len(b[i].Devices) ||
+			a[i].Devices.Len() != b[i].Devices.Len() ||
 			a[i].MaxResponse != b[i].MaxResponse ||
 			a[i].SumResponse != b[i].SumResponse ||
 			a[i].ViaCaller != b[i].ViaCaller {
@@ -149,10 +150,10 @@ func TestReportAnonymize(t *testing.T) {
 	r.Add("App", "bob-phone", "App/act", diag, 250*simclock.Millisecond)
 	anon := r.Anonymize("salt1")
 	e := anon.Entries()[0]
-	if len(e.Devices) != 2 {
-		t.Fatalf("device count changed: %d", len(e.Devices))
+	if e.Devices.Len() != 2 {
+		t.Fatalf("device count changed: %d", e.Devices.Len())
 	}
-	for d := range e.Devices {
+	for _, d := range e.Devices.ids {
 		if strings.Contains(d, "alice") || strings.Contains(d, "bob") {
 			t.Fatalf("device identifier leaked: %q", d)
 		}
@@ -164,21 +165,19 @@ func TestReportAnonymize(t *testing.T) {
 	// salt → unlinkable.
 	anon2 := r.Anonymize("salt1")
 	anon3 := r.Anonymize("salt2")
-	same := anon.Entries()[0].Devices
-	for d := range anon2.Entries()[0].Devices {
-		if !same[d] {
-			t.Fatal("same salt produced different pseudonyms")
-		}
+	same := anon.Entries()[0].Devices.ids
+	if !slices.Equal(anon2.Entries()[0].Devices.ids, same) {
+		t.Fatal("same salt produced different pseudonyms")
 	}
-	for d := range anon3.Entries()[0].Devices {
-		if same[d] {
+	for _, d := range anon3.Entries()[0].Devices.ids {
+		if slices.Contains(same, d) {
 			t.Fatal("different salts produced linkable pseudonyms")
 		}
 	}
 	// Merging anonymized reports still counts distinct devices.
 	merged := NewReport()
 	merged.Merge(anon, anon2)
-	if got := len(merged.Entries()[0].Devices); got != 2 {
+	if got := merged.Entries()[0].Devices.Len(); got != 2 {
 		t.Fatalf("merged device count = %d, want 2", got)
 	}
 }

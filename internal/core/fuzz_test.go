@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -12,7 +14,8 @@ import (
 
 // FuzzImportReport ensures the report parser never panics and that every
 // accepted document re-exports cleanly (parse → export → parse is a fixed
-// point on the entry set).
+// point on the entry set), each entry listing exactly the sorted,
+// deduplicated union of the devices its key's input entries listed.
 func FuzzImportReport(f *testing.F) {
 	// Seed with a valid export.
 	r := NewReport()
@@ -31,6 +34,8 @@ func FuzzImportReport(f *testing.F) {
 	f.Add(`{"version":1,"entries":[` +
 		`{"app":"A","action_uid":"A/act","root_cause":"x.Y.m","file":"Y.java","line":2,"hangs":2,"devices":["d1"],"max_response_ns":5,"sum_response_ns":9},` +
 		`{"app":"A","action_uid":"A/act","root_cause":"x.Y.m","file":"Y.java","line":2,"hangs":4,"devices":["d2"],"max_response_ns":7,"sum_response_ns":20}]}`)
+	// Device lists out of order and with repeats.
+	f.Add(nonCanonicalJSON)
 
 	f.Fuzz(func(t *testing.T, doc string) {
 		rep, err := ImportReport(strings.NewReader(doc))
@@ -41,13 +46,36 @@ func FuzzImportReport(f *testing.F) {
 		if err := rep.Export(&out); err != nil {
 			t.Fatalf("accepted report failed to export: %v", err)
 		}
-		back, err := ImportReport(&out)
+		back, err := ImportReport(bytes.NewReader(out.Bytes()))
 		if err != nil {
 			t.Fatalf("round trip of accepted report failed: %v", err)
 		}
 		if back.Len() != rep.Len() || back.TotalHangs() != rep.TotalHangs() {
 			t.Fatalf("round trip changed the report: %d/%d vs %d/%d",
 				rep.Len(), rep.TotalHangs(), back.Len(), back.TotalHangs())
+		}
+		// The input as ImportReport read it, and the export.
+		var in, exported reportWire
+		if err := json.NewDecoder(strings.NewReader(doc)).Decode(&in); err != nil {
+			t.Fatalf("accepted document does not decode: %v", err)
+		}
+		if err := json.Unmarshal(out.Bytes(), &exported); err != nil {
+			t.Fatal(err)
+		}
+		want := map[string][]string{}
+		for _, e := range in.Entries {
+			k := entryKey(e.App, e.ActionUID, e.RootCause)
+			want[k] = append(want[k], e.Devices...)
+		}
+		if len(exported.Entries) != len(want) {
+			t.Fatalf("export holds %d entries, the input %d keys", len(exported.Entries), len(want))
+		}
+		for _, e := range exported.Entries {
+			union := want[entryKey(e.App, e.ActionUID, e.RootCause)]
+			slices.Sort(union)
+			if union = slices.Compact(union); !slices.Equal(e.Devices, union) {
+				t.Fatalf("entry %s/%s exports devices %q, want %q", e.App, e.RootCause, e.Devices, union)
+			}
 		}
 	})
 }
@@ -101,7 +129,7 @@ func FuzzReportRoundTrip(f *testing.F) {
 			got.RootCause != want.RootCause || got.File != want.File ||
 			got.Line != want.Line || got.Hangs != want.Hangs ||
 			got.MaxResponse != want.MaxResponse || got.SumResponse != want.SumResponse ||
-			len(got.Devices) != len(want.Devices) {
+			got.Devices.Len() != want.Devices.Len() {
 			t.Fatalf("round trip changed the entry:\n  want %+v\n  got  %+v", want, got)
 		}
 	})

@@ -23,7 +23,7 @@ type ReportEntry struct {
 	// Hangs is the number of diagnosed soft hangs attributed to this cause.
 	Hangs int
 	// Devices is the set of devices/users that reported it.
-	Devices map[string]bool
+	Devices DeviceSet
 	// MaxResponse and SumResponse summarize observed hang lengths.
 	MaxResponse simclock.Duration
 	SumResponse simclock.Duration
@@ -39,12 +39,11 @@ type ReportEntry struct {
 // builds one in place in a new trie leaf.
 
 // empty returns a new entry with e's key and source location and nothing
-// counted: merging e into it yields e. n sizes its device set.
-func (e *ReportEntry) empty(n int) *ReportEntry {
+// counted: merging e into it yields e.
+func (e *ReportEntry) empty() *ReportEntry {
 	return &ReportEntry{
 		App: e.App, ActionUID: e.ActionUID, RootCause: e.RootCause,
 		File: e.File, Line: e.Line, ViaCaller: e.ViaCaller,
-		Devices: make(map[string]bool, n),
 	}
 }
 
@@ -63,7 +62,8 @@ func satAdd[T ~int | ~int64](a, b T) T {
 // by mergeChain. Devices may disagree on where a root cause lives, so the
 // smallest (File, Line) wins and ViaCaller holds if either side set it.
 // src's devices are src.Devices plus devs, the list form decoded documents
-// carry, so they merge without building a set first.
+// carry, in any order and possibly repeated, so they merge without
+// building a set first; devs is not retained.
 func (e *ReportEntry) merge(src *ReportEntry, devs []string) {
 	if src.File < e.File || src.File == e.File && src.Line < e.Line {
 		e.File, e.Line = src.File, src.Line
@@ -75,12 +75,77 @@ func (e *ReportEntry) merge(src *ReportEntry, devs []string) {
 		e.MaxResponse = src.MaxResponse
 	}
 	e.Chain = mergeChain(e.Chain, src.Chain)
-	for d := range src.Devices {
-		e.Devices[d] = true
+	e.Devices = e.Devices.union(src.Devices).with(devs)
+}
+
+// DeviceSet is the set of devices that reported an entry: their IDs in
+// ascending order, each once. A set never changes once built: adding a
+// device builds a new backing array, so entries, trie versions and wire
+// views share sets freely, and copying an entry copies no device. The zero
+// value is the empty set, its only representation. Adding to a set of n
+// devices costs O(n), which suits the few dozen devices an entry holds at
+// most; very large sets would want a sketch instead.
+type DeviceSet struct {
+	ids []string // ascending, no repeats; nil when empty
+}
+
+// Len returns the number of devices in s.
+func (s DeviceSet) Len() int { return len(s.ids) }
+
+// union returns s ∪ o, which is s or o itself where the other adds no
+// device: merging devices a set already holds allocates nothing.
+func (s DeviceSet) union(o DeviceSet) DeviceSet { return DeviceSet{unionSorted(s.ids, o.ids, true)} }
+
+// with returns s plus the devices listed in devs, in any order and
+// possibly repeated. devs is not retained, so its owner may reuse it.
+func (s DeviceSet) with(devs []string) DeviceSet {
+	for i := 1; i < len(devs); i++ {
+		if devs[i-1] >= devs[i] {
+			norm := slices.Clone(devs)
+			slices.Sort(norm)
+			return DeviceSet{unionSorted(s.ids, slices.Clip(slices.Compact(norm)), true)}
+		}
 	}
-	for _, d := range devs {
-		e.Devices[d] = true
+	return DeviceSet{unionSorted(s.ids, devs, false)}
+}
+
+// unionSorted returns the union of a and b, each ascending without
+// repeats, in two linear passes: one counts the union, one fills it. It is
+// a itself when b adds nothing to it, b itself when a adds nothing to b
+// and share allows keeping b, and otherwise a new array of exactly the
+// union's length.
+func unionSorted(a, b []string, share bool) []string {
+	n := len(a) + len(b)
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch c := strings.Compare(a[i], b[j]); {
+		case c < 0:
+			i++
+		case c > 0:
+			j++
+		default:
+			n, i, j = n-1, i+1, j+1
+		}
 	}
+	switch {
+	case n == len(a):
+		return a
+	case n == len(b) && share:
+		return b
+	}
+	out := make([]string, 0, n)
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch c := strings.Compare(a[i], b[j]); {
+		case c < 0:
+			out, i = append(out, a[i]), i+1
+		case c > 0:
+			out, j = append(out, b[j]), j+1
+		default:
+			out, i, j = append(out, a[i]), i+1, j+1
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }
 
 // Report is the developer-facing Hang Bug Report: "a table of detected soft
@@ -209,7 +274,7 @@ func (r *Report) Render() string {
 		}
 		fmt.Fprintf(&b, "%-66s %8d %7.0f%% %8d %9s\n",
 			fmt.Sprintf("%s (%s:%d)%s @ %s", e.RootCause, e.File, e.Line, kind, e.ActionUID),
-			e.Hangs, r.OccurrencePct(e), len(e.Devices), e.MaxResponse)
+			e.Hangs, r.OccurrencePct(e), e.Devices.Len(), e.MaxResponse)
 		if !e.Chain.Zero() {
 			// Causal rows get a provenance sub-line; plain rows render exactly
 			// as before the causal extension.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"sort"
 
 	"hangdoctor/internal/simclock"
 )
@@ -51,11 +50,10 @@ func (r *Report) Export(w io.Writer) error {
 		doc.Health = &r.Health
 	}
 	for _, e := range r.Entries() {
-		devs := make([]string, 0, len(e.Devices))
-		for d := range e.Devices {
-			devs = append(devs, d)
+		devs := e.Devices.ids // already sorted
+		if devs == nil {
+			devs = []string{} // "devices": [], not null
 		}
-		sort.Strings(devs)
 		doc.Entries = append(doc.Entries, entryWire{
 			App: e.App, ActionUID: e.ActionUID, RootCause: e.RootCause,
 			File: e.File, Line: e.Line, ViaCaller: e.ViaCaller,
@@ -139,15 +137,15 @@ func (r *Report) Anonymize(salt string) *Report {
 	out.Health = r.Health
 	r.entries.each(func(l *trieLeaf) {
 		e := l.e
-		devs := make([]string, 0, len(e.Devices))
-		for d := range e.Devices {
+		devs := make([]string, 0, e.Devices.Len())
+		for _, d := range e.Devices.ids {
 			h := fnv.New64a()
 			h.Write([]byte(salt))
 			h.Write([]byte(d))
 			devs = append(devs, fmt.Sprintf("dev-%016x", h.Sum64()))
 		}
 		src := *e
-		src.Devices = nil
+		src.Devices = DeviceSet{}
 		out.add(l.key, &src, devs)
 	})
 	return out

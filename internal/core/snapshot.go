@@ -18,8 +18,8 @@ package core
 //   - The aggregator folds shard snapshots through a FoldCache keyed by the
 //     shard version vector: only shards whose version moved are re-merged,
 //     in one batch over the previous fold, and because shards own disjoint
-//     entry-key ranges the fold shares entry pointers instead of
-//     deep-copying device sets.
+//     entry-key ranges the fold shares entry pointers instead of copying
+//     entries.
 //   - A regional poller mirrors each node with ApplyWireFull/ApplyWireDelta
 //     and re-derives only the changed keys of its fold with RefreshKeys,
 //     which returns a new report sharing structure with the old one.
@@ -128,8 +128,8 @@ func (r *Report) addShared(part *Report) {
 
 // FoldReportsShared is FoldReports for immutable parts with (mostly)
 // disjoint entry-key sets — the shape of shard snapshots, whose keys are
-// routed by ShardIndexKey. Entries are shared, not deep-copied, so the fold
-// costs trie inserts instead of device-set clones; collisions fall back to
+// routed by ShardIndexKey. Entries are shared, not copied, so the fold
+// costs trie inserts instead of entry clones; collisions fall back to
 // a copy-on-write merge, keeping the result byte-identical to FoldReports
 // for any input. The result must be treated as read-only.
 func FoldReportsShared(parts ...*Report) *Report {

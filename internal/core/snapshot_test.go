@@ -420,7 +420,7 @@ func TestRefreshKeys(t *testing.T) {
 	key := entryKey(victim.App, victim.ActionUID, victim.RootCause)
 	repl := victim.clone()
 	repl.Hangs += 5
-	repl.Devices["device-refresh"] = true
+	repl.Devices = repl.Devices.with([]string{"device-refresh"})
 	a.totalHangs += 5
 	a.entries.bind(key, repl, nil)
 
@@ -488,7 +488,7 @@ func TestReadsScaleWithChange(t *testing.T) {
 	// bump adds one hang to key's entry through the merge path, which
 	// stamps it for DeltaSince.
 	bump := func(r *Report, key string) {
-		one := r.entries.get(key).empty(0)
+		one := r.entries.get(key).empty()
 		one.Hangs = 1
 		r.add(key, one, nil)
 	}

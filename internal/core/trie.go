@@ -67,9 +67,10 @@ type leafEntry struct {
 
 // newLeaf returns a new leaf of t, stamped t.ver, binding key (hash h) to
 // a clone of src with devs merged in: the report algebra's
-// empty-then-merge, built in place in the leaf's own entry.
+// empty-then-merge, built in place in the leaf's own entry. The clone
+// shares src's device set, so without devs the leaf is its only object.
 func (t *entryTrie) newLeaf(h uint64, key string, src *ReportEntry, devs []string) *trieLeaf {
-	le := &leafEntry{leaf: trieLeaf{edit: t.token(), ver: t.ver, h: h, key: key}, entry: *src.empty(len(src.Devices) + len(devs))}
+	le := &leafEntry{leaf: trieLeaf{edit: t.token(), ver: t.ver, h: h, key: key}, entry: *src.empty()}
 	le.entry.merge(src, devs)
 	le.leaf.e = &le.entry
 	return &le.leaf

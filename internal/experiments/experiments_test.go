@@ -259,8 +259,8 @@ func TestFig2bReport(t *testing.T) {
 		t.Fatalf("AndStatus report entries = %d, want 3 (its three bugs)", r.Report.Len())
 	}
 	for _, e := range r.Report.Entries() {
-		if len(e.Devices) < 2 {
-			t.Errorf("entry %s seen on %d devices, want >= 2", e.RootCause, len(e.Devices))
+		if e.Devices.Len() < 2 {
+			t.Errorf("entry %s seen on %d devices, want >= 2", e.RootCause, e.Devices.Len())
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 
@@ -150,14 +151,14 @@ func TestTeardownDuringHandOff(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer re.Close()
-			got := map[[3]string]*core.ReportEntry{}
-			for _, e := range re.Fold().Entries() {
-				got[[3]string{e.App, e.ActionUID, e.RootCause}] = e
+			got := map[string]core.WireEntry{}
+			for _, we := range re.Fold().Wire().Entries {
+				got[we.Key] = we
 			}
 			for _, rep := range acked {
-				for _, e := range rep.Entries() {
-					for dev := range e.Devices {
-						if g := got[[3]string{e.App, e.ActionUID, e.RootCause}]; g == nil || !g.Devices[dev] {
+				for _, e := range rep.Wire().Entries {
+					for _, dev := range e.Devices {
+						if g, ok := got[e.Key]; !ok || !slices.Contains(g.Devices, dev) {
 							t.Fatalf("acked upload from %s lost across Crash: no %s/%s in the recovered fold", dev, e.ActionUID, e.RootCause)
 						}
 					}

@@ -1078,8 +1078,8 @@ func TestUploadSumSaturates(t *testing.T) {
 	}
 	uploadAndRestart(t, []string{doc("device-a"), doc("device-b")}, [3]string{"App", "App/act", "c.C.m"},
 		func(e *core.ReportEntry) error {
-			if e.Hangs != 2 || e.SumResponse != math.MaxInt64 || len(e.Devices) != 2 {
-				return fmt.Errorf("entry holds %d hangs, sum %d, %d devices; want 2, %d, 2", e.Hangs, e.SumResponse, len(e.Devices), int64(math.MaxInt64))
+			if e.Hangs != 2 || e.SumResponse != math.MaxInt64 || e.Devices.Len() != 2 {
+				return fmt.Errorf("entry holds %d hangs, sum %d, %d devices; want 2, %d, 2", e.Hangs, e.SumResponse, e.Devices.Len(), int64(math.MaxInt64))
 			}
 			return nil
 		})

@@ -230,8 +230,8 @@ func TestQuotaSpread(t *testing.T) {
 	rep := agg.Fold()
 	// Every device with a nonzero quota must appear in the fold.
 	devs := map[string]bool{}
-	for _, e := range rep.Entries() {
-		for d := range e.Devices {
+	for _, e := range rep.Wire().Entries {
+		for _, d := range e.Devices {
 			devs[d] = true
 		}
 	}
