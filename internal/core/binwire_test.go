@@ -325,6 +325,25 @@ func TestBinaryDecodeScratchAllocs(t *testing.T) {
 	}
 }
 
+// TestAppendReportBinaryAllocs: a warm stateless encode into a buffer with
+// room allocates the same few objects whatever the document's dictionary
+// size (its entry order and per-entry scratch), because the encoders are
+// recycled with their dictionary maps.
+func TestAppendReportBinaryAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's sync.Pool drops encoders at random")
+	}
+	var allocs []float64
+	for _, entries := range []int{4, 120} {
+		rep := synthReport(5, "device-a", entries)
+		buf := AppendReportBinary(nil, rep)
+		allocs = append(allocs, testing.AllocsPerRun(100, func() { buf = AppendReportBinary(buf[:0], rep) }))
+	}
+	if allocs[0] != allocs[1] || allocs[1] > 3 {
+		t.Errorf("AppendReportBinary allocates %v for 4 and 120 entries, want one count of at most 3", allocs)
+	}
+}
+
 // TestShardIndexKeyMatchesShardIndex: a report upload (its Wire view) and
 // the same report as a decoded binary upload must agree on shard
 // ownership, fragment for fragment.
