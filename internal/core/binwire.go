@@ -68,7 +68,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 	"unicode/utf8"
 
 	"hangdoctor/internal/simclock"
@@ -223,26 +222,11 @@ func (e *BinaryEncoder) Encode(rep *Report) []byte {
 
 // AppendReportBinary appends rep's canonical stateless encoding (full
 // dictionary, device "") to dst — the one-shot form used for content
-// hashing, WAL records, and node snapshots. Its encoders are recycled, so
-// a document does not grow a fresh dictionary map and scratch each time.
+// hashing, WAL records, and node snapshots.
 func AppendReportBinary(dst []byte, rep *Report) []byte {
-	e := statelessEncoders.Get().(*BinaryEncoder)
-	dst = e.appendDoc(dst, rep)
-	if len(e.refs) <= maxPooledRefs {
-		clear(e.refs)
-		statelessEncoders.Put(e)
-	}
-	return dst
+	e := NewBinaryEncoder("")
+	return e.appendDoc(dst, rep)
 }
-
-// statelessEncoders holds AppendReportBinary's encoders between documents.
-var statelessEncoders = sync.Pool{New: func() any { return NewBinaryEncoder("") }}
-
-// maxPooledRefs bounds the dictionary of an encoder AppendReportBinary
-// keeps: clearing a map costs its capacity, so an encoder that served a
-// whole snapshot is dropped rather than making every later small document
-// pay for clearing it.
-const maxPooledRefs = 1 << 12
 
 // ref returns s's dictionary position, assigning the next one (and
 // recording s in the pending delta) on first sight.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 
 	"hangdoctor/internal/simclock"
@@ -324,55 +323,6 @@ func TestBinaryDecodeScratchAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("warm DecodeScratch allocates %v times per op, want 0", allocs)
 	}
-}
-
-// TestAppendReportBinaryAllocs: a warm stateless encode into a buffer with
-// room allocates the same few objects whatever the document's dictionary
-// size (its entry order and per-entry scratch), because the encoders are
-// recycled with their dictionary maps.
-func TestAppendReportBinaryAllocs(t *testing.T) {
-	if raceDetector {
-		t.Skip("the race detector's sync.Pool drops encoders at random")
-	}
-	var allocs []float64
-	for _, entries := range []int{4, 120} {
-		rep := synthReport(5, "device-a", entries)
-		buf := AppendReportBinary(nil, rep)
-		allocs = append(allocs, testing.AllocsPerRun(100, func() { buf = AppendReportBinary(buf[:0], rep) }))
-	}
-	if allocs[0] != allocs[1] || allocs[1] > 3 {
-		t.Errorf("AppendReportBinary allocates %v for 4 and 120 entries, want one count of at most 3", allocs)
-	}
-}
-
-// TestAppendReportBinaryConcurrent: goroutines sharing the recycled
-// encoders each get the document a lone encoder writes, whatever was
-// encoded before, including a snapshot too large to recycle.
-func TestAppendReportBinaryConcurrent(t *testing.T) {
-	big := NewReport() // one entry on more devices than maxPooledRefs
-	for i := 0; i <= maxPooledRefs; i++ {
-		big.Add("A", fmt.Sprintf("dev-%05d", i), "A/act", Diagnosis{RootCause: "x.Y.m"}, simclock.Millisecond)
-	}
-	reps := []*Report{synthReport(1, "d", 3), synthReport(2, "e", 40), synthReport(3, "f", 120), big}
-	want := make([][]byte, len(reps))
-	for i, r := range reps {
-		want[i] = NewBinaryEncoder("").appendDoc(nil, r)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 40; i++ {
-				k := (g + i) % len(reps)
-				if got := AppendReportBinary(nil, reps[k]); !bytes.Equal(got, want[k]) {
-					t.Errorf("goroutine %d, document %d: encoding differs from a fresh encoder's", g, k)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // TestShardIndexKeyMatchesShardIndex: a report upload (its Wire view) and
