@@ -19,9 +19,10 @@ var identityFields = map[string]bool{"App": true, "ActionUID": true, "RootCause"
 
 // fillRandom sets v (a settable value) to random contents that both wire
 // formats accept: non-empty ASCII strings, ints in [1,1000], positive
-// durations, small device sets drawn from a shared pool so sets overlap.
-// A field of a kind it cannot generate fails the test, so a new field
-// needs a generator before the laws can pass.
+// durations, small device sets drawn from a shared pool so sets overlap,
+// and pointers that are nil or point at a new random value. A field of a
+// kind it cannot generate fails the test, so a new field needs a
+// generator before the laws can pass.
 func fillRandom(t *testing.T, rng *simrand.Rand, v reflect.Value) {
 	t.Helper()
 	if v.Type() == reflect.TypeOf(DeviceSet{}) {
@@ -45,6 +46,14 @@ func fillRandom(t *testing.T, rng *simrand.Rand, v reflect.Value) {
 		for i := 0; i < v.NumField(); i++ {
 			fillRandom(t, rng, v.Field(i))
 		}
+	case reflect.Pointer:
+		if rng.Intn(2) == 0 {
+			v.SetZero()
+			return
+		}
+		p := reflect.New(v.Type().Elem())
+		fillRandom(t, rng, p.Elem())
+		v.Set(p)
 	default:
 		t.Fatalf("no random generator for a field of type %s", v.Type())
 	}
@@ -79,7 +88,7 @@ func randIdentity(t *testing.T, rng *simrand.Rand) *ReportEntry {
 
 // clone returns a deep copy of e through newLeaf, which every
 // production copy uses.
-func (e *ReportEntry) clone() *ReportEntry { return new(entryTrie).newLeaf(0, "", e, nil).e }
+func (e *ReportEntry) clone() *ReportEntry { return &new(entryTrie).newLeaf(0, "", e, nil).entry }
 
 // sum is the reference merge: a fresh entry holding a ⊕ b ⊕ ….
 func sum(es ...*ReportEntry) *ReportEntry {
@@ -252,13 +261,13 @@ func TestReportAlgebraLaws(t *testing.T) {
 			// AddChained merges a one-hang, one-device entry.
 			added := NewReport()
 			var hangs []*ReportEntry
-			for i, chain := range []CausalChain{a.Chain, b.Chain} {
+			for i, chain := range []CausalChain{a.Chain.value(), b.Chain.value()} {
 				dev, rt := fmt.Sprintf("device-%d", i), simclock.Duration(rng.Intn(1e9))
 				added.AddChained(id.App, dev, id.ActionUID,
 					Diagnosis{RootCause: id.RootCause, File: id.File, Line: id.Line, ViaCaller: id.ViaCaller},
 					chain, rt)
 				h := id.empty()
-				h.Hangs, h.MaxResponse, h.SumResponse, h.Chain = 1, rt, rt, chain
+				h.Hangs, h.MaxResponse, h.SumResponse, h.Chain = 1, rt, rt, chain.ref()
 				h.Devices = DeviceSet{}.with([]string{dev})
 				hangs = append(hangs, h)
 			}

@@ -271,14 +271,14 @@ func (e *BinaryEncoder) appendDoc(dst []byte, rep *Report) []byte {
 			devRefs = append(devRefs, e.ref(d))
 		}
 		ee.devs = devRefs[start:len(devRefs):len(devRefs)]
-		if !en.Chain.Zero() {
+		if c := en.Chain; c != nil {
 			// Chain strings join the same first-use dictionary walk, right
 			// after the entry's device refs, so the delta order stays a pure
 			// function of report content.
 			ee.chained = true
-			ee.kind = e.ref(en.Chain.Kind)
-			ee.corigin = e.ref(en.Chain.OriginAction)
-			ee.csite = e.ref(en.Chain.OriginSite)
+			ee.kind = e.ref(c.Kind)
+			ee.corigin = e.ref(c.OriginAction)
+			ee.csite = e.ref(c.OriginSite)
 			chained++
 		}
 		encs[i] = ee
@@ -411,11 +411,11 @@ func (wr *WireReport) Report() *Report {
 func (r *Report) Wire() *WireReport {
 	wr := &WireReport{Entries: make([]WireEntry, 0, r.entries.n), Health: r.Health}
 	r.entries.each(func(l *trieLeaf) {
-		e := l.e
+		e := &l.entry
 		wr.Entries = append(wr.Entries, WireEntry{
 			Key: l.key, App: e.App, ActionUID: e.ActionUID, RootCause: e.RootCause,
 			File: e.File, Line: e.Line, ViaCaller: e.ViaCaller, Hangs: e.Hangs,
-			Devices: e.Devices.ids, MaxResponse: e.MaxResponse, SumResponse: e.SumResponse, Chain: e.Chain,
+			Devices: e.Devices.ids, MaxResponse: e.MaxResponse, SumResponse: e.SumResponse, Chain: e.Chain.value(),
 		})
 	})
 	return wr
@@ -441,13 +441,13 @@ func (r *Report) MergeWireEntries(entries []WireEntry) {
 }
 
 // entry returns we as a ReportEntry without its device list, which merge
-// takes separately.
+// takes separately, and with its own copy of we's chain, if any.
 func (we *WireEntry) entry() ReportEntry {
 	return ReportEntry{
 		App: we.App, ActionUID: we.ActionUID, RootCause: we.RootCause,
 		File: we.File, Line: we.Line, ViaCaller: we.ViaCaller,
 		Hangs: we.Hangs, MaxResponse: we.MaxResponse, SumResponse: we.SumResponse,
-		Chain: we.Chain,
+		Chain: we.Chain.ref(),
 	}
 }
 
@@ -706,9 +706,14 @@ func (d *BinaryDecoder) decodeInto(doc []byte, wr *WireReport, devBuf *[]string)
 
 	// Everything validated: commit the delta and publish the view. Because
 	// device slices were arena-packed, the entries' Devices subslices are
-	// already final.
-	d.strs = append(d.strs, d.pending...)
-	d.pending = d.pending[:0]
+	// already final. An empty dictionary (a fresh decoder's, or after a
+	// resync) adopts the delta instead of copying it.
+	if len(d.strs) == 0 {
+		d.strs, d.pending = d.pending, nil
+	} else {
+		d.strs = append(d.strs, d.pending...)
+		d.pending = d.pending[:0]
+	}
 	wr.Device = device
 	wr.Entries = entries
 	wr.Health = health

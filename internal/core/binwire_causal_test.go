@@ -82,7 +82,7 @@ func TestBinaryCausalRoundTripCanonical(t *testing.T) {
 	}
 	// And the materialized report carries the chains.
 	for _, e := range wr.Report().Entries() {
-		if e.Chain.Zero() {
+		if e.Chain == nil {
 			t.Fatalf("chain lost in round trip: %+v", e)
 		}
 	}
@@ -106,7 +106,7 @@ func TestBinaryCausalDictDelta(t *testing.T) {
 		t.Fatalf("warm-dictionary causal upload did not shrink: %dB then %dB", len(doc1), len(doc2))
 	}
 	for _, e := range wr2.Report().Entries() {
-		if e.Chain.Zero() {
+		if e.Chain == nil {
 			t.Fatalf("delta upload lost chain: %+v", e)
 		}
 	}
@@ -164,7 +164,7 @@ func TestJSONCausalRoundTrip(t *testing.T) {
 		t.Fatal("JSON causal round trip not byte-identical")
 	}
 	for _, e := range back.Entries() {
-		if e.Chain.Zero() {
+		if e.Chain == nil {
 			t.Fatalf("chain lost in JSON round trip: %+v", e)
 		}
 	}

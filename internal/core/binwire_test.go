@@ -325,6 +325,40 @@ func TestBinaryDecodeScratchAllocs(t *testing.T) {
 	}
 }
 
+// TestFreshDecoderAdoptsDictionary: a fresh decoder takes its first
+// document's dictionary delta as its dictionary instead of copying it.
+// Decoding a document that carries k dictionary strings and no entries
+// allocates the view, the delta's array and its k strings, and nothing
+// more, and the decoder keeps no scratch beside its dictionary.
+func TestFreshDecoderAdoptsDictionary(t *testing.T) {
+	const k = 40
+	delta := make([]string, k)
+	for i := range delta {
+		delta[i] = fmt.Sprintf("string-%02d", i)
+	}
+	var w DocWriter
+	w.Begin("", 0, delta, 0)
+	doc := w.Finish()
+
+	decs := make([]*BinaryDecoder, 101) // AllocsPerRun's warm-up and 100 runs
+	for i := range decs {
+		decs[i] = NewBinaryDecoder()
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := decs[next].Decode(doc); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if want := float64(k + 2); allocs != want {
+		t.Errorf("a fresh decoder's Decode allocates %v objects, want %v: the view, the delta's array and its %d strings", allocs, want, k)
+	}
+	if d := decs[0]; len(d.strs) != k || d.pending != nil {
+		t.Errorf("after its first document a fresh decoder holds %d strings and %d of scratch, want %d and none", len(d.strs), cap(d.pending), k)
+	}
+}
+
 // TestShardIndexKeyMatchesShardIndex: a report upload (its Wire view) and
 // the same report as a decoded binary upload must agree on shard
 // ownership, fragment for fragment.

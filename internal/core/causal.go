@@ -41,6 +41,27 @@ type CausalChain struct {
 // Zero reports whether no chain was attributed.
 func (c CausalChain) Zero() bool { return c == CausalChain{} }
 
+// ref returns c as a report entry holds it: nil, an entry's only empty
+// chain, for the zero chain, and otherwise a new copy of c, so an entry
+// never points into where c came from (a wire view, a decoder's scratch,
+// a JSON document).
+func (c CausalChain) ref() *CausalChain {
+	if c.Zero() {
+		return nil
+	}
+	p := new(CausalChain) // &c would move c to the heap on every call
+	*p = c
+	return p
+}
+
+// value returns the chain c refers to, or the zero chain for nil.
+func (c *CausalChain) value() CausalChain {
+	if c == nil {
+		return CausalChain{}
+	}
+	return *c
+}
+
 // mergeChain folds two chain attributions of the same detection row
 // componentwise: strings keep the lexicographically smallest non-empty
 // value, the share keeps the maximum. Componentwise min/max is commutative
@@ -66,6 +87,28 @@ func mergeChain(a, b CausalChain) CausalChain {
 		out.SharePermille = b.SharePermille
 	}
 	return out
+}
+
+// foldChain is mergeChain over the chains report entries hold, which never
+// change once built and are shared between entries (nil for none). It
+// returns a or b itself wherever the fold equals it, so merging an equal
+// chain allocates nothing, and builds a new chain only for a fold that
+// differs from both.
+func foldChain(a, b *CausalChain) *CausalChain {
+	switch {
+	case b == nil || a == b:
+		return a
+	case a == nil:
+		return b
+	}
+	switch m := mergeChain(*a, *b); m {
+	case *a:
+		return a
+	case *b:
+		return b
+	default:
+		return m.ref()
+	}
 }
 
 // chainGroup accumulates one origin's samples during partitioning. Groups

@@ -106,6 +106,77 @@ func TestDeviceSetCopyOnWrite(t *testing.T) {
 	}
 }
 
+// TestCausalChainCopyOnWrite: an entry without a chain holds nil, and a
+// chain, like a device set, never changes once built: merging an equal
+// chain keeps the entry's pointer and allocates nothing, a clone shares
+// it, and a different chain merged into a shard's live report after a
+// hand-out is a new chain, so the snapshot keeps the old one.
+func TestCausalChainCopyOnWrite(t *testing.T) {
+	diag := Diagnosis{RootCause: "x.Y.m", File: "Y.java", Line: 2}
+	key := entryKey("A", "A/act", diag.RootCause)
+
+	plain := NewReport()
+	plain.Add("A", "d1", "A/act", diag, simclock.Second)
+	plain.AddChained("A", "d2", "A/act", diag, CausalChain{}, simclock.Second)
+	imported, err := ImportReport(bytes.NewReader(exportJSON(t, plain)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]*Report{"Add": plain, "JSON import": imported, "binary decode": decodeBinary(t, plain).Report()} {
+		if c := r.entries.get(key).Chain; c != nil {
+			t.Errorf("%s: a chainless entry holds the chain %+v, want nil", name, *c)
+		}
+	}
+
+	chain := CausalChain{Kind: "submit", OriginAction: "A/open", OriginSite: "x.Task.run", SharePermille: 500}
+	live, other := NewReport(), NewReport()
+	for _, r := range []*Report{live, other} {
+		r.AddChained("A", "d1", "A/act", diag, chain, simclock.Second)
+	}
+	e, src := live.entries.get(key), other.entries.get(key)
+	held := e.Chain
+	if src.Chain == held {
+		t.Fatal("two reports built apart share one chain")
+	}
+	if n := testing.AllocsPerRun(100, func() { e.merge(src, nil) }); n != 0 || e.Chain != held {
+		t.Errorf("merging an equal chain allocates %v objects and keeps the entry's chain: %v, want 0 and true", n, e.Chain == held)
+	}
+	if e.clone().Chain != held {
+		t.Error("a clone does not share its source's chain")
+	}
+
+	sc := NewSnapshotCache(live)
+	sc.Bump()
+	snap := sc.Snapshot()
+	post := CausalChain{Kind: "post", SharePermille: 900}
+	live.AddChained("A", "d2", "A/act", diag, post, simclock.Second)
+	sc.Bump()
+	if got := snap.entries.get(key).Chain; got != held || *got != chain {
+		t.Errorf("the snapshot's chain is %+v after a live merge, want %+v", *got, chain)
+	}
+	if got, want := live.entries.get(key).Chain, mergeChain(chain, post); got == held || *got != want {
+		t.Errorf("the live entry holds the chain %+v (shared with the snapshot: %v), want a new %+v", *got, got == held, want)
+	}
+
+	// A chain merged from a decoder's scratch view is the report's own
+	// copy, which the decoder's next document does not reach.
+	enc, dec := NewBinaryEncoder("d1"), NewBinaryDecoder()
+	wr, err := dec.DecodeScratch(enc.Encode(live))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromWire := NewReport()
+	fromWire.MergeWireEntries(wr.Entries)
+	later := NewReport()
+	later.AddChained("A", "d1", "A/act", diag, CausalChain{Kind: "delay", SharePermille: 7}, simclock.Second)
+	if _, err := dec.DecodeScratch(enc.Encode(later)); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fromWire.entries.get(key).Chain, live.entries.get(key).Chain; *got != *want {
+		t.Errorf("a chain merged from a scratch view changed to %+v with the decoder's next document, want %+v", *got, *want)
+	}
+}
+
 // TestDeviceSetAllocs: merging a device an owned entry already holds
 // allocates nothing, and copying a handed-out entry on write allocates
 // its leaf and nothing else, whatever the size of its device set.
@@ -132,8 +203,8 @@ func TestDeviceSetAllocs(t *testing.T) {
 	var tr entryTrie
 	tr.put(handedOut)
 	allocs := testing.AllocsPerRun(100, func() {
-		tr.root.slots[0] = trieSlot{leaf: handedOut}
-		if e := tr.writable(handedOut.h, key); e == handedOut.e || e.Devices.Len() != 50 {
+		tr.root.leaves[0] = handedOut
+		if e := tr.writable(handedOut.h, key); e == &handedOut.entry || e.Devices.Len() != 50 {
 			t.Fatal("writable did not copy the handed-out entry with its 50 devices")
 		}
 	})

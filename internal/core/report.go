@@ -27,9 +27,10 @@ type ReportEntry struct {
 	// MaxResponse and SumResponse summarize observed hang lengths.
 	MaxResponse simclock.Duration
 	SumResponse simclock.Duration
-	// Chain is the causal chain the diagnosis travelled through (zero for
-	// plain main-thread diagnoses). Merges fold it componentwise.
-	Chain CausalChain
+	// Chain is the causal chain the diagnosis travelled through, nil for
+	// plain main-thread diagnoses. Like Devices it never changes once
+	// built, so entries share it; merges fold it componentwise.
+	Chain *CausalChain
 }
 
 // The report algebra. Every path that builds, copies or combines entries
@@ -59,7 +60,7 @@ func satAdd[T ~int | ~int64](a, b T) T {
 
 // merge folds src into e: hang counts and response sums add (saturating,
 // by satAdd), the larger maximum wins, device sets union and chains fold
-// by mergeChain. Devices may disagree on where a root cause lives, so the
+// by foldChain. Devices may disagree on where a root cause lives, so the
 // smallest (File, Line) wins and ViaCaller holds if either side set it.
 // src's devices are src.Devices plus devs, the list form decoded documents
 // carry, in any order and possibly repeated, so they merge without
@@ -74,7 +75,7 @@ func (e *ReportEntry) merge(src *ReportEntry, devs []string) {
 	if src.MaxResponse > e.MaxResponse {
 		e.MaxResponse = src.MaxResponse
 	}
-	e.Chain = mergeChain(e.Chain, src.Chain)
+	e.Chain = foldChain(e.Chain, src.Chain)
 	e.Devices = e.Devices.union(src.Devices).with(devs)
 }
 
@@ -180,7 +181,7 @@ func (r *Report) AddChained(appName, device, actionUID string, diag Diagnosis, c
 	hang := ReportEntry{
 		App: appName, ActionUID: actionUID, RootCause: diag.RootCause,
 		File: diag.File, Line: diag.Line, ViaCaller: diag.ViaCaller,
-		Hangs: 1, MaxResponse: rt, SumResponse: rt, Chain: chain,
+		Hangs: 1, MaxResponse: rt, SumResponse: rt, Chain: chain.ref(),
 	}
 	r.add(entryKey(appName, actionUID, diag.RootCause), &hang, []string{device})
 }
@@ -190,7 +191,7 @@ func (r *Report) AddChained(appName, device, actionUID string, diag Diagnosis, c
 func (r *Report) Merge(others ...*Report) {
 	for _, o := range others {
 		r.Health.Add(o.Health)
-		o.entries.each(func(l *trieLeaf) { r.add(l.key, l.e, nil) })
+		o.entries.each(func(l *trieLeaf) { r.add(l.key, &l.entry, nil) })
 	}
 }
 
@@ -216,7 +217,7 @@ func (r *Report) TotalHangs() int { return r.totalHangs }
 // app/action/root for determinism).
 func (r *Report) Entries() []*ReportEntry {
 	out := make([]*ReportEntry, 0, r.entries.n)
-	r.entries.each(func(l *trieLeaf) { out = append(out, l.e) })
+	r.entries.each(func(l *trieLeaf) { out = append(out, &l.entry) })
 	slices.SortFunc(out, func(a, b *ReportEntry) int {
 		if a.Hangs != b.Hangs {
 			return cmp.Compare(b.Hangs, a.Hangs)
@@ -275,11 +276,11 @@ func (r *Report) Render() string {
 		fmt.Fprintf(&b, "%-66s %8d %7.0f%% %8d %9s\n",
 			fmt.Sprintf("%s (%s:%d)%s @ %s", e.RootCause, e.File, e.Line, kind, e.ActionUID),
 			e.Hangs, r.OccurrencePct(e), e.Devices.Len(), e.MaxResponse)
-		if !e.Chain.Zero() {
+		if c := e.Chain; c != nil {
 			// Causal rows get a provenance sub-line; plain rows render exactly
 			// as before the causal extension.
 			fmt.Fprintf(&b, "    via %s chain from %s at %s (%d permille of hang samples)\n",
-				e.Chain.Kind, e.Chain.OriginAction, e.Chain.OriginSite, e.Chain.SharePermille)
+				c.Kind, c.OriginAction, c.OriginSite, c.SharePermille)
 		}
 	}
 	if !r.Health.Zero() {

@@ -54,15 +54,16 @@ func (r *Report) Export(w io.Writer) error {
 		if devs == nil {
 			devs = []string{} // "devices": [], not null
 		}
+		chain := e.Chain.value()
 		doc.Entries = append(doc.Entries, entryWire{
 			App: e.App, ActionUID: e.ActionUID, RootCause: e.RootCause,
 			File: e.File, Line: e.Line, ViaCaller: e.ViaCaller,
 			Hangs: e.Hangs, Devices: devs,
 			MaxResponse: int64(e.MaxResponse), SumResponse: int64(e.SumResponse),
-			ChainKind:          e.Chain.Kind,
-			ChainOriginAction:  e.Chain.OriginAction,
-			ChainOriginSite:    e.Chain.OriginSite,
-			ChainSharePermille: e.Chain.SharePermille,
+			ChainKind:          chain.Kind,
+			ChainOriginAction:  chain.OriginAction,
+			ChainOriginSite:    chain.OriginSite,
+			ChainSharePermille: chain.SharePermille,
 		})
 	}
 	enc := json.NewEncoder(w)
@@ -121,7 +122,7 @@ func ImportReport(rd io.Reader) (*Report, error) {
 				OriginAction:  ew.ChainOriginAction,
 				OriginSite:    ew.ChainOriginSite,
 				SharePermille: ew.ChainSharePermille,
-			},
+			}.ref(),
 		}
 		// Entries sharing a key merge, as the binary decoder's do.
 		out.add(entryKey(ew.App, ew.ActionUID, ew.RootCause), &src, ew.Devices)
@@ -136,7 +137,7 @@ func (r *Report) Anonymize(salt string) *Report {
 	out := NewReport()
 	out.Health = r.Health
 	r.entries.each(func(l *trieLeaf) {
-		e := l.e
+		e := &l.entry
 		devs := make([]string, 0, e.Devices.Len())
 		for _, d := range e.Devices.ids {
 			h := fnv.New64a()

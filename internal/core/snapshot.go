@@ -102,7 +102,7 @@ func (sc *SnapshotCache) DeltaSince(since uint64) (*Report, uint64) {
 	out := &Report{Health: snap.Health}
 	snap.entries.changedSince(since, func(l *trieLeaf) {
 		out.entries.put(l)
-		out.totalHangs = satAdd(out.totalHangs, l.e.Hangs)
+		out.totalHangs = satAdd(out.totalHangs, l.entry.Hangs)
 	})
 	return out, sc.version
 }
@@ -120,8 +120,8 @@ func (r *Report) addShared(part *Report) {
 	r.totalHangs = satAdd(r.totalHangs, part.totalHangs)
 	part.entries.each(func(l *trieLeaf) {
 		if old := r.entries.put(l); old != nil {
-			merged, _ := r.entries.bind(l.key, old.e, nil)
-			merged.merge(l.e, nil)
+			merged, _ := r.entries.bind(l.key, &old.entry, nil)
+			merged.merge(&l.entry, nil)
 		}
 	})
 }
@@ -253,31 +253,41 @@ func (r *Report) ApplyWireFull(wr *WireReport) []string {
 // RefreshKeys returns r with its entries at the given keys re-derived as
 // the fold of the corresponding entries across parts, in part order, and
 // its totals and health re-summed from the parts. A key held by no part is
-// deleted. The result is one batch over r's trie: it shares every
-// unchanged node and entry with r, and r itself stays unchanged, so r may
-// already be handed out — the regional tier serves each round's result
-// as-is. Byte-identity: after refreshing every changed key, the result
-// equals FoldReports(parts...) exactly.
+// deleted. A key only one part holds shares that part's leaf, as
+// FoldReportsShared does; a key two or more parts hold gets a new leaf of
+// the result holding their merge. So, as for FoldReportsShared, parts must
+// not change a leaf the result shares: a regional mirror only ever
+// replaces its leaves. The result is one batch over r's trie: it shares
+// every unchanged node and entry with r, and r itself stays unchanged, so
+// r may already be handed out — the regional tier serves each round's
+// result as-is. Byte-identity: after refreshing every changed key, the
+// result equals FoldReports(parts...) exactly.
 func (r *Report) RefreshKeys(keys []string, parts ...*Report) *Report {
 	out := &Report{entries: r.entries.batch()}
 	for _, key := range keys {
-		var merged *ReportEntry
+		h := keyHash(key)
+		var held *trieLeaf      // the first part's leaf of key
+		var merged *ReportEntry // the fold, once a second part holds key
 		for _, p := range parts {
 			if p == nil {
 				continue
 			}
-			e := p.entries.get(key)
-			if e == nil {
-				continue
-			}
-			if merged == nil {
-				merged, _ = out.entries.bind(key, e, nil)
-			} else {
-				merged.merge(e, nil)
+			switch l := p.entries.root.find(0, h, key); {
+			case l == nil:
+			case held == nil:
+				held = l
+			case merged == nil:
+				merged, _ = out.entries.bind(key, &held.entry, nil)
+				fallthrough
+			default:
+				merged.merge(&l.entry, nil)
 			}
 		}
-		if merged == nil {
-			out.entries.del(key)
+		switch {
+		case held == nil:
+			out.entries.remove(h, key)
+		case merged == nil:
+			out.entries.put(held)
 		}
 	}
 	for _, p := range parts {

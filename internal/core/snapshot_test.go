@@ -53,7 +53,7 @@ func TestSnapshotCacheCOW(t *testing.T) {
 	shared, cloned := 0, 0
 	s1.entries.each(func(l *trieLeaf) {
 		switch s2.entries.get(l.key) {
-		case l.e:
+		case &l.entry:
 			shared++
 		default:
 			cloned++
@@ -406,7 +406,8 @@ func TestApplyWireFullAndDelta(t *testing.T) {
 }
 
 // TestRefreshKeys: re-deriving the changed keys across parts must equal a
-// from-scratch fold, rebuild entries fresh, leave the receiver unchanged
+// from-scratch fold, build a new leaf for a key several parts hold and
+// share the leaf of a key one part holds, leave the receiver unchanged
 // (so masters handed out earlier stay valid), and delete keys no part
 // holds.
 func TestRefreshKeys(t *testing.T) {
@@ -434,11 +435,27 @@ func TestRefreshKeys(t *testing.T) {
 	if next.entries.get(key) == oldEntry {
 		t.Error("RefreshKeys reused the old entry instead of rebuilding it")
 	}
+	if l := next.entries.leaf(key); l == a.entries.leaf(key) || l == b.entries.leaf(key) {
+		t.Error("a key two parts hold shares a part's leaf instead of a new one")
+	}
 	if oldEntry.Hangs != oldHangs {
 		t.Error("the replaced entry was mutated — shared snapshots would corrupt")
 	}
 	if !bytes.Equal(exportBytes(t, master), before) {
 		t.Error("RefreshKeys changed its receiver")
+	}
+
+	// A key only part a holds shares a's leaf.
+	solo := victim.clone()
+	solo.RootCause = "com.example.Solo.run"
+	soloKey := keyOf(solo)
+	a.entries.bind(soloKey, solo, nil)
+	a.totalHangs += solo.Hangs
+	if next = next.RefreshKeys([]string{soloKey}, a, b); next.entries.leaf(soloKey) != a.entries.leaf(soloKey) {
+		t.Error("a key one part holds does not share that part's leaf")
+	}
+	if got, want := exportBytes(t, next), exportBytes(t, FoldReports(a, b)); !bytes.Equal(got, want) {
+		t.Fatal("RefreshKeys of a one-part key diverged from a from-scratch fold")
 	}
 
 	// A key held by no part disappears.

@@ -1,12 +1,13 @@
 package core
 
 // trie.go is the entry index every Report keeps: a persistent hash array
-// mapped trie (HAMT) from entry key to *ReportEntry. Nodes are 32-way,
-// indexed by successive 5-bit slices of the key's maphash; keys whose full
-// 64-bit hashes collide share a linear bucket at the bottom. Every leaf
-// carries a version stamp — the version its entry last changed at — and
-// every node the newest stamp below it, so "what changed after version v"
-// is a walk that skips every subtree stamped at or before v.
+// mapped trie (HAMT) from entry key to entry, each entry held by value in
+// the leaf that binds its key. Nodes are 32-way, indexed by successive
+// 5-bit slices of the key's maphash; keys whose full 64-bit hashes
+// collide share a linear bucket at the bottom. Every leaf carries a
+// version stamp — the version its entry last changed at — and every node
+// the newest stamp below it, so "what changed after version v" is a walk
+// that skips every subtree stamped at or before v.
 //
 // Ownership decides whether a write copies, by one rule for nodes and
 // leaves alike: each carries the edit token of the trie that created it,
@@ -16,18 +17,21 @@ package core
 // write to a node or leaf copies it once, with the batch's token; later
 // writes in the batch change that copy in place. The handed-out trie
 // stays unchanged, and a batch that changes k keys costs at most one copy
-// per node on their paths and one per leaf. A slot is two pointers, so a
-// full node copies in 512 bytes. A leaf binds its entry, so merging into
-// an entry in place is a write to its leaf: a report merges in place only
-// into entries its trie owns (Report.add). Two versions of a trie share
-// every unchanged subtree, so diffLeaves compares them in time
-// proportional to what changed.
+// per node on their paths and one per leaf. Nodes take the compressed
+// layout of Steindorfer and Vinju's CHAMP (OOPSLA 2015), in which a slot
+// is one pointer, so a full node's slots copy in 256 bytes. A leaf is its
+// entry, one 176-byte object on 64-bit platforms (a Go size class), so
+// merging into an entry in place is a write to its leaf: a report merges
+// in place only into entries its trie owns (Report.add). Two versions of
+// a trie share every unchanged subtree, so diffLeaves compares them in
+// time proportional to what changed.
 //
 // Iteration order is unspecified; every rendered output sorts.
 
 import (
 	"hash/maphash"
 	"math/bits"
+	"slices"
 )
 
 const (
@@ -47,46 +51,41 @@ func keyHash(key string) uint64 { return maphash.String(trieSeed, key) }
 // holding the same entries in the same shape stay deeply equal.
 type editToken struct{ _ byte }
 
-// trieLeaf binds a key, with its hash, to an entry. Only the trie whose
-// token it carries changes it or its entry, so tries share leaves freely:
+// trieLeaf binds a key, with its hash, to the entry it holds: a key costs
+// the garbage collector one object, as in a map. Only the trie whose token
+// it carries changes it or its entry, so tries share leaves freely:
 // versions of a persistent trie, and a fold with the parts it shares.
 type trieLeaf struct {
-	edit *editToken
-	ver  uint64
-	h    uint64
-	key  string
-	e    *ReportEntry
-}
-
-// leafEntry is an entry with the leaf that binds it, allocated as one
-// object: a key costs the garbage collector one object, as in a map.
-type leafEntry struct {
-	leaf  trieLeaf
+	edit  *editToken
+	ver   uint64
+	h     uint64
+	key   string
 	entry ReportEntry
 }
 
 // newLeaf returns a new leaf of t, stamped t.ver, binding key (hash h) to
 // a clone of src with devs merged in: the report algebra's
 // empty-then-merge, built in place in the leaf's own entry. The clone
-// shares src's device set, so without devs the leaf is its only object.
+// shares src's device set and chain, so without devs the leaf is its only
+// object.
 func (t *entryTrie) newLeaf(h uint64, key string, src *ReportEntry, devs []string) *trieLeaf {
-	le := &leafEntry{leaf: trieLeaf{edit: t.token(), ver: t.ver, h: h, key: key}, entry: *src.empty()}
-	le.entry.merge(src, devs)
-	le.leaf.e = &le.entry
-	return &le.leaf
+	l := &trieLeaf{edit: t.token(), ver: t.ver, h: h, key: key, entry: *src.empty()}
+	l.entry.merge(src, devs)
+	return l
 }
 
-// trieSlot holds a leaf or a branch.
-type trieSlot struct {
-	leaf  *trieLeaf
-	child *trieNode
-}
-
+// trieNode is a branch. Two bitmaps say which of its 32 positions hold a
+// leaf and which a child node, and each kind sits in its own array in
+// position order, so a slot is one pointer wide. A collision bucket, a
+// node at trieBucket, has empty bitmaps and holds leaves in insertion
+// order.
 type trieNode struct {
-	edit   *editToken
-	bitmap uint32     // occupied positions; zero in a collision bucket
-	ver    uint64     // newest stamp below
-	slots  []trieSlot // in position order
+	edit     *editToken
+	leafMap  uint32 // positions holding a leaf
+	childMap uint32 // positions holding a child node
+	ver      uint64 // newest stamp below
+	leaves   []*trieLeaf
+	kids     []*trieNode
 }
 
 // entryTrie is a trie root plus its size. The zero value is empty.
@@ -120,46 +119,51 @@ func (t *entryTrie) own(n *trieNode) *trieNode {
 	if t.owns(n.edit) {
 		return n
 	}
-	return &trieNode{edit: t.edit, bitmap: n.bitmap, ver: n.ver, slots: append([]trieSlot(nil), n.slots...)}
+	c := *n
+	c.edit, c.leaves, c.kids = t.edit, slices.Clone(n.leaves), slices.Clone(n.kids)
+	return &c
 }
 
-// node returns a new node of t holding slots, stamped ver.
-func (t *entryTrie) node(bitmap uint32, ver uint64, slots ...trieSlot) *trieNode {
-	return &trieNode{edit: t.edit, bitmap: bitmap, ver: ver, slots: slots}
-}
+// position returns the bit of the position h takes in a node at shift.
+func position(shift uint, h uint64) uint32 { return 1 << (h >> shift & trieMask) }
 
-// locate returns the index i of the slot on key's path in n, a node at
-// shift, or where that slot would go, and whether it is occupied. bit is
-// the path's position in n.bitmap. In a collision bucket (bit 0) the slot
-// on the path is key's own leaf, if any.
-func (n *trieNode) locate(shift uint, h uint64, key string) (i int, bit uint32, hit bool) {
+// index returns the array index of the position bit in a node whose
+// positions of that kind are m.
+func index(m, bit uint32) int { return bits.OnesCount32(m & (bit - 1)) }
+
+// at returns what n, a node at shift, holds on the path of key (hash h):
+// the child to descend into, or else the leaf there, which may bind
+// another key, or neither. In a collision bucket the leaf on the path is
+// key's own, if any.
+func (n *trieNode) at(shift uint, h uint64, key string) (*trieLeaf, *trieNode) {
 	if shift >= trieBucket {
-		for i, s := range n.slots {
-			if s.leaf.key == key {
-				return i, 0, true
+		for _, l := range n.leaves {
+			if l.key == key {
+				return l, nil
 			}
 		}
-		return len(n.slots), 0, false
+		return nil, nil
 	}
-	bit = 1 << (h >> shift & trieMask)
-	return bits.OnesCount32(n.bitmap & (bit - 1)), bit, n.bitmap&bit != 0
+	switch bit := position(shift, h); {
+	case n.leafMap&bit != 0:
+		return n.leaves[index(n.leafMap, bit)], nil
+	case n.childMap&bit != 0:
+		return nil, n.kids[index(n.childMap, bit)]
+	}
+	return nil, nil
 }
 
 // find returns key's leaf below n, or nil.
 func (n *trieNode) find(shift uint, h uint64, key string) *trieLeaf {
 	for n != nil {
-		i, _, hit := n.locate(shift, h, key)
-		if !hit {
-			return nil
-		}
-		s := n.slots[i]
-		if s.child == nil {
-			if s.leaf.h == h && s.leaf.key == key {
-				return s.leaf
+		l, child := n.at(shift, h, key)
+		if child == nil {
+			if l != nil && l.h == h && l.key == key {
+				return l
 			}
 			return nil
 		}
-		n, shift = s.child, shift+trieBits
+		n, shift = child, shift+trieBits
 	}
 	return nil
 }
@@ -170,7 +174,7 @@ func (t *entryTrie) leaf(key string) *trieLeaf { return t.root.find(0, keyHash(k
 // get returns key's entry, or nil.
 func (t *entryTrie) get(key string) *ReportEntry {
 	if l := t.leaf(key); l != nil {
-		return l.e
+		return &l.entry
 	}
 	return nil
 }
@@ -183,27 +187,26 @@ func (t *entryTrie) get(key string) *ReportEntry {
 func (t *entryTrie) writable(h uint64, key string) *ReportEntry {
 	t.token()
 	for n, shift := t.root, uint(0); n != nil; shift += trieBits {
-		i, _, hit := n.locate(shift, h, key)
-		if !hit {
+		l, child := n.at(shift, h, key)
+		if l == nil && child == nil {
 			return nil
 		}
 		if t.owns(n.edit) {
 			n.ver = max(n.ver, t.ver)
 		}
-		l := n.slots[i].leaf
 		switch {
-		case l == nil:
-			n = n.slots[i].child
+		case child != nil:
+			n = child
 			continue
 		case l.h != h || l.key != key:
 			return nil
 		case t.owns(l.edit):
 			l.ver = t.ver
 		default:
-			l = t.newLeaf(h, key, l.e, nil)
+			l = t.newLeaf(h, key, &l.entry, nil)
 			t.put(l)
 		}
-		return l.e
+		return &l.entry
 	}
 	return nil
 }
@@ -213,14 +216,14 @@ func (t *entryTrie) writable(h uint64, key string) *ReportEntry {
 func (t *entryTrie) bind(key string, src *ReportEntry, devs []string) (bound, old *ReportEntry) {
 	l := t.newLeaf(keyHash(key), key, src, devs)
 	if o := t.put(l); o != nil {
-		old = o.e
+		old = &o.entry
 	}
-	return l.e, old
+	return &l.entry, old
 }
 
 // put stores l for l.key, whose hash is l.h, and returns the leaf it
-// replaced (nil if the key is new). Putting the leaf a key already holds,
-// or an equal one, changes (and copies) nothing.
+// replaced (nil if the key is new). Putting the leaf a key already holds
+// changes (and copies) nothing; a copy of it is a new binding.
 func (t *entryTrie) put(l *trieLeaf) *trieLeaf {
 	t.token()
 	var old *trieLeaf
@@ -235,58 +238,77 @@ func (t *entryTrie) put(l *trieLeaf) *trieLeaf {
 // l replaced.
 func (t *entryTrie) setAt(n *trieNode, shift uint, l *trieLeaf) (*trieNode, *trieLeaf) {
 	if n == nil { // an empty trie's root
-		return t.node(1<<(l.h&trieMask), l.ver, trieSlot{leaf: l}), nil
+		return &trieNode{edit: t.edit, leafMap: position(0, l.h), ver: l.ver, leaves: []*trieLeaf{l}}, nil
 	}
-	i, bit, hit := n.locate(shift, l.h, l.key)
-	if !hit {
-		n = t.own(n)
-		n.bitmap |= bit
-		n.slots = append(n.slots, trieSlot{})
-		copy(n.slots[i+1:], n.slots[i:])
-		n.slots[i] = trieSlot{leaf: l}
-		n.ver = max(n.ver, l.ver)
-		return n, nil
-	}
-	s := n.slots[i]
 	var old *trieLeaf
-	switch {
-	case s.child != nil:
-		var c *trieNode
-		c, old = t.setAt(s.child, shift+trieBits, l)
-		if c == s.child && n.ver >= l.ver {
-			return n, old
+	if shift >= trieBucket {
+		i := slices.IndexFunc(n.leaves, func(o *trieLeaf) bool { return o.key == l.key })
+		switch {
+		case i < 0:
+			n = t.own(n)
+			n.leaves = append(n.leaves, l)
+		case n.leaves[i] == l:
+			return n, l
+		default:
+			old = n.leaves[i]
+			n = t.own(n)
+			n.leaves[i] = l
 		}
-		s.child = c
-	case s.leaf.h == l.h && s.leaf.key == l.key:
-		if old = s.leaf; *old == *l {
-			return n, old
-		}
-		s.leaf = l
-	default:
-		// Another key holds the position: both move one level down.
-		s.child = t.pair(shift+trieBits, s.leaf, l)
-		s.leaf = nil
+		n.ver = max(n.ver, l.ver)
+		return n, old
 	}
-	n = t.own(n)
-	n.slots[i] = s
+	bit := position(shift, l.h)
+	switch {
+	case n.childMap&bit != 0:
+		i := index(n.childMap, bit)
+		var c *trieNode
+		c, old = t.setAt(n.kids[i], shift+trieBits, l)
+		if c == n.kids[i] && n.ver >= l.ver {
+			return n, old
+		}
+		n = t.own(n)
+		n.kids[i] = c
+	case n.leafMap&bit == 0:
+		n = t.own(n)
+		n.leaves = slices.Insert(n.leaves, index(n.leafMap, bit), l)
+		n.leafMap |= bit
+	case n.leaves[index(n.leafMap, bit)] == l:
+		return n, l
+	default:
+		i := index(n.leafMap, bit)
+		o := n.leaves[i]
+		n = t.own(n)
+		if o.h == l.h && o.key == l.key {
+			old, n.leaves[i] = o, l
+			break
+		}
+		// Another key holds the position: both move one level down.
+		n.leaves = slices.Delete(n.leaves, i, i+1)
+		n.leafMap &^= bit
+		n.kids = slices.Insert(n.kids, index(n.childMap, bit), t.pair(shift+trieBits, o, l))
+		n.childMap |= bit
+	}
 	n.ver = max(n.ver, l.ver)
 	return n, old
 }
 
 // pair builds the subtree at shift holding leaves a and b.
 func (t *entryTrie) pair(shift uint, a, b *trieLeaf) *trieNode {
-	ver := max(a.ver, b.ver)
+	n := &trieNode{edit: t.edit, ver: max(a.ver, b.ver)}
 	if shift >= trieBucket {
-		return t.node(0, ver, trieSlot{leaf: a}, trieSlot{leaf: b})
+		n.leaves = []*trieLeaf{a, b}
+		return n
 	}
-	pa, pb := a.h>>shift&trieMask, b.h>>shift&trieMask
+	pa, pb := position(shift, a.h), position(shift, b.h)
 	switch {
 	case pa == pb:
-		return t.node(1<<pa, ver, trieSlot{child: t.pair(shift+trieBits, a, b)})
+		n.childMap, n.kids = pa, []*trieNode{t.pair(shift+trieBits, a, b)}
+		return n
 	case pa > pb:
 		a, b = b, a
 	}
-	return t.node(1<<pa|1<<pb, ver, trieSlot{leaf: a}, trieSlot{leaf: b})
+	n.leafMap, n.leaves = pa|pb, []*trieLeaf{a, b}
+	return n
 }
 
 // del removes key, reporting whether it was present.
@@ -302,7 +324,7 @@ func (t *entryTrie) remove(h uint64, key string) bool {
 	if !removed {
 		return false
 	}
-	if len(root.slots) == 0 {
+	if len(root.leaves) == 0 && len(root.kids) == 0 {
 		root = nil
 	}
 	t.root = root
@@ -311,42 +333,44 @@ func (t *entryTrie) remove(h uint64, key string) bool {
 }
 
 // delAt removes key below n at shift. A child left holding a single leaf
-// is folded into its parent's slot, so a trie's shape depends only on its
-// key set (insertion order aside, within collision buckets). Stamps stay:
-// a node may claim a newer stamp than it still holds, never an older one.
+// is folded into its parent as a leaf, so a trie's shape depends only on
+// its key set (insertion order aside, within collision buckets). Stamps
+// stay: a node may claim a newer stamp than it still holds, never an
+// older one.
 func (t *entryTrie) delAt(n *trieNode, shift uint, h uint64, key string) (*trieNode, bool) {
-	i, bit, hit := n.locate(shift, h, key)
-	if !hit {
-		return n, false
-	}
-	s := n.slots[i]
-	if s.child == nil {
-		if s.leaf.h != h || s.leaf.key != key {
+	l, child := n.at(shift, h, key)
+	switch {
+	case child != nil:
+		c, removed := t.delAt(child, shift+trieBits, h, key)
+		if !removed {
 			return n, false
 		}
+		bit := position(shift, h)
+		i := index(n.childMap, bit)
 		n = t.own(n)
-		n.bitmap &^= bit
-		n.slots = removeSlot(n.slots, i)
+		if len(c.leaves) == 1 && len(c.kids) == 0 {
+			n.kids = slices.Delete(n.kids, i, i+1)
+			n.childMap &^= bit
+			n.leaves = slices.Insert(n.leaves, index(n.leafMap, bit), c.leaves[0])
+			n.leafMap |= bit
+		} else {
+			n.kids[i] = c
+		}
 		return n, true
-	}
-	c, removed := t.delAt(s.child, shift+trieBits, h, key)
-	if !removed {
+	case l == nil || l.h != h || l.key != key:
 		return n, false
-	}
-	n = t.own(n)
-	if len(c.slots) == 1 && c.slots[0].child == nil {
-		n.slots[i] = c.slots[0]
-	} else {
-		n.slots[i].child = c
+	case shift >= trieBucket:
+		i := slices.Index(n.leaves, l)
+		n = t.own(n)
+		n.leaves = slices.Delete(n.leaves, i, i+1)
+	default:
+		bit := position(shift, h)
+		i := index(n.leafMap, bit)
+		n = t.own(n)
+		n.leaves = slices.Delete(n.leaves, i, i+1)
+		n.leafMap &^= bit
 	}
 	return n, true
-}
-
-// removeSlot deletes s[i], clearing the vacated tail so it pins nothing.
-func removeSlot(s []trieSlot, i int) []trieSlot {
-	copy(s[i:], s[i+1:])
-	s[len(s)-1] = trieSlot{}
-	return s[:len(s)-1]
 }
 
 // each calls fn for every leaf.
@@ -360,13 +384,13 @@ func (n *trieNode) since(v uint64, all bool, fn func(l *trieLeaf)) {
 	if n == nil || !all && n.ver <= v {
 		return
 	}
-	for _, s := range n.slots {
-		switch {
-		case s.child != nil:
-			s.child.since(v, all, fn)
-		case all || s.leaf.ver > v:
-			fn(s.leaf)
+	for _, l := range n.leaves {
+		if all || l.ver > v {
+			fn(l)
 		}
+	}
+	for _, c := range n.kids {
+		c.since(v, all, fn)
 	}
 }
 
@@ -382,21 +406,16 @@ func diffLeaves(a, b *trieNode, shift uint, fn func(l *trieLeaf)) {
 		b.since(0, true, fn)
 		return
 	}
-	for bm, i := b.bitmap, 0; bm != 0; bm, i = bm&(bm-1), i+1 {
-		bit, sb := bm&-bm, b.slots[i]
-		var sa trieSlot
-		if a.bitmap&bit != 0 {
-			sa = a.slots[bits.OnesCount32(a.bitmap&(bit-1))]
+	for m, i := b.leafMap, 0; m != 0; m, i = m&(m-1), i+1 {
+		if bit := m & -m; a.leafMap&bit == 0 || a.leaves[index(a.leafMap, bit)] != b.leaves[i] {
+			fn(b.leaves[i])
 		}
-		switch {
-		case sb.child == nil:
-			if sb.leaf != sa.leaf {
-				fn(sb.leaf)
-			}
-		case sa.child != nil:
-			diffLeaves(sa.child, sb.child, shift+trieBits, fn)
-		default:
-			sb.child.since(0, true, fn)
+	}
+	for m, i := b.childMap, 0; m != 0; m, i = m&(m-1), i+1 {
+		if bit := m & -m; a.childMap&bit != 0 {
+			diffLeaves(a.kids[index(a.childMap, bit)], b.kids[i], shift+trieBits, fn)
+		} else {
+			b.kids[i].since(0, true, fn)
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"maps"
 	"math/bits"
 	"testing"
+	"unsafe"
 
 	"hangdoctor/internal/simrand"
 )
@@ -95,20 +96,25 @@ func runTrieOps(t *testing.T, ops []byte, colliding bool) {
 		key, h := trieKeys[k], hash(k)
 		switch ops[i] % 6 {
 		case 0, 1:
-			leaf := &trieLeaf{ver: ver, h: h, key: key, e: &ReportEntry{Hangs: i}}
+			leaf := &trieLeaf{ver: ver, h: h, key: key, entry: ReportEntry{Hangs: i}}
 			live.put(leaf)
 			cur.put(leaf)
-			model[key] = modelLeaf{leaf.e, ver, i}
+			model[key] = modelLeaf{&leaf.entry, ver, i}
 			liveModel[key] = model[key]
 		case 2:
-			// Rebinding what a key already holds must neither change nor
-			// copy anything.
+			// Putting the leaf a key already holds must neither change nor
+			// copy anything. A copy of the leaf carries its own entry, so
+			// putting it is a new binding, which replaces the leaf.
 			if l := cur.root.find(0, h, key); l != nil {
-				root, same := cur.root, *l
-				cur.put(&same)
-				if cur.root != root {
-					t.Fatalf("op %d: rebinding %q to its own entry copied the root", i, key)
+				root := cur.root
+				if cur.put(l); cur.root != root {
+					t.Fatalf("op %d: putting %q's own leaf copied the root", i, key)
 				}
+				same := *l
+				if old := cur.put(&same); old != l || cur.root.find(0, h, key) != &same {
+					t.Fatalf("op %d: putting a copy of %q's leaf did not replace the leaf", i, key)
+				}
+				model[key] = modelLeaf{&same.entry, same.ver, same.entry.Hangs}
 			}
 		case 3:
 			_, ok := model[key]
@@ -163,7 +169,7 @@ func runTrieOps(t *testing.T, ops []byte, colliding bool) {
 		next := versions[i]
 		got := map[string]bool{}
 		diffLeaves(prev, next.tr.root, 0, func(l *trieLeaf) {
-			if next.model[l.key].e != l.e {
+			if next.model[l.key].e != &l.entry {
 				t.Fatalf("diffLeaves reported %q, which version %d does not bind to that leaf", l.key, i)
 			}
 			got[l.key] = true
@@ -173,15 +179,16 @@ func runTrieOps(t *testing.T, ops []byte, colliding bool) {
 			if prev != nil {
 				was = prev.find(0, hash(keyIndex(key)), key)
 			}
-			if (was == nil || was.e != l.e) && !got[key] {
+			if (was == nil || &was.entry != l.e) && !got[key] {
 				t.Fatalf("diffLeaves missed %q, changed in version %d", key, i)
 			}
 		}
 	}
 }
 
-// checkTrie compares tr with model and checks its shape: bitmaps match
-// slot counts, every leaf sits on its hash's path, node stamps cover
+// checkTrie compares tr with model and checks its shape: bitmaps are
+// disjoint and match the leaf and child counts, every leaf sits on its
+// hash's path, node stamps cover
 // their subtrees, no node below the root holds a single leaf, and buckets
 // appear only once the hash is used up.
 func checkTrie(t *testing.T, name string, tr *entryTrie, model map[string]modelLeaf, hash func(int) uint64) {
@@ -197,21 +204,21 @@ func checkTrie(t *testing.T, name string, tr *entryTrie, model map[string]modelL
 			t.Fatalf("%s: holds deleted or never-set key %q", name, key)
 		case ok && s == nil:
 			t.Fatalf("%s: lost key %q", name, key)
-		case ok && (s.e != l.e || s.ver != l.ver || s.e.Hangs != l.hangs):
-			t.Fatalf("%s: %q holds (%p, v%d, %d hangs), want (%p, v%d, %d hangs)", name, key, s.e, s.ver, s.e.Hangs, l.e, l.ver, l.hangs)
+		case ok && (&s.entry != l.e || s.ver != l.ver || s.entry.Hangs != l.hangs):
+			t.Fatalf("%s: %q holds (%p, v%d, %d hangs), want (%p, v%d, %d hangs)", name, key, &s.entry, s.ver, s.entry.Hangs, l.e, l.ver, l.hangs)
 		}
 	}
 	seen := 0
 	tr.each(func(l *trieLeaf) {
 		seen++
-		if model[l.key].e != l.e {
+		if model[l.key].e != &l.entry {
 			t.Fatalf("%s: each visited %q with the wrong entry", name, l.key)
 		}
 	})
 	if seen != len(model) {
 		t.Fatalf("%s: each visited %d entries, want %d", name, seen, len(model))
 	}
-	if tr.root != nil && len(tr.root.slots) == 0 {
+	if tr.root != nil && len(tr.root.leaves)+len(tr.root.kids) == 0 {
 		t.Fatalf("%s: empty root node", name)
 	}
 	var walk func(n *trieNode, shift uint, prefix uint64)
@@ -223,37 +230,40 @@ func checkTrie(t *testing.T, name string, tr *entryTrie, model map[string]modelL
 			}
 		}()
 		if shift >= trieBucket {
-			for _, s := range n.slots {
-				if s.child != nil || s.leaf.h != n.slots[0].leaf.h {
-					t.Fatalf("%s: collision bucket holds a branch or differing hashes", name)
+			if n.leafMap != 0 || n.childMap != 0 || len(n.kids) != 0 {
+				t.Fatalf("%s: collision bucket holds a bitmap or a branch", name)
+			}
+			for _, l := range n.leaves {
+				if l.h != n.leaves[0].h {
+					t.Fatalf("%s: collision bucket holds differing hashes", name)
 				}
-				newest = max(newest, s.leaf.ver)
+				newest = max(newest, l.ver)
 			}
 			return
 		}
-		if bits.OnesCount32(n.bitmap) != len(n.slots) {
-			t.Fatalf("%s: bitmap %032b for %d slots", name, n.bitmap, len(n.slots))
+		if n.leafMap&n.childMap != 0 || bits.OnesCount32(n.leafMap) != len(n.leaves) || bits.OnesCount32(n.childMap) != len(n.kids) {
+			t.Fatalf("%s: bitmaps %032b and %032b for %d leaves and %d children", name, n.leafMap, n.childMap, len(n.leaves), len(n.kids))
 		}
-		if shift > 0 && len(n.slots) == 1 && n.slots[0].child == nil {
+		if shift > 0 && len(n.leaves) == 1 && len(n.kids) == 0 {
 			t.Fatalf("%s: a node below the root holds a single leaf", name)
 		}
-		i := 0
+		li, ci := 0, 0
 		for p := uint64(0); p <= trieMask; p++ {
-			if n.bitmap&(1<<p) == 0 {
-				continue
-			}
-			s := n.slots[i]
-			i++
-			path := prefix | p<<shift
-			if s.child == nil {
-				if s.leaf.h&(1<<(shift+trieBits)-1) != path&(1<<(shift+trieBits)-1) {
-					t.Fatalf("%s: leaf %q off its hash path", name, s.leaf.key)
+			bit, path := uint32(1)<<p, prefix|p<<shift
+			switch {
+			case n.leafMap&bit != 0:
+				l := n.leaves[li]
+				li++
+				if l.h&(1<<(shift+trieBits)-1) != path&(1<<(shift+trieBits)-1) {
+					t.Fatalf("%s: leaf %q off its hash path", name, l.key)
 				}
-				newest = max(newest, s.leaf.ver)
-				continue
+				newest = max(newest, l.ver)
+			case n.childMap&bit != 0:
+				c := n.kids[ci]
+				ci++
+				walk(c, shift+trieBits, path)
+				newest = max(newest, c.ver)
 			}
-			walk(s.child, shift+trieBits, path)
-			newest = max(newest, s.child.ver)
 		}
 	}
 	if tr.root != nil {
@@ -270,6 +280,15 @@ func randomTrieOps(rng *simrand.Rand, n int) []byte {
 		ops[i] = byte(rng.Intn(256))
 	}
 	return ops
+}
+
+// TestTrieLeafSize guards the leaf layout: a leaf holds its entry by
+// value and the entry its chain by pointer, which fits both in Go's
+// 176-byte size class on 64-bit platforms.
+func TestTrieLeafSize(t *testing.T) {
+	if n := unsafe.Sizeof(trieLeaf{}); n > 176 {
+		t.Errorf("a trie leaf takes %d bytes, want at most 176", n)
+	}
 }
 
 func TestEntryTrieDifferential(t *testing.T) {
@@ -289,18 +308,18 @@ func TestEntryTrieDifferential(t *testing.T) {
 func TestEntryTrieCollisionBucket(t *testing.T) {
 	const h = 0x0123456789abcdef
 	leaf := func(key string, hangs int, ver uint64) *trieLeaf {
-		return &trieLeaf{ver: ver, h: h, key: key, e: &ReportEntry{Hangs: hangs}}
+		return &trieLeaf{ver: ver, h: h, key: key, entry: ReportEntry{Hangs: hangs}}
 	}
 	var tr entryTrie
 	for i, key := range []string{"a", "b", "c"} {
 		tr.put(leaf(key, i, 1))
 	}
 	depth, n := 0, tr.root
-	for len(n.slots) == 1 && n.slots[0].child != nil {
-		n, depth = n.slots[0].child, depth+1
+	for len(n.kids) == 1 && len(n.leaves) == 0 {
+		n, depth = n.kids[0], depth+1
 	}
-	if want := (trieBucket + trieBits - 1) / trieBits; depth != want || len(n.slots) != 3 || n.bitmap != 0 {
-		t.Fatalf("three colliding keys: bucket of %d at depth %d, want 3 at depth %d", len(n.slots), depth, want)
+	if want := (trieBucket + trieBits - 1) / trieBits; depth != want || len(n.leaves) != 3 || n.leafMap != 0 {
+		t.Fatalf("three colliding keys: bucket of %d at depth %d, want 3 at depth %d", len(n.leaves), depth, want)
 	}
 
 	// Replace in place, then in a batch over the handed-out trie.
@@ -308,15 +327,18 @@ func TestEntryTrieCollisionBucket(t *testing.T) {
 	frozen := tr
 	next := tr.batch()
 	next.put(leaf("b", 20, 3))
-	if got := frozen.root.find(0, h, "b").e.Hangs; got != 10 {
+	if got := frozen.root.find(0, h, "b").entry.Hangs; got != 10 {
 		t.Fatalf("a batch wrote through to the handed-out bucket: b=%d", got)
 	}
-	if got := next.root.find(0, h, "b"); got.e.Hangs != 20 || got.ver != 3 || next.n != 3 {
+	if got := next.root.find(0, h, "b"); got.entry.Hangs != 20 || got.ver != 3 || next.n != 3 {
 		t.Fatalf("batched replace: b=%+v n=%d", got, next.n)
 	}
-	for n := next.root; n != nil; n = n.slots[0].child {
+	for n := next.root; ; n = n.kids[0] {
 		if n.ver < 3 {
 			t.Fatal("the replace did not raise the node stamps above it")
+		}
+		if len(n.kids) == 0 {
+			break
 		}
 	}
 
@@ -328,7 +350,7 @@ func TestEntryTrieCollisionBucket(t *testing.T) {
 	if !next.remove(h, "c") || next.n != 1 {
 		t.Fatalf("after deleting a and c: n=%d", next.n)
 	}
-	if len(next.root.slots) != 1 || next.root.slots[0].child != nil || next.root.slots[0].leaf.key != "b" {
+	if len(next.root.kids) != 0 || len(next.root.leaves) != 1 || next.root.leaves[0].key != "b" {
 		t.Fatal("a single remaining leaf did not fold back into the root")
 	}
 	if frozen.n != 3 || frozen.root.find(0, h, "a") == nil || frozen.root.find(0, h, "c") == nil {

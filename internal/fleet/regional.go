@@ -198,9 +198,10 @@ func (r *Regional) PollDelta(ctx context.Context) PollResult {
 	case r.master == nil:
 		r.master = core.FoldReportsShared(parts...)
 	case advanced:
-		// Mirrors replace entries rather than mutating them, and RefreshKeys
-		// builds a new master around fresh entries for the changed keys —
-		// so masters handed out in earlier rounds stay valid.
+		// Mirrors replace leaves rather than writing into them, so the
+		// master may share the leaf of a key only one mirror holds, and
+		// RefreshKeys builds a new master around the changed keys — so
+		// masters handed out in earlier rounds stay valid.
 		r.master = r.master.RefreshKeys(changed, parts...)
 	}
 	res.Report = r.master
