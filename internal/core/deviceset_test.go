@@ -109,8 +109,9 @@ func TestDeviceSetCopyOnWrite(t *testing.T) {
 // TestCausalChainCopyOnWrite: an entry without a chain holds nil, and a
 // chain, like a device set, never changes once built: merging an equal
 // chain keeps the entry's pointer and allocates nothing, a clone shares
-// it, and a different chain merged into a shard's live report after a
-// hand-out is a new chain, so the snapshot keeps the old one.
+// it, a different chain merged into a shard's live report after a
+// hand-out is a new chain, so the snapshot keeps the old one, and a
+// chain merged from a decoder's scratch view is the report's own copy.
 func TestCausalChainCopyOnWrite(t *testing.T) {
 	diag := Diagnosis{RootCause: "x.Y.m", File: "Y.java", Line: 2}
 	key := entryKey("A", "A/act", diag.RootCause)
@@ -158,8 +159,8 @@ func TestCausalChainCopyOnWrite(t *testing.T) {
 		t.Errorf("the live entry holds the chain %+v (shared with the snapshot: %v), want a new %+v", *got, got == held, want)
 	}
 
-	// A chain merged from a decoder's scratch view is the report's own
-	// copy, which the decoder's next document does not reach.
+	// The decoder's next document does not reach a chain merged from its
+	// scratch view.
 	enc, dec := NewBinaryEncoder("d1"), NewBinaryDecoder()
 	wr, err := dec.DecodeScratch(enc.Encode(live))
 	if err != nil {
