@@ -149,9 +149,9 @@ func Differential(rates fault.StorageRates, seed uint64, uploads int) (Recovery,
 	if err != nil {
 		return r, fmt.Errorf("recovery: %w", err)
 	}
-	have := make(map[string]*core.ReportEntry)
+	have := make(map[entryID]*core.ReportEntry)
 	for _, e := range recovered.Fold().Entries() {
-		have[entryKey(e)] = e
+		have[idOf(e)] = e
 	}
 	for i := range reps {
 		if acked[i].Load() && !covered(have, reps[i]) {
@@ -295,10 +295,10 @@ func injected(in *fault.StorageInjector) int64 {
 }
 
 // covered reports whether every entry of rep is in have, a fold's entries
-// by key, with counts at least as large (a merge only ever adds).
-func covered(have map[string]*core.ReportEntry, rep *core.Report) bool {
+// by identity, with counts at least as large (a merge only ever adds).
+func covered(have map[entryID]*core.ReportEntry, rep *core.Report) bool {
 	for _, e := range rep.Entries() {
-		h, ok := have[entryKey(e)]
+		h, ok := have[idOf(e)]
 		if !ok || h.Hangs < e.Hangs || h.SumResponse < e.SumResponse || h.MaxResponse < e.MaxResponse {
 			return false
 		}
@@ -306,4 +306,8 @@ func covered(have map[string]*core.ReportEntry, rep *core.Report) bool {
 	return true
 }
 
-func entryKey(e *core.ReportEntry) string { return e.App + "\x00" + e.ActionUID + "\x00" + e.RootCause }
+// entryID is a report entry's identity: a report holds one entry per
+// (app, action, root cause).
+type entryID struct{ app, action, root string }
+
+func idOf(e *core.ReportEntry) entryID { return entryID{e.App, e.ActionUID, e.RootCause} }

@@ -12,8 +12,8 @@ import (
 	"hangdoctor/internal/simrand"
 )
 
-// identityFields are the ReportEntry fields that form the entry key, which
-// merge never changes. Every other exported field must be combined by
+// identityFields are the ReportEntry fields that form an entry's identity,
+// which merge never changes. Every other exported field must be combined by
 // merge.
 var identityFields = map[string]bool{"App": true, "ActionUID": true, "RootCause": true}
 
@@ -88,7 +88,7 @@ func randIdentity(t *testing.T, rng *simrand.Rand) *ReportEntry {
 
 // clone returns a deep copy of e through newLeaf, which every
 // production copy uses.
-func (e *ReportEntry) clone() *ReportEntry { return &new(entryTrie).newLeaf(0, "", e, nil).entry }
+func (e *ReportEntry) clone() *ReportEntry { return &new(entryTrie).newLeaf(0, e, nil).entry }
 
 // sum is the reference merge: a fresh entry holding a ⊕ b ⊕ ….
 func sum(es ...*ReportEntry) *ReportEntry {
@@ -99,17 +99,28 @@ func sum(es ...*ReportEntry) *ReportEntry {
 	return out
 }
 
-// reportOf wraps entries (all of one key) into a report through the one
-// merge path.
+// reportOf wraps entries (all of one identity) into a report through the
+// one merge path.
 func reportOf(es ...*ReportEntry) *Report {
 	r := NewReport()
 	for _, e := range es {
-		r.add(keyOf(e), e, nil)
+		r.add(hashOf(e), e, nil)
 	}
 	return r
 }
 
-func keyOf(e *ReportEntry) string { return entryKey(e.App, e.ActionUID, e.RootCause) }
+// rowKey is an entry's identity as a comparable value: the key of the
+// tests' map models, which, like a report, tell apart identities whose
+// fields join to the same string.
+type rowKey struct{ app, action, root string }
+
+func keyOf(e *ReportEntry) rowKey { return rowKey{e.App, e.ActionUID, e.RootCause} }
+
+// rowOf returns an entry holding only the identity (app, action, root),
+// the form trie lookups take.
+func rowOf(app, action, root string) *ReportEntry {
+	return &ReportEntry{App: app, ActionUID: action, RootCause: root}
+}
 
 func decodeBinary(t *testing.T, r *Report) *WireReport {
 	t.Helper()
@@ -210,12 +221,11 @@ func TestReportAlgebraLaws(t *testing.T) {
 	t.Run("paths", func(t *testing.T) {
 		for trial := 0; trial < 100; trial++ {
 			id := randIdentity(t, rng)
-			key := keyOf(id)
 			a, b := randEntry(t, rng, id), randEntry(t, rng, id)
 			ab := sum(a, b)
 			check := func(path string, r *Report, want *ReportEntry) {
 				t.Helper()
-				if got := r.entries.get(key); !reflect.DeepEqual(got, want) {
+				if got := r.entries.get(id); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s:\n got %+v\nwant %+v", path, got, want)
 				}
 				if r.Len() != 1 || r.TotalHangs() != want.Hangs {
@@ -241,7 +251,7 @@ func TestReportAlgebraLaws(t *testing.T) {
 			live.Merge(reportOf(b))
 			check("SnapshotCache live", live, ab)
 			check("SnapshotCache.Snapshot", snap, a)
-			check("RefreshKeys", NewReport().RefreshKeys([]string{key}, reportOf(a), reportOf(b)), ab)
+			check("RefreshKeys", NewReport().RefreshKeys([]*ReportEntry{id}, reportOf(a), reportOf(b)), ab)
 
 			w := reportOf(a)
 			w.MergeWireEntries(decodeBinary(t, reportOf(b)).Entries)
@@ -278,7 +288,7 @@ func TestReportAlgebraLaws(t *testing.T) {
 			if want := FoldReports(reportOf(a).Anonymize("salt"), reportOf(b).Anonymize("salt")); !reflect.DeepEqual(anonAB, want) {
 				t.Fatal("Anonymize does not commute with Merge")
 			}
-			got, plain := anonAB.entries.get(key).clone(), ab.clone()
+			got, plain := anonAB.entries.get(id).clone(), ab.clone()
 			if got.Devices.Len() != plain.Devices.Len() {
 				t.Fatalf("Anonymize: %d devices, want %d", got.Devices.Len(), plain.Devices.Len())
 			}
@@ -312,12 +322,12 @@ func TestReportAlgebraLaws(t *testing.T) {
 			"FoldReportsShared": FoldReportsShared(reportOf(a), reportOf(b)),
 			"binary":            decodeBinary(t, reportOf(a, b)).Report(),
 		} {
-			if got := r.entries.get(keyOf(id)); !reflect.DeepEqual(got, ab) || r.TotalHangs() != math.MaxInt {
+			if got := r.entries.get(id); !reflect.DeepEqual(got, ab) || r.TotalHangs() != math.MaxInt {
 				t.Fatalf("%s: %+v with %d total hangs, want %+v with %d", path, got, r.TotalHangs(), ab, math.MaxInt)
 			}
 		}
 		imported, err := ImportReport(bytes.NewReader(jsonEntries(t, reportOf(ab))))
-		if err != nil || !reflect.DeepEqual(imported.entries.get(keyOf(id)), ab) {
+		if err != nil || !reflect.DeepEqual(imported.entries.get(id), ab) {
 			t.Fatalf("JSON round trip of a saturated entry: %v", err)
 		}
 		h := Health{Quarantines: math.MaxInt - 1}

@@ -45,7 +45,8 @@ package core
 //	         ndev ndev×devRef maxResponseNs sumResponseNs
 //
 // Canonical form: the encoder walks entries in Report.Entries() order
-// (hangs descending, then key ascending), devices ascending within an
+// (hangs descending, then app, action and root cause ascending), devices
+// ascending within an
 // entry (the order a DeviceSet keeps them in), and assigns dictionary refs
 // in first-use order over that walk.
 // Encoding is therefore a pure function of report content and prior
@@ -358,12 +359,11 @@ func (e *BinaryEncoder) appendDoc(dst []byte, rep *Report) []byte {
 
 // WireEntry is one decoded binary report entry with every string resolved
 // against the device dictionary. Strings are shared with the dictionary
-// (immutable), so holding a WireEntry does not pin the document bytes.
+// (immutable), so holding a WireEntry does not pin the document bytes. Its
+// App, ActionUID and RootCause are its identity, as a ReportEntry's are;
+// merges hash and compare those fields, so a hand-built WireEntry needs
+// nothing else to route and merge correctly.
 type WireEntry struct {
-	// Key is the precomputed entry identity (the same composite key the
-	// JSON import builds), cached per (app, action, root) ref triple in the
-	// dictionary so steady-state decoding never concatenates.
-	Key         string
 	App         string
 	ActionUID   string
 	RootCause   string
@@ -404,7 +404,7 @@ func (wr *WireReport) Report() *Report {
 }
 
 // Wire returns r's wire view, the inverse of WireReport.Report: one entry
-// per key, in no particular order, and r's health. Each entry's device
+// per identity, in no particular order, and r's health. Each entry's device
 // list is the entry's own device set, which never changes, so the view
 // costs the same two allocations at any size and writing r afterwards
 // leaves it as it was. Readers of the view must not write the lists.
@@ -413,7 +413,7 @@ func (r *Report) Wire() *WireReport {
 	r.entries.each(func(l *trieLeaf) {
 		e := &l.entry
 		wr.Entries = append(wr.Entries, WireEntry{
-			Key: l.key, App: e.App, ActionUID: e.ActionUID, RootCause: e.RootCause,
+			App: e.App, ActionUID: e.ActionUID, RootCause: e.RootCause,
 			File: e.File, Line: e.Line, ViaCaller: e.ViaCaller, Hangs: e.Hangs,
 			Devices: e.Devices.ids, MaxResponse: e.MaxResponse, SumResponse: e.SumResponse, Chain: e.Chain.value(),
 		})
@@ -421,9 +421,10 @@ func (r *Report) Wire() *WireReport {
 	return wr
 }
 
-// MergeWire folds a decoded binary upload into r without intermediate maps
-// or re-keying: entry keys come precomputed from the dictionary, so merging
-// into an entry the report already holds allocates nothing.
+// MergeWire folds a decoded binary upload into r without intermediate
+// maps: each entry's identity is hashed from its three fields without
+// building a key, so merging into an entry the report already holds
+// allocates nothing.
 func (r *Report) MergeWire(wr *WireReport) {
 	r.Health.Add(wr.Health)
 	r.MergeWireEntries(wr.Entries)
@@ -436,7 +437,7 @@ func (r *Report) MergeWireEntries(entries []WireEntry) {
 	for i := range entries {
 		we := &entries[i]
 		src := we.entry()
-		r.add(we.Key, &src, we.Devices)
+		r.add(hashOf(&src), &src, we.Devices)
 	}
 }
 
@@ -454,16 +455,11 @@ func (we *WireEntry) entry() ReportEntry {
 // ---------------------------------------------------------------------------
 // Decoder
 
-// keyTriple identifies one (app, action, root) ref combination in a
-// device's dictionary; the composite entry key string is cached per triple.
-type keyTriple [3]uint32
-
 // BinaryDecoder decodes one device's binary documents, mirroring the
 // dictionary the device's encoder builds. It is not safe for concurrent
 // use; the fleet layer serializes per-device decoding.
 type BinaryDecoder struct {
-	strs []string             // dictionary: ref i at strs[i-1]
-	keys map[keyTriple]string // composite entry-key cache
+	strs []string // dictionary: ref i at strs[i-1]
 
 	// Scratch reused by DecodeScratch (and the pending-delta staging that
 	// both decode paths share).
@@ -474,9 +470,7 @@ type BinaryDecoder struct {
 }
 
 // NewBinaryDecoder returns an empty-dictionary decoder.
-func NewBinaryDecoder() *BinaryDecoder {
-	return &BinaryDecoder{keys: map[keyTriple]string{}}
-}
+func NewBinaryDecoder() *BinaryDecoder { return &BinaryDecoder{} }
 
 // Decode parses one document, returning a view whose slices are freshly
 // allocated (safe to retain and hand across goroutines). The dictionary
@@ -518,25 +512,6 @@ func (d *BinaryDecoder) resolve(ref uint64) (string, error) {
 	return "", fmt.Errorf("core: binary report: ref %d beyond dictionary size %d", ref, len(d.strs)+len(d.pending))
 }
 
-// entryKeyFor returns the composite key for an (app, action, root) triple,
-// serving repeats from the per-dictionary cache. Triples that involve
-// still-pending refs are built fresh and cached only after the delta
-// commits (via the next document), so a rejected document never poisons
-// the cache.
-func (d *BinaryDecoder) entryKeyFor(appRef, actionRef, rootRef uint64, app, action, root string) string {
-	committed := uint64(len(d.strs))
-	if appRef <= committed && actionRef <= committed && rootRef <= committed {
-		t := keyTriple{uint32(appRef), uint32(actionRef), uint32(rootRef)}
-		if k, ok := d.keys[t]; ok {
-			return k
-		}
-		k := entryKey(app, action, root)
-		d.keys[t] = k
-		return k
-	}
-	return entryKey(app, action, root)
-}
-
 // decodeInto is the shared decode body. devBuf, when non-nil, is a reusable
 // flat arena for entry device slices; nil means allocate fresh.
 func (d *BinaryDecoder) decodeInto(doc []byte, wr *WireReport, devBuf *[]string) error {
@@ -561,9 +536,8 @@ func (d *BinaryDecoder) decodeInto(doc []byte, wr *WireReport, devBuf *[]string)
 	}
 	if base == 0 && len(d.strs) > 0 {
 		// Full resync: the client reset its encoder (or is a different
-		// process entirely); drop the old dictionary and key cache.
+		// process entirely); drop the old dictionary.
 		d.strs = d.strs[:0]
-		d.keys = map[keyTriple]string{}
 	}
 	if base != uint64(len(d.strs)) {
 		return &DictMismatchError{Base: int(base), Have: len(d.strs)}
@@ -620,7 +594,6 @@ func (d *BinaryDecoder) decodeInto(doc []byte, wr *WireReport, devBuf *[]string)
 		if we.RootCause == "" {
 			return fmt.Errorf("core: entry for app %q action %q has empty root cause", we.App, we.ActionUID)
 		}
-		we.Key = d.entryKeyFor(refs[0], refs[1], refs[2], we.App, we.ActionUID, we.RootCause)
 		line, err := r.uvarint()
 		if err != nil || line > math.MaxInt {
 			return fmt.Errorf("core: binary report: entry %d line: invalid", i)

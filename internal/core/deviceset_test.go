@@ -11,15 +11,15 @@ import (
 	"hangdoctor/internal/simclock"
 )
 
-// nonCanonicalJSON holds one key in two entries whose device lists are out
-// of order and repeat a device, and a second key that lists one device
-// twice. Both decoders accept lists in any order.
+// nonCanonicalJSON holds one identity in two entries whose device lists
+// are out of order and repeat a device, and a second identity that lists
+// one device twice. Both decoders accept lists in any order.
 const nonCanonicalJSON = `{"version":1,"entries":[` +
 	`{"app":"A","action_uid":"A/act","root_cause":"x.Y.m","file":"Y.java","line":2,"hangs":2,"devices":["d3","d1","d3"],"max_response_ns":5,"sum_response_ns":9},` +
 	`{"app":"A","action_uid":"A/act","root_cause":"x.Y.m","file":"Y.java","line":2,"hangs":4,"devices":["d2","d1"],"max_response_ns":7,"sum_response_ns":20},` +
 	`{"app":"A","action_uid":"A/b","root_cause":"z.W.n","file":"W.java","line":8,"hangs":1,"devices":["d9","d9"],"max_response_ns":3,"sum_response_ns":3}]}`
 
-// canonicalJSON is nonCanonicalJSON with one entry per key and every
+// canonicalJSON is nonCanonicalJSON with one entry per identity and every
 // device list sorted and without repeats.
 const canonicalJSON = `{"version":1,"entries":[` +
 	`{"app":"A","action_uid":"A/act","root_cause":"x.Y.m","file":"Y.java","line":2,"hangs":6,"devices":["d1","d2","d3"],"max_response_ns":7,"sum_response_ns":29},` +
@@ -44,7 +44,7 @@ func TestDeviceSetNormalisesImports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := canon.entries.get(entryKey("A", "A/act", "x.Y.m")).Devices.ids; !slices.Equal(got, []string{"d1", "d2", "d3"}) {
+	if got := canon.entries.get(rowOf("A", "A/act", "x.Y.m")).Devices.ids; !slices.Equal(got, []string{"d1", "d2", "d3"}) {
 		t.Fatalf("canonical entry holds devices %q", got)
 	}
 	fromJSON, err := ImportReport(strings.NewReader(nonCanonicalJSON))
@@ -73,7 +73,7 @@ func TestDeviceSetNormalisesImports(t *testing.T) {
 // before the merge and a shared fold of the snapshot keep the old one.
 func TestDeviceSetCopyOnWrite(t *testing.T) {
 	diag := Diagnosis{RootCause: "x.Y.m", File: "Y.java", Line: 2}
-	key := entryKey("A", "A/act", diag.RootCause)
+	key := rowOf("A", "A/act", diag.RootCause)
 	live := NewReport()
 	for _, dev := range []string{"d1", "d3"} {
 		live.Add("A", dev, "A/act", diag, simclock.Second)
@@ -89,7 +89,7 @@ func TestDeviceSetCopyOnWrite(t *testing.T) {
 	// One device lands inside the set and one before it, through both
 	// merge paths.
 	live.Add("A", "d2", "A/act", diag, simclock.Second)
-	live.MergeWireEntries([]WireEntry{{Key: key, App: "A", ActionUID: "A/act", RootCause: diag.RootCause, Hangs: 1, Devices: []string{"d0"}}})
+	live.MergeWireEntries([]WireEntry{{App: "A", ActionUID: "A/act", RootCause: diag.RootCause, Hangs: 1, Devices: []string{"d0"}}})
 	sc.Bump()
 	if got := live.entries.get(key).Devices.ids; !slices.Equal(got, []string{"d0", "d1", "d2", "d3"}) {
 		t.Fatalf("live entry holds devices %q", got)
@@ -114,7 +114,7 @@ func TestDeviceSetCopyOnWrite(t *testing.T) {
 // chain merged from a decoder's scratch view is the report's own copy.
 func TestCausalChainCopyOnWrite(t *testing.T) {
 	diag := Diagnosis{RootCause: "x.Y.m", File: "Y.java", Line: 2}
-	key := entryKey("A", "A/act", diag.RootCause)
+	key := rowOf("A", "A/act", diag.RootCause)
 
 	plain := NewReport()
 	plain.Add("A", "d1", "A/act", diag, simclock.Second)
@@ -182,7 +182,7 @@ func TestCausalChainCopyOnWrite(t *testing.T) {
 // allocates nothing, and copying a handed-out entry on write allocates
 // its leaf and nothing else, whatever the size of its device set.
 func TestDeviceSetAllocs(t *testing.T) {
-	we := []WireEntry{{Key: entryKey("A", "A/act", "x.Y.m"), App: "A", ActionUID: "A/act", RootCause: "x.Y.m", Hangs: 1, Devices: []string{"d1"}}}
+	we := []WireEntry{{App: "A", ActionUID: "A/act", RootCause: "x.Y.m", Hangs: 1, Devices: []string{"d1"}}}
 	r := NewReport()
 	r.MergeWireEntries(we)
 	if n := testing.AllocsPerRun(100, func() { r.MergeWireEntries(we) }); n != 0 {
@@ -193,11 +193,10 @@ func TestDeviceSetAllocs(t *testing.T) {
 	for i := range devs {
 		devs[i] = fmt.Sprintf("device-%02d", i)
 	}
-	key := we[0].Key
 	var from entryTrie
 	src := we[0].entry()
-	from.bind(key, &src, devs)
-	handedOut := from.leaf(key)
+	from.bind(hashOf(&src), &src, devs)
+	handedOut := from.leaf(&src)
 	// t owns its root node but not the leaf in it, as a batch does after
 	// its first write elsewhere on the path: writable copies the leaf
 	// alone.
@@ -205,7 +204,7 @@ func TestDeviceSetAllocs(t *testing.T) {
 	tr.put(handedOut)
 	allocs := testing.AllocsPerRun(100, func() {
 		tr.root.leaves[0] = handedOut
-		if e := tr.writable(handedOut.h, key); e == &handedOut.entry || e.Devices.Len() != 50 {
+		if e := tr.writable(handedOut.h, &src); e == &handedOut.entry || e.Devices.Len() != 50 {
 			t.Fatal("writable did not copy the handed-out entry with its 50 devices")
 		}
 	})

@@ -87,11 +87,12 @@ func (w *DocWriter) Finish() []byte {
 	return w.buf
 }
 
-// EntryKey returns the composite identity key for an (app, action, root
-// cause) triple — the same key the JSON import and the binary decoder
-// compute. Callers that build WireEntry values by hand (load generators,
-// the fleet simulator) must populate WireEntry.Key with it so
-// MergeWireEntries routes and merges the entry correctly.
+// EntryKey joins an entry's identity, its (app, action, root cause), into
+// one string with \x00 between the fields: a map key for callers that
+// group entries outside a Report, and the bytes ShardIndex hashes. A
+// Report itself compares the three fields, so two identities whose fields
+// join to the same string, which needs a \x00 inside a field, are still
+// two entries.
 func EntryKey(app, actionUID, rootCause string) string {
-	return entryKey(app, actionUID, rootCause)
+	return app + "\x00" + actionUID + "\x00" + rootCause
 }

@@ -47,9 +47,6 @@ func TestDocWriterDecodes(t *testing.T) {
 	if len(e0.Devices) != 1 || e0.Devices[0] != "device-x" {
 		t.Fatalf("entry 0 devices wrong: %v", e0.Devices)
 	}
-	if want := EntryKey("app-00", "app-00/Action-01", "com.example.Op001.run"); e0.Key != want {
-		t.Fatalf("entry 0 key %q, want %q", e0.Key, want)
-	}
 	if wr.Entries[1].RootCause != "com.example.Op002.run" || wr.Entries[1].ViaCaller {
 		t.Fatalf("entry 1 wrong: %+v", wr.Entries[1])
 	}

@@ -8,27 +8,36 @@ package core
 // a serial Merge of the same uploads — the determinism guarantee the
 // sharded server's tests pin down.
 
-// fnv64a hashes s with FNV-1a inline (no hash.Hash allocation — shard
-// routing runs once per entry on the submit hot path).
-func fnv64a(s string) uint64 {
-	h := uint64(14695981039346656037)
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnv64a continues the FNV-1a hash h over s, inline (no hash.Hash
+// allocation — shard routing runs once per entry on the submit hot path).
+func fnv64a(h uint64, s string) uint64 {
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
-		h *= 1099511628211
+		h *= fnvPrime
 	}
 	return h
 }
 
-// ShardIndexKey returns the shard an entry belongs to: a stable FNV-1a
-// hash of its entry key modulo the shard count, computed without
-// allocating. Every device reporting the same (app, action, root cause)
-// lands on the same shard, so each shard owns a disjoint slice of the
-// fleet's entry key space.
-func ShardIndexKey(key string, shards int) int {
+// ShardIndex returns the shard an entry with the identity (app,
+// actionUID, rootCause) belongs to: a stable FNV-1a hash of the bytes
+// EntryKey joins them to, modulo the shard count, computed without
+// building that string. Every device reporting the same identity lands on
+// the same shard, so each shard owns a disjoint slice of the fleet's
+// entries.
+func ShardIndex(app, actionUID, rootCause string, shards int) int {
 	if shards <= 1 {
 		return 0
 	}
-	return int(fnv64a(key) % uint64(shards))
+	// A separator byte 0 leaves h unchanged by the xor: it only multiplies.
+	h := fnv64a(fnvOffset, app) * fnvPrime
+	h = fnv64a(h, actionUID) * fnvPrime
+	h = fnv64a(h, rootCause)
+	return int(h % uint64(shards))
 }
 
 // FoldReports merges parts (nil entries are skipped) into a fresh report.

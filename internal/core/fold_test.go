@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"hangdoctor/internal/simclock"
@@ -40,13 +41,13 @@ func exportBytes(t *testing.T, r *Report) []byte {
 }
 
 // shardParts partitions a wire view as a fleet node routes an upload: its
-// entries by ShardIndexKey, its health on part 0. Each part is a report of
+// entries by ShardIndex, its health on part 0. Each part is a report of
 // its own, nil when it holds nothing.
 func shardParts(wr *WireReport, shards int) []*Report {
 	runs := make([]WireReport, shards)
 	runs[0].Health = wr.Health
 	for _, e := range wr.Entries {
-		s := ShardIndexKey(e.Key, shards)
+		s := ShardIndex(e.App, e.ActionUID, e.RootCause, shards)
 		runs[s].Entries = append(runs[s].Entries, e)
 	}
 	parts := make([]*Report, shards)
@@ -106,24 +107,47 @@ func TestCloneIsIndependent(t *testing.T) {
 }
 
 // TestShardIndexStable: the hash is deterministic and in range, and spreads
-// a realistic key population over more than one shard.
+// a realistic population of identities over more than one shard.
 func TestShardIndexStable(t *testing.T) {
 	seen := map[int]bool{}
 	for i := 0; i < 100; i++ {
-		key := entryKey(fmt.Sprintf("a%d", i%5), fmt.Sprintf("act%d", i), fmt.Sprintf("r%d", i%13))
-		idx := ShardIndexKey(key, 8)
+		app, action, root := fmt.Sprintf("a%d", i%5), fmt.Sprintf("act%d", i), fmt.Sprintf("r%d", i%13)
+		idx := ShardIndex(app, action, root, 8)
 		if idx < 0 || idx >= 8 {
-			t.Fatalf("ShardIndexKey out of range: %d", idx)
+			t.Fatalf("ShardIndex out of range: %d", idx)
 		}
-		if idx != ShardIndexKey(key, 8) {
-			t.Fatal("ShardIndexKey not deterministic")
+		if idx != ShardIndex(app, action, root, 8) {
+			t.Fatal("ShardIndex not deterministic")
 		}
 		seen[idx] = true
 	}
 	if len(seen) < 2 {
-		t.Errorf("100 keys all hashed to %d shard(s)", len(seen))
+		t.Errorf("100 identities all hashed to %d shard(s)", len(seen))
 	}
-	if key := entryKey("a", "b", "c"); ShardIndexKey(key, 1) != 0 || ShardIndexKey(key, 0) != 0 {
+	if ShardIndex("a", "b", "c", 1) != 0 || ShardIndex("a", "b", "c", 0) != 0 {
 		t.Error("degenerate shard counts must map to shard 0")
+	}
+}
+
+// TestShardIndexMatchesJoinedKey: routing over the three fields picks the
+// shard the FNV-1a hash of their joined EntryKey picks, so every entry
+// lands on the same shard as when uploads carried that string, for
+// fields holding \x00 too.
+func TestShardIndexMatchesJoinedKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	field := func() string {
+		b := make([]byte, rng.Intn(12))
+		for i := range b {
+			b[i] = "ab\x00\xffz"[rng.Intn(5)]
+		}
+		return string(b)
+	}
+	for i := 0; i < 5000; i++ {
+		app, action, root := field(), field(), field()
+		n := 1 + rng.Intn(40)
+		want := int(fnv64a(fnvOffset, EntryKey(app, action, root)) % uint64(n))
+		if got := ShardIndex(app, action, root, n); got != want {
+			t.Fatalf("ShardIndex(%q, %q, %q, %d) = %d, the joined key's hash picks %d", app, action, root, n, got, want)
+		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 // FuzzImportReport ensures the report parser never panics and that every
 // accepted document re-exports cleanly (parse → export → parse is a fixed
 // point on the entry set), each entry listing exactly the sorted,
-// deduplicated union of the devices its key's input entries listed.
+// deduplicated union of the devices its identity's input entries listed.
 func FuzzImportReport(f *testing.F) {
 	// Seed with a valid export.
 	r := NewReport()
@@ -29,13 +29,17 @@ func FuzzImportReport(f *testing.F) {
 	f.Add(`{"version":2}`)
 	f.Add(`garbage`)
 	f.Add(`{"version":1,"entries":[{"hangs":-3}]}`)
-	// Two entries under one key merge: 6 hangs in one row, not the last
+	// Two entries of one identity merge: 6 hangs in one row, not the last
 	// row's 4 under a total of 6.
 	f.Add(`{"version":1,"entries":[` +
 		`{"app":"A","action_uid":"A/act","root_cause":"x.Y.m","file":"Y.java","line":2,"hangs":2,"devices":["d1"],"max_response_ns":5,"sum_response_ns":9},` +
 		`{"app":"A","action_uid":"A/act","root_cause":"x.Y.m","file":"Y.java","line":2,"hangs":4,"devices":["d2"],"max_response_ns":7,"sum_response_ns":20}]}`)
 	// Device lists out of order and with repeats.
 	f.Add(nonCanonicalJSON)
+	// Two identities whose fields join to the same string stay two rows.
+	f.Add(`{"version":1,"entries":[` +
+		`{"app":"a\u0000b","action_uid":"c","root_cause":"r","hangs":1,"devices":["d1"]},` +
+		`{"app":"a","action_uid":"b\u0000c","root_cause":"r","hangs":1,"devices":["d2"]}]}`)
 
 	f.Fuzz(func(t *testing.T, doc string) {
 		rep, err := ImportReport(strings.NewReader(doc))
@@ -62,16 +66,16 @@ func FuzzImportReport(f *testing.F) {
 		if err := json.Unmarshal(out.Bytes(), &exported); err != nil {
 			t.Fatal(err)
 		}
-		want := map[string][]string{}
+		want := map[rowKey][]string{}
 		for _, e := range in.Entries {
-			k := entryKey(e.App, e.ActionUID, e.RootCause)
+			k := rowKey{e.App, e.ActionUID, e.RootCause}
 			want[k] = append(want[k], e.Devices...)
 		}
 		if len(exported.Entries) != len(want) {
-			t.Fatalf("export holds %d entries, the input %d keys", len(exported.Entries), len(want))
+			t.Fatalf("export holds %d entries, the input %d identities", len(exported.Entries), len(want))
 		}
 		for _, e := range exported.Entries {
-			union := want[entryKey(e.App, e.ActionUID, e.RootCause)]
+			union := want[rowKey{e.App, e.ActionUID, e.RootCause}]
 			slices.Sort(union)
 			if union = slices.Compact(union); !slices.Equal(e.Devices, union) {
 				t.Fatalf("entry %s/%s exports devices %q, want %q", e.App, e.RootCause, e.Devices, union)

@@ -11,7 +11,9 @@ import (
 )
 
 // ReportEntry is one row of the Hang Bug Report (Figure 2(b)): a diagnosed
-// root cause with its spread across soft hangs and devices.
+// root cause with its spread across soft hangs and devices. Its App,
+// ActionUID and RootCause are its identity: a report holds one entry per
+// identity, and merging never changes them.
 type ReportEntry struct {
 	App       string
 	ActionUID string
@@ -39,13 +41,18 @@ type ReportEntry struct {
 // A clone is a merge into an empty entry; entryTrie.newLeaf (trie.go)
 // builds one in place in a new trie leaf.
 
-// empty returns a new entry with e's key and source location and nothing
-// counted: merging e into it yields e.
+// empty returns a new entry with e's identity and source location and
+// nothing counted: merging e into it yields e.
 func (e *ReportEntry) empty() *ReportEntry {
 	return &ReportEntry{
 		App: e.App, ActionUID: e.ActionUID, RootCause: e.RootCause,
 		File: e.File, Line: e.Line, ViaCaller: e.ViaCaller,
 	}
+}
+
+// sameID reports whether e and o have the same identity.
+func (e *ReportEntry) sameID(o *ReportEntry) bool {
+	return e.App == o.App && e.ActionUID == o.ActionUID && e.RootCause == o.RootCause
 }
 
 // satAdd returns a+b for non-negative a and b, or T's largest value where
@@ -166,10 +173,6 @@ type Report struct {
 // NewReport returns an empty report.
 func NewReport() *Report { return &Report{} }
 
-func entryKey(appName, actionUID, root string) string {
-	return appName + "\x00" + actionUID + "\x00" + root
-}
-
 // Add records one diagnosed soft hang.
 func (r *Report) Add(appName, device, actionUID string, diag Diagnosis, rt simclock.Duration) {
 	r.AddChained(appName, device, actionUID, diag, CausalChain{}, rt)
@@ -183,7 +186,7 @@ func (r *Report) AddChained(appName, device, actionUID string, diag Diagnosis, c
 		File: diag.File, Line: diag.Line, ViaCaller: diag.ViaCaller,
 		Hangs: 1, MaxResponse: rt, SumResponse: rt, Chain: chain.ref(),
 	}
-	r.add(entryKey(appName, actionUID, diag.RootCause), &hang, []string{device})
+	r.add(hashOf(&hang), &hang, []string{device})
 }
 
 // Merge folds other reports into r (the server-side aggregation of the
@@ -191,18 +194,19 @@ func (r *Report) AddChained(appName, device, actionUID string, diag Diagnosis, c
 func (r *Report) Merge(others ...*Report) {
 	for _, o := range others {
 		r.Health.Add(o.Health)
-		o.entries.each(func(l *trieLeaf) { r.add(l.key, &l.entry, nil) })
+		o.entries.each(func(l *trieLeaf) { r.add(l.h, &l.entry, nil) })
 	}
 }
 
-// add merges src, whose devices are src.Devices plus devs, into r's entry
-// at key, creating that entry from src's identity on first sight. An
-// entry r's trie does not own, which a snapshot may share, is copied first.
-func (r *Report) add(key string, src *ReportEntry, devs []string) {
-	if e := r.entries.writable(keyHash(key), key); e != nil {
+// add merges src, whose devices are src.Devices plus devs and whose
+// identity hashes to h, into r's entry of that identity, creating the
+// entry on first sight. An entry r's trie does not own, which a snapshot
+// may share, is copied first.
+func (r *Report) add(h uint64, src *ReportEntry, devs []string) {
+	if e := r.entries.writable(h, src); e != nil {
 		e.merge(src, devs)
 	} else {
-		r.entries.bind(key, src, devs)
+		r.entries.bind(h, src, devs)
 	}
 	r.totalHangs = satAdd(r.totalHangs, src.Hangs)
 }
@@ -214,7 +218,7 @@ func (r *Report) Len() int { return r.entries.n }
 func (r *Report) TotalHangs() int { return r.totalHangs }
 
 // Entries returns rows ordered by occurrence share descending (ties by
-// app/action/root for determinism).
+// app, then action, then root cause, for determinism).
 func (r *Report) Entries() []*ReportEntry {
 	out := make([]*ReportEntry, 0, r.entries.n)
 	r.entries.each(func(l *trieLeaf) { out = append(out, &l.entry) })
@@ -227,32 +231,16 @@ func (r *Report) Entries() []*ReportEntry {
 	return out
 }
 
-// compareEntryKeys orders two entries as strings.Compare orders their
-// joined keys entryKey(App, ActionUID, RootCause), without building them.
-// A field may itself contain the \x00 separator (both import paths accept
-// any string), and then a field-by-field compare would order some pairs
-// differently, so each key is walked as the one byte string it joins to.
+// compareEntryKeys orders two entries by their identities, field by
+// field, and returns 0 only for the same identity.
 func compareEntryKeys(a, b *ReportEntry) int {
-	ka := [...]string{a.App, "\x00", a.ActionUID, "\x00", a.RootCause}
-	kb := [...]string{b.App, "\x00", b.ActionUID, "\x00", b.RootCause}
-	var x, y string // the unread rest of the current part of each key
-	i, j := 0, 0
-	for {
-		for x == "" && i < len(ka) {
-			x, i = ka[i], i+1
-		}
-		for y == "" && j < len(kb) {
-			y, j = kb[j], j+1
-		}
-		if x == "" || y == "" {
-			return cmp.Compare(len(x), len(y)) // a key that ends first sorts first
-		}
-		n := min(len(x), len(y))
-		if c := strings.Compare(x[:n], y[:n]); c != 0 {
-			return c
-		}
-		x, y = x[n:], y[n:]
+	if c := strings.Compare(a.App, b.App); c != 0 {
+		return c
 	}
+	if c := strings.Compare(a.ActionUID, b.ActionUID); c != 0 {
+		return c
+	}
+	return strings.Compare(a.RootCause, b.RootCause)
 }
 
 // OccurrencePct returns an entry's share of all diagnosed hangs, the

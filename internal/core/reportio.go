@@ -124,8 +124,8 @@ func ImportReport(rd io.Reader) (*Report, error) {
 				SharePermille: ew.ChainSharePermille,
 			}.ref(),
 		}
-		// Entries sharing a key merge, as the binary decoder's do.
-		out.add(entryKey(ew.App, ew.ActionUID, ew.RootCause), &src, ew.Devices)
+		// Entries of one identity merge, as the binary decoder's do.
+		out.add(hashOf(&src), &src, ew.Devices)
 	}
 	return out, nil
 }
@@ -147,7 +147,7 @@ func (r *Report) Anonymize(salt string) *Report {
 		}
 		src := *e
 		src.Devices = DeviceSet{}
-		out.add(l.key, &src, devs)
+		out.add(l.h, &src, devs)
 	})
 	return out
 }

@@ -18,10 +18,10 @@ package core
 //   - The aggregator folds shard snapshots through a FoldCache keyed by the
 //     shard version vector: only shards whose version moved are re-merged,
 //     in one batch over the previous fold, and because shards own disjoint
-//     entry-key ranges the fold shares entry pointers instead of copying
+//     sets of entries the fold shares entry pointers instead of copying
 //     entries.
 //   - A regional poller mirrors each node with ApplyWireFull/ApplyWireDelta
-//     and re-derives only the changed keys of its fold with RefreshKeys,
+//     and re-derives only the changed entries of its fold with RefreshKeys,
 //     which returns a new report sharing structure with the old one.
 //
 // Everything here preserves the repo's one determinism bar: any cached,
@@ -111,24 +111,25 @@ func (sc *SnapshotCache) DeltaSince(since uint64) (*Report, uint64) {
 // Shared and incremental folds over disjoint parts
 
 // addShared folds part into out, sharing part's entries (and the trie
-// leaves binding them) for keys out does not hold. On a key collision the
-// existing entry is cloned before merging (it may be shared with an
-// earlier part or a previous fold), so the fold never mutates its inputs
-// and the result matches a serial deep Merge byte for byte.
+// leaves holding them) for identities out does not hold. Where out holds
+// one already, the existing entry is cloned before merging (it may be
+// shared with an earlier part or a previous fold), so the fold never
+// mutates its inputs and the result matches a serial deep Merge byte for
+// byte.
 func (r *Report) addShared(part *Report) {
 	r.Health.Add(part.Health)
 	r.totalHangs = satAdd(r.totalHangs, part.totalHangs)
 	part.entries.each(func(l *trieLeaf) {
 		if old := r.entries.put(l); old != nil {
-			merged, _ := r.entries.bind(l.key, &old.entry, nil)
+			merged, _ := r.entries.bind(l.h, &old.entry, nil)
 			merged.merge(&l.entry, nil)
 		}
 	})
 }
 
-// FoldReportsShared is FoldReports for immutable parts with (mostly)
-// disjoint entry-key sets — the shape of shard snapshots, whose keys are
-// routed by ShardIndexKey. Entries are shared, not copied, so the fold
+// FoldReportsShared is FoldReports for immutable parts holding (mostly)
+// disjoint sets of identities — the shape of shard snapshots, whose
+// entries are routed by ShardIndex. Entries are shared, not copied, so the fold
 // costs trie inserts instead of entry clones; collisions fall back to
 // a copy-on-write merge, keeping the result byte-identical to FoldReports
 // for any input. The result must be treated as read-only.
@@ -144,9 +145,9 @@ func FoldReportsShared(parts ...*Report) *Report {
 
 // FoldCache incrementally maintains the fold of an indexed family of
 // immutable parts across calls, keyed by the parts' version vector. It
-// requires what the sharded aggregator guarantees: part i always holds the
-// same key range (pairwise disjoint across parts), and its key set only
-// grows as its version rises. Under those invariants the fold is
+// requires what the sharded aggregator guarantees: part i always holds
+// entries of the same shard (pairwise disjoint across parts), and its set
+// of identities only grows as its version rises. Under those invariants the fold is
 // byte-identical to FoldReports over the same parts.
 type FoldCache struct {
 	result *Report   // immutable fold of parts at vers
@@ -186,8 +187,8 @@ func (fc *FoldCache) Update(parts []*Report, vers []uint64) (rep *Report, hit bo
 			continue
 		}
 		if vers[i] != fc.vers[i] {
-			// The part's key set only grows and no other part holds its
-			// keys, so its changed leaves are all the fold must take.
+			// The part's identities only grow and no other part holds
+			// them, so its changed leaves are all the fold must take.
 			var prev *trieNode
 			if fc.parts[i] != nil {
 				prev = fc.parts[i].entries.root
@@ -206,78 +207,82 @@ func (fc *FoldCache) Update(parts []*Report, vers []uint64) (rep *Report, hit bo
 
 // ApplyWireDelta applies a delta-snapshot document to r, which mirrors one
 // upstream node's state: each wire entry REPLACES r's entry of the same
-// key with the absolute values carried on the wire (unlike MergeWire,
+// identity with the absolute values carried on the wire (unlike MergeWire,
 // which adds them), and r's health is replaced by the document's. It
-// returns the keys that were replaced. This is the client half of the
+// returns r's new entries, one per changed identity; they are r's own and
+// point into no decoder scratch. This is the client half of the
 // /v1/snapshot?since= protocol.
-func (r *Report) ApplyWireDelta(wr *WireReport) []string {
-	changed := make([]string, 0, len(wr.Entries))
+func (r *Report) ApplyWireDelta(wr *WireReport) []*ReportEntry {
+	changed := make([]*ReportEntry, 0, len(wr.Entries))
 	for i := range wr.Entries {
 		we := &wr.Entries[i]
 		src := we.entry()
-		if _, old := r.entries.bind(we.Key, &src, we.Devices); old != nil {
+		e, old := r.entries.bind(hashOf(&src), &src, we.Devices)
+		if old != nil {
 			r.totalHangs -= old.Hangs
 		}
 		r.totalHangs = satAdd(r.totalHangs, we.Hangs)
-		changed = append(changed, we.Key)
+		changed = append(changed, e)
 	}
 	r.Health = wr.Health
 	return changed
 }
 
 // ApplyWireFull replaces r wholesale with a full-snapshot document,
-// returning every key whose entry may differ afterwards: the union of the
-// old and new key sets (a restarted upstream may have *lost* entries, so
-// stale keys count as changed too).
-func (r *Report) ApplyWireFull(wr *WireReport) []string {
-	changed := make([]string, 0, r.entries.n+len(wr.Entries))
+// returning an entry for every identity whose entry may differ afterwards:
+// r's new entries, and the old entry of every identity the document no
+// longer holds (a restarted upstream may have *lost* entries, so stale
+// ones count as changed too).
+func (r *Report) ApplyWireFull(wr *WireReport) []*ReportEntry {
+	changed := make([]*ReportEntry, 0, r.entries.n+len(wr.Entries))
 	old := r.entries
 	r.entries = entryTrie{}
 	r.totalHangs = 0
 	for i := range wr.Entries {
 		we := &wr.Entries[i]
 		src := we.entry()
-		r.entries.bind(we.Key, &src, we.Devices)
+		e, _ := r.entries.bind(hashOf(&src), &src, we.Devices)
 		r.totalHangs = satAdd(r.totalHangs, we.Hangs)
-		changed = append(changed, we.Key)
+		changed = append(changed, e)
 	}
 	old.each(func(l *trieLeaf) {
-		if r.entries.get(l.key) == nil {
-			changed = append(changed, l.key)
+		if r.entries.root.find(0, l.h, &l.entry) == nil {
+			changed = append(changed, &l.entry)
 		}
 	})
 	r.Health = wr.Health
 	return changed
 }
 
-// RefreshKeys returns r with its entries at the given keys re-derived as
-// the fold of the corresponding entries across parts, in part order, and
-// its totals and health re-summed from the parts. A key held by no part is
-// deleted. A key only one part holds shares that part's leaf, as
-// FoldReportsShared does; a key two or more parts hold gets a new leaf of
-// the result holding their merge. So, as for FoldReportsShared, parts must
-// not change a leaf the result shares: a regional mirror only ever
+// RefreshKeys returns r with its entries of the identities of rows
+// re-derived as the fold of the corresponding entries across parts, in
+// part order, and its totals and health re-summed from the parts; of each
+// row only its identity is read. An identity no part holds is deleted.
+// One that only one part holds shares that part's leaf, as
+// FoldReportsShared does; one that two or more parts hold gets a new leaf
+// of the result holding their merge. So, as for FoldReportsShared, parts
+// must not change a leaf the result shares: a regional mirror only ever
 // replaces its leaves. The result is one batch over r's trie: it shares
 // every unchanged node and entry with r, and r itself stays unchanged, so
 // r may already be handed out — the regional tier serves each round's
-// result as-is. Byte-identity: after refreshing every changed key, the
-// result equals FoldReports(parts...) exactly.
-func (r *Report) RefreshKeys(keys []string, parts ...*Report) *Report {
+// result as-is. Byte-identity: after refreshing every changed identity,
+// the result equals FoldReports(parts...) exactly.
+func (r *Report) RefreshKeys(rows []*ReportEntry, parts ...*Report) *Report {
 	out := &Report{entries: r.entries.batch()}
-	for _, key := range keys {
-		h := keyHash(key)
-		var held *trieLeaf      // the first part's leaf of key
-		var merged *ReportEntry // the fold, once a second part holds key
+	for _, row := range rows {
+		h := hashOf(row)
+		var held *trieLeaf      // the first part's leaf of row's identity
+		var merged *ReportEntry // the fold, once a second part holds it
 		for _, p := range parts {
 			if p == nil {
 				continue
 			}
-			switch l := p.entries.root.find(0, h, key); {
+			switch l := p.entries.root.find(0, h, row); {
 			case l == nil:
 			case held == nil:
 				held = l
 			case merged == nil:
-				merged, _ = out.entries.bind(key, &held.entry, nil)
+				merged, _ = out.entries.bind(h, &held.entry, nil)
 				fallthrough
 			default:
 				merged.merge(&l.entry, nil)
@@ -285,7 +290,7 @@ func (r *Report) RefreshKeys(keys []string, parts ...*Report) *Report {
 		}
 		switch {
 		case held == nil:
-			out.entries.remove(h, key)
+			out.entries.remove(h, row)
 		case merged == nil:
 			out.entries.put(held)
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"hash/maphash"
 	"runtime"
 	"testing"
 
@@ -35,7 +36,7 @@ func TestSnapshotCacheCOW(t *testing.T) {
 	diag := Diagnosis{RootCause: "com.example.Fresh.run", File: "Fresh.java", Line: 3}
 	live.Add("app-0", "device-9", "app-0/Action-0", diag, 300*simclock.Millisecond)
 	hot := live.Entries()[0]
-	hotKey := entryKey(hot.App, hot.ActionUID, hot.RootCause)
+	hotKey := hot.empty()
 	sc.Bump()
 	live.Add(hot.App, "device-new", hot.ActionUID,
 		Diagnosis{RootCause: hot.RootCause, File: hot.File, Line: hot.Line, ViaCaller: hot.ViaCaller},
@@ -52,7 +53,7 @@ func TestSnapshotCacheCOW(t *testing.T) {
 	// Clean entries share structure, the dirtied one does not.
 	shared, cloned := 0, 0
 	s1.entries.each(func(l *trieLeaf) {
-		switch s2.entries.get(l.key) {
+		switch s2.entries.get(&l.entry) {
 		case &l.entry:
 			shared++
 		default:
@@ -91,7 +92,7 @@ func TestSnapshotCacheDelta(t *testing.T) {
 
 	diag := Diagnosis{RootCause: "com.example.Late.run", File: "Late.java", Line: 8}
 	live.Add("app-1", "device-1", "app-1/Action-1", diag, 250*simclock.Millisecond)
-	key := entryKey("app-1", "app-1/Action-1", diag.RootCause)
+	key := rowOf("app-1", "app-1/Action-1", diag.RootCause)
 	sc.Bump()
 
 	d, v = sc.DeltaSince(v1)
@@ -99,7 +100,7 @@ func TestSnapshotCacheDelta(t *testing.T) {
 		t.Fatalf("delta version = %d, want %d", v, v1+1)
 	}
 	if d.Len() != 1 || d.entries.get(key) == nil {
-		t.Fatalf("delta holds %d entries, want exactly the changed key", d.Len())
+		t.Fatalf("delta holds %d entries, want exactly the changed one", d.Len())
 	}
 	if d.TotalHangs() != d.entries.get(key).Hangs {
 		t.Errorf("delta hang total %d != its entries' sum %d", d.TotalHangs(), d.entries.get(key).Hangs)
@@ -122,13 +123,13 @@ func TestSnapshotSharesLiveReport(t *testing.T) {
 	snap := sc.Snapshot()
 	before := exportBytes(t, snap)
 	snap.entries.each(func(l *trieLeaf) {
-		if live.entries.leaf(l.key) != l {
-			t.Fatalf("snapshot and live report hold different leaves for %q", l.key)
+		if live.entries.leaf(&l.entry) != l {
+			t.Fatalf("snapshot and live report hold different leaves for %v", keyOf(&l.entry))
 		}
 	})
 
 	hot := live.Entries()[0]
-	key := entryKey(hot.App, hot.ActionUID, hot.RootCause)
+	key := hot.empty()
 	diag := Diagnosis{RootCause: hot.RootCause, File: hot.File, Line: hot.Line}
 	live.Add(hot.App, "device-new", hot.ActionUID, diag, 500*simclock.Millisecond)
 	written := live.entries.leaf(key)
@@ -138,8 +139,8 @@ func TestSnapshotSharesLiveReport(t *testing.T) {
 	}
 	sc.Bump()
 	snap.entries.each(func(l *trieLeaf) {
-		if copied := live.entries.leaf(l.key) != l; copied != (l.key == key) {
-			t.Errorf("%q: copied=%v after a write to %q only", l.key, copied, key)
+		if copied := live.entries.leaf(&l.entry) != l; copied != l.entry.sameID(key) {
+			t.Errorf("%v: copied=%v after a write to %v only", keyOf(&l.entry), copied, keyOf(key))
 		}
 	})
 	if !bytes.Equal(exportBytes(t, snap), before) {
@@ -148,24 +149,24 @@ func TestSnapshotSharesLiveReport(t *testing.T) {
 }
 
 // TestDeltaSinceExact: for every v up to Version(), including versions no
-// snapshot was taken at, DeltaSince(v) holds exactly the keys whose last
-// change came in a batch after v. Snapshots are rare, so a key changes in
-// several batches between two of them and is merged in place after its
-// first copy; each of those merges must restamp it.
+// snapshot was taken at, DeltaSince(v) holds exactly the entries whose
+// last change came in a batch after v. Snapshots are rare, so an entry
+// changes in several batches between two of them and is merged in place
+// after its first copy; each of those merges must restamp it.
 func TestDeltaSinceExact(t *testing.T) {
 	rng := simrand.New(5).Derive("delta-exact")
 	const keys, batches = 12, 80
 	live := NewReport()
 	sc := NewSnapshotCache(live)
-	last := map[string]uint64{} // key -> batch that last changed it
+	last := map[rowKey]uint64{} // identity -> batch that last changed it
 	check := func() {
 		t.Helper()
 		for v := uint64(0); v <= sc.Version(); v++ {
 			d, _ := sc.DeltaSince(v)
 			want := 0
 			for key, at := range last {
-				if in := d.entries.get(key) != nil; in != (at > v) {
-					t.Fatalf("after batch %d: DeltaSince(%d) holds %q=%v, last changed in batch %d", sc.Version(), v, key, in, at)
+				if in := d.entries.get(rowOf(key.app, key.action, key.root)) != nil; in != (at > v) {
+					t.Fatalf("after batch %d: DeltaSince(%d) holds %v=%v, last changed in batch %d", sc.Version(), v, key, in, at)
 				}
 				if at > v {
 					want++
@@ -182,7 +183,7 @@ func TestDeltaSinceExact(t *testing.T) {
 			action := fmt.Sprintf("app/act-%d", k)
 			live.Add("app", fmt.Sprintf("device-%d", rng.Intn(5)), action,
 				Diagnosis{RootCause: fmt.Sprintf("c.C%d.m", k), File: "C.java", Line: k}, 100*simclock.Millisecond)
-			last[entryKey("app", action, fmt.Sprintf("c.C%d.m", k))] = uint64(b)
+			last[rowKey{"app", action, fmt.Sprintf("c.C%d.m", k)}] = uint64(b)
 		}
 		sc.Bump()
 		if rng.Intn(10) == 0 {
@@ -375,7 +376,7 @@ func TestApplyWireFullAndDelta(t *testing.T) {
 
 	mirror := NewReport()
 	if changed := mirror.ApplyWireFull(wireFrom(t, sc.Snapshot())); len(changed) != live.Len() {
-		t.Fatalf("full apply reported %d changed keys, want %d", len(changed), live.Len())
+		t.Fatalf("full apply reported %d changed entries, want %d", len(changed), live.Len())
 	}
 	if !bytes.Equal(exportBytes(t, mirror), exportBytes(t, live)) {
 		t.Fatal("mirror after full apply does not match upstream")
@@ -386,8 +387,8 @@ func TestApplyWireFullAndDelta(t *testing.T) {
 	live.Health.StacksDropped++
 	sc.Bump()
 	d, _ := sc.DeltaSince(v1)
-	if changed := mirror.ApplyWireDelta(wireFrom(t, d)); len(changed) != 1 {
-		t.Fatalf("delta apply reported %d changed keys, want 1", len(changed))
+	if changed := mirror.ApplyWireDelta(wireFrom(t, d)); len(changed) != 1 || changed[0] != mirror.entries.get(rowOf("app-2", "app-2/Action-2", diag.RootCause)) {
+		t.Fatalf("delta apply reported %d changed entries, want the mirror's new entry alone", len(changed))
 	}
 	if !bytes.Equal(exportBytes(t, mirror), exportBytes(t, live)) {
 		t.Fatal("mirror after delta apply does not match upstream")
@@ -401,15 +402,15 @@ func TestApplyWireFullAndDelta(t *testing.T) {
 		t.Fatal("mirror after shrinking full apply does not match upstream")
 	}
 	if len(changed) < live.Len() {
-		t.Errorf("shrinking full apply reported %d changed keys, want the old∪new union", len(changed))
+		t.Errorf("shrinking full apply reported %d changed entries, want the old∪new union", len(changed))
 	}
 }
 
-// TestRefreshKeys: re-deriving the changed keys across parts must equal a
-// from-scratch fold, build a new leaf for a key several parts hold and
-// share the leaf of a key one part holds, leave the receiver unchanged
-// (so masters handed out earlier stay valid), and delete keys no part
-// holds.
+// TestRefreshKeys: re-deriving the changed entries across parts must
+// equal a from-scratch fold, build a new leaf for an identity several
+// parts hold and share the leaf of one that one part holds, leave the
+// receiver unchanged (so masters handed out earlier stay valid), and
+// delete identities no part holds.
 func TestRefreshKeys(t *testing.T) {
 	a, b := foldFixture(), foldFixture()
 	b.Health.PerfOpenFailures = 9
@@ -418,17 +419,17 @@ func TestRefreshKeys(t *testing.T) {
 	// Replace one entry in part a the way ApplyWireDelta would: fresh
 	// pointer, different counters.
 	victim := a.Entries()[0]
-	key := entryKey(victim.App, victim.ActionUID, victim.RootCause)
+	key := victim.empty()
 	repl := victim.clone()
 	repl.Hangs += 5
 	repl.Devices = repl.Devices.with([]string{"device-refresh"})
 	a.totalHangs += 5
-	a.entries.bind(key, repl, nil)
+	a.entries.bind(hashOf(repl), repl, nil)
 
 	before := exportBytes(t, master)
 	oldEntry := master.entries.get(key)
 	oldHangs := oldEntry.Hangs
-	next := master.RefreshKeys([]string{key}, a, b)
+	next := master.RefreshKeys([]*ReportEntry{key}, a, b)
 	if got, want := exportBytes(t, next), exportBytes(t, FoldReports(a, b)); !bytes.Equal(got, want) {
 		t.Fatal("RefreshKeys diverged from a from-scratch fold")
 	}
@@ -445,37 +446,38 @@ func TestRefreshKeys(t *testing.T) {
 		t.Error("RefreshKeys changed its receiver")
 	}
 
-	// A key only part a holds shares a's leaf.
+	// An identity only part a holds shares a's leaf.
 	solo := victim.clone()
 	solo.RootCause = "com.example.Solo.run"
-	soloKey := keyOf(solo)
-	a.entries.bind(soloKey, solo, nil)
+	a.entries.bind(hashOf(solo), solo, nil)
 	a.totalHangs += solo.Hangs
-	if next = next.RefreshKeys([]string{soloKey}, a, b); next.entries.leaf(soloKey) != a.entries.leaf(soloKey) {
-		t.Error("a key one part holds does not share that part's leaf")
+	if next = next.RefreshKeys([]*ReportEntry{solo}, a, b); next.entries.leaf(solo) != a.entries.leaf(solo) {
+		t.Error("an identity one part holds does not share that part's leaf")
 	}
 	if got, want := exportBytes(t, next), exportBytes(t, FoldReports(a, b)); !bytes.Equal(got, want) {
-		t.Fatal("RefreshKeys of a one-part key diverged from a from-scratch fold")
+		t.Fatal("RefreshKeys of a one-part identity diverged from a from-scratch fold")
 	}
 
-	// A key held by no part disappears.
-	ghost := "no\x00such\x00key"
-	next.entries.bind(ghost, victim, nil)
-	if next = next.RefreshKeys([]string{ghost}, a, b); next.entries.get(ghost) != nil {
-		t.Error("RefreshKeys kept a key no part holds")
+	// An identity held by no part disappears.
+	ghost := rowOf("no", "such", "identity")
+	next.entries.bind(hashOf(ghost), ghost, nil)
+	if next = next.RefreshKeys([]*ReportEntry{ghost}, a, b); next.entries.get(ghost) != nil {
+		t.Error("RefreshKeys kept an identity no part holds")
 	}
 }
 
-// TestReadsScaleWithChange is a deterministic guard on the read path's
-// cost: with the same 16 keys changing per round, the bytes one read
-// round allocates must not grow with the state it reads. It fills a
-// report to 1k and to 32k entries and compares one shard delta round
-// (merge, Bump, DeltaSince) and one regional round (RefreshKeys over two
-// mirrors) at both sizes. A delta round that rebuilds a map of every
-// entry allocates about 25x more at 32k than at 1k; copying only the
-// changed trie paths stays under 1.5x.
+// TestReadsScaleWithChange is a guard on the read path's cost: with the
+// same 16 entries changing per round, the bytes one read round allocates
+// must not grow with the state it reads. It fills a report to 1k and to
+// 32k entries and compares one shard delta round (merge, Bump,
+// DeltaSince) and one regional round (RefreshKeys over two mirrors) at
+// both sizes. A delta round that rebuilds a map of every entry allocates
+// about 25x more at 32k than at 1k; copying only the changed trie paths
+// stays under 2x. The trie's shape, and so the length of the paths a
+// round copies, follows the hash seed, so the bar holds the sums over
+// several seeds.
 func TestReadsScaleWithChange(t *testing.T) {
-	const hot, rounds = 16, 32
+	const hot, rounds, seeds = 16, 32, 6
 	fill := func(app string, n int) *Report {
 		r := NewReport()
 		for i := 0; i < n; i++ {
@@ -483,13 +485,6 @@ func TestReadsScaleWithChange(t *testing.T) {
 				Diagnosis{RootCause: fmt.Sprintf("c.C%d.m", i), File: "C.java", Line: i}, 200*simclock.Millisecond)
 		}
 		return r
-	}
-	hotKeys := func(r *Report) []string {
-		var keys []string
-		for _, e := range r.Entries()[:hot] {
-			keys = append(keys, entryKey(e.App, e.ActionUID, e.RootCause))
-		}
-		return keys
 	}
 	bytesPerRound := func(round func()) float64 {
 		round()
@@ -502,18 +497,18 @@ func TestReadsScaleWithChange(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return float64(after.TotalAlloc-before.TotalAlloc) / rounds
 	}
-	// bump adds one hang to key's entry through the merge path, which
+	// bump adds one hang to id's entry through the merge path, which
 	// stamps it for DeltaSince.
-	bump := func(r *Report, key string) {
-		one := r.entries.get(key).empty()
+	bump := func(r *Report, id *ReportEntry) {
+		one := r.entries.get(id).empty()
 		one.Hangs = 1
-		r.add(key, one, nil)
+		r.add(hashOf(one), one, nil)
 	}
-	// rebind replaces key's entry with a copy holding one more hang, as
+	// rebind replaces id's entry with a copy holding one more hang, as
 	// ApplyWireDelta replaces a mirror's entries: a fold sharing the old
 	// entry keeps it unchanged.
-	rebind := func(r *Report, key string) {
-		next, _ := r.entries.bind(key, r.entries.get(key), nil)
+	rebind := func(r *Report, id *ReportEntry) {
+		next, _ := r.entries.bind(hashOf(id), r.entries.get(id), nil)
 		next.Hangs++
 		r.totalHangs++
 	}
@@ -522,11 +517,11 @@ func TestReadsScaleWithChange(t *testing.T) {
 		live := fill("app", n)
 		sc := NewSnapshotCache(live)
 		sc.Bump()
-		keys := hotKeys(live)
+		rows := live.Entries()[:hot]
 		return bytesPerRound(func() {
 			since := sc.Version()
-			for _, key := range keys {
-				bump(live, key)
+			for _, id := range rows {
+				bump(live, id)
 			}
 			sc.Bump()
 			if d, _ := sc.DeltaSince(since); d.Len() != hot {
@@ -537,21 +532,27 @@ func TestReadsScaleWithChange(t *testing.T) {
 	regional := func(n int) float64 {
 		a, b := fill("app", n/2), fill("other", n/2)
 		master := FoldReportsShared(a, b)
-		keys := hotKeys(a)
+		rows := a.Entries()[:hot]
 		return bytesPerRound(func() {
-			for _, key := range keys {
-				rebind(a, key)
+			for _, id := range rows {
+				rebind(a, id)
 			}
-			if master = master.RefreshKeys(keys, a, b); master.Len() != n {
+			if master = master.RefreshKeys(rows, a, b); master.Len() != n {
 				t.Fatalf("master holds %d entries, want %d", master.Len(), n)
 			}
 		})
 	}
+	defer func(seed maphash.Seed) { trieSeed = seed }(trieSeed)
 	for name, round := range map[string]func(int) float64{"DeltaSince": shardDelta, "RefreshKeys": regional} {
-		small, large := round(1<<10), round(1<<15)
-		t.Logf("%s: %.0f B/round at 1k entries, %.0f B/round at 32k (%.2fx)", name, small, large, large/small)
+		var small, large float64
+		for i := 0; i < seeds; i++ {
+			trieSeed = maphash.MakeSeed()
+			small += round(1 << 10)
+			large += round(1 << 15)
+		}
+		t.Logf("%s: %.0f B/round at 1k entries, %.0f B/round at 32k (%.2fx), means over %d seeds", name, small/seeds, large/seeds, large/small, seeds)
 		if large > 2*small {
-			t.Errorf("%s allocates %.1fx more per round at 32k entries than at 1k: reads scale with state", name, large/small)
+			t.Errorf("%s allocates %.2fx more per round at 32k entries than at 1k: reads scale with state", name, large/small)
 		}
 	}
 }

@@ -1,13 +1,14 @@
 package core
 
 // trie.go is the entry index every Report keeps: a persistent hash array
-// mapped trie (HAMT) from entry key to entry, each entry held by value in
-// the leaf that binds its key. Nodes are 32-way, indexed by successive
-// 5-bit slices of the key's maphash; keys whose full 64-bit hashes
-// collide share a linear bucket at the bottom. Every leaf carries a
-// version stamp — the version its entry last changed at — and every node
-// the newest stamp below it, so "what changed after version v" is a walk
-// that skips every subtree stamped at or before v.
+// mapped trie (HAMT) holding each entry by value in a leaf. An entry's
+// identity is its (App, ActionUID, RootCause), compared field by field, so
+// a leaf needs no key beside its entry. Nodes are 32-way, indexed by
+// successive 5-bit slices of the identity's hash (hashOf); identities
+// whose full 64-bit hashes collide share a linear bucket at the bottom.
+// Every leaf carries a version stamp — the version its entry last changed
+// at — and every node the newest stamp below it, so "what changed after
+// version v" is a walk that skips every subtree stamped at or before v.
 //
 // Ownership decides whether a write copies, by one rule for nodes and
 // leaves alike: each carries the edit token of the trie that created it,
@@ -16,15 +17,15 @@ package core
 // new trie that shares all of its nodes and leaves, and the batch's first
 // write to a node or leaf copies it once, with the batch's token; later
 // writes in the batch change that copy in place. The handed-out trie
-// stays unchanged, and a batch that changes k keys costs at most one copy
-// per node on their paths and one per leaf. Nodes take the compressed
+// stays unchanged, and a batch that changes k entries costs at most one
+// copy per node on their paths and one per leaf. Nodes take the compressed
 // layout of Steindorfer and Vinju's CHAMP (OOPSLA 2015), in which a slot
 // is one pointer, so a full node's slots copy in 256 bytes. A leaf is its
-// entry, one 176-byte object on 64-bit platforms (a Go size class), so
-// merging into an entry in place is a write to its leaf: a report merges
-// in place only into entries its trie owns (Report.add). Two versions of
-// a trie share every unchanged subtree, so diffLeaves compares them in
-// time proportional to what changed.
+// entry plus its stamp, hash and edit token, one 160-byte object on 64-bit
+// platforms (a Go size class), so merging into an entry in place is a
+// write to its leaf: a report merges in place only into entries its trie
+// owns (Report.add). Two versions of a trie share every unchanged subtree,
+// so diffLeaves compares them in time proportional to what changed.
 //
 // Iteration order is unspecified; every rendered output sorts.
 
@@ -44,32 +45,42 @@ const (
 
 var trieSeed = maphash.MakeSeed()
 
-func keyHash(key string) uint64 { return maphash.String(trieSeed, key) }
+// hashOf returns the trie hash of e's identity without allocating: each
+// identity field's maphash, folded in order by a multiply with an odd
+// constant, which is a bijection, so swapping two fields changes the
+// hash.
+func hashOf(e *ReportEntry) uint64 {
+	const k = 0x9e3779b97f4a7c15
+	h := maphash.String(trieSeed, e.App)
+	h = h*k ^ maphash.String(trieSeed, e.ActionUID)
+	return h*k ^ maphash.String(trieSeed, e.RootCause)
+}
 
 // editToken identifies one writer. It has a byte so every token gets its
 // own address; tokens compare equal under reflect.DeepEqual, so two tries
 // holding the same entries in the same shape stay deeply equal.
 type editToken struct{ _ byte }
 
-// trieLeaf binds a key, with its hash, to the entry it holds: a key costs
+// trieLeaf holds one entry with the hash of its identity: an entry costs
 // the garbage collector one object, as in a map. Only the trie whose token
 // it carries changes it or its entry, so tries share leaves freely:
 // versions of a persistent trie, and a fold with the parts it shares.
+// Copying a leaf into another trie keeps h, so only an entry arriving from
+// outside a report (Add, the JSON import, a wire merge) is hashed.
 type trieLeaf struct {
 	edit  *editToken
 	ver   uint64
 	h     uint64
-	key   string
 	entry ReportEntry
 }
 
-// newLeaf returns a new leaf of t, stamped t.ver, binding key (hash h) to
-// a clone of src with devs merged in: the report algebra's
+// newLeaf returns a new leaf of t, stamped t.ver, holding a clone of src
+// (whose identity hashes to h) with devs merged in: the report algebra's
 // empty-then-merge, built in place in the leaf's own entry. The clone
 // shares src's device set and chain, so without devs the leaf is its only
 // object.
-func (t *entryTrie) newLeaf(h uint64, key string, src *ReportEntry, devs []string) *trieLeaf {
-	l := &trieLeaf{edit: t.token(), ver: t.ver, h: h, key: key, entry: *src.empty()}
+func (t *entryTrie) newLeaf(h uint64, src *ReportEntry, devs []string) *trieLeaf {
+	l := &trieLeaf{edit: t.token(), ver: t.ver, h: h, entry: *src.empty()}
 	l.entry.merge(src, devs)
 	return l
 }
@@ -131,14 +142,14 @@ func position(shift uint, h uint64) uint32 { return 1 << (h >> shift & trieMask)
 // positions of that kind are m.
 func index(m, bit uint32) int { return bits.OnesCount32(m & (bit - 1)) }
 
-// at returns what n, a node at shift, holds on the path of key (hash h):
-// the child to descend into, or else the leaf there, which may bind
-// another key, or neither. In a collision bucket the leaf on the path is
-// key's own, if any.
-func (n *trieNode) at(shift uint, h uint64, key string) (*trieLeaf, *trieNode) {
+// at returns what n, a node at shift, holds on the path of id's identity
+// (hash h): the child to descend into, or else the leaf there, which may
+// hold another identity, or neither. In a collision bucket the leaf on the
+// path is id's own, if any.
+func (n *trieNode) at(shift uint, h uint64, id *ReportEntry) (*trieLeaf, *trieNode) {
 	if shift >= trieBucket {
 		for _, l := range n.leaves {
-			if l.key == key {
+			if l.entry.sameID(id) {
 				return l, nil
 			}
 		}
@@ -153,12 +164,12 @@ func (n *trieNode) at(shift uint, h uint64, key string) (*trieLeaf, *trieNode) {
 	return nil, nil
 }
 
-// find returns key's leaf below n, or nil.
-func (n *trieNode) find(shift uint, h uint64, key string) *trieLeaf {
+// find returns the leaf below n holding id's identity (hash h), or nil.
+func (n *trieNode) find(shift uint, h uint64, id *ReportEntry) *trieLeaf {
 	for n != nil {
-		l, child := n.at(shift, h, key)
+		l, child := n.at(shift, h, id)
 		if child == nil {
-			if l != nil && l.h == h && l.key == key {
+			if l != nil && l.h == h && l.entry.sameID(id) {
 				return l
 			}
 			return nil
@@ -168,26 +179,15 @@ func (n *trieNode) find(shift uint, h uint64, key string) *trieLeaf {
 	return nil
 }
 
-// leaf returns key's leaf, or nil.
-func (t *entryTrie) leaf(key string) *trieLeaf { return t.root.find(0, keyHash(key), key) }
-
-// get returns key's entry, or nil.
-func (t *entryTrie) get(key string) *ReportEntry {
-	if l := t.leaf(key); l != nil {
-		return &l.entry
-	}
-	return nil
-}
-
-// writable returns the entry of key (hash h), stamped t.ver, for the
-// caller to merge into in place, or nil if t does not hold key. The walk
+// writable returns t's entry of id's identity (hash h), stamped t.ver, for
+// the caller to merge into in place, or nil if t holds none. The walk
 // raises the stamp of each node t owns; a leaf t owns has only such nodes
 // on its path, and any other leaf is replaced by t's copy of it, whose
 // put copies the path.
-func (t *entryTrie) writable(h uint64, key string) *ReportEntry {
+func (t *entryTrie) writable(h uint64, id *ReportEntry) *ReportEntry {
 	t.token()
 	for n, shift := t.root, uint(0); n != nil; shift += trieBits {
-		l, child := n.at(shift, h, key)
+		l, child := n.at(shift, h, id)
 		if l == nil && child == nil {
 			return nil
 		}
@@ -198,12 +198,12 @@ func (t *entryTrie) writable(h uint64, key string) *ReportEntry {
 		case child != nil:
 			n = child
 			continue
-		case l.h != h || l.key != key:
+		case l.h != h || !l.entry.sameID(id):
 			return nil
 		case t.owns(l.edit):
 			l.ver = t.ver
 		default:
-			l = t.newLeaf(h, key, &l.entry, nil)
+			l = t.newLeaf(h, &l.entry, nil)
 			t.put(l)
 		}
 		return &l.entry
@@ -211,19 +211,21 @@ func (t *entryTrie) writable(h uint64, key string) *ReportEntry {
 	return nil
 }
 
-// bind binds key to a new leaf of t (newLeaf). It returns the leaf's
-// entry and the entry it replaced (nil if key is new).
-func (t *entryTrie) bind(key string, src *ReportEntry, devs []string) (bound, old *ReportEntry) {
-	l := t.newLeaf(keyHash(key), key, src, devs)
+// bind puts a new leaf of t (newLeaf) for src's identity, whose hash is h.
+// It returns the leaf's entry and the entry it replaced (nil if the
+// identity is new).
+func (t *entryTrie) bind(h uint64, src *ReportEntry, devs []string) (bound, old *ReportEntry) {
+	l := t.newLeaf(h, src, devs)
 	if o := t.put(l); o != nil {
 		old = &o.entry
 	}
 	return &l.entry, old
 }
 
-// put stores l for l.key, whose hash is l.h, and returns the leaf it
-// replaced (nil if the key is new). Putting the leaf a key already holds
-// changes (and copies) nothing; a copy of it is a new binding.
+// put stores l for its entry's identity, whose hash is l.h, and returns
+// the leaf it replaced (nil if the identity is new). Putting the leaf an
+// identity already has changes (and copies) nothing; a copy of it
+// replaces it.
 func (t *entryTrie) put(l *trieLeaf) *trieLeaf {
 	t.token()
 	var old *trieLeaf
@@ -242,7 +244,7 @@ func (t *entryTrie) setAt(n *trieNode, shift uint, l *trieLeaf) (*trieNode, *tri
 	}
 	var old *trieLeaf
 	if shift >= trieBucket {
-		i := slices.IndexFunc(n.leaves, func(o *trieLeaf) bool { return o.key == l.key })
+		i := slices.IndexFunc(n.leaves, func(o *trieLeaf) bool { return o.entry.sameID(&l.entry) })
 		switch {
 		case i < 0:
 			n = t.own(n)
@@ -278,11 +280,11 @@ func (t *entryTrie) setAt(n *trieNode, shift uint, l *trieLeaf) (*trieNode, *tri
 		i := index(n.leafMap, bit)
 		o := n.leaves[i]
 		n = t.own(n)
-		if o.h == l.h && o.key == l.key {
+		if o.h == l.h && o.entry.sameID(&l.entry) {
 			old, n.leaves[i] = o, l
 			break
 		}
-		// Another key holds the position: both move one level down.
+		// Another identity holds the position: both move one level down.
 		n.leaves = slices.Delete(n.leaves, i, i+1)
 		n.leafMap &^= bit
 		n.kids = slices.Insert(n.kids, index(n.childMap, bit), t.pair(shift+trieBits, o, l))
@@ -311,16 +313,14 @@ func (t *entryTrie) pair(shift uint, a, b *trieLeaf) *trieNode {
 	return n
 }
 
-// del removes key, reporting whether it was present.
-func (t *entryTrie) del(key string) bool { return t.remove(keyHash(key), key) }
-
-// remove deletes key, whose hash is h.
-func (t *entryTrie) remove(h uint64, key string) bool {
+// remove deletes the entry of id's identity, whose hash is h, reporting
+// whether t held one.
+func (t *entryTrie) remove(h uint64, id *ReportEntry) bool {
 	if t.root == nil {
 		return false
 	}
 	t.token()
-	root, removed := t.delAt(t.root, 0, h, key)
+	root, removed := t.delAt(t.root, 0, h, id)
 	if !removed {
 		return false
 	}
@@ -332,16 +332,16 @@ func (t *entryTrie) remove(h uint64, key string) bool {
 	return true
 }
 
-// delAt removes key below n at shift. A child left holding a single leaf
-// is folded into its parent as a leaf, so a trie's shape depends only on
-// its key set (insertion order aside, within collision buckets). Stamps
-// stay: a node may claim a newer stamp than it still holds, never an
-// older one.
-func (t *entryTrie) delAt(n *trieNode, shift uint, h uint64, key string) (*trieNode, bool) {
-	l, child := n.at(shift, h, key)
+// delAt removes the entry of id's identity below n at shift. A child left
+// holding a single leaf is folded into its parent as a leaf, so a trie's
+// shape depends only on its set of identities (insertion order aside,
+// within collision buckets). Stamps stay: a node may claim a newer stamp
+// than it still holds, never an older one.
+func (t *entryTrie) delAt(n *trieNode, shift uint, h uint64, id *ReportEntry) (*trieNode, bool) {
+	l, child := n.at(shift, h, id)
 	switch {
 	case child != nil:
-		c, removed := t.delAt(child, shift+trieBits, h, key)
+		c, removed := t.delAt(child, shift+trieBits, h, id)
 		if !removed {
 			return n, false
 		}
@@ -357,7 +357,7 @@ func (t *entryTrie) delAt(n *trieNode, shift uint, h uint64, key string) (*trieN
 			n.kids[i] = c
 		}
 		return n, true
-	case l == nil || l.h != h || l.key != key:
+	case l == nil || l.h != h || !l.entry.sameID(id):
 		return n, false
 	case shift >= trieBucket:
 		i := slices.Index(n.leaves, l)

@@ -19,33 +19,45 @@ import (
 	"hangdoctor/internal/simrand"
 )
 
-// trieKeys is the key space the operation streams draw from.
-var trieKeys = func() []string {
-	keys := make([]string, 48)
+// trieKeys are the identities the operation streams draw from, each an
+// entry that holds nothing else.
+var trieKeys = func() []*ReportEntry {
+	keys := make([]*ReportEntry, 48)
 	for i := range keys {
-		keys[i] = fmt.Sprintf("App\x00App/act-%02d\x00c.C%02d.m", i%5, i)
+		keys[i] = rowOf("App", fmt.Sprintf("App/act-%02d", i%5), fmt.Sprintf("c.C%02d.m", i))
 	}
 	return keys
 }()
 
-// keyIndex returns key's index in trieKeys.
-func keyIndex(key string) int {
+// keyIndex returns the index in trieKeys of e's identity.
+func keyIndex(e *ReportEntry) int {
 	for i, k := range trieKeys {
-		if k == key {
+		if k.sameID(e) {
 			return i
 		}
 	}
-	panic("unknown key " + key)
+	panic(fmt.Sprintf("unknown identity %v", keyOf(e)))
 }
 
-// collidingHash gives a third of the keys their real hash. The rest share
-// every bit but the top two, so they chain down to the last level, and
-// keys equal modulo 4 collide in full.
+// collidingHash gives a third of the identities their real hash. The rest
+// share every bit but the top two, so they chain down to the last level,
+// and identities equal modulo 4 collide in full.
 func collidingHash(i int) uint64 {
 	if i%3 == 0 {
-		return keyHash(trieKeys[i])
+		return hashOf(trieKeys[i])
 	}
 	return 0xa5a5a5a5a5a5a5a5 ^ uint64(i%4)<<62
+}
+
+// leaf returns the leaf of t holding id's identity, or nil.
+func (t *entryTrie) leaf(id *ReportEntry) *trieLeaf { return t.root.find(0, hashOf(id), id) }
+
+// get returns t's entry of id's identity, or nil.
+func (t *entryTrie) get(id *ReportEntry) *ReportEntry {
+	if l := t.leaf(id); l != nil {
+		return &l.entry
+	}
+	return nil
 }
 
 type modelLeaf struct {
@@ -54,37 +66,39 @@ type modelLeaf struct {
 	hangs int // e.Hangs when the model was last told of a write to it
 }
 
-// runTrieOps decodes ops two bytes at a time (an operation and a key) and
-// checks every trie it built against the map model. The committed inputs
+// runTrieOps decodes ops two bytes at a time (an operation and an
+// identity) and checks every trie it built against the map model, which
+// is keyed by the three identity fields. The committed inputs
 // under testdata/fuzz/FuzzEntryTrie spell operations 0–4 as the bytes 0–4,
 // which decode the same for any operation count above four; renumbering
 // those operations changes what the inputs test.
 func runTrieOps(t *testing.T, ops []byte, colliding bool) {
 	t.Helper()
-	hash := func(i int) uint64 { return keyHash(trieKeys[i]) }
+	hash := func(i int) uint64 { return hashOf(trieKeys[i]) }
 	if colliding {
 		hash = collidingHash
 	}
 	type handedOut struct {
 		tr    entryTrie
-		model map[string]modelLeaf
+		model map[rowKey]modelLeaf
 	}
 	var (
 		live, cur    entryTrie // in place; batched
-		liveModel    = map[string]modelLeaf{}
-		model        = map[string]modelLeaf{}
+		liveModel    = map[rowKey]modelLeaf{}
+		model        = map[rowKey]modelLeaf{}
 		handed       []handedOut
 		ver          = uint64(1)
-		writeThrough = func(tr *entryTrie, m map[string]modelLeaf, op int, key string, h uint64) {
+		writeThrough = func(tr *entryTrie, m map[rowKey]modelLeaf, op int, id *ReportEntry, h uint64) {
+			key := keyOf(id)
 			was, ok := m[key]
-			e := tr.writable(h, key)
+			e := tr.writable(h, id)
 			switch {
 			case (e != nil) != ok:
-				t.Fatalf("op %d: writable(%q) = %v, key held: %v", op, key, e, ok)
+				t.Fatalf("op %d: writable(%v) = %v, identity held: %v", op, key, e, ok)
 			case e == nil:
 				return
 			case e.Hangs != was.hangs:
-				t.Fatalf("op %d: writable(%q) holds %d hangs, want %d", op, key, e.Hangs, was.hangs)
+				t.Fatalf("op %d: writable(%v) holds %d hangs, want %d", op, key, e.Hangs, was.hangs)
 			}
 			e.Hangs++
 			m[key] = modelLeaf{e, tr.ver, e.Hangs}
@@ -93,36 +107,38 @@ func runTrieOps(t *testing.T, ops []byte, colliding bool) {
 	live.ver, cur.ver = ver, ver
 	for i := 0; i+1 < len(ops); i += 2 {
 		k := int(ops[i+1]) % len(trieKeys)
-		key, h := trieKeys[k], hash(k)
+		id, key, h := trieKeys[k], keyOf(trieKeys[k]), hash(k)
 		switch ops[i] % 6 {
 		case 0, 1:
-			leaf := &trieLeaf{ver: ver, h: h, key: key, entry: ReportEntry{Hangs: i}}
+			e := *id
+			e.Hangs = i
+			leaf := &trieLeaf{ver: ver, h: h, entry: e}
 			live.put(leaf)
 			cur.put(leaf)
 			model[key] = modelLeaf{&leaf.entry, ver, i}
 			liveModel[key] = model[key]
 		case 2:
-			// Putting the leaf a key already holds must neither change nor
-			// copy anything. A copy of the leaf carries its own entry, so
-			// putting it is a new binding, which replaces the leaf.
-			if l := cur.root.find(0, h, key); l != nil {
+			// Putting the leaf an identity already has must neither change
+			// nor copy anything. A copy of the leaf carries its own entry,
+			// so putting it replaces the leaf.
+			if l := cur.root.find(0, h, id); l != nil {
 				root := cur.root
 				if cur.put(l); cur.root != root {
-					t.Fatalf("op %d: putting %q's own leaf copied the root", i, key)
+					t.Fatalf("op %d: putting %v's own leaf copied the root", i, key)
 				}
 				same := *l
-				if old := cur.put(&same); old != l || cur.root.find(0, h, key) != &same {
-					t.Fatalf("op %d: putting a copy of %q's leaf did not replace the leaf", i, key)
+				if old := cur.put(&same); old != l || cur.root.find(0, h, id) != &same {
+					t.Fatalf("op %d: putting a copy of %v's leaf did not replace the leaf", i, key)
 				}
 				model[key] = modelLeaf{&same.entry, same.ver, same.entry.Hangs}
 			}
 		case 3:
 			_, ok := model[key]
-			if got := live.remove(h, key); got != ok {
-				t.Fatalf("op %d: in-place remove(%q) = %v, want %v", i, key, got, ok)
+			if got := live.remove(h, id); got != ok {
+				t.Fatalf("op %d: in-place remove(%v) = %v, want %v", i, key, got, ok)
 			}
-			if got := cur.remove(h, key); got != ok {
-				t.Fatalf("op %d: batched remove(%q) = %v, want %v", i, key, got, ok)
+			if got := cur.remove(h, id); got != ok {
+				t.Fatalf("op %d: batched remove(%v) = %v, want %v", i, key, got, ok)
 			}
 			delete(model, key)
 			delete(liveModel, key)
@@ -134,8 +150,8 @@ func runTrieOps(t *testing.T, ops []byte, colliding bool) {
 		case 5:
 			// A merge in place copies a leaf the trie did not create
 			// since it was last handed out, and writes a leaf it did.
-			writeThrough(&live, liveModel, i, key, h)
-			writeThrough(&cur, model, i, key, h)
+			writeThrough(&live, liveModel, i, id, h)
+			writeThrough(&cur, model, i, id, h)
 		}
 	}
 	checkTrie(t, "in place", &live, liveModel, hash)
@@ -144,17 +160,17 @@ func runTrieOps(t *testing.T, ops []byte, colliding bool) {
 		checkTrie(t, fmt.Sprintf("handed out #%d", i), &handed[i].tr, handed[i].model, hash)
 	}
 
-	// The stamped walk yields exactly the keys stamped after v.
+	// The stamped walk yields exactly the identities stamped after v.
 	for v := uint64(0); v <= ver; v++ {
-		got := map[string]bool{}
-		cur.changedSince(v, func(l *trieLeaf) { got[l.key] = true })
+		got := map[rowKey]bool{}
+		cur.changedSince(v, func(l *trieLeaf) { got[keyOf(&l.entry)] = true })
 		for key, l := range model {
 			if got[key] != (l.ver > v) {
-				t.Fatalf("changedSince(%d): %q (stamped %d) reported=%v", v, key, l.ver, got[key])
+				t.Fatalf("changedSince(%d): %v (stamped %d) reported=%v", v, key, l.ver, got[key])
 			}
 		}
 		if len(got) > len(model) {
-			t.Fatalf("changedSince(%d) reported keys the trie does not hold", v)
+			t.Fatalf("changedSince(%d) reported identities the trie does not hold", v)
 		}
 	}
 
@@ -167,20 +183,22 @@ func runTrieOps(t *testing.T, ops []byte, colliding bool) {
 			prev = versions[i-1].tr.root
 		}
 		next := versions[i]
-		got := map[string]bool{}
+		got := map[rowKey]bool{}
 		diffLeaves(prev, next.tr.root, 0, func(l *trieLeaf) {
-			if next.model[l.key].e != &l.entry {
-				t.Fatalf("diffLeaves reported %q, which version %d does not bind to that leaf", l.key, i)
+			key := keyOf(&l.entry)
+			if next.model[key].e != &l.entry {
+				t.Fatalf("diffLeaves reported %v, which version %d does not hold in that leaf", key, i)
 			}
-			got[l.key] = true
+			got[key] = true
 		})
 		for key, l := range next.model {
 			var was *trieLeaf
 			if prev != nil {
-				was = prev.find(0, hash(keyIndex(key)), key)
+				k := keyIndex(l.e)
+				was = prev.find(0, hash(k), trieKeys[k])
 			}
 			if (was == nil || &was.entry != l.e) && !got[key] {
-				t.Fatalf("diffLeaves missed %q, changed in version %d", key, i)
+				t.Fatalf("diffLeaves missed %v, changed in version %d", key, i)
 			}
 		}
 	}
@@ -191,28 +209,29 @@ func runTrieOps(t *testing.T, ops []byte, colliding bool) {
 // hash's path, node stamps cover
 // their subtrees, no node below the root holds a single leaf, and buckets
 // appear only once the hash is used up.
-func checkTrie(t *testing.T, name string, tr *entryTrie, model map[string]modelLeaf, hash func(int) uint64) {
+func checkTrie(t *testing.T, name string, tr *entryTrie, model map[rowKey]modelLeaf, hash func(int) uint64) {
 	t.Helper()
 	if tr.n != len(model) {
 		t.Fatalf("%s: n=%d, model holds %d", name, tr.n, len(model))
 	}
-	for k, key := range trieKeys {
-		s := tr.root.find(0, hash(k), key)
+	for k, id := range trieKeys {
+		s := tr.root.find(0, hash(k), id)
+		key := keyOf(id)
 		l, ok := model[key]
 		switch {
 		case !ok && s != nil:
-			t.Fatalf("%s: holds deleted or never-set key %q", name, key)
+			t.Fatalf("%s: holds deleted or never-set identity %v", name, key)
 		case ok && s == nil:
-			t.Fatalf("%s: lost key %q", name, key)
+			t.Fatalf("%s: lost identity %v", name, key)
 		case ok && (&s.entry != l.e || s.ver != l.ver || s.entry.Hangs != l.hangs):
-			t.Fatalf("%s: %q holds (%p, v%d, %d hangs), want (%p, v%d, %d hangs)", name, key, &s.entry, s.ver, s.entry.Hangs, l.e, l.ver, l.hangs)
+			t.Fatalf("%s: %v holds (%p, v%d, %d hangs), want (%p, v%d, %d hangs)", name, key, &s.entry, s.ver, s.entry.Hangs, l.e, l.ver, l.hangs)
 		}
 	}
 	seen := 0
 	tr.each(func(l *trieLeaf) {
 		seen++
-		if model[l.key].e != &l.entry {
-			t.Fatalf("%s: each visited %q with the wrong entry", name, l.key)
+		if model[keyOf(&l.entry)].e != &l.entry {
+			t.Fatalf("%s: each visited %v with the wrong entry", name, keyOf(&l.entry))
 		}
 	})
 	if seen != len(model) {
@@ -255,7 +274,7 @@ func checkTrie(t *testing.T, name string, tr *entryTrie, model map[string]modelL
 				l := n.leaves[li]
 				li++
 				if l.h&(1<<(shift+trieBits)-1) != path&(1<<(shift+trieBits)-1) {
-					t.Fatalf("%s: leaf %q off its hash path", name, l.key)
+					t.Fatalf("%s: leaf %v off its hash path", name, keyOf(&l.entry))
 				}
 				newest = max(newest, l.ver)
 			case n.childMap&bit != 0:
@@ -283,11 +302,11 @@ func randomTrieOps(rng *simrand.Rand, n int) []byte {
 }
 
 // TestTrieLeafSize guards the leaf layout: a leaf holds its entry by
-// value and the entry its chain by pointer, which fits both in Go's
-// 176-byte size class on 64-bit platforms.
+// value, the entry its chain by pointer, and no key beside the entry,
+// which fits in Go's 160-byte size class on 64-bit platforms.
 func TestTrieLeafSize(t *testing.T) {
-	if n := unsafe.Sizeof(trieLeaf{}); n > 176 {
-		t.Errorf("a trie leaf takes %d bytes, want at most 176", n)
+	if n := unsafe.Sizeof(trieLeaf{}); n > 160 {
+		t.Errorf("a trie leaf takes %d bytes, want at most 160", n)
 	}
 }
 
@@ -304,33 +323,40 @@ func TestEntryTrieDifferential(t *testing.T) {
 }
 
 // TestEntryTrieCollisionBucket drives the bucket's insert, replace and
-// delete directly, with keys given one chosen hash.
+// delete directly, with identities given one chosen hash. Two of them
+// join to the same string, so the bucket tells them apart field by field.
 func TestEntryTrieCollisionBucket(t *testing.T) {
 	const h = 0x0123456789abcdef
-	leaf := func(key string, hangs int, ver uint64) *trieLeaf {
-		return &trieLeaf{ver: ver, h: h, key: key, entry: ReportEntry{Hangs: hangs}}
+	a, b, c, zz := rowOf("A", "x", "a"), rowOf("A\x00x", "", "b"), rowOf("A", "x\x00", "b"), rowOf("A", "x", "zz")
+	leaf := func(id *ReportEntry, hangs int, ver uint64) *trieLeaf {
+		e := *id
+		e.Hangs = hangs
+		return &trieLeaf{ver: ver, h: h, entry: e}
 	}
 	var tr entryTrie
-	for i, key := range []string{"a", "b", "c"} {
-		tr.put(leaf(key, i, 1))
+	for i, id := range []*ReportEntry{a, b, c} {
+		tr.put(leaf(id, i, 1))
 	}
 	depth, n := 0, tr.root
 	for len(n.kids) == 1 && len(n.leaves) == 0 {
 		n, depth = n.kids[0], depth+1
 	}
 	if want := (trieBucket + trieBits - 1) / trieBits; depth != want || len(n.leaves) != 3 || n.leafMap != 0 {
-		t.Fatalf("three colliding keys: bucket of %d at depth %d, want 3 at depth %d", len(n.leaves), depth, want)
+		t.Fatalf("three colliding identities: bucket of %d at depth %d, want 3 at depth %d", len(n.leaves), depth, want)
 	}
 
 	// Replace in place, then in a batch over the handed-out trie.
-	tr.put(leaf("b", 10, 2))
+	tr.put(leaf(b, 10, 2))
 	frozen := tr
 	next := tr.batch()
-	next.put(leaf("b", 20, 3))
-	if got := frozen.root.find(0, h, "b").entry.Hangs; got != 10 {
+	next.put(leaf(b, 20, 3))
+	if got := frozen.root.find(0, h, b).entry.Hangs; got != 10 {
 		t.Fatalf("a batch wrote through to the handed-out bucket: b=%d", got)
 	}
-	if got := next.root.find(0, h, "b"); got.entry.Hangs != 20 || got.ver != 3 || next.n != 3 {
+	if got := frozen.root.find(0, h, c).entry.Hangs; got != 2 {
+		t.Fatalf("replacing b reached c, whose fields join to the same string: c=%d", got)
+	}
+	if got := next.root.find(0, h, b); got.entry.Hangs != 20 || got.ver != 3 || next.n != 3 {
 		t.Fatalf("batched replace: b=%+v n=%d", got, next.n)
 	}
 	for n := next.root; ; n = n.kids[0] {
@@ -342,21 +368,21 @@ func TestEntryTrieCollisionBucket(t *testing.T) {
 		}
 	}
 
-	// Delete: a missing key is a no-op, and a bucket left with one leaf
-	// folds back up to the root.
-	if next.remove(h, "zz") || !next.remove(h, "a") || next.remove(h, "a") {
+	// Delete: a missing identity is a no-op, and a bucket left with one
+	// leaf folds back up to the root.
+	if next.remove(h, zz) || !next.remove(h, a) || next.remove(h, a) {
 		t.Fatal("bucket delete reported the wrong presence")
 	}
-	if !next.remove(h, "c") || next.n != 1 {
+	if !next.remove(h, c) || next.n != 1 {
 		t.Fatalf("after deleting a and c: n=%d", next.n)
 	}
-	if len(next.root.kids) != 0 || len(next.root.leaves) != 1 || next.root.leaves[0].key != "b" {
+	if len(next.root.kids) != 0 || len(next.root.leaves) != 1 || !next.root.leaves[0].entry.sameID(b) {
 		t.Fatal("a single remaining leaf did not fold back into the root")
 	}
-	if frozen.n != 3 || frozen.root.find(0, h, "a") == nil || frozen.root.find(0, h, "c") == nil {
+	if frozen.n != 3 || frozen.root.find(0, h, a) == nil || frozen.root.find(0, h, c) == nil {
 		t.Fatal("deletes in a batch reached the handed-out trie")
 	}
-	if !next.remove(h, "b") || next.root != nil || next.n != 0 {
+	if !next.remove(h, b) || next.root != nil || next.n != 0 {
 		t.Fatal("deleting the last key did not empty the trie")
 	}
 }

@@ -54,8 +54,8 @@ var (
 // Config parameterizes an Aggregator. The zero value is completed by
 // defaults suitable for tests and small deployments.
 type Config struct {
-	// Shards is the number of single-writer merge goroutines; entry keys
-	// hash onto them (default 4).
+	// Shards is the number of single-writer merge goroutines; entries
+	// hash onto them by identity (default 4).
 	Shards int
 	// QueueDepth bounds the uploads admitted but not yet handed off; beyond
 	// it a fail-fast submit gets ErrQueueFull and a waiting one blocks,
@@ -466,7 +466,7 @@ func (a *Aggregator) submitAcked(rep *core.Report, wr *core.WireReport, id Uploa
 }
 
 // split cuts an upload's wire view into one message per shard: runs of
-// its already-keyed entries, routed by core.ShardIndexKey, with its health
+// its entries, routed by core.ShardIndex, with its health
 // section riding shard 0. The runs are cut from one backing array: split
 // hashes each entry once, counts each shard's run, then fills the runs in
 // upload order. A shard's message is empty when it gets nothing.
@@ -477,7 +477,8 @@ func (a *Aggregator) split(wr *core.WireReport) []shardMsg {
 	scratch := make([]int, len(ents)+n) // each entry's shard, then each shard's run length
 	shardOf, runs := scratch[:len(ents)], scratch[len(ents):]
 	for i := range ents {
-		s := core.ShardIndexKey(ents[i].Key, n)
+		e := &ents[i]
+		s := core.ShardIndex(e.App, e.ActionUID, e.RootCause, n)
 		shardOf[i] = s
 		runs[s]++
 	}

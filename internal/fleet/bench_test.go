@@ -168,8 +168,8 @@ func BenchmarkIngest(b *testing.B) {
 // BenchmarkBinaryDecode isolates the decode half of the binary path: a
 // warm-dictionary steady-state document through DecodeScratch. The bar,
 // which cmd/benchgate enforces in CI, is zero allocations per operation —
-// decode writes into reused buffers and entry keys come from the decoder's
-// committed-ref cache.
+// decode writes into reused buffers and resolves every string against the
+// decoder's committed dictionary.
 func BenchmarkBinaryDecode(b *testing.B) {
 	_, binDocs, decs := benchDocs(b, 1, 120)
 	doc, dec := binDocs[0], decs[0]

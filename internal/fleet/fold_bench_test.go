@@ -22,7 +22,7 @@ package fleet
 //	BenchmarkRegionalPoll/churn — delta poll after ~1% of the region's
 //	                              entries changed, at BenchmarkFold's state
 //	                              size: the node delta, the regional apply
-//	                              and RefreshKeys all carry changed keys
+//	                              and RefreshKeys all carry changed entries
 //
 // CI gates warm and dirty1pct at ≥5x faster than cold (ns/op), so the
 // "reads scale with change, not state" property is pinned, not asserted.

@@ -21,8 +21,8 @@ func SyntheticUpload(seed int64, device string, entries int) *core.Report {
 		action := fmt.Sprintf("%s/Action-%02d", app, rng.Intn(24))
 		// File/line/kind are functions of the root cause, as with real
 		// diagnoses (the registry maps a method to one source location):
-		// merge commutativity depends on key-colliding entries agreeing on
-		// their metadata.
+		// merge commutativity depends on entries of one identity agreeing
+		// on their metadata.
 		op := rng.Intn(200)
 		diag := core.Diagnosis{
 			RootCause:  fmt.Sprintf("com.example.blocking.Op%03d.run", op),

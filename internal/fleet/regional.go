@@ -14,7 +14,7 @@ package fleet
 // PollDelta is the one read path: it keeps a materialized per-node mirror
 // plus a regional master report, echoes each node's version vector back
 // via /v1/snapshot?since=, applies the returned deltas, and re-derives
-// only the changed keys — so steady-state poll cost scales with change,
+// only the changed entries — so steady-state poll cost scales with change,
 // not fleet size. The master is immutable: each round that moved builds
 // the next master with RefreshKeys, which shares every unchanged entry
 // and trie node with the previous one, and hands it out as is. A node
@@ -66,7 +66,7 @@ type Regional struct {
 	// never takes it).
 	mu     sync.Mutex
 	states []nodeState
-	master *core.Report // immutable fold of every node mirror, rebuilt per changed key
+	master *core.Report // immutable fold of every node mirror, rebuilt per changed entry
 }
 
 // NewRegional builds a regional folder over node base URLs (e.g.
@@ -135,7 +135,7 @@ type PollResult struct {
 // PollDelta runs one incremental poll round: fetch each node (bounded by
 // NodeTimeout so one slow node cannot stall the round), apply full
 // snapshots or deltas to the per-node mirrors, and re-derive only the
-// changed keys of the regional master. Failed nodes keep their last
+// changed entries of the regional master. Failed nodes keep their last
 // mirrored state. The returned report is byte-identical to a from-scratch
 // fold of the mirrors — and, once every node has answered one round
 // cleanly, to a fold of the nodes' own reports.
@@ -170,7 +170,7 @@ func (r *Regional) PollDelta(ctx context.Context) PollResult {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	res := PollResult{Errs: errs}
-	var changed []string
+	var changed []*core.ReportEntry
 	advanced := false
 	for i := range fetches {
 		if errs[i] != nil {
@@ -199,8 +199,8 @@ func (r *Regional) PollDelta(ctx context.Context) PollResult {
 		r.master = core.FoldReportsShared(parts...)
 	case advanced:
 		// Mirrors replace leaves rather than writing into them, so the
-		// master may share the leaf of a key only one mirror holds, and
-		// RefreshKeys builds a new master around the changed keys — so
+		// master may share the leaf of an entry only one mirror holds, and
+		// RefreshKeys builds a new master around the changed entries — so
 		// masters handed out in earlier rounds stay valid.
 		r.master = r.master.RefreshKeys(changed, parts...)
 	}

@@ -151,14 +151,15 @@ func TestTeardownDuringHandOff(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer re.Close()
-			got := map[string]core.WireEntry{}
+			type entryID struct{ app, action, root string }
+			got := map[entryID]core.WireEntry{}
 			for _, we := range re.Fold().Wire().Entries {
-				got[we.Key] = we
+				got[entryID{we.App, we.ActionUID, we.RootCause}] = we
 			}
 			for _, rep := range acked {
 				for _, e := range rep.Wire().Entries {
 					for _, dev := range e.Devices {
-						if g, ok := got[e.Key]; !ok || !slices.Contains(g.Devices, dev) {
+						if g, ok := got[entryID{e.App, e.ActionUID, e.RootCause}]; !ok || !slices.Contains(g.Devices, dev) {
 							t.Fatalf("acked upload from %s lost across Crash: no %s/%s in the recovered fold", dev, e.ActionUID, e.RootCause)
 						}
 					}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-
-	"hangdoctor/internal/core"
 )
 
 // state.go: fleet state construction. Device state is struct-of-arrays
@@ -14,13 +12,13 @@ import (
 // state — instead of the one-heap-object-per-device layout the PR 7
 // scheduler used. SoA is what makes 10M resident devices cheap: the
 // steady-state tick touches a handful of adjacent array cells, templates
-// pack to ten bytes per entry, and nothing is individually
+// pack to seven bytes per entry, and nothing is individually
 // garbage-collected.
 //
 // Content is drawn from the same bounded pools as fleet.SyntheticUpload —
 // 8 apps × 24 actions, 200 blocking operations — so different devices
 // overlap on the hot root causes (the realistic fleet shape: merging
-// mostly hits existing entries) while shard routing still spreads keys.
+// mostly hits existing entries) while shard routing still spreads them.
 // Unlike SyntheticUpload, each device's entry identities are drawn ONCE at
 // build time into a packed template: a real device hits the same bugs
 // upload after upload, only its counters move, which is also what gives
@@ -43,7 +41,6 @@ type contentPool struct {
 	actions [numApps * numActions]string
 	roots   [numOps]string
 	files   [numOps]string
-	keys    []string // [actionIdx*numOps + op] composite entry keys
 }
 
 var (
@@ -53,7 +50,7 @@ var (
 
 func content() *contentPool {
 	poolOnce.Do(func() {
-		p := &contentPool{keys: make([]string, numApps*numActions*numOps)}
+		p := &contentPool{}
 		for a := 0; a < numApps; a++ {
 			p.apps[a] = fmt.Sprintf("app-%02d", a)
 			for c := 0; c < numActions; c++ {
@@ -64,12 +61,6 @@ func content() *contentPool {
 			p.roots[op] = fmt.Sprintf("com.example.blocking.Op%03d.run", op)
 			p.files[op] = fmt.Sprintf("Op%03d.java", op)
 		}
-		for ai := range p.actions {
-			app := p.apps[ai/numActions]
-			for op := 0; op < numOps; op++ {
-				p.keys[ai*numOps+op] = core.EntryKey(app, p.actions[ai], p.roots[op])
-			}
-		}
 		pool = p
 	})
 	return pool
@@ -77,17 +68,16 @@ func content() *contentPool {
 
 // opLine and opViaCaller mirror fleet.SyntheticUpload's rule that source
 // location and kind are pure functions of the root cause — merge
-// commutativity depends on key-colliding entries agreeing on metadata.
+// commutativity depends on entries of one identity agreeing on metadata.
 func opLine(op uint8) int       { return 1 + int(op)*7%899 }
 func opViaCaller(op uint8) bool { return op%17 == 0 }
 
 // tmplEntry is one precomputed upload entry: content indices into the
 // shared pool plus this device's dictionary refs for the binary protocol
 // (assigned in document walk order at build; the file string shares the
-// op index with the root cause). Ten bytes per entry, mutated never —
+// op index with the root cause). Seven bytes per entry, mutated never —
 // per-tick variation (hangs, response time) comes from the draw stream.
 type tmplEntry struct {
-	key                           uint16 // actionIdx*numOps + op
 	app, action, op               uint8
 	appRef, actRef, rootRef, fRef uint8
 }
@@ -136,7 +126,6 @@ func (e *Engine) buildRange(lo, hi int, initAt []int64) {
 			ai := int(app)*numActions + int(act)
 			t := &e.tmpl[dev*K+j]
 			t.app, t.action, t.op = app, uint8(ai), op
-			t.key = uint16(ai*numOps + int(op))
 			t.appRef = assign(appSeen[:], int(app))
 			t.actRef = assign(actSeen[:], ai)
 			t.rootRef = assign(rootSeen[:], int(op))

@@ -246,7 +246,6 @@ func (w *worker) fillEntries(b *wireBuf, dev uint32) {
 		hangs := int(w.hangs[j])
 		rt := simclock.Duration(w.rtMS[j]) * simclock.Millisecond
 		b.entries = append(b.entries, core.WireEntry{
-			Key:         p.keys[t.key],
 			App:         p.apps[t.app],
 			ActionUID:   p.actions[t.action],
 			RootCause:   p.roots[t.op],
