@@ -46,9 +46,8 @@ package core
 //
 // Canonical form: the encoder walks entries in Report.Entries() order
 // (hangs descending, then app, action and root cause ascending), devices
-// ascending within an
-// entry (the order a DeviceSet keeps them in), and assigns dictionary refs
-// in first-use order over that walk.
+// ascending within an entry (the order a DeviceSet keeps them in), and
+// assigns dictionary refs in first-use order over that walk.
 // Encoding is therefore a pure function of report content and prior
 // dictionary state — encode→decode→encode round-trips byte-identically,
 // which is what makes the encoding usable as a canonical content hash for

@@ -129,10 +129,10 @@ func (r *Report) addShared(part *Report) {
 
 // FoldReportsShared is FoldReports for immutable parts holding (mostly)
 // disjoint sets of identities — the shape of shard snapshots, whose
-// entries are routed by ShardIndex. Entries are shared, not copied, so the fold
-// costs trie inserts instead of entry clones; collisions fall back to
-// a copy-on-write merge, keeping the result byte-identical to FoldReports
-// for any input. The result must be treated as read-only.
+// entries are routed by ShardIndex. Entries are shared, not copied, so
+// the fold costs trie inserts instead of entry clones; collisions fall
+// back to a copy-on-write merge, keeping the result byte-identical to
+// FoldReports for any input. The result must be treated as read-only.
 func FoldReportsShared(parts ...*Report) *Report {
 	out := NewReport()
 	for _, p := range parts {
@@ -147,8 +147,8 @@ func FoldReportsShared(parts ...*Report) *Report {
 // immutable parts across calls, keyed by the parts' version vector. It
 // requires what the sharded aggregator guarantees: part i always holds
 // entries of the same shard (pairwise disjoint across parts), and its set
-// of identities only grows as its version rises. Under those invariants the fold is
-// byte-identical to FoldReports over the same parts.
+// of identities only grows as its version rises. Under those invariants
+// the fold is byte-identical to FoldReports over the same parts.
 type FoldCache struct {
 	result *Report   // immutable fold of parts at vers
 	parts  []*Report // the parts result folds
