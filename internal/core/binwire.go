@@ -245,6 +245,45 @@ func appendStr(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
+// appendDocHeader appends a document's header in wire order: magic,
+// version, flags, device identity, the dictionary base the decoder is
+// assumed to hold, the delta strings and the entry count. It and
+// appendEntry are the one writer of the layout, for BinaryEncoder and
+// DocWriter alike.
+func appendDocHeader(dst []byte, flags byte, device string, dictBase int, delta []string, entries int) []byte {
+	dst = append(dst, binMagic...)
+	dst = append(dst, binWireVersion, flags)
+	dst = appendStr(dst, device)
+	dst = appendUvarint(dst, uint64(dictBase))
+	dst = appendUvarint(dst, uint64(len(delta)))
+	for _, s := range delta {
+		dst = appendStr(dst, s)
+	}
+	return appendUvarint(dst, uint64(entries))
+}
+
+// appendEntry appends one entry in wire order, its strings as dictionary
+// refs.
+func appendEntry(dst []byte, app, action, root, file uint32, line int, viaCaller bool, hangs int, devs []uint32, maxResponse, sumResponse simclock.Duration) []byte {
+	dst = appendUvarint(dst, uint64(app))
+	dst = appendUvarint(dst, uint64(action))
+	dst = appendUvarint(dst, uint64(root))
+	dst = appendUvarint(dst, uint64(file))
+	dst = appendUvarint(dst, uint64(line))
+	eflags := byte(0)
+	if viaCaller {
+		eflags |= binEntryViaCall
+	}
+	dst = append(dst, eflags)
+	dst = appendUvarint(dst, uint64(hangs))
+	dst = appendUvarint(dst, uint64(len(devs)))
+	for _, d := range devs {
+		dst = appendUvarint(dst, uint64(d))
+	}
+	dst = appendUvarint(dst, uint64(maxResponse))
+	return appendUvarint(dst, uint64(sumResponse))
+}
+
 func (e *BinaryEncoder) appendDoc(dst []byte, rep *Report) []byte {
 	entries := rep.Entries()
 	// Pass 1: assign refs in first-use order over the canonical walk, so
@@ -285,8 +324,6 @@ func (e *BinaryEncoder) appendDoc(dst []byte, rep *Report) []byte {
 	}
 
 	// Pass 2: write the document.
-	dst = append(dst, binMagic...)
-	dst = append(dst, binWireVersion)
 	flags := byte(0)
 	if !rep.Health.Zero() {
 		flags |= binFlagHealth
@@ -294,33 +331,10 @@ func (e *BinaryEncoder) appendDoc(dst []byte, rep *Report) []byte {
 	if chained > 0 || !rep.Health.causalZero() {
 		flags |= binFlagCausal
 	}
-	dst = append(dst, flags)
-	dst = appendStr(dst, e.device)
-	dst = appendUvarint(dst, uint64(e.base))
-	dst = appendUvarint(dst, uint64(len(e.delta)))
-	for _, s := range e.delta {
-		dst = appendStr(dst, s)
-	}
-	dst = appendUvarint(dst, uint64(len(entries)))
+	dst = appendDocHeader(dst, flags, e.device, e.base, e.delta, len(entries))
 	for i, en := range entries {
 		ee := &encs[i]
-		dst = appendUvarint(dst, uint64(ee.app))
-		dst = appendUvarint(dst, uint64(ee.action))
-		dst = appendUvarint(dst, uint64(ee.root))
-		dst = appendUvarint(dst, uint64(ee.file))
-		dst = appendUvarint(dst, uint64(en.Line))
-		eflags := byte(0)
-		if en.ViaCaller {
-			eflags |= binEntryViaCall
-		}
-		dst = append(dst, eflags)
-		dst = appendUvarint(dst, uint64(en.Hangs))
-		dst = appendUvarint(dst, uint64(len(ee.devs)))
-		for _, d := range ee.devs {
-			dst = appendUvarint(dst, uint64(d))
-		}
-		dst = appendUvarint(dst, uint64(en.MaxResponse))
-		dst = appendUvarint(dst, uint64(en.SumResponse))
+		dst = appendEntry(dst, ee.app, ee.action, ee.root, ee.file, en.Line, en.ViaCaller, en.Hangs, ee.devs, en.MaxResponse, en.SumResponse)
 	}
 	if flags&binFlagHealth != 0 {
 		for _, c := range healthCounters[:healthLegacy] {

@@ -412,10 +412,10 @@ func (d *Doctor) startSampler() {
 }
 
 func (d *Doctor) stopSampler() {
-	if d.sampling && len(d.curTraces) > 0 {
-		// The burst collected at least one sample: record how long the
-		// Trace Collector ran (simulated time — the span the app hung
-		// under observation).
+	if d.sampling && len(d.curTraces)+len(d.curTagged) > 0 {
+		// The burst collected at least one sample, main-thread or, in
+		// causal mode, tagged: record how long the Trace Collector ran
+		// (simulated time — the span the app hung under observation).
 		elapsed := d.session.Clk.Now().Sub(d.samplerStart)
 		d.metrics.stackCollectMs.Observe(elapsed.Milliseconds())
 	}

@@ -9,8 +9,9 @@ package core
 // ref assignments precomputed (internal/sim holds them in packed
 // templates). DocWriter skips all of that: the caller supplies refs,
 // line numbers, and counters directly and the writer just serializes
-// them in wire order into a reusable buffer. Steady state allocates
-// nothing once the buffer has grown to document size.
+// them in wire order into a reusable buffer, through the encoder's own
+// header and entry writers (appendDocHeader, appendEntry). Steady state
+// allocates nothing once the buffer has grown to document size.
 //
 // The caller owns the protocol invariants the encoder normally
 // guarantees: refs must resolve against the decoder's committed
@@ -37,15 +38,7 @@ type DocWriter struct {
 // the delta strings (taking refs dictBase+1… in order), and the entry
 // count. Exactly `entries` Entry calls must follow before Finish.
 func (w *DocWriter) Begin(device string, dictBase int, delta []string, entries int) {
-	w.buf = append(w.buf[:0], binMagic...)
-	w.buf = append(w.buf, binWireVersion, 0)
-	w.buf = appendStr(w.buf, device)
-	w.buf = appendUvarint(w.buf, uint64(dictBase))
-	w.buf = appendUvarint(w.buf, uint64(len(delta)))
-	for _, s := range delta {
-		w.buf = appendStr(w.buf, s)
-	}
-	w.buf = appendUvarint(w.buf, uint64(entries))
+	w.buf = appendDocHeader(w.buf[:0], 0, device, dictBase, delta, entries)
 	w.entries = entries
 }
 
@@ -53,25 +46,7 @@ func (w *DocWriter) Begin(device string, dictBase int, delta []string, entries i
 // devices that observed the entry (a device upload passes its own
 // identity's ref).
 func (w *DocWriter) Entry(appRef, actionRef, rootRef, fileRef uint32, line int, viaCaller bool, hangs int, devRefs []uint32, maxResponse, sumResponse simclock.Duration) {
-	b := w.buf
-	b = appendUvarint(b, uint64(appRef))
-	b = appendUvarint(b, uint64(actionRef))
-	b = appendUvarint(b, uint64(rootRef))
-	b = appendUvarint(b, uint64(fileRef))
-	b = appendUvarint(b, uint64(line))
-	var eflags byte
-	if viaCaller {
-		eflags = binEntryViaCall
-	}
-	b = append(b, eflags)
-	b = appendUvarint(b, uint64(hangs))
-	b = appendUvarint(b, uint64(len(devRefs)))
-	for _, d := range devRefs {
-		b = appendUvarint(b, uint64(d))
-	}
-	b = appendUvarint(b, uint64(maxResponse))
-	b = appendUvarint(b, uint64(sumResponse))
-	w.buf = b
+	w.buf = appendEntry(w.buf, appRef, actionRef, rootRef, fileRef, line, viaCaller, hangs, devRefs, maxResponse, sumResponse)
 	w.entries--
 }
 

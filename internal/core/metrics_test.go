@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"hangdoctor/internal/corpus"
 	"hangdoctor/internal/fault"
 	"hangdoctor/internal/golden"
 	"hangdoctor/internal/obs"
@@ -157,5 +158,21 @@ func TestPercentileWarmZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm Percentile allocates %.1f objects per render, want 0", allocs)
+	}
+}
+
+// TestStackCollectionRecordsAsyncBursts: in causal mode the sampler fills
+// the tagged buffer, not the main-thread one, and a burst that collected
+// samples into either must be timed. Every async corpus app with a
+// detection on the reference device ran at least one such burst.
+func TestStackCollectionRecordsAsyncBursts(t *testing.T) {
+	for _, a := range corpus.Build().Async {
+		d, _ := runFaulted(t, a.Name, Config{}, 11, 200, nil)
+		if len(d.Detections()) == 0 {
+			continue
+		}
+		if n := d.Metrics().Histogram("hangdoctor_stack_collection_ms").Count; n == 0 {
+			t.Errorf("%s: %d detections, but hangdoctor_stack_collection_ms recorded no burst", a.Name, len(d.Detections()))
+		}
 	}
 }

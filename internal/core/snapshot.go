@@ -1,10 +1,11 @@
 package core
 
 // snapshot.go is the incremental read path: versioned persistent
-// snapshots of a mutating report, an incremental fold cache over disjoint
-// parts, and the absolute-state application the delta protocol's client
-// side needs. All three rest on the report's entry trie (trie.go), so each
-// read costs O(changed state), not O(total state):
+// snapshots of a mutating report, the delta and the incremental fold of
+// such snapshots over disjoint parts, and the absolute-state application
+// the delta protocol's client side needs. All rest on the report's entry
+// trie (trie.go), whose leaf stamps are a node's one change tracker, so
+// each read costs O(changed state), not O(total state):
 //
 //   - A shard owns a mutating Report and a SnapshotCache bound to it.
 //     Merges stamp every leaf they write with the version their batch
@@ -13,12 +14,12 @@ package core
 //     out as it stands; the live report goes on as a new batch over it, so
 //     the first write after a hand-out copies the nodes and leaf it
 //     touches, and the snapshot never changes. A snapshot request at an
-//     unchanged version returns the cached snapshot. A delta walks only
-//     the subtrees stamped after its base.
-//   - The aggregator folds shard snapshots through a FoldCache keyed by the
-//     shard version vector: only shards whose version moved are re-merged,
-//     in one batch over the previous fold, and because shards own disjoint
-//     sets of entries the fold shares entry pointers instead of copying
+//     unchanged version returns the cached snapshot.
+//   - Over the gathered shard snapshots, DeltaSince and FoldCache both walk
+//     only the subtrees stamped after a version: DeltaSince after the
+//     client's, FoldCache after the one its previous fold covers, whose
+//     trie it extends in one batch. Because shards own disjoint sets of
+//     entries, both share the snapshots' leaves instead of copying
 //     entries.
 //   - A regional poller mirrors each node with ApplyWireFull/ApplyWireDelta
 //     and re-derives only the changed entries of its fold with RefreshKeys,
@@ -38,8 +39,9 @@ package core
 // The owner merges into the report and bumps the version once per
 // mutation batch, and serves reads through Snapshot, which hands out the
 // report's trie in O(1). Each leaf carries the version of the batch that
-// last changed it, so DeltaSince answers "what moved since version v" with
-// a walk of the newer subtrees, without diffing state.
+// last changed it, so DeltaSince and FoldCache answer "what moved since
+// version v" with a walk of a snapshot's newer subtrees, without diffing
+// state.
 //
 // A SnapshotCache is owned by the goroutine that owns the Report; it is
 // not safe for concurrent use. The *Report values it returns are
@@ -91,24 +93,27 @@ func (sc *SnapshotCache) Snapshot() *Report {
 	return sc.snap
 }
 
-// DeltaSince returns the current version and an immutable report holding
-// exactly the entries changed after version since, with the live report's
-// full Health (health rides every delta — it is absolute, cheap, and saves
-// tracking a separate health version). Entries, and the trie leaves
-// binding them, are shared with the current snapshot.
-// since at or beyond the current version yields an entry-less report.
-func (sc *SnapshotCache) DeltaSince(since uint64) (*Report, uint64) {
-	snap := sc.Snapshot()
-	out := &Report{Health: snap.Health}
-	snap.entries.changedSince(since, func(l *trieLeaf) {
-		out.entries.put(l)
-		out.totalHangs = satAdd(out.totalHangs, l.entry.Hangs)
-	})
-	return out, sc.version
-}
-
 // ---------------------------------------------------------------------------
-// Shared and incremental folds over disjoint parts
+// Deltas, shared folds and incremental folds over disjoint parts
+
+// DeltaSince returns an immutable report holding exactly the entries each
+// part i stamped after since[i], with the parts' summed Health (health
+// rides every delta — it is absolute, cheap, and saves tracking a
+// separate health version). Each part is a SnapshotCache snapshot and
+// since[i] a version of its cache; the parts hold pairwise-disjoint sets
+// of identities, as a node's shards do. One walk of each part's newer
+// subtrees puts the leaves it finds into the result, which shares them.
+func DeltaSince(parts []*Report, since []uint64) *Report {
+	out := &Report{}
+	for i, p := range parts {
+		out.Health.Add(p.Health)
+		p.entries.changedSince(since[i], func(l *trieLeaf) {
+			out.entries.put(l)
+			out.totalHangs = satAdd(out.totalHangs, l.entry.Hangs)
+		})
+	}
+	return out
+}
 
 // addShared folds part into out, sharing part's entries (and the trie
 // leaves holding them) for identities out does not hold. Where out holds
@@ -144,31 +149,31 @@ func FoldReportsShared(parts ...*Report) *Report {
 }
 
 // FoldCache incrementally maintains the fold of an indexed family of
-// immutable parts across calls, keyed by the parts' version vector. It
-// requires what the sharded aggregator guarantees: part i always holds
-// entries of the same shard (pairwise disjoint across parts), and its set
-// of identities only grows as its version rises. Under those invariants
-// the fold is byte-identical to FoldReports over the same parts.
+// parts across calls, keyed by the parts' version vector. It requires
+// what the sharded aggregator guarantees: part i is always a snapshot of
+// the same SnapshotCache at the version given for it, the parts' sets of
+// identities are pairwise disjoint, and each part's set only grows as its
+// version rises. Under those invariants the fold is byte-identical to
+// FoldReports over the same parts.
 type FoldCache struct {
-	result *Report   // immutable fold of parts at vers
-	parts  []*Report // the parts result folds
-	vers   []uint64  // part versions result covers
+	result *Report  // immutable fold of the parts at vers
+	vers   []uint64 // part versions result covers
 }
 
 // Update returns the fold of parts at versions vers (one per part) and
-// whether it is the cached fold, reused because no version moved. Parts
-// whose version moved write into the previous fold, in one batch, the
-// leaves where their trie differs from the part the fold last saw: a new
-// snapshot shares every unchanged subtree with its predecessor, so this
-// costs the changed entries, and each changed path is copied once.
-// Totals and health are re-summed from the parts (O(parts), not
-// O(entries)). A gather behind the cached vector in any part — a
-// concurrent reader cached a newer one — is folded afresh and not cached,
-// so the cache only moves forward. The first call or a change of part
-// count rebuilds the fold. The returned report is immutable.
+// whether it is the cached fold, reused because no version moved. Each
+// part writes into the previous fold, in one batch, the leaves it stamped
+// after the version the fold last saw it at: a walk of its newer
+// subtrees, as in DeltaSince, so this costs the changed entries, and each
+// changed path is copied once. Totals and health are re-summed from the
+// parts (O(parts), not O(entries)). A gather behind the cached vector in
+// any part — a concurrent reader cached a newer one — is folded afresh
+// and not cached, so the cache only moves forward. The first call or a
+// change of part count rebuilds the fold. The returned report is
+// immutable.
 func (fc *FoldCache) Update(parts []*Report, vers []uint64) (rep *Report, hit bool) {
 	if fc.result == nil || len(fc.vers) != len(vers) {
-		fc.result, fc.parts, fc.vers = FoldReportsShared(parts...), append([]*Report(nil), parts...), vers
+		fc.result, fc.vers = FoldReportsShared(parts...), vers
 		return fc.result, false
 	}
 	moved := false
@@ -183,22 +188,13 @@ func (fc *FoldCache) Update(parts []*Report, vers []uint64) (rep *Report, hit bo
 	}
 	out := &Report{entries: fc.result.entries.batch()}
 	for i, p := range parts {
-		if p == nil {
-			continue
-		}
-		if vers[i] != fc.vers[i] {
-			// The part's identities only grow and no other part holds
-			// them, so its changed leaves are all the fold must take.
-			var prev *trieNode
-			if fc.parts[i] != nil {
-				prev = fc.parts[i].entries.root
-			}
-			diffLeaves(prev, p.entries.root, 0, func(l *trieLeaf) { out.entries.put(l) })
-		}
+		// The part's identities only grow and no other part holds them,
+		// so the leaves it changed are all the fold must take.
+		p.entries.changedSince(fc.vers[i], func(l *trieLeaf) { out.entries.put(l) })
 		out.totalHangs = satAdd(out.totalHangs, p.totalHangs)
 		out.Health.Add(p.Health)
 	}
-	fc.result, fc.parts, fc.vers = out, append([]*Report(nil), parts...), vers
+	fc.result, fc.vers = out, vers
 	return out, false
 }
 
@@ -228,29 +224,22 @@ func (r *Report) ApplyWireDelta(wr *WireReport) []*ReportEntry {
 	return changed
 }
 
-// ApplyWireFull replaces r wholesale with a full-snapshot document,
-// returning an entry for every identity whose entry may differ afterwards:
-// r's new entries, and the old entry of every identity the document no
-// longer holds (a restarted upstream may have *lost* entries, so stale
-// ones count as changed too).
+// ApplyWireFull replaces r wholesale with a full-snapshot document: it is
+// ApplyWireDelta over an emptied r, so an identity the document repeats
+// keeps its last entry, as a delta's would, and r's total counts it once.
+// It returns an entry for every identity whose entry may differ
+// afterwards: r's new entries, and the old entry of every identity the
+// document no longer holds (a restarted upstream may have *lost* entries,
+// so stale ones count as changed too).
 func (r *Report) ApplyWireFull(wr *WireReport) []*ReportEntry {
-	changed := make([]*ReportEntry, 0, r.entries.n+len(wr.Entries))
 	old := r.entries
-	r.entries = entryTrie{}
-	r.totalHangs = 0
-	for i := range wr.Entries {
-		we := &wr.Entries[i]
-		src := we.entry()
-		e, _ := r.entries.bind(hashOf(&src), &src, we.Devices)
-		r.totalHangs = satAdd(r.totalHangs, we.Hangs)
-		changed = append(changed, e)
-	}
+	r.entries, r.totalHangs = entryTrie{}, 0
+	changed := r.ApplyWireDelta(wr)
 	old.each(func(l *trieLeaf) {
 		if r.entries.root.find(0, l.h, &l.entry) == nil {
 			changed = append(changed, &l.entry)
 		}
 	})
-	r.Health = wr.Health
 	return changed
 }
 

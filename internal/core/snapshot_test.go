@@ -72,21 +72,24 @@ func TestSnapshotCacheCOW(t *testing.T) {
 	}
 }
 
-// TestSnapshotCacheDelta pins DeltaSince: entries changed after `since`
-// (and only those), the live report's full health, and a hang total that
-// sums exactly the included entries.
+// deltaOf is DeltaSince over the one part sc's snapshot is.
+func deltaOf(sc *SnapshotCache, since uint64) *Report {
+	return DeltaSince([]*Report{sc.Snapshot()}, []uint64{since})
+}
+
+// TestSnapshotCacheDelta pins DeltaSince of a snapshot: entries changed
+// after `since` (and only those), the snapshot's full health, a hang total
+// that sums exactly the included entries, and leaves shared with the
+// snapshot.
 func TestSnapshotCacheDelta(t *testing.T) {
 	live := foldFixture()
 	sc := NewSnapshotCache(live)
 	sc.Bump()
-	_ = sc.Snapshot()
 	v1 := sc.Version()
 
-	d, v := sc.DeltaSince(v1)
-	if v != v1 || d.Len() != 0 {
-		t.Fatalf("delta at the current version: %d entries, version %d (want 0 at %d)", d.Len(), v, v1)
-	}
-	if d.Health != live.Health {
+	if d := deltaOf(sc, v1); d.Len() != 0 || d.TotalHangs() != 0 {
+		t.Fatalf("delta at the current version holds %d entries, %d hangs", d.Len(), d.TotalHangs())
+	} else if d.Health != live.Health {
 		t.Error("delta must carry the full absolute health section")
 	}
 
@@ -95,19 +98,19 @@ func TestSnapshotCacheDelta(t *testing.T) {
 	key := rowOf("app-1", "app-1/Action-1", diag.RootCause)
 	sc.Bump()
 
-	d, v = sc.DeltaSince(v1)
-	if v != v1+1 {
-		t.Fatalf("delta version = %d, want %d", v, v1+1)
-	}
+	d := deltaOf(sc, v1)
 	if d.Len() != 1 || d.entries.get(key) == nil {
 		t.Fatalf("delta holds %d entries, want exactly the changed one", d.Len())
 	}
 	if d.TotalHangs() != d.entries.get(key).Hangs {
 		t.Errorf("delta hang total %d != its entries' sum %d", d.TotalHangs(), d.entries.get(key).Hangs)
 	}
+	if d.entries.leaf(key) != sc.Snapshot().entries.leaf(key) {
+		t.Error("the delta copied a leaf instead of sharing the snapshot's")
+	}
 	// The fixture's entries predate the cache (stamp 0), so a delta since
 	// 0 holds only what changed after it was built.
-	if d, _ := sc.DeltaSince(0); d.Len() != 1 {
+	if d := deltaOf(sc, 0); d.Len() != 1 {
 		t.Errorf("delta since 0 holds %d entries, want the 1 changed since the cache began", d.Len())
 	}
 }
@@ -148,44 +151,73 @@ func TestSnapshotSharesLiveReport(t *testing.T) {
 	}
 }
 
-// TestDeltaSinceExact: for every v up to Version(), including versions no
-// snapshot was taken at, DeltaSince(v) holds exactly the entries whose
-// last change came in a batch after v. Snapshots are rare, so an entry
-// changes in several batches between two of them and is merged in place
-// after its first copy; each of those merges must restamp it.
+// TestDeltaSinceExact drives three shards the way a node does: each
+// batch of adds is routed by ShardIndex, and only the shards it reached
+// commit a batch. For the version vector after every earlier batch b,
+// including vectors no snapshot was taken at, DeltaSince over the shards'
+// snapshots holds exactly the entries whose last change came after batch
+// b, with the shards' summed health and the included entries' hang sum.
+// Snapshots are rare, so an entry changes in several batches between two
+// of them and is merged in place after its first copy; each of those
+// merges must restamp it.
 func TestDeltaSinceExact(t *testing.T) {
 	rng := simrand.New(5).Derive("delta-exact")
-	const keys, batches = 12, 80
-	live := NewReport()
-	sc := NewSnapshotCache(live)
-	last := map[rowKey]uint64{} // identity -> batch that last changed it
+	const shards, keys, batches = 3, 24, 80
+	lives := make([]*Report, shards)
+	caches := make([]*SnapshotCache, shards)
+	for i := range lives {
+		lives[i] = NewReport()
+		caches[i] = NewSnapshotCache(lives[i])
+	}
+	last := map[rowKey]int{}                   // identity -> batch that last changed it
+	vecs := [][]uint64{make([]uint64, shards)} // the shards' versions after each batch
 	check := func() {
 		t.Helper()
-		for v := uint64(0); v <= sc.Version(); v++ {
-			d, _ := sc.DeltaSince(v)
-			want := 0
+		parts := make([]*Report, shards)
+		var health Health
+		for i, sc := range caches {
+			parts[i] = sc.Snapshot()
+			health.Add(parts[i].Health)
+		}
+		for b, since := range vecs {
+			d := DeltaSince(parts, since)
+			want, hangs := 0, 0
 			for key, at := range last {
-				if in := d.entries.get(rowOf(key.app, key.action, key.root)) != nil; in != (at > v) {
-					t.Fatalf("after batch %d: DeltaSince(%d) holds %v=%v, last changed in batch %d", sc.Version(), v, key, in, at)
+				e := d.entries.get(rowOf(key.app, key.action, key.root))
+				if in := e != nil; in != (at > b) {
+					t.Fatalf("after batch %d: delta since batch %d holds %v=%v, last changed in batch %d", len(vecs)-1, b, key, in, at)
 				}
-				if at > v {
-					want++
+				if e != nil {
+					want, hangs = want+1, hangs+e.Hangs
 				}
 			}
-			if d.Len() != want {
-				t.Fatalf("after batch %d: DeltaSince(%d) holds %d entries, want %d", sc.Version(), v, d.Len(), want)
+			if d.Len() != want || d.TotalHangs() != hangs || d.Health != health {
+				t.Fatalf("after batch %d: delta since batch %d holds %d entries, %d hangs, health %+v; want %d, %d, %+v",
+					len(vecs)-1, b, d.Len(), d.TotalHangs(), d.Health, want, hangs, health)
 			}
 		}
 	}
 	for b := 1; b <= batches; b++ {
+		moved := make([]bool, shards)
 		for i := 0; i < 1+rng.Intn(4); i++ {
 			k := rng.Intn(keys)
 			action := fmt.Sprintf("app/act-%d", k)
-			live.Add("app", fmt.Sprintf("device-%d", rng.Intn(5)), action,
-				Diagnosis{RootCause: fmt.Sprintf("c.C%d.m", k), File: "C.java", Line: k}, 100*simclock.Millisecond)
-			last[rowKey{"app", action, fmt.Sprintf("c.C%d.m", k)}] = uint64(b)
+			root := fmt.Sprintf("c.C%d.m", k)
+			s := ShardIndex("app", action, root, shards)
+			lives[s].Add("app", fmt.Sprintf("device-%d", rng.Intn(5)), action,
+				Diagnosis{RootCause: root, File: "C.java", Line: k}, 100*simclock.Millisecond)
+			lives[s].Health.StacksDropped++
+			last[rowKey{"app", action, root}] = b
+			moved[s] = true
 		}
-		sc.Bump()
+		vec := make([]uint64, shards)
+		for i, sc := range caches {
+			if moved[i] {
+				sc.Bump()
+			}
+			vec[i] = sc.Version()
+		}
+		vecs = append(vecs, vec)
 		if rng.Intn(10) == 0 {
 			check()
 		}
@@ -239,8 +271,7 @@ func TestSnapshotRandomBatches(t *testing.T) {
 				if mirrorV == 0 || rng.Intn(4) == 0 {
 					mirror.ApplyWireFull(wireFrom(t, sc.Snapshot()))
 				} else {
-					d, _ := sc.DeltaSince(mirrorV)
-					mirror.ApplyWireDelta(wireFrom(t, d))
+					mirror.ApplyWireDelta(wireFrom(t, deltaOf(sc, mirrorV)))
 				}
 				mirrorV = sc.Version()
 				if !bytes.Equal(exportBytes(t, mirror), exportBytes(t, live)) {
@@ -286,69 +317,111 @@ func TestFoldReportsSharedByteIdentical(t *testing.T) {
 	}
 }
 
-// TestFoldCacheIncremental: updating only the parts whose version moved
-// must equal a from-scratch fold, an unchanged vector must return the
-// cached result, and a vector behind the cached one must fold afresh
-// without rolling the cache back.
+// TestFoldCacheIncremental folds four shards that merge in batches under
+// a SnapshotCache each, as a node's do. Rounds add new identities and
+// merge into held ones, several rounds may pass between two folds, and a
+// round reaches only some shards. After every fold, updating only the
+// parts whose version moved must equal a from-scratch fold; an unchanged
+// vector must return the cached result; a vector behind the cached one
+// must fold afresh without rolling the cache back; and a change of part
+// count rebuilds.
 func TestFoldCacheIncremental(t *testing.T) {
-	base := foldFixture()
 	const shards = 4
-	parts := shardParts(base.Wire(), shards)
-	vers := []uint64{1, 1, 1, 1}
+	lives := make([]*Report, shards)
+	caches := make([]*SnapshotCache, shards)
+	for i := range lives {
+		lives[i] = NewReport()
+		caches[i] = NewSnapshotCache(lives[i])
+	}
+	// merge routes r's entries onto the shards and its health onto shard
+	// 0; each shard it reached commits one batch.
+	merge := func(r *Report) {
+		for i, p := range shardParts(r.Wire(), shards) {
+			if p != nil {
+				lives[i].Merge(p)
+				caches[i].Bump()
+			}
+		}
+	}
+	gather := func() ([]*Report, []uint64) {
+		parts, vers := make([]*Report, shards), make([]uint64, shards)
+		for i, sc := range caches {
+			parts[i], vers[i] = sc.Snapshot(), sc.Version()
+		}
+		return parts, vers
+	}
+	merge(foldFixture())
+	parts, vers := gather()
 	var fc FoldCache
-	r1, hit := fc.Update(parts, vers)
+	r, hit := fc.Update(parts, vers)
 	if hit {
 		t.Fatal("first Update reported a cache hit")
 	}
-	if got, want := exportBytes(t, r1), exportBytes(t, FoldReports(parts...)); !bytes.Equal(got, want) {
+	if got, want := exportBytes(t, r), exportBytes(t, FoldReports(parts...)); !bytes.Equal(got, want) {
 		t.Fatal("initial FoldCache.Update diverged from FoldReports")
 	}
-	if r, hit := fc.Update(parts, []uint64{1, 1, 1, 1}); r != r1 || !hit {
-		t.Fatal("an unchanged vector must return the cached fold")
-	}
 
-	// Grow the underlying state by one entry and re-split: shard key sets
-	// only grow, and exactly one shard moves.
-	grown := FoldReports(base)
-	diag := Diagnosis{RootCause: "com.example.Grow.run", File: "Grow.java", Line: 7}
-	grown.Add("app-9", "device-g", "app-9/Act", diag, 150*simclock.Millisecond)
-	next := shardParts(grown.Wire(), shards)
-	nextVers := make([]uint64, shards)
-	moved := 0
-	for i := range next {
-		if next[i] == nil && parts[i] != nil {
-			t.Fatal("fixture bug: a shard's key set shrank")
+	rng := simrand.New(3).Derive("fold-cache")
+	held := r.Entries()
+	partial := false
+	for round := 0; round < 60; round++ {
+		up := NewReport()
+		for j := 0; j < rng.Intn(3); j++ {
+			if e := held[rng.Intn(len(held))]; rng.Intn(2) == 0 {
+				up.Add(e.App, fmt.Sprintf("device-%d", rng.Intn(12)), e.ActionUID,
+					Diagnosis{RootCause: e.RootCause, File: e.File, Line: e.Line, ViaCaller: e.ViaCaller},
+					simclock.Duration(100+rng.Intn(900))*simclock.Millisecond)
+			} else {
+				up.Add("app-9", "device-g", fmt.Sprintf("app-9/Act-%d", round),
+					Diagnosis{RootCause: fmt.Sprintf("com.example.Grow%d.run", j), File: "Grow.java", Line: 7},
+					150*simclock.Millisecond)
+			}
 		}
-		// A shard whose fragment changed at all gets a new version.
-		nextVers[i] = vers[i]
-		if (next[i] == nil) != (parts[i] == nil) ||
-			next[i] != nil && !bytes.Equal(exportBytes(t, next[i]), exportBytes(t, parts[i])) {
-			nextVers[i]++
-			moved++
+		up.Health.StacksDropped = rng.Intn(2)
+		merge(up)
+		if rng.Intn(3) == 0 {
+			continue // another round before the next fold
 		}
+		prev, prevVers := parts, vers
+		parts, vers = gather()
+		moved := 0
+		for i := range vers {
+			if vers[i] != prevVers[i] {
+				moved++
+			}
+		}
+		partial = partial || moved > 0 && moved < shards
+		next, hit := fc.Update(parts, vers)
+		switch {
+		case hit != (moved == 0):
+			t.Fatalf("round %d: %d of %d shards moved, cache hit %v", round, moved, shards, hit)
+		case hit && next != r:
+			t.Fatalf("round %d: an unchanged vector did not return the cached fold", round)
+		}
+		if got, want := exportBytes(t, next), exportBytes(t, FoldReports(parts...)); !bytes.Equal(got, want) {
+			t.Fatalf("round %d: incremental Update diverged from a from-scratch fold", round)
+		}
+		if moved > 0 {
+			// A gather behind the cache folds its own parts and leaves the
+			// cache as it was.
+			if old, hit := fc.Update(prev, prevVers); hit || !bytes.Equal(exportBytes(t, old), exportBytes(t, FoldReports(prev...))) {
+				t.Fatalf("round %d: a stale gather was not folded afresh", round)
+			}
+			if again, hit := fc.Update(parts, vers); again != next || !hit {
+				t.Fatalf("round %d: a stale gather rolled the cache back", round)
+			}
+		}
+		r = next
 	}
-	if moved == 0 || moved == shards {
-		t.Fatalf("fixture bug: %d of %d shards moved, want a partial move", moved, shards)
-	}
-	r2, hit := fc.Update(next, nextVers)
-	if hit {
-		t.Fatal("a moved vector reported a cache hit")
-	}
-	if got, want := exportBytes(t, r2), exportBytes(t, FoldReports(next...)); !bytes.Equal(got, want) {
-		t.Fatal("incremental Update diverged from a from-scratch fold")
-	}
-
-	// A gather behind the cache folds its own parts and leaves the cache.
-	if r, hit := fc.Update(parts, vers); hit || !bytes.Equal(exportBytes(t, r), exportBytes(t, FoldReports(parts...))) {
-		t.Fatal("a stale gather was not folded afresh")
-	}
-	if r, hit := fc.Update(next, nextVers); r != r2 || !hit {
-		t.Fatal("a stale gather rolled the cache back")
+	if !partial {
+		t.Fatal("fixture bug: no fold saw some but not all shards move")
 	}
 
 	// Part-count change invalidates the structure and rebuilds.
-	r3, _ := fc.Update(shardParts(grown.Wire(), 8), make([]uint64, 8))
-	if got, want := exportBytes(t, r3), exportBytes(t, grown); !bytes.Equal(got, want) {
+	one := NewSnapshotCache(FoldReports(parts...))
+	one.Bump()
+	r3, _ := fc.Update([]*Report{one.Snapshot()}, []uint64{one.Version()})
+	if got, want := exportBytes(t, r3), exportBytes(t, FoldReports(parts...)); !bytes.Equal(got, want) {
 		t.Fatal("rebuild after part-count change diverged")
 	}
 }
@@ -386,8 +459,7 @@ func TestApplyWireFullAndDelta(t *testing.T) {
 	live.Add("app-2", "device-2", "app-2/Action-2", diag, 400*simclock.Millisecond)
 	live.Health.StacksDropped++
 	sc.Bump()
-	d, _ := sc.DeltaSince(v1)
-	if changed := mirror.ApplyWireDelta(wireFrom(t, d)); len(changed) != 1 || changed[0] != mirror.entries.get(rowOf("app-2", "app-2/Action-2", diag.RootCause)) {
+	if changed := mirror.ApplyWireDelta(wireFrom(t, deltaOf(sc, v1))); len(changed) != 1 || changed[0] != mirror.entries.get(rowOf("app-2", "app-2/Action-2", diag.RootCause)) {
 		t.Fatalf("delta apply reported %d changed entries, want the mirror's new entry alone", len(changed))
 	}
 	if !bytes.Equal(exportBytes(t, mirror), exportBytes(t, live)) {
@@ -403,6 +475,32 @@ func TestApplyWireFullAndDelta(t *testing.T) {
 	}
 	if len(changed) < live.Len() {
 		t.Errorf("shrinking full apply reported %d changed entries, want the old∪new union", len(changed))
+	}
+}
+
+// TestApplyWireFullRepeatedIdentity: a full document that holds one
+// identity twice, which only a faulty node sends, leaves a mirror as a
+// delta of the same document does: the last entry, counted once in the
+// mirror's total. Identities the document drops are still reported.
+func TestApplyWireFullRepeatedIdentity(t *testing.T) {
+	entry := func(hangs int, device string) WireEntry {
+		return WireEntry{App: "app", ActionUID: "app/act", RootCause: "c.C.m", File: "C.java", Line: 4,
+			Hangs: hangs, Devices: []string{device},
+			MaxResponse: 300 * simclock.Millisecond, SumResponse: simclock.Duration(hangs) * 300 * simclock.Millisecond}
+	}
+	doc := &WireReport{Entries: []WireEntry{entry(3, "device-1"), entry(5, "device-2")}}
+	full, delta := foldFixture(), NewReport()
+	dropped := full.Len()
+	changed := full.ApplyWireFull(doc)
+	delta.ApplyWireDelta(doc)
+	if full.Len() != 1 || full.TotalHangs() != 5 {
+		t.Fatalf("full apply holds %d entries and %d hangs, want 1 entry of 5 hangs", full.Len(), full.TotalHangs())
+	}
+	if !bytes.Equal(exportBytes(t, full), exportBytes(t, delta)) {
+		t.Fatal("full apply of a document repeating an identity differs from its delta apply")
+	}
+	if len(changed) < 1+dropped {
+		t.Errorf("full apply reported %d changed entries, want the new one and the %d dropped", len(changed), dropped)
 	}
 }
 
@@ -524,7 +622,7 @@ func TestReadsScaleWithChange(t *testing.T) {
 				bump(live, id)
 			}
 			sc.Bump()
-			if d, _ := sc.DeltaSince(since); d.Len() != hot {
+			if d := deltaOf(sc, since); d.Len() != hot {
 				t.Fatalf("delta holds %d entries, want %d", d.Len(), hot)
 			}
 		})

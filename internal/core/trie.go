@@ -9,6 +9,8 @@ package core
 // Every leaf carries a version stamp — the version its entry last changed
 // at — and every node the newest stamp below it, so "what changed after
 // version v" is a walk that skips every subtree stamped at or before v.
+// Those stamps are a node's only change tracker: deltas and the
+// incremental fold both read them (snapshot.go).
 //
 // Ownership decides whether a write copies, by one rule for nodes and
 // leaves alike: each carries the edit token of the trie that created it,
@@ -24,8 +26,7 @@ package core
 // entry plus its stamp, hash and edit token, one 160-byte object on 64-bit
 // platforms (a Go size class), so merging into an entry in place is a
 // write to its leaf: a report merges in place only into entries its trie
-// owns (Report.add). Two versions of a trie share every unchanged subtree,
-// so diffLeaves compares them in time proportional to what changed.
+// owns (Report.add).
 //
 // Iteration order is unspecified; every rendered output sorts.
 
@@ -391,31 +392,5 @@ func (n *trieNode) since(v uint64, all bool, fn func(l *trieLeaf)) {
 	}
 	for _, c := range n.kids {
 		c.since(v, all, fn)
-	}
-}
-
-// diffLeaves calls fn for every leaf of b (a node at shift) that a does not
-// hold at the same place, skipping every subtree the two share: between
-// two versions of a persistent trie it costs the changed leaves, not the
-// trie. Leaves only a holds are not reported, so an empty b reports none.
-func diffLeaves(a, b *trieNode, shift uint, fn func(l *trieLeaf)) {
-	switch {
-	case a == b, b == nil:
-		return
-	case a == nil || shift >= trieBucket:
-		b.since(0, true, fn)
-		return
-	}
-	for m, i := b.leafMap, 0; m != 0; m, i = m&(m-1), i+1 {
-		if bit := m & -m; a.leafMap&bit == 0 || a.leaves[index(a.leafMap, bit)] != b.leaves[i] {
-			fn(b.leaves[i])
-		}
-	}
-	for m, i := b.childMap, 0; m != 0; m, i = m&(m-1), i+1 {
-		if bit := m & -m; a.childMap&bit != 0 {
-			diffLeaves(a.kids[index(a.childMap, bit)], b.kids[i], shift+trieBits, fn)
-		} else {
-			b.kids[i].since(0, true, fn)
-		}
 	}
 }

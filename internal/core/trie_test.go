@@ -29,16 +29,6 @@ var trieKeys = func() []*ReportEntry {
 	return keys
 }()
 
-// keyIndex returns the index in trieKeys of e's identity.
-func keyIndex(e *ReportEntry) int {
-	for i, k := range trieKeys {
-		if k.sameID(e) {
-			return i
-		}
-	}
-	panic(fmt.Sprintf("unknown identity %v", keyOf(e)))
-}
-
 // collidingHash gives a third of the identities their real hash. The rest
 // share every bit but the top two, so they chain down to the last level,
 // and identities equal modulo 4 collide in full.
@@ -174,34 +164,6 @@ func runTrieOps(t *testing.T, ops []byte, colliding bool) {
 		}
 	}
 
-	// diffLeaves between two versions reports every leaf the later one
-	// binds differently, and nothing it does not hold.
-	versions := append(handed, handedOut{cur, model})
-	for i := range versions {
-		var prev *trieNode
-		if i > 0 {
-			prev = versions[i-1].tr.root
-		}
-		next := versions[i]
-		got := map[rowKey]bool{}
-		diffLeaves(prev, next.tr.root, 0, func(l *trieLeaf) {
-			key := keyOf(&l.entry)
-			if next.model[key].e != &l.entry {
-				t.Fatalf("diffLeaves reported %v, which version %d does not hold in that leaf", key, i)
-			}
-			got[key] = true
-		})
-		for key, l := range next.model {
-			var was *trieLeaf
-			if prev != nil {
-				k := keyIndex(l.e)
-				was = prev.find(0, hash(k), trieKeys[k])
-			}
-			if (was == nil || &was.entry != l.e) && !got[key] {
-				t.Fatalf("diffLeaves missed %v, changed in version %d", key, i)
-			}
-		}
-	}
 }
 
 // checkTrie compares tr with model and checks its shape: bitmaps are
@@ -307,6 +269,64 @@ func randomTrieOps(rng *simrand.Rand, n int) []byte {
 func TestTrieLeafSize(t *testing.T) {
 	if n := unsafe.Sizeof(trieLeaf{}); n > 160 {
 		t.Errorf("a trie leaf takes %d bytes, want at most 160", n)
+	}
+}
+
+// TestChangedSincePrunes pins the pruning that deltas and the incremental
+// fold rest on: a walk for "after v" skips every subtree whose node stamp
+// is at or before v. A 4,096-entry trie stamped 1 gets 16 entries changed
+// in a batch stamped 2. Then 8 leaves, each under a different child of the
+// root still stamped 1, are restamped 2 without raising a node stamp,
+// which no write does: a walk of every leaf finds them, a pruning walk
+// never enters their subtrees. changedSince(1) must report exactly the 16
+// changed leaves.
+func TestChangedSincePrunes(t *testing.T) {
+	tr := entryTrie{ver: 1}
+	ids := make([]*ReportEntry, 4096)
+	for i := range ids {
+		ids[i] = rowOf("App", fmt.Sprintf("App/act-%d", i%97), fmt.Sprintf("c.C%d.m", i))
+		tr.bind(hashOf(ids[i]), ids[i], nil)
+	}
+	next := tr.batch()
+	next.ver = 2
+	changed := map[*trieLeaf]bool{}
+	for _, id := range ids[:16] {
+		next.writable(hashOf(id), id).Hangs++
+		changed[next.leaf(id)] = true
+	}
+	hidden := 0
+	for _, c := range next.root.kids {
+		if hidden == 8 {
+			break
+		}
+		if c.ver > 1 {
+			continue
+		}
+		n := c
+		for len(n.leaves) == 0 {
+			n = n.kids[0]
+		}
+		n.leaves[0].ver = 2
+		hidden++
+	}
+	if hidden < 8 {
+		t.Fatalf("fixture bug: %d children of the root stamped 1, want 8", hidden)
+	}
+	stamped := 0
+	next.each(func(l *trieLeaf) {
+		if l.ver > 1 {
+			stamped++
+		}
+	})
+	reported := 0
+	next.changedSince(1, func(l *trieLeaf) {
+		if !changed[l] {
+			t.Fatalf("changedSince(1) reported %v from a subtree stamped 1", keyOf(&l.entry))
+		}
+		reported++
+	})
+	if stamped != 24 || reported != 16 {
+		t.Fatalf("%d leaves stamped 2 (want 24), changedSince(1) reported %d (want 16)", stamped, reported)
 	}
 }
 

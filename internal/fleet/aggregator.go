@@ -127,10 +127,9 @@ func (a *uploadAck) complete() {
 	}
 }
 
-// shardSnap is a shard's reply to a snapshot or delta request: an
-// immutable report (the shard's cached persistent snapshot, or the
-// changed-entries-only delta) and the shard's state version, read in the
-// same shard-goroutine turn so the pair is always consistent.
+// shardSnap is a shard's reply to a snapshot request: its cached
+// persistent snapshot, immutable, and its state version, read in the same
+// shard-goroutine turn so the pair is always consistent.
 type shardSnap struct {
 	rep     *core.Report
 	version uint64
@@ -138,20 +137,19 @@ type shardSnap struct {
 
 // shardMsg is the only thing that crosses into a shard goroutine: a
 // fragment to merge with its upload's ack — a run of the upload's wire
-// entries, and on shard 0 its health section — or a control request (a
-// versioned snapshot, with delta set the changes since version since, or
-// with only ack set a fence that completes the ack).
+// entries, and on shard 0 its health section — or a control request (with
+// snap set a versioned snapshot, with only ack set a fence that completes
+// the ack). A shard answers nothing else: deltas and folds are computed
+// from its snapshots.
 type shardMsg struct {
 	wire   []core.WireEntry
 	health *core.Health
 	ack    *uploadAck
 	snap   chan shardSnap
-	delta  bool
-	since  uint64
 }
 
 // payload reports whether the message carries data to merge (as opposed to
-// a snapshot/delta/fence control request).
+// a snapshot/fence control request).
 func (m *shardMsg) payload() bool {
 	return m.wire != nil || m.health != nil
 }
@@ -661,7 +659,7 @@ func (a *Aggregator) commitBatch(w *nodeWAL, batch []logged) bool {
 // so the committer keeps appending to it and the next batch retries, and
 // after a failed final compaction the next boot replays the tail.
 func (a *Aggregator) compact(w *nodeWAL) {
-	reps, _, ok := a.gather(nil)
+	reps, _, ok := a.gather()
 	if !ok {
 		return // crashed: recovery replays the log as it stands
 	}
@@ -675,7 +673,7 @@ func (a *Aggregator) compact(w *nodeWAL) {
 // runShard is a single-writer merge loop: only this goroutine ever touches
 // its core.Report, which starts as the shard's share of the recovered
 // state. Fragments are drained in batches of up to BatchSize per merge
-// call, and control messages (snapshots, deltas, fences) are answered
+// call, and control messages (snapshots, fences) are answered
 // between batches, so they observe merge-complete states only.
 func (a *Aggregator) runShard(i int, rep *core.Report) {
 	defer a.shardWG.Done()
@@ -688,18 +686,14 @@ func (a *Aggregator) runShard(i int, rep *core.Report) {
 	// after it copies the nodes and entries it writes.
 	cache := core.NewSnapshotCache(rep)
 	serve := func(m shardMsg) {
-		switch {
-		case m.delta:
-			d, v := cache.DeltaSince(m.since)
-			m.snap <- shardSnap{rep: d, version: v}
-		case m.snap != nil:
-			if cache.Cached() {
-				a.metrics.snapshotReuses.Inc()
-			}
-			m.snap <- shardSnap{rep: cache.Snapshot(), version: cache.Version()}
-		default:
+		if m.snap == nil {
 			m.ack.complete() // a fence: everything queued before it has merged
+			return
 		}
+		if cache.Cached() {
+			a.metrics.snapshotReuses.Inc()
+		}
+		m.snap <- shardSnap{rep: cache.Snapshot(), version: cache.Version()}
 	}
 	for {
 		var msg shardMsg
@@ -823,25 +817,21 @@ func (a *Aggregator) reports() (reps []*core.Report, vers []uint64, final, ok bo
 		a.mu.RLock()
 		return a.finals, nil, true, true
 	}
-	reps, vers, ok = a.gather(nil)
+	reps, vers, ok = a.gather()
 	return reps, vers, false, ok
 }
 
-// gather collects one (report, version) pair from every shard: its cached
-// persistent snapshot when since is nil, else its changes since
-// version since[i]. Callers must hold a.mu.RLock with the shards live, or
+// gather collects every shard's cached persistent snapshot and its
+// version: the one read a shard answers, behind Fold, Delta and
+// compaction alike. Callers must hold a.mu.RLock with the shards live, or
 // be the committer, which runs only while they are; ok is false if a crash
 // unwound the gather.
-func (a *Aggregator) gather(since []uint64) (reps []*core.Report, vers []uint64, ok bool) {
+func (a *Aggregator) gather() (reps []*core.Report, vers []uint64, ok bool) {
 	replies := make([]chan shardSnap, a.cfg.Shards)
 	for i, ch := range a.shards {
 		replies[i] = make(chan shardSnap, 1)
-		m := shardMsg{snap: replies[i]}
-		if since != nil {
-			m.delta, m.since = true, since[i]
-		}
 		select {
-		case ch <- m:
+		case ch <- shardMsg{snap: replies[i]}:
 		case <-a.crashCh:
 			return nil, nil, false
 		}
@@ -863,10 +853,12 @@ func (a *Aggregator) gather(since []uint64) (reps []*core.Report, vers []uint64,
 // from a previous response, it returns an immutable report holding only
 // the entries changed since then (plus the fleet's full health section,
 // which is absolute and rides every delta), the current vector, and
-// delta=true. A vector from another epoch (node restart), a different
-// shard count, or a torn-down aggregator cannot be compared — the reply
-// degrades to the full fold with delta=false, which is the self-healing
-// resync path.
+// delta=true. It gathers the shards' snapshots, as Fold does, and walks
+// each one's subtrees stamped after the client's version of that shard
+// into one report (core.DeltaSince). A vector from another epoch (node
+// restart), a different shard count, or a torn-down aggregator cannot be
+// compared — the reply degrades to the full fold with delta=false, which
+// is the self-healing resync path.
 func (a *Aggregator) Delta(since VersionVector) (rep *core.Report, vec VersionVector, delta bool) {
 	if since.Epoch != a.epoch || len(since.Shards) != a.cfg.Shards {
 		rep, vec = a.FoldVersioned()
@@ -878,7 +870,7 @@ func (a *Aggregator) Delta(since VersionVector) (rep *core.Report, vec VersionVe
 		rep, vec = a.FoldVersioned()
 		return rep, vec, false
 	}
-	deltas, vers, ok := a.gather(since.Shards)
+	reps, vers, ok := a.gather()
 	a.mu.RUnlock()
 	if !ok {
 		a.metrics.foldErrors.Inc()
@@ -892,7 +884,7 @@ func (a *Aggregator) Delta(since VersionVector) (rep *core.Report, vec VersionVe
 			return rep, vec, false
 		}
 	}
-	return core.FoldReportsShared(deltas...), VersionVector{Epoch: a.epoch, Shards: vers}, true
+	return core.DeltaSince(reps, since.Shards), VersionVector{Epoch: a.epoch, Shards: vers}, true
 }
 
 // Close drains and stops the aggregator: no new uploads are accepted, but

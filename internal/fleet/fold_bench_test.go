@@ -96,7 +96,7 @@ func churn(b *testing.B, agg *Aggregator, seq int, entries int) {
 // folded serially — what every Fold cost before versioned snapshots.
 func coldFold(a *Aggregator) *core.Report {
 	a.mu.RLock()
-	snaps, _, ok := a.gather(nil)
+	snaps, _, ok := a.gather()
 	a.mu.RUnlock()
 	if !ok {
 		return core.NewReport()
