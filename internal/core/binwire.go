@@ -443,15 +443,19 @@ func (r *Report) MergeWire(wr *WireReport) {
 	r.MergeWireEntries(wr.Entries)
 }
 
-// MergeWireEntries merges wire entries into r. It is the shard-side merge
-// of every upload: a fragment of wire entries goes straight from the
-// decoder, or from Report.Wire, into the shard's report.
+// MergeWireEntries merges wire entries into r, one MergeWireEntry each.
 func (r *Report) MergeWireEntries(entries []WireEntry) {
 	for i := range entries {
-		we := &entries[i]
-		src := we.entry()
-		r.add(hashOf(&src), &src, we.Devices)
+		r.MergeWireEntry(&entries[i])
 	}
+}
+
+// MergeWireEntry merges one wire entry into r. It is the shard-side merge
+// of every upload: a shard reads each entry of its fragment where it lies,
+// in the decoder's view or in Report.Wire's, and we is not retained.
+func (r *Report) MergeWireEntry(we *WireEntry) {
+	src := we.entry()
+	r.add(hashOf(&src), &src, we.Devices)
 }
 
 // entry returns we as a ReportEntry without its device list, which merge

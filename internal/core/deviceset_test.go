@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"hangdoctor/internal/simclock"
+	"hangdoctor/internal/simrand"
 )
 
 // nonCanonicalJSON holds one identity in two entries whose device lists
@@ -210,5 +211,73 @@ func TestDeviceSetAllocs(t *testing.T) {
 	})
 	if allocs != 1 {
 		t.Errorf("copying a handed-out entry with 50 devices allocates %v objects, want 1 (the leaf)", allocs)
+	}
+}
+
+// TestDeviceSetIdentityProbe: with finds a one-device list's name by the
+// identity of its string before it compares names, and the probe never
+// changes a result: an equal name at another address is still the held
+// device, a shorter name at a held name's address is a new one,
+// re-merging the held string allocates nothing, and for lists mixing
+// shared, cloned and prefix strings with is the sorted union.
+func TestDeviceSetIdentityProbe(t *testing.T) {
+	names := make([]string, 30)
+	for i := range names {
+		names[i] = fmt.Sprintf("device-%02d", i)
+	}
+	s := DeviceSet{}.with([]string{names[7], names[12], names[29]})
+	held := s.ids[1]
+	clone, prefix := strings.Clone(held), held[:len(held)-1] // "device-12", "device-1"
+	for _, c := range []struct {
+		name string
+		dev  string
+		hit  bool
+	}{{"held string", held, true}, {"clone", clone, false}, {"prefix", prefix, false}} {
+		if got := s.holdsString(c.dev); got != c.hit {
+			t.Errorf("holdsString(%s %q) = %v, want %v", c.name, c.dev, got, c.hit)
+		}
+	}
+	if got := s.with([]string{clone}); got.Len() != s.Len() || &got.ids[0] != &s.ids[0] {
+		t.Errorf("merging a held device's cloned name gives %q (same array: %v), want the set itself",
+			got.ids, got.Len() > 0 && &got.ids[0] == &s.ids[0])
+	}
+	if got, want := s.with([]string{prefix}).ids, []string{"device-07", "device-1", "device-12", "device-29"}; !slices.Equal(got, want) {
+		t.Errorf("merging %q, a prefix of a held name at its address, gives %q, want %q", prefix, got, want)
+	}
+	var got DeviceSet
+	one := []string{held}
+	if n := testing.AllocsPerRun(100, func() { got = s.with(one) }); n != 0 || &got.ids[0] != &s.ids[0] {
+		t.Errorf("re-merging a held device allocates %v objects and keeps the set: %v, want 0 and true", n, &got.ids[0] == &s.ids[0])
+	}
+
+	rng := simrand.New(30).Derive("identity-probe")
+	for round := 0; round < 2000; round++ {
+		var members []string
+		for _, n := range names {
+			if rng.Bool(0.3) {
+				members = append(members, n)
+			}
+		}
+		set := DeviceSet{}.with(members)
+		devs := make([]string, 1)
+		if rng.Bool(0.3) {
+			devs = make([]string, 2+rng.Intn(3))
+		}
+		for i := range devs {
+			n := names[rng.Intn(len(names))]
+			switch rng.Intn(3) {
+			case 1:
+				n = strings.Clone(n)
+			case 2:
+				n = n[:len(n)-1]
+			}
+			devs[i] = n
+		}
+		want := slices.Concat(members, devs)
+		slices.Sort(want)
+		want = slices.Compact(want)
+		if got := set.with(devs).ids; !slices.Equal(got, want) {
+			t.Fatalf("round %d: %q with %q gives %q, want the sorted union %q", round, members, devs, got, want)
+		}
 	}
 }

@@ -90,9 +90,11 @@ func (e *ReportEntry) merge(src *ReportEntry, devs []string) {
 // ascending order, each once. A set never changes once built: adding a
 // device builds a new backing array, so entries, trie versions and wire
 // views share sets freely, and copying an entry copies no device. The zero
-// value is the empty set, its only representation. Adding to a set of n
-// devices costs O(n), which suits the few dozen devices an entry holds at
-// most; very large sets would want a sketch instead.
+// value is the empty set, its only representation. A device the set
+// already holds is found first by the identity of its name string, which
+// reads no name bytes; adding a device to a set of n costs O(n), which
+// suits the few dozen devices an entry holds at most; very large sets
+// would want a sketch instead.
 type DeviceSet struct {
 	ids []string // ascending, no repeats; nil when empty
 }
@@ -105,8 +107,13 @@ func (s DeviceSet) Len() int { return len(s.ids) }
 func (s DeviceSet) union(o DeviceSet) DeviceSet { return DeviceSet{unionSorted(s.ids, o.ids, true)} }
 
 // with returns s plus the devices listed in devs, in any order and
-// possibly repeated. devs is not retained, so its owner may reuse it.
+// possibly repeated. devs is not retained, so its owner may reuse it. A
+// one-device list, which every upload entry carries, whose string s holds
+// itself returns s before any name is compared.
 func (s DeviceSet) with(devs []string) DeviceSet {
+	if len(devs) == 1 && s.holdsString(devs[0]) {
+		return s
+	}
 	for i := 1; i < len(devs); i++ {
 		if devs[i-1] >= devs[i] {
 			norm := slices.Clone(devs)
@@ -115,6 +122,21 @@ func (s DeviceSet) with(devs []string) DeviceSet {
 		}
 	}
 	return DeviceSet{unionSorted(s.ids, devs, false)}
+}
+
+// holdsString reports whether s holds d's own string: an ID with d's data
+// pointer and length, and so d's bytes. It reads no name bytes, so it
+// hits where names are shared — the simulator interns them, a device's
+// decoder resolves its name to one dictionary string — and a miss says
+// nothing: s may hold an equal name at another address.
+func (s DeviceSet) holdsString(d string) bool {
+	p := unsafe.StringData(d)
+	for _, id := range s.ids {
+		if unsafe.StringData(id) == p && len(id) == len(d) {
+			return true
+		}
+	}
+	return false
 }
 
 // unionSorted returns the union of a and b, each ascending without

@@ -5,13 +5,13 @@
 // The write path is sharded: an upload takes one of a bounded number of
 // admission slots (backpressure, not unbounded buffering, when ingest
 // outruns merging), is split on its submitter's goroutine by a stable hash
-// of each entry's identity into per-shard runs of wire entries, and is
-// merged by N single-writer shard goroutines, each owning a private
-// core.Report. Reads fold shard snapshots on demand. Because
-// core.Report.Merge is commutative and associative, the folded view is
-// byte-identical to a serial merge of the same uploads regardless of shard
-// count, batch boundaries, or arrival order — the property the determinism
-// tests pin down.
+// of each entry's identity into per-shard runs of indices into its wire
+// entries, and is merged where it lies by N single-writer shard
+// goroutines, each owning a private core.Report. Reads fold shard
+// snapshots on demand. Because core.Report.Merge is commutative and
+// associative, the folded view is byte-identical to a serial merge of the
+// same uploads regardless of shard count, batch boundaries, or arrival
+// order — the property the determinism tests pin down.
 //
 // With a WALConfig the aggregator is also durable: a committer goroutine
 // appends each upload, whole, to one node log (see wal.go) and routes its
@@ -136,31 +136,34 @@ type shardSnap struct {
 }
 
 // shardMsg is the only thing that crosses into a shard goroutine: a
-// fragment to merge with its upload's ack — a run of the upload's wire
-// entries, and on shard 0 its health section — or a control request (with
-// snap set a versioned snapshot, with only ack set a fence that completes
-// the ack). A shard answers nothing else: deltas and folds are computed
-// from its snapshots.
+// fragment of upload up to merge with its ack — the indices of the
+// entries the shard owns, in upload order, and on shard 0 whether to add
+// up's health section — or a control request (with snap set a versioned
+// snapshot, with only ack set a fence that completes the ack). A shard
+// answers nothing else: deltas and folds are computed from its snapshots.
+// Every shard channel and batch holds dozens of messages, so the upload
+// rides once, as a pointer, and its entries stay where they lie.
 type shardMsg struct {
-	wire   []core.WireEntry
-	health *core.Health
+	up     *core.WireReport
+	run    []int32
+	health bool
 	ack    *uploadAck
 	snap   chan shardSnap
 }
 
 // payload reports whether the message carries data to merge (as opposed to
 // a snapshot/fence control request).
-func (m *shardMsg) payload() bool {
-	return m.wire != nil || m.health != nil
-}
+func (m *shardMsg) payload() bool { return m.up != nil }
 
 // merge folds the message's payload into rep: the one merge of the shard
 // loop and of WAL replay.
 func (m *shardMsg) merge(rep *core.Report) {
-	if m.health != nil {
-		rep.Health.Add(*m.health)
+	if m.health {
+		rep.Health.Add(m.up.Health)
 	}
-	rep.MergeWireEntries(m.wire)
+	for _, i := range m.run {
+		rep.MergeWireEntry(&m.up.Entries[i])
+	}
 }
 
 // logged is one upload on its way through the committer: its framed log
@@ -387,10 +390,10 @@ func (a *Aggregator) SubmitWait(rep *core.Report) error {
 // WireAck is a reusable merge-completion acknowledgement for
 // SubmitWireAcked. The callback fires only after every routed fragment
 // has merged (or, durably, passed the WAL barrier). That is the signal a
-// zero-copy producer needs to recycle the buffer its wire entries alias:
-// splitting copies entry values into per-shard runs, but the shards read
-// their Devices slices, and the upload's health section, from the
-// producer's buffers until they are done merging.
+// zero-copy producer needs to recycle its upload's buffers: splitting
+// copies nothing, and the shards read the upload's entries, their Devices
+// slices and its health section where the producer put them until they
+// are done merging.
 //
 // A WireAck tracks one in-flight submission at a time; reusing it for the
 // next upload is only legal after the callback fires. The callback runs on
@@ -415,9 +418,11 @@ func NewWireAck(fn func(error)) *WireAck {
 
 // SubmitWireAcked submits one decoded binary upload on the zero-copy path
 // and arranges for wa's callback to fire when every routed fragment has
-// merged. It waits for an admission slot (producers that want
-// backpressure, not rejection). ErrClosed is returned synchronously, and
-// then the callback never fires — the caller still owns the buffer.
+// merged. Until then the shards read wr and its entries in place, so the
+// caller must leave them as they are. It waits for an admission slot
+// (producers that want backpressure, not rejection). ErrClosed is
+// returned synchronously, and then the callback never fires — the caller
+// still owns the buffer.
 func (a *Aggregator) SubmitWireAcked(wr *core.WireReport, wa *WireAck) error {
 	return a.submit(nil, wr, UploadID{}, &wa.ack, true)
 }
@@ -464,35 +469,39 @@ func (a *Aggregator) submitAcked(rep *core.Report, wr *core.WireReport, id Uploa
 }
 
 // split cuts an upload's wire view into one message per shard: runs of
-// its entries, routed by core.ShardIndex, with its health
-// section riding shard 0. The runs are cut from one backing array: split
-// hashes each entry once, counts each shard's run, then fills the runs in
-// upload order. A shard's message is empty when it gets nothing.
+// indices into its entries, routed by core.ShardIndex, with its health
+// section riding shard 0. It copies no entry: the shards merge each one
+// where it lies, so wr must stay as it is until the upload has merged.
+// Every path keeps it so: SubmitWireAcked's buffer contract, submitAcked's
+// wait, the committer's logged fragments and replay's synchronous merge,
+// and a report upload's wire view is submit's own. split hashes each
+// entry once, counts each shard's run, then fills the runs in upload order
+// from one index array. A shard's message is empty when it gets nothing.
 func (a *Aggregator) split(wr *core.WireReport) []shardMsg {
 	n := a.cfg.Shards
 	msgs := make([]shardMsg, n)
 	ents := wr.Entries
-	scratch := make([]int, len(ents)+n) // each entry's shard, then each shard's run length
-	shardOf, runs := scratch[:len(ents)], scratch[len(ents):]
+	// Each entry's shard, each shard's run length, then the runs.
+	scratch := make([]int32, 2*len(ents)+n)
+	shardOf, runs, idx := scratch[:len(ents)], scratch[len(ents):len(ents)+n], scratch[len(ents)+n:]
 	for i := range ents {
 		e := &ents[i]
 		s := core.ShardIndex(e.App, e.ActionUID, e.RootCause, n)
-		shardOf[i] = s
+		shardOf[i] = int32(s)
 		runs[s]++
 	}
-	backing := make([]core.WireEntry, len(ents))
-	off := 0
+	off := int32(0)
 	for s, l := range runs {
 		if l > 0 {
-			msgs[s].wire = backing[off : off : off+l]
+			msgs[s].up, msgs[s].run = wr, idx[off:off:off+l]
 			off += l
 		}
 	}
 	for i, s := range shardOf {
-		msgs[s].wire = append(msgs[s].wire, ents[i])
+		msgs[s].run = append(msgs[s].run, int32(i))
 	}
 	if !wr.Health.Zero() {
-		msgs[0].health = &wr.Health
+		msgs[0].up, msgs[0].health = wr, true
 	}
 	return msgs
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -62,8 +63,11 @@ func TestSubmitWireFoldByteIdentical(t *testing.T) {
 
 // TestSplitAllocs: splitting a decoded binary upload costs the same few
 // allocations whatever its entry count, because its per-shard runs are cut
-// from one backing array rather than grown one slice per shard.
+// from one index array rather than grown one slice per shard, and a few
+// bytes per entry, because the runs index the upload's entries instead of
+// copying them.
 func TestSplitAllocs(t *testing.T) {
+	const rounds = 1000
 	agg := NewAggregator(Config{Shards: 8})
 	defer agg.Close()
 	var allocs []float64
@@ -73,6 +77,16 @@ func TestSplitAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		allocs = append(allocs, testing.AllocsPerRun(100, func() { agg.split(wr) }))
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < rounds; i++ {
+			agg.split(wr)
+		}
+		runtime.ReadMemStats(&after)
+		if got, limit := (after.TotalAlloc-before.TotalAlloc)/rounds, uint64(16*entries+1024); got > limit {
+			t.Errorf("split allocates %d B for %d entries, want at most %d", got, entries, limit)
+		}
 	}
 	if allocs[0] != allocs[1] || allocs[1] > 4 {
 		t.Errorf("split allocates %v for 4 and 120 entries, want one count of at most 4", allocs)

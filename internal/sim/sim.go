@@ -18,8 +18,9 @@
 //   - Device state is struct-of-arrays (state.go); the warm tick mutates
 //     preallocated templates and pooled buffers and allocates nothing.
 //   - Three sinks: in-process (entries go straight to a
-//     fleet.Aggregator via the zero-copy acked wire path, coalescing
-//     Batch uploads per submission), HTTP (binary protocol with
+//     fleet.Aggregator via the zero-copy acked wire path, whose shards
+//     merge them where the worker wrote them, coalescing Batch uploads
+//     per submission), HTTP (binary protocol with
 //     dictionary deltas against real fleetd nodes, one tuned transport
 //     per worker), and discard (scheduler calibration, benchmarks).
 //

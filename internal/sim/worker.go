@@ -21,7 +21,7 @@ import (
 // worker fills with Batch coalesced device uploads, submitted zero-copy
 // via SubmitWireAcked. The buffer cycles through the worker's free list —
 // it is reusable only after the aggregator's merge-completion ack, because
-// the shards read the entry slice until then.
+// the shards merge its entries in place until then.
 type wireBuf struct {
 	entries []core.WireEntry
 	wr      core.WireReport
