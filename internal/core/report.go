@@ -108,8 +108,8 @@ func (s DeviceSet) union(o DeviceSet) DeviceSet { return DeviceSet{unionSorted(s
 
 // with returns s plus the devices listed in devs, in any order and
 // possibly repeated. devs is not retained, so its owner may reuse it. A
-// one-device list, which every upload entry carries, whose string s holds
-// itself returns s before any name is compared.
+// one-device list, which every upload entry carries, returns s before any
+// name is compared when s holds that very string.
 func (s DeviceSet) with(devs []string) DeviceSet {
 	if len(devs) == 1 && s.holdsString(devs[0]) {
 		return s
@@ -125,10 +125,11 @@ func (s DeviceSet) with(devs []string) DeviceSet {
 }
 
 // holdsString reports whether s holds d's own string: an ID with d's data
-// pointer and length, and so d's bytes. It reads no name bytes, so it
-// hits where names are shared — the simulator interns them, a device's
-// decoder resolves its name to one dictionary string — and a miss says
-// nothing: s may hold an equal name at another address.
+// pointer and length, and so, strings being immutable, d's bytes. It
+// reads no name bytes, so it hits where names are shared — the simulator
+// interns them, a device's decoder resolves its name to one dictionary
+// string — and a miss says nothing: s may hold an equal name at another
+// address.
 func (s DeviceSet) holdsString(d string) bool {
 	p := unsafe.StringData(d)
 	for _, id := range s.ids {
