@@ -254,8 +254,8 @@ func TestReportAlgebraLaws(t *testing.T) {
 			check("RefreshKeys", NewReport().RefreshKeys([]*ReportEntry{id}, reportOf(a), reportOf(b)), ab)
 
 			w := reportOf(a)
-			w.MergeWireEntries(decodeBinary(t, reportOf(b)).Entries)
-			check("MergeWireEntries", w, ab)
+			w.MergeWire(decodeBinary(t, reportOf(b)))
+			check("MergeWire", w, ab)
 			full := NewReport()
 			full.ApplyWireFull(decodeBinary(t, reportOf(ab)))
 			check("ApplyWireFull", full, ab)

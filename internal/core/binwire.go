@@ -440,13 +440,8 @@ func (r *Report) Wire() *WireReport {
 // allocates nothing.
 func (r *Report) MergeWire(wr *WireReport) {
 	r.Health.Add(wr.Health)
-	r.MergeWireEntries(wr.Entries)
-}
-
-// MergeWireEntries merges wire entries into r, one MergeWireEntry each.
-func (r *Report) MergeWireEntries(entries []WireEntry) {
-	for i := range entries {
-		r.MergeWireEntry(&entries[i])
+	for i := range wr.Entries {
+		r.MergeWireEntry(&wr.Entries[i])
 	}
 }
 

@@ -90,7 +90,7 @@ func TestDeviceSetCopyOnWrite(t *testing.T) {
 	// One device lands inside the set and one before it, through both
 	// merge paths.
 	live.Add("A", "d2", "A/act", diag, simclock.Second)
-	live.MergeWireEntries([]WireEntry{{App: "A", ActionUID: "A/act", RootCause: diag.RootCause, Hangs: 1, Devices: []string{"d0"}}})
+	live.MergeWireEntry(&WireEntry{App: "A", ActionUID: "A/act", RootCause: diag.RootCause, Hangs: 1, Devices: []string{"d0"}})
 	sc.Bump()
 	if got := live.entries.get(key).Devices.ids; !slices.Equal(got, []string{"d0", "d1", "d2", "d3"}) {
 		t.Fatalf("live entry holds devices %q", got)
@@ -168,7 +168,7 @@ func TestCausalChainCopyOnWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	fromWire := NewReport()
-	fromWire.MergeWireEntries(wr.Entries)
+	fromWire.MergeWire(wr)
 	later := NewReport()
 	later.AddChained("A", "d1", "A/act", diag, CausalChain{Kind: "delay", SharePermille: 7}, simclock.Second)
 	if _, err := dec.DecodeScratch(enc.Encode(later)); err != nil {
@@ -183,10 +183,10 @@ func TestCausalChainCopyOnWrite(t *testing.T) {
 // allocates nothing, and copying a handed-out entry on write allocates
 // its leaf and nothing else, whatever the size of its device set.
 func TestDeviceSetAllocs(t *testing.T) {
-	we := []WireEntry{{App: "A", ActionUID: "A/act", RootCause: "x.Y.m", Hangs: 1, Devices: []string{"d1"}}}
+	we := &WireEntry{App: "A", ActionUID: "A/act", RootCause: "x.Y.m", Hangs: 1, Devices: []string{"d1"}}
 	r := NewReport()
-	r.MergeWireEntries(we)
-	if n := testing.AllocsPerRun(100, func() { r.MergeWireEntries(we) }); n != 0 {
+	r.MergeWireEntry(we)
+	if n := testing.AllocsPerRun(100, func() { r.MergeWireEntry(we) }); n != 0 {
 		t.Errorf("merging a device the entry holds allocates %v objects, want 0", n)
 	}
 
@@ -195,7 +195,7 @@ func TestDeviceSetAllocs(t *testing.T) {
 		devs[i] = fmt.Sprintf("device-%02d", i)
 	}
 	var from entryTrie
-	src := we[0].entry()
+	src := we.entry()
 	from.bind(hashOf(&src), &src, devs)
 	handedOut := from.leaf(&src)
 	// t owns its root node but not the leaf in it, as a batch does after

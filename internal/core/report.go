@@ -90,11 +90,12 @@ func (e *ReportEntry) merge(src *ReportEntry, devs []string) {
 // ascending order, each once. A set never changes once built: adding a
 // device builds a new backing array, so entries, trie versions and wire
 // views share sets freely, and copying an entry copies no device. The zero
-// value is the empty set, its only representation. A device the set
-// already holds is found first by the identity of its name string, which
-// reads no name bytes; adding a device to a set of n costs O(n), which
-// suits the few dozen devices an entry holds at most; very large sets
-// would want a sketch instead.
+// value is the empty set, its only representation. A device whose name
+// arrives as the very string the set holds is found by that string's
+// identity, reading no name bytes; finding it under another string, or
+// adding a device to a set of n, costs O(n), which suits the few dozen
+// devices an entry holds at most; very large sets would want a sketch
+// instead.
 type DeviceSet struct {
 	ids []string // ascending, no repeats; nil when empty
 }
@@ -126,10 +127,13 @@ func (s DeviceSet) with(devs []string) DeviceSet {
 
 // holdsString reports whether s holds d's own string: an ID with d's data
 // pointer and length, and so, strings being immutable, d's bytes. It
-// reads no name bytes, so it hits where names are shared — the simulator
-// interns them, a device's decoder resolves its name to one dictionary
-// string — and a miss says nothing: s may hold an equal name at another
-// address.
+// reads no name bytes, so it hits where names are shared: the simulator
+// interns them, and a device's decoder resolves its name to one
+// dictionary string while the decoder lives. A miss says nothing: s may
+// hold an equal name at another address. A set keeps the string it got
+// first, so after an encoder reset, a dictionary eviction or a node
+// restart, and for JSON uploads, a returning device misses every time
+// and costs one extra pass over the set's string headers.
 func (s DeviceSet) holdsString(d string) bool {
 	p := unsafe.StringData(d)
 	for _, id := range s.ids {

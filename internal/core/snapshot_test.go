@@ -258,8 +258,7 @@ func TestSnapshotRandomBatches(t *testing.T) {
 					live.Merge(frag)
 				} else {
 					wr := wireFrom(t, frag)
-					live.Health.Add(wr.Health)
-					live.MergeWireEntries(wr.Entries)
+					live.MergeWire(wr)
 				}
 			}
 			sc.Bump()
