@@ -124,7 +124,7 @@ func rowOf(app, action, root string) *ReportEntry {
 
 func decodeBinary(t *testing.T, r *Report) *WireReport {
 	t.Helper()
-	wr, err := NewBinaryDecoder().Decode(AppendReportBinary(nil, r))
+	wr, err := decodeNew(NewBinaryDecoder(), AppendReportBinary(nil, r))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -393,11 +393,15 @@ type WireEntry struct {
 }
 
 // WireReport is one decoded binary upload: the uploading device, its
-// entries in document order, and the optional health section.
+// entries in document order, and the optional health section. A view
+// belongs to whoever decodes into it: BinaryDecoder.Decode refills its
+// arrays, so a warm view decodes without allocating.
 type WireReport struct {
 	Device  string
 	Entries []WireEntry
 	Health  Health
+
+	devices []string // backs the entries' Devices lists when decoded into
 }
 
 // TotalHangs sums the diagnosed hangs across entries.
@@ -468,45 +472,17 @@ func (we *WireEntry) entry() ReportEntry {
 // Decoder
 
 // BinaryDecoder decodes one device's binary documents, mirroring the
-// dictionary the device's encoder builds. It is not safe for concurrent
-// use; the fleet layer serializes per-device decoding.
+// dictionary the device's encoder builds. It holds that dictionary and
+// nothing else: the views it decodes into are the caller's. It is not safe
+// for concurrent use; the fleet layer serializes per-device decoding.
 type BinaryDecoder struct {
-	strs []string // dictionary: ref i at strs[i-1]
-
-	// Scratch reused by DecodeScratch (and the pending-delta staging that
-	// both decode paths share).
-	pending []string
-	wr      WireReport
-	devBuf  []string
-	device  string // memo of the last header device (avoids re-allocating it)
+	strs    []string // dictionary: ref i at strs[i-1]
+	pending []string // the document's delta, staged until it validates
+	device  string   // memo of the last header device (avoids re-allocating it)
 }
 
 // NewBinaryDecoder returns an empty-dictionary decoder.
 func NewBinaryDecoder() *BinaryDecoder { return &BinaryDecoder{} }
-
-// Decode parses one document, returning a view whose slices are freshly
-// allocated (safe to retain and hand across goroutines). The dictionary
-// delta commits only if the whole document validates.
-func (d *BinaryDecoder) Decode(doc []byte) (*WireReport, error) {
-	wr := &WireReport{}
-	if err := d.decodeInto(doc, wr, nil); err != nil {
-		return nil, err
-	}
-	return wr, nil
-}
-
-// DecodeScratch is Decode reusing the decoder's internal buffers: the
-// returned view (and everything it references except dictionary strings)
-// is valid only until the next call. Steady-state decoding through this
-// path does not allocate.
-func (d *BinaryDecoder) DecodeScratch(doc []byte) (*WireReport, error) {
-	d.devBuf = d.devBuf[:0]
-	d.wr.Entries = d.wr.Entries[:0]
-	if err := d.decodeInto(doc, &d.wr, &d.devBuf); err != nil {
-		return nil, err
-	}
-	return &d.wr, nil
-}
 
 // resolve maps a 1-based ref onto the committed dictionary plus the
 // document's pending delta.
@@ -524,21 +500,33 @@ func (d *BinaryDecoder) resolve(ref uint64) (string, error) {
 	return "", fmt.Errorf("core: binary report: ref %d beyond dictionary size %d", ref, len(d.strs)+len(d.pending))
 }
 
-// decodeInto is the shared decode body. devBuf, when non-nil, is a reusable
-// flat arena for entry device slices; nil means allocate fresh.
-func (d *BinaryDecoder) decodeInto(doc []byte, wr *WireReport, devBuf *[]string) error {
+// readHeader checks a document's magic and version and reads its flags
+// and device identity, leaving r after the device. It returns memo, not a
+// new string, when the device equals it.
+func readHeader(doc []byte, memo string) (r binReader, flags byte, device string, err error) {
 	if len(doc) < binMinHeaderLen || string(doc[:len(binMagic)]) != binMagic {
-		return errors.New("core: binary report: bad magic")
+		return r, 0, "", errors.New("core: binary report: bad magic")
 	}
 	if v := doc[len(binMagic)]; v != binWireVersion {
-		return fmt.Errorf("core: unsupported binary report version %d", v)
+		return r, 0, "", fmt.Errorf("core: unsupported binary report version %d", v)
 	}
-	flags := doc[len(binMagic)+1]
-	r := &binReader{buf: doc, off: binMinHeaderLen}
+	r = binReader{buf: doc, off: binMinHeaderLen}
+	if device, err = r.strMemo(memo); err != nil {
+		return r, 0, "", fmt.Errorf("core: binary report: device: %w", err)
+	}
+	return r, doc[len(binMagic)+1], device, nil
+}
 
-	device, err := r.strMemo(d.device)
+// Decode parses one document into into, refilling into's entry and device
+// arrays, so decoding into a warm view allocates nothing. The view's
+// slices stay valid until the next decode into it; its strings are the
+// dictionary's and never change. The dictionary delta commits only if the
+// whole document validates. After an error into's contents are
+// unspecified.
+func (d *BinaryDecoder) Decode(doc []byte, into *WireReport) error {
+	r, flags, device, err := readHeader(doc, d.device)
 	if err != nil {
-		return fmt.Errorf("core: binary report: device: %w", err)
+		return err
 	}
 	d.device = device
 
@@ -575,14 +563,11 @@ func (d *BinaryDecoder) decodeInto(doc []byte, wr *WireReport, devBuf *[]string)
 	if err != nil {
 		return err
 	}
-	entries := wr.Entries[:0]
+	entries := into.Entries[:0]
 	if cap(entries) < nEntries && nEntries <= maxBinPrealloc {
 		entries = make([]WireEntry, 0, nEntries)
 	}
-	var devs []string
-	if devBuf != nil {
-		devs = (*devBuf)[:0]
-	}
+	devs := into.devices[:0]
 	for i := 0; i < nEntries; i++ {
 		var we WireEntry
 		var refs [4]uint64
@@ -689,22 +674,20 @@ func (d *BinaryDecoder) decodeInto(doc []byte, wr *WireReport, devBuf *[]string)
 		return fmt.Errorf("core: binary report: %d trailing bytes after document", r.remaining())
 	}
 
-	// Everything validated: commit the delta and publish the view. Because
-	// device slices were arena-packed, the entries' Devices subslices are
-	// already final. An empty dictionary (a fresh decoder's, or after a
-	// resync) adopts the delta instead of copying it.
+	// Everything validated: commit the delta and publish the view. Its
+	// entries' Devices lists are already final subslices of devs. An empty
+	// dictionary (a fresh decoder's, or after a resync) adopts the delta
+	// instead of copying it.
 	if len(d.strs) == 0 {
 		d.strs, d.pending = d.pending, nil
 	} else {
 		d.strs = append(d.strs, d.pending...)
 		d.pending = d.pending[:0]
 	}
-	wr.Device = device
-	wr.Entries = entries
-	wr.Health = health
-	if devBuf != nil {
-		*devBuf = devs
-	}
+	into.Device = device
+	into.Entries = entries
+	into.devices = devs
+	into.Health = health
 	return nil
 }
 
@@ -769,18 +752,8 @@ func (d *BinaryDecoder) decodeCausal(r *binReader, entries []WireEntry, health *
 // header without decoding the body — the fleet layer uses it to pick the
 // per-device dictionary before full decoding.
 func PeekBinaryDevice(doc []byte) (string, error) {
-	if len(doc) < binMinHeaderLen || string(doc[:len(binMagic)]) != binMagic {
-		return "", errors.New("core: binary report: bad magic")
-	}
-	if v := doc[len(binMagic)]; v != binWireVersion {
-		return "", fmt.Errorf("core: unsupported binary report version %d", v)
-	}
-	r := &binReader{buf: doc, off: binMinHeaderLen}
-	dev, err := r.str()
-	if err != nil {
-		return "", fmt.Errorf("core: binary report: device: %w", err)
-	}
-	return dev, nil
+	_, _, device, err := readHeader(doc, "")
+	return device, err
 }
 
 // IsBinaryReport reports whether doc starts with the binary report magic —

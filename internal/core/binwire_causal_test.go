@@ -50,7 +50,7 @@ func TestBinaryCausalFlagSetOnlyWhenNeeded(t *testing.T) {
 // view as the same document without it.
 func TestBinaryDecoderSkipsUnknownExtension(t *testing.T) {
 	doc := AppendReportBinary(nil, causalReport())
-	want, err := NewBinaryDecoder().Decode(doc)
+	want, err := decodeNew(NewBinaryDecoder(), doc)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -59,7 +59,7 @@ func TestBinaryDecoderSkipsUnknownExtension(t *testing.T) {
 	extended[len(binMagic)+1] |= binFlagCausal << 1
 	extended = binary.AppendUvarint(extended, 3)
 	extended = append(extended, 0xde, 0xad, 0xbe)
-	got, err := NewBinaryDecoder().Decode(extended)
+	got, err := decodeNew(NewBinaryDecoder(), extended)
 	if err != nil {
 		t.Fatalf("decode with an unknown extension section: %v", err)
 	}
@@ -72,7 +72,7 @@ func TestBinaryDecoderSkipsUnknownExtension(t *testing.T) {
 // canonical fixed point like everything else.
 func TestBinaryCausalRoundTripCanonical(t *testing.T) {
 	doc := AppendReportBinary(nil, causalReport())
-	wr, err := NewBinaryDecoder().Decode(doc)
+	wr, err := decodeNew(NewBinaryDecoder(), doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +94,11 @@ func TestBinaryCausalDictDelta(t *testing.T) {
 	enc := NewBinaryEncoder("dev-c")
 	dec := NewBinaryDecoder()
 	doc1 := append([]byte(nil), enc.Encode(causalReport())...)
-	if _, err := dec.Decode(doc1); err != nil {
+	if _, err := decodeNew(dec, doc1); err != nil {
 		t.Fatalf("upload 1: %v", err)
 	}
 	doc2 := append([]byte(nil), enc.Encode(causalReport())...)
-	wr2, err := dec.Decode(doc2)
+	wr2, err := decodeNew(dec, doc2)
 	if err != nil {
 		t.Fatalf("upload 2: %v", err)
 	}
@@ -119,13 +119,13 @@ func TestBinaryCausalDictDelta(t *testing.T) {
 // instead of merging garbage.
 func TestBinaryCausalDecodeValidation(t *testing.T) {
 	base := AppendReportBinary(nil, causalReport())
-	if _, err := NewBinaryDecoder().Decode(base); err != nil {
+	if _, err := decodeNew(NewBinaryDecoder(), base); err != nil {
 		t.Fatalf("fixture does not decode: %v", err)
 	}
 	// Truncations inside the causal section must error, not panic or hang.
 	for cut := 1; cut < 40 && cut < len(base); cut++ {
 		trunc := base[:len(base)-cut]
-		if _, err := NewBinaryDecoder().Decode(trunc); err == nil {
+		if _, err := decodeNew(NewBinaryDecoder(), trunc); err == nil {
 			t.Fatalf("truncated doc (-%dB) accepted", cut)
 		}
 	}
@@ -135,7 +135,7 @@ func TestBinaryCausalDecodeValidation(t *testing.T) {
 	if idx >= 0 {
 		bad := append([]byte(nil), base...)
 		bad[idx], bad[idx+1] = 0xff, 0x7f // 16383 permille
-		if _, err := NewBinaryDecoder().Decode(bad); err == nil {
+		if _, err := decodeNew(NewBinaryDecoder(), bad); err == nil {
 			t.Fatal("out-of-range chain share accepted")
 		}
 	}

@@ -10,7 +10,8 @@ import (
 // FuzzBinaryDecode feeds the binary decoder arbitrary bytes: it must never
 // panic, never allocate proportionally to corrupt length fields, and every
 // accepted document must canonicalize to a fixed point (decode → encode →
-// decode → encode is byte-identical).
+// decode → encode is byte-identical), and to the same bytes when decoded
+// into a view that last held another document.
 func FuzzBinaryDecode(f *testing.F) {
 	rep := NewReport()
 	rep.Add("App", "dev-1", "App/act", Diagnosis{RootCause: "x.Y.m", File: "Y.java", Line: 2}, 150*simclock.Millisecond)
@@ -34,20 +35,30 @@ func FuzzBinaryDecode(f *testing.F) {
 	f.Add(append(append([]byte(binMagic), binWireVersion, 0, 0, 0, 0), 0xFF, 0xFF, 0xFF, 0xFF, 0x0F))
 
 	f.Fuzz(func(t *testing.T, doc []byte) {
-		wr, err := NewBinaryDecoder().Decode(doc)
+		wr, err := decodeNew(NewBinaryDecoder(), doc)
 		if err != nil {
 			return
 		}
 		// Accepted: materializing and re-encoding must reach a canonical
 		// fixed point.
 		once := AppendReportBinary(nil, wr.Report())
-		wr2, err := NewBinaryDecoder().Decode(once)
+		wr2, err := decodeNew(NewBinaryDecoder(), once)
 		if err != nil {
 			t.Fatalf("canonical re-encode of accepted doc rejected: %v", err)
 		}
 		twice := AppendReportBinary(nil, wr2.Report())
 		if !bytes.Equal(once, twice) {
 			t.Fatalf("canonicalization is not a fixed point (%d vs %d bytes)", len(once), len(twice))
+		}
+		used, err := decodeNew(NewBinaryDecoder(), AppendReportBinary(nil, causalReport()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := NewBinaryDecoder().Decode(doc, used); err != nil {
+			t.Fatalf("accepted doc rejected in a used view: %v", err)
+		}
+		if again := AppendReportBinary(nil, used.Report()); !bytes.Equal(once, again) {
+			t.Fatalf("a used view canonicalizes to %d bytes, a new one to %d", len(again), len(once))
 		}
 		// The wire totals must survive materialization.
 		if wr.TotalHangs() != wr.Report().TotalHangs() {
@@ -69,14 +80,13 @@ func FuzzBinaryDeltaSequence(f *testing.F) {
 		}
 		enc := NewBinaryEncoder("dev")
 		dec := NewBinaryDecoder()
+		var wr WireReport // both uploads decode into one view
 		for i, spec := range []struct {
 			seed uint64
 			n    int
 		}{{seed1, n1}, {seed2, n2}} {
 			rep := synthReport(spec.seed, "dev", spec.n)
-			doc := enc.Encode(rep)
-			wr, err := dec.Decode(doc)
-			if err != nil {
+			if err := dec.Decode(enc.Encode(rep), &wr); err != nil {
 				t.Fatalf("upload %d: %v", i, err)
 			}
 			var want, got bytes.Buffer

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"hangdoctor/internal/simclock"
 	"hangdoctor/internal/simrand"
@@ -52,6 +54,12 @@ func synthReport(seed uint64, device string, entries int) *Report {
 	return rep
 }
 
+// decodeNew decodes doc through d into a view of its own.
+func decodeNew(d *BinaryDecoder, doc []byte) (*WireReport, error) {
+	wr := new(WireReport)
+	return wr, d.Decode(doc, wr)
+}
+
 func exportJSON(t *testing.T, r *Report) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -70,7 +78,7 @@ func TestBinaryRoundTripCanonical(t *testing.T) {
 		doc := AppendReportBinary(nil, rep)
 
 		dec := NewBinaryDecoder()
-		wr, err := dec.Decode(doc)
+		wr, err := decodeNew(dec, doc)
 		if err != nil {
 			t.Fatalf("seed %d: decode: %v", seed, err)
 		}
@@ -92,7 +100,7 @@ func TestBinaryDifferentialJSON(t *testing.T) {
 			t.Fatalf("seed %d: json import: %v", seed, err)
 		}
 		dec := NewBinaryDecoder()
-		wr, err := dec.Decode(AppendReportBinary(nil, rep))
+		wr, err := decodeNew(dec, AppendReportBinary(nil, rep))
 		if err != nil {
 			t.Fatalf("seed %d: binary decode: %v", seed, err)
 		}
@@ -115,7 +123,7 @@ func TestBinaryDictDelta(t *testing.T) {
 
 	rep1 := synthReport(1, "device-7", 60)
 	doc1 := append([]byte(nil), enc.Encode(rep1)...)
-	wr1, err := dec.Decode(doc1)
+	wr1, err := decodeNew(dec, doc1)
 	if err != nil {
 		t.Fatalf("upload 1: %v", err)
 	}
@@ -134,7 +142,7 @@ func TestBinaryDictDelta(t *testing.T) {
 	// empty delta and collapses to refs.
 	rep2 := synthReport(1, "device-7", 60)
 	doc2 := append([]byte(nil), enc.Encode(rep2)...)
-	wr2, err := dec.Decode(doc2)
+	wr2, err := decodeNew(dec, doc2)
 	if err != nil {
 		t.Fatalf("upload 2: %v", err)
 	}
@@ -154,7 +162,7 @@ func TestBinaryDictDelta(t *testing.T) {
 	rep3 := synthReport(2, "device-7", 60)
 	dict3 := len(dec.strs)
 	doc3 := append([]byte(nil), enc.Encode(rep3)...)
-	wr3, err := dec.Decode(doc3)
+	wr3, err := decodeNew(dec, doc3)
 	if err != nil {
 		t.Fatalf("upload 3: %v", err)
 	}
@@ -176,7 +184,7 @@ func TestBinaryDictMismatchAndReset(t *testing.T) {
 	doc2 := append([]byte(nil), enc.Encode(rep)...) // delta-only document
 
 	fresh := NewBinaryDecoder()
-	_, err := fresh.Decode(doc2)
+	_, err := decodeNew(fresh, doc2)
 	var mismatch *DictMismatchError
 	if !errors.As(err, &mismatch) {
 		t.Fatalf("want DictMismatchError, got %v", err)
@@ -187,7 +195,7 @@ func TestBinaryDictMismatchAndReset(t *testing.T) {
 
 	enc.Reset()
 	full := enc.Encode(rep)
-	wr, err := fresh.Decode(full)
+	wr, err := decodeNew(fresh, full)
 	if err != nil {
 		t.Fatalf("full resend after reset: %v", err)
 	}
@@ -197,13 +205,13 @@ func TestBinaryDictMismatchAndReset(t *testing.T) {
 
 	// A dictBase-0 document also resets a decoder that held state.
 	warm := NewBinaryDecoder()
-	if _, err := warm.Decode(full); err != nil {
+	if _, err := decodeNew(warm, full); err != nil {
 		t.Fatal(err)
 	}
 	before := len(warm.strs)
 	enc2 := NewBinaryEncoder("d")
 	tiny := synthReport(4, "d", 2)
-	if _, err := warm.Decode(enc2.Encode(tiny)); err != nil {
+	if _, err := decodeNew(warm, enc2.Encode(tiny)); err != nil {
 		t.Fatalf("reset document rejected: %v", err)
 	}
 	if len(warm.strs) >= before {
@@ -219,13 +227,13 @@ func TestBinaryRejectedDocDoesNotCommit(t *testing.T) {
 	doc := append([]byte(nil), enc.Encode(rep)...)
 
 	dec := NewBinaryDecoder()
-	if _, err := dec.Decode(doc[:len(doc)-1]); err == nil {
+	if _, err := decodeNew(dec, doc[:len(doc)-1]); err == nil {
 		t.Fatal("truncated document accepted")
 	}
 	if len(dec.strs) != 0 {
 		t.Fatalf("rejected document committed %d dictionary strings", len(dec.strs))
 	}
-	if _, err := dec.Decode(doc); err != nil {
+	if _, err := decodeNew(dec, doc); err != nil {
 		t.Fatalf("clean document after rejection: %v", err)
 	}
 }
@@ -242,7 +250,7 @@ func TestBinaryDecodeValidation(t *testing.T) {
 		"trailing":    append(append([]byte(nil), good...), 0xEE),
 	}
 	for name, doc := range cases {
-		if _, err := NewBinaryDecoder().Decode(doc); err == nil {
+		if _, err := decodeNew(NewBinaryDecoder(), doc); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -256,7 +264,7 @@ func TestBinaryDecodeValidation(t *testing.T) {
 	doc = appendUvarint(doc, 0) // dict count
 	doc = appendUvarint(doc, 1) // entry count
 	doc = appendUvarint(doc, 9) // app ref out of range
-	if _, err := NewBinaryDecoder().Decode(doc); err == nil {
+	if _, err := decodeNew(NewBinaryDecoder(), doc); err == nil {
 		t.Error("out-of-range ref accepted")
 	}
 
@@ -270,7 +278,7 @@ func TestBinaryDecodeValidation(t *testing.T) {
 	doc2 = appendUvarint(doc2, 2)
 	doc2 = append(doc2, 0xFF, 0xFE)
 	doc2 = appendUvarint(doc2, 0)
-	if _, err := NewBinaryDecoder().Decode(doc2); err == nil {
+	if _, err := decodeNew(NewBinaryDecoder(), doc2); err == nil {
 		t.Error("invalid UTF-8 accepted")
 	}
 }
@@ -286,7 +294,7 @@ func TestMergeWireMatchesMerge(t *testing.T) {
 
 	got := FoldReports(base)
 	dec := NewBinaryDecoder()
-	wr, err := dec.Decode(AppendReportBinary(nil, up))
+	wr, err := decodeNew(dec, AppendReportBinary(nil, up))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,31 +305,92 @@ func TestMergeWireMatchesMerge(t *testing.T) {
 	}
 }
 
-// TestBinaryDecodeScratchAllocs pins the hot-path claim: steady-state
-// decoding of a warm-dictionary (empty-delta) document through
-// DecodeScratch does not allocate.
-func TestBinaryDecodeScratchAllocs(t *testing.T) {
+// TestBinaryDecodeWarmViewAllocs pins the hot-path claim: decoding a
+// warm-dictionary (empty-delta) document into a warm view does not
+// allocate.
+func TestBinaryDecodeWarmViewAllocs(t *testing.T) {
 	enc := NewBinaryEncoder("device-0")
 	rep := synthReport(9, "device-0", 60)
 	full := append([]byte(nil), enc.Encode(rep)...) // establishes the dictionary
 	doc := append([]byte(nil), enc.Encode(rep)...)  // empty-delta document
 
 	dec := NewBinaryDecoder()
-	if _, err := dec.DecodeScratch(full); err != nil {
+	var view WireReport
+	if err := dec.Decode(full, &view); err != nil {
 		t.Fatal(err)
 	}
 	// The empty-delta doc neither grows the dictionary nor mismatches, so
-	// it decodes repeatably; one warm pass grows the scratch.
-	if _, err := dec.DecodeScratch(doc); err != nil {
-		t.Fatal(err)
-	}
+	// it decodes repeatably into the view the first document sized.
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := dec.DecodeScratch(doc); err != nil {
+		if err := dec.Decode(doc, &view); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("warm DecodeScratch allocates %v times per op, want 0", allocs)
+		t.Fatalf("decoding into a warm view allocates %v times per op, want 0", allocs)
+	}
+}
+
+// TestDecodeIntoUsedView: a view that held a large document, with causal
+// chains, multi-device entries and health, takes a smaller plain one as a
+// new view does, in the arrays it already has, and keeps nothing of the
+// first: the device, every entry with its devices and chain, and the
+// health.
+func TestDecodeIntoUsedView(t *testing.T) {
+	large := causalReport()
+	large.Merge(synthReport(12, "dev-3", 60))
+	large.Health.CountersLost = 2
+	plain := NewReport()
+	plain.Add("App", "d", "App/a", Diagnosis{RootCause: "x.Y.m", File: "Y.java", Line: 2}, 150*simclock.Millisecond)
+	plain.Add("App", "d", "App/b", Diagnosis{RootCause: "x.Z.n", File: "Z.java", Line: 9}, 120*simclock.Millisecond)
+	small := NewBinaryEncoder("device-small").Encode(plain)
+
+	var view WireReport
+	if err := NewBinaryDecoder().Decode(AppendReportBinary(nil, large), &view); err != nil {
+		t.Fatal(err)
+	}
+	chained, shared := 0, 0
+	for i := range view.Entries {
+		if !view.Entries[i].Chain.Zero() {
+			chained++
+		}
+		if len(view.Entries[i].Devices) > 1 {
+			shared++
+		}
+	}
+	if chained == 0 || shared == 0 || view.Health.Zero() || len(view.Entries) <= len(plain.Wire().Entries) {
+		t.Fatalf("the large document decodes to %d entries, %d chained, %d on several devices, health %v: it tests nothing", len(view.Entries), chained, shared, view.Health)
+	}
+	entries := &view.Entries[0]
+
+	if err := NewBinaryDecoder().Decode(small, &view); err != nil {
+		t.Fatal(err)
+	}
+	want, err := decodeNew(NewBinaryDecoder(), small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if view.Device != want.Device || view.Health != want.Health || len(view.Entries) != len(want.Entries) {
+		t.Fatalf("the used view holds device %q, health %v and %d entries, want %q, %v and %d",
+			view.Device, view.Health, len(view.Entries), want.Device, want.Health, len(want.Entries))
+	}
+	for i := range want.Entries {
+		if got, w := view.Entries[i], want.Entries[i]; !reflect.DeepEqual(got, w) {
+			t.Errorf("entry %d of the used view is %+v, want %+v", i, got, w)
+		}
+	}
+	if &view.Entries[0] != entries {
+		t.Error("the smaller document did not reuse the view's entry array")
+	}
+}
+
+// TestBinaryDecoderSize pins what a decoder costs the fleet, which keeps
+// one per device: its dictionary, the delta it stages and its device memo,
+// eight words (64 B on 64-bit platforms), and no buffers for the views it
+// decodes into, which are the caller's.
+func TestBinaryDecoderSize(t *testing.T) {
+	if got, want := unsafe.Sizeof(BinaryDecoder{}), 8*unsafe.Sizeof(uintptr(0)); got != want {
+		t.Errorf("a decoder takes %d bytes, want %d", got, want)
 	}
 }
 
@@ -329,9 +398,9 @@ func TestBinaryDecodeScratchAllocs(t *testing.T) {
 // document's dictionary delta as its dictionary instead of copying it,
 // and holds no cache beside it. Building a decoder, kept as the fleet
 // keeps one per device, and decoding a document that carries k
-// dictionary strings and no entries allocates the decoder, the view, the
-// delta's array and its k strings, and nothing more, and the decoder
-// keeps no scratch beside its dictionary.
+// dictionary strings and no entries into the caller's view allocates the
+// decoder, the delta's array and its k strings, and nothing more, and the
+// decoder keeps no scratch beside its dictionary.
 func TestFreshDecoderAdoptsDictionary(t *testing.T) {
 	const k = 40
 	delta := make([]string, k)
@@ -344,15 +413,16 @@ func TestFreshDecoderAdoptsDictionary(t *testing.T) {
 
 	decs := make([]*BinaryDecoder, 101) // AllocsPerRun's warm-up and 100 runs
 	next := 0
+	var view WireReport
 	allocs := testing.AllocsPerRun(100, func() {
 		decs[next] = NewBinaryDecoder()
-		if _, err := decs[next].Decode(doc); err != nil {
+		if err := decs[next].Decode(doc, &view); err != nil {
 			t.Fatal(err)
 		}
 		next++
 	})
-	if want := float64(k + 3); allocs != want {
-		t.Errorf("a fresh decoder and its first Decode allocate %v objects, want %v: the decoder, the view, the delta's array and its %d strings", allocs, want, k)
+	if want := float64(k + 2); allocs != want {
+		t.Errorf("a fresh decoder and its first Decode allocate %v objects, want %v: the decoder, the delta's array and its %d strings", allocs, want, k)
 	}
 	if d := decs[0]; len(d.strs) != k || d.pending != nil {
 		t.Errorf("after its first document a fresh decoder holds %d strings and %d of scratch, want %d and none", len(d.strs), cap(d.pending), k)
@@ -366,7 +436,7 @@ func TestShardIndexKeyMatchesShardIndex(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		rep := synthReport(seed, "d", 20)
 		rep.Health.StacksDropped = int(seed)
-		decoded, err := NewBinaryDecoder().Decode(AppendReportBinary(nil, rep))
+		decoded, err := decodeNew(NewBinaryDecoder(), AppendReportBinary(nil, rep))
 		if err != nil {
 			t.Fatal(err)
 		}

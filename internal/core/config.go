@@ -35,13 +35,8 @@ func DefaultConditions() []Condition {
 // Config parameterizes a Doctor. The zero value is completed by
 // (*Config).withDefaults; Doctor constructors call it for you.
 type Config struct {
-	// PerceivableDelay is the soft-hang threshold (default 100 ms).
-	PerceivableDelay simclock.Duration
 	// Conditions are the S-Checker symptoms (default: the paper's three).
 	Conditions []Condition
-	// SamplePeriod is the Diagnoser's stack sampling interval (default
-	// 20 ms, ~60 samples over the paper's 1.3 s example hang).
-	SamplePeriod simclock.Duration
 	// OccurrenceHigh is the occurrence-factor threshold above which a
 	// single API is reported as the root cause (default 0.5).
 	OccurrenceHigh float64
@@ -58,35 +53,11 @@ type Config struct {
 	// 20, as in the paper's EventBreak reference; 0 disables).
 	ResetEvery int
 
-	// Degraded-operation knobs: how the Doctor compensates when the
-	// measurement plane fails (see internal/fault). All of them are inert
-	// on a perfect plane, so the defaults change nothing fault-free.
-
-	// PerfOpenRetries is how many times a failed perf-session open is
-	// retried within the same action execution (default 2, so up to three
-	// attempts; negative disables retries).
-	PerfOpenRetries int
-	// PerfRetryBackoff is the delay before the first open retry, doubling
-	// per attempt (default 5 ms).
+	// PerfRetryBackoff is the delay before the first retry of a failed
+	// perf-session open, doubling per attempt (default 5 ms). It is inert
+	// on a perfect measurement plane, as are the degraded-operation
+	// constants below.
 	PerfRetryBackoff simclock.Duration
-	// QuarantineAfter quarantines an action after this many consecutive
-	// executions in which no perf session could be opened at all (default
-	// 3; negative disables quarantine).
-	QuarantineAfter int
-	// QuarantineExecs is how many executions a quarantined action skips
-	// S-Checker monitoring for, avoiding open costs that keep failing
-	// (default 25). Judgement is deferred meanwhile.
-	QuarantineExecs int
-	// DegradedMarginScale multiplies non-zero condition thresholds when the
-	// render-thread difference is unavailable and the S-Checker falls back
-	// to main-thread-only values (default 2): main-only counters include
-	// the common-mode baseline the difference would cancel, so the margins
-	// must widen to keep UI work from looking like a bug.
-	DegradedMarginScale float64
-	// DegradedZeroThreshold replaces zero thresholds (the context-switch
-	// condition) in degraded main-thread-only mode, where a strictly
-	// positive count no longer implies a blocked main thread (default 8).
-	DegradedZeroThreshold int64
 
 	// Ablation switches (all default off; used by the ablation benches).
 
@@ -123,14 +94,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.PerceivableDelay == 0 {
-		c.PerceivableDelay = 100 * simclock.Millisecond
-	}
 	if c.Conditions == nil {
 		c.Conditions = DefaultConditions()
-	}
-	if c.SamplePeriod == 0 {
-		c.SamplePeriod = 20 * simclock.Millisecond
 	}
 	if c.OccurrenceHigh == 0 {
 		c.OccurrenceHigh = 0.5
@@ -141,36 +106,46 @@ func (c Config) withDefaults() Config {
 	if c.ResetEvery == 0 {
 		c.ResetEvery = 20
 	}
-	if c.PerfOpenRetries == 0 {
-		c.PerfOpenRetries = 2
-	} else if c.PerfOpenRetries < 0 {
-		c.PerfOpenRetries = 0
-	}
 	if c.PerfRetryBackoff == 0 {
 		c.PerfRetryBackoff = 5 * simclock.Millisecond
-	}
-	if c.QuarantineAfter == 0 {
-		c.QuarantineAfter = 3
-	}
-	if c.QuarantineExecs == 0 {
-		c.QuarantineExecs = 25
-	}
-	if c.DegradedMarginScale == 0 {
-		c.DegradedMarginScale = 2
-	}
-	if c.DegradedZeroThreshold == 0 {
-		c.DegradedZeroThreshold = 8
 	}
 	return c
 }
 
+// Degraded operation: how the Doctor compensates when the measurement
+// plane fails (see internal/fault). Every one of these is inert on a
+// perfect plane. The soft-hang threshold is detect.PerceivableDelay and
+// the Diagnoser samples every detect.StackSamplePeriod.
+const (
+	// perfOpenRetries is how many times a failed perf-session open is
+	// retried within the same action execution: up to three attempts.
+	perfOpenRetries = 2
+	// quarantineAfter quarantines an action after this many consecutive
+	// executions in which no perf session could be opened at all.
+	quarantineAfter = 3
+	// quarantineExecs is how many executions a quarantined action skips
+	// S-Checker monitoring for, avoiding open costs that keep failing.
+	// Judgement is deferred meanwhile.
+	quarantineExecs = 25
+	// degradedMarginScale multiplies non-zero condition thresholds when the
+	// render-thread difference is unavailable and the S-Checker falls back
+	// to main-thread-only values: main-only counters include the
+	// common-mode baseline the difference would cancel, so the margins
+	// must widen to keep UI work from looking like a bug.
+	degradedMarginScale = 2
+	// degradedZeroThreshold replaces zero thresholds (the context-switch
+	// condition) in degraded main-thread-only mode, where a strictly
+	// positive count no longer implies a blocked main thread.
+	degradedZeroThreshold = 8
+)
+
 // degradedThreshold widens a condition's threshold for main-thread-only
 // evaluation when the render difference is unavailable.
-func (c Config) degradedThreshold(cond Condition) int64 {
+func degradedThreshold(cond Condition) int64 {
 	if cond.Threshold > 0 {
-		return int64(float64(cond.Threshold) * c.DegradedMarginScale)
+		return int64(float64(cond.Threshold) * degradedMarginScale)
 	}
-	return c.DegradedZeroThreshold
+	return degradedZeroThreshold
 }
 
 // conditionEvents lists the events the S-Checker must monitor.

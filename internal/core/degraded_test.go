@@ -156,7 +156,7 @@ func TestStackMissHalfStillDetects(t *testing.T) {
 }
 
 // TestOpenFailQuarantine: when every perf open fails, repeat offenders are
-// quarantined after QuarantineAfter consecutive failures and the Doctor
+// quarantined after quarantineAfter consecutive failures and the Doctor
 // stops burning retries on them.
 func TestOpenFailQuarantine(t *testing.T) {
 	d, _ := runFaulted(t, "K9-Mail", Config{}, 11, 140, fault.New(7, fault.Rates{PerfOpenFail: 1}))

@@ -52,7 +52,7 @@ func TestDeviceSetNormalisesImports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wr, err := NewBinaryDecoder().Decode(nonCanonicalBinary())
+	wr, err := decodeNew(NewBinaryDecoder(), nonCanonicalBinary())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,22 +160,22 @@ func TestCausalChainCopyOnWrite(t *testing.T) {
 		t.Errorf("the live entry holds the chain %+v (shared with the snapshot: %v), want a new %+v", *got, got == held, want)
 	}
 
-	// The decoder's next document does not reach a chain merged from its
-	// scratch view.
+	// The next document decoded into a view does not reach a chain merged
+	// from it.
 	enc, dec := NewBinaryEncoder("d1"), NewBinaryDecoder()
-	wr, err := dec.DecodeScratch(enc.Encode(live))
-	if err != nil {
+	var view WireReport
+	if err := dec.Decode(enc.Encode(live), &view); err != nil {
 		t.Fatal(err)
 	}
 	fromWire := NewReport()
-	fromWire.MergeWire(wr)
+	fromWire.MergeWire(&view)
 	later := NewReport()
 	later.AddChained("A", "d1", "A/act", diag, CausalChain{Kind: "delay", SharePermille: 7}, simclock.Second)
-	if _, err := dec.DecodeScratch(enc.Encode(later)); err != nil {
+	if err := dec.Decode(enc.Encode(later), &view); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := fromWire.entries.get(key).Chain, live.entries.get(key).Chain; *got != *want {
-		t.Errorf("a chain merged from a scratch view changed to %+v with the decoder's next document, want %+v", *got, *want)
+		t.Errorf("a chain merged from a view changed to %+v with the next document decoded into it, want %+v", *got, *want)
 	}
 }
 

@@ -282,7 +282,7 @@ func (d *Doctor) openPerf(r *actionRecord, e *app.ActionExec, attempt int) {
 		// A failed perf_event_open still costs the syscall round trip.
 		d.log.AddCost(perf.CostOpenNs)
 		d.health.PerfOpenFailures++
-		if attempt < d.cfg.PerfOpenRetries {
+		if attempt < perfOpenRetries {
 			d.health.PerfOpenRetries++
 			backoff := d.cfg.PerfRetryBackoff << attempt
 			d.retryTimer = d.session.Clk.After(backoff, func() {
@@ -345,7 +345,7 @@ func (d *Doctor) EventStart(e *app.ActionExec, ev *app.EventExec) {
 	}
 	d.log.AddCost(detect.CostWatchdogNs)
 	evRef := ev
-	d.session.Clk.After(d.cfg.PerceivableDelay, func() {
+	d.session.Clk.After(detect.PerceivableDelay, func() {
 		if !evRef.Done && d.curRec == r {
 			d.startSampler()
 		}
@@ -401,7 +401,7 @@ func (d *Doctor) startSampler() {
 				d.log.AddMem(detect.BytesPerStackSample)
 			}
 		}
-		period := d.cfg.SamplePeriod
+		period := detect.StackSamplePeriod
 		if extra, ok := d.session.Faults().OverrunExtra(period); ok {
 			period += extra
 			d.health.SamplerOverruns++
@@ -450,7 +450,7 @@ func (d *Doctor) ActionEnd(e *app.ActionExec) {
 		d.openFailed = true
 	}
 	rt := e.ResponseTime()
-	hang := rt > d.cfg.PerceivableDelay
+	hang := rt > detect.PerceivableDelay
 	d.execsSeen++
 	if hang {
 		d.hangsSeen++
@@ -496,9 +496,9 @@ func (d *Doctor) sCheck(r *actionRecord, e *app.ActionExec, rt simclock.Duration
 		// quarantined. Never judge without data.
 		if d.openFailed {
 			r.consecOpenFails++
-			if d.cfg.QuarantineAfter > 0 && r.consecOpenFails >= d.cfg.QuarantineAfter {
+			if r.consecOpenFails >= quarantineAfter {
 				r.consecOpenFails = 0
-				r.quarantineLeft = d.cfg.QuarantineExecs
+				r.quarantineLeft = quarantineExecs
 				d.health.Quarantines++
 			}
 		}
@@ -560,7 +560,7 @@ func (d *Doctor) sCheck(r *actionRecord, e *app.ActionExec, rt simclock.Duration
 		values[i] = v
 		thr := cond.Threshold
 		if degraded {
-			thr = d.cfg.degradedThreshold(cond)
+			thr = degradedThreshold(cond)
 		}
 		if v > thr {
 			fired = append(fired, i)
@@ -576,7 +576,7 @@ func (d *Doctor) sCheck(r *actionRecord, e *app.ActionExec, rt simclock.Duration
 		// with difference-mode thresholds and would skew adaptation.
 		d.adaptSet = append(d.adaptSet, LabeledReading{
 			ActionUID: r.uid, Values: append([]int64(nil), values...),
-			IsBug: e.BugCaused(d.cfg.PerceivableDelay) != nil,
+			IsBug: e.BugCaused(detect.PerceivableDelay) != nil,
 		})
 	}
 	if lowConf {

@@ -28,7 +28,7 @@ func TestDocWriterDecodes(t *testing.T) {
 	var w DocWriter
 	doc := docWriterDoc(&w, "device-x", 0, docWriterDict)
 	dec := NewBinaryDecoder()
-	wr, err := dec.Decode(doc)
+	wr, err := decodeNew(dec, doc)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -69,7 +69,7 @@ func TestDocWriterMatchesEncoderReport(t *testing.T) {
 
 	var w DocWriter
 	doc := docWriterDoc(&w, "device-x", 0, docWriterDict)
-	wr, err := NewBinaryDecoder().Decode(doc)
+	wr, err := decodeNew(NewBinaryDecoder(), doc)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -84,7 +84,7 @@ func TestDocWriterMatchesEncoderReport(t *testing.T) {
 func TestDocWriterDeltaProtocol(t *testing.T) {
 	var w DocWriter
 	dec := NewBinaryDecoder()
-	if _, err := dec.Decode(docWriterDoc(&w, "device-x", 0, docWriterDict)); err != nil {
+	if _, err := decodeNew(dec, docWriterDoc(&w, "device-x", 0, docWriterDict)); err != nil {
 		t.Fatalf("full upload: %v", err)
 	}
 	if len(dec.strs) != len(docWriterDict) {
@@ -93,7 +93,7 @@ func TestDocWriterDeltaProtocol(t *testing.T) {
 
 	// Steady state: empty delta against the committed base.
 	steady := docWriterDoc(&w, "device-x", len(docWriterDict), nil)
-	wr, err := dec.Decode(steady)
+	wr, err := decodeNew(dec, steady)
 	if err != nil {
 		t.Fatalf("delta upload: %v", err)
 	}
@@ -104,12 +104,12 @@ func TestDocWriterDeltaProtocol(t *testing.T) {
 	// A fresh decoder (server restart) rejects the delta with a
 	// dictionary mismatch; resending in full recovers.
 	fresh := NewBinaryDecoder()
-	_, err = fresh.Decode(docWriterDoc(&w, "device-x", len(docWriterDict), nil))
+	_, err = decodeNew(fresh, docWriterDoc(&w, "device-x", len(docWriterDict), nil))
 	var dm *DictMismatchError
 	if !errors.As(err, &dm) {
 		t.Fatalf("stale delta err = %v, want DictMismatchError", err)
 	}
-	if _, err := fresh.Decode(docWriterDoc(&w, "device-x", 0, docWriterDict)); err != nil {
+	if _, err := decodeNew(fresh, docWriterDoc(&w, "device-x", 0, docWriterDict)); err != nil {
 		t.Fatalf("resync resend: %v", err)
 	}
 }

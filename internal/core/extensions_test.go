@@ -237,7 +237,7 @@ func TestTelemetryDashboard(t *testing.T) {
 }
 
 func TestTelemetryReservoirBounded(t *testing.T) {
-	tel := NewTelemetry(0)
+	tel := NewTelemetry()
 	for i := 0; i < 5000; i++ {
 		tel.Record("a/x", simclock.Duration(i)*simclock.Millisecond)
 	}

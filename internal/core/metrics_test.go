@@ -112,7 +112,7 @@ func TestDoctorMetricsFaultGroundTruth(t *testing.T) {
 // sort-per-call implementation, and a Record between calls must refresh
 // it.
 func TestPercentileCacheCorrectAndInvalidated(t *testing.T) {
-	tel := NewTelemetry(100 * simclock.Millisecond)
+	tel := NewTelemetry()
 	for _, ms := range []int{30, 10, 20} {
 		tel.Record("a", simclock.Duration(ms)*simclock.Millisecond)
 	}
@@ -145,7 +145,7 @@ func TestPercentileCacheCorrectAndInvalidated(t *testing.T) {
 // call, so rendering one dashboard row cost three sorts. A warm stats row
 // must now answer any number of percentile queries without allocating.
 func TestPercentileWarmZeroAlloc(t *testing.T) {
-	tel := NewTelemetry(100 * simclock.Millisecond)
+	tel := NewTelemetry()
 	for i := 0; i < 2*maxReservoir; i++ {
 		tel.Record("a", simclock.Duration(i%400)*simclock.Millisecond)
 	}

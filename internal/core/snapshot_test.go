@@ -429,7 +429,7 @@ func TestFoldCacheIncremental(t *testing.T) {
 // produce the WireReport a delta-protocol client receives.
 func wireFrom(t *testing.T, r *Report) *WireReport {
 	t.Helper()
-	wr, err := NewBinaryDecoder().Decode(AppendReportBinary(nil, r))
+	wr, err := decodeNew(NewBinaryDecoder(), AppendReportBinary(nil, r))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,8 +54,8 @@ type actionRecord struct {
 	// (the Table 6 data).
 	lastSymptoms []int
 	// consecOpenFails counts consecutive executions whose perf sessions
-	// could not be opened at all; reaching Config.QuarantineAfter
-	// quarantines the action.
+	// could not be opened at all; reaching quarantineAfter quarantines the
+	// action.
 	consecOpenFails int
 	// quarantineLeft is how many more executions skip S-Checker monitoring
 	// because the action's measurement plane kept failing.

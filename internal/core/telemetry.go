@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"hangdoctor/internal/detect"
 	"hangdoctor/internal/simclock"
 	"hangdoctor/internal/stats"
 )
@@ -58,8 +59,7 @@ func (s *ActionStats) Percentile(q float64) float64 {
 // statistical information about the app responsiveness performance in the
 // wild"). The Doctor feeds it on every action execution, hang or not.
 type Telemetry struct {
-	perceivable simclock.Duration
-	actions     map[string]*ActionStats
+	actions map[string]*ActionStats
 	// rngState drives reservoir replacement deterministically without an
 	// external RNG dependency (splitmix64 step).
 	rngState uint64
@@ -70,14 +70,10 @@ type Telemetry struct {
 }
 
 // NewTelemetry builds an empty telemetry store.
-func NewTelemetry(perceivable simclock.Duration) *Telemetry {
-	if perceivable <= 0 {
-		perceivable = 100 * simclock.Millisecond
-	}
+func NewTelemetry() *Telemetry {
 	return &Telemetry{
-		perceivable: perceivable,
-		actions:     map[string]*ActionStats{},
-		rngState:    0x9e3779b97f4a7c15,
+		actions:  map[string]*ActionStats{},
+		rngState: 0x9e3779b97f4a7c15,
 	}
 }
 
@@ -89,7 +85,7 @@ func (t *Telemetry) Record(actionUID string, rt simclock.Duration) {
 		t.actions[actionUID] = s
 	}
 	s.Executions++
-	if rt > t.perceivable {
+	if rt > detect.PerceivableDelay {
 		s.Hangs++
 	}
 	ms := rt.Milliseconds()
@@ -148,7 +144,7 @@ func (t *Telemetry) Render() string {
 // current degraded-operation health.
 func (d *Doctor) Telemetry() *Telemetry {
 	if d.telemetry == nil {
-		d.telemetry = NewTelemetry(d.cfg.PerceivableDelay)
+		d.telemetry = NewTelemetry()
 	}
 	d.telemetry.Health = d.health
 	return d.telemetry

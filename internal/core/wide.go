@@ -49,7 +49,7 @@ func (w *wideCollector) onEventStart(ev *app.EventExec) {
 	d := w.doctor
 	d.log.AddCost(detect.CostWatchdogNs)
 	sessAtArm := w.sess
-	d.session.Clk.After(d.cfg.PerceivableDelay, func() {
+	d.session.Clk.After(detect.PerceivableDelay, func() {
 		if !ev.Done && w.sess == sessAtArm && !w.sampling {
 			w.startSampler()
 		}
@@ -69,7 +69,7 @@ func (w *wideCollector) startSampler() {
 			d.log.AddCost(detect.CostStackSampleNs)
 			d.log.AddMem(detect.BytesPerStackSample)
 		}
-		w.sampler = d.session.Clk.After(d.cfg.SamplePeriod, tick)
+		w.sampler = d.session.Clk.After(detect.StackSamplePeriod, tick)
 	}
 	tick()
 }

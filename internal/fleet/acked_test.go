@@ -51,11 +51,11 @@ func TestSubmitWireAcked(t *testing.T) {
 	wa := NewWireAck(col.fn)
 	for i := 0; i < uploads; i++ {
 		doc := encodeUpload(t, int64(i), "device-a", 12)
-		w1, err := core.NewBinaryDecoder().Decode(doc)
+		w1, err := decodeDoc(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		w2, err := core.NewBinaryDecoder().Decode(doc)
+		w2, err := decodeDoc(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestSubmitWireAckedDurable(t *testing.T) {
 	col := newAckCollector()
 	wa := NewWireAck(col.fn)
 	for i := 0; i < 8; i++ {
-		wr, err := core.NewBinaryDecoder().Decode(encodeUpload(t, int64(100+i), "device-d", 6))
+		wr, err := decodeDoc(encodeUpload(t, int64(100+i), "device-d", 6))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func TestSubmitWireAckedAfterClose(t *testing.T) {
 	agg.Close()
 	col := newAckCollector()
 	wa := NewWireAck(col.fn)
-	wr, err := core.NewBinaryDecoder().Decode(encodeUpload(t, 7, "device-c", 4))
+	wr, err := decodeDoc(encodeUpload(t, 7, "device-c", 4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,8 +15,9 @@ import (
 // its dictionary is established (the fleet's steady state — every symbol
 // already interned, so the document is refs and counters only). The
 // returned decoders are warmed to match, one per device, the way the
-// server's dictionary cache holds them.
-func benchDocs(b *testing.B, devices, entries int) (json [][]byte, bin [][]byte, decs []*core.BinaryDecoder) {
+// server's dictionary cache holds them, and so is one view per device,
+// sized by the device's first document.
+func benchDocs(b *testing.B, devices, entries int) (json [][]byte, bin [][]byte, decs []*core.BinaryDecoder, views []*core.WireReport) {
 	b.Helper()
 	for d := 0; d < devices; d++ {
 		device := fmt.Sprintf("device-%03d", d)
@@ -31,20 +32,21 @@ func benchDocs(b *testing.B, devices, entries int) (json [][]byte, bin [][]byte,
 		enc := core.NewBinaryEncoder(device)
 		first := append([]byte(nil), enc.Encode(rep)...)
 		steady := append([]byte(nil), enc.Encode(rep)...)
-		dec := core.NewBinaryDecoder()
-		if _, err := dec.Decode(first); err != nil {
+		dec, view := core.NewBinaryDecoder(), new(core.WireReport)
+		if err := dec.Decode(first, view); err != nil {
 			b.Fatal(err)
 		}
 		bin = append(bin, steady)
 		decs = append(decs, dec)
+		views = append(views, view)
 	}
-	return json, bin, decs
+	return json, bin, decs, views
 }
 
 // BenchmarkIngest measures end-to-end ingest cost per upload — parse or
 // decode, split, shard merge — for the JSON path (ImportReport +
-// SubmitWait) against the binary path (warm dictionary DecodeScratch +
-// SubmitWireAcked), and the durable path: SubmitDurable of 4-entry
+// SubmitWait) against the binary path (warm dictionary Decode into a warm
+// view + SubmitWireAcked), and the durable path: SubmitDurable of 4-entry
 // uploads from 16 goroutines into a SyncBatch WAL, reporting the log's
 // fsyncs and framed bytes per upload.
 // ns/op is the per-upload cost, so throughput = 1e9/ns-op. Run with:
@@ -54,9 +56,9 @@ func benchDocs(b *testing.B, devices, entries int) (json [][]byte, bin [][]byte,
 // The binary path's bar is ≥10× the JSON path at 4 shards (cmd/benchgate
 // enforces it in CI): the steady-state document is ~30× smaller and
 // decodes into pre-keyed wire entries that merge without re-parsing,
-// re-validating, or re-interning. Each device has one WireAck, and its
-// next decode waits for its previous upload's merge, because its document
-// aliases the decoder's scratch buffers.
+// re-validating, or re-interning. Each device has one view and one
+// WireAck, and its next decode waits for its previous upload's merge,
+// because the shards read the upload in its view.
 //
 // History, on a 2-vCPU Intel Xeon VM (GOMAXPROCS 2): when the binary rows
 // took their present definition, medians of 3 runs put binary at 11.8×,
@@ -66,7 +68,7 @@ func benchDocs(b *testing.B, devices, entries int) (json [][]byte, bin [][]byte,
 // logs to 63 µs, 0.24 fsyncs, 383 WAL bytes, 10.4 kB and 107 allocs
 // (medians of 3 alternating runs).
 func BenchmarkIngest(b *testing.B) {
-	jsonDocs, binDocs, decs := benchDocs(b, 128, 120)
+	jsonDocs, binDocs, decs, views := benchDocs(b, 128, 120)
 	for _, shards := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("json/shards=%d", shards), func(b *testing.B) {
 			agg := NewAggregator(Config{Shards: shards, QueueDepth: 4096, BatchSize: 16})
@@ -89,9 +91,9 @@ func BenchmarkIngest(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("binary/shards=%d", shards), func(b *testing.B) {
 			agg := NewAggregator(Config{Shards: shards, QueueDepth: 4096, BatchSize: 16})
-			// A device's upload aliases its decoder's scratch buffers until
-			// the upload has merged, so each device has one ack and its
-			// next decode waits for the previous upload's.
+			// The shards read a device's upload in its view until the
+			// upload has merged, so each device has one ack and its next
+			// decode into the view waits for the previous upload's.
 			acks := make([]*WireAck, len(binDocs))
 			merged := make([]chan error, len(binDocs))
 			inflight := make([]bool, len(binDocs))
@@ -112,11 +114,10 @@ func BenchmarkIngest(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				d := i % len(binDocs)
 				wait(d)
-				wr, err := decs[d].DecodeScratch(binDocs[d])
-				if err != nil {
+				if err := decs[d].Decode(binDocs[d], views[d]); err != nil {
 					b.Fatal(err)
 				}
-				if err := agg.SubmitWireAcked(wr, acks[d]); err != nil {
+				if err := agg.SubmitWireAcked(views[d], acks[d]); err != nil {
 					b.Fatal(err)
 				}
 				inflight[d] = true
@@ -166,18 +167,19 @@ func BenchmarkIngest(b *testing.B) {
 }
 
 // BenchmarkBinaryDecode isolates the decode half of the binary path: a
-// warm-dictionary steady-state document through DecodeScratch. The bar,
-// which cmd/benchgate enforces in CI, is zero allocations per operation —
-// decode writes into reused buffers and resolves every string against the
-// decoder's committed dictionary.
+// warm-dictionary steady-state document decoded into one warm view, as the
+// server decodes into a pooled one. The bar, which cmd/benchgate enforces
+// in CI, is zero allocations per operation — decode refills the view's
+// arrays and resolves every string against the decoder's committed
+// dictionary.
 func BenchmarkBinaryDecode(b *testing.B) {
-	_, binDocs, decs := benchDocs(b, 1, 120)
-	doc, dec := binDocs[0], decs[0]
+	_, binDocs, decs, views := benchDocs(b, 1, 120)
+	doc, dec, view := binDocs[0], decs[0], views[0]
 	b.SetBytes(int64(len(doc)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dec.DecodeScratch(doc); err != nil {
+		if err := dec.Decode(doc, view); err != nil {
 			b.Fatal(err)
 		}
 	}

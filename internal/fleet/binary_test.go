@@ -27,6 +27,12 @@ func postBinary(t *testing.T, ts *httptest.Server, doc []byte) *http.Response {
 	return resp
 }
 
+// decodeDoc decodes doc with a fresh decoder into a view of its own.
+func decodeDoc(doc []byte) (*core.WireReport, error) {
+	wr := new(core.WireReport)
+	return wr, core.NewBinaryDecoder().Decode(doc, wr)
+}
+
 // TestSubmitWireFoldByteIdentical pins the zero-copy ingest path to the
 // same determinism bar as everything else: uploads that travel encoder →
 // decoder → SubmitWireAcked fold byte-identically to the same reports
@@ -44,7 +50,7 @@ func TestSubmitWireFoldByteIdentical(t *testing.T) {
 			wa := NewWireAck(col.fn)
 			for i, r := range reps {
 				enc := core.NewBinaryEncoder(fmt.Sprintf("device-%03d", i))
-				wr, err := core.NewBinaryDecoder().Decode(enc.Encode(r))
+				wr, err := decodeDoc(enc.Encode(r))
 				if err != nil {
 					t.Fatalf("decode upload %d: %v", i, err)
 				}
@@ -72,7 +78,7 @@ func TestSplitAllocs(t *testing.T) {
 	defer agg.Close()
 	var allocs []float64
 	for _, entries := range []int{4, 120} {
-		wr, err := core.NewBinaryDecoder().Decode(encodeUpload(t, 3, "device-a", entries))
+		wr, err := decodeDoc(encodeUpload(t, 3, "device-a", entries))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,8 +222,7 @@ func TestDictCacheEviction(t *testing.T) {
 			enc = core.NewBinaryEncoder(device)
 			encs[device] = enc
 		}
-		_, err := c.decode(enc.Encode(SyntheticUpload(seed, device, 10)))
-		return err
+		return c.decode(enc.Encode(SyntheticUpload(seed, device, 10)), new(core.WireReport))
 	}
 	for _, dev := range []string{"dev-a", "dev-b", "dev-c"} {
 		if err := send(dev, 1); err != nil {
@@ -403,7 +408,7 @@ func TestSnapshotEndpointCanonical(t *testing.T) {
 	if !bytes.Equal(doc1, doc2) {
 		t.Fatal("snapshot is not byte-stable across reads of identical state")
 	}
-	wr, err := core.NewBinaryDecoder().Decode(doc1)
+	wr, err := decodeDoc(doc1)
 	if err != nil {
 		t.Fatal(err)
 	}

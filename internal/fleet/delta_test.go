@@ -107,7 +107,7 @@ func getSnapshot(t *testing.T, base, since string) (*core.WireReport, VersionVec
 	if resp.StatusCode != http.StatusOK {
 		return nil, VersionVector{}, "", resp.StatusCode
 	}
-	wr, err := core.NewBinaryDecoder().Decode(body)
+	wr, err := decodeDoc(body)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -237,7 +237,7 @@ func TestSubmitContracts(t *testing.T) {
 	}
 	// wire decodes a fresh binary upload for one submission to own.
 	wire := func(t *testing.T) *core.WireReport {
-		wr, err := core.NewBinaryDecoder().Decode(binDoc)
+		wr, err := decodeDoc(binDoc)
 		if err != nil {
 			t.Fatal(err)
 		}

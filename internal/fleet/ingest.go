@@ -86,20 +86,20 @@ func (c *dictCache) entry(device string) *dictEntry {
 }
 
 // decode parses one binary upload document against the sending device's
-// dictionary. Stateless documents (empty device) decode with a throwaway
-// decoder and touch no cache state. A decode error never commits dictionary
-// changes (the core decoder stages deltas), so a rejected document leaves
-// the device's state exactly as it was.
-func (c *dictCache) decode(doc []byte) (*core.WireReport, error) {
+// dictionary into the caller's view. Stateless documents (empty device)
+// decode with a throwaway decoder and touch no cache state. A decode error
+// never commits dictionary changes (the core decoder stages deltas), so a
+// rejected document leaves the device's state exactly as it was.
+func (c *dictCache) decode(doc []byte, into *core.WireReport) error {
 	device, err := core.PeekBinaryDevice(doc)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if device == "" {
-		return core.NewBinaryDecoder().Decode(doc)
+		return core.NewBinaryDecoder().Decode(doc, into)
 	}
 	e := c.entry(device)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.dec.Decode(doc)
+	return e.dec.Decode(doc, into)
 }

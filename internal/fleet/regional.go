@@ -104,8 +104,10 @@ func (r *Regional) fetchSince(ctx context.Context, node string, since VersionVec
 	if err != nil {
 		return nodeFetch{}, err
 	}
-	wr, err := core.NewBinaryDecoder().Decode(body)
-	if err != nil {
+	// A new view per fetch: PollDelta makes no single-caller promise, so
+	// two rounds may fetch at once.
+	wr := new(core.WireReport)
+	if err := core.NewBinaryDecoder().Decode(body, wr); err != nil {
 		return nodeFetch{}, fmt.Errorf("fleet: node %s snapshot: %w", node, err)
 	}
 	nf := nodeFetch{wr: wr, delta: hdr.Get(SnapshotKindHeader) == SnapshotDelta}

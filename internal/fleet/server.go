@@ -131,10 +131,18 @@ func (s *Server) uploadJSON(w http.ResponseWriter, body []byte) {
 	s.finishUpload(w, s.agg.SubmitDurable(rep, UploadID{}), entries, hangs)
 }
 
+// wireViews recycles the views binary uploads decode into. A view goes
+// back only when submitAcked returned nil: every fragment has merged then,
+// because a shard completes its acks after it merges. After any error the
+// view is dropped, since ErrCrashed can return while a shard still reads
+// it. Views are never held per device, which would keep each device's
+// last upload alive.
+var wireViews = sync.Pool{New: func() any { return new(core.WireReport) }}
+
 func (s *Server) uploadBinary(w http.ResponseWriter, body []byte) {
 	s.agg.Metrics().binaryUploads.Inc()
-	wr, err := s.dicts.decode(body)
-	if err != nil {
+	wr := wireViews.Get().(*core.WireReport)
+	if err := s.dicts.decode(body, wr); err != nil {
 		var dm *core.DictMismatchError
 		if errors.As(err, &dm) {
 			// The device's dictionary diverged (server restart, eviction,
@@ -156,7 +164,11 @@ func (s *Server) uploadBinary(w http.ResponseWriter, body []byte) {
 	entries, hangs := len(wr.Entries), wr.TotalHangs()
 	// Zero-copy ingest: the decoded wire entries go straight to their
 	// shards, keyed by the decoder's dictionary.
-	s.finishUpload(w, s.agg.submitAcked(nil, wr, UploadID{}), entries, hangs)
+	err := s.agg.submitAcked(nil, wr, UploadID{})
+	if err == nil {
+		wireViews.Put(wr)
+	}
+	s.finishUpload(w, err, entries, hangs)
 }
 
 // finishUpload maps a submit outcome onto the response. Both formats

@@ -23,7 +23,7 @@ func submitVia(way int, a *Aggregator, h http.Handler, rep *core.Report) (acked 
 	case 0:
 		return false, a.SubmitWait(rep)
 	case 1:
-		wr, err := core.NewBinaryDecoder().Decode(core.AppendReportBinary(nil, rep))
+		wr, err := decodeDoc(core.AppendReportBinary(nil, rep))
 		if err != nil {
 			return true, err
 		}

@@ -288,29 +288,29 @@ func baseRecord(rep *core.Report, ids []UploadID) []byte {
 }
 
 // decodeRecord parses a record payload of kind want into its upload IDs
-// (an upload's own, or a base's dedup window) and its document. The bytes
-// come from disk, so the ID count is checked against what is there.
-func decodeRecord(payload []byte, want byte) ([]UploadID, *core.WireReport, error) {
+// (an upload's own, or a base's dedup window), decoding its document into
+// the caller's view. The bytes come from disk, so the ID count is checked
+// against what is there.
+func decodeRecord(payload []byte, want byte, into *core.WireReport) ([]UploadID, error) {
 	if len(payload) == 0 || payload[0] != want {
-		return nil, nil, fmt.Errorf("fleet: wal record is not of kind %d", want)
+		return nil, fmt.Errorf("fleet: wal record is not of kind %d", want)
 	}
 	body, n := payload[1:], uint64(1)
 	if want == recKindBase {
 		var k int
 		if n, k = binary.Uvarint(body); k <= 0 {
-			return nil, nil, errors.New("fleet: wal base has a malformed id count")
+			return nil, errors.New("fleet: wal base has a malformed id count")
 		}
 		body = body[k:]
 	}
 	if n > uint64(len(body)/len(UploadID{})) {
-		return nil, nil, fmt.Errorf("fleet: wal record claims %d upload ids in %d bytes", n, len(body))
+		return nil, fmt.Errorf("fleet: wal record claims %d upload ids in %d bytes", n, len(body))
 	}
 	ids := make([]UploadID, n)
 	for i := range ids {
 		body = body[copy(ids[i][:], body):]
 	}
-	wr, err := core.NewBinaryDecoder().Decode(body)
-	return ids, wr, err
+	return ids, core.NewBinaryDecoder().Decode(body, into)
 }
 
 // ---------------------------------------------------------------------------
@@ -439,7 +439,8 @@ func (r readerOnly) Read(p []byte) (int, error) { return r.f.Read(p) }
 // log is truncated back to goodOff, the end of the last record applied,
 // before the next append. A length rotted within bounds can send a skip
 // into the middle of a record; the scan then ends in the garbage, and the
-// truncation drops it.
+// truncation drops it. apply merges each record before the next is read,
+// so every record decodes into one view.
 func (w *nodeWAL) replay(apply func(*core.WireReport)) (bool, error) {
 	f, err := w.cfg.FS.OpenFile(w.logPath(), os.O_RDONLY, 0)
 	if err != nil {
@@ -451,6 +452,7 @@ func (w *nodeWAL) replay(apply func(*core.WireReport)) (bool, error) {
 	defer f.Close()
 
 	fr := &frameReader{r: bufio.NewReaderSize(readerOnly{f}, 1<<16)}
+	var view core.WireReport
 	for kind := recKindBase; ; kind = recKindUpload {
 		payload, err := fr.next()
 		if err == io.EOF {
@@ -458,9 +460,8 @@ func (w *nodeWAL) replay(apply func(*core.WireReport)) (bool, error) {
 			return kind == recKindUpload, nil
 		}
 		var ids []UploadID
-		var wr *core.WireReport
 		if err == nil {
-			ids, wr, err = decodeRecord(payload, kind)
+			ids, err = decodeRecord(payload, kind, &view)
 		}
 		if err != nil && kind == recKindBase {
 			return false, fmt.Errorf("fleet: wal %s does not open with a readable base record (a log of an older format opens with a kind-1 JSON header); refusing to drop the state it holds: %w",
@@ -483,7 +484,7 @@ func (w *nodeWAL) replay(apply func(*core.WireReport)) (bool, error) {
 			w.dirty = true
 			return true, nil
 		}
-		apply(wr)
+		apply(&view)
 		for _, id := range ids {
 			w.dedup.add(id)
 		}

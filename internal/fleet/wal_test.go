@@ -1152,7 +1152,7 @@ func FuzzWALFrameDecode(f *testing.F) {
 			// Upload and base payloads additionally go through the record
 			// decoder, which must reject garbage rather than panic.
 			if kind := payload[0]; kind == recKindUpload || kind == recKindBase {
-				decodeRecord(payload, kind)
+				decodeRecord(payload, kind, new(core.WireReport))
 			}
 		}
 	})

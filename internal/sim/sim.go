@@ -33,7 +33,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"net/http"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -60,9 +59,6 @@ type Config struct {
 	Workers int
 	// Seed fixes every draw in the run.
 	Seed int64
-	// PeriodMS is the mean upload cadence in simulated ms (default one
-	// hour); each reschedule jitters ±10%.
-	PeriodMS int64
 	// EpochMS is the virtual-time barrier interval (default 60_000): no
 	// worker's clock runs more than one epoch ahead of another's.
 	EpochMS int64
@@ -81,8 +77,6 @@ type Config struct {
 	// Nodes selects the HTTP sink: fleetd base URLs ("http://host:port"),
 	// consistent-hashed per device like a real fleet client.
 	Nodes []string
-	// Client overrides the per-worker tuned HTTP transport (tests).
-	Client *http.Client
 	// MaxRetries bounds per-upload HTTP retries (429/409/transport,
 	// default 8); an upload still failing after that counts as Failed.
 	MaxRetries int
@@ -115,9 +109,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Workers > 256 {
 		c.Workers = 256
-	}
-	if c.PeriodMS <= 0 {
-		c.PeriodMS = 3_600_000
 	}
 	if c.EpochMS <= 0 {
 		c.EpochMS = 60_000
@@ -190,8 +181,6 @@ type Engine struct {
 	mode       int8
 	seed       int64
 	entriesPer int
-	periodMS   int64
-	jitterMS   int64
 
 	// Struct-of-arrays device state, indexed by dense device id.
 	names []string
@@ -211,6 +200,13 @@ type Engine struct {
 	started atomic.Bool
 	wg      sync.WaitGroup
 }
+
+// A device uploads once per simulated hour on average: each reschedule
+// draws its gap from periodMS ± 10 % (jitterMS wide).
+const (
+	periodMS = 3_600_000
+	jitterMS = periodMS / 5
+)
 
 const (
 	modeDiscard = int8(iota) // schedule + draw, deliver nowhere
@@ -232,12 +228,7 @@ func New(cfg Config) (*Engine, error) {
 		cfg:        cfg,
 		seed:       cfg.Seed,
 		entriesPer: cfg.Entries,
-		periodMS:   cfg.PeriodMS,
-		jitterMS:   cfg.PeriodMS / 5,
 		pool:       content(),
-	}
-	if e.jitterMS < 1 {
-		e.jitterMS = 1
 	}
 	switch {
 	case cfg.Agg != nil:

@@ -134,6 +134,6 @@ func (e *Engine) buildRange(lo, hi int, initAt []int64) {
 		if e.dictSize != nil {
 			e.dictSize[dev] = next + 1 // + the device name, always last
 		}
-		initAt[dev] = int64(r.next() % uint64(e.periodMS))
+		initAt[dev] = int64(r.next() % periodMS)
 	}
 }

@@ -94,18 +94,15 @@ func (w *worker) init(e *Engine, id, devs int) {
 	case modeHTTP, modeDiscardHTTP:
 		w.delta = make([]string, 0, 4*e.entriesPer+1)
 		if e.mode == modeHTTP {
-			w.client = e.cfg.Client
-			if w.client == nil {
-				// One tuned transport per worker: every device this worker
-				// simulates reuses the same warm connections to its node.
-				w.client = &http.Client{
-					Timeout: 30 * time.Second,
-					Transport: &http.Transport{
-						MaxIdleConns:        16,
-						MaxIdleConnsPerHost: 16,
-						IdleConnTimeout:     90 * time.Second,
-					},
-				}
+			// One tuned transport per worker: every device this worker
+			// simulates reuses the same warm connections to its node.
+			w.client = &http.Client{
+				Timeout: 30 * time.Second,
+				Transport: &http.Transport{
+					MaxIdleConns:        16,
+					MaxIdleConnsPerHost: 16,
+					IdleConnTimeout:     90 * time.Second,
+				},
 			}
 			w.jitter = simrand.New(uint64(e.seed)*0x9e3779b97f4a7c15 + uint64(id) + 1)
 		}
@@ -210,7 +207,7 @@ func (w *worker) tick() {
 		w.hangs[j] = uint8(1 + r.next()%3)
 		w.rtMS[j] = uint16(100 + r.next()%1900)
 	}
-	adv := e.periodMS - e.periodMS/10 + int64(r.next()%uint64(e.jitterMS))
+	adv := periodMS - periodMS/10 + int64(r.next()%jitterMS)
 	if adv < 1 {
 		adv = 1
 	}

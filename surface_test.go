@@ -17,13 +17,12 @@ import (
 // although no non-test code uses them, each with who needs it. Keys are
 // package name, then receiver type for methods, then the name.
 var exportedAllowlist = map[string]string{
-	"hangdoctor.MergeMetrics":          "root API: README's metrics section folds many Doctors' snapshots with it",
-	"core.HeavyAdapt":                  "paper §3.3.1 heavy adaptation, driven only by tests until fleet-driven adaptation lands",
-	"core.Doctor.WideData":             "the wide-event readings HeavyAdapt consumes, for the same adaptation",
-	"core.BinaryDecoder.DecodeScratch": "CI's allocation-free and binary-vs-JSON decode gates time it",
-	"simclock.Clock.RunUntilIdle":      "tests of the substrate packages (cpu, looper, render, perf, trace, app) drain the clock with it",
-	"app.Device.Quiet":                 "tests in app and detect build interference-free devices from it",
-	"corpus.SampledTraces":             "core's Trace Analyzer tests and benchmarks draw corpus-shaped traces from it",
+	"hangdoctor.MergeMetrics":     "root API: README's metrics section folds many Doctors' snapshots with it",
+	"core.HeavyAdapt":             "paper §3.3.1 heavy adaptation, driven only by tests until fleet-driven adaptation lands",
+	"core.Doctor.WideData":        "the wide-event readings HeavyAdapt consumes, for the same adaptation",
+	"simclock.Clock.RunUntilIdle": "tests of the substrate packages (cpu, looper, render, perf, trace, app) drain the clock with it",
+	"app.Device.Quiet":            "tests in app and detect build interference-free devices from it",
+	"corpus.SampledTraces":        "core's Trace Analyzer tests and benchmarks draw corpus-shaped traces from it",
 }
 
 // maxAllowlist caps the allowlist so it stays a list of exceptions.
