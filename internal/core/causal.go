@@ -43,8 +43,8 @@ func (c CausalChain) Zero() bool { return c == CausalChain{} }
 
 // ref returns c as a report entry holds it: nil, an entry's only empty
 // chain, for the zero chain, and otherwise a new copy of c, so an entry
-// never points into where c came from (a wire view, a decoder's scratch,
-// a JSON document).
+// never points into where c came from (a wire view, which its owner may
+// decode into again, or a JSON document).
 func (c CausalChain) ref() *CausalChain {
 	if c.Zero() {
 		return nil

@@ -112,7 +112,7 @@ func TestDeviceSetCopyOnWrite(t *testing.T) {
 // chain keeps the entry's pointer and allocates nothing, a clone shares
 // it, a different chain merged into a shard's live report after a
 // hand-out is a new chain, so the snapshot keeps the old one, and a
-// chain merged from a decoder's scratch view is the report's own copy.
+// chain merged from a decoded view is the report's own copy.
 func TestCausalChainCopyOnWrite(t *testing.T) {
 	diag := Diagnosis{RootCause: "x.Y.m", File: "Y.java", Line: 2}
 	key := rowOf("A", "A/act", diag.RootCause)

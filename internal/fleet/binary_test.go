@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"hangdoctor/internal/core"
@@ -244,6 +245,45 @@ func TestDictCacheEviction(t *testing.T) {
 	// dev-c is still resident and keeps streaming deltas.
 	if err := send("dev-c", 2); err != nil {
 		t.Fatalf("resident device: %v", err)
+	}
+}
+
+// TestBinaryUploadsRecycleViews posts warm-dictionary binary uploads from
+// several devices at once, so the handler's pooled views are decoded into
+// again while other uploads merge. Every upload must be accepted and the
+// fold after Close must equal the serial merge of all of them; under
+// -race, a view put back before its upload merged shows as a race with
+// the shard that reads it.
+func TestBinaryUploadsRecycleViews(t *testing.T) {
+	agg := NewAggregator(Config{Shards: 4})
+	h := NewServer(agg).Handler()
+	const devices, perDevice = 8, 25
+	sent := make([][]*core.Report, devices)
+	var wg sync.WaitGroup
+	for d := 0; d < devices; d++ {
+		wg.Add(1)
+		go func(d int) {
+			defer wg.Done()
+			device := fmt.Sprintf("device-%d", d)
+			enc := core.NewBinaryEncoder(device)
+			for i := 0; i < perDevice; i++ {
+				rep := SyntheticUpload(int64(1000*d+i), device, 12)
+				if err := postUpload(h, core.BinaryContentType, enc.Encode(rep)); err != nil {
+					t.Errorf("%s upload %d: %v", device, i, err)
+					return
+				}
+				sent[d] = append(sent[d], rep)
+			}
+		}(d)
+	}
+	wg.Wait()
+	agg.Close()
+	want := core.NewReport()
+	for _, reps := range sent {
+		want.Merge(reps...)
+	}
+	if got := exportBytes(t, agg.Fold()); !bytes.Equal(got, exportBytes(t, want)) {
+		t.Error("the fold of concurrent binary uploads differs from their serial merge")
 	}
 }
 
