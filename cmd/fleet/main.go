@@ -96,6 +96,8 @@ func importDir(dir string, workers, shards int) (importResult, error) {
 		workers = 1
 	}
 
+	// Each worker has one upload in flight, so the fail-fast submit never
+	// finds the queue full.
 	agg := fleet.NewAggregator(fleet.Config{Shards: shards, QueueDepth: 2 * workers})
 	errs := make([]string, len(paths))
 	var imported int
@@ -112,7 +114,7 @@ func importDir(dir string, workers, shards int) (importResult, error) {
 					errs[i] = fmt.Sprintf("skipping %s: %v", paths[i], err)
 					continue
 				}
-				if err := agg.SubmitWait(rep); err != nil {
+				if err := agg.SubmitDurable(rep, fleet.UploadID{}); err != nil {
 					errs[i] = fmt.Sprintf("skipping %s: %v", paths[i], err)
 					continue
 				}

@@ -1,9 +1,9 @@
 // Command fleetd is the fleet ingestion server: the always-on half of the
 // paper's §3.2 upload path. Devices POST their anonymized Hang Bug Reports
-// to /v1/upload; fleetd validates each document, shards its entries across
-// single-writer merge goroutines behind a bounded set of admission slots, and
-// serves the folded fleet-wide report on /v1/report plus /healthz and
-// /metrics for operations.
+// to /v1/upload; fleetd validates each document, merges its entries into
+// shards, each behind its own lock, behind a bounded set of admission
+// slots, and serves the folded fleet-wide report on /v1/report plus
+// /healthz and /metrics for operations.
 //
 // Usage:
 //
@@ -41,9 +41,9 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8717", "listen address")
-	shards := flag.Int("shards", 8, "number of single-writer merge shards")
-	queue := flag.Int("queue", 1024, "most uploads admitted but not yet handed off to the shards (429 beyond it)")
-	batch := flag.Int("batch", 16, "max fragments folded per shard merge")
+	shards := flag.Int("shards", 8, "number of merge shards, each behind its own lock")
+	queue := flag.Int("queue", 1024, "most uploads admitted but not yet merged, or with -wal-dir handed to the WAL committer (429 beyond it)")
+	batch := flag.Int("batch", 16, "durable mode: most uploads one WAL group commit covers")
 	retryAfter := flag.Duration("retry-after", time.Second, "backoff advertised on 429 responses")
 	printFinal := flag.Bool("print-final", true, "print the folded fleet report on shutdown")
 	walDir := flag.String("wal-dir", "", "durable mode: directory of the node's WAL, node.wal (empty = memory-only)")

@@ -154,27 +154,26 @@ func (r *binReader) byte() (byte, error) {
 
 // str reads a length-prefixed string. The returned string aliases a fresh
 // allocation (strings are long-lived dictionary state).
-func (r *binReader) str() (string, error) { return r.strMemo("") }
+func (r *binReader) str() (string, error) {
+	raw, err := r.raw()
+	return string(raw), err
+}
 
-// strMemo is str that returns memo (no allocation) when the encoded bytes
-// equal it — the decoder memoizes the per-device header string this way.
-func (r *binReader) strMemo(memo string) (string, error) {
+// raw reads a length-prefixed string's bytes, which alias the document.
+func (r *binReader) raw() ([]byte, error) {
 	n, err := r.length("string")
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if n > maxBinStringLen {
-		return "", fmt.Errorf("core: binary report: string length %d exceeds cap %d", n, maxBinStringLen)
+		return nil, fmt.Errorf("core: binary report: string length %d exceeds cap %d", n, maxBinStringLen)
 	}
 	raw := r.buf[r.off : r.off+n]
 	if !utf8.Valid(raw) {
-		return "", errors.New("core: binary report: string is not valid UTF-8")
+		return nil, errors.New("core: binary report: string is not valid UTF-8")
 	}
 	r.off += n
-	if memo != "" && string(raw) == memo {
-		return memo, nil
-	}
-	return string(raw), nil
+	return raw, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -501,18 +500,17 @@ func (d *BinaryDecoder) resolve(ref uint64) (string, error) {
 }
 
 // readHeader checks a document's magic and version and reads its flags
-// and device identity, leaving r after the device. It returns memo, not a
-// new string, when the device equals it.
-func readHeader(doc []byte, memo string) (r binReader, flags byte, device string, err error) {
+// and device identity, whose bytes alias doc, leaving r after the device.
+func readHeader(doc []byte) (r binReader, flags byte, device []byte, err error) {
 	if len(doc) < binMinHeaderLen || string(doc[:len(binMagic)]) != binMagic {
-		return r, 0, "", errors.New("core: binary report: bad magic")
+		return r, 0, nil, errors.New("core: binary report: bad magic")
 	}
 	if v := doc[len(binMagic)]; v != binWireVersion {
-		return r, 0, "", fmt.Errorf("core: unsupported binary report version %d", v)
+		return r, 0, nil, fmt.Errorf("core: unsupported binary report version %d", v)
 	}
 	r = binReader{buf: doc, off: binMinHeaderLen}
-	if device, err = r.strMemo(memo); err != nil {
-		return r, 0, "", fmt.Errorf("core: binary report: device: %w", err)
+	if device, err = r.raw(); err != nil {
+		return r, 0, nil, fmt.Errorf("core: binary report: device: %w", err)
 	}
 	return r, doc[len(binMagic)+1], device, nil
 }
@@ -524,11 +522,13 @@ func readHeader(doc []byte, memo string) (r binReader, flags byte, device string
 // whole document validates. After an error into's contents are
 // unspecified.
 func (d *BinaryDecoder) Decode(doc []byte, into *WireReport) error {
-	r, flags, device, err := readHeader(doc, d.device)
+	r, flags, device, err := readHeader(doc)
 	if err != nil {
 		return err
 	}
-	d.device = device
+	if string(device) != d.device {
+		d.device = string(device)
+	}
 
 	base, err := r.uvarint()
 	if err != nil {
@@ -684,7 +684,7 @@ func (d *BinaryDecoder) Decode(doc []byte, into *WireReport) error {
 		d.strs = append(d.strs, d.pending...)
 		d.pending = d.pending[:0]
 	}
-	into.Device = device
+	into.Device = d.device
 	into.Entries = entries
 	into.devices = devs
 	into.Health = health
@@ -750,9 +750,10 @@ func (d *BinaryDecoder) decodeCausal(r *binReader, entries []WireEntry, health *
 
 // PeekBinaryDevice extracts the device identity from a binary document
 // header without decoding the body — the fleet layer uses it to pick the
-// per-device dictionary before full decoding.
-func PeekBinaryDevice(doc []byte) (string, error) {
-	_, _, device, err := readHeader(doc, "")
+// per-device dictionary before full decoding. The bytes alias doc, so a
+// peek allocates nothing.
+func PeekBinaryDevice(doc []byte) ([]byte, error) {
+	_, _, device, err := readHeader(doc)
 	return device, err
 }
 

@@ -10,7 +10,8 @@ package core
 //   - A shard owns a mutating Report and a SnapshotCache bound to it.
 //     Merges stamp every leaf they write with the version their batch
 //     commits at, and the cache bumps a monotonically increasing version
-//     once per batch. A snapshot is the live report's trie itself, handed
+//     once per batch (a fleet shard's batch is one upload's run of
+//     entries). A snapshot is the live report's trie itself, handed
 //     out as it stands; the live report goes on as a new batch over it, so
 //     the first write after a hand-out copies the nodes and leaf it
 //     touches, and the snapshot never changes. A snapshot request at an
@@ -43,9 +44,10 @@ package core
 // version v" with a walk of a snapshot's newer subtrees, without diffing
 // state.
 //
-// A SnapshotCache is owned by the goroutine that owns the Report; it is
-// not safe for concurrent use. The *Report values it returns are
-// immutable and safe to share across goroutines.
+// A SnapshotCache is not safe for concurrent use: its owner serializes
+// merges, bumps and snapshots (a fleet shard holds its lock for each). The
+// *Report values it returns are immutable and safe to share across
+// goroutines.
 type SnapshotCache struct {
 	live    *Report
 	version uint64

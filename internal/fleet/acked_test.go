@@ -3,120 +3,82 @@ package fleet
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"path/filepath"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"hangdoctor/internal/core"
+	"hangdoctor/internal/fault"
 )
 
-// ackCollector is a WireAck callback that counts completions and remembers
-// errors, releasing a waiter per completion.
-type ackCollector struct {
-	mu    sync.Mutex
-	n     int
-	errs  []error
-	fired chan struct{}
-}
-
-func newAckCollector() *ackCollector {
-	return &ackCollector{fired: make(chan struct{}, 1024)}
-}
-
-func (c *ackCollector) fn(err error) {
-	c.mu.Lock()
-	c.n++
-	if err != nil {
-		c.errs = append(c.errs, err)
-	}
-	c.mu.Unlock()
-	c.fired <- struct{}{}
-}
-
-func (c *ackCollector) counts() (int, int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n, len(c.errs)
-}
-
-// TestSubmitWireAcked pins the contract the zero-alloc simulator builds on:
-// the callback fires exactly once per submission, only after every routed
-// fragment merged, and the folded state matches SubmitWait of the same
-// uploads, decoded back into reports, byte for byte.
+// TestSubmitWireAcked pins the contract the zero-copy simulator builds on:
+// SubmitWire returns only once its upload has merged, so the fold after
+// each return holds it, and the folded state matches SubmitDurable of the
+// same uploads, decoded back into reports, byte for byte.
 func TestSubmitWireAcked(t *testing.T) {
 	const uploads = 64
 	want := NewAggregator(Config{Shards: 4})
 	got := NewAggregator(Config{Shards: 4})
-	col := newAckCollector()
-	wa := NewWireAck(col.fn)
+	hangs := 0
 	for i := 0; i < uploads; i++ {
-		doc := encodeUpload(t, int64(i), "device-a", 12)
-		w1, err := decodeDoc(doc)
+		wr, err := decodeDoc(encodeUpload(t, int64(i), "device-a", 12))
 		if err != nil {
 			t.Fatal(err)
 		}
-		w2, err := decodeDoc(doc)
-		if err != nil {
+		if err := want.SubmitDurable(wr.Report(), UploadID{}); err != nil {
 			t.Fatal(err)
 		}
-		if err := want.SubmitWait(w1.Report()); err != nil {
+		if err := got.SubmitWire(wr); err != nil {
 			t.Fatal(err)
 		}
-		if err := got.SubmitWireAcked(w2, wa); err != nil {
-			t.Fatal(err)
+		hangs += wr.TotalHangs()
+		if n := got.Fold().TotalHangs(); n != hangs {
+			t.Fatalf("upload %d: fold holds %d hangs after SubmitWire returned, want %d", i, n, hangs)
 		}
-		// One ack in flight per WireAck: wait for the callback before the
-		// next submission reuses it.
-		<-col.fired
-	}
-	if n, errs := col.counts(); n != uploads || errs != 0 {
-		t.Fatalf("acks fired %d times with %d errors, want %d/0", n, errs, uploads)
 	}
 	want.Close()
 	got.Close()
 	a, b := exportFold(t, want), exportFold(t, got)
 	if a != b {
-		t.Fatalf("acked fold diverges from waited fold:\n%s\nvs\n%s", a, b)
+		t.Fatalf("wire fold diverges from report fold:\n%s\nvs\n%s", a, b)
 	}
 }
 
-// TestSubmitWireAckedEmptyUpload: an upload that routes zero fragments
-// (no entries, zero health) must still fire the callback — otherwise the
-// producer leaks the buffer it was waiting to recycle.
+// TestSubmitWireAckedEmptyUpload: an upload with no entries and zero
+// health is accepted and merges nothing.
 func TestSubmitWireAckedEmptyUpload(t *testing.T) {
 	agg := NewAggregator(Config{Shards: 4})
 	defer agg.Close()
-	col := newAckCollector()
-	wa := NewWireAck(col.fn)
-	if err := agg.SubmitWireAcked(&core.WireReport{Device: "device-a"}, wa); err != nil {
+	if err := agg.SubmitWire(&core.WireReport{Device: "device-a"}); err != nil {
 		t.Fatal(err)
 	}
-	<-col.fired
-	if n, errs := col.counts(); n != 1 || errs != 0 {
-		t.Fatalf("empty upload acks = %d/%d errors, want 1/0", n, errs)
+	snap := agg.Metrics().Registry().Snapshot()
+	if a, m := snap.Value("hangdoctor_fleet_uploads_accepted_total"), snap.Value("hangdoctor_fleet_merges_total"); a != 1 || m != 0 {
+		t.Fatalf("empty upload: accepted %d, merges %d, want 1 and 0", a, m)
 	}
 }
 
-// TestSubmitWireAckedHealthOnly: a health-only upload routes exactly one
-// fragment (shard 0) and must ack once it merges.
+// TestSubmitWireAckedHealthOnly: a health-only upload merges on shard 0
+// alone before SubmitWire returns.
 func TestSubmitWireAckedHealthOnly(t *testing.T) {
 	agg := NewAggregator(Config{Shards: 4})
-	col := newAckCollector()
-	wa := NewWireAck(col.fn)
+	defer agg.Close()
 	wr := &core.WireReport{Device: "device-a"}
 	wr.Health.StacksDropped = 3
-	if err := agg.SubmitWireAcked(wr, wa); err != nil {
+	if err := agg.SubmitWire(wr); err != nil {
 		t.Fatal(err)
 	}
-	<-col.fired
-	agg.Close()
 	if h := agg.Fold().Health; h.StacksDropped != 3 {
 		t.Fatalf("health not merged: %+v", h)
 	}
 }
 
-// TestSubmitWireAckedDurable: on a WAL-backed aggregator the callback must
-// imply durability — close, reopen, and the recovered fold matches.
+// TestSubmitWireAckedDurable: on a WAL-backed aggregator a nil return
+// implies durability — close, reopen, and the recovered fold matches.
 func TestSubmitWireAckedDurable(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Shards: 2, WAL: &WALConfig{Dir: filepath.Join(dir, "wal")}}
@@ -124,20 +86,14 @@ func TestSubmitWireAckedDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := newAckCollector()
-	wa := NewWireAck(col.fn)
 	for i := 0; i < 8; i++ {
 		wr, err := decodeDoc(encodeUpload(t, int64(100+i), "device-d", 6))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := agg.SubmitWireAcked(wr, wa); err != nil {
+		if err := agg.SubmitWire(wr); err != nil {
 			t.Fatal(err)
 		}
-		<-col.fired
-	}
-	if n, errs := col.counts(); n != 8 || errs != 0 {
-		t.Fatalf("acks = %d with %d errors, want 8/0", n, errs)
 	}
 	agg.Close()
 	want := exportFold(t, agg)
@@ -152,49 +108,90 @@ func TestSubmitWireAckedDurable(t *testing.T) {
 	}
 }
 
-// TestSubmitWireAckedAfterClose: ErrClosed is synchronous and the callback
-// never fires, so the caller keeps buffer ownership.
+// TestSubmitWireAckedAfterClose: after Close, SubmitWire refuses with
+// ErrClosed and merges nothing.
 func TestSubmitWireAckedAfterClose(t *testing.T) {
 	agg := NewAggregator(Config{Shards: 2})
 	agg.Close()
-	col := newAckCollector()
-	wa := NewWireAck(col.fn)
 	wr, err := decodeDoc(encodeUpload(t, 7, "device-c", 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := agg.SubmitWireAcked(wr, wa); !errors.Is(err, ErrClosed) {
+	if err := agg.SubmitWire(wr); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after close = %v, want ErrClosed", err)
 	}
-	if n, _ := col.counts(); n != 0 {
-		t.Fatalf("callback fired %d times after synchronous rejection", n)
+	if n := agg.Fold().Len(); n != 0 {
+		t.Fatalf("a refused upload left %d entries", n)
 	}
 }
 
-// TestCrashedUnblocks: Crashed() must close on Crash so producers blocked
-// waiting for ack-owned resources can unwind.
+// TestCrashedUnblocks: a submitter waiting for a durable node's committer
+// returns ErrCrashed when the node crashes instead of waiting forever. The
+// committer is held in the upload's barrier until the crash has begun, so
+// the upload never merges.
 func TestCrashedUnblocks(t *testing.T) {
-	agg := NewAggregator(Config{Shards: 2})
+	cfg := durableCfg(t.TempDir(), 2)
+	var armed atomic.Bool
+	var once sync.Once
+	syncing, unblock := make(chan struct{}), make(chan struct{})
+	cfg.WAL.FS = crashOnSync{FS: fault.DiskFS, onSync: func() {
+		if armed.Load() {
+			once.Do(func() { close(syncing); <-unblock })
+		}
+	}}
+	agg := mustOpen(t, cfg)
+	armed.Store(true)
+	answered := make(chan error, 1)
+	go func() { answered <- agg.SubmitDurable(SyntheticUpload(3, "device-crash", 8), UploadID{}) }()
+	<-syncing
+	go agg.Crash()
+	<-agg.crashCh
+	close(unblock)
 	select {
-	case <-agg.Crashed():
-		t.Fatal("Crashed() closed before Crash")
-	default:
+	case err := <-answered:
+		if !errors.Is(err, ErrCrashed) {
+			t.Fatalf("submit across a crash = %v, want ErrCrashed", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the submitter did not return after Crash")
 	}
-	agg.Crash()
-	select {
-	case <-agg.Crashed():
-	default:
-		t.Fatal("Crashed() did not close after Crash")
-	}
+	agg.Crash() // waits out the teardown
 }
 
-func TestNewWireAckNilPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewWireAck(nil) must panic")
-		}
-	}()
-	NewWireAck(nil)
+// TestSubmitKeepsNoUploadAlive: once a submit has returned, nothing the
+// node keeps refers to the upload — not a shard, not the committer's
+// batch — so the collector reclaims its view.
+func TestSubmitKeepsNoUploadAlive(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
+			cfg := Config{Shards: 4}
+			if durable {
+				cfg = durableCfg(t.TempDir(), 4)
+			}
+			agg := mustOpen(t, cfg)
+			defer agg.Close()
+			collected := make(chan struct{})
+			func() {
+				wr, err := decodeDoc(encodeUpload(t, 5, "device-gc", 12))
+				if err != nil {
+					t.Fatal(err)
+				}
+				runtime.SetFinalizer(wr, func(*core.WireReport) { close(collected) })
+				if err := agg.SubmitWire(wr); err != nil {
+					t.Fatal(err)
+				}
+			}()
+			for i := 0; i < 20; i++ {
+				runtime.GC()
+				select {
+				case <-collected:
+					return
+				case <-time.After(10 * time.Millisecond):
+				}
+			}
+			t.Fatal("the node keeps a merged upload alive")
+		})
+	}
 }
 
 // encodeUpload produces one synthetic binary document.

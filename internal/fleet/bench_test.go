@@ -45,10 +45,11 @@ func benchDocs(b *testing.B, devices, entries int) (json [][]byte, bin [][]byte,
 
 // BenchmarkIngest measures end-to-end ingest cost per upload — parse or
 // decode, split, shard merge — for the JSON path (ImportReport +
-// SubmitWait) against the binary path (warm dictionary Decode into a warm
-// view + SubmitWireAcked), and the durable path: SubmitDurable of 4-entry
-// uploads from 16 goroutines into a SyncBatch WAL, reporting the log's
-// fsyncs and framed bytes per upload.
+// SubmitDurable) against the binary path (warm dictionary Decode into a
+// warm view + SubmitWire), both merging on the benchmark's goroutine
+// before the submit returns, and the durable path: SubmitDurable of
+// 4-entry uploads from 16 goroutines into a SyncBatch WAL, reporting the
+// log's fsyncs and framed bytes per upload.
 // ns/op is the per-upload cost, so throughput = 1e9/ns-op. Run with:
 //
 //	go test -bench Ingest -benchtime 2s -benchmem -run XXX ./internal/fleet/
@@ -56,9 +57,8 @@ func benchDocs(b *testing.B, devices, entries int) (json [][]byte, bin [][]byte,
 // The binary path's bar is ≥10× the JSON path at 4 shards (cmd/benchgate
 // enforces it in CI): the steady-state document is ~30× smaller and
 // decodes into pre-keyed wire entries that merge without re-parsing,
-// re-validating, or re-interning. Each device has one view and one
-// WireAck, and its next decode waits for its previous upload's merge,
-// because the shards read the upload in its view.
+// re-validating, or re-interning. Each device has one view, which its
+// next decode may reuse as soon as SubmitWire returns.
 //
 // History, on a 2-vCPU Intel Xeon VM (GOMAXPROCS 2): when the binary rows
 // took their present definition, medians of 3 runs put binary at 11.8×,
@@ -71,7 +71,7 @@ func BenchmarkIngest(b *testing.B) {
 	jsonDocs, binDocs, decs, views := benchDocs(b, 128, 120)
 	for _, shards := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("json/shards=%d", shards), func(b *testing.B) {
-			agg := NewAggregator(Config{Shards: shards, QueueDepth: 4096, BatchSize: 16})
+			agg := NewAggregator(Config{Shards: shards})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -79,54 +79,31 @@ func BenchmarkIngest(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := agg.SubmitWait(rep); err != nil {
+				if err := agg.SubmitDurable(rep, UploadID{}); err != nil {
 					b.Fatal(err)
 				}
 			}
-			agg.Close() // the measurement covers every merge
 			b.StopTimer()
+			agg.Close()
 			if agg.Fold().Len() == 0 {
 				b.Fatal("benchmark merged nothing")
 			}
 		})
 		b.Run(fmt.Sprintf("binary/shards=%d", shards), func(b *testing.B) {
-			agg := NewAggregator(Config{Shards: shards, QueueDepth: 4096, BatchSize: 16})
-			// The shards read a device's upload in its view until the
-			// upload has merged, so each device has one ack and its next
-			// decode into the view waits for the previous upload's.
-			acks := make([]*WireAck, len(binDocs))
-			merged := make([]chan error, len(binDocs))
-			inflight := make([]bool, len(binDocs))
-			for d := range acks {
-				ch := make(chan error, 1)
-				merged[d], acks[d] = ch, NewWireAck(func(err error) { ch <- err })
-			}
-			wait := func(d int) {
-				if inflight[d] {
-					if err := <-merged[d]; err != nil {
-						b.Fatal(err)
-					}
-					inflight[d] = false
-				}
-			}
+			agg := NewAggregator(Config{Shards: shards})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				d := i % len(binDocs)
-				wait(d)
 				if err := decs[d].Decode(binDocs[d], views[d]); err != nil {
 					b.Fatal(err)
 				}
-				if err := agg.SubmitWireAcked(views[d], acks[d]); err != nil {
+				if err := agg.SubmitWire(views[d]); err != nil {
 					b.Fatal(err)
 				}
-				inflight[d] = true
 			}
-			for d := range acks {
-				wait(d)
-			}
-			agg.Close()
 			b.StopTimer()
+			agg.Close()
 			if agg.Fold().Len() == 0 {
 				b.Fatal("benchmark merged nothing")
 			}

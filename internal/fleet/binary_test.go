@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"hangdoctor/internal/core"
+	"hangdoctor/internal/obs"
 	"hangdoctor/internal/simclock"
 )
 
@@ -36,8 +37,8 @@ func decodeDoc(doc []byte) (*core.WireReport, error) {
 
 // TestSubmitWireFoldByteIdentical pins the zero-copy ingest path to the
 // same determinism bar as everything else: uploads that travel encoder →
-// decoder → SubmitWireAcked fold byte-identically to the same reports
-// submitted directly, for every shard count.
+// decoder → SubmitWire fold byte-identically to the same reports merged
+// serially, for every shard count.
 func TestSubmitWireFoldByteIdentical(t *testing.T) {
 	reps := uploads(24, 60)
 	serial := core.NewReport()
@@ -46,19 +47,16 @@ func TestSubmitWireFoldByteIdentical(t *testing.T) {
 
 	for _, shards := range []int{1, 2, 4, 7} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			agg := NewAggregator(Config{Shards: shards, QueueDepth: 8, BatchSize: 4})
-			col := newAckCollector()
-			wa := NewWireAck(col.fn)
+			agg := NewAggregator(Config{Shards: shards, QueueDepth: 8})
 			for i, r := range reps {
 				enc := core.NewBinaryEncoder(fmt.Sprintf("device-%03d", i))
 				wr, err := decodeDoc(enc.Encode(r))
 				if err != nil {
 					t.Fatalf("decode upload %d: %v", i, err)
 				}
-				if err := agg.SubmitWireAcked(wr, wa); err != nil {
+				if err := agg.SubmitWire(wr); err != nil {
 					t.Fatal(err)
 				}
-				<-col.fired // the ack is reusable once it fired
 			}
 			agg.Close()
 			if got := exportBytes(t, agg.Fold()); !bytes.Equal(got, want) {
@@ -101,14 +99,20 @@ func TestSplitAllocs(t *testing.T) {
 }
 
 // TestSplitSkipsEmptyFragments: a shard an upload has nothing for gets an
-// empty message, which route skips, and the health section rides shard 0
-// alone.
+// empty run, which merge skips, and the health section goes to shard 0
+// alone — so a submit moves exactly the versions of the shards it merged
+// a fragment into.
 func TestSplitSkipsEmptyFragments(t *testing.T) {
 	agg := NewAggregator(Config{Shards: 64})
 	defer agg.Close()
-	payloads := func(rep *core.Report) (shards []int) {
-		for i, m := range agg.split(rep.Wire()) {
-			if m.payload() {
+	merged := func(rep *core.Report) (shards []int) {
+		_, before := agg.gather()
+		if err := agg.SubmitDurable(rep, UploadID{}); err != nil {
+			t.Fatal(err)
+		}
+		_, after := agg.gather()
+		for i := range after {
+			if after[i] != before[i] {
 				shards = append(shards, i)
 			}
 		}
@@ -116,16 +120,16 @@ func TestSplitSkipsEmptyFragments(t *testing.T) {
 	}
 	one := core.NewReport()
 	one.Add("app", "dev", "app/Act", core.Diagnosis{RootCause: "com.example.Only.run", File: "Only.java", Line: 1}, 200*simclock.Millisecond)
-	if got := payloads(one); len(got) != 1 {
-		t.Errorf("single-entry upload split into %d non-empty fragments, want 1", len(got))
+	if got := merged(one); len(got) != 1 {
+		t.Errorf("single-entry upload merged into %d shards, want 1", len(got))
 	}
-	if got := payloads(core.NewReport()); len(got) != 0 {
-		t.Errorf("empty zero-health upload produced non-empty fragments on shards %v", got)
+	if got := merged(core.NewReport()); len(got) != 0 {
+		t.Errorf("empty zero-health upload merged into shards %v", got)
 	}
 	healthOnly := core.NewReport()
 	healthOnly.Health.StacksDropped = 1
-	if got := payloads(healthOnly); !slices.Equal(got, []int{0}) {
-		t.Errorf("health-only upload has payload on shards %v, want [0]", got)
+	if got := merged(healthOnly); !slices.Equal(got, []int{0}) {
+		t.Errorf("health-only upload merged into shards %v, want [0]", got)
 	}
 }
 
@@ -208,6 +212,27 @@ func TestBinaryUploadDictMismatch409(t *testing.T) {
 	}
 }
 
+// TestDictCacheDecodeAllocs: the server's whole decode of a known device's
+// steady-state document into a warm view, device lookup included,
+// allocates nothing. CI's 0-alloc decode bar times the core decoder alone.
+func TestDictCacheDecodeAllocs(t *testing.T) {
+	c := newDictCache(4, obs.NewRegistry())
+	enc := core.NewBinaryEncoder("device-a")
+	rep := SyntheticUpload(3, "device-a", 40)
+	view := new(core.WireReport)
+	if err := c.decode(enc.Encode(rep), view); err != nil { // the full dictionary
+		t.Fatal(err)
+	}
+	steady := append([]byte(nil), enc.Encode(rep)...)
+	if n := testing.AllocsPerRun(100, func() {
+		if err := c.decode(steady, view); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("a warm dictCache.decode allocates %v times, want 0", n)
+	}
+}
+
 // TestDictCacheEviction pins the bounded-state guarantee: the cache holds
 // at most cap devices, evicting least-recently-seen, and an evicted
 // device's next delta is a mismatch (never a wrong decode).
@@ -253,7 +278,7 @@ func TestDictCacheEviction(t *testing.T) {
 // again while other uploads merge. Every upload must be accepted and the
 // fold after Close must equal the serial merge of all of them; under
 // -race, a view put back before its upload merged shows as a race with
-// the shard that reads it.
+// the merge that reads it.
 func TestBinaryUploadsRecycleViews(t *testing.T) {
 	agg := NewAggregator(Config{Shards: 4})
 	h := NewServer(agg).Handler()
@@ -287,11 +312,16 @@ func TestBinaryUploadsRecycleViews(t *testing.T) {
 	}
 }
 
-// TestUploadTooLarge413 is the satellite bugfix regression: an oversized
-// body answers 413 (too large — retry smaller), not 400 (malformed), on
-// both the durable and non-durable paths, for JSON and binary alike.
+// TestUploadTooLarge413 is the satellite bugfix regression: a body one
+// byte over the cap answers 413 (too large — retry smaller), not 400
+// (malformed), on both the durable and non-durable paths, for JSON and
+// binary alike.
 func TestUploadTooLarge413(t *testing.T) {
-	big := exportBytes(t, SyntheticUpload(3, "device-big", 400))
+	// Valid documents padded past the cap: only their size is wrong.
+	pad := func(doc []byte) []byte {
+		return append(doc, bytes.Repeat([]byte{' '}, maxBodyBytes+1-len(doc))...)
+	}
+	rep := SyntheticUpload(3, "device-big", 40)
 	for _, durable := range []bool{false, true} {
 		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
 			cfg := Config{Shards: 2, QueueDepth: 8}
@@ -303,21 +333,16 @@ func TestUploadTooLarge413(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer agg.Close()
-			srv := NewServer(agg)
-			srv.MaxBodyBytes = int64(len(big)) / 2
-			ts := httptest.NewServer(srv.Handler())
+			ts := httptest.NewServer(NewServer(agg).Handler())
 			defer ts.Close()
 
 			for _, enc := range []struct {
 				name, ctype string
 				doc         []byte
 			}{
-				{"json", "application/json", big},
-				{"binary", core.BinaryContentType, core.AppendReportBinary(nil, SyntheticUpload(3, "device-big", 400))},
+				{"json", "application/json", pad(exportBytes(t, rep))},
+				{"binary", core.BinaryContentType, pad(core.AppendReportBinary(nil, rep))},
 			} {
-				if int64(len(enc.doc)) <= srv.MaxBodyBytes {
-					continue // binary may compress under the cap; only meaningful when oversized
-				}
 				resp, err := ts.Client().Post(ts.URL+"/v1/upload", enc.ctype, bytes.NewReader(enc.doc))
 				if err != nil {
 					t.Fatal(err)
@@ -347,7 +372,7 @@ func TestUploadTooLarge413(t *testing.T) {
 func TestReportExportFailure(t *testing.T) {
 	agg := NewAggregator(Config{Shards: 1})
 	defer agg.Close()
-	if err := agg.SubmitWait(SyntheticUpload(9, "device-x", 10)); err != nil {
+	if err := agg.SubmitDurable(SyntheticUpload(9, "device-x", 10), UploadID{}); err != nil {
 		t.Fatal(err)
 	}
 	srv := NewServer(agg)
@@ -423,7 +448,7 @@ func TestSnapshotEndpointCanonical(t *testing.T) {
 	agg := NewAggregator(Config{Shards: 2, QueueDepth: 8})
 	reps := uploads(6, 30)
 	for _, r := range reps {
-		if err := agg.SubmitWait(core.FoldReports(r)); err != nil {
+		if err := agg.SubmitDurable(core.FoldReports(r), UploadID{}); err != nil {
 			t.Fatal(err)
 		}
 	}

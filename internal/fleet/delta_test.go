@@ -35,8 +35,8 @@ func (r *Regional) forceResync() {
 }
 
 // mergeAll submits reps and returns only after every one has merged
-// (SubmitDurable without a WAL acks post-merge), so the caller's next
-// fold is a deterministic quiescent point. It returns reps, so callers
+// (SubmitDurable returns after the merge), so the caller's next fold is a
+// deterministic quiescent point. It returns reps, so callers
 // can collect what they submitted for the reference fold.
 func mergeAll(t *testing.T, agg *Aggregator, reps ...*core.Report) []*core.Report {
 	t.Helper()
@@ -180,7 +180,7 @@ func TestSnapshotDeltaHTTP(t *testing.T) {
 // snapshot and fold caches never share mutable state with the shard
 // writers.
 func TestFoldCachedByteIdenticalUnderRace(t *testing.T) {
-	agg := NewAggregator(Config{Shards: 4, QueueDepth: 64, BatchSize: 4})
+	agg := NewAggregator(Config{Shards: 4, QueueDepth: 64})
 	defer agg.Close()
 	serial := core.NewReport()
 
@@ -215,9 +215,8 @@ func TestFoldCachedByteIdenticalUnderRace(t *testing.T) {
 			go func(w int) {
 				defer writers.Done()
 				for i := w; i < len(reps); i += 4 {
-					// SubmitDurable acks after the merge (no WAL configured),
-					// which is the quiescence barrier the comparison needs —
-					// SubmitWait acks on enqueue only.
+					// SubmitDurable returns after the merge, which is the
+					// quiescence barrier the comparison needs.
 					id, _ := ReportUploadID(reps[i])
 					for {
 						err := agg.SubmitDurable(reps[i], id)

@@ -8,9 +8,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,6 +27,21 @@ func uploads(n, entries int) []*core.Report {
 	return out
 }
 
+// submitRetry submits rep until the node admits it, as a device retries a
+// 429: the submits fail fast when every admission slot is taken.
+func submitRetry(t *testing.T, a *Aggregator, rep *core.Report) {
+	for {
+		err := a.SubmitDurable(rep, UploadID{})
+		if !errors.Is(err, ErrQueueFull) {
+			if err != nil {
+				t.Errorf("submit: %v", err)
+			}
+			return
+		}
+		runtime.Gosched()
+	}
+}
+
 func exportBytes(t *testing.T, r *core.Report) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -37,8 +52,9 @@ func exportBytes(t *testing.T, r *core.Report) []byte {
 }
 
 // TestShardedMergeByteIdentical is the determinism guarantee: for any shard
-// count, batch size, and submission order, the folded fleet report exports
-// and renders byte-identically to a serial Report.Merge of the same uploads.
+// count and group-commit window, the folded fleet report exports and
+// renders byte-identically to a serial Report.Merge of the same uploads.
+// The window is the committer's, so the node is durable.
 func TestShardedMergeByteIdentical(t *testing.T) {
 	reps := uploads(24, 60)
 	serial := core.NewReport()
@@ -48,12 +64,17 @@ func TestShardedMergeByteIdentical(t *testing.T) {
 	for _, shards := range []int{1, 2, 4, 7} {
 		for _, batch := range []int{1, 3, 16} {
 			t.Run(fmt.Sprintf("shards=%d/batch=%d", shards, batch), func(t *testing.T) {
-				agg := NewAggregator(Config{Shards: shards, BatchSize: batch, QueueDepth: 4})
+				agg := mustOpen(t, Config{Shards: shards, BatchSize: batch, QueueDepth: 4,
+					WAL: &WALConfig{Dir: t.TempDir(), Sync: SyncOff}})
+				var wg sync.WaitGroup
 				for _, r := range reps {
-					if err := agg.SubmitWait(r); err != nil {
-						t.Fatal(err)
-					}
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						submitRetry(t, agg, r)
+					}()
 				}
+				wg.Wait()
 				agg.Close()
 				folded := agg.Fold()
 				if got := exportBytes(t, folded); !bytes.Equal(got, want) {
@@ -68,13 +89,14 @@ func TestShardedMergeByteIdentical(t *testing.T) {
 }
 
 // TestConcurrentUploadsRace hammers one aggregator from many goroutines —
-// SubmitWait from eight writers, interleaved snapshots and stats — and
-// checks nothing is lost. Run under -race this is the single-writer proof.
+// eight writers merging under the shard locks, interleaved snapshots and
+// stats — and checks nothing is lost. Run under -race this is the proof
+// that each shard's report is only touched under its lock.
 func TestConcurrentUploadsRace(t *testing.T) {
 	reps := uploads(64, 40)
 	serial := core.NewReport()
 	serial.Merge(reps...)
-	agg := NewAggregator(Config{Shards: 4, QueueDepth: 8, BatchSize: 4})
+	agg := NewAggregator(Config{Shards: 4, QueueDepth: 8})
 
 	var wg sync.WaitGroup
 	next := make(chan *core.Report)
@@ -83,7 +105,7 @@ func TestConcurrentUploadsRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := range next {
-				if err := agg.SubmitWait(r); err != nil {
+				if err := agg.SubmitDurable(r, UploadID{}); err != nil {
 					t.Errorf("submit: %v", err)
 				}
 			}
@@ -124,52 +146,50 @@ func TestConcurrentUploadsRace(t *testing.T) {
 	}
 }
 
-// wedgeShard blocks a shard goroutine on an unbuffered snapshot reply the
-// test controls, making backpressure deterministic: with the shard stuck,
-// fragments pile into its channel, then admitted submitters block handing
-// off theirs until every admission slot is taken. release is idempotent,
-// so a test can defer it ahead of Close and still fail cleanly with the
-// shard wedged.
+// wedgeShard holds shard i's mutex, so an upload with entries there
+// cannot merge, making backpressure deterministic: its submitters hold
+// their admission slots until release. release is idempotent, so a test
+// can defer it ahead of Close and still fail cleanly with the shard
+// wedged.
 func wedgeShard(a *Aggregator, i int) (release func()) {
-	ch := make(chan shardSnap)
-	a.shards[i] <- shardMsg{snap: ch}
+	a.shards[i].mu.Lock()
 	var once sync.Once
-	return func() { once.Do(func() { <-ch }) }
+	return func() { once.Do(a.shards[i].mu.Unlock) }
 }
 
-// fillWedged parks exactly as many blocking submitters on a one-shard
-// aggregator whose shard is wedged as its pipeline holds — a full shard
-// channel, plus one submitter blocked in hand-off per admission slot — and
-// returns their uploads once the pipeline is full. Every later
-// non-blocking submit fails with ErrQueueFull until the shard is released.
-// The parked submitters finish after the release; the test's cleanup
-// waits for them, so a test must release the shard before it returns.
+// fillWedged parks one submitter per admission slot on a one-shard
+// aggregator whose shard is wedged and returns their uploads once every
+// slot is taken. Every later submit fails with ErrQueueFull until the
+// shard is released. The parked submitters finish after the release; the
+// test's cleanup waits for them, so a test must release the shard before
+// it returns.
 func fillWedged(t *testing.T, a *Aggregator) []*core.Report {
 	t.Helper()
-	reps := uploads(cap(a.shards[0])+cap(a.slots), 10)
+	reps := uploads(cap(a.slots), 10)
 	var parked sync.WaitGroup
 	t.Cleanup(parked.Wait)
 	for _, r := range reps {
 		parked.Add(1)
 		go func() {
 			defer parked.Done()
-			if err := a.SubmitWait(r); err != nil {
+			if err := a.SubmitDurable(r, UploadID{}); err != nil {
 				t.Errorf("fill: %v", err)
 			}
 		}()
 	}
-	for a.QueueDepth() < cap(a.slots) || len(a.shards[0]) < cap(a.shards[0]) {
+	for a.QueueDepth() < cap(a.slots) {
 		time.Sleep(time.Millisecond) // no event marks a submitter as parked
 	}
 	return reps
 }
 
-// TestBackpressure: once the pipeline is full, SubmitDurable fails fast
-// with ErrQueueFull and the HTTP layer turns that into 429 + Retry-After;
-// after the jam clears, everything accepted is merged and nothing rejected
-// leaks into the fleet view.
+// TestBackpressure: once every admission slot is held by an upload that
+// cannot merge, SubmitDurable fails fast with ErrQueueFull and the HTTP
+// layer turns that into 429 + Retry-After; after the jam clears,
+// everything accepted is merged and nothing rejected leaks into the fleet
+// view.
 func TestBackpressure(t *testing.T) {
-	agg := NewAggregator(Config{Shards: 1, QueueDepth: 2, BatchSize: 1})
+	agg := NewAggregator(Config{Shards: 1, QueueDepth: 2})
 	release := wedgeShard(agg, 0)
 	defer release()
 	srv := NewServer(agg)
@@ -205,83 +225,54 @@ func TestBackpressure(t *testing.T) {
 	}
 }
 
-// TestSubmitContracts pins every write entry point in one table. After
-// Close each refuses with ErrClosed (HTTP 503) and counts one rejection.
-// On a full pipeline the device-facing calls — SubmitDurable and both
-// upload handlers — fail fast with ErrQueueFull (HTTP 429 + Retry-After),
-// while the bulk and simulator calls wait for queue space and return only
-// after the jam clears. A SubmitWireAcked rejected synchronously never
-// fires its callback.
+// TestSubmitContracts pins every write entry point in one table: the two
+// exported submits and both upload handlers. After Close each refuses
+// with ErrClosed (HTTP 503) and counts one rejection; with every admission
+// slot taken each fails fast with ErrQueueFull (HTTP 429 + Retry-After).
 func TestSubmitContracts(t *testing.T) {
 	rep := SyntheticUpload(7, "device-late", 10)
 	jsonDoc, binDoc := exportBytes(t, rep), core.AppendReportBinary(nil, rep)
-	post := func(ctype string, doc []byte) func(*Aggregator, *core.WireReport) error {
-		return func(a *Aggregator, _ *core.WireReport) error {
+	post := func(ctype string, doc []byte) func(*Aggregator) error {
+		return func(a *Aggregator) error {
 			return postUpload(NewServer(a).Handler(), ctype, doc)
 		}
 	}
-	var fired atomic.Int64
-	wa := NewWireAck(func(error) { fired.Add(1) })
 	cases := []struct {
 		name   string
-		blocks bool
-		submit func(*Aggregator, *core.WireReport) error
+		submit func(*Aggregator) error
 	}{
-		{"SubmitDurable", false, func(a *Aggregator, _ *core.WireReport) error {
+		{"SubmitDurable", func(a *Aggregator) error {
 			return a.SubmitDurable(core.FoldReports(rep), UploadID{})
 		}},
-		{"SubmitWait", true, func(a *Aggregator, _ *core.WireReport) error { return a.SubmitWait(core.FoldReports(rep)) }},
-		{"SubmitWireAcked", true, func(a *Aggregator, wr *core.WireReport) error { return a.SubmitWireAcked(wr, wa) }},
-		{"POST json", false, post("application/json", jsonDoc)},
-		{"POST binary", false, post(core.BinaryContentType, binDoc)},
-	}
-	// wire decodes a fresh binary upload for one submission to own.
-	wire := func(t *testing.T) *core.WireReport {
-		wr, err := decodeDoc(binDoc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return wr
+		{"SubmitWire", func(a *Aggregator) error {
+			wr, err := decodeDoc(binDoc)
+			if err != nil {
+				return err
+			}
+			return a.SubmitWire(wr)
+		}},
+		{"POST json", post("application/json", jsonDoc)},
+		{"POST binary", post(core.BinaryContentType, binDoc)},
 	}
 	for _, c := range cases {
 		t.Run(c.name+"/closed", func(t *testing.T) {
 			agg := NewAggregator(Config{Shards: 2})
 			agg.Close()
-			fired.Store(0)
-			if err := c.submit(agg, wire(t)); !errors.Is(err, ErrClosed) {
+			if err := c.submit(agg); !errors.Is(err, ErrClosed) {
 				t.Fatalf("after Close: %v, want ErrClosed", err)
 			}
 			if got := agg.Metrics().rejected.Value(); got != 1 {
 				t.Errorf("rejected = %d, want 1", got)
 			}
-			if n := fired.Load(); n != 0 {
-				t.Errorf("callback fired %d times after a synchronous rejection", n)
-			}
 		})
 		t.Run(c.name+"/full", func(t *testing.T) {
-			agg := NewAggregator(Config{Shards: 1, QueueDepth: 2, BatchSize: 1})
+			agg := NewAggregator(Config{Shards: 1, QueueDepth: 2})
 			defer agg.Close()
 			release := wedgeShard(agg, 0)
 			defer release()
 			fillWedged(t, agg)
-			wr := wire(t)
-			done := make(chan error, 1)
-			go func() { done <- c.submit(agg, wr) }()
-			if !c.blocks {
-				if err := <-done; !errors.Is(err, ErrQueueFull) {
-					t.Errorf("full pipeline: %v, want ErrQueueFull", err)
-				}
-				release()
-				return
-			}
-			select {
-			case err := <-done:
-				t.Fatalf("returned %v while the pipeline was full", err)
-			case <-time.After(50 * time.Millisecond):
-			}
-			release()
-			if err := <-done; err != nil {
-				t.Fatalf("after release: %v", err)
+			if err := c.submit(agg); !errors.Is(err, ErrQueueFull) {
+				t.Errorf("full pipeline: %v, want ErrQueueFull", err)
 			}
 		})
 	}
@@ -309,10 +300,10 @@ func postUpload(h http.Handler, ctype string, doc []byte) error {
 	return fmt.Errorf("status %d", rec.Code)
 }
 
-// TestSubmitKeepsNoReference: a report upload is handed on as a copy, so
-// its caller may write the report as soon as the submit returns — before
-// the shards merge it, on a memory-only node and a durable one. Under
-// -race a shared device set or entry is a reported data race.
+// TestSubmitKeepsNoReference: the node merges a copy of a report upload,
+// so its caller may write the report as soon as the submit returns, on a
+// memory-only node and a durable one. Under -race a shared device set or
+// entry is a reported data race.
 func TestSubmitKeepsNoReference(t *testing.T) {
 	for _, durable := range []bool{false, true} {
 		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
@@ -324,7 +315,7 @@ func TestSubmitKeepsNoReference(t *testing.T) {
 			rep := SyntheticUpload(21, "device-keep", 30)
 			rep.Health.StacksDropped = 2
 			want := exportBytes(t, rep)
-			if err := agg.SubmitWait(rep); err != nil {
+			if err := agg.SubmitDurable(rep, UploadID{}); err != nil {
 				t.Fatal(err)
 			}
 			for _, e := range rep.Entries() {
@@ -341,7 +332,7 @@ func TestSubmitKeepsNoReference(t *testing.T) {
 }
 
 // TestUploadAnswersAfterMerge: on a memory-only node a 202 means merged,
-// in either format. With the node's one shard wedged an upload is queued
+// in either format. With the node's one shard wedged an upload is admitted
 // but cannot merge, so the POST does not answer until the shard is
 // released — and once it answers, the fold holds the upload.
 func TestUploadAnswersAfterMerge(t *testing.T) {
@@ -389,7 +380,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	reps := uploads(32, 30)
 	agg := NewAggregator(Config{Shards: 3, QueueDepth: 64})
 	for _, r := range reps {
-		if err := agg.SubmitWait(r); err != nil {
+		if err := agg.SubmitDurable(r, UploadID{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -554,7 +545,7 @@ func TestHealthCountersSurvive(t *testing.T) {
 			hv.Field(f).SetInt(int64(1 + f + 100*i))
 		}
 		want.Add(r.Health)
-		if err := agg.SubmitWait(r); err != nil {
+		if err := agg.SubmitDurable(r, UploadID{}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -49,7 +49,7 @@ func benchFleet(b *testing.B, nodes, shards, devices, entries int) []*Aggregator
 	b.Helper()
 	aggs := make([]*Aggregator, nodes)
 	for n := range aggs {
-		aggs[n] = NewAggregator(Config{Shards: shards, QueueDepth: 4096, BatchSize: 16})
+		aggs[n] = NewAggregator(Config{Shards: shards, QueueDepth: 4096})
 	}
 	for d := 0; d < devices; d++ {
 		rep := SyntheticUpload(int64(100+d), fmt.Sprintf("device-%04d", d), entries)
@@ -95,12 +95,7 @@ func churn(b *testing.B, agg *Aggregator, seq int, entries int) {
 // coldFold is the uncached read: a deep copy of every shard snapshot,
 // folded serially — what every Fold cost before versioned snapshots.
 func coldFold(a *Aggregator) *core.Report {
-	a.mu.RLock()
-	snaps, _, ok := a.gather()
-	a.mu.RUnlock()
-	if !ok {
-		return core.NewReport()
-	}
+	snaps, _ := a.gather()
 	for i, s := range snaps {
 		snaps[i] = core.FoldReports(s)
 	}

@@ -65,17 +65,19 @@ func newDictCache(capacity int, reg *obs.Registry) *dictCache {
 	return c
 }
 
-// entry returns (creating if needed) the device's decoder entry, bumping it
-// to most-recently-used and evicting the coldest entry when over capacity.
-func (c *dictCache) entry(device string) *dictEntry {
+// entry returns (creating if needed) the decoder entry of the device
+// named by the bytes device, bumping it to most-recently-used and evicting
+// the coldest entry when over capacity. Finding a known device allocates
+// nothing; only a new device's entry copies its name.
+func (c *dictCache) entry(device []byte) *dictEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.byDev[device]; ok {
+	if el, ok := c.byDev[string(device)]; ok {
 		c.lru.MoveToFront(el)
 		return el.Value.(*dictEntry)
 	}
-	e := &dictEntry{device: device, dec: core.NewBinaryDecoder()}
-	c.byDev[device] = c.lru.PushFront(e)
+	e := &dictEntry{device: string(device), dec: core.NewBinaryDecoder()}
+	c.byDev[e.device] = c.lru.PushFront(e)
 	for len(c.byDev) > c.cap {
 		oldest := c.lru.Back()
 		c.lru.Remove(oldest)
@@ -86,7 +88,8 @@ func (c *dictCache) entry(device string) *dictEntry {
 }
 
 // decode parses one binary upload document against the sending device's
-// dictionary into the caller's view. Stateless documents (empty device)
+// dictionary into the caller's view; a known device's document decoded
+// into a warm view allocates nothing. Stateless documents (empty device)
 // decode with a throwaway decoder and touch no cache state. A decode error
 // never commits dictionary changes (the core decoder stages deltas), so a
 // rejected document leaves the device's state exactly as it was.
@@ -95,7 +98,7 @@ func (c *dictCache) decode(doc []byte, into *core.WireReport) error {
 	if err != nil {
 		return err
 	}
-	if device == "" {
+	if len(device) == 0 {
 		return core.NewBinaryDecoder().Decode(doc, into)
 	}
 	e := c.entry(device)

@@ -9,8 +9,7 @@ import (
 // Metrics is the aggregator's ingestion accounting, held in an obs
 // registry so fleetd's /metrics is the standard exposition rather than a
 // hand-rolled formatter. Every counter is a lock-free obs counter: the
-// submit hot path never takes a lock to account an upload, and a shard
-// accounts its merges once per batch.
+// submit hot path never takes a lock to account an upload or a merge.
 type Metrics struct {
 	reg *obs.Registry
 
@@ -25,8 +24,10 @@ type Metrics struct {
 	dictMismatches *obs.Counter
 
 	// merges counts shard merge calls and mergedFragments the fragments
-	// they folded; mergeLatency distributes per-merge wall time, so its
-	// _sum line is the total time spent merging.
+	// they folded, one each since a shard merges each upload's run under
+	// its own lock (the two families predate that and stay for scrapers);
+	// mergeLatency distributes per-merge wall time, lock wait excluded, so
+	// its _sum line is the total time spent merging.
 	merges          *obs.Counter
 	mergedFragments *obs.Counter
 	mergeLatency    *obs.Histogram
@@ -155,10 +156,11 @@ func (m *Metrics) Registry() *obs.Registry { return m.reg }
 // submitted (the HTTP layer's 400 path).
 func (m *Metrics) NoteInvalid() { m.invalid.Inc() }
 
-// noteMerge accounts one shard merge call of frags fragments.
-func (m *Metrics) noteMerge(frags int, d time.Duration) {
+// noteMerge accounts one shard merge call, which folds one fragment: an
+// upload's run of entries on one shard.
+func (m *Metrics) noteMerge(d time.Duration) {
 	m.merges.Inc()
-	m.mergedFragments.Add(int64(frags))
+	m.mergedFragments.Inc()
 	m.mergeLatency.Observe(float64(d.Nanoseconds()))
 }
 

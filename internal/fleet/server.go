@@ -26,10 +26,6 @@ import (
 //	                          (the shape obs.MergeSnapshots folds across nodes)
 type Server struct {
 	agg *Aggregator
-	// MaxBodyBytes bounds an upload document (default 8 MiB); oversized
-	// bodies are refused with 413 so clients can distinguish "too large"
-	// from "malformed".
-	MaxBodyBytes int64
 	// RetryAfter is the backoff advertised on 429 responses (default 1s).
 	RetryAfter time.Duration
 
@@ -43,6 +39,10 @@ type Server struct {
 	// body.
 	exportReport func(*core.Report, *bytes.Buffer) error
 }
+
+// maxBodyBytes bounds an upload document; oversized bodies are refused
+// with 413 so clients can distinguish "too large" from "malformed".
+const maxBodyBytes = 8 << 20
 
 // exportBufPool recycles /v1/report?format=json export buffers across
 // scrapes. A fleet-sized export runs to megabytes; without the pool every
@@ -59,10 +59,9 @@ func NewServer(agg *Aggregator) *Server {
 // devices whose binary-upload dictionary state the server retains.
 func NewServerDict(agg *Aggregator, dictDevices int) *Server {
 	return &Server{
-		agg:          agg,
-		MaxBodyBytes: 8 << 20,
-		RetryAfter:   time.Second,
-		dicts:        newDictCache(dictDevices, agg.Metrics().Registry()),
+		agg:        agg,
+		RetryAfter: time.Second,
+		dicts:      newDictCache(dictDevices, agg.Metrics().Registry()),
 		exportReport: func(rep *core.Report, buf *bytes.Buffer) error {
 			return rep.Export(buf)
 		},
@@ -86,7 +85,7 @@ func (s *Server) Handler() http.Handler {
 // under a higher cap might be perfectly valid) and anything else to 400.
 // It reports whether the caller may proceed.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	lr := http.MaxBytesReader(w, r.Body, s.MaxBodyBytes)
+	lr := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var buf bytes.Buffer
 	if _, err := buf.ReadFrom(lr); err != nil {
 		s.agg.Metrics().NoteInvalid()
@@ -132,16 +131,16 @@ func (s *Server) uploadJSON(w http.ResponseWriter, body []byte) {
 }
 
 // wireViews recycles the views binary uploads decode into. A view goes
-// back only when submitAcked returned nil: every fragment has merged then,
-// because a shard completes its acks after it merges. After any error the
-// view is dropped, since ErrCrashed can return while a shard still reads
-// it. Views are never held per device, which would keep each device's
-// last upload alive.
+// back once SubmitWire has returned, whatever its outcome, since the node
+// reads the view no longer after that, or once its decode failed. Views
+// are never held per device, which would keep each device's last upload
+// alive.
 var wireViews = sync.Pool{New: func() any { return new(core.WireReport) }}
 
 func (s *Server) uploadBinary(w http.ResponseWriter, body []byte) {
 	s.agg.Metrics().binaryUploads.Inc()
 	wr := wireViews.Get().(*core.WireReport)
+	defer wireViews.Put(wr)
 	if err := s.dicts.decode(body, wr); err != nil {
 		var dm *core.DictMismatchError
 		if errors.As(err, &dm) {
@@ -161,14 +160,10 @@ func (s *Server) uploadBinary(w http.ResponseWriter, body []byte) {
 		http.Error(w, fmt.Sprintf("invalid report: %v", err), http.StatusBadRequest)
 		return
 	}
+	// Zero-copy ingest: the decoded wire entries merge where they lie,
+	// keyed by the decoder's dictionary.
 	entries, hangs := len(wr.Entries), wr.TotalHangs()
-	// Zero-copy ingest: the decoded wire entries go straight to their
-	// shards, keyed by the decoder's dictionary.
-	err := s.agg.submitAcked(nil, wr, UploadID{})
-	if err == nil {
-		wireViews.Put(wr)
-	}
-	s.finishUpload(w, err, entries, hangs)
+	s.finishUpload(w, s.agg.SubmitWire(wr), entries, hangs)
 }
 
 // finishUpload maps a submit outcome onto the response. Both formats

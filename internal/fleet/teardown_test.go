@@ -13,56 +13,38 @@ import (
 	"hangdoctor/internal/core"
 )
 
-// submitVia submits rep through one of the five write entry points. acked
-// says whether a nil outcome promises the upload has merged (durable first
-// on a WAL); SubmitWait's promises only that it was handed off. For
-// SubmitWireAcked the outcome is the callback's, or ErrCrashed if a crash
-// means it never fires.
-func submitVia(way int, a *Aggregator, h http.Handler, rep *core.Report) (acked bool, err error) {
+// submitVia submits rep through one of the four write entry points: the
+// two exported submits and the two upload formats. Each returns only once
+// the upload has merged (durable first on a WAL), or with an error.
+func submitVia(way int, a *Aggregator, h http.Handler, rep *core.Report) error {
 	switch way {
 	case 0:
-		return false, a.SubmitWait(rep)
+		return a.SubmitDurable(rep, UploadID{})
 	case 1:
 		wr, err := decodeDoc(core.AppendReportBinary(nil, rep))
 		if err != nil {
-			return true, err
+			return err
 		}
-		fired := make(chan error, 1)
-		if err := a.SubmitWireAcked(wr, NewWireAck(func(err error) { fired <- err })); err != nil {
-			return true, err
-		}
-		select {
-		case err = <-fired:
-		case <-a.Crashed():
-			select {
-			case err = <-fired:
-			default:
-				err = ErrCrashed
-			}
-		}
-		return true, err
+		return a.SubmitWire(wr)
 	case 2:
-		return true, a.SubmitDurable(rep, UploadID{})
-	case 3:
 		var buf bytes.Buffer
 		if err := rep.Export(&buf); err != nil {
-			return true, err
+			return err
 		}
-		return true, postUpload(h, "application/json", buf.Bytes())
+		return postUpload(h, "application/json", buf.Bytes())
 	default:
-		return true, postUpload(h, core.BinaryContentType, core.AppendReportBinary(nil, rep))
+		return postUpload(h, core.BinaryContentType, core.AppendReportBinary(nil, rep))
 	}
 }
 
 // TestTeardownDuringHandOff races Close and Crash against submitters that
 // are mid-hand-off through every write entry point, with two admission
-// slots for six writers so that teardown finds submitters waiting for a
-// slot and blocked handing off, and a reader scraping /metrics throughout.
-// Every call must end in nil or one of the submit errors, never in a panic
-// from a send on a closed channel, and every scrape in a 200. After
-// Close the fold is exactly the uploads that returned nil (or whose
-// callback fired with nil); after Crash and reopen every acked durable
-// upload is recovered.
+// slots for six writers so that teardown finds submitters merging,
+// refused a slot and waiting for the committer, and a reader scraping
+// /metrics throughout. Every call must end in nil or one of the submit
+// errors, never in a panic from a send on a closed channel, and every
+// scrape in a 200. After Close the fold is exactly the uploads that
+// returned nil; after Crash and reopen every one of them is recovered.
 func TestTeardownDuringHandOff(t *testing.T) {
 	for _, tc := range []struct {
 		name           string
@@ -84,7 +66,7 @@ func TestTeardownDuringHandOff(t *testing.T) {
 			h := NewServer(agg).Handler()
 			const writers, perWriter = 6, 30
 			var mu sync.Mutex
-			var kept, acked []*core.Report // nil outcomes; the acked ones among them
+			var acked []*core.Report // nil outcomes
 			var wg sync.WaitGroup
 			var once sync.Once
 			acking := make(chan struct{}) // closed by the first acked upload
@@ -96,15 +78,12 @@ func TestTeardownDuringHandOff(t *testing.T) {
 						// One device per upload: its name marks the upload in a fold.
 						rep := SyntheticUpload(int64(100*g+i), fmt.Sprintf("device-%d-%02d", g, i), 6)
 						want := core.FoldReports(rep)
-						isAck, err := submitVia((g+i)%5, agg, h, rep)
+						err := submitVia((g+i)%4, agg, h, rep)
 						switch {
 						case err == nil:
 							mu.Lock()
-							kept = append(kept, want)
-							if isAck {
-								acked = append(acked, want)
-								once.Do(func() { close(acking) })
-							}
+							acked = append(acked, want)
+							once.Do(func() { close(acking) })
 							mu.Unlock()
 						case !errors.Is(err, ErrClosed) && !errors.Is(err, ErrQueueFull) && !errors.Is(err, ErrCrashed):
 							t.Errorf("writer %d upload %d: %v", g, i, err)
@@ -141,8 +120,8 @@ func TestTeardownDuringHandOff(t *testing.T) {
 			<-scraped
 
 			if !tc.crash {
-				if got, want := exportBytes(t, agg.Fold()), exportBytes(t, core.FoldReports(kept...)); !bytes.Equal(got, want) {
-					t.Errorf("fold after Close differs from the %d uploads that returned nil", len(kept))
+				if got, want := exportBytes(t, agg.Fold()), exportBytes(t, core.FoldReports(acked...)); !bytes.Equal(got, want) {
+					t.Errorf("fold after Close differs from the %d uploads that returned nil", len(acked))
 				}
 				return
 			}

@@ -99,10 +99,6 @@ type WALConfig struct {
 	// volume the per-shard logs of earlier releases held between them
 	// (default 4096).
 	CompactEvery int
-	// DedupWindow caps the remembered upload IDs, FIFO-evicted (default
-	// 65536). Resends arriving within the window are exactly-once; the
-	// window only needs to outlast a client's retry horizon.
-	DedupWindow int
 	// FS is the filesystem seam (default fault.DiskFS); wrap it with
 	// fault.FaultyFS to chaos-test recovery.
 	FS fault.FS
@@ -115,9 +111,6 @@ func (c *WALConfig) withDefaults() *WALConfig {
 	}
 	if out.CompactEvery <= 0 {
 		out.CompactEvery = 4096
-	}
-	if out.DedupWindow <= 0 {
-		out.DedupWindow = 65536
 	}
 	if out.FS == nil {
 		out.FS = fault.DiskFS
@@ -316,6 +309,11 @@ func decodeRecord(payload []byte, want byte, into *core.WireReport) ([]UploadID,
 // ---------------------------------------------------------------------------
 // Dedup window
 
+// dedupWindow caps the remembered upload IDs, FIFO-evicted. Resends
+// arriving within the window are exactly-once; the window only needs to
+// outlast a client's retry horizon.
+const dedupWindow = 65536
+
 // dedupSet is a FIFO-bounded set of upload IDs the node has durably
 // applied. Only the committer goroutine touches it.
 type dedupSet struct {
@@ -378,7 +376,7 @@ func openNodeWAL(cfg *WALConfig, m *walMetrics, apply func(*core.WireReport)) (*
 	if err := refuseOldLayout(cfg.Dir); err != nil {
 		return nil, err
 	}
-	w := &nodeWAL{cfg: cfg, m: m, dedup: newDedupSet(cfg.DedupWindow)}
+	w := &nodeWAL{cfg: cfg, m: m, dedup: newDedupSet(dedupWindow)}
 	if err := cfg.FS.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("fleet: wal dir: %w", err)
 	}

@@ -28,7 +28,7 @@ import (
 func durableCfg(dir string, shards int) Config {
 	return Config{
 		Shards: shards, QueueDepth: 256, BatchSize: 4,
-		WAL: &WALConfig{Dir: dir, Sync: SyncBatch, CompactEvery: 2, DedupWindow: 1024},
+		WAL: &WALConfig{Dir: dir, Sync: SyncBatch, CompactEvery: 2},
 	}
 }
 
@@ -139,6 +139,30 @@ func TestWALFrameTornAndCorrupt(t *testing.T) {
 			t.Fatalf("err=%v, want a frameError that ends the scan", err)
 		}
 	})
+}
+
+// TestDedupWindowEvictsFIFO: the dedup window holds the most recent cap
+// distinct IDs, evicting the oldest first; re-adding a held ID neither
+// duplicates it nor refreshes its age, and order lists the window oldest
+// first, as a base record stores it.
+func TestDedupWindowEvictsFIFO(t *testing.T) {
+	id := func(n byte) UploadID { return UploadID{n} }
+	d := newDedupSet(3)
+	for _, n := range []byte{1, 2, 3, 2, 4} {
+		d.add(id(n))
+	}
+	for n, want := range map[byte]bool{1: false, 2: true, 3: true, 4: true} {
+		if d.has(id(n)) != want {
+			t.Errorf("has(%d) = %v, want %v", n, !want, want)
+		}
+	}
+	d.add(id(5))
+	if d.has(id(2)) || !d.has(id(5)) {
+		t.Error("the window did not evict its oldest ID for a new one")
+	}
+	if want := []UploadID{id(3), id(4), id(5)}; !slices.Equal(d.order, want) || len(d.set) != len(want) {
+		t.Errorf("window = %v (%d in the set), want %v", d.order, len(d.set), want)
+	}
 }
 
 // TestDurableCleanRestart is the clean half of the durability story: a
@@ -371,9 +395,10 @@ func TestResendDeduplicated(t *testing.T) {
 
 // TestResendAnswersAfterMerge: a deduplicated resend is acknowledged only
 // once its first copy has merged, like any other upload. The shard is
-// wedged in the barrier that makes the first copy durable, so an ack that
-// waited only for durability would land before the merge. The resend meets
-// its first copy in the dedup window (a later batch) or in the same batch.
+// wedged in the barrier that makes the first copy durable, so the
+// committer cannot merge it, and an ack that waited only for durability
+// would land before the merge. The resend meets its first copy in the
+// dedup window (a later batch) or in the same batch.
 func TestResendAnswersAfterMerge(t *testing.T) {
 	first, rep := SyntheticUpload(8, "device-first", 12), SyntheticUpload(9, "device-resend", 12)
 	for _, inBatch := range []bool{false, true} {
@@ -406,10 +431,9 @@ func TestResendAnswersAfterMerge(t *testing.T) {
 			want := core.NewReport()
 			answered := make(chan error, 2)
 			submit := func() { answered <- agg.SubmitDurable(core.FoldReports(rep), UploadID{}) }
+			firstDone := make(chan error, 1)
 			if inBatch {
-				if err := agg.SubmitWait(core.FoldReports(first)); err != nil {
-					t.Fatal(err)
-				}
+				go func() { firstDone <- agg.SubmitDurable(core.FoldReports(first), UploadID{}) }()
 				want.Merge(first)
 				<-holding
 				go submit()
@@ -418,11 +442,9 @@ func TestResendAnswersAfterMerge(t *testing.T) {
 			release := <-wedged
 			defer release()
 			if !inBatch {
-				// The first copy is durable and its fragment waits behind
-				// the wedge.
-				for len(agg.shards[0]) == 0 {
-					time.Sleep(time.Millisecond)
-				}
+				// The first copy is durable and the committer is about to
+				// merge it behind the wedge: the resend lands in a later
+				// batch.
 				go submit()
 			}
 			select {
@@ -431,6 +453,11 @@ func TestResendAnswersAfterMerge(t *testing.T) {
 			case <-time.After(50 * time.Millisecond):
 			}
 			release()
+			if inBatch {
+				if err := <-firstDone; err != nil {
+					t.Fatal(err)
+				}
+			}
 			want.Merge(rep)
 			for i := 0; i < 2; i++ {
 				if err := <-answered; err != nil {
@@ -693,11 +720,10 @@ func TestWALRecordBound(t *testing.T) {
 	// pages are never touched.
 	over := make([]byte, walFrameHeaderLen+maxWALRecordLen+1)
 	binary.LittleEndian.PutUint32(over, maxWALRecordLen+1)
-	ack := newUploadAck()
-	agg.commit <- logged{frame: over, id: UploadID{1}, frags: make([]shardMsg, 1), ack: ack}
-	<-ack.done
-	if !errors.Is(ack.err, ErrRecordTooLarge) {
-		t.Fatalf("an upload record beyond the frame bound was answered %v, want ErrRecordTooLarge", ack.err)
+	done := make(chan error, 1)
+	agg.commit <- logged{frame: over, id: UploadID{1}, done: done}
+	if err := <-done; !errors.Is(err, ErrRecordTooLarge) {
+		t.Fatalf("an upload record beyond the frame bound was answered %v, want ErrRecordTooLarge", err)
 	}
 	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
 		t.Fatalf("the refused record changed the log (err %v)", err)
@@ -911,9 +937,9 @@ func TestRenameDirSynced(t *testing.T) {
 }
 
 // TestCrashAfterBarrierBeforeMerge crashes the node right after the
-// barrier of its k-th upload, before the committer can route the upload
-// to the shards. The upload is durable but unacknowledged: recovery holds
-// it exactly once, and its resend is deduplicated.
+// barrier of its k-th upload, before the committer can merge it. The
+// upload is durable but unacknowledged: recovery holds it exactly once,
+// and its resend is deduplicated.
 func TestCrashAfterBarrierBeforeMerge(t *testing.T) {
 	reps := uploads(6, 12)
 	for k := 1; k <= len(reps); k++ {
@@ -929,7 +955,7 @@ func TestCrashAfterBarrierBeforeMerge(t *testing.T) {
 					// Crash waits for the committer, which is the caller
 					// here: start it, and return once it has begun.
 					go agg.Crash()
-					<-agg.Crashed()
+					<-agg.crashCh
 				}
 			}}
 			agg = mustOpen(t, cfg)

@@ -11,8 +11,9 @@ import "sync"
 // cadence realistic).
 //
 // The barrier is cyclic (reused every epoch) and supports departure: a
-// worker whose devices exhausted their quotas calls leave(), shrinking the
-// party count so the remaining workers are not stranded waiting for it.
+// worker whose devices exhausted their quotas, or whose sink stopped
+// taking uploads, calls leave(), shrinking the party count so the
+// remaining workers are not stranded waiting for it.
 type barrier struct {
 	mu      sync.Mutex
 	parties int
@@ -24,10 +25,9 @@ func newBarrier(parties int) *barrier {
 	return &barrier{parties: parties, gen: make(chan struct{})}
 }
 
-// await blocks until every current party arrives, or crash closes (the
-// aggregator died); it reports whether the barrier opened normally. A nil
-// crash channel never fires.
-func (b *barrier) await(crash <-chan struct{}) bool {
+// await blocks until every current party arrives. A worker that stops
+// early leaves instead, so no party waits for it.
+func (b *barrier) await() {
 	b.mu.Lock()
 	gen := b.gen
 	b.waiting++
@@ -36,15 +36,10 @@ func (b *barrier) await(crash <-chan struct{}) bool {
 		b.gen = make(chan struct{})
 		close(gen)
 		b.mu.Unlock()
-		return true
+		return
 	}
 	b.mu.Unlock()
-	select {
-	case <-gen:
-		return true
-	case <-crash:
-		return false
-	}
+	<-gen
 }
 
 // leave removes one party permanently. If the departing worker was the

@@ -12,7 +12,8 @@ import (
 // barrier-wait histogram are written only at epoch boundaries; the upload
 // round-trip histogram once per HTTP attempt.
 
-func (e *Engine) registerMetrics(reg *obs.Registry) {
+func (e *Engine) registerMetrics() {
+	reg := e.reg
 	sum := func(f func(*worker) int64) func() int64 {
 		return func() int64 {
 			var t int64
@@ -46,12 +47,6 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 	reg.CounterFunc("hangdoctor_sim_device_ms_total",
 		"Simulated device time advanced, summed over devices (ms).",
 		sum(func(w *worker) int64 { return w.deviceMS.Load() }))
-	reg.CounterFunc("hangdoctor_sim_encode_pool_hits_total",
-		"Upload-buffer acquisitions served without waiting on an ack.",
-		sum(func(w *worker) int64 { return w.poolHits.Load() }))
-	reg.CounterFunc("hangdoctor_sim_encode_pool_waits_total",
-		"Upload-buffer acquisitions that blocked on merge completion.",
-		sum(func(w *worker) int64 { return w.poolWaits.Load() }))
 	reg.GaugeFunc("hangdoctor_sim_epoch",
 		"Minimum virtual-time epoch across workers (epoch lag floor).",
 		func() int64 {

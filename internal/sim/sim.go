@@ -16,13 +16,15 @@
 //     ms of free running, then a barrier (barrier.go). No global lock, no
 //     global clock.
 //   - Device state is struct-of-arrays (state.go); the warm tick mutates
-//     preallocated templates and pooled buffers and allocates nothing.
-//   - Three sinks: in-process (entries go straight to a
-//     fleet.Aggregator via the zero-copy acked wire path, whose shards
-//     merge them where the worker wrote them, coalescing Batch uploads
-//     per submission), HTTP (binary protocol with
-//     dictionary deltas against real fleetd nodes, one tuned transport
-//     per worker), and discard (scheduler calibration, benchmarks).
+//     preallocated templates and per-worker buffers and allocates
+//     nothing.
+//   - Three sinks: in-process (each worker coalesces Batch uploads into
+//     its one buffer and submits it with fleet.Aggregator.SubmitWire,
+//     whose shards merge the entries where the worker wrote them; the
+//     worker refills the buffer once the submit returns), HTTP (binary
+//     protocol with dictionary deltas against real fleetd nodes, one
+//     tuned transport per worker), and discard (scheduler calibration,
+//     benchmarks).
 //
 // Every draw a device makes is a pure function of (Seed, device, upload
 // sequence), so the folded fleet report is byte-identical across worker
@@ -69,7 +71,8 @@ type Config struct {
 	// Batch is how many device uploads the in-process sink coalesces into
 	// one aggregator submission (default 64). Merging is commutative, so
 	// batching never changes the folded result — it amortizes submission
-	// overhead (channel handoffs, shard wakeups) across the batch.
+	// overhead (admission, splitting, one shard lock per run) across the
+	// batch.
 	Batch int
 
 	// Agg selects the in-process sink.
@@ -80,10 +83,6 @@ type Config struct {
 	// MaxRetries bounds per-upload HTTP retries (429/409/transport,
 	// default 8); an upload still failing after that counts as Failed.
 	MaxRetries int
-
-	// Registry receives the engine's metrics (default: a private registry,
-	// reachable via Engine.Registry).
-	Registry *obs.Registry
 
 	// discardHTTP selects the encode-and-drop calibration mode (full
 	// binary document per upload, no delivery). In-package benchmarks
@@ -125,9 +124,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Agg != nil && len(c.Nodes) > 0 {
 		return c, errors.New("sim: Config.Agg and Config.Nodes are mutually exclusive")
 	}
-	if c.Registry == nil {
-		c.Registry = obs.NewRegistry()
-	}
 	return c, nil
 }
 
@@ -138,8 +134,8 @@ type Stats struct {
 	Uploads int64
 	// Entries is hang entries across delivered uploads.
 	Entries int64
-	// Failed is uploads lost to sink errors (aggregator closed/crashed,
-	// HTTP retries exhausted).
+	// Failed is uploads lost to sink errors (aggregator full, closed or
+	// crashed, a durability error, HTTP retries exhausted).
 	Failed int64
 	// Resyncs is client-side dictionary resets (simulated device
 	// restarts) that forced a full upload.
@@ -196,7 +192,7 @@ type Engine struct {
 	pool    *contentPool
 	workers []worker
 	bar     *barrier
-	crash   <-chan struct{} // Agg.Crashed() in inproc mode
+	reg     *obs.Registry
 	started atomic.Bool
 	wg      sync.WaitGroup
 }
@@ -229,11 +225,11 @@ func New(cfg Config) (*Engine, error) {
 		seed:       cfg.Seed,
 		entriesPer: cfg.Entries,
 		pool:       content(),
+		reg:        obs.NewRegistry(),
 	}
 	switch {
 	case cfg.Agg != nil:
 		e.mode = modeInproc
-		e.crash = cfg.Agg.Crashed()
 	case cfg.discardHTTP:
 		e.mode = modeDiscardHTTP
 	case len(cfg.Nodes) > 0:
@@ -343,19 +339,20 @@ func New(cfg Config) (*Engine, error) {
 	}
 	hw.Wait()
 
-	e.registerMetrics(cfg.Registry)
+	e.registerMetrics()
 	return e, nil
 }
 
-// Registry returns the registry the engine's metrics live in.
-func (e *Engine) Registry() *obs.Registry { return e.cfg.Registry }
+// Registry returns the engine's own registry, which its metrics live in.
+func (e *Engine) Registry() *obs.Registry { return e.reg }
 
 // Workers returns the configured worker count.
 func (e *Engine) Workers() int { return len(e.workers) }
 
 // Run executes the configured upload budget and returns the run's stats.
 // An engine runs once. The error is non-nil when the sink failed out from
-// under the run (aggregator crash) — partial stats are still returned.
+// under the run (the aggregator closed or crashed) — partial stats are
+// still returned.
 func (e *Engine) Run() (Stats, error) {
 	if !e.started.CompareAndSwap(false, true) {
 		return Stats{}, errors.New("sim: engine already ran")

@@ -178,7 +178,8 @@ func TestHTTPMatchesInproc(t *testing.T) {
 }
 
 // TestCrashUnblocksRun: tearing the aggregator down mid-run must unwind
-// every worker — no goroutine stuck on a buffer ack or the barrier.
+// every worker: each next submit is refused, and a worker that stops
+// leaves the barrier, so none is left waiting there.
 func TestCrashUnblocksRun(t *testing.T) {
 	agg := fleet.NewAggregator(fleet.Config{Shards: 2, QueueDepth: 4})
 	eng, err := New(Config{

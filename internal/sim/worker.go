@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -13,19 +14,17 @@ import (
 )
 
 // worker.go: the sharded scheduler's inner loop. One worker owns one
-// device partition, one event heap, one set of upload buffers, and one
-// HTTP transport; nothing on the tick path is shared, so the loop runs
+// device partition, one event heap, one upload buffer, and one HTTP
+// transport; nothing on the tick path is shared, so the loop runs
 // lock-free and allocation-free between epoch barriers.
 
-// wireBuf is one in-process upload buffer: a preallocated entry slice the
-// worker fills with Batch coalesced device uploads, submitted zero-copy
-// via SubmitWireAcked. The buffer cycles through the worker's free list —
-// it is reusable only after the aggregator's merge-completion ack, because
-// the shards merge its entries in place until then.
+// wireBuf is the worker's one upload buffer: a preallocated entry slice
+// the worker fills with Batch coalesced device uploads. The in-process
+// sink submits it zero-copy with SubmitWire, which returns once the
+// aggregator no longer reads it, so the worker refills it right away.
 type wireBuf struct {
 	entries []core.WireEntry
 	wr      core.WireReport
-	ack     *fleet.WireAck
 	n       int // device uploads coalesced so far
 }
 
@@ -41,14 +40,14 @@ type worker struct {
 	h    fourHeap
 
 	// Published counter mirrors: written by publish() at epoch
-	// boundaries (and by ack callbacks), read by metric projections and
-	// the final Stats collection.
+	// boundaries, read by metric projections and the final Stats
+	// collection.
 	uploads, entriesN, failed, resyncs, serverResyncs, throttled,
-	wireBytes, deviceMS, poolHits, poolWaits, epochNum atomic.Int64
+	wireBytes, deviceMS, epochNum atomic.Int64
 
 	// Tick-local accumulation; folded into the mirrors off the hot path.
 	lUploads, lEntries, lFailed, lResyncs, lServerResyncs, lThrottled,
-	lWireBytes, lDeviceMS, lPoolHits, lPoolWaits int64
+	lWireBytes, lDeviceMS int64
 
 	abortErr error
 
@@ -57,10 +56,8 @@ type worker struct {
 	hangs [maxEntries]uint8
 	rtMS  [maxEntries]uint16
 
-	// In-process sink.
-	cur  *wireBuf
-	free chan *wireBuf
-	nbuf int
+	// In-process and discard sinks.
+	buf wireBuf
 
 	// HTTP sink.
 	dw     core.DocWriter
@@ -79,18 +76,9 @@ func (w *worker) init(e *Engine, id, devs int) {
 	w.id = id
 	w.mode = e.mode
 	w.h.init(devs)
-	bufEntries := e.cfg.Batch * e.entriesPer
 	switch e.mode {
-	case modeInproc:
-		w.nbuf = 4
-		w.free = make(chan *wireBuf, w.nbuf)
-		for i := 0; i < w.nbuf; i++ {
-			b := &wireBuf{entries: make([]core.WireEntry, 0, bufEntries)}
-			b.ack = fleet.NewWireAck(w.ackFunc(b))
-			w.free <- b
-		}
-	case modeDiscard:
-		w.cur = &wireBuf{entries: make([]core.WireEntry, 0, bufEntries)}
+	case modeInproc, modeDiscard:
+		w.buf.entries = make([]core.WireEntry, 0, e.cfg.Batch*e.entriesPer)
 	case modeHTTP, modeDiscardHTTP:
 		w.delta = make([]string, 0, 4*e.entriesPer+1)
 		if e.mode == modeHTTP {
@@ -106,22 +94,6 @@ func (w *worker) init(e *Engine, id, devs int) {
 			}
 			w.jitter = simrand.New(uint64(e.seed)*0x9e3779b97f4a7c15 + uint64(id) + 1)
 		}
-	}
-}
-
-// ackFunc builds the merge-completion callback for one buffer: account a
-// failed batch, then return the buffer to the free list. Runs on an
-// aggregator goroutine, hence the direct atomics.
-func (w *worker) ackFunc(b *wireBuf) func(error) {
-	return func(err error) {
-		if err != nil {
-			n := int64(b.n)
-			w.failed.Add(n)
-			w.uploads.Add(-n)
-			w.entriesN.Add(-n * int64(w.e.entriesPer))
-		}
-		b.reset()
-		w.free <- b
 	}
 }
 
@@ -141,14 +113,12 @@ func (w *worker) publish() {
 	flush(&w.throttled, &w.lThrottled)
 	flush(&w.wireBytes, &w.lWireBytes)
 	flush(&w.deviceMS, &w.lDeviceMS)
-	flush(&w.poolHits, &w.lPoolHits)
-	flush(&w.poolWaits, &w.lPoolWaits)
 }
 
 // run is the worker goroutine: process every event inside the current
 // epoch, flush, rendezvous at the barrier, repeat until the partition's
-// quotas drain (leave the barrier and exit) or an aggregator crash unwinds
-// it.
+// quotas drain or the aggregator stops taking uploads; either way it
+// leaves the barrier and exits.
 func (w *worker) run() {
 	defer w.e.wg.Done()
 	defer w.e.bar.leave()
@@ -168,7 +138,6 @@ func (w *worker) run() {
 			return
 		}
 		if w.h.len() == 0 {
-			w.drainBufs()
 			return
 		}
 		epoch++
@@ -178,10 +147,7 @@ func (w *worker) run() {
 			w.depthG.Set(int64(w.h.len()))
 		}
 		waitStart := time.Now()
-		if !e.bar.await(e.crash) {
-			w.abortErr = fleet.ErrCrashed
-			return
-		}
+		e.bar.await()
 		if w.waitH != nil {
 			w.waitH.Observe(float64(time.Since(waitStart).Microseconds()) / 1e3)
 		}
@@ -212,10 +178,8 @@ func (w *worker) tick() {
 		adv = 1
 	}
 	switch w.mode {
-	case modeInproc:
-		w.emitInproc(dev, restart)
-	case modeDiscard:
-		w.emitDiscard(dev, restart)
+	case modeInproc, modeDiscard:
+		w.emitBuffered(dev, restart)
 	case modeHTTP:
 		w.emitHTTP(dev, restart)
 	case modeDiscardHTTP:
@@ -260,97 +224,39 @@ func (w *worker) fillEntries(b *wireBuf, dev uint32) {
 	w.lEntries += int64(K)
 }
 
-func (w *worker) emitInproc(dev uint32, restart bool) {
+// emitBuffered fills this tick's upload into the worker's buffer and
+// flushes the buffer once it holds Batch uploads.
+func (w *worker) emitBuffered(dev uint32, restart bool) {
 	if restart {
 		w.lResyncs++
 	}
-	b := w.cur
-	if b == nil {
-		b = w.acquire()
-		if b == nil {
-			return // abortErr set
-		}
-		w.cur = b
-	}
-	w.fillEntries(b, dev)
-	if b.n >= w.e.cfg.Batch {
-		w.flushInproc()
+	w.fillEntries(&w.buf, dev)
+	if w.buf.n >= w.e.cfg.Batch {
+		w.flush()
 	}
 }
 
-func (w *worker) emitDiscard(dev uint32, restart bool) {
-	if restart {
-		w.lResyncs++
-	}
-	w.fillEntries(w.cur, dev)
-	if w.cur.n >= w.e.cfg.Batch {
-		w.cur.reset()
-	}
-}
-
-// acquire takes a free buffer, blocking on the merge-completion acks when
-// all buffers are in flight (natural backpressure from the aggregator).
-// It returns nil — with abortErr set — if the aggregator crashed, since
-// crashed acks never come back.
-func (w *worker) acquire() *wireBuf {
-	select {
-	case b := <-w.free:
-		w.lPoolHits++
-		return b
-	default:
-	}
-	w.lPoolWaits++
-	select {
-	case b := <-w.free:
-		return b
-	case <-w.e.crash:
-		w.abortErr = fleet.ErrCrashed
-		return nil
-	}
-}
-
-// flush pushes any partial buffer out at an epoch boundary (or at drain),
-// so batching trades throughput for at most one epoch of delivery lag.
+// flush pushes the buffer out at Batch uploads and at every epoch
+// boundary, so batching trades throughput for at most one epoch of
+// delivery lag: the in-process sink submits it on the zero-copy path, the
+// discard sink drops it. A rejected or failed submission counts the
+// batch as failed; a closed or crashed aggregator aborts the run.
 func (w *worker) flush() {
-	switch w.mode {
-	case modeInproc:
-		w.flushInproc()
-	case modeDiscard:
-		w.cur.reset()
-	}
-}
-
-// flushInproc submits the current buffer on the acked zero-copy path and
-// relinquishes it until the callback recycles it.
-func (w *worker) flushInproc() {
-	b := w.cur
-	if b == nil || b.n == 0 {
+	b := &w.buf
+	if b.n == 0 {
 		return
 	}
-	w.cur = nil
-	b.wr.Entries = b.entries
-	if err := w.e.cfg.Agg.SubmitWireAcked(&b.wr, b.ack); err != nil {
-		// Synchronous rejection (the aggregator is closed): the callback
-		// never fires, we still own b.
-		n := int64(b.n)
-		w.lFailed += n
-		w.lUploads -= n
-		w.lEntries -= n * int64(w.e.entriesPer)
-		b.reset()
-		w.free <- b
-		w.abortErr = err
-	}
-}
-
-// drainBufs reclaims every buffer before the worker exits, which is the
-// proof that no ack callback can fire after Run returns.
-func (w *worker) drainBufs() {
-	for i := 0; i < w.nbuf; i++ {
-		select {
-		case <-w.free:
-		case <-w.e.crash:
-			w.abortErr = fleet.ErrCrashed
-			return
+	if w.mode == modeInproc {
+		b.wr.Entries = b.entries
+		if err := w.e.cfg.Agg.SubmitWire(&b.wr); err != nil {
+			n := int64(b.n)
+			w.lFailed += n
+			w.lUploads -= n
+			w.lEntries -= n * int64(w.e.entriesPer)
+			if errors.Is(err, fleet.ErrClosed) || errors.Is(err, fleet.ErrCrashed) {
+				w.abortErr = err
+			}
 		}
 	}
+	b.reset()
 }
