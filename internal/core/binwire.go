@@ -438,22 +438,76 @@ func (r *Report) Wire() *WireReport {
 }
 
 // MergeWire folds a decoded binary upload into r without intermediate
-// maps: each entry's identity is hashed from its three fields without
-// building a key, so merging into an entry the report already holds
+// maps: its health, then its entries in document order as one run
+// (MergeWireRun), so merging into entries the report already holds
 // allocates nothing.
 func (r *Report) MergeWire(wr *WireReport) {
 	r.Health.Add(wr.Health)
-	for i := range wr.Entries {
-		r.MergeWireEntry(&wr.Entries[i])
+	var g [lockstep]int32
+	for lo := 0; lo < len(wr.Entries); lo += lockstep {
+		n := min(lockstep, len(wr.Entries)-lo)
+		for k := range n {
+			g[k] = int32(lo + k)
+		}
+		r.mergeGroup(wr.Entries, g[:n])
 	}
 }
 
-// MergeWireEntry merges one wire entry into r. It is the shard-side merge
-// of every upload: a shard reads each entry of its fragment where it lies,
-// in the decoder's view or in Report.Wire's, and we is not retained.
-func (r *Report) MergeWireEntry(we *WireEntry) {
-	src := we.entry()
-	r.add(hashOf(&src), &src, we.Devices)
+// MergeWireRun merges the entries of ents that run indexes into r, in run
+// order. It is the shard-side merge of every upload: a shard reads its run
+// of an upload's entries where they lie, in the decoder's view or in
+// Report.Wire's, and retains none of them. Each entry's identity is hashed
+// from its three fields without building a key. The run merges lockstep
+// entries at a time, and each group in three passes, so that the cache
+// misses within a pass overlap rather than follow each other:
+//
+//  1. walk the group's trie paths together (entryTrie.writableGroup);
+//  2. probe each entry r may merge into in place for the device of a
+//     one-device list;
+//  3. merge into those entries in place, without the device union where
+//     the probe hit, and send every other wire entry through add.
+//
+// Every entry, stamp and total comes out as if each wire entry went
+// through add in run order.
+func (r *Report) MergeWireRun(ents []WireEntry, run []int32) {
+	for len(run) > 0 {
+		g := run[:min(len(run), lockstep)]
+		r.mergeGroup(ents, g)
+		run = run[len(g):]
+	}
+}
+
+// mergeGroup is MergeWireRun for a run of at most lockstep entries.
+func (r *Report) mergeGroup(ents []WireEntry, run []int32) {
+	var (
+		src  [lockstep]ReportEntry
+		hs   [lockstep]uint64
+		es   [lockstep]*ReportEntry
+		held [lockstep]bool
+	)
+	for k, j := range run {
+		src[k] = ents[j].entry()
+		hs[k] = hashOf(&src[k])
+	}
+	n := len(run)
+	r.entries.writableGroup(hs[:n], src[:n], es[:n])
+	for k, e := range es[:n] {
+		if devs := ents[run[k]].Devices; e != nil && len(devs) == 1 {
+			held[k] = e.Devices.holdsString(devs[0])
+		}
+	}
+	for k, e := range es[:n] {
+		devs := ents[run[k]].Devices
+		switch {
+		case e == nil:
+			r.add(hs[k], &src[k], devs)
+			continue
+		case held[k]:
+			devs = nil
+		}
+		e.merge(&src[k], devs)
+		r.totalHangs = satAdd(r.totalHangs, src[k].Hangs)
+	}
 }
 
 // entry returns we as a ReportEntry without its device list, which merge

@@ -26,7 +26,7 @@ package core
 // entry plus its stamp, hash and edit token, one 160-byte object on 64-bit
 // platforms (a Go size class), so merging into an entry in place is a
 // write to its leaf: a report merges in place only into entries its trie
-// owns (Report.add).
+// owns (Report.add, and Report.MergeWireRun through writableGroup).
 //
 // Iteration order is unspecified; every rendered output sorts.
 
@@ -42,6 +42,10 @@ const (
 	// trieBucket is the shift at which the 64 hash bits are used up: a
 	// node there is a collision bucket of leaves in insertion order.
 	trieBucket = 64
+	// lockstep is the most identities writableGroup walks at once: enough
+	// independent loads to keep a walk's cache misses in flight together.
+	// Groups of 8 and 32 measured alike.
+	lockstep = 16
 )
 
 var trieSeed = maphash.MakeSeed()
@@ -210,6 +214,54 @@ func (t *entryTrie) writable(h uint64, id *ReportEntry) *ReportEntry {
 		return &l.entry
 	}
 	return nil
+}
+
+// writableGroup is writable for up to lockstep identities at once, without
+// copying: it sets es[k] to t's entry of ids[k]'s identity (hash hs[k]),
+// stamped t.ver, where t owns that entry's leaf. Everywhere else it sets
+// nil and leaves the identity to writable. That is where t holds no entry
+// of it, a snapshot still shares its leaf, or the leaf sits in a
+// collision bucket. It walks all the paths one level at a time in one
+// loop, then reads the leaves found in another, so that the loads of each
+// loop are in flight together rather than one after another. On the way
+// down it raises the stamp of each node t owns, as writable does, and
+// stores a stamp only where it changes.
+func (t *entryTrie) writableGroup(hs []uint64, ids []ReportEntry, es []*ReportEntry) {
+	t.token()
+	var (
+		at     [lockstep]*trieNode
+		leaves [lockstep]*trieLeaf
+	)
+	for k := range ids {
+		at[k] = t.root
+	}
+	for shift, deeper := uint(0), true; deeper && shift < trieBucket; shift += trieBits {
+		deeper = false
+		for k, n := range at[:len(ids)] {
+			if n == nil {
+				continue
+			}
+			at[k] = nil
+			switch bit := position(shift, hs[k]); {
+			case n.childMap&bit != 0:
+				at[k], deeper = n.kids[index(n.childMap, bit)], true
+			case n.leafMap&bit != 0:
+				leaves[k] = n.leaves[index(n.leafMap, bit)]
+			default:
+				continue
+			}
+			if t.owns(n.edit) && n.ver < t.ver {
+				n.ver = t.ver
+			}
+		}
+	}
+	for k, l := range leaves[:len(ids)] {
+		es[k] = nil
+		if l != nil && t.owns(l.edit) && l.h == hs[k] && l.entry.sameID(&ids[k]) {
+			l.ver = t.ver
+			es[k] = &l.entry
+		}
+	}
 }
 
 // bind puts a new leaf of t (newLeaf) for src's identity, whose hash is h.

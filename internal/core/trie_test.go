@@ -1,7 +1,8 @@
 package core
 
 // trie_test.go checks the entry trie against a Go map. Random sequences of
-// sets, in-place merges and deletes run twice at once: in place on a trie
+// sets, in-place merges, lockstep group merges and deletes run twice at
+// once: in place on a trie
 // that is never handed out, and in batches on a chain of tries that are
 // handed out one after another. Every handed-out trie is re-checked
 // against its map copy at the end, after all later batches ran. Each
@@ -59,8 +60,8 @@ type modelLeaf struct {
 // runTrieOps decodes ops two bytes at a time (an operation and an
 // identity) and checks every trie it built against the map model, which
 // is keyed by the three identity fields. The committed inputs
-// under testdata/fuzz/FuzzEntryTrie spell operations 0–4 as the bytes 0–4,
-// which decode the same for any operation count above four; renumbering
+// under testdata/fuzz/FuzzEntryTrie spell operations 0–5 as the bytes 0–5,
+// which decode the same for any operation count above five; renumbering
 // those operations changes what the inputs test.
 func runTrieOps(t *testing.T, ops []byte, colliding bool) {
 	t.Helper()
@@ -93,12 +94,45 @@ func runTrieOps(t *testing.T, ops []byte, colliding bool) {
 			e.Hangs++
 			m[key] = modelLeaf{e, tr.ver, e.Hangs}
 		}
+		// groupThrough writes the identities of group through
+		// writableGroup as Report.MergeWireRun does: in place where the
+		// walk found an entry, else as add does (writeThrough, or a new
+		// leaf for an identity the trie does not hold yet).
+		groupThrough = func(tr *entryTrie, m map[rowKey]modelLeaf, op int, group []int) {
+			hs, ids, es := make([]uint64, len(group)), make([]ReportEntry, len(group)), make([]*ReportEntry, len(group))
+			for k, g := range group {
+				hs[k], ids[k] = hash(g), *trieKeys[g]
+			}
+			tr.writableGroup(hs, ids, es)
+			for k, e := range es {
+				if l := tr.root.find(0, hs[k], &ids[k]); e == nil && l != nil && tr.owns(l.edit) && !bucketed(tr, hs[k], &ids[k]) {
+					t.Fatalf("op %d: writableGroup left %v, whose leaf the trie owns, to writable", op, keyOf(&ids[k]))
+				}
+			}
+			for k, e := range es {
+				key := keyOf(&ids[k])
+				was, ok := m[key]
+				switch {
+				case e == nil && ok:
+					writeThrough(tr, m, op, &ids[k], hs[k])
+					continue
+				case e == nil:
+					e, _ = tr.bind(hs[k], &ids[k], nil)
+				case !ok:
+					t.Fatalf("op %d: writableGroup(%v) = %v, an identity the trie does not hold", op, key, e)
+				case e.Hangs != was.hangs:
+					t.Fatalf("op %d: writableGroup(%v) holds %d hangs, want %d", op, key, e.Hangs, was.hangs)
+				}
+				e.Hangs++
+				m[key] = modelLeaf{e, tr.ver, e.Hangs}
+			}
+		}
 	)
 	live.ver, cur.ver = ver, ver
 	for i := 0; i+1 < len(ops); i += 2 {
 		k := int(ops[i+1]) % len(trieKeys)
 		id, key, h := trieKeys[k], keyOf(trieKeys[k]), hash(k)
-		switch ops[i] % 6 {
+		switch ops[i] % 7 {
 		case 0, 1:
 			e := *id
 			e.Hangs = i
@@ -142,6 +176,13 @@ func runTrieOps(t *testing.T, ops []byte, colliding bool) {
 			// since it was last handed out, and writes a leaf it did.
 			writeThrough(&live, liveModel, i, id, h)
 			writeThrough(&cur, model, i, id, h)
+		case 6:
+			// A lockstep group: repeated identities, absent ones, leaves a
+			// hand-out still shares and, with colliding hashes, leaves in
+			// collision buckets.
+			group := trieGroup(i, ops[i+1])
+			groupThrough(&live, liveModel, i, group)
+			groupThrough(&cur, model, i, group)
 		}
 	}
 	checkTrie(t, "in place", &live, liveModel, hash)
@@ -252,8 +293,31 @@ func checkTrie(t *testing.T, name string, tr *entryTrie, model map[rowKey]modelL
 	}
 }
 
+// bucketed reports whether the path of id's identity (hash h) in tr ends in
+// a collision bucket.
+func bucketed(tr *entryTrie, h uint64, id *ReportEntry) bool {
+	n, shift := tr.root, uint(0)
+	for ; n != nil && shift < trieBucket; shift += trieBits {
+		_, n = n.at(shift, h, id)
+	}
+	return n != nil
+}
+
+// trieGroup draws the identities of the lockstep group written at
+// operation position i with identity byte b: one to lockstep of them, from
+// the twelve identities from b on, so that groups repeat identities and
+// mix held ones with absent ones.
+func trieGroup(i int, b byte) []int {
+	rng := simrand.New(uint64(i)<<8 | uint64(b))
+	group := make([]int, 1+rng.Intn(lockstep))
+	for k := range group {
+		group[k] = (int(b) + rng.Intn(12)) % len(trieKeys)
+	}
+	return group
+}
+
 // randomTrieOps draws n uniform operation pairs. runTrieOps reads two of
-// its six operation codes as sets and one as a delete, so the trie grows
+// its seven operation codes as sets and one as a delete, so the trie grows
 // while deletes thin it out.
 func randomTrieOps(rng *simrand.Rand, n int) []byte {
 	ops := make([]byte, 2*n)
@@ -412,6 +476,11 @@ func FuzzEntryTrie(f *testing.F) {
 	f.Add(randomTrieOps(rng, 64), false)
 	f.Add(randomTrieOps(rng, 64), true)
 	f.Add([]byte{0, 1, 0, 5, 4, 0, 3, 1, 0, 9, 4, 0, 2, 5, 3, 5}, true)
+	// Sets, copies on write, a group over owned leaves, a hand-out and
+	// groups over the leaves it shares.
+	lockstepOps := []byte{0, 1, 1, 2, 0, 3, 0, 5, 5, 1, 5, 2, 6, 0, 4, 0, 6, 1, 5, 3, 6, 2, 3, 2, 6, 0}
+	f.Add(lockstepOps, false)
+	f.Add(lockstepOps, true)
 	f.Fuzz(func(t *testing.T, ops []byte, colliding bool) {
 		if len(ops) > 4096 {
 			ops = ops[:4096]

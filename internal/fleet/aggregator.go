@@ -358,8 +358,9 @@ func (a *Aggregator) split(wr *core.WireReport) [][]int32 {
 }
 
 // merge folds an upload's wire view into the shards: each shard's run of
-// its entries, and on shard 0 its health section, under that shard's
-// mutex, with one version bump and one merge observation per run. It is
+// its entries (core.Report.MergeWireRun), and on shard 0 its health
+// section, under that shard's mutex, with one version bump per run and
+// one observation each of the run's lock wait and merge time. It is
 // the one merge of a memory-only submit, the committer and WAL replay, and
 // it reads wr's entries in place, so wr must stay as it is until it
 // returns. Every caller keeps it so: a submitter merges its own upload,
@@ -372,18 +373,17 @@ func (a *Aggregator) merge(wr *core.WireReport) {
 			continue
 		}
 		s := &a.shards[i]
+		asked := time.Now()
 		s.mu.Lock()
 		start := time.Now()
 		if health {
 			s.rep.Health.Add(wr.Health)
 		}
-		for _, j := range run {
-			s.rep.MergeWireEntry(&wr.Entries[j])
-		}
+		s.rep.MergeWireRun(wr.Entries, run)
 		s.cache.Bump()
 		d := time.Since(start)
 		s.mu.Unlock()
-		a.metrics.noteMerge(d)
+		a.metrics.noteMerge(start.Sub(asked), d)
 	}
 }
 

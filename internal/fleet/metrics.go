@@ -27,10 +27,13 @@ type Metrics struct {
 	// they folded, one each since a shard merges each upload's run under
 	// its own lock (the two families predate that and stay for scrapers);
 	// mergeLatency distributes per-merge wall time, lock wait excluded, so
-	// its _sum line is the total time spent merging.
+	// its _sum line is the total time spent merging, and mergeLockWait
+	// the time each merge call waited for its shard's lock. Both take ×2
+	// buckets, so a median moves by less than a factor of 4 shows.
 	merges          *obs.Counter
 	mergedFragments *obs.Counter
 	mergeLatency    *obs.Histogram
+	mergeLockWait   *obs.Histogram
 	// foldLatency distributes whole-fleet fold (read-path) wall time.
 	foldLatency *obs.Histogram
 
@@ -130,7 +133,10 @@ func newMetrics(queueCap int) *Metrics {
 			"Fragments folded across all merges."),
 		mergeLatency: reg.Histogram("hangdoctor_fleet_merge_latency_ns",
 			"Wall time of one shard merge call.",
-			obs.ExpBuckets(1024, 4, 12)),
+			obs.ExpBuckets(1024, 2, 23)),
+		mergeLockWait: reg.Histogram("hangdoctor_fleet_merge_lock_wait_ns",
+			"Wall time one shard merge call waited for its shard's lock.",
+			obs.ExpBuckets(1024, 2, 23)),
 		foldLatency: reg.Histogram("hangdoctor_fleet_fold_latency_ns",
 			"Wall time of folding every shard into one fleet report.",
 			obs.ExpBuckets(1024, 4, 12)),
@@ -157,10 +163,12 @@ func (m *Metrics) Registry() *obs.Registry { return m.reg }
 func (m *Metrics) NoteInvalid() { m.invalid.Inc() }
 
 // noteMerge accounts one shard merge call, which folds one fragment: an
-// upload's run of entries on one shard.
-func (m *Metrics) noteMerge(d time.Duration) {
+// upload's run of entries on one shard. It waited wait for the shard's
+// lock and then merged for d.
+func (m *Metrics) noteMerge(wait, d time.Duration) {
 	m.merges.Inc()
 	m.mergedFragments.Inc()
+	m.mergeLockWait.Observe(float64(wait.Nanoseconds()))
 	m.mergeLatency.Observe(float64(d.Nanoseconds()))
 }
 

@@ -47,8 +47,8 @@ func TestNodeMetricsSchemaGolden(t *testing.T) {
 // submit results. Accepted, rejected and invalid uploads match the
 // submitters' outcomes; merges and merged fragments both match the
 // non-empty fragments of the accepted uploads, since each merge call
-// folds one, and the merge-latency histogram holds one observation per
-// merge call.
+// folds one, and the merge-latency and lock-wait histograms each hold one
+// observation per merge call.
 func TestObsViewMatchesSnapshot(t *testing.T) {
 	const shards = 4
 	agg := NewAggregator(Config{Shards: shards, QueueDepth: 8})
@@ -100,8 +100,10 @@ func TestObsViewMatchesSnapshot(t *testing.T) {
 	if merges != fragments.Load() {
 		t.Errorf("merges_total = %d, want %d (one per fragment)", merges, fragments.Load())
 	}
-	if h := snap.Histogram("hangdoctor_fleet_merge_latency_ns"); int64(h.Count) != merges {
-		t.Errorf("merge latency histogram count = %d, want merges_total %d", h.Count, merges)
+	for _, name := range []string{"hangdoctor_fleet_merge_latency_ns", "hangdoctor_fleet_merge_lock_wait_ns"} {
+		if h := snap.Histogram(name); int64(h.Count) != merges {
+			t.Errorf("%s count = %d, want merges_total %d", name, h.Count, merges)
+		}
 	}
 }
 
