@@ -2,13 +2,12 @@ package core
 
 // trie_test.go checks the entry trie against a Go map. Random sequences of
 // sets, in-place merges, lockstep group merges and deletes run twice at
-// once: in place on a trie
-// that is never handed out, and in batches on a chain of tries that are
-// handed out one after another. Every handed-out trie is re-checked
-// against its map copy at the end, after all later batches ran. Each
-// sequence runs with the real key hash and with hashes forced to share
-// long prefixes and to collide in full, which drives the collision
-// buckets at the bottom.
+// once: in place on a trie that is never handed out, and in batches on a
+// chain of tries that are handed out one after another. Every handed-out
+// trie is re-checked against its map copy at the end, after all later
+// batches ran. Each sequence runs with the real key hash and with hashes
+// forced to share long prefixes and to collide in full, which drives the
+// collision buckets at the bottom.
 
 import (
 	"fmt"
