@@ -393,14 +393,18 @@ type WireEntry struct {
 
 // WireReport is one decoded binary upload: the uploading device, its
 // entries in document order, and the optional health section. A view
-// belongs to whoever decodes into it: BinaryDecoder.Decode refills its
-// arrays, so a warm view decodes without allocating.
+// belongs to whoever decodes into it or routes it: BinaryDecoder.Decode
+// and Runs refill its arrays, so a warm view decodes and routes without
+// allocating.
 type WireReport struct {
 	Device  string
 	Entries []WireEntry
 	Health  Health
 
-	devices []string // backs the entries' Devices lists when decoded into
+	devices []string  // backs the entries' Devices lists when decoded into
+	hashes  []uint64  // each entry's identity hash, recorded by Runs
+	idx     []int32   // backs the runs Runs returns, then their lengths
+	runs    [][]int32 // the runs Runs returns
 }
 
 // TotalHangs sums the diagnosed hangs across entries.
@@ -437,29 +441,71 @@ func (r *Report) Wire() *WireReport {
 	return wr
 }
 
-// MergeWire folds a decoded binary upload into r without intermediate
-// maps: its health, then its entries in document order as one run
-// (MergeWireRun), so merging into entries the report already holds
-// allocates nothing.
-func (r *Report) MergeWire(wr *WireReport) {
-	r.Health.Add(wr.Health)
-	var g [lockstep]int32
-	for lo := 0; lo < len(wr.Entries); lo += lockstep {
-		n := min(lockstep, len(wr.Entries)-lo)
-		for k := range n {
-			g[k] = int32(lo + k)
-		}
-		r.mergeGroup(wr.Entries, g[:n])
+// Runs routes wr's entries to shards, which must be at least 1. It hashes
+// each entry's identity once, with the hash a Report's trie files it under
+// (hashID), records the hashes in wr for MergeWireRun, and returns one run
+// of entry indices per shard, each in upload order; a shard wr holds
+// nothing for gets an empty run. An identity's shard is its hash's top 32
+// bits scaled to the shard count, (h>>32)*shards>>32. The trie reads the
+// hash 5 bits at a time from the bottom and reaches bit 32 only at its
+// seventh level, so each shard's identities still spread over every
+// position of its trie's root. Like the hash, routing holds within one
+// process only. The runs and hashes are cut from arrays wr keeps, each
+// sized exactly when it grows, so a warm view routes without allocating.
+// They describe wr's entries until those change; Decode drops the hashes.
+func (wr *WireReport) Runs(shards int) [][]int32 {
+	n := len(wr.Entries)
+	wr.hashes = resize(wr.hashes, n)
+	wr.idx = resize(wr.idx, n+shards)
+	wr.runs = resize(wr.runs, shards)
+	idx, lens := wr.idx[:n], wr.idx[n:]
+	clear(lens)
+	shardOf := func(h uint64) int { return int((h >> 32) * uint64(shards) >> 32) }
+	for i := range wr.Entries {
+		e := &wr.Entries[i]
+		h := hashID(e.App, e.ActionUID, e.RootCause)
+		wr.hashes[i] = h
+		lens[shardOf(h)]++
 	}
+	off := int32(0)
+	for s, l := range lens {
+		wr.runs[s] = idx[off : off : off+l]
+		off += l
+	}
+	for i, h := range wr.hashes {
+		s := shardOf(h)
+		wr.runs[s] = append(wr.runs[s], int32(i))
+	}
+	return wr.runs
 }
 
-// MergeWireRun merges the entries of ents that run indexes into r, in run
+// resize returns s at length n, reusing its array if it holds n elements
+// and else allocating one of exactly n.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// MergeWire folds a decoded binary upload into r without intermediate
+// maps: its health, then its entries in document order as one run
+// (MergeWireRun over Runs(1)), so merging into entries the report already
+// holds allocates nothing.
+func (r *Report) MergeWire(wr *WireReport) {
+	r.Health.Add(wr.Health)
+	r.MergeWireRun(wr, wr.Runs(1)[0])
+}
+
+// MergeWireRun merges the entries of wr that run indexes into r, in run
 // order. It is the shard-side merge of every upload: a shard reads its run
 // of an upload's entries where they lie, in the decoder's view or in
-// Report.Wire's, and retains none of them. Each entry's identity is hashed
-// from its three fields without building a key. The run merges lockstep
-// entries at a time, and each group in three passes, so that the cache
-// misses within a pass overlap rather than follow each other:
+// Report.Wire's, and retains none of them. It hashes nothing: each entry's
+// identity hash is the one wr's last Runs recorded, so wr must have been
+// routed since it was last decoded into, and it panics otherwise. The run
+// merges lockstep entries at a time, and each group in three passes, so
+// that the cache misses within a pass overlap rather than follow each
+// other:
 //
 //  1. walk the group's trie paths together (entryTrie.writableGroup);
 //  2. probe each entry r may merge into in place for the device of a
@@ -469,25 +515,29 @@ func (r *Report) MergeWire(wr *WireReport) {
 //
 // Every entry, stamp and total comes out as if each wire entry went
 // through add in run order.
-func (r *Report) MergeWireRun(ents []WireEntry, run []int32) {
+func (r *Report) MergeWireRun(wr *WireReport, run []int32) {
+	if len(wr.hashes) != len(wr.Entries) {
+		panic("core: MergeWireRun: the view was not routed (Runs) since it was last decoded into")
+	}
 	for len(run) > 0 {
 		g := run[:min(len(run), lockstep)]
-		r.mergeGroup(ents, g)
+		r.mergeGroup(wr, g)
 		run = run[len(g):]
 	}
 }
 
 // mergeGroup is MergeWireRun for a run of at most lockstep entries.
-func (r *Report) mergeGroup(ents []WireEntry, run []int32) {
+func (r *Report) mergeGroup(wr *WireReport, run []int32) {
 	var (
 		src  [lockstep]ReportEntry
 		hs   [lockstep]uint64
 		es   [lockstep]*ReportEntry
 		held [lockstep]bool
 	)
+	ents := wr.Entries
 	for k, j := range run {
 		src[k] = ents[j].entry()
-		hs[k] = hashOf(&src[k])
+		hs[k] = wr.hashes[j]
 	}
 	n := len(run)
 	r.entries.writableGroup(hs[:n], src[:n], es[:n])
@@ -572,10 +622,12 @@ func readHeader(doc []byte) (r binReader, flags byte, device []byte, err error) 
 // Decode parses one document into into, refilling into's entry and device
 // arrays, so decoding into a warm view allocates nothing. The view's
 // slices stay valid until the next decode into it; its strings are the
-// dictionary's and never change. The dictionary delta commits only if the
-// whole document validates. After an error into's contents are
-// unspecified.
+// dictionary's and never change. Decode drops the hashes the view's last
+// Runs recorded, so the view must be routed again before it merges. The
+// dictionary delta commits only if the whole document validates. After an
+// error into's contents are unspecified.
 func (d *BinaryDecoder) Decode(doc []byte, into *WireReport) error {
+	into.hashes = into.hashes[:0]
 	r, flags, device, err := readHeader(doc)
 	if err != nil {
 		return err

@@ -429,10 +429,10 @@ func TestFreshDecoderAdoptsDictionary(t *testing.T) {
 	}
 }
 
-// TestShardIndexKeyMatchesShardIndex: a report upload (its Wire view) and
-// the same report as a decoded binary upload must agree on shard
-// ownership, fragment for fragment.
-func TestShardIndexKeyMatchesShardIndex(t *testing.T) {
+// TestRunsAgreeAcrossViewForms: a report upload (its Wire view) and the
+// same report as a decoded binary upload must agree on shard ownership,
+// fragment for fragment.
+func TestRunsAgreeAcrossViewForms(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		rep := synthReport(seed, "d", 20)
 		rep.Health.StacksDropped = int(seed)
@@ -450,6 +450,100 @@ func TestShardIndexKeyMatchesShardIndex(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRunsSpread: 10,000 random identities routed over 8 shards leave no
+// shard empty and none above 1.2 times its share, a bound about 7 standard
+// deviations from the mean, so no seed of the hash fails it. Each shard's
+// identities also reach all 32 positions of a trie root, which routing by
+// the hash's low bits would not.
+func TestRunsSpread(t *testing.T) {
+	const ids, shards = 10000, 8
+	rng := simrand.New(9)
+	wr := &WireReport{Entries: make([]WireEntry, ids)}
+	for i := range wr.Entries {
+		wr.Entries[i] = WireEntry{
+			App:       fmt.Sprintf("app-%d", rng.Intn(50)),
+			ActionUID: fmt.Sprintf("act-%d", rng.Uint64()),
+			RootCause: fmt.Sprintf("c.C%d.m", rng.Uint64()),
+		}
+	}
+	runs := wr.Runs(shards)
+	if len(runs) != shards {
+		t.Fatalf("Runs(%d) returned %d runs", shards, len(runs))
+	}
+	routed := 0
+	for s, run := range runs {
+		if len(run) == 0 || len(run) > ids/shards*12/10 {
+			t.Errorf("shard %d holds %d of %d identities, want 1 to %d", s, len(run), ids, ids/shards*12/10)
+		}
+		var roots uint32
+		for k, j := range run {
+			if k > 0 && j <= run[k-1] {
+				t.Fatalf("shard %d's run is out of upload order at %d", s, k)
+			}
+			roots |= position(0, wr.hashes[j])
+		}
+		if roots != ^uint32(0) {
+			t.Errorf("shard %d's identities reach root positions %032b, want all 32", s, roots)
+		}
+		routed += len(run)
+	}
+	if routed != ids {
+		t.Errorf("the runs hold %d entries, want %d", routed, ids)
+	}
+}
+
+// TestRunsAllocs: a warm view routes without allocating, whatever its
+// entry count, and a fresh Report.Wire view routes with one allocation
+// count at 4 and 120 entries, its arrays sized exactly.
+func TestRunsAllocs(t *testing.T) {
+	const shards = 8
+	var fresh []float64
+	for _, entries := range []int{4, 120} {
+		rep := synthReport(3, "device-a", entries)
+		warm, err := decodeNew(NewBinaryDecoder(), AppendReportBinary(nil, rep))
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm.Runs(shards)
+		if n := testing.AllocsPerRun(100, func() { warm.Runs(shards) }); n != 0 {
+			t.Errorf("a warm view of %d entries routes with %v allocations, want 0", entries, n)
+		}
+		wires := testing.AllocsPerRun(100, func() { rep.Wire() })
+		fresh = append(fresh, testing.AllocsPerRun(100, func() { rep.Wire().Runs(shards) })-wires)
+		wr := rep.Wire()
+		wr.Runs(shards)
+		if n := len(wr.Entries); cap(wr.hashes) != n || cap(wr.idx) != n+shards || cap(wr.runs) != shards {
+			t.Errorf("a fresh view of %d entries routes into arrays of %d hashes, %d indices and %d runs, want %d, %d and %d",
+				n, cap(wr.hashes), cap(wr.idx), cap(wr.runs), n, n+shards, shards)
+		}
+	}
+	if fresh[0] != fresh[1] || fresh[1] > 3 {
+		t.Errorf("a fresh view routes with %v allocations at 4 and 120 entries, want one count of at most 3", fresh)
+	}
+}
+
+// TestMergeWireRunRefusesUnroutedView: decoding into a view drops the
+// hashes its last Runs recorded, so a run merge of it before it is routed
+// again panics rather than file entries under stale hashes.
+func TestMergeWireRunRefusesUnroutedView(t *testing.T) {
+	doc := AppendReportBinary(nil, synthReport(4, "d", 12))
+	wr, err := decodeNew(NewBinaryDecoder(), doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := wr.Runs(1)[0]
+	NewReport().MergeWireRun(wr, run)
+	if err := NewBinaryDecoder().Decode(doc, wr); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("MergeWireRun merged a view decoded into after it was routed")
+		}
+	}()
+	NewReport().MergeWireRun(wr, run)
 }
 
 // TestWireAllocs: a report's wire view costs the same two allocations

@@ -64,10 +64,9 @@ func (w *DocWriter) Finish() []byte {
 
 // EntryKey joins an entry's identity, its (app, action, root cause), into
 // one string with \x00 between the fields: a map key for callers that
-// group entries outside a Report, and the bytes ShardIndex hashes. A
-// Report itself compares the three fields, so two identities whose fields
-// join to the same string, which needs a \x00 inside a field, are still
-// two entries.
+// group entries outside a Report. A Report itself compares the three
+// fields, so two identities whose fields join to the same string, which
+// needs a \x00 inside a field, are still two entries.
 func EntryKey(app, actionUID, rootCause string) string {
 	return app + "\x00" + actionUID + "\x00" + rootCause
 }

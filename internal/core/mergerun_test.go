@@ -24,6 +24,14 @@ func addRun(r *Report, ents []WireEntry, run []int32) {
 	}
 }
 
+// routed returns a view of ents whose identity hashes Runs has recorded,
+// so that any run of its indices merges.
+func routed(ents []WireEntry) *WireReport {
+	wr := &WireReport{Entries: ents}
+	wr.Runs(1)
+	return wr
+}
+
 // randomRun draws up to 60 wire entries over nIDs identities, and a run
 // of some of their indices in random order. Most entries list one device
 // from devices, which the reports then hold by that very string; some
@@ -92,7 +100,7 @@ func TestMergeWireRunMatchesAdd(t *testing.T) {
 			var snaps []handed
 			for round := range 40 {
 				ents, run := randomRun(rng, ids, devices)
-				grouped.MergeWireRun(ents, run)
+				grouped.MergeWireRun(routed(ents), run)
 				addRun(ref, ents, run)
 				gc.Bump()
 				rc.Bump()
@@ -142,12 +150,13 @@ func TestMergeWireRunAllocs(t *testing.T) {
 		}
 		run[i] = int32((7 * i) % len(ents))
 	}
+	wr := routed(ents)
 	r := NewReport()
 	sc := NewSnapshotCache(r)
-	r.MergeWireRun(ents, run)
+	r.MergeWireRun(wr, run)
 	sc.Bump()
 	if n := testing.AllocsPerRun(100, func() {
-		r.MergeWireRun(ents, run)
+		r.MergeWireRun(wr, run)
 		sc.Bump()
 	}); n != 0 {
 		t.Errorf("a warm run merge of held devices allocates %v objects, want 0", n)

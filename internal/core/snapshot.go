@@ -134,9 +134,22 @@ func (r *Report) addShared(part *Report) {
 	})
 }
 
+// FoldReports merges parts (nil entries are skipped) into a fresh report.
+// Because Merge is commutative and associative, the fold result is
+// independent of part order and of how entries were partitioned.
+func FoldReports(parts ...*Report) *Report {
+	out := NewReport()
+	for _, p := range parts {
+		if p != nil {
+			out.Merge(p)
+		}
+	}
+	return out
+}
+
 // FoldReportsShared is FoldReports for immutable parts holding (mostly)
 // disjoint sets of identities — the shape of shard snapshots, whose
-// entries are routed by ShardIndex. Entries are shared, not copied, so
+// entries WireReport.Runs routes. Entries are shared, not copied, so
 // the fold costs trie inserts instead of entry clones; collisions fall
 // back to a copy-on-write merge, keeping the result byte-identical to
 // FoldReports for any input. The result must be treated as read-only.

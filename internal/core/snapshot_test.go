@@ -152,7 +152,7 @@ func TestSnapshotSharesLiveReport(t *testing.T) {
 }
 
 // TestDeltaSinceExact drives three shards the way a node does: each
-// batch of adds is routed by ShardIndex, and only the shards it reached
+// batch of adds is routed by WireReport.Runs, and only the shards it reached
 // commit a batch. For the version vector after every earlier batch b,
 // including vectors no snapshot was taken at, DeltaSince over the shards'
 // snapshots holds exactly the entries whose last change came after batch
@@ -203,7 +203,7 @@ func TestDeltaSinceExact(t *testing.T) {
 			k := rng.Intn(keys)
 			action := fmt.Sprintf("app/act-%d", k)
 			root := fmt.Sprintf("c.C%d.m", k)
-			s := ShardIndex("app", action, root, shards)
+			s := shardOf("app", action, root, shards)
 			lives[s].Add("app", fmt.Sprintf("device-%d", rng.Intn(5)), action,
 				Diagnosis{RootCause: root, File: "C.java", Line: k}, 100*simclock.Millisecond)
 			lives[s].Health.StacksDropped++

@@ -50,15 +50,20 @@ const (
 
 var trieSeed = maphash.MakeSeed()
 
-// hashOf returns the trie hash of e's identity without allocating: each
-// identity field's maphash, folded in order by a multiply with an odd
-// constant, which is a bijection, so swapping two fields changes the
-// hash.
-func hashOf(e *ReportEntry) uint64 {
+// hashOf returns the trie hash of e's identity (hashID).
+func hashOf(e *ReportEntry) uint64 { return hashID(e.App, e.ActionUID, e.RootCause) }
+
+// hashID returns the trie hash of the identity (app, actionUID, rootCause)
+// without allocating: each field's maphash, folded in order by a multiply
+// with an odd constant, which is a bijection, so swapping two fields
+// changes the hash. The seed is drawn per process, so the hash, and the
+// shard WireReport.Runs routes an identity to, hold within one process
+// only.
+func hashID(app, actionUID, rootCause string) uint64 {
 	const k = 0x9e3779b97f4a7c15
-	h := maphash.String(trieSeed, e.App)
-	h = h*k ^ maphash.String(trieSeed, e.ActionUID)
-	return h*k ^ maphash.String(trieSeed, e.RootCause)
+	h := maphash.String(trieSeed, app)
+	h = h*k ^ maphash.String(trieSeed, actionUID)
+	return h*k ^ maphash.String(trieSeed, rootCause)
 }
 
 // editToken identifies one writer. It has a byte so every token gets its
@@ -71,7 +76,9 @@ type editToken struct{ _ byte }
 // it carries changes it or its entry, so tries share leaves freely:
 // versions of a persistent trie, and a fold with the parts it shares.
 // Copying a leaf into another trie keeps h, so only an entry arriving from
-// outside a report (Add, the JSON import, a wire merge) is hashed.
+// outside a report is hashed: by Add, the JSON import and a delta apply
+// here, and for a wire merge once per upload, when WireReport.Runs routes
+// it to a shard and records the hash MergeWireRun reads.
 type trieLeaf struct {
 	edit  *editToken
 	ver   uint64

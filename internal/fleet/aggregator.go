@@ -4,10 +4,11 @@
 //
 // The write path is sharded: an upload takes one of a bounded number of
 // admission slots (backpressure, not unbounded buffering, when ingest
-// outruns merging), is split by a stable hash of each entry's identity
-// into per-shard runs of indices into its wire entries, and each run is
-// merged where it lies into its shard's private core.Report, under that
-// shard's mutex, on the submitter's goroutine. Reads fold shard snapshots
+// outruns merging), is routed by the trie hash of each entry's identity
+// into per-shard runs of indices into its wire entries
+// (core.WireReport.Runs), and each run is merged where it lies into its
+// shard's private core.Report, under that shard's mutex, on the
+// submitter's goroutine. Reads fold shard snapshots
 // on demand. Because core.Report.Merge is commutative and associative, the
 // folded view is byte-identical to a serial merge of the same uploads
 // regardless of shard count, submitter interleaving, or arrival order —
@@ -256,9 +257,10 @@ func (a *Aggregator) SubmitDurable(rep *core.Report, id UploadID) error {
 
 // SubmitWire is SubmitDurable for a decoded binary upload: the shards
 // merge wr's entries where they lie, with no copy into a report, and its
-// content hash is derived on a durable node. When it returns, whatever the
-// outcome, the node no longer reads wr, so the caller may decode the next
-// upload into it.
+// content hash is derived on a durable node. The node routes wr in place
+// (core.WireReport.Runs), so one view is never submitted twice at once.
+// When it returns, whatever the outcome, the node no longer touches wr, so
+// the caller may decode the next upload into it.
 func (a *Aggregator) SubmitWire(wr *core.WireReport) error {
 	return a.submit(nil, wr, UploadID{})
 }
@@ -328,46 +330,19 @@ func (a *Aggregator) handOff(rep *core.Report, wr *core.WireReport, id UploadID)
 	return done, nil
 }
 
-// split cuts an upload's entries into one run of indices per shard, routed
-// by core.ShardIndex, in upload order; a shard the upload has nothing for
-// gets an empty run. It copies no entry: merge reads each one where it
-// lies. split hashes each entry once, counts each shard's run, then fills
-// the runs from one index array.
-func (a *Aggregator) split(wr *core.WireReport) [][]int32 {
-	n := len(a.shards)
-	runs := make([][]int32, n)
-	ents := wr.Entries
-	// Each entry's shard, each shard's run length, then the runs.
-	scratch := make([]int32, 2*len(ents)+n)
-	shardOf, lens, idx := scratch[:len(ents)], scratch[len(ents):len(ents)+n], scratch[len(ents)+n:]
-	for i := range ents {
-		e := &ents[i]
-		s := core.ShardIndex(e.App, e.ActionUID, e.RootCause, n)
-		shardOf[i] = int32(s)
-		lens[s]++
-	}
-	off := int32(0)
-	for s, l := range lens {
-		runs[s] = idx[off : off : off+l]
-		off += l
-	}
-	for i, s := range shardOf {
-		runs[s] = append(runs[s], int32(i))
-	}
-	return runs
-}
-
-// merge folds an upload's wire view into the shards: each shard's run of
-// its entries (core.Report.MergeWireRun), and on shard 0 its health
-// section, under that shard's mutex, with one version bump per run and
-// one observation each of the run's lock wait and merge time. It is
-// the one merge of a memory-only submit, the committer and WAL replay, and
-// it reads wr's entries in place, so wr must stay as it is until it
-// returns. Every caller keeps it so: a submitter merges its own upload,
-// the committer answers an upload's submitter only after merging it, and
-// replay merges each record before reading the next.
+// merge folds an upload's wire view into the shards: it routes the view,
+// hashing each entry once before any lock is taken, then merges each
+// shard's run of its entries (core.Report.MergeWireRun), and on shard 0
+// its health section, under that shard's mutex, with one version bump per
+// run and one observation each of the run's lock wait and merge time. It
+// is the one merge of a memory-only submit, the committer and WAL replay,
+// and it writes the routing into wr and reads wr's entries in place, so
+// nothing else may touch wr until it returns. Every caller keeps it so: a
+// submitter merges its own upload, the committer answers an upload's
+// submitter only after merging it, and replay merges each record before
+// reading the next.
 func (a *Aggregator) merge(wr *core.WireReport) {
-	for i, run := range a.split(wr) {
+	for i, run := range wr.Runs(len(a.shards)) {
 		health := i == 0 && !wr.Health.Zero()
 		if len(run) == 0 && !health {
 			continue
@@ -379,7 +354,7 @@ func (a *Aggregator) merge(wr *core.WireReport) {
 		if health {
 			s.rep.Health.Add(wr.Health)
 		}
-		s.rep.MergeWireRun(wr.Entries, run)
+		s.rep.MergeWireRun(wr, run)
 		s.cache.Bump()
 		d := time.Since(start)
 		s.mu.Unlock()

@@ -44,7 +44,7 @@ func benchDocs(b *testing.B, devices, entries int) (json [][]byte, bin [][]byte,
 }
 
 // BenchmarkIngest measures end-to-end ingest cost per upload — parse or
-// decode, split, shard merge — for the JSON path (ImportReport +
+// decode, routing, shard merge — for the JSON path (ImportReport +
 // SubmitDurable) against the binary path (warm dictionary Decode into a
 // warm view + SubmitWire), both merging on the benchmark's goroutine
 // before the submit returns, and the durable path: SubmitDurable of

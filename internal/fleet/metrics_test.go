@@ -63,7 +63,7 @@ func TestObsViewMatchesSnapshot(t *testing.T) {
 			for i := g; i < 200; i += 16 {
 				rep := SyntheticUpload(int64(i), fmt.Sprintf("dev-%d", i%7), 4)
 				wr, frags := rep.Wire(), 0
-				for s, run := range agg.split(wr) {
+				for s, run := range wr.Runs(shards) {
 					if len(run) > 0 || s == 0 && !wr.Health.Zero() {
 						frags++
 					}

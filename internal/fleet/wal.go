@@ -41,8 +41,9 @@ package fleet
 // base and the tail, so when a client resends an upload whose ack never
 // came, the committer finds it in the window and acks it without logging or
 // merging it again — the recovered fold is byte-identical to a run that
-// never crashed. Records do not depend on the shard count, so replay
-// re-splits them for whatever count the aggregator is opened with.
+// never crashed. Records do not depend on the shard count or on which
+// shard an entry went to: replay routes each upload again, for whatever
+// count the aggregator is opened with, by this process's hash.
 
 import (
 	"bufio"

@@ -71,7 +71,7 @@ type Config struct {
 	// Batch is how many device uploads the in-process sink coalesces into
 	// one aggregator submission (default 64). Merging is commutative, so
 	// batching never changes the folded result — it amortizes submission
-	// overhead (admission, splitting, one shard lock per run) across the
+	// overhead (admission, routing, one shard lock per run) across the
 	// batch.
 	Batch int
 
