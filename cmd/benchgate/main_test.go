@@ -13,7 +13,7 @@ import (
 
 // The captures in testdata are the output of CI's six benchmark commands,
 // recorded on a 2-vCPU Intel Xeon VM (GOMAXPROCS 2) in the same runs as
-// the committed BENCH_diagnoser.json, BENCH_fleet.json and BENCH_sim.json:
+// the committed ledgers, BENCH_<capture>.json at the repository root:
 //
 //	experiments  go test -bench=. -benchtime=1x -benchmem -run XXX .
 //	diagnoser    go test -bench BenchmarkAnalyzeTraces -benchtime 1s -benchmem -run XXX ./internal/core/

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -526,7 +527,7 @@ func TestRunsAllocs(t *testing.T) {
 
 // TestMergeWireRunRefusesUnroutedView: decoding into a view drops the
 // hashes its last Runs recorded, so a run merge of it before it is routed
-// again panics rather than file entries under stale hashes.
+// again panics, saying why, rather than file entries under stale hashes.
 func TestMergeWireRunRefusesUnroutedView(t *testing.T) {
 	doc := AppendReportBinary(nil, synthReport(4, "d", 12))
 	wr, err := decodeNew(NewBinaryDecoder(), doc)
@@ -539,8 +540,8 @@ func TestMergeWireRunRefusesUnroutedView(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() {
-		if recover() == nil {
-			t.Error("MergeWireRun merged a view decoded into after it was routed")
+		if r := recover(); !strings.Contains(fmt.Sprint(r), "not routed") {
+			t.Errorf("MergeWireRun of a view decoded into after it was routed: recovered %v, want the unrouted-view panic", r)
 		}
 	}()
 	NewReport().MergeWireRun(wr, run)

@@ -132,7 +132,7 @@ func (s *Server) uploadJSON(w http.ResponseWriter, body []byte) {
 
 // wireViews recycles the views binary uploads decode into. A view goes
 // back once SubmitWire has returned, whatever its outcome, since the node
-// reads the view no longer after that, or once its decode failed. Views
+// touches the view no longer after that, or once its decode failed. Views
 // are never held per device, which would keep each device's last upload
 // alive.
 var wireViews = sync.Pool{New: func() any { return new(core.WireReport) }}

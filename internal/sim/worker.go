@@ -20,8 +20,9 @@ import (
 
 // wireBuf is the worker's one upload buffer: a preallocated entry slice
 // the worker fills with Batch coalesced device uploads. The in-process
-// sink submits it zero-copy with SubmitWire, which returns once the
-// aggregator no longer reads it, so the worker refills it right away.
+// sink submits it zero-copy with SubmitWire, which routes it in place and
+// returns once the aggregator no longer touches it, so the worker refills
+// it right away and its routing arrays stay warm.
 type wireBuf struct {
 	entries []core.WireEntry
 	wr      core.WireReport
