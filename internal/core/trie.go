@@ -76,9 +76,9 @@ type editToken struct{ _ byte }
 // it carries changes it or its entry, so tries share leaves freely:
 // versions of a persistent trie, and a fold with the parts it shares.
 // Copying a leaf into another trie keeps h, so only an entry arriving from
-// outside a report is hashed: by Add, the JSON import and a delta apply
-// here, and for a wire merge once per upload, when WireReport.Runs routes
-// it to a shard and records the hash MergeWireRun reads.
+// outside a report is hashed: by Add, the JSON import or a delta apply as
+// it arrives, and for a wire merge by WireReport.Runs, which routes the
+// upload's entries to shards and records the hashes MergeWireRun reads.
 type trieLeaf struct {
 	edit  *editToken
 	ver   uint64
