@@ -87,13 +87,14 @@ func main() {
 	ctx.Parallel = *parallel
 	for _, name := range names {
 		start := time.Now()
-		res, err := experiments.Run(ctx, strings.TrimSpace(name))
+		id := strings.TrimSpace(name)
+		res, err := experiments.Run(ctx, id)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiment %s failed: %v\n", name, err)
 			os.Exit(1)
 		}
 		fmt.Printf("%s\n\n", res.Render())
-		fmt.Fprintf(os.Stderr, "[%s regenerated in %v]\n", res.Name(), time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "[%s regenerated in %v]\n", id, time.Since(start).Round(time.Millisecond))
 	}
 	fmt.Fprintf(os.Stderr, "engine metrics:\n%s", reg.Snapshot().Summary())
 

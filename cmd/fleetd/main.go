@@ -48,7 +48,7 @@ func main() {
 	printFinal := flag.Bool("print-final", true, "print the folded fleet report on shutdown")
 	walDir := flag.String("wal-dir", "", "durable mode: directory of the node's WAL, node.wal (empty = memory-only)")
 	walSync := flag.String("wal-sync", "batch", "WAL durability barrier: always | batch | off")
-	compactEvery := flag.Int("compact-every", 4096, "snapshot-compact the node log after this many records per shard (compact-every x shards uploads)")
+	compactEvery := flag.Int("compact-every", 32768, "snapshot-compact the node log after this many uploads")
 	dictCache := flag.Int("dict-cache", fleet.DefaultDictDevices, "devices whose binary-upload dictionary state is retained (LRU beyond it)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 	flag.Parse()

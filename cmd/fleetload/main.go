@@ -34,13 +34,11 @@ import (
 func main() {
 	url := flag.String("url", "", "fleetd base URL(s), comma-separated for ring routing; empty runs the fleet in-process")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	maxRetries := flag.Int("max-retries", 8, "give up on an upload after this many 409/429/transport retries")
 	devices := flag.Int("sim-devices", 100, "distinct devices in the fleet")
 	uploads := flag.Int64("sim-uploads", 500, "total uploads the fleet sends")
 	entries := flag.Int("sim-entries", 4, "root causes per upload (devices report small deltas often)")
 	shards := flag.Int("sim-shards", 8, "aggregator shards for an in-process run")
 	workers := flag.Int("sim-workers", 0, "simulation worker shards (0 = GOMAXPROCS)")
-	epochMS := flag.Int64("sim-epoch-ms", 60_000, "virtual-time barrier interval in simulated ms")
 	restartEvery := flag.Int64("sim-restart-every", 512, "1/N chance an upload follows a device restart (dictionary reset)")
 	batch := flag.Int("sim-batch", 64, "device uploads coalesced per aggregator submission (in-process)")
 	poll := flag.Duration("poll", 0, "with -url, delta-poll the node(s) at this interval while the fleet uploads (0 = off)")
@@ -52,10 +50,8 @@ func main() {
 		Entries:      *entries,
 		Workers:      *workers,
 		Seed:         *seed,
-		EpochMS:      *epochMS,
 		RestartEvery: *restartEvery,
 		Batch:        *batch,
-		MaxRetries:   *maxRetries,
 	}
 	var agg *fleet.Aggregator
 	mode := "inproc"

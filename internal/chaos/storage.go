@@ -90,9 +90,9 @@ func Differential(rates fault.StorageRates, seed uint64, uploads int) (Recovery,
 	// Compact every 8 records, but never under bit rot: drawn per byte, rot
 	// would hit nearly every open's base, and no open would reach the
 	// upload records whose skip the cell tests.
-	compactEvery := 2
+	compactEvery := 8
 	if rates.CorruptRead > 0 {
-		compactEvery = uploads // × 4 shards: more records than the cell appends
+		compactEvery = 4 * uploads // more records than the cell appends
 	}
 	cfg := func(in *fault.StorageInjector) fleet.Config {
 		return fleet.Config{
@@ -232,7 +232,7 @@ func Fleetscale(rates fault.StorageRates, fleetSeed, faultSeed uint64, devices i
 	cfg := func(fs fault.FS) fleet.Config {
 		return fleet.Config{
 			Shards: 4, QueueDepth: 256, BatchSize: 4,
-			WAL: &fleet.WALConfig{Dir: dir, Sync: fleet.SyncBatch, CompactEvery: 16, FS: fs},
+			WAL: &fleet.WALConfig{Dir: dir, Sync: fleet.SyncBatch, CompactEvery: 64, FS: fs},
 		}
 	}
 	agg, _, err := openRetry(cfg(fault.FaultyFS(fault.DiskFS, in)))

@@ -237,7 +237,7 @@ func TestReportAlgebraLaws(t *testing.T) {
 			m.Merge(reportOf(a), reportOf(b))
 			check("Merge", m, ab)
 			check("FoldReports", FoldReports(reportOf(a), reportOf(b)), ab)
-			check("FoldReportsShared", FoldReportsShared(reportOf(a), reportOf(b)), ab)
+			check("RefreshKeys of every row", refreshAll(reportOf(a), reportOf(b)), ab)
 			check("FoldReports of one part", FoldReports(reportOf(a)), a)
 			wired := reportOf(a)
 			wv := wired.Wire()
@@ -318,9 +318,9 @@ func TestReportAlgebraLaws(t *testing.T) {
 			t.Fatal("saturating merge is not commutative and associative")
 		}
 		for path, r := range map[string]*Report{
-			"FoldReports":       FoldReports(reportOf(a), reportOf(b)),
-			"FoldReportsShared": FoldReportsShared(reportOf(a), reportOf(b)),
-			"binary":            decodeBinary(t, reportOf(a, b)).Report(),
+			"FoldReports": FoldReports(reportOf(a), reportOf(b)),
+			"RefreshKeys": refreshAll(reportOf(a), reportOf(b)),
+			"binary":      decodeBinary(t, reportOf(a, b)).Report(),
 		} {
 			if got := r.entries.get(id); !reflect.DeepEqual(got, ab) || r.TotalHangs() != math.MaxInt {
 				t.Fatalf("%s: %+v with %d total hangs, want %+v with %d", path, got, r.TotalHangs(), ab, math.MaxInt)

@@ -85,7 +85,7 @@ func TestDeviceSetCopyOnWrite(t *testing.T) {
 	view := live.Wire()
 	other := NewReport()
 	other.Add("B", "d7", "B/act", diag, simclock.Second)
-	fold := FoldReportsShared(snap, other)
+	fold := refreshAll(snap, other)
 
 	// One device lands inside the set and one before it, through both
 	// merge paths.

@@ -110,10 +110,9 @@ func TestMergeKeepsJoinedKeyTwinsApart(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, r := range map[string]*Report{
-		"FoldReportsShared": FoldReportsShared(b, a),
-		"binary":            decodeBinary(t, ab).Report(),
-		"JSON":              imported,
-		"RefreshKeys":       NewReport().RefreshKeys(ab.Entries(), b, a),
+		"binary":      decodeBinary(t, ab).Report(),
+		"JSON":        imported,
+		"RefreshKeys": NewReport().RefreshKeys(ab.Entries(), b, a),
 	} {
 		if !reflect.DeepEqual(r, ab) {
 			t.Errorf("%s differs from FoldReports:\n%s\nwant\n%s", name, exportJSON(t, r), exportJSON(t, ab))

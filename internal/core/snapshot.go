@@ -19,12 +19,13 @@ package core
 //   - Over the gathered shard snapshots, DeltaSince and FoldCache both walk
 //     only the subtrees stamped after a version: DeltaSince after the
 //     client's, FoldCache after the one its previous fold covers, whose
-//     trie it extends in one batch. Because shards own disjoint sets of
-//     entries, both share the snapshots' leaves instead of copying
-//     entries.
+//     trie it extends in one batch (with no previous fold, an empty one
+//     takes every leaf). Because shards own disjoint sets of entries, both
+//     share the snapshots' leaves instead of copying entries.
 //   - A regional poller mirrors each node with ApplyWireFull/ApplyWireDelta
-//     and re-derives only the changed entries of its fold with RefreshKeys,
-//     which returns a new report sharing structure with the old one.
+//     and re-derives only the changed entries of its fold, which starts
+//     empty, with RefreshKeys, which returns a new report sharing structure
+//     with the old one.
 //
 // Everything here preserves the repo's one determinism bar: any cached,
 // shared, or incremental fold is byte-identical in Export/Render to a
@@ -96,7 +97,7 @@ func (sc *SnapshotCache) Snapshot() *Report {
 }
 
 // ---------------------------------------------------------------------------
-// Deltas, shared folds and incremental folds over disjoint parts
+// Deltas and incremental folds over disjoint parts
 
 // DeltaSince returns an immutable report holding exactly the entries each
 // part i stamped after since[i], with the parts' summed Health (health
@@ -117,23 +118,6 @@ func DeltaSince(parts []*Report, since []uint64) *Report {
 	return out
 }
 
-// addShared folds part into out, sharing part's entries (and the trie
-// leaves holding them) for identities out does not hold. Where out holds
-// one already, the existing entry is cloned before merging (it may be
-// shared with an earlier part or a previous fold), so the fold never
-// mutates its inputs and the result matches a serial deep Merge byte for
-// byte.
-func (r *Report) addShared(part *Report) {
-	r.Health.Add(part.Health)
-	r.totalHangs = satAdd(r.totalHangs, part.totalHangs)
-	part.entries.each(func(l *trieLeaf) {
-		if old := r.entries.put(l); old != nil {
-			merged, _ := r.entries.bind(l.h, &old.entry, nil)
-			merged.merge(&l.entry, nil)
-		}
-	})
-}
-
 // FoldReports merges parts (nil entries are skipped) into a fresh report.
 // Because Merge is commutative and associative, the fold result is
 // independent of part order and of how entries were partitioned.
@@ -142,22 +126,6 @@ func FoldReports(parts ...*Report) *Report {
 	for _, p := range parts {
 		if p != nil {
 			out.Merge(p)
-		}
-	}
-	return out
-}
-
-// FoldReportsShared is FoldReports for immutable parts holding (mostly)
-// disjoint sets of identities — the shape of shard snapshots, whose
-// entries WireReport.Runs routes. Entries are shared, not copied, so
-// the fold costs trie inserts instead of entry clones; collisions fall
-// back to a copy-on-write merge, keeping the result byte-identical to
-// FoldReports for any input. The result must be treated as read-only.
-func FoldReportsShared(parts ...*Report) *Report {
-	out := NewReport()
-	for _, p := range parts {
-		if p != nil {
-			out.addShared(p)
 		}
 	}
 	return out
@@ -176,40 +144,48 @@ type FoldCache struct {
 }
 
 // Update returns the fold of parts at versions vers (one per part) and
-// whether it is the cached fold, reused because no version moved. Each
-// part writes into the previous fold, in one batch, the leaves it stamped
-// after the version the fold last saw it at: a walk of its newer
-// subtrees, as in DeltaSince, so this costs the changed entries, and each
-// changed path is copied once. Totals and health are re-summed from the
-// parts (O(parts), not O(entries)). A gather behind the cached vector in
-// any part — a concurrent reader cached a newer one — is folded afresh
-// and not cached, so the cache only moves forward. The first call or a
-// change of part count rebuilds the fold. The returned report is
-// immutable.
+// whether it is the cached fold, reused because no version moved. Every
+// fold is one batch over a base, into which each part puts the leaves
+// that fold must take, sharing them. The base is the previous fold, and
+// each part puts the leaves it stamped after the version that fold saw it
+// at: a walk of its newer subtrees, as in DeltaSince, so this costs the
+// changed entries, and each changed path is copied once. With no usable
+// previous fold — the first call, a change of part count, or a gather
+// behind the cached vector in any part, as when a concurrent reader
+// cached a newer one — the base is an empty report and each part puts
+// every leaf. A fold from behind is not cached, so the cache only moves
+// forward. Totals and health are re-summed from the parts (O(parts), not
+// O(entries)). The returned report is immutable.
 func (fc *FoldCache) Update(parts []*Report, vers []uint64) (rep *Report, hit bool) {
-	if fc.result == nil || len(fc.vers) != len(vers) {
-		fc.result, fc.vers = FoldReportsShared(parts...), vers
-		return fc.result, false
+	base, since := fc.result, fc.vers
+	cold := base == nil || len(since) != len(vers)
+	moved, behind := cold, false
+	for i := 0; !cold && i < len(vers); i++ {
+		moved = moved || vers[i] != since[i]
+		behind = behind || vers[i] < since[i]
 	}
-	moved := false
-	for i, v := range vers {
-		if v < fc.vers[i] {
-			return FoldReportsShared(parts...), false
-		}
-		moved = moved || v != fc.vers[i]
+	switch {
+	case !moved:
+		return base, true
+	case cold || behind:
+		base, since = &Report{}, nil
 	}
-	if !moved {
-		return fc.result, true
-	}
-	out := &Report{entries: fc.result.entries.batch()}
+	out := &Report{entries: base.entries.batch()}
+	put := func(l *trieLeaf) { out.entries.put(l) }
 	for i, p := range parts {
-		// The part's identities only grow and no other part holds them,
-		// so the leaves it changed are all the fold must take.
-		p.entries.changedSince(fc.vers[i], func(l *trieLeaf) { out.entries.put(l) })
+		if since == nil {
+			p.entries.each(put)
+		} else {
+			// The part's identities only grow and no other part holds
+			// them, so the leaves it changed are all the fold must take.
+			p.entries.changedSince(since[i], put)
+		}
 		out.totalHangs = satAdd(out.totalHangs, p.totalHangs)
 		out.Health.Add(p.Health)
 	}
-	fc.result, fc.vers = out, vers
+	if !behind {
+		fc.result, fc.vers = out, vers
+	}
 	return out, false
 }
 
@@ -262,15 +238,16 @@ func (r *Report) ApplyWireFull(wr *WireReport) []*ReportEntry {
 // re-derived as the fold of the corresponding entries across parts, in
 // part order, and its totals and health re-summed from the parts; of each
 // row only its identity is read. An identity no part holds is deleted.
-// One that only one part holds shares that part's leaf, as
-// FoldReportsShared does; one that two or more parts hold gets a new leaf
-// of the result holding their merge. So, as for FoldReportsShared, parts
-// must not change a leaf the result shares: a regional mirror only ever
-// replaces its leaves. The result is one batch over r's trie: it shares
-// every unchanged node and entry with r, and r itself stays unchanged, so
-// r may already be handed out — the regional tier serves each round's
-// result as-is. Byte-identity: after refreshing every changed identity,
-// the result equals FoldReports(parts...) exactly.
+// One that only one part holds shares that part's leaf, as FoldCache
+// does; one that two or more parts hold gets a new leaf of the result
+// holding their merge. So parts must not change a leaf the result shares:
+// a regional mirror only ever replaces its leaves. The result is one
+// batch over r's trie: it shares every unchanged node and entry with r,
+// and r itself stays unchanged, so r may already be handed out — the
+// regional tier serves each round's result as-is. Byte-identity: after
+// refreshing every changed identity, the result equals
+// FoldReports(parts...) exactly; an empty r refreshed at every identity
+// of the parts is their fold, which is how a regional master starts.
 func (r *Report) RefreshKeys(rows []*ReportEntry, parts ...*Report) *Report {
 	out := &Report{entries: r.entries.batch()}
 	for _, row := range rows {

@@ -289,10 +289,23 @@ func TestSnapshotRandomBatches(t *testing.T) {
 	}
 }
 
-// TestFoldReportsSharedByteIdentical: the pointer-sharing fold must match
-// FoldReports byte-for-byte for disjoint and overlapping parts alike, and
-// must never mutate its inputs.
-func TestFoldReportsSharedByteIdentical(t *testing.T) {
+// refreshAll folds parts the way a regional master starts: an empty
+// report refreshed at the identity of every entry of every part.
+func refreshAll(parts ...*Report) *Report {
+	var rows []*ReportEntry
+	for _, p := range parts {
+		if p != nil {
+			rows = append(rows, p.Entries()...)
+		}
+	}
+	return NewReport().RefreshKeys(rows, parts...)
+}
+
+// TestRefreshAllByteIdentical: the first regional master, an empty report
+// refreshed at every identity of its parts, must match FoldReports
+// byte-for-byte for disjoint and overlapping parts alike, and must never
+// mutate its inputs.
+func TestRefreshAllByteIdentical(t *testing.T) {
 	r := foldFixture()
 	disjoint := shardParts(r.Wire(), 4)
 	overlapping := []*Report{FoldReports(r), foldFixture(), nil, FoldReports(r)}
@@ -304,9 +317,9 @@ func TestFoldReportsSharedByteIdentical(t *testing.T) {
 			}
 		}
 		want := exportBytes(t, FoldReports(parts...))
-		got := exportBytes(t, FoldReportsShared(parts...))
+		got := exportBytes(t, refreshAll(parts...))
 		if !bytes.Equal(got, want) {
-			t.Errorf("%s: FoldReportsShared diverged from FoldReports", name)
+			t.Errorf("%s: refreshing an empty report diverged from FoldReports", name)
 		}
 		for i, p := range parts {
 			if p != nil && !bytes.Equal(exportBytes(t, p), before[i]) {
@@ -511,7 +524,7 @@ func TestApplyWireFullRepeatedIdentity(t *testing.T) {
 func TestRefreshKeys(t *testing.T) {
 	a, b := foldFixture(), foldFixture()
 	b.Health.PerfOpenFailures = 9
-	master := FoldReportsShared(a, b)
+	master := refreshAll(a, b)
 
 	// Replace one entry in part a the way ApplyWireDelta would: fresh
 	// pointer, different counters.
@@ -628,7 +641,7 @@ func TestReadsScaleWithChange(t *testing.T) {
 	}
 	regional := func(n int) float64 {
 		a, b := fill("app", n/2), fill("other", n/2)
-		master := FoldReportsShared(a, b)
+		master := refreshAll(a, b)
 		rows := a.Entries()[:hot]
 		return bytesPerRound(func() {
 			for _, id := range rows {

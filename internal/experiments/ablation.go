@@ -24,9 +24,6 @@ type Ablation struct {
 	Rows  map[string]AblationRow
 }
 
-// Name implements Result.
-func (a *Ablation) Name() string { return "ablation" }
-
 // Render implements Result.
 func (a *Ablation) Render() string { return a.Table.Render() }
 

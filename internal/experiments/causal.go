@@ -23,9 +23,6 @@ type Causal struct {
 	CausalFalse, MainFalse int
 }
 
-// Name implements Result.
-func (c *Causal) Name() string { return "causal" }
-
 // Render implements Result.
 func (c *Causal) Render() string { return c.Table.Render() }
 

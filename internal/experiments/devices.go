@@ -24,9 +24,6 @@ type DeviceGenerality struct {
 	UnionBugs int
 }
 
-// Name implements Result.
-func (d *DeviceGenerality) Name() string { return "devices" }
-
 // Render implements Result.
 func (d *DeviceGenerality) Render() string { return d.Table.Render() }
 

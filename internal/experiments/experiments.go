@@ -15,10 +15,8 @@ import (
 	"hangdoctor/internal/simclock"
 )
 
-// Result is one regenerated artifact.
+// Result is one regenerated artifact; the registry names it.
 type Result interface {
-	// Name is the artifact identifier, e.g. "table2" or "fig8".
-	Name() string
 	// Render returns the artifact as a text table/series.
 	Render() string
 }

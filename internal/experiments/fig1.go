@@ -26,9 +26,6 @@ type opSpan struct {
 	Dur  simclock.Duration
 }
 
-// Name implements Result.
-func (f *Fig1) Name() string { return "fig1" }
-
 // Render implements Result.
 func (f *Fig1) Render() string { return f.Text }
 

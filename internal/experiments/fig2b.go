@@ -16,9 +16,6 @@ type Fig2b struct {
 	TopRoots []string
 }
 
-// Name implements Result.
-func (f *Fig2b) Name() string { return "fig2b" }
-
 // Render implements Result.
 func (f *Fig2b) Render() string { return f.Text }
 

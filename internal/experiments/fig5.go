@@ -33,9 +33,6 @@ type windowSample struct {
 	Main, Render int64
 }
 
-// Name implements Result.
-func (f *Fig5) Name() string { return "fig5" }
-
 // Render implements Result.
 func (f *Fig5) Render() string { return f.Text }
 

@@ -25,9 +25,6 @@ type Fig6 struct {
 	HangResponse simclock.Duration
 }
 
-// Name implements Result.
-func (f *Fig6) Name() string { return "fig6" }
-
 // Render implements Result.
 func (f *Fig6) Render() string { return f.Text }
 
@@ -97,9 +94,6 @@ type Fig7 struct {
 	// FinalStates per action.
 	FinalStates map[string]core.ActionState
 }
-
-// Name implements Result.
-func (f *Fig7) Name() string { return "fig7" }
 
 // Render implements Result.
 func (f *Fig7) Render() string { return f.Text }

@@ -32,9 +32,6 @@ type Fig8 struct {
 	AvgNormTP, AvgNormFP, AvgOverhead map[string]float64
 }
 
-// Name implements Result.
-func (f *Fig8) Name() string { return "fig8" }
-
 // Render implements Result.
 func (f *Fig8) Render() string { return f.Table.Render() }
 

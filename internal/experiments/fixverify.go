@@ -29,9 +29,6 @@ type FixVerify struct {
 	Rows  []FixVerifyRow
 }
 
-// Name implements Result.
-func (f *FixVerify) Name() string { return "fixverify" }
-
 // Render implements Result.
 func (f *FixVerify) Render() string { return f.Table.Render() }
 

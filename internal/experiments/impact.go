@@ -31,9 +31,6 @@ type Impact struct {
 	BaselineMs float64
 }
 
-// Name implements Result.
-func (i *Impact) Name() string { return "impact" }
-
 // Render implements Result.
 func (i *Impact) Render() string { return i.Table.Render() }
 

@@ -42,9 +42,6 @@ type Longitudinal struct {
 	MedianFirstDay float64
 }
 
-// Name implements Result.
-func (l *Longitudinal) Name() string { return "longitudinal" }
-
 // Render implements Result.
 func (l *Longitudinal) Render() string { return l.Table.Render() }
 

@@ -42,9 +42,6 @@ type SeedRobustness struct {
 	Seeds     int
 }
 
-// Name implements Result.
-func (s *SeedRobustness) Name() string { return "seeds" }
-
 // Render implements Result.
 func (s *SeedRobustness) Render() string { return s.Table.Render() }
 

@@ -34,9 +34,6 @@ type ThresholdSweep struct {
 	PaperPoint map[string]SweepPoint
 }
 
-// Name implements Result.
-func (s *ThresholdSweep) Name() string { return "sweep" }
-
 // Render implements Result.
 func (s *ThresholdSweep) Render() string { return s.Text }
 

@@ -12,9 +12,6 @@ import (
 // commits.
 type Table1 struct{ Table TextTable }
 
-// Name implements Result.
-func (t *Table1) Name() string { return "table1" }
-
 // Render implements Result.
 func (t *Table1) Render() string { return t.Table.Render() }
 
@@ -41,9 +38,6 @@ type Table2 struct {
 	// Hangs is the ground-truth number of bug hangs across all traces.
 	Hangs int
 }
-
-// Name implements Result.
-func (t *Table2) Name() string { return "table2" }
 
 // Render implements Result.
 func (t *Table2) Render() string { return t.Table.Render() }

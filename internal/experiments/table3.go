@@ -27,9 +27,6 @@ type Table3 struct {
 	SampleCount  int
 }
 
-// Name implements Result.
-func (t *Table3) Name() string { return "table3" }
-
 // Render implements Result.
 func (t *Table3) Render() string { return t.Table.Render() }
 
@@ -78,9 +75,6 @@ type Table4 struct {
 	Overlap5 [2]int // top-5 overlap of 75% and 50% vs full
 }
 
-// Name implements Result.
-func (t *Table4) Name() string { return "table4" }
-
 // Render implements Result.
 func (t *Table4) Render() string { return t.Table.Render() }
 
@@ -125,9 +119,6 @@ type Fig4 struct {
 	// 90% of UI below" split the paper quotes.
 	Split map[string][2]float64
 }
-
-// Name implements Result.
-func (f *Fig4) Name() string { return "fig4" }
 
 // Render implements Result.
 func (f *Fig4) Render() string { return f.Text }

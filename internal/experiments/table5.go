@@ -54,9 +54,6 @@ type Table5 struct {
 	FalseApps int
 }
 
-// Name implements Result.
-func (t *Table5) Name() string { return "table5" }
-
 // Render implements Result.
 func (t *Table5) Render() string { return t.Table.Render() }
 
@@ -151,9 +148,6 @@ type Table6 struct {
 	PerApp map[string][4]int
 	Total  [4]int
 }
-
-// Name implements Result.
-func (t *Table6) Name() string { return "table6" }
 
 // Render implements Result.
 func (t *Table6) Render() string { return t.Table.Render() }

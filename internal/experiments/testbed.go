@@ -28,9 +28,6 @@ type Testbed struct {
 	LabOverheadPct, WildOverheadPct float64
 }
 
-// Name implements Result.
-func (t *Testbed) Name() string { return "testbed" }
-
 // Render implements Result.
 func (t *Testbed) Render() string { return t.Table.Render() }
 

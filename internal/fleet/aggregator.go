@@ -124,7 +124,7 @@ type Aggregator struct {
 
 	// foldMu guards the incremental fold cache, keyed by the shard version
 	// vector. The cached reports are immutable — Fold hands them to many
-	// readers.
+	// readers, and compaction logs them as the base.
 	foldMu    sync.Mutex
 	foldCache core.FoldCache
 
@@ -406,7 +406,7 @@ func (a *Aggregator) runCommitter(w *nodeWAL) {
 		if !merged {
 			return
 		}
-		if w.records >= a.cfg.WAL.CompactEvery*a.cfg.Shards {
+		if w.records >= a.cfg.WAL.CompactEvery {
 			a.compact(w)
 		}
 	}
@@ -483,13 +483,16 @@ func (a *Aggregator) commitBatch(w *nodeWAL, batch []logged) bool {
 	return true
 }
 
-// compact folds the state the log's records built and compacts the log
-// into it. A failure is counted, not returned: the log stays replayable,
-// so the committer keeps appending to it and the next batch retries, and
-// after a failed final compaction the next boot replays the tail.
+// compact folds the state the log's records built through the fold cache
+// and compacts the log into it. It gathers the shards directly, not
+// through reports, which reads empty after a crash: the base must hold
+// what the log built. A failure is counted, not returned: the log stays
+// replayable, so the committer keeps appending to it and the next batch
+// retries, and after a failed final compaction the next boot replays the
+// tail.
 func (a *Aggregator) compact(w *nodeWAL) {
-	reps, _ := a.gather()
-	if err := w.compact(core.FoldReportsShared(reps...)); err != nil {
+	rep, _ := a.fold(a.gather())
+	if err := w.compact(rep); err != nil {
 		a.walM.compactionErrors.Inc()
 		return
 	}
@@ -523,13 +526,19 @@ func (a *Aggregator) FoldVersioned() (*core.Report, VersionVector) {
 		a.metrics.foldErrors.Inc()
 		return core.NewReport(), VersionVector{}
 	}
-	a.foldMu.Lock()
-	defer a.foldMu.Unlock()
-	rep, hit := a.foldCache.Update(reps, vers)
+	rep, hit := a.fold(reps, vers)
 	if hit {
 		a.metrics.foldCacheHits.Inc()
 	}
 	return rep, VersionVector{Epoch: a.epoch, Shards: vers}
+}
+
+// fold folds a gather through the fold cache, under foldMu: the one fold
+// behind reads and compaction.
+func (a *Aggregator) fold(reps []*core.Report, vers []uint64) (*core.Report, bool) {
+	a.foldMu.Lock()
+	defer a.foldMu.Unlock()
+	return a.foldCache.Update(reps, vers)
 }
 
 // reports is the gather behind reads: ok is false after a crash, which

@@ -30,7 +30,7 @@ func (r *Regional) forceResync() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for i := range r.states {
-		r.states[i].synced = false
+		r.states[i].vec = VersionVector{}
 	}
 }
 

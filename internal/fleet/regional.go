@@ -15,9 +15,10 @@ package fleet
 // plus a regional master report, echoes each node's version vector back
 // via /v1/snapshot?since=, applies the returned deltas, and re-derives
 // only the changed entries — so steady-state poll cost scales with change,
-// not fleet size. The master is immutable: each round that moved builds
-// the next master with RefreshKeys, which shares every unchanged entry
-// and trie node with the previous one, and hands it out as is. A node
+// not fleet size. The master starts as an empty report and is immutable:
+// each round that moved, the first included, builds the next master with
+// RefreshKeys, which shares every unchanged entry and trie node with the
+// previous one, and hands it out as is. A node
 // restart (epoch change) degrades that node to a full snapshot
 // automatically, and a failed node — one that does not answer, or whose
 // aggregator crashed and answers 503 — keeps its last mirrored state so
@@ -43,12 +44,11 @@ import (
 const maxSnapshotBytes = 256 << 20
 
 // nodeState is the poller's materialized mirror of one node: the last
-// applied folded state, the vector it corresponds to, and whether a full
-// snapshot has ever been applied (until then ?since= is withheld).
+// applied folded state and the vector it corresponds to, zero until a
+// full snapshot has been applied (until then ?since= is withheld).
 type nodeState struct {
-	rep    *core.Report
-	vec    VersionVector
-	synced bool
+	rep *core.Report
+	vec VersionVector
 }
 
 // Regional folds a set of fleetd nodes. The zero value is not usable;
@@ -78,6 +78,7 @@ func NewRegional(nodes []string, client *http.Client) *Regional {
 	r := &Regional{
 		nodes:  append([]string(nil), nodes...),
 		client: client,
+		master: core.NewReport(),
 	}
 	r.states = make([]nodeState, len(r.nodes))
 	for i := range r.states {
@@ -93,11 +94,11 @@ type nodeFetch struct {
 	delta bool
 }
 
-// fetchSince pulls one node's snapshot, echoing since when the mirror is
-// synced, and decodes the vector and kind headers alongside the body.
-func (r *Regional) fetchSince(ctx context.Context, node string, since VersionVector, haveSince bool) (nodeFetch, error) {
+// fetchSince pulls one node's snapshot, echoing since unless it is zero,
+// and decodes the vector and kind headers alongside the body.
+func (r *Regional) fetchSince(ctx context.Context, node string, since VersionVector) (nodeFetch, error) {
 	u := node + "/v1/snapshot"
-	if haveSince {
+	if !since.Zero() {
 		u += "?since=" + url.QueryEscape(since.String())
 	}
 	body, hdr, err := r.get(ctx, u)
@@ -144,30 +145,17 @@ type PollResult struct {
 func (r *Regional) PollDelta(ctx context.Context) PollResult {
 	n := len(r.nodes)
 	sinces := make([]VersionVector, n)
-	haveSince := make([]bool, n)
 	r.mu.Lock()
 	for i := range r.states {
-		sinces[i], haveSince[i] = r.states[i].vec, r.states[i].synced
+		sinces[i] = r.states[i].vec
 	}
 	r.mu.Unlock()
 
 	fetches := make([]nodeFetch, n)
 	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i, node := range r.nodes {
-		wg.Add(1)
-		go func(i int, node string) {
-			defer wg.Done()
-			nctx := ctx
-			if r.NodeTimeout > 0 {
-				var cancel context.CancelFunc
-				nctx, cancel = context.WithTimeout(ctx, r.NodeTimeout)
-				defer cancel()
-			}
-			fetches[i], errs[i] = r.fetchSince(nctx, node, sinces[i], haveSince[i])
-		}(i, node)
-	}
-	wg.Wait()
+	r.eachNode(ctx, func(ctx context.Context, i int, node string) {
+		fetches[i], errs[i] = r.fetchSince(ctx, node, sinces[i])
+	})
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -190,16 +178,13 @@ func (r *Regional) PollDelta(ctx context.Context) PollResult {
 			changed = append(changed, r.states[i].rep.ApplyWireFull(nf.wr)...)
 		}
 		advanced = true
-		r.states[i].vec, r.states[i].synced = nf.vec, !nf.vec.Zero()
+		r.states[i].vec = nf.vec
 	}
-	parts := make([]*core.Report, n)
-	for i := range r.states {
-		parts[i] = r.states[i].rep
-	}
-	switch {
-	case r.master == nil:
-		r.master = core.FoldReportsShared(parts...)
-	case advanced:
+	if advanced {
+		parts := make([]*core.Report, n)
+		for i := range r.states {
+			parts[i] = r.states[i].rep
+		}
 		// Mirrors replace leaves rather than writing into them, so the
 		// master may share the leaf of an entry only one mirror holds, and
 		// RefreshKeys builds a new master around the changed entries — so
@@ -218,6 +203,25 @@ func (r *Regional) PollDelta(ctx context.Context) PollResult {
 func (r *Regional) Metrics(ctx context.Context) (obs.Snapshot, error) {
 	snaps := make([]obs.Snapshot, len(r.nodes))
 	errs := make([]error, len(r.nodes))
+	r.eachNode(ctx, func(ctx context.Context, i int, node string) {
+		body, _, err := r.get(ctx, node+"/metrics/snapshot")
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		errs[i] = json.Unmarshal(body, &snaps[i])
+	})
+	for _, err := range errs {
+		if err != nil {
+			return obs.Snapshot{}, err
+		}
+	}
+	return obs.MergeSnapshots(snaps...), nil
+}
+
+// eachNode calls fn for every node at once, each with a context bounded
+// by NodeTimeout, and returns when every call has.
+func (r *Regional) eachNode(ctx context.Context, fn func(ctx context.Context, i int, node string)) {
 	var wg sync.WaitGroup
 	for i, node := range r.nodes {
 		wg.Add(1)
@@ -229,21 +233,10 @@ func (r *Regional) Metrics(ctx context.Context) (obs.Snapshot, error) {
 				nctx, cancel = context.WithTimeout(ctx, r.NodeTimeout)
 				defer cancel()
 			}
-			body, _, err := r.get(nctx, node+"/metrics/snapshot")
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			errs[i] = json.Unmarshal(body, &snaps[i])
+			fn(nctx, i, node)
 		}(i, node)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return obs.Snapshot{}, err
-		}
-	}
-	return obs.MergeSnapshots(snaps...), nil
 }
 
 func (r *Regional) get(ctx context.Context, u string) ([]byte, http.Header, error) {

@@ -96,9 +96,8 @@ type WALConfig struct {
 	// Sync is the durability barrier policy (default SyncBatch).
 	Sync SyncPolicy
 	// CompactEvery sets how often the node log is compacted into one
-	// base record: after CompactEvery × Shards appended records, the
-	// volume the per-shard logs of earlier releases held between them
-	// (default 4096).
+	// base record: after CompactEvery appended upload records (default
+	// 32768).
 	CompactEvery int
 	// FS is the filesystem seam (default fault.DiskFS); wrap it with
 	// fault.FaultyFS to chaos-test recovery.
@@ -111,7 +110,7 @@ func (c *WALConfig) withDefaults() *WALConfig {
 		out.Sync = SyncBatch
 	}
 	if out.CompactEvery <= 0 {
-		out.CompactEvery = 4096
+		out.CompactEvery = 32768
 	}
 	if out.FS == nil {
 		out.FS = fault.DiskFS

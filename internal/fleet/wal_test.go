@@ -28,7 +28,7 @@ import (
 func durableCfg(dir string, shards int) Config {
 	return Config{
 		Shards: shards, QueueDepth: 256, BatchSize: 4,
-		WAL: &WALConfig{Dir: dir, Sync: SyncBatch, CompactEvery: 2},
+		WAL: &WALConfig{Dir: dir, Sync: SyncBatch, CompactEvery: 2 * shards},
 	}
 }
 
@@ -218,6 +218,30 @@ func TestDurableCleanRestart(t *testing.T) {
 	snap := agg2.Metrics().Registry().Snapshot()
 	if n := snap.Value("hangdoctor_fleet_wal_replayed_records_total"); n != 0 {
 		t.Errorf("clean restart replayed %d tail records, want 0 (the final base should cover everything)", n)
+	}
+}
+
+// TestCloseCompactsThroughFoldCache: Close's final compaction folds the
+// shards through the node's fold cache, so the first read after it, with
+// no read before, is a cache hit serving the serial merge.
+func TestCloseCompactsThroughFoldCache(t *testing.T) {
+	reps := uploads(3, 30)
+	serial := core.NewReport()
+	serial.Merge(reps...)
+
+	agg := mustOpen(t, durableCfg(t.TempDir(), 4))
+	submitAllDurable(t, agg, reps)
+	agg.Close()
+	hits := func() int64 {
+		return agg.Metrics().Registry().Snapshot().Value("hangdoctor_fleet_fold_cache_hits_total")
+	}
+	before := hits()
+	got := exportBytes(t, agg.Fold())
+	if n := hits() - before; n != 1 {
+		t.Errorf("the first Fold after Close added %d fold-cache hits, want 1", n)
+	}
+	if !bytes.Equal(got, exportBytes(t, serial)) {
+		t.Error("the fold after Close diverged from serial merge")
 	}
 }
 

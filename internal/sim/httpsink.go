@@ -102,7 +102,7 @@ func (w *worker) postDoc(dev uint32, doc []byte, full bool) {
 	e := w.e
 	url := e.nodeURL[e.nodeIdx[dev]]
 	for attempt := 0; ; attempt++ {
-		if attempt > e.cfg.MaxRetries {
+		if attempt > maxRetries {
 			w.lFailed++
 			return
 		}

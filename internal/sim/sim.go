@@ -61,9 +61,6 @@ type Config struct {
 	Workers int
 	// Seed fixes every draw in the run.
 	Seed int64
-	// EpochMS is the virtual-time barrier interval (default 60_000): no
-	// worker's clock runs more than one epoch ahead of another's.
-	EpochMS int64
 	// RestartEvery gives each upload a 1/RestartEvery chance of being
 	// preceded by a device restart, which resets the device's dictionary
 	// (a full upload follows in HTTP mode). Default 512; 0 or 1 disables.
@@ -80,9 +77,6 @@ type Config struct {
 	// Nodes selects the HTTP sink: fleetd base URLs ("http://host:port"),
 	// consistent-hashed per device like a real fleet client.
 	Nodes []string
-	// MaxRetries bounds per-upload HTTP retries (429/409/transport,
-	// default 8); an upload still failing after that counts as Failed.
-	MaxRetries int
 
 	// discardHTTP selects the encode-and-drop calibration mode (full
 	// binary document per upload, no delivery). In-package benchmarks
@@ -109,17 +103,11 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Workers > 256 {
 		c.Workers = 256
 	}
-	if c.EpochMS <= 0 {
-		c.EpochMS = 60_000
-	}
 	if c.RestartEvery == 0 {
 		c.RestartEvery = 512
 	}
 	if c.Batch <= 0 {
 		c.Batch = 64
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 8
 	}
 	if c.Agg != nil && len(c.Nodes) > 0 {
 		return c, errors.New("sim: Config.Agg and Config.Nodes are mutually exclusive")
@@ -202,6 +190,15 @@ type Engine struct {
 const (
 	periodMS = 3_600_000
 	jitterMS = periodMS / 5
+)
+
+const (
+	// epochMS is the virtual-time barrier interval: no worker's clock runs
+	// more than one epoch ahead of another's.
+	epochMS = 60_000
+	// maxRetries bounds per-upload HTTP retries (429/409/transport); an
+	// upload still failing after that counts as Failed.
+	maxRetries = 8
 )
 
 const (

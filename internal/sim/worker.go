@@ -125,7 +125,7 @@ func (w *worker) run() {
 	defer w.e.bar.leave()
 	defer w.publish()
 	e := w.e
-	epochEnd := e.cfg.EpochMS
+	epochEnd := int64(epochMS)
 	epoch := int64(0)
 	for {
 		for w.h.len() > 0 && w.h.minKey() < epochEnd {
@@ -152,7 +152,7 @@ func (w *worker) run() {
 		if w.waitH != nil {
 			w.waitH.Observe(float64(time.Since(waitStart).Microseconds()) / 1e3)
 		}
-		epochEnd += e.cfg.EpochMS
+		epochEnd += epochMS
 	}
 }
 
