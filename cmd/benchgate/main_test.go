@@ -16,7 +16,7 @@ import (
 // the committed ledgers, BENCH_<capture>.json at the repository root:
 //
 //	experiments  go test -bench=. -benchtime=1x -benchmem -run XXX .
-//	diagnoser    go test -bench BenchmarkAnalyzeTraces -benchtime 1s -benchmem -run XXX ./internal/core/
+//	diagnoser    go test -bench 'BenchmarkAnalyzeTraces|BenchmarkMonitored' -benchtime 1s -benchmem -run XXX ./internal/core/
 //	causal       go test -bench BenchmarkCausalAnalyze -benchtime 1s -benchmem -run XXX ./internal/core/
 //	obs          go test -bench BenchmarkObs -benchtime 1s -benchmem -run XXX ./internal/obs/
 //	fleet        go test -bench 'Ingest|BinaryDecode|SerialMerge|Fold|RegionalPoll|Compact|Replay' -benchtime 1s -benchmem -run XXX ./internal/fleet/
@@ -241,6 +241,8 @@ func TestSpeedupBars(t *testing.T) {
 // poll and simulator rows the ledgers record without a bar.
 func TestMissingRow(t *testing.T) {
 	required := map[string][]string{
+		"diagnoser": {"BenchmarkMonitoredAction/filtered", "BenchmarkMonitoredAction/scheck",
+			"BenchmarkMonitoredAction/diagnosing", "BenchmarkMonitoredAction/await", "BenchmarkMonitoredSession"},
 		"obs": {"BenchmarkObsCounterInc", "BenchmarkObsCounterIncParallel", "BenchmarkObsHistogramObserve"},
 		"fleet": {"BenchmarkBinaryDecode", "BenchmarkIngest/json/shards=4", "BenchmarkIngest/binary/shards=4",
 			"BenchmarkFold/cold", "BenchmarkFold/warm", "BenchmarkFold/dirty1pct",

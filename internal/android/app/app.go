@@ -47,8 +47,11 @@ type InputEvent struct {
 	// at Finalize; stacks are immutable and shared by every execution.
 	fullStacks []*stack.Stack
 	// segCap is the worst-case scheduler-segment count of one dispatch of
-	// this event, so Session.buildSegments can allocate exactly once.
+	// this event, which sizes a session's program buffer on first use.
 	segCap int
+	// msgName is the looper message name of the event's dispatches,
+	// "<action UID>/<event name>", built once at Finalize.
+	msgName string
 }
 
 // Action is a user action: the unit Hang Doctor tracks state for. The App
@@ -170,7 +173,7 @@ func (a *App) Finalize() error {
 		// app data: the caller stack, each op's full stack under this
 		// action, each op's event-rate vectors, and the worst-case segment
 		// count per event. Sessions share these across all executions, so
-		// the per-dispatch hot path allocates nothing but the final program.
+		// the per-dispatch hot path allocates nothing.
 		callerFrames := append([]stack.Frame{act.Handler}, frameworkFrames...)
 		act.callerStack = stack.New(callerFrames...)
 		internStack(a.Registry, act.callerStack)
@@ -181,6 +184,7 @@ func (a *App) Finalize() error {
 			}
 			ev.fullStacks = make([]*stack.Stack, len(ev.Ops))
 			ev.segCap = 0
+			ev.msgName = act.UID + "/" + ev.Name
 			for i, op := range ev.Ops {
 				if op.Manifest == 0 {
 					op.Manifest = 1
@@ -197,9 +201,9 @@ func (a *App) Finalize() error {
 				}
 				ev.fullStacks[i] = stack.New(append(leafFrames, callerFrames...)...)
 				internStack(a.Registry, ev.fullStacks[i])
-				op.heavyRates = op.Heavy.rates()
+				op.heavyRates = op.Heavy.Rates()
 				if op.Light != nil {
-					op.lightRates = op.Light.rates()
+					op.lightRates = op.Light.Rates()
 				}
 				ev.segCap += op.maxSegments()
 				if op.Async != nil {
@@ -247,8 +251,9 @@ func (a *App) MustAction(name string) *Action {
 // finalizeAsync precomputes an async op's immutable execution material: the
 // worker-side task stack (task leaf, wrapper chain, executor plumbing), the
 // main-thread await stack (FutureTask.get over the action's caller frames),
-// the task and completion rate vectors, and the causal origins every
-// spawned task and completion message will carry.
+// the task and completion rate vectors, the causal origins every spawned
+// task and completion message will carry, and the completion's event and
+// message names.
 func (a *App) finalizeAsync(act *Action, op *Op, callerFrames []stack.Frame) {
 	spec := op.Async
 	taskLeaf := op.TaskLeafFrame()
@@ -268,9 +273,9 @@ func (a *App) finalizeAsync(act *Action, op *Op, callerFrames []stack.Frame) {
 	awaitFrames = append(awaitFrames, callerFrames...)
 	op.awaitStack = stack.New(awaitFrames...)
 	internStack(a.Registry, op.awaitStack)
-	op.taskRates = spec.Task.rates()
+	op.taskRates = spec.Task.Rates()
 	if spec.Completion.CPU > 0 {
-		op.completionRates = spec.Completion.rates()
+		op.completionRates = spec.Completion.Rates()
 	}
 	kind := "submit"
 	if spec.Hops > 0 {
@@ -278,6 +283,8 @@ func (a *App) finalizeAsync(act *Action, op *Op, callerFrames []stack.Frame) {
 	}
 	op.spawnOrigin = stack.Origin{ActionUID: act.UID, Site: op.taskStack.Leaf().Key(), Kind: kind}
 	op.completionOrigin = stack.Origin{ActionUID: act.UID, Site: op.LeafKey(), Kind: "completion"}
+	op.completionEvent = "completion:" + op.Name
+	op.completionMsg = act.UID + "/" + op.completionEvent
 }
 
 // internStack assigns every frame of a freshly built (still Finalize-owned)

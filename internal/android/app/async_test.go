@@ -53,8 +53,7 @@ func TestSampleTaggedWorkerProvenance(t *testing.T) {
 
 	// Only worker 0 is busy; worker 1 stays idle and must not be sampled.
 	origin := stack.Origin{ActionUID: "AsyncApp/Load", Site: "com.demo.db.Store.query", Kind: "submit"}
-	s.pool.busy[0] = true
-	s.pool.origins[0] = origin
+	s.pool.tasks[0] = &poolTask{origin: origin}
 	s.pool.threads[0].Enqueue(cpu.Compute(simclock.Duration(1e12), nil, st))
 
 	out, missed, truncated, lost := s.SampleTagged(nil)
@@ -83,8 +82,7 @@ func TestSampleTaggedZeroAlloc(t *testing.T) {
 	st := stack.New(stack.Frame{Class: "com.demo.db.Store", Method: "query", File: "Store.java", Line: 10})
 	s.MainThread().Enqueue(cpu.Compute(simclock.Duration(1e12), nil, st))
 	for i, th := range s.pool.threads {
-		s.pool.busy[i] = true
-		s.pool.origins[i] = stack.Origin{ActionUID: "AsyncApp/Load", Site: "com.demo.db.Store.query", Kind: "submit"}
+		s.pool.tasks[i] = &poolTask{origin: stack.Origin{ActionUID: "AsyncApp/Load", Site: "com.demo.db.Store.query", Kind: "submit"}}
 		th.Enqueue(cpu.Compute(simclock.Duration(1e12), nil, st))
 	}
 	buf := make([]stack.Tagged, 0, 64)

@@ -66,9 +66,9 @@ func (m CostModel) MainDuration() simclock.Duration {
 	return m.CPU + simclock.Duration(m.Blocks)*m.BlockEach
 }
 
-// rates derives the full per-second event rate vector from the cost knobs,
+// Rates derives the full per-second event rate vector from the cost knobs,
 // using fixed architectural ratios typical of a big ARM core.
-func (m CostModel) rates() cpu.Rates {
+func (m CostModel) Rates() cpu.Rates {
 	var r cpu.Rates
 	r.MinorFaults = m.MinorFaultsPerSec
 	r.MajorFaults = m.MajorFaultsPerSec
@@ -131,7 +131,7 @@ func (m CostModel) rates() cpu.Rates {
 func renderRates() cpu.Rates {
 	m := CostModel{InstructionsPerSec: 1.4e9, MemIntensity: 1.6,
 		MinorFaultsPerSec: 2600, MajorFaultsPerSec: 8}
-	return m.rates()
+	return m.Rates()
 }
 
 // renderRatesV is the render profile derived once: it has no per-op knobs,
@@ -310,15 +310,18 @@ type Op struct {
 	lightRates cpu.Rates
 
 	// Async precomputation (App.Finalize, ops with Async only): the
-	// worker-side and await-side stacks, their rate vectors, and the causal
-	// origins every spawned task is tagged with — all immutable and shared
-	// across executions so tagging a sample is a struct copy.
+	// worker-side and await-side stacks, their rate vectors, the causal
+	// origins every spawned task is tagged with, and the completion
+	// dispatch's event and message names — all immutable and shared across
+	// executions so tagging a sample is a struct copy.
 	taskStack        *stack.Stack
 	awaitStack       *stack.Stack
 	taskRates        cpu.Rates
 	completionRates  cpu.Rates
 	spawnOrigin      stack.Origin
 	completionOrigin stack.Origin
+	completionEvent  string
+	completionMsg    string
 }
 
 // segmentsFor returns the scheduler-segment count one dispatch of the op

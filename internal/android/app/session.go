@@ -2,6 +2,7 @@ package app
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"hangdoctor/internal/android/looper"
@@ -53,6 +54,47 @@ type ActionExec struct {
 	End    simclock.Time
 	Events []*EventExec
 	Heavy  []HeavyOp
+
+	// The first inlineEvents events and inlineHeavy heavy ops live in the
+	// record itself, so recording an execution allocates the record alone;
+	// Events and Heavy spill to the heap only past them.
+	events   [inlineEvents]EventExec
+	eventPtr [inlineEvents]*EventExec
+	heavy    [inlineHeavy]HeavyOp
+}
+
+// inlineEvents and inlineHeavy size an ActionExec's inline records: a
+// corpus execution posts at most two events (an async completion
+// included), and over the Table-5 and async apps' user traces records at
+// most three heavy ops. The record is then 256 bytes on 64-bit hosts.
+const (
+	inlineEvents = 2
+	inlineHeavy  = 3
+)
+
+// addEvent appends the record of a dispatch of the named event.
+func (a *ActionExec) addEvent(name string) *EventExec {
+	i := len(a.Events)
+	var ev *EventExec
+	if i < inlineEvents {
+		if i == 0 {
+			a.Events = a.eventPtr[:0]
+		}
+		ev = &a.events[i]
+	} else {
+		ev = new(EventExec)
+	}
+	*ev = EventExec{Name: name, Index: i, Exec: a}
+	a.Events = append(a.Events, ev)
+	return ev
+}
+
+// addHeavy records a manifested heavy op.
+func (a *ActionExec) addHeavy(h HeavyOp) {
+	if a.Heavy == nil {
+		a.Heavy = a.heavy[:0]
+	}
+	a.Heavy = append(a.Heavy, h)
 }
 
 // ResponseTime returns the action's response time: the maximum input-event
@@ -119,6 +161,21 @@ type Session struct {
 
 	bg     []*bgThread
 	bgStop bool
+
+	// msgs are the looper messages the session posts for input events,
+	// each with the program buffer it keeps; the action in flight uses the
+	// first nmsg, and the next Perform takes them back, since the looper
+	// has dispatched every one by then.
+	msgs []*looper.Message
+	nmsg int
+	// frames is the FIFO of frame batches the action's UI ops post to the
+	// render thread, in the order their main-thread programs run; frameHead
+	// is the next one, and postFrameFn, bound once, posts it.
+	frames      []render.FrameBatch
+	frameHead   int
+	postFrameFn func()
+	// launches are finished async launches, kept for reuse.
+	launches []*launch
 }
 
 // bgThread is one background interference thread. It is created at the
@@ -168,6 +225,7 @@ func NewSessionOn(clk *simclock.Clock, sched *cpu.Scheduler, a *App, dev Device,
 		s.noise.BaseScale = dev.NoiseScale
 	}
 	s.perfRng = s.rng.Derive("perf")
+	s.postFrameFn = s.postFrame
 	s.Looper.AddDispatchHook(sessionHook{s})
 	if a.HasAsync() {
 		s.pool = newWorkerPool(sched, a.Name, a.PoolWidth)
@@ -252,7 +310,8 @@ func (s *Session) SampleTagged(buf []stack.Tagged) (out []stack.Tagged, mainMiss
 	}
 	if s.pool != nil {
 		for i, th := range s.pool.threads {
-			if !s.pool.busy[i] {
+			task := s.pool.tasks[i]
+			if task == nil {
 				continue
 			}
 			wst := th.CurrentStack()
@@ -267,7 +326,7 @@ func (s *Session) SampleTagged(buf []stack.Tagged) (out []stack.Tagged, mainMiss
 				wst = wst.Truncate(kept)
 				truncated++
 			}
-			out = append(out, stack.Tagged{Stack: wst, Origin: s.pool.origins[i], Worker: true})
+			out = append(out, stack.Tagged{Stack: wst, Origin: task.origin, Worker: true})
 		}
 	}
 	return out, missed, truncated, workersLost
@@ -331,16 +390,14 @@ func (s *Session) Perform(act *Action) *ActionExec {
 	for _, l := range s.listener {
 		l.ActionStart(exec)
 	}
-	exec.Events = make([]*EventExec, 0, len(act.Events))
-	for i, ie := range act.Events {
-		ev := &EventExec{Name: ie.Name, Index: i, Exec: exec}
-		exec.Events = append(exec.Events, ev)
-		msg := &looper.Message{
-			Name:     act.UID + "/" + ie.Name,
-			Segments: s.buildSegments(act, ie, exec),
-			Meta:     ev,
-			Origin:   act.inputOrigin,
-		}
+	s.nmsg = 0
+	for _, ie := range act.Events {
+		ev := exec.addEvent(ie.Name)
+		msg := s.message()
+		msg.Name = ie.msgName
+		msg.Segments = s.buildSegments(act, ie, exec, msg.Segments[:0])
+		msg.Meta = ev
+		msg.Origin = act.inputOrigin
 		s.Looper.Post(msg)
 	}
 	guard := 0
@@ -374,18 +431,30 @@ func (s *Session) actionDone() bool {
 		s.pendingCompletions == 0
 }
 
-// buildSegments turns an input event's ops into the main-thread program,
+// message returns the next of the session's input-event messages, making
+// one the first time an action needs it.
+func (s *Session) message() *looper.Message {
+	if s.nmsg == len(s.msgs) {
+		s.msgs = append(s.msgs, new(looper.Message))
+	}
+	m := s.msgs[s.nmsg]
+	s.nmsg++
+	return m
+}
+
+// buildSegments appends an input event's main-thread program onto segs,
 // drawing this execution's manifestation and jitter, and recording heavy
-// ops into exec. Stacks and rate vectors were precomputed at Finalize; the
-// only allocation here is the program slice itself, sized once from the
-// event's worst case (it escapes into the posted looper message, so it
-// cannot be pooled).
-func (s *Session) buildSegments(act *Action, ie *InputEvent, exec *ActionExec) []cpu.Segment {
+// ops into exec. Stacks and rate vectors were precomputed at Finalize, and
+// segs is the program buffer of the message the program goes to, grown to
+// the event's worst case on first use.
+func (s *Session) buildSegments(act *Action, ie *InputEvent, exec *ActionExec, segs []cpu.Segment) []cpu.Segment {
 	rich := s.Device.EnvRichness
 	if rich == 0 {
 		rich = 1
 	}
-	segs := make([]cpu.Segment, 0, ie.segCap)
+	if cap(segs) < ie.segCap {
+		segs = make([]cpu.Segment, 0, ie.segCap)
+	}
 	for oi, op := range ie.Ops {
 		manifest := op.Manifest
 		if manifest < 1 {
@@ -413,7 +482,7 @@ func (s *Session) buildSegments(act *Action, ie *InputEvent, exec *ActionExec) [
 		var mainDur simclock.Duration
 		segs, mainDur = s.opSegments(op, cost, rates, f, act.callerStack, ie.fullStacks[oi], segs)
 		if heavy {
-			exec.Heavy = append(exec.Heavy, HeavyOp{Op: op, Dur: mainDur})
+			exec.addHeavy(HeavyOp{Op: op, Dur: mainDur})
 		}
 	}
 	return segs
@@ -433,117 +502,55 @@ func (s *Session) asyncSegments(op *Op, heavy bool, f float64, cost CostModel, r
 	spec := op.Async
 	segs, _ = s.opSegments(op, cost, rates, f, callerStack, fullStack, segs)
 
+	l := s.newLaunch(op, exec, heavy)
 	taskCost, tRates := spec.Task, &op.taskRates
 	if !heavy {
 		taskCost, tRates = defaultLightCost(), &defaultLightRates
 	}
-	tasks := make([]*poolTask, spec.taskCount())
-	for i := range tasks {
-		tsegs, _ := taskSegments(taskCost, tRates, s.rng.Jitter(1, taskCost.Jitter), op.taskStack)
-		tasks[i] = &poolTask{op: op, origin: op.spawnOrigin, segs: tsegs}
+	l.tasks = slices.Grow(l.tasks[:0], spec.taskCount())[:spec.taskCount()]
+	for i := range l.tasks {
+		t := &l.tasks[i]
+		t.segs, _ = taskSegments(taskCost, tRates, s.rng.Jitter(1, taskCost.Jitter), op.taskStack, t.segs[:0])
+		t.op, t.origin, t.launch = op, op.spawnOrigin, l
 	}
 
-	var compSegs []cpu.Segment
-	var compDur simclock.Duration
 	if spec.Completion.CPU > 0 {
 		compCost, cRates := spec.Completion, &op.completionRates
 		if !heavy {
 			compCost, cRates = defaultLightCost(), &defaultLightRates
 		}
-		compSegs, compDur = taskSegments(compCost, cRates, s.rng.Jitter(1, compCost.Jitter), fullStack)
-		compSegs = append(compSegs, cpu.Call(func() { s.pendingCompletions-- }))
+		l.comp, l.compDur = taskSegments(compCost, cRates, s.rng.Jitter(1, compCost.Jitter), fullStack, l.comp[:0])
+		l.comp = append(l.comp, cpu.Call(l.completedFn))
+		l.hasComp = true
+		l.refs++
 	}
 
-	var gate *cpu.Gate
+	segs = append(segs, cpu.Call(l.launchFn))
 	if spec.Await {
-		gate = cpu.NewGate()
-	}
-	segs = append(segs, cpu.Call(func() {
-		s.launchAsync(op, exec, tasks, gate, compSegs, compDur, heavy)
-	}))
-	if spec.Await {
-		segs = append(segs, cpu.WaitGate(gate, op.awaitStack))
+		l.gate.Reset()
+		segs = append(segs, cpu.WaitGate(&l.gate, op.awaitStack))
 	}
 	return segs
 }
 
-// launchAsync runs on the main thread at dispatch time. It captures the
-// submit instant and the pool's current cross-op blocker (ground truth for
-// convoy stalls), wires the join, and hands the tasks to the pool — directly
-// or through the postDelayed hop chain (the timer runs off-thread, so hops
-// delay the work without occupying the looper).
-func (s *Session) launchAsync(op *Op, exec *ActionExec, tasks []*poolTask, gate *cpu.Gate,
-	compSegs []cpu.Segment, compDur simclock.Duration, heavy bool) {
-	spec := op.Async
-	submitAt := s.Clk.Now()
-	blocker := s.pool.blocker(op)
-	if compSegs != nil {
-		s.pendingCompletions++
-	}
-	remaining := len(tasks)
-	done := func() {
-		if remaining--; remaining > 0 {
-			return
-		}
-		if gate != nil {
-			// The stall an awaited spawn actually imposed on the dispatch:
-			// hop delays + queueing + task runtime. Recorded unconditionally —
-			// the harness's perceivability threshold discards benign waits —
-			// and attributed to the blocking op too when the pool was busy
-			// with another op's work at submit (its bug caused this stall).
-			stall := s.Clk.Now().Sub(submitAt)
-			exec.Heavy = append(exec.Heavy, HeavyOp{Op: op, Dur: stall})
-			if blocker != nil {
-				exec.Heavy = append(exec.Heavy, HeavyOp{Op: blocker, Dur: stall})
-			}
-			gate.Open()
-		}
-		if compSegs != nil {
-			s.postCompletion(op, exec, compSegs, compDur, heavy)
-		}
-	}
-	for _, t := range tasks {
-		t.done = done
-	}
-	submit := func() {
-		for _, t := range tasks {
-			s.pool.submit(t)
-		}
-	}
-	if spec.Hops == 0 {
-		submit()
-		return
-	}
-	var hop func(int)
-	hop = func(left int) {
-		if left == 0 {
-			submit()
-			return
-		}
-		s.Clk.After(spec.HopDelay, func() { hop(left - 1) })
-	}
-	hop(spec.Hops)
-}
-
 // postCompletion delivers an async op's result back to the main thread as
 // its own monitored dispatch: a synthetic event appended to the execution and
-// posted (postDelayed when the spec says so) carrying the op's completion
-// origin, so samplers see the causal chain and detectors see the response
-// time like any input event's.
-func (s *Session) postCompletion(op *Op, exec *ActionExec, compSegs []cpu.Segment,
-	compDur simclock.Duration, heavy bool) {
-	ev := &EventExec{Name: "completion:" + op.Name, Index: len(exec.Events), Exec: exec}
-	exec.Events = append(exec.Events, ev)
-	if heavy {
-		exec.Heavy = append(exec.Heavy, HeavyOp{Op: op, Dur: compDur})
+// posted (postDelayed when the spec says so; the timer runs off-thread, so
+// the message competes for the looper only once it fires) carrying the op's
+// completion origin, so samplers see the causal chain and detectors see the
+// response time like any input event's.
+func (s *Session) postCompletion(l *launch) {
+	op, exec := l.op, l.exec
+	ev := exec.addEvent(op.completionEvent)
+	if l.heavy {
+		exec.addHeavy(HeavyOp{Op: op, Dur: l.compDur})
 	}
-	msg := &looper.Message{
-		Name:     exec.Action.UID + "/" + ev.Name,
-		Segments: compSegs,
-		Meta:     ev,
-		Origin:   op.completionOrigin,
+	l.msg = looper.Message{Name: op.completionMsg, Segments: l.comp, Meta: ev, Origin: op.completionOrigin}
+	if d := op.Async.CompletionDelay; d > 0 {
+		s.Clk.After(d, l.postFn)
+		return
 	}
-	s.Looper.PostDelayed(msg, op.Async.CompletionDelay)
+	l.post()
 }
 
 // defaultLightCost is the benign execution of an occasionally-manifesting
@@ -554,7 +561,7 @@ func defaultLightCost() CostModel {
 }
 
 // defaultLightRates is defaultLightCost's rate vector, derived once.
-var defaultLightRates = defaultLightCost().rates()
+var defaultLightRates = defaultLightCost().Rates()
 
 // frameworkFrames are the constant outermost frames of any main-thread
 // dispatch stack.
@@ -603,14 +610,27 @@ func (s *Session) opSegments(op *Op, cost CostModel, rates *cpu.Rates, f float64
 		// jitter: frame complexity depends on what actually changed on
 		// screen, not on how long the handler ran.
 		rf := s.rng.Jitter(f, 0.18)
-		batch := render.FrameBatch{
+		s.frames = append(s.frames, render.FrameBatch{
 			Frames:   cost.Frames,
 			PerFrame: simclock.Duration(float64(cost.PerFrame) * rf),
 			Rates:    &renderRatesV,
-		}
-		segs = append(segs, cpu.Call(func() { s.Render.Post(batch) }))
+		})
+		segs = append(segs, cpu.Call(s.postFrameFn))
 	}
 	return segs, mainDur
+}
+
+// postFrame runs on the main thread where a UI op's program ends: it posts
+// the op's frame batch, the oldest the FIFO holds, to the render thread.
+// Batches enter the FIFO as programs are built and leave it as they run,
+// both in the order the looper dispatches the programs.
+func (s *Session) postFrame() {
+	b := s.frames[s.frameHead]
+	s.frameHead++
+	if s.frameHead == len(s.frames) {
+		s.frames, s.frameHead = s.frames[:0], 0
+	}
+	s.Render.Post(b)
 }
 
 // startInterference spins up the device's background threads for the action

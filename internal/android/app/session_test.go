@@ -34,7 +34,7 @@ func TestCostModelHelpers(t *testing.T) {
 
 func TestRatesDerivation(t *testing.T) {
 	m := CostModel{InstructionsPerSec: 2e9, MemIntensity: 2, MinorFaultsPerSec: 100, MajorFaultsPerSec: 5}
-	r := m.rates()
+	r := m.Rates()
 	if r.MinorFaults != 100 || r.MajorFaults != 5 {
 		t.Fatalf("fault rates = %v/%v", r.MinorFaults, r.MajorFaults)
 	}
@@ -44,7 +44,7 @@ func TestRatesDerivation(t *testing.T) {
 	// Mem intensity scales cache misses but not branch instructions.
 	m2 := m
 	m2.MemIntensity = 4
-	r2 := m2.rates()
+	r2 := m2.Rates()
 	if r2.HW[perf.CacheMisses.HWIndex()] <= r.HW[perf.CacheMisses.HWIndex()] {
 		t.Fatal("MemIntensity did not scale cache misses")
 	}
@@ -54,7 +54,7 @@ func TestRatesDerivation(t *testing.T) {
 	// PMUScale multiplies everything micro-architectural.
 	m3 := m
 	m3.PMUScale = 2
-	r3 := m3.rates()
+	r3 := m3.Rates()
 	if r3.HW[perf.Instructions.HWIndex()] != 2*r.HW[perf.Instructions.HWIndex()] {
 		t.Fatal("PMUScale not applied")
 	}

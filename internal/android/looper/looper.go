@@ -97,31 +97,19 @@ func (l *Looper) Post(m *Message) {
 	}
 }
 
-// PostDelayed schedules m to be posted after delay — Handler.postDelayed.
-// The timer hop runs off-thread (the clock is the alarm subsystem); the
-// message enters the queue, and competes with other messages, only when the
-// delay fires. A non-positive delay posts immediately.
-func (l *Looper) PostDelayed(m *Message, delay simclock.Duration) {
-	if m == nil {
-		panic("looper: PostDelayed(nil)")
-	}
-	if delay <= 0 {
-		l.Post(m)
-		return
-	}
-	l.clk.After(delay, func() { l.Post(m) })
-}
-
 // feed moves the next queued message onto the thread, bracketed by the
 // dispatch hooks. The end bracket chains into the next message so that
 // back-to-back messages run without the thread parking in between (matching
 // Looper.loop's behaviour and its context-switch profile). Only one message
 // is on the thread at a time, so the brackets find it in l.fed and
 // l.current. The program goes to the thread in one Enqueue, which copies
-// it, so prog is free again by the time a nested feed reuses it.
+// it, so prog is free again by the time a nested feed reuses it. The queue
+// pops by sliding its tail forward, so it keeps one backing array.
 func (l *Looper) feed() {
 	m := l.queue[0]
-	l.queue = l.queue[1:]
+	n := copy(l.queue, l.queue[1:])
+	l.queue[n] = nil
+	l.queue = l.queue[:n]
 	l.fed = m
 	l.prog = append(l.prog[:0], cpu.Call(l.beginFn))
 	l.prog = append(l.prog, m.Segments...)

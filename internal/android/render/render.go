@@ -78,7 +78,10 @@ func (r *Thread) pump() {
 	b.Frames--
 	frame := cpu.Compute(b.PerFrame, b.Rates, nil)
 	if b.Frames == 0 {
-		r.pending = r.pending[1:]
+		// Slide the tail forward so the queue keeps one backing array.
+		n := copy(r.pending, r.pending[1:])
+		r.pending[n] = FrameBatch{}
+		r.pending = r.pending[:n]
 	}
 	now := r.clk.Now()
 	next := nextVsync(now)

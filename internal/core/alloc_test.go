@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"hangdoctor/internal/android/app"
 	"hangdoctor/internal/corpus"
@@ -31,6 +32,15 @@ func TestAnalyzeTracesZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm Analyze allocates %.1f objects per hang, want 0", allocs)
+	}
+}
+
+// TestAnalyzerScratchSize pins the analyzer's per-symbol scratch at 56
+// bytes: a Doctor sizes it to its registry's symbols on its first
+// diagnosis, all in one allocation.
+func TestAnalyzerScratchSize(t *testing.T) {
+	if n := unsafe.Sizeof(symScratch{}); n > 56 {
+		t.Fatalf("per-symbol scratch is %d bytes, want at most 56", n)
 	}
 }
 

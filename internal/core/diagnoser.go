@@ -49,15 +49,8 @@ type TraceAnalyzer struct {
 	// stack no matter how often it recurs in the frames).
 	traceGen uint64
 
-	// Dense per-symbol scratch, indexed by stack.SymID.
-	leafMark    []uint64
-	leafCount   []int32
-	leafFrame   []stack.Frame // first-seen leaf frame (File/Line source)
-	callerMark  []uint64
-	callerCount []int32
-	callerDepth []int32       // cumulative frame index: closest-to-leaf tie-break
-	callerFrame []stack.Frame // first-seen caller frame
-	seenMark    []uint64
+	// syms is the dense per-symbol scratch, indexed by stack.SymID.
+	syms []symScratch
 
 	// Touched symbol lists bound the verdict scan to symbols this hang
 	// actually saw.
@@ -65,41 +58,34 @@ type TraceAnalyzer struct {
 	callerTouched []stack.SymID
 }
 
-// grow extends every per-symbol array to cover n symbol IDs, preserving
+// symScratch is the analyzer's scratch for one symbol, 56 bytes on 64-bit
+// hosts. The frames point into the sampled stacks, which are immutable; an
+// analysis reads them only while its traces are live.
+type symScratch struct {
+	leafMark, callerMark uint64       // generation the counts below belong to
+	seenMark             uint64       // trace generation that last counted it
+	leafFrame            *stack.Frame // first-seen leaf frame (File/Line source)
+	callerFrame          *stack.Frame // first-seen caller frame
+	leafCount            int32
+	callerCount          int32
+	callerDepth          int32 // cumulative frame index: closest-to-leaf tie-break
+}
+
+// grow extends the per-symbol scratch to cover n symbol IDs, preserving
 // live marks (growth can happen mid-hang when a foreign frame interns a new
 // symbol).
 func (ta *TraceAnalyzer) grow(n int) {
-	if n <= len(ta.leafMark) {
+	if n <= len(ta.syms) {
 		return
 	}
 	// Grow geometrically so repeated single-symbol interning stays
 	// amortized.
-	if c := 2 * len(ta.leafMark); n < c {
+	if c := 2 * len(ta.syms); n < c {
 		n = c
 	}
-	grow64 := func(s []uint64) []uint64 {
-		g := make([]uint64, n)
-		copy(g, s)
-		return g
-	}
-	grow32 := func(s []int32) []int32 {
-		g := make([]int32, n)
-		copy(g, s)
-		return g
-	}
-	growF := func(s []stack.Frame) []stack.Frame {
-		g := make([]stack.Frame, n)
-		copy(g, s)
-		return g
-	}
-	ta.leafMark = grow64(ta.leafMark)
-	ta.leafCount = grow32(ta.leafCount)
-	ta.leafFrame = growF(ta.leafFrame)
-	ta.callerMark = grow64(ta.callerMark)
-	ta.callerCount = grow32(ta.callerCount)
-	ta.callerDepth = grow32(ta.callerDepth)
-	ta.callerFrame = growF(ta.callerFrame)
-	ta.seenMark = grow64(ta.seenMark)
+	g := make([]symScratch, n)
+	copy(g, ta.syms)
+	ta.syms = g
 }
 
 // sym returns the frame's symbol ID, interning externally built frames on
@@ -110,7 +96,7 @@ func (ta *TraceAnalyzer) sym(f *stack.Frame, reg *api.Registry, view *stack.View
 	if id == stack.NoSym {
 		id = reg.SymOf(*f)
 	}
-	if int(id) >= len(ta.leafMark) {
+	if int(id) >= len(ta.syms) {
 		ta.grow(int(id) + 1)
 	}
 	if int(id) >= view.Len() {
@@ -144,31 +130,33 @@ func (ta *TraceAnalyzer) Analyze(traces []*stack.Stack, reg *api.Registry, occHi
 		frames := tr.Frames
 		lf := &frames[0]
 		lid := ta.sym(lf, reg, &view)
-		if ta.leafMark[lid] != ta.gen {
-			ta.leafMark[lid] = ta.gen
-			ta.leafCount[lid] = 1
-			ta.leafFrame[lid] = *lf
+		ls := &ta.syms[lid]
+		if ls.leafMark != ta.gen {
+			ls.leafMark = ta.gen
+			ls.leafCount = 1
+			ls.leafFrame = lf
 			ta.leafTouched = append(ta.leafTouched, lid)
 		} else {
-			ta.leafCount[lid]++
+			ls.leafCount++
 		}
-		ta.seenMark[lid] = ta.traceGen
+		ls.seenMark = ta.traceGen
 		for i := 1; i < len(frames); i++ {
 			f := &frames[i]
 			id := ta.sym(f, reg, &view)
-			if view.Attrs(id)&stack.SymFramework != 0 || ta.seenMark[id] == ta.traceGen {
+			cs := &ta.syms[id]
+			if view.Attrs(id)&stack.SymFramework != 0 || cs.seenMark == ta.traceGen {
 				continue
 			}
-			ta.seenMark[id] = ta.traceGen
-			if ta.callerMark[id] != ta.gen {
-				ta.callerMark[id] = ta.gen
-				ta.callerCount[id] = 1
-				ta.callerDepth[id] = int32(i)
-				ta.callerFrame[id] = *f
+			cs.seenMark = ta.traceGen
+			if cs.callerMark != ta.gen {
+				cs.callerMark = ta.gen
+				cs.callerCount = 1
+				cs.callerDepth = int32(i)
+				cs.callerFrame = f
 				ta.callerTouched = append(ta.callerTouched, id)
 			} else {
-				ta.callerCount[id]++
-				ta.callerDepth[id] += int32(i)
+				cs.callerCount++
+				cs.callerDepth += int32(i)
 			}
 		}
 	}
@@ -180,32 +168,32 @@ func (ta *TraceAnalyzer) Analyze(traces []*stack.Stack, reg *api.Registry, occHi
 	// (deterministic because intern order is deterministic per registry).
 	leafID := ta.leafTouched[0]
 	for _, id := range ta.leafTouched[1:] {
-		c, bc := ta.leafCount[id], ta.leafCount[leafID]
+		c, bc := ta.syms[id].leafCount, ta.syms[leafID].leafCount
 		if c > bc || (c == bc && id < leafID) {
 			leafID = id
 		}
 	}
-	lf := &ta.leafFrame[leafID]
+	lf := ta.syms[leafID].leafFrame
 	d := Diagnosis{
 		RootCause:  view.Key(leafID),
 		Sym:        leafID,
 		File:       lf.File,
 		Line:       lf.Line,
-		Occurrence: float64(ta.leafCount[leafID]) / float64(total),
+		Occurrence: float64(ta.syms[leafID].leafCount) / float64(total),
 	}
 	if d.Occurrence < occHigh && len(ta.callerTouched) > 0 {
 		// Caller verdict: highest count, closest to the leaf (smallest
 		// cumulative depth), then smallest symbol ID.
 		callerID := ta.callerTouched[0]
 		for _, id := range ta.callerTouched[1:] {
-			c, bc := ta.callerCount[id], ta.callerCount[callerID]
-			dep, bdep := ta.callerDepth[id], ta.callerDepth[callerID]
+			c, bc := ta.syms[id].callerCount, ta.syms[callerID].callerCount
+			dep, bdep := ta.syms[id].callerDepth, ta.syms[callerID].callerDepth
 			if c > bc || (c == bc && (dep < bdep || (dep == bdep && id < callerID))) {
 				callerID = id
 			}
 		}
-		if callerOcc := float64(ta.callerCount[callerID]) / float64(total); callerOcc >= occHigh {
-			cf := &ta.callerFrame[callerID]
+		if callerOcc := float64(ta.syms[callerID].callerCount) / float64(total); callerOcc >= occHigh {
+			cf := ta.syms[callerID].callerFrame
 			d = Diagnosis{
 				RootCause:  view.Key(callerID),
 				Sym:        callerID,

@@ -75,6 +75,23 @@ type Doctor struct {
 	// copy is taken before anything retains it (adaptSet).
 	valScratch []int64
 
+	// threads are the threads the S-Checker measures, fixed at Attach;
+	// perf is the one S-Checker session, reopened per action window, and
+	// perfSess points at it while it is open.
+	threads []*cpu.Thread
+	perf    perf.Session
+
+	// watch holds the event dispatches whose Diagnoser watchdog is armed,
+	// oldest first, with the record each was armed for: every watchdog
+	// fires PerceivableDelay after its event started, so in the order they
+	// were armed. watchdogFn and tickFn are the watchdog and the Trace
+	// Collector's tick, bound once.
+	watch      []armedEvent
+	watchdogFn func()
+	tickFn     func()
+	// hangBuf is the report's scratch for the hangs the Doctor records.
+	hangBuf hangBuf
+
 	// Per-action-execution state.
 	perfSess    *perf.Session
 	earlyRead   *perf.Reading
@@ -116,7 +133,15 @@ func New(cfg Config) *Doctor {
 	d.causal = NewCausalAnalyzer(&d.analyzer)
 	d.condEvents = d.cfg.conditionEvents()
 	d.metrics = newDoctorMetrics(d)
+	d.watchdogFn, d.tickFn = d.watchdog, d.tick
 	return d
+}
+
+// armedEvent is one armed Diagnoser watchdog: the dispatch it watches and
+// the action record it was armed under.
+type armedEvent struct {
+	ev  *app.EventExec
+	rec *actionRecord
 }
 
 // Name implements detect.Detector.
@@ -139,8 +164,13 @@ func (d *Doctor) Health() Health { return d.health }
 
 // Attach implements detect.Detector.
 func (d *Doctor) Attach(s *app.Session) {
+	if s != d.session {
+		// Watchdogs armed on another session's clock never fire here.
+		d.watch = d.watch[:0]
+	}
 	d.session = s
 	d.deviceLabel = s.Device.Name
+	d.threads = d.monitoredThreads()
 }
 
 // Detach implements detect.Detector. It may be called mid-action (app
@@ -277,8 +307,7 @@ func (d *Doctor) ActionStart(e *app.ActionExec) {
 func (d *Doctor) openPerf(r *actionRecord, e *app.ActionExec, attempt int) {
 	cfg := d.perfConfig()
 	cfg.Faults = d.session.Faults()
-	sess, err := perf.TryOpen(d.session.Clk, d.monitoredThreads(), d.condEvents, cfg)
-	if err != nil {
+	if err := d.perf.TryReopen(d.session.Clk, d.threads, d.condEvents, cfg); err != nil {
 		// A failed perf_event_open still costs the syscall round trip.
 		d.log.AddCost(perf.CostOpenNs)
 		d.health.PerfOpenFailures++
@@ -295,7 +324,7 @@ func (d *Doctor) openPerf(r *actionRecord, e *app.ActionExec, attempt int) {
 		}
 		return
 	}
-	d.perfSess = sess
+	d.perfSess = &d.perf
 }
 
 // perfConfig is the session's perf configuration stamped with the
@@ -315,6 +344,8 @@ func (d *Doctor) causalActive() bool {
 	return !d.cfg.NoCausal && d.session != nil && len(d.session.WorkerThreads()) > 0
 }
 
+// monitoredThreads lists the threads the S-Checker measures on the
+// attached session: main and render, and in causal mode the pool workers.
 func (d *Doctor) monitoredThreads() []*cpu.Thread {
 	if d.cfg.MainThreadOnly {
 		return []*cpu.Thread{d.session.MainThread()}
@@ -344,12 +375,24 @@ func (d *Doctor) EventStart(e *app.ActionExec, ev *app.EventExec) {
 		return
 	}
 	d.log.AddCost(detect.CostWatchdogNs)
-	evRef := ev
-	d.session.Clk.After(detect.PerceivableDelay, func() {
-		if !evRef.Done && d.curRec == r {
-			d.startSampler()
-		}
-	})
+	d.watch = append(d.watch, armedEvent{ev, r})
+	d.session.Clk.After(detect.PerceivableDelay, d.watchdogFn)
+}
+
+// watchdog fires PerceivableDelay after the oldest armed event started and
+// starts the Trace Collector if that dispatch is still running in the
+// action it was armed for.
+func (d *Doctor) watchdog() {
+	if len(d.watch) == 0 {
+		return // armed before an Attach to another session
+	}
+	w := d.watch[0]
+	n := copy(d.watch, d.watch[1:])
+	d.watch[n] = armedEvent{}
+	d.watch = d.watch[:n]
+	if !w.ev.Done && d.curRec == w.rec {
+		d.startSampler()
+	}
 }
 
 // startSampler begins periodic main-thread stack collection (the Trace
@@ -360,55 +403,56 @@ func (d *Doctor) startSampler() {
 	}
 	d.sampling = true
 	d.samplerStart = d.session.Clk.Now()
-	var tick func()
-	tick = func() {
-		if !d.sampling {
-			return
-		}
-		if d.causalActive() {
-			// Causal mode dumps the main thread plus every busy pool worker,
-			// each sample tagged with the provenance of the work its thread
-			// was executing.
-			before := len(d.curTagged)
-			var missed bool
-			var truncated, lost int
-			d.curTagged, missed, truncated, lost = d.session.SampleTagged(d.curTagged)
-			if missed {
-				d.curDropped++
-				d.health.StacksDropped++
-			}
-			d.health.StacksTruncated += truncated
-			d.health.WorkerStacksLost += lost
-			for i := before; i < len(d.curTagged); i++ {
-				if !d.curTagged[i].Worker {
-					d.curMain++
-				}
-				d.log.AddCost(detect.CostStackSampleNs)
-				d.log.AddMem(detect.BytesPerStackSample)
-			}
-		} else {
-			st, missed, truncated := d.session.SampleMainStack()
-			if missed {
-				d.curDropped++
-				d.health.StacksDropped++
-			}
-			if truncated {
-				d.health.StacksTruncated++
-			}
-			if st != nil {
-				d.curTraces = append(d.curTraces, st)
-				d.log.AddCost(detect.CostStackSampleNs)
-				d.log.AddMem(detect.BytesPerStackSample)
-			}
-		}
-		period := detect.StackSamplePeriod
-		if extra, ok := d.session.Faults().OverrunExtra(period); ok {
-			period += extra
-			d.health.SamplerOverruns++
-		}
-		d.sampler = d.session.Clk.After(period, tick)
+	d.tick()
+}
+
+// tick takes one Trace Collector sample and arms the next.
+func (d *Doctor) tick() {
+	if !d.sampling {
+		return
 	}
-	tick()
+	if d.causalActive() {
+		// Causal mode dumps the main thread plus every busy pool worker,
+		// each sample tagged with the provenance of the work its thread
+		// was executing.
+		before := len(d.curTagged)
+		var missed bool
+		var truncated, lost int
+		d.curTagged, missed, truncated, lost = d.session.SampleTagged(d.curTagged)
+		if missed {
+			d.curDropped++
+			d.health.StacksDropped++
+		}
+		d.health.StacksTruncated += truncated
+		d.health.WorkerStacksLost += lost
+		for i := before; i < len(d.curTagged); i++ {
+			if !d.curTagged[i].Worker {
+				d.curMain++
+			}
+			d.log.AddCost(detect.CostStackSampleNs)
+			d.log.AddMem(detect.BytesPerStackSample)
+		}
+	} else {
+		st, missed, truncated := d.session.SampleMainStack()
+		if missed {
+			d.curDropped++
+			d.health.StacksDropped++
+		}
+		if truncated {
+			d.health.StacksTruncated++
+		}
+		if st != nil {
+			d.curTraces = append(d.curTraces, st)
+			d.log.AddCost(detect.CostStackSampleNs)
+			d.log.AddMem(detect.BytesPerStackSample)
+		}
+	}
+	period := detect.StackSamplePeriod
+	if extra, ok := d.session.Faults().OverrunExtra(period); ok {
+		period += extra
+		d.health.SamplerOverruns++
+	}
+	d.sampler = d.session.Clk.After(period, d.tickFn)
 }
 
 func (d *Doctor) stopSampler() {
@@ -704,14 +748,14 @@ func (d *Doctor) recordDetection(r *actionRecord, e *app.ActionExec, rt simclock
 	// Symptoms track the latest S-Checker firing, not the first: after a
 	// periodic reset re-flags the action, the re-detection may rest on a
 	// different condition set than the original one (Table 6 data).
-	det.Symptoms = append([]int(nil), r.lastSymptoms...)
+	det.Symptoms = append(det.Symptoms[:0], r.lastSymptoms...)
 	det.Count++
 	det.Chain = mergeChain(det.Chain, chain)
 	if rt > det.MaxResponse {
 		det.MaxResponse = rt
 	}
 	foldStart := time.Now()
-	d.report.AddChained(d.session.App.Name, d.deviceLabel, uid, diag, chain, rt)
+	d.report.addHang(&d.hangBuf, d.session.App.Name, d.deviceLabel, uid, diag, chain, rt)
 	d.metrics.reportFoldNs.Observe(float64(time.Since(foldStart)))
 	// Feedback loop: a diagnosed blocking *API* extends the offline tools'
 	// database; self-developed operations are only reported to the

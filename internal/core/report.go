@@ -208,12 +208,34 @@ func (r *Report) Add(appName, device, actionUID string, diag Diagnosis, rt simcl
 // AddChained records one diagnosed soft hang together with the causal chain
 // it was attributed through (Add with a zero chain).
 func (r *Report) AddChained(appName, device, actionUID string, diag Diagnosis, chain CausalChain, rt simclock.Duration) {
+	r.addHang(new(hangBuf), appName, device, actionUID, diag, chain, rt)
+}
+
+// hangBuf holds the device list and the chain of a hang addHang merges.
+// A caller that records hang after hang, the Doctor, keeps one, so that
+// recording a hang whose entry exists, and whose chain folds to the
+// entry's own, allocates nothing.
+type hangBuf struct {
+	dev   [1]string
+	chain CausalChain
+}
+
+// addHang is AddChained through buf.
+func (r *Report) addHang(buf *hangBuf, appName, device, actionUID string, diag Diagnosis, chain CausalChain, rt simclock.Duration) {
 	hang := ReportEntry{
 		App: appName, ActionUID: actionUID, RootCause: diag.RootCause,
 		File: diag.File, Line: diag.Line, ViaCaller: diag.ViaCaller,
-		Hangs: 1, MaxResponse: rt, SumResponse: rt, Chain: chain.ref(),
+		Hangs: 1, MaxResponse: rt, SumResponse: rt,
 	}
-	r.add(hashOf(&hang), &hang, []string{device})
+	if !chain.Zero() {
+		buf.chain = chain
+		hang.Chain = &buf.chain
+	}
+	buf.dev[0] = device
+	if e := r.add(hashOf(&hang), &hang, buf.dev[:]); e.Chain == &buf.chain {
+		// The entry took the hang's chain: it gets a copy of its own.
+		e.Chain = chain.ref()
+	}
 }
 
 // Merge folds other reports into r (the server-side aggregation of the
@@ -227,15 +249,16 @@ func (r *Report) Merge(others ...*Report) {
 
 // add merges src, whose devices are src.Devices plus devs and whose
 // identity hashes to h, into r's entry of that identity, creating the
-// entry on first sight. An entry r's trie does not own, which a snapshot
-// may share, is copied first.
-func (r *Report) add(h uint64, src *ReportEntry, devs []string) {
+// entry on first sight, and returns the entry. An entry r's trie does not
+// own, which a snapshot may share, is copied first.
+func (r *Report) add(h uint64, src *ReportEntry, devs []string) *ReportEntry {
+	r.totalHangs = satAdd(r.totalHangs, src.Hangs)
 	if e := r.entries.writable(h, src); e != nil {
 		e.merge(src, devs)
-	} else {
-		r.entries.bind(h, src, devs)
+		return e
 	}
-	r.totalHangs = satAdd(r.totalHangs, src.Hangs)
+	e, _ := r.entries.bind(h, src, devs)
+	return e
 }
 
 // Len returns the number of distinct root causes reported.

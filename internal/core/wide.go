@@ -37,7 +37,7 @@ func (w *wideCollector) onActionStart() {
 	if w.count%every != 0 {
 		return
 	}
-	w.sess = perf.Open(d.session.Clk, d.monitoredThreads(), CandidateEvents(), d.perfConfig())
+	w.sess = perf.Open(d.session.Clk, d.threads, CandidateEvents(), d.perfConfig())
 }
 
 // onEventStart arms the wide stack sampler behind the perceivable-delay

@@ -293,31 +293,10 @@ func action(name, kind string, weight float64, ops ...*app.Op) *app.Action {
 // ms is a duration literal helper.
 func ms(v int) simclock.Duration { return simclock.Duration(v) * simclock.Millisecond }
 
-// traceKey identifies a memoized trace. The app is keyed by pointer: a
-// trace holds *Action pointers owned by that specific App value, so an
-// entry is only valid for the corpus instance that produced it. Shared()
-// callers all hit the same pointers; fresh Build() corpora get their own
-// entries.
-type traceKey struct {
-	app  *app.App
-	kind byte // 'u' = user trace, 'm' = monkey trace
-	seed uint64
-	n    int
-}
-
-// traceCache memoizes generated traces across harnesses and experiment
-// runs (traceKey -> []*app.Action). Trace generation is deterministic, so
-// a cached slice is bit-for-bit what a fresh generation would produce.
-var traceCache sync.Map
-
 // Trace generates a deterministic user trace for an app: n weighted action
-// picks. The same (app, seed, n) always yields the same trace. The returned
-// slice is memoized and shared between callers — it must not be mutated.
+// picks. The same (app, seed, n) always yields the same trace; each call
+// builds a new slice, which the caller owns.
 func Trace(a *app.App, seed uint64, n int) []*app.Action {
-	key := traceKey{app: a, kind: 'u', seed: seed, n: n}
-	if v, ok := traceCache.Load(key); ok {
-		return v.([]*app.Action)
-	}
 	rng := simrand.New(seed).Derive("trace/" + a.Name)
 	weights := make([]float64, len(a.Actions))
 	for i, act := range a.Actions {
@@ -327,26 +306,21 @@ func Trace(a *app.App, seed uint64, n int) []*app.Action {
 	for i := range out {
 		out[i] = a.Actions[rng.WeightedPick(weights)]
 	}
-	v, _ := traceCache.LoadOrStore(key, out)
-	return v.([]*app.Action)
+	return out
 }
 
 // MonkeyTrace generates an automated-input trace in the style of Android's
 // Monkey: n uniformly random action picks, ignoring the app's real usage
 // weights. The paper's §4.6 test-bed discussion runs on traces like these.
-// Like Trace, the returned slice is memoized and must not be mutated.
+// Like Trace, it is deterministic per (app, seed, n) and returns a new
+// slice.
 func MonkeyTrace(a *app.App, seed uint64, n int) []*app.Action {
-	key := traceKey{app: a, kind: 'm', seed: seed, n: n}
-	if v, ok := traceCache.Load(key); ok {
-		return v.([]*app.Action)
-	}
 	rng := simrand.New(seed).Derive("monkey/" + a.Name)
 	out := make([]*app.Action, n)
 	for i := range out {
 		out[i] = a.Actions[rng.Intn(len(a.Actions))]
 	}
-	v, _ := traceCache.LoadOrStore(key, out)
-	return v.([]*app.Action)
+	return out
 }
 
 // RunTrace executes a trace on a session with think-time gaps between

@@ -191,14 +191,18 @@ func WaitGate(g *Gate, st *stack.Stack) Segment {
 // Gate is a one-shot completion latch: threads wait on it with a WaitGate
 // segment, and whoever finishes the guarded work calls Open exactly once to
 // release them. It models join points whose timing emerges from scheduling
-// (a worker task the main thread awaits) rather than being scripted.
+// (a worker task the main thread awaits) rather than being scripted. The
+// zero value is a closed gate; Reset closes an opened one again, so the
+// owner of a recurring join keeps one gate.
 type Gate struct {
 	open    bool
 	waiters []*Thread
 }
 
-// NewGate returns a closed gate.
-func NewGate() *Gate { return &Gate{} }
+// Reset closes g again for its next round of guarded work. A WaitGate on g
+// reached after Reset waits for the next Open, so the owner resets g only
+// once no program still holds a WaitGate of the previous round.
+func (g *Gate) Reset() { g.open = false }
 
 // Open releases the gate, waking every thread parked in a WaitGate on it.
 // Waiters that exited while parked are skipped. Opening twice panics: the
@@ -218,7 +222,8 @@ func (g *Gate) Open() {
 		s = t.sched
 		s.makeRunnable(t)
 	}
-	g.waiters = nil
+	clear(g.waiters)
+	g.waiters = g.waiters[:0]
 	if s != nil {
 		s.dispatch()
 	}
@@ -368,36 +373,28 @@ func (t *Thread) charge(now simclock.Time) {
 	if seg := t.current(); seg != nil && seg.kind == segCompute && seg.rates != nil {
 		r := seg.rates
 		sec := float64(ns) / 1e9
-		t.minorAccum += r.MinorFaults * sec
-		t.majorAccum += r.MajorFaults * sec
-		for i := range r.HW {
-			if r.HW[i] != 0 {
-				t.hwAccum[i] += r.HW[i] * sec
+		t.counters.MinorFaults += accrue(&t.minorAccum, r.MinorFaults*sec)
+		t.counters.MajorFaults += accrue(&t.majorAccum, r.MajorFaults*sec)
+		// One pass: a slot's rate of 0 adds nothing, and its accumulator,
+		// which every charge leaves below 1, has no whole event to move.
+		for i, rate := range r.HW {
+			if rate != 0 {
+				t.counters.HW[i] += accrue(&t.hwAccum[i], rate*sec)
 			}
 		}
-		t.flushAccums()
 	}
 }
 
-// flushAccums moves whole events from float accumulators into counters.
-func (t *Thread) flushAccums() {
-	if t.minorAccum >= 1 {
-		n := int64(t.minorAccum)
-		t.counters.MinorFaults += n
-		t.minorAccum -= float64(n)
+// accrue adds v events to the float accumulator *acc and moves its whole
+// events out, returning their count; *acc is left below 1.
+func accrue(acc *float64, v float64) int64 {
+	*acc += v
+	if *acc < 1 {
+		return 0
 	}
-	if t.majorAccum >= 1 {
-		n := int64(t.majorAccum)
-		t.counters.MajorFaults += n
-		t.majorAccum -= float64(n)
-	}
-	for i := range t.hwAccum {
-		if t.hwAccum[i] >= 1 {
-			n := int64(t.hwAccum[i])
-			t.counters.HW[i] += n
-			t.hwAccum[i] -= float64(n)
-		}
-	}
+	n := int64(*acc)
+	*acc -= float64(n)
+	return n
 }
 
 // DeschedReason explains why a thread left its core, for tracing.

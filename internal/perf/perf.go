@@ -248,10 +248,10 @@ type Config struct {
 	// Rng drives multiplexing error; derived sub-streams keep sessions
 	// independent. Nil disables multiplexing error even when oversubscribed.
 	Rng *simrand.Rand
-	// Faults, if non-nil, injects measurement-plane failures: TryOpen may
+	// Faults, if non-nil, injects measurement-plane failures: TryReopen may
 	// fail or lose the render thread, and individual counter values may be
-	// dropped from readings. Open ignores the open/render faults (it cannot
-	// report them) but still applies counter dropout.
+	// dropped from readings. Open and Reopen ignore the open/render faults
+	// (they cannot report them) but still apply counter dropout.
 	Faults *fault.Injector
 	// Metrics, if non-nil, counts opens, open failures, reads, and charged
 	// cost into an obs registry (the owning Doctor's).
@@ -331,7 +331,7 @@ type Session struct {
 	threads []*cpu.Thread
 	events  []Event
 	cfg     Config
-	rng     *simrand.Rand
+	rng     *simrand.Rand // &rngState, or nil without Config.Rng
 
 	startTime simclock.Time
 	startSnap []cpu.Counters
@@ -343,33 +343,39 @@ type Session struct {
 	stopped     bool
 	costNs      int64
 	numPMU      int
+
+	// Buffers a Reopen keeps: the derived RNG, both snapshot sets' backing
+	// array, and the full-window reading's values and dropout marks.
+	rngState simrand.Rand
+	snaps    []cpu.Counters
+	flat     []int64
+	vals     []Values
+	lostFlat []bool
+	lost     [][]bool
 }
 
-// ErrOpenFailed is returned by TryOpen when fault injection makes the
+// sessionKey derives each session's multiplexing-error stream from
+// Config.Rng.
+var sessionKey = []byte("perf-session")
+
+// ErrOpenFailed is returned by TryReopen when fault injection makes the
 // simulated perf_event_open fail (fd pressure, seccomp, kernel policy).
 var ErrOpenFailed = errors.New("perf: perf_event_open failed")
-
-// TryOpen is Open with the measurement-plane failure modes a real device
-// exhibits: the whole open can fail (ErrOpenFailed), or the render thread's
-// counters can be unavailable, in which case the session silently degrades
-// to the surviving prefix of threads (callers detect this by the length of
-// a Reading's PerThread).
-// Both decisions come from cfg.Faults and never fire when it is nil.
-func TryOpen(clk *simclock.Clock, threads []*cpu.Thread, events []Event, cfg Config) (*Session, error) {
-	if cfg.Faults.PerfOpenFails() {
-		cfg.Metrics.noteOpenFailure()
-		return nil, ErrOpenFailed
-	}
-	if len(threads) > 1 && cfg.Faults.RenderUnavailable() {
-		threads = threads[:1]
-	}
-	return Open(clk, threads, events, cfg), nil
-}
 
 // Open starts measuring events on threads (index order is preserved in all
 // readings; by convention callers pass the main thread first and the render
 // thread second).
 func Open(clk *simclock.Clock, threads []*cpu.Thread, events []Event, cfg Config) *Session {
+	s := new(Session)
+	s.Reopen(clk, threads, events, cfg)
+	return s
+}
+
+// Reopen starts a new measurement on s as Open does, in the buffers s
+// already holds, so a monitor that measures window after window keeps one
+// session. It invalidates every Reading and Sample s returned before. s
+// must be new or stopped.
+func (s *Session) Reopen(clk *simclock.Clock, threads []*cpu.Thread, events []Event, cfg Config) {
 	if len(threads) == 0 {
 		panic("perf: session needs at least one thread")
 	}
@@ -380,33 +386,65 @@ func Open(clk *simclock.Clock, threads []*cpu.Thread, events []Event, cfg Config
 		cfg.Registers = DefaultRegisters
 	}
 	cfg.Metrics.noteOpen()
-	s := &Session{
+	*s = Session{
 		clk:       clk,
 		threads:   threads,
-		events:    append([]Event(nil), events...),
+		events:    append(s.events[:0], events...),
 		cfg:       cfg,
 		startTime: clk.Now(),
 		lastTime:  clk.Now(),
 		costNs:    CostOpenNs,
+		snaps:     s.snaps,
+		flat:      s.flat,
+		vals:      s.vals,
+		lostFlat:  s.lostFlat,
+		lost:      s.lost,
 	}
 	if cfg.Rng != nil {
-		s.rng = cfg.Rng.Derive("perf-session")
+		cfg.Rng.DeriveInto(&s.rngState, sessionKey)
+		s.rng = &s.rngState
 	}
 	for _, e := range s.events {
 		if !e.Kernel() {
 			s.numPMU++
 		}
 	}
-	// Both snapshot sets share one backing array: sessions are opened per
-	// action window, so this is a hot allocation site.
-	snaps := make([]cpu.Counters, 2*len(threads))
-	s.startSnap = snaps[:len(threads):len(threads)]
-	s.lastSnap = snaps[len(threads):]
+	// Both snapshot sets share one backing array.
+	n := len(threads)
+	s.snaps = grow(s.snaps, 2*n)
+	s.startSnap = s.snaps[:n:n]
+	s.lastSnap = s.snaps[n:]
 	for i, t := range threads {
 		s.startSnap[i] = t.Counters()
 		s.lastSnap[i] = s.startSnap[i]
 	}
-	return s
+}
+
+// TryReopen is Reopen with the measurement-plane failure modes a real
+// device exhibits: the whole open can fail (ErrOpenFailed, leaving s as
+// it was), or the render thread's counters can be unavailable, in which
+// case the session silently degrades to the surviving prefix of threads
+// (callers detect this by the length of a Reading's PerThread). Both
+// decisions come from cfg.Faults and never fire when it is nil.
+func (s *Session) TryReopen(clk *simclock.Clock, threads []*cpu.Thread, events []Event, cfg Config) error {
+	if cfg.Faults.PerfOpenFails() {
+		cfg.Metrics.noteOpenFailure()
+		return ErrOpenFailed
+	}
+	if len(threads) > 1 && cfg.Faults.RenderUnavailable() {
+		threads = threads[:1]
+	}
+	s.Reopen(clk, threads, events, cfg)
+	return nil
+}
+
+// grow returns buf resliced to length n, reallocated only when its
+// capacity is short.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // CostNs returns the simulated CPU cost this session has charged so far
@@ -421,11 +459,13 @@ func (s *Session) muxScale() float64 {
 	return float64(s.cfg.Registers) / float64(s.numPMU)
 }
 
-// read produces per-thread deltas between two snapshot sets, applying the
-// multiplexing and noise models and the counter-dropout fault. The second
-// result marks dropped counters; it is nil when every counter survived.
-// commonG is the shared device-load factor for this window.
-func (s *Session) read(from []cpu.Counters, fromTime simclock.Time) ([]Values, [][]bool) {
+// read produces per-thread deltas between two snapshot sets into flat and
+// out, applying the multiplexing and noise models and the counter-dropout
+// fault. flat holds one value per thread and event, and out one slice of
+// it per thread. The second result marks dropped counters; it is nil when
+// every counter survived. commonG is the shared device-load factor for
+// this window.
+func (s *Session) read(from []cpu.Counters, fromTime simclock.Time, flat []int64, out []Values) ([]Values, [][]bool) {
 	s.cfg.Metrics.noteRead()
 	now := s.clk.Now()
 	windowSec := float64(now.Sub(fromTime)) / 1e9
@@ -437,12 +477,7 @@ func (s *Session) read(from []cpu.Counters, fromTime simclock.Time) ([]Values, [
 		commonG = s.cfg.Noise.commonFactor()
 	}
 	mux := s.muxScale()
-	// One flat backing array for all per-thread value slices: readings
-	// happen once per action (plus once per sample tick), so per-thread
-	// allocations add up across a corpus sweep.
 	ne := len(s.events)
-	flat := make([]int64, len(s.threads)*ne)
-	out := make([]Values, len(s.threads))
 	var lost [][]bool
 	for ti, th := range s.threads {
 		cur := th.Counters()
@@ -451,12 +486,10 @@ func (s *Session) read(from []cpu.Counters, fromTime simclock.Time) ([]Values, [
 		for ei, e := range s.events {
 			if s.cfg.Faults.CounterDropped() {
 				if lost == nil {
-					lost = make([][]bool, len(s.threads))
-					for i := range lost {
-						lost[i] = make([]bool, len(s.events))
-					}
+					lost = s.lostMarks()
 				}
 				lost[ti][ei] = true
+				vals[ei] = 0
 				continue
 			}
 			v := float64(ReadCounter(delta, e))
@@ -482,6 +515,19 @@ func (s *Session) read(from []cpu.Counters, fromTime simclock.Time) ([]Values, [
 	return out, lost
 }
 
+// lostMarks returns the session's dropout marks, one cleared row per
+// thread, for the full-window reading.
+func (s *Session) lostMarks() [][]bool {
+	ne := len(s.events)
+	s.lostFlat = grow(s.lostFlat, len(s.threads)*ne)
+	clear(s.lostFlat)
+	s.lost = grow(s.lost, len(s.threads))
+	for i := range s.lost {
+		s.lost[i] = s.lostFlat[i*ne : (i+1)*ne : (i+1)*ne]
+	}
+	return s.lost
+}
+
 // SampleEvery arms periodic sampling: every interval, per-thread deltas over
 // the last window are appended to Samples. Sampling stops automatically at
 // Stop.
@@ -497,7 +543,8 @@ func (s *Session) SampleEvery(interval simclock.Duration) {
 		if s.stopped {
 			return
 		}
-		vals, _ := s.read(s.lastSnap, s.lastTime)
+		// Samples are kept, so each reads into arrays of its own.
+		vals, _ := s.read(s.lastSnap, s.lastTime, make([]int64, len(s.threads)*len(s.events)), make([]Values, len(s.threads)))
 		s.samples = append(s.samples, Sample{At: s.clk.Now(), PerThread: vals})
 		for i, t := range s.threads {
 			s.lastSnap[i] = t.Counters()
@@ -519,7 +566,9 @@ func (s *Session) Stop() Reading {
 	}
 	s.stopped = true
 	s.clk.Cancel(s.sampleEvent)
-	vals, lost := s.read(s.startSnap, s.startTime)
+	s.flat = grow(s.flat, len(s.threads)*len(s.events))
+	s.vals = grow(s.vals, len(s.threads))
+	vals, lost := s.read(s.startSnap, s.startTime, s.flat, s.vals)
 	s.cfg.Metrics.addCost(s.costNs)
 	return Reading{
 		Start:     s.startTime,
